@@ -130,6 +130,7 @@ func benchClusterIteration(b *testing.B, ca bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer cb.Close()
 	app.Init(cb)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -215,6 +216,7 @@ func BenchmarkHydraIterationCA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer cb.Close()
 	app.RunSetup(cb, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -57,6 +57,14 @@ func main() {
 
 	var b core.Backend
 	var cb *cluster.Backend
+	// main owns the cluster backend (its worker pool, under -serial=false):
+	// closed on return, and before a supervised retry replaces it.
+	closeBackend := func() {
+		if cb != nil {
+			cb.Close()
+		}
+	}
+	defer closeBackend()
 	startIter := 0
 	switch *backendName {
 	case "seq":
@@ -85,6 +93,7 @@ func main() {
 				Body: func(st *checkpoint.State, sup *supervise.Supervisor) error {
 					start := 0
 					var err error
+					closeBackend()
 					if st == nil {
 						cb, err = cluster.New(ccfg)
 					} else {

@@ -24,6 +24,13 @@ func TestLoadgenShedsAndDrains(t *testing.T) {
 	ts := httptest.NewServer(service.NewHandler(svc))
 	defer ts.Close()
 
+	// A long job pins the only worker, so the flood meets a full queue at
+	// any scheduler width: at GOMAXPROCS=1 the worker otherwise drains the
+	// loadgen's millisecond jobs between POSTs and nothing is shed.
+	pin := service.JobSpec{Tenant: "pin", App: "mgcfd", MeshNodes: 6000, Ranks: 2, Iters: 15, NChains: 1, Machine: "laptop"}
+	if _, err := svc.Submit(pin); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := runLoadgen(ts.URL, 16, []string{"acme", "zeta"})
 	if err != nil {
 		t.Fatal(err)

@@ -143,6 +143,7 @@ func main() {
 		}
 		fmt.Printf("%-16s: norm %.9e, %4d messages, virtual time %.6fs%s\n",
 			md.name, norm, msgs, b.MaxClock(), auto)
+		b.Close() // a Parallel backend owns worker goroutines
 	}
 
 	for _, n := range norms[1:] {

@@ -67,6 +67,7 @@ func main() {
 			for _, cs := range b.Stats().Chains {
 				msgs[mode] += cs.Msgs
 			}
+			b.Close() // a Parallel backend owns worker goroutines
 		}
 		gain := (times[0] - times[1]) / times[0] * 100
 		fmt.Printf("%-7d  %-12.6f  %-12.6f  %-8.2f  %-10d  %-10d\n",

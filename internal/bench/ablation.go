@@ -33,14 +33,9 @@ func (c Config) runSyntheticOnce(cfg cluster.Config, h *mesh.Hierarchy, nchains 
 	label := fmt.Sprintf("synthetic ca=%v depth=%d grouped=%v loops=%d ranks=%d",
 		cfg.CA, cfg.Depth, !cfg.NoGroupedMsgs, 2*nchains, cfg.NParts)
 	var rctx synResumeCtx
-	b, start := c.resume(label, cfg, &rctx)
-	if b == nil {
-		var err error
-		b, err = cluster.New(cfg)
-		if err != nil {
-			panic("bench: " + err.Error())
-		}
-		c.adopt(b)
+	b, start, fresh := c.open(label, cfg, &rctx)
+	defer b.Close()
+	if fresh {
 		app.Init(b)
 		syn.Run(b, nchains, chained) // warm-up
 		rctx.T0 = b.MaxClock()
@@ -214,6 +209,7 @@ func AblationGPUDirect(c Config) *Table {
 			if err != nil {
 				panic("bench: " + err.Error())
 			}
+			defer b.Close()
 			c.adopt(b)
 			app.RunSetup(b, true)
 			app.RunIteration(b, true)

@@ -72,6 +72,22 @@ func (c Config) resume(label string, cfg cluster.Config, ctx any) (*cluster.Back
 	return b, rp.Done
 }
 
+// open returns the backend a run executes on and the number of measured
+// iterations already complete: restored from the pending snapshot when it
+// belongs to the run labelled label (ctx then holds the snapshot's
+// measurement baseline), else freshly constructed — fresh is true and the
+// caller initialises it. The caller owns the backend and must Close it.
+func (c Config) open(label string, cfg cluster.Config, ctx any) (b *cluster.Backend, start int, fresh bool) {
+	if b, start = c.resume(label, cfg, ctx); b != nil {
+		return b, start, false
+	}
+	b, err := cluster.New(cfg)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	return c.adopt(b), 0, true
+}
+
 // mgResumeCtx is runMGPoint's measurement baseline: the virtual-time and
 // counter snapshot taken after warm-up, before the measured loop.
 type mgResumeCtx struct {

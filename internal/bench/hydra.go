@@ -40,7 +40,7 @@ func (c Config) runHydraPoint(meshNodes, paperNodes int, mach *machine.Machine) 
 	assign := partition.RIB(m.Coords, 3, ranks) // Hydra's default partitioner
 
 	pt := hydraPoint{ranks: ranks, op2: map[string]hydraMeas{}, cab: map[string]hydraMeas{}}
-	for _, caMode := range []bool{false, true} {
+	run := func(caMode bool) {
 		mode := "op2"
 		if caMode {
 			mode = "ca"
@@ -55,15 +55,10 @@ func (c Config) runHydraPoint(meshNodes, paperNodes int, mach *machine.Machine) 
 			AutoTune: c.AutoTune && caMode, Overlap: c.Overlap && caMode,
 		}
 		var rctx hydraResumeCtx
-		b, start := c.resume(label, ccfg, &rctx)
+		b, start, fresh := c.open(label, ccfg, &rctx)
+		defer b.Close()
 		before := map[string]hydraMeas{}
-		if b == nil {
-			var err error
-			b, err = cluster.New(ccfg)
-			if err != nil {
-				panic("bench: " + err.Error())
-			}
-			c.adopt(b)
+		if fresh {
 			// Setup chains (weight, period) execute once; measure them
 			// cumulatively. Per-iteration chains are measured after a warm-up
 			// iteration, so first-execution clean halos do not skew the
@@ -107,6 +102,8 @@ func (c Config) runHydraPoint(meshNodes, paperNodes int, mach *machine.Machine) 
 		}
 		c.observe(label, b)
 	}
+	run(false)
+	run(true)
 	return pt
 }
 

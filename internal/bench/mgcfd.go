@@ -74,7 +74,7 @@ func (c Config) runMGPoint(meshNodes, paperNodes, nchains int, mach *machine.Mac
 
 	var pt mgPoint
 	pt.ranks = ranks
-	for _, caMode := range []bool{false, true} {
+	run := func(caMode bool) {
 		mode := "op2"
 		if caMode {
 			mode = "ca"
@@ -90,14 +90,9 @@ func (c Config) runMGPoint(meshNodes, paperNodes, nchains int, mach *machine.Mac
 			AutoTune: c.AutoTune && caMode, Overlap: c.Overlap && caMode,
 		}
 		var rctx mgResumeCtx
-		b, start := c.resume(label, ccfg, &rctx)
-		if b == nil {
-			var err error
-			b, err = cluster.New(ccfg)
-			if err != nil {
-				panic("bench: " + err.Error())
-			}
-			c.adopt(b)
+		b, start, fresh := c.open(label, ccfg, &rctx)
+		defer b.Close()
+		if fresh {
 			app.Init(b)
 			// Warm-up (dirties halos, amortises nothing else); excluded from
 			// the measurement like the paper's inspection phase.
@@ -134,6 +129,8 @@ func (c Config) runMGPoint(meshNodes, paperNodes, nchains int, mach *machine.Mac
 		}
 		c.observe(label, b)
 	}
+	run(false)
+	run(true)
 	return pt
 }
 

@@ -1,7 +1,7 @@
 package bench
 
 // overlap.go is the dedicated study of the overlap-capable task-graph chain
-// executor (internal/cluster/taskgraph.go): the same comm-bound MG-CFD
+// executor (cluster.Config.Overlap): the same comm-bound MG-CFD
 // synthetic loop-chain configuration runs once bulk-synchronous and once
 // overlapped, and the experiment reports virtual time, receiver-observed
 // wait, hidden in-flight time and dat-checksum equality for both modes. The
@@ -87,6 +87,7 @@ func OverlapStudy(c Config) *Table {
 		if err != nil {
 			panic("bench: " + err.Error())
 		}
+		defer b.Close()
 		app.Init(b)
 		for it := 0; it < c.Iters; it++ {
 			syn.Run(b, nchains, true)

@@ -28,7 +28,6 @@ import (
 	"op2ca/internal/ca"
 	"op2ca/internal/chaincfg"
 	"op2ca/internal/core"
-	"op2ca/internal/halo"
 	"op2ca/internal/model"
 	"op2ca/internal/obs"
 )
@@ -343,13 +342,16 @@ func (b *Backend) caCandidates(name string, loops []core.Loop, cfgChain *chaincf
 func (b *Backend) caCandidate(loops []core.Loop, p ca.Plan, over []int, grouped, overlap bool, ct *chainTune, cal autotune.Calib) autotune.CACandidate {
 	m := b.cfg.Machine
 	var specs []exchangeSpec
-	for _, r := range p.Required {
-		if ct.dirty[r.Dat.ID] {
-			specs = append(specs, exchangeSpec{dat: r.Dat, execDepth: r.ExecDepth, nonexecDepth: r.NonexecDepth})
+	for _, sp := range requiredSpecs(p) {
+		if ct.dirty[sp.dat.ID] {
+			specs = append(specs, sp)
 		}
 	}
-	maxMsg, maxNeigh, nMsgs := b.exchangeShape(specs, grouped)
-	exchanging := nMsgs > 0
+	// The message shape is read off the schedule the exchange would run:
+	// built, not memoised (most candidates never execute) and not replayed.
+	shape := b.buildSchedule(specs, grouped)
+	maxMsg, maxNeigh := shape.maxMsgBytes, shape.maxNeigh
+	exchanging := len(shape.msgs) > 0
 
 	n := len(loops)
 	lp := make([]model.LoopParams, n)
@@ -389,52 +391,4 @@ func (b *Backend) caCandidate(loops []core.Loop, p ca.Plan, over []int, grouped,
 		cand.PackBytes = float64(maxMsg)
 	}
 	return cand
-}
-
-// exchangeShape walks the export lists for a spec set without moving any
-// data: the largest single message, the largest per-rank neighbour count
-// and the total message count, under either grouping. Mirrors doExchange's
-// message formation.
-func (b *Backend) exchangeShape(specs []exchangeSpec, grouped bool) (maxMsg int64, maxNeigh, nMsgs int) {
-	for r := 0; r < b.cfg.NParts; r++ {
-		byDest := map[int32]int64{}
-		msgs := 0
-		for _, sp := range specs {
-			sl := b.layouts[r].SetL(sp.dat.Set)
-			add := func(exports [][]halo.ExportList, depth int) {
-				for d := 0; d < depth; d++ {
-					for _, ex := range exports[d] {
-						if len(ex.Locals) == 0 {
-							continue
-						}
-						bytes := int64(len(ex.Locals) * sp.dat.Dim * 8)
-						if grouped {
-							byDest[ex.Rank] += bytes
-							continue
-						}
-						byDest[ex.Rank] += bytes // neighbour dedup only
-						msgs++
-						if bytes > maxMsg {
-							maxMsg = bytes
-						}
-					}
-				}
-			}
-			add(sl.ExportExec, sp.execDepth)
-			add(sl.ExportNonexec, sp.nonexecDepth)
-		}
-		if grouped {
-			msgs = len(byDest)
-			for _, bts := range byDest {
-				if bts > maxMsg {
-					maxMsg = bts
-				}
-			}
-		}
-		if len(byDest) > maxNeigh {
-			maxNeigh = len(byDest)
-		}
-		nMsgs += msgs
-	}
-	return maxMsg, maxNeigh, nMsgs
 }

@@ -43,15 +43,16 @@ type Config struct {
 	// disables (the paper's Section 3.4 configuration file).
 	Chains *chaincfg.Config
 	// Parallel executes ranks on multiple OS threads. Results are
-	// identical; only host wall time changes.
+	// identical; only host wall time changes. A Parallel backend owns
+	// worker goroutines: its constructor's caller must Close it.
 	Parallel bool
 	// NoGroupedMsgs makes CA chains exchange one message per dat and
 	// halo kind instead of one grouped message per neighbour (Figure 8
 	// disabled). An ablation knob: isolates the message-count reduction
 	// from the per-loop-exchange elimination.
 	NoGroupedMsgs bool
-	// Overlap switches CA chain exchanges to the overlap-capable
-	// task-graph executor (see taskgraph.go): delivery splits into post
+	// Overlap switches CA chain exchanges to pipelined delivery
+	// (netsim.Overlapped, see overlapFor): delivery splits into post
 	// and complete halves, so message latencies and rendezvous handshakes
 	// pipeline behind payload injection instead of serialising on the
 	// sender's NIC, and the receiver's wait is charged only for the
@@ -83,10 +84,12 @@ type Config struct {
 	// when feasible, falling back to per-loop execution otherwise.
 	// Requires CA.
 	Lazy bool
-	// NoPlanCache disables the inspect-once/execute-many execution-plan
-	// cache: every chain execution re-runs ca.Inspect and rebuilds its
-	// pack/unpack schedules from the halo layouts. An ablation and
-	// debugging knob — cached and uncached execution are bit-identical.
+	// NoPlanCache disables the inspect-once/execute-many memoisation:
+	// every chain execution re-runs ca.Inspect, and every exchange — chain
+	// or per-loop — builds its pack/unpack schedule from the halo layouts
+	// for that one use instead of replaying a memoised one. The executor is
+	// the same either way (there is one exchange path), so cached and
+	// uncached execution are bit-identical; an ablation and debugging knob.
 	NoPlanCache bool
 	// Faults, when non-nil, injects deterministic message faults (drops,
 	// corruption, delays, stragglers) into every exchange. Lost and
@@ -153,14 +156,19 @@ type Backend struct {
 	tunes        map[tuneKey]*chainTune
 	tuneSampling *chainTune
 
-	// plans is the execution-plan cache: memoised inspection results and
-	// exchange schedules, keyed by chain name + structural signature
-	// (joined with a NUL so steady-state lookups build the key in scratch
-	// bytes without allocating). See plancache.go.
+	// plans is the execution-plan cache: memoised inspection results,
+	// keyed by chain name + structural signature (joined with a NUL so
+	// steady-state lookups build the key in scratch bytes without
+	// allocating). See plancache.go.
 	plans             map[string]*planEntry
 	planHits          int64
 	planMisses        int64
 	planInvalidations int64
+	// schedules memoises exchange schedules by spec fingerprint, for chain
+	// and per-loop exchanges alike; noExchange is the schedule of an
+	// exchange with nothing to send. See exchange.go.
+	schedules  map[string]*exchangeSchedule
+	noExchange *exchangeSchedule
 
 	// Fault-recovery state: the per-message retransmission budget and the
 	// timeout/backoff charges, resolved from Config at construction, and
@@ -216,6 +224,8 @@ type Backend struct {
 	fnStdRank   func(w, r int)
 	fnChainPrep func(w, r int)
 	fnChainExec func(w, r int)
+	fnPack      func(w, r int)
+	fnUnpack    func(w, r int)
 }
 
 // workerScratch is the per-worker reusable state of runLoopOnRank: the
@@ -271,10 +281,6 @@ type execScratch struct {
 	g  []float64
 	lp []model.LoopParams
 
-	// Stats-accounting maps, cleared per use (clear() frees nothing).
-	neigh   map[[2]int32]bool
-	perRank map[int32]int
-
 	// Key-building byte buffers: chain signatures, plan-cache keys and
 	// schedule fingerprints are built here and looked up via the
 	// alloc-free map[string(buf)] form.
@@ -282,16 +288,21 @@ type execScratch struct {
 	keyBuf []byte
 	fpBuf  []byte
 
-	// Clean-path delivery scratch (the faulted path allocates freely).
-	arrivals []float64
-	busy     []float64
+	// Delivery scratch: the per-sender NIC-free times and per-message
+	// timeline records of the exchange being priced, and the fault-tolerant
+	// transport's state while a fault plan is active.
+	busy  []float64
+	recs  []netsim.Record
+	retry retrier
 
 	// filterNeeds output, aliased by the execution that requested it.
 	filtered []exchangeSpec
 
-	// emptyBytes is a permanently all-zero per-rank byte-count slice,
-	// aliased by exchanges with nothing to send (callers only read it).
-	emptyBytes []int64
+	// The schedule being replayed (the pack/unpack forks' parameter) and
+	// the payload slab all schedules share, sized to the largest exchange
+	// so far: an exchange packs and unpacks before anything else runs.
+	sched *exchangeSchedule
+	slab  []float64
 }
 
 // recording buffers the loops of an open chain.
@@ -376,6 +387,7 @@ func New(cfg Config) (*Backend, error) {
 		clock:      make([]float64, cfg.NParts),
 		stats:      newStats(),
 		plans:      map[string]*planEntry{},
+		schedules:  map[string]*exchangeSchedule{},
 		tunes:      map[tuneKey]*chainTune{},
 		warmPlans:  map[planKey]bool{},
 		heCache:    map[*chaincfg.Chain]heOverrides{},
@@ -389,10 +401,10 @@ func New(cfg Config) (*Backend, error) {
 			workers = cfg.NParts
 		}
 	}
-	b.installPool(workers)
 	if err := b.net.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: machine %s: %v", cfg.Machine.Name, err)
 	}
+	b.installPool(workers)
 	b.maxRetries = cfg.MaxRetries
 	if b.maxRetries == 0 {
 		if cfg.Faults != nil && cfg.Faults.MaxRetries > 0 {
@@ -692,16 +704,9 @@ func (b *Backend) forEachRank(f func(w, r int)) {
 // removes the pool: serial dispatch) and sizes the per-worker scratch to
 // match. Tests use it to force multi-worker pools on single-slot machines.
 func (b *Backend) installPool(workers int) {
-	if b.pool != nil {
-		b.pool.close()
-		b.pool = nil
-	}
+	b.Close()
 	if workers > 1 {
 		b.pool = newRankPool(workers)
-		// The pool's goroutines reference only the pool, so an
-		// unreachable Backend can be collected; the finalizer then stops
-		// the workers. Close does the same deterministically.
-		runtime.SetFinalizer(b, (*Backend).finalize)
 	}
 	n := workers
 	if n < 1 {
@@ -712,26 +717,16 @@ func (b *Backend) installPool(workers int) {
 	}
 }
 
-func (b *Backend) finalize() { b.Close() }
-
-// Close stops the worker pool's goroutines; subsequent executions run
-// serially (results are identical either way). Optional — an unreachable
-// Backend's pool is stopped by a finalizer — but deterministic for callers
-// that construct many parallel backends.
+// Close stops the worker pool's goroutines and returns once they have
+// exited; subsequent executions run serially (results are identical either
+// way). It is the only pool teardown: whoever constructs a Parallel backend
+// owns it and must Close it, or its workers outlive it. Idempotent, and a
+// no-op on a serial backend.
 func (b *Backend) Close() {
 	if b.pool != nil {
 		b.pool.close()
 		b.pool = nil
-		runtime.SetFinalizer(b, nil)
 	}
-}
-
-// workers returns the executor count of the current dispatch setup.
-func (b *Backend) workers() int {
-	if b.pool == nil {
-		return 1
-	}
-	return b.pool.workers
 }
 
 // initScratch sizes the per-Backend execution scratch from the
@@ -760,13 +755,17 @@ func (b *Backend) initScratch() {
 	}
 	s.g = make([]float64, cl)
 	s.lp = make([]model.LoopParams, cl)
-	s.neigh = map[[2]int32]bool{}
-	s.perRank = map[int32]int{}
 	s.busy = make([]float64, n)
-	s.emptyBytes = make([]int64, n)
+	// Exchanges with nothing to send share one schedule whose per-rank byte
+	// counts stay all-zero (callers only read them), so dirty-state-clean
+	// loops allocate nothing.
+	zero := make([]int64, n)
+	b.noExchange = &exchangeSchedule{sendBytes: zero, recvBytes: zero}
 	b.fnStdRank = func(w, r int) { b.stdRank(w, r) }
 	b.fnChainPrep = func(w, r int) { b.chainPrepRank(w, r) }
 	b.fnChainExec = func(w, r int) { b.chainExecRank(w, r) }
+	b.fnPack = func(w, r int) { b.packRank(w, r) }
+	b.fnUnpack = func(w, r int) { b.unpackRank(w, r) }
 }
 
 // runLoopOnRank executes iterations [lo, hi) of loop l on rank r, as

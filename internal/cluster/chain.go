@@ -8,6 +8,7 @@ import (
 	"op2ca/internal/chaincfg"
 	"op2ca/internal/core"
 	"op2ca/internal/model"
+	"op2ca/internal/netsim"
 	"op2ca/internal/obs"
 )
 
@@ -26,6 +27,24 @@ func (b *Backend) runChain(name string, loops []core.Loop, cfgChain *chaincfg.Ch
 func (b *Backend) runChainAuto(name string, loops []core.Loop, cs *ChainStats) {
 	cfgChain := b.cfg.Chains.Get(name)
 	b.runChainImpl(name, loops, cfgChain, b.overridesFor(cfgChain, len(loops)), !b.cfg.NoGroupedMsgs, b.overlapFor(cfgChain), cs, true)
+}
+
+// overlapFor resolves whether a chain's exchange is delivered under
+// netsim.Overlapped — pack, post-send, compute-core, complete-recv,
+// compute-halo as a pipeline, so only the part of L + m/B that core
+// computation does not hide is charged as wait — instead of as a
+// bulk-synchronous block: the backend-wide Config.Overlap switch, or the
+// chain's own "overlap" configuration token. The autotuner layers its
+// per-policy choice on top (see runTuned). Only virtual time changes; the
+// data pass is the same canonical-order execution under either protocol.
+// Per-loop exchanges never overlap: they are the probe/calibration baseline
+// whose per-message spans must decompose as h*L + m/B for the network fit,
+// and their per-dat eager messages have little pipeline to exploit.
+func (b *Backend) overlapFor(c *chaincfg.Chain) bool {
+	if b.cfg.Overlap {
+		return true
+	}
+	return c != nil && c.Overlap
 }
 
 // overridesFor resolves a chain configuration's per-loop halo-extension
@@ -65,8 +84,8 @@ func (b *Backend) runPerLoop(name string, loops []core.Loop, cs *ChainStats, t0 
 // runChainImpl is the CA chain executor. overrides, grouped and overlap are
 // the policy knobs: the static path derives them from the configuration
 // (overridesFor, !NoGroupedMsgs, overlapFor), the autotuner passes its
-// chosen policy. With overlap the exchange runs the task-graph pipeline of
-// taskgraph.go; the degradation ladder's ungrouped rung keeps the chain's
+// chosen policy. With overlap the exchange is delivered pipelined (see
+// overlapFor); the degradation ladder's ungrouped rung keeps the chain's
 // overlap mode, while the per-loop rung is bulk by construction.
 func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincfg.Chain,
 	overrides []int, grouped, overlap bool, cs *ChainStats, auto bool) {
@@ -78,7 +97,7 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	}
 
 	// Inspect once, execute many: the plan cache memoises the inspection
-	// result (and, below, the exchange schedules) per chain structure.
+	// result per chain structure.
 	entry := b.planEntry(name, loops, overrides)
 	var plan ca.Plan
 	var err error
@@ -122,7 +141,7 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	}
 	specs := entry.specsFor(plan)
 	specs = b.filterNeeds(specs)
-	res := b.exchangeFor(entry, specs, grouped)
+	res := b.exchange(specs, grouped)
 	if ct := b.tuneSampling; ct != nil {
 		ct.notePack(res.sendBytes, m.PackRate)
 	}
@@ -152,12 +171,16 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	b.forEachRank(b.fnChainPrep)
 
 	maxR := b.maxRetriesFor(cfgChain)
-	d := b.deliver(post, res.msgs, name, maxR, overlap)
+	proto := netsim.Bulk
+	if overlap {
+		proto = netsim.Overlapped
+	}
+	d := b.deliver(post, res.msgs, name, maxR, proto)
 	if d.giveups > 0 {
 		// Degradation ladder: the CA exchange could not complete within
-		// its retransmission budget. The cached plan's schedules are what
-		// failed, so the entry is evicted either way; the next execution
-		// of this chain re-inspects and repopulates the cache.
+		// its retransmission budget. The cached plan is what failed, so the
+		// entry is evicted either way; the next execution of this chain
+		// re-inspects and repopulates the cache.
 		b.invalidatePlan(entry)
 		restart := d.restartTime(b.retryTimeout)
 		recovered := false
@@ -167,20 +190,16 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 			// from the failure-detection time.
 			cs.FallbackUngrouped++
 			b.stats.Faults.FallbackUngrouped++
-			res2 := b.doExchange(specs, false)
+			res2 := b.exchange(specs, false)
 			post2 := make([]float64, nparts)
 			for r := range post2 {
-				t := restart
-				if post[r] > t {
-					t = post[r]
-				}
-				t += float64(res2.sendBytes[r]) / m.PackRate
+				t := max(restart, post[r]) + float64(res2.sendBytes[r])/m.PackRate
 				if !b.cfg.GPUDirect {
 					t += m.StageTime(res2.sendBytes[r])
 				}
 				post2[r] = t
 			}
-			d2 := b.deliver(post2, res2.msgs, name, maxR, overlap)
+			d2 := b.deliver(post2, res2.msgs, name, maxR, proto)
 			if d2.giveups == 0 {
 				res, post, d = res2, post2, d2
 				grouped = false
@@ -197,38 +216,26 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 			cs.FallbackPerLoop++
 			b.stats.Faults.FallbackPerLoop++
 			for r := range b.clock {
-				if restart > b.clock[r] {
-					b.clock[r] = restart
-				}
+				b.clock[r] = max(b.clock[r], restart)
 			}
 			copy(b.valid, savedValid)
 			fallback()
 			return
 		}
 	}
-	arrivals := d.arrivals
+	recs := d.recs
 
 	b.forEachRank(b.fnChainExec)
 	gpuDirect := b.cfg.GPUDirect && m.GPU != nil
 	recvLast := sc.chainRecvLast
 	clear(recvLast)
 	for i, msg := range res.msgs {
-		if arrivals[i] > recvLast[msg.To] {
-			recvLast[msg.To] = arrivals[i]
-		}
+		recvLast[msg.To] = max(recvLast[msg.To], recs[i].Arrival)
 	}
 	traced := b.tracer.Enabled()
 	var inbound [][]int
-	var sendStarts []float64
 	if traced && exchanging {
-		if overlap {
-			sendStarts = sendStartTimesOverlapped(b.net, post, res.msgs, arrivals)
-		} else {
-			sendStarts = sendStartTimes(post, res.msgs, arrivals)
-		}
-		b.emitPackSpans(name, res.sendBytes)
-		b.emitSendSpans(name, sendStarts, res.msgs, arrivals)
-		inbound = inboundIndex(b.cfg.NParts, res.msgs)
+		inbound = b.emitSendSpans(name, res, recs)
 	}
 	for r := 0; r < b.cfg.NParts; r++ {
 		var t float64
@@ -241,7 +248,7 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 				t = recvLast[r]
 			}
 			if traced && exchanging {
-				b.emitWaitSpans(name, r, post[r], inbound[r], res.msgs, arrivals, post, sendStarts)
+				b.emitWaitSpans(name, r, post[r], inbound[r], res.msgs, recs, post)
 			}
 			if grouped {
 				if traced && res.recvBytes[r] > 0 {
@@ -302,7 +309,7 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 			}
 		}
 		if traced && exchanging {
-			b.emitWaitSpans(name, r, afterCore, inbound[r], res.msgs, arrivals, post, sendStarts)
+			b.emitWaitSpans(name, r, afterCore, inbound[r], res.msgs, recs, post)
 		}
 		for i := range loops {
 			if halo := haloIters[r][i]; halo > 0 {
@@ -326,40 +333,16 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	cs.CAExecutions++
 	cs.HE = append(cs.HE[:0], plan.HE...)
 	cs.Msgs += int64(len(res.msgs))
-	cs.Bytes += bytesTotal(res)
+	cs.Bytes += res.bytes
 	cs.DatsExchanged += int64(res.nDats)
-	// Neighbour counts dedup (From, To) pairs: with NoGroupedMsgs a rank
-	// sends several per-dat messages to the same neighbour, and counting
-	// raw messages would inflate the p term of Equation (3).
-	neigh, perRank := sc.neigh, sc.perRank
-	clear(neigh)
-	clear(perRank)
-	var execMaxMsg int64
-	for _, msg := range res.msgs {
-		if pair := [2]int32{msg.From, msg.To}; !neigh[pair] {
-			neigh[pair] = true
-			perRank[msg.From]++
-		}
-		if msg.Bytes > execMaxMsg {
-			execMaxMsg = msg.Bytes
-		}
-	}
-	if execMaxMsg > cs.MaxMsgBytes {
-		cs.MaxMsgBytes = execMaxMsg
-	}
-	execNeigh := 0
-	for _, c := range perRank {
-		if c > execNeigh {
-			execNeigh = c
-		}
-	}
-	if execNeigh > cs.MaxNeighbours {
-		cs.MaxNeighbours = execNeigh
-	}
-	for r := range res.sendBytes {
-		if res.sendBytes[r] > cs.MaxRankBytes {
-			cs.MaxRankBytes = res.sendBytes[r]
-		}
+	cs.MaxMsgBytes = max(cs.MaxMsgBytes, res.maxMsgBytes)
+	// The neighbour count is over distinct (From, To) pairs: with
+	// NoGroupedMsgs a rank sends several per-dat messages to the same
+	// neighbour, and counting raw messages would inflate the p term of
+	// Equation (3).
+	cs.MaxNeighbours = max(cs.MaxNeighbours, res.maxNeigh)
+	for _, sent := range res.sendBytes {
+		cs.MaxRankBytes = max(cs.MaxRankBytes, sent)
 	}
 	lp := sc.lp[:n]
 	for i := 0; i < n; i++ {
@@ -382,14 +365,14 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	// size m^r, and the unpack cost c (zero when grouping is disabled).
 	var unpack float64
 	if grouped {
-		unpack = float64(execMaxMsg) / m.PackRate
+		unpack = float64(res.maxMsgBytes) / m.PackRate
 	}
 	net := b.modelNet(unpack)
 	net.Overlap = overlap
 	cs.Predicted += model.TCAChain(model.ChainParams{
 		Loops:        lp,
-		Neighbours:   float64(execNeigh),
-		GroupedBytes: float64(execMaxMsg),
+		Neighbours:   float64(res.maxNeigh),
+		GroupedBytes: float64(res.maxMsgBytes),
 	}, net)
 	cs.Time += b.maxClock() - t0
 }
@@ -446,12 +429,4 @@ func (b *Backend) chainExecRank(w, r int) {
 		b.runLoopOnRank(w, r, l, 0, execEnd[i], nil)
 		b.runLoopOnRank(w, r, l, nx[i].lo, nx[i].hi, nil)
 	}
-}
-
-func bytesTotal(res exchangeResult) int64 {
-	var total int64
-	for _, msg := range res.msgs {
-		total += msg.Bytes
-	}
-	return total
 }

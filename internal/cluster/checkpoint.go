@@ -314,35 +314,46 @@ func RestoreState(st *checkpoint.State, cfg Config) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp, err := b.configFingerprint()
-	if err != nil {
+	if err := b.restoreFrom(st); err != nil {
+		b.Close()
 		return nil, err
 	}
+	return b, nil
+}
+
+// restoreFrom overwrites a freshly constructed backend's state with the
+// snapshot's, after checking the snapshot was taken under the same
+// configuration.
+func (b *Backend) restoreFrom(st *checkpoint.State) error {
+	fp, err := b.configFingerprint()
+	if err != nil {
+		return err
+	}
 	if !bytes.Equal(fp, st.Fingerprint) {
-		return nil, fmt.Errorf("cluster: checkpoint fingerprint mismatch:\n  snapshot: %s\n  config:   %s",
+		return fmt.Errorf("cluster: checkpoint fingerprint mismatch:\n  snapshot: %s\n  config:   %s",
 			st.Fingerprint, fp)
 	}
 	if len(st.Clocks) != len(b.clock) {
-		return nil, fmt.Errorf("cluster: checkpoint has %d clocks, config builds %d", len(st.Clocks), len(b.clock))
+		return fmt.Errorf("cluster: checkpoint has %d clocks, config builds %d", len(st.Clocks), len(b.clock))
 	}
 	copy(b.clock, st.Clocks)
 	if len(st.ValidExec) != len(b.valid) {
-		return nil, fmt.Errorf("cluster: checkpoint has %d validity entries, config builds %d", len(st.ValidExec), len(b.valid))
+		return fmt.Errorf("cluster: checkpoint has %d validity entries, config builds %d", len(st.ValidExec), len(b.valid))
 	}
 	for i := range b.valid {
 		b.valid[i] = validity{exec: int(st.ValidExec[i]), nonexec: int(st.ValidNonexec[i])}
 	}
 	b.faultSeq = st.FaultSeq
 	if len(st.Dats) != len(b.dats) {
-		return nil, fmt.Errorf("cluster: checkpoint has %d ranks of data, config builds %d", len(st.Dats), len(b.dats))
+		return fmt.Errorf("cluster: checkpoint has %d ranks of data, config builds %d", len(st.Dats), len(b.dats))
 	}
 	for r := range b.dats {
 		if len(st.Dats[r]) != len(b.dats[r]) {
-			return nil, fmt.Errorf("cluster: checkpoint rank %d has %d dats, config builds %d", r, len(st.Dats[r]), len(b.dats[r]))
+			return fmt.Errorf("cluster: checkpoint rank %d has %d dats, config builds %d", r, len(st.Dats[r]), len(b.dats[r]))
 		}
 		for d := range b.dats[r] {
 			if len(st.Dats[r][d]) != len(b.dats[r][d]) {
-				return nil, fmt.Errorf("cluster: checkpoint rank %d dat %d has %d values, config builds %d",
+				return fmt.Errorf("cluster: checkpoint rank %d dat %d has %d values, config builds %d",
 					r, d, len(st.Dats[r][d]), len(b.dats[r][d]))
 			}
 			copy(b.dats[r][d], st.Dats[r][d])
@@ -350,7 +361,7 @@ func RestoreState(st *checkpoint.State, cfg Config) (*Backend, error) {
 	}
 	var meta ckptMeta
 	if err := json.Unmarshal(st.Meta, &meta); err != nil {
-		return nil, fmt.Errorf("cluster: checkpoint meta: %w", err)
+		return fmt.Errorf("cluster: checkpoint meta: %w", err)
 	}
 	if meta.Stats != nil {
 		b.stats = meta.Stats
@@ -407,5 +418,5 @@ func RestoreState(st *checkpoint.State, cfg Config) (*Backend, error) {
 		t := b.maxClock()
 		b.tracer.Emit(0, obs.TrackExec, obs.Restore, st.Note, t, t, 0)
 	}
-	return b, nil
+	return nil
 }

@@ -105,6 +105,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				t.Cleanup(clean.Close)
 				cleanW.run(clean, 0, iters, mode.lazy)
 				wantSum := clean.ChecksumDats()
 				wantClock := clean.MaxClock()
@@ -118,6 +119,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				t.Cleanup(first.Close)
 				firstW.run(first, 0, cut, mode.lazy)
 				var snap bytes.Buffer
 				if err := first.Checkpoint(&snap, "cut"); err != nil {
@@ -133,6 +135,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("restore: %v", err)
 				}
+				t.Cleanup(resumed.Close)
 				if note != "cut" {
 					t.Errorf("note = %q, want %q", note, "cut")
 				}

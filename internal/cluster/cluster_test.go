@@ -150,6 +150,7 @@ func clusterResult(t *testing.T, m *mesh.FV3D, steps, nparts int, caMode, chain,
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(b.Close)
 	a.run(b, steps, chain)
 	return map[string][]float64{
 		"res": b.GatherDat(a.res), "flux": b.GatherDat(a.flux),

@@ -6,28 +6,19 @@ import "fmt"
 type ExchangeErrorKind int
 
 const (
-	// ErrTruncated: a grouped message carried fewer values than the
-	// receiver's import layout requires.
-	ErrTruncated ExchangeErrorKind = iota
-	// ErrTrailing: a grouped message carried values beyond the receiver's
-	// import layout — sender and receiver disagree about the halo.
-	ErrTrailing
-	// ErrMissing: an expected neighbour never sent its grouped message.
-	ErrMissing
-	// ErrSizeMismatch: a per-dat message's payload does not match the
-	// import range it addresses.
+	// ErrMissing: a receiver imports a shell slice from a neighbour whose
+	// export lists send it none.
+	ErrMissing ExchangeErrorKind = iota
+	// ErrSizeMismatch: sender and receiver disagree about how many values a
+	// shell slice holds — the payload would be short or long.
 	ErrSizeMismatch
-	// ErrUnexpected: a per-dat message arrived from a rank the receiver
-	// does not import that dat from.
+	// ErrUnexpected: a sender exports a shell slice to a rank that does not
+	// import it from that sender.
 	ErrUnexpected
 )
 
 func (k ExchangeErrorKind) String() string {
 	switch k {
-	case ErrTruncated:
-		return "truncated"
-	case ErrTrailing:
-		return "trailing"
 	case ErrMissing:
 		return "missing"
 	case ErrSizeMismatch:
@@ -58,22 +49,22 @@ func (e *HangError) Error() string {
 }
 
 // ExchangeError describes one halo-exchange integrity violation: which
-// receiving rank detected it, which sender the message came from, which dat
-// it addressed (empty for grouped messages spanning all dats), and the
-// expected versus observed value counts where applicable. Exchange-layer
-// invariants hold by construction, so a violation is a runtime bug; the
-// unpack paths panic with a typed *ExchangeError that callers and tests can
-// inspect field by field instead of substring-matching a message.
+// receiving rank's import layout it concerns, which sender's export layout
+// disagrees with it, which dat's shell slice, and the expected versus
+// scheduled value counts where applicable. Sender and receiver layouts agree
+// by construction, so a violation is a runtime bug; schedule construction —
+// the only place messages are formed — panics with a typed *ExchangeError,
+// before any value moves, that callers and tests can inspect field by field
+// instead of substring-matching a message.
 type ExchangeError struct {
 	Kind ExchangeErrorKind
-	// Rank is the receiving rank that detected the violation; From is the
-	// sending rank of the offending (or missing) message.
+	// Rank is the receiving rank; From is the sending rank.
 	Rank int
 	From int32
-	// Dat names the addressed dat; empty for grouped messages.
+	// Dat names the dat whose shell slice is inconsistent.
 	Dat string
-	// Want and Got are the expected and observed value counts for
-	// truncation/size violations (zero otherwise).
+	// Want is the value count the receiver's import range holds, Got the
+	// count the sender's export list packs (ErrSizeMismatch; zero otherwise).
 	Want, Got int
 }
 
@@ -81,14 +72,8 @@ type ExchangeError struct {
 // string panics so existing log scrapes keep working.
 func (e *ExchangeError) Error() string {
 	switch e.Kind {
-	case ErrTruncated:
-		return fmt.Sprintf("cluster: rank %d: grouped message from rank %d truncated (%d of %d values)",
-			e.Rank, e.From, e.Got, e.Want)
-	case ErrTrailing:
-		return fmt.Sprintf("cluster: rank %d: grouped message from rank %d has %d trailing values",
-			e.Rank, e.From, e.Got)
 	case ErrMissing:
-		return fmt.Sprintf("cluster: rank %d: missing grouped message from rank %d", e.Rank, e.From)
+		return fmt.Sprintf("cluster: rank %d: missing message for dat %s from rank %d", e.Rank, e.Dat, e.From)
 	case ErrSizeMismatch:
 		return fmt.Sprintf("cluster: rank %d: message for dat %s from rank %d has %d values, want %d",
 			e.Rank, e.Dat, e.From, e.Got, e.Want)

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strconv"
+
 	"op2ca/internal/core"
 	"op2ca/internal/halo"
 	"op2ca/internal/netsim"
@@ -14,173 +16,241 @@ type exchangeSpec struct {
 	nonexecDepth int
 }
 
-// sendBuf is one packed message. Standard OP2 sends one buffer per
-// (dat, halo kind, shell, neighbour); the CA back-end groups everything for
-// one neighbour into a single buffer (datID < 0), the paper's Figure 8.
-type sendBuf struct {
-	from, to int32
-	datID    int32 // -1 for grouped messages
-	kind     int8  // 0 execute, 1 non-execute
-	depth    int8  // shell index, 0-based
-	vals     []float64
+// maxSchedules bounds how many distinct (spec set, grouping) exchanges one
+// backend memoises schedules for. The runtime dirty state decides which
+// shells an execution actually exchanges, so a loop or a chain normally sees
+// one or two spec sets (the first execution after a scatter, then the steady
+// state) and a program a few dozen; anything beyond the bound is exchanged
+// through a schedule built for the occasion and dropped.
+const maxSchedules = 256
+
+// appendSpecFingerprint appends a comparable key for a filtered spec set to
+// dst: which dats exchange which shell depths, under which message grouping.
+// The grouping joins the key because the autotuner can run the same plan
+// grouped one window and ungrouped the next; their schedules differ. Callers
+// pass reusable scratch so the steady-state schedule lookup allocates
+// nothing.
+func appendSpecFingerprint(dst []byte, specs []exchangeSpec, grouped bool) []byte {
+	if grouped {
+		dst = append(dst, "g;"...)
+	} else {
+		dst = append(dst, "u;"...)
+	}
+	for _, sp := range specs {
+		dst = strconv.AppendInt(dst, int64(sp.dat.ID), 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(sp.execDepth), 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(sp.nonexecDepth), 10)
+		dst = append(dst, ';')
+	}
+	return dst
 }
 
-// exchangeResult summarises one exchange: the virtual-network messages (in
-// per-sender serialisation order) and per-rank byte totals.
-type exchangeResult struct {
+// packSeg is one contiguous run of a sender's pack work: the elements of
+// one dat exported to one neighbour, in the receiver's storage order.
+type packSeg struct {
+	dat    *core.Dat
+	locals []int32
+}
+
+// unpackSeg is one contiguous run of a receiver's unpack work: the nvals
+// values at slab offset off land at value offset start of the dat's local
+// storage.
+type unpackSeg struct {
+	dat   *core.Dat
+	start int32
+	nvals int32
+	off   int32
+}
+
+// exchangeSchedule is the executor state of one halo exchange — which
+// messages it sends (standard OP2: one per dat, halo kind, shell and
+// neighbour; grouped: everything for one neighbour in a single message, the
+// paper's Figure 8) and where every value is gathered from and lands. It
+// depends only on the halo layouts, the spec set and the grouping, so it is
+// built once and replayed; replays walk flat index lists and allocate
+// nothing.
+type exchangeSchedule struct {
+	// msgs are the virtual-network messages in per-sender serialisation
+	// order; sendBytes and recvBytes total them per rank.
 	msgs      []netsim.Message
-	bufs      []*sendBuf
 	sendBytes []int64
 	recvBytes []int64
 	nDats     int
+	// The exchange's shape, as the stats, the model and the autotuner
+	// consume it: total and largest message bytes, and the largest number
+	// of distinct neighbours any rank sends to.
+	bytes       int64
+	maxMsgBytes int64
+	maxNeigh    int
+	// pack[r] is rank r's gather list, written consecutively into the
+	// payload slab from slabLo[r]; unpack[r] its scatter list. An exchange
+	// packs and unpacks synchronously, so all schedules of a backend share
+	// one slab (execScratch.slab) of at least slabLo[NParts] values.
+	pack   [][]packSeg
+	slabLo []int32
+	unpack [][]unpackSeg
 }
 
-// doExchange packs, "transfers" and unpacks halo data for the given specs.
-// The data movement is real (receivers' halo copies are overwritten with
-// owners' current values); the returned result carries what the virtual
-// network needs to charge time.
-func (b *Backend) doExchange(specs []exchangeSpec, grouped bool) exchangeResult {
-	if len(specs) == 0 {
-		// Nothing to exchange: alias the permanently-zero byte counts
-		// (callers only read them), so dirty-state-clean loops allocate
-		// nothing.
-		return exchangeResult{sendBytes: b.scr.emptyBytes, recvBytes: b.scr.emptyBytes}
-	}
-	res := exchangeResult{
-		sendBytes: make([]int64, b.cfg.NParts),
-		recvBytes: make([]int64, b.cfg.NParts),
-		nDats:     len(specs),
-	}
+// segKey identifies one exported shell slice during schedule construction:
+// the sender's export list and the receiver's import range for the same
+// (spec, halo kind, shell) must pair up.
+type segKey struct {
+	from, to int32
+	spec     int32
+	kind     int8 // 0 execute, 1 non-execute
+	depth    int8 // shell index, 0-based
+}
 
-	// Pack.
-	perRank := make([][]*sendBuf, b.cfg.NParts)
-	b.forEachRank(func(w, r int) {
-		var bufs []*sendBuf
-		byDest := map[int32]*sendBuf{}
-		for _, sp := range specs {
+// slabSeg is where in the payload slab a sender packs one shell slice.
+type slabSeg struct{ off, nvals int32 }
+
+// buildSchedule derives the exchange schedule of one filtered spec set: the
+// one place messages are formed and pack/unpack indices derived. Senders
+// walk their export lists in spec, kind, shell order; receivers walk their
+// import ranges the same way and claim the matching slab windows, which must
+// leave none unclaimed. Layouts are consistent by construction, so a
+// mismatch is a runtime bug: it panics with a typed *ExchangeError before
+// any value moves.
+func (b *Backend) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSchedule {
+	n := b.cfg.NParts
+	s := &exchangeSchedule{
+		sendBytes: make([]int64, n),
+		recvBytes: make([]int64, n),
+		nDats:     len(specs),
+		pack:      make([][]packSeg, n),
+		slabLo:    make([]int32, n+1),
+		unpack:    make([][]unpackSeg, n),
+	}
+	segs := map[segKey]slabSeg{}
+	// byDest maps a sender's neighbours to their grouped messages;
+	// ungrouped, it only counts distinct neighbours.
+	byDest := map[int32]int{}
+	off := int32(0)
+	for r := 0; r < n; r++ {
+		s.slabLo[r] = off
+		clear(byDest)
+		for si, sp := range specs {
 			sl := b.layouts[r].SetL(sp.dat.Set)
-			local := b.dats[r][sp.dat.ID]
-			dim := sp.dat.Dim
-			pack := func(exports [][]halo.ExportList, depth int, kind int8) {
+			add := func(exports [][]halo.ExportList, depth int, kind int8) {
 				for d := 0; d < depth; d++ {
 					for _, ex := range exports[d] {
 						if len(ex.Locals) == 0 {
 							continue
 						}
-						var buf *sendBuf
-						if grouped {
-							buf = byDest[ex.Rank]
-							if buf == nil {
-								buf = &sendBuf{from: int32(r), to: ex.Rank, datID: -1}
-								byDest[ex.Rank] = buf
-								bufs = append(bufs, buf)
-							}
-						} else {
-							buf = &sendBuf{from: int32(r), to: ex.Rank,
-								datID: int32(sp.dat.ID), kind: kind, depth: int8(d)}
-							bufs = append(bufs, buf)
+						nvals := int32(len(ex.Locals) * sp.dat.Dim)
+						bytes := int64(nvals) * 8
+						mi, known := byDest[ex.Rank]
+						if !known || !grouped {
+							mi = len(s.msgs)
+							byDest[ex.Rank] = mi
+							s.msgs = append(s.msgs, netsim.Message{From: int32(r), To: ex.Rank})
 						}
-						for _, loc := range ex.Locals {
-							buf.vals = append(buf.vals, local[int(loc)*dim:(int(loc)+1)*dim]...)
-						}
+						s.msgs[mi].Bytes += bytes
+						s.sendBytes[r] += bytes
+						s.recvBytes[ex.Rank] += bytes
+						s.pack[r] = append(s.pack[r], packSeg{dat: sp.dat, locals: ex.Locals})
+						segs[segKey{int32(r), ex.Rank, int32(si), kind, int8(d)}] = slabSeg{off: off, nvals: nvals}
+						off += nvals
 					}
 				}
 			}
-			pack(sl.ExportExec, sp.execDepth, 0)
-			pack(sl.ExportNonexec, sp.nonexecDepth, 1)
+			add(sl.ExportExec, sp.execDepth, 0)
+			add(sl.ExportNonexec, sp.nonexecDepth, 1)
 		}
-		perRank[r] = bufs
-	})
-	for r := 0; r < b.cfg.NParts; r++ {
-		for _, buf := range perRank[r] {
-			bytes := int64(len(buf.vals) * 8)
-			res.bufs = append(res.bufs, buf)
-			res.msgs = append(res.msgs, netsim.Message{From: buf.from, To: buf.to, Bytes: bytes})
-			res.sendBytes[buf.from] += bytes
-			res.recvBytes[buf.to] += bytes
-		}
+		s.maxNeigh = max(s.maxNeigh, len(byDest))
 	}
-
-	// Unpack.
-	inbound := make([][]*sendBuf, b.cfg.NParts)
-	for _, buf := range res.bufs {
-		inbound[buf.to] = append(inbound[buf.to], buf)
+	s.slabLo[n] = off
+	for _, m := range s.msgs {
+		s.bytes += m.Bytes
+		s.maxMsgBytes = max(s.maxMsgBytes, m.Bytes)
 	}
-	b.forEachRank(func(w, r int) {
-		if grouped {
-			b.unpackGrouped(r, specs, inbound[r])
-			return
-		}
-		for _, buf := range inbound[r] {
-			b.unpackSingle(r, buf)
-		}
-	})
-	return res
-}
-
-// unpackSingle applies one standard per-dat message into rank r's halo.
-func (b *Backend) unpackSingle(r int, buf *sendBuf) {
-	d := b.cfg.Prog.Dats[buf.datID]
-	sl := b.layouts[r].SetL(d.Set)
-	ranges := sl.ImportExec
-	if buf.kind == 1 {
-		ranges = sl.ImportNonexec
-	}
-	for _, rg := range ranges[buf.depth] {
-		if rg.Rank != buf.from {
-			continue
-		}
-		want := int(rg.Count) * d.Dim
-		if len(buf.vals) != want {
-			panic(&ExchangeError{Kind: ErrSizeMismatch, Rank: r, From: buf.from,
-				Dat: d.Name, Want: want, Got: len(buf.vals)})
-		}
-		copy(b.dats[r][d.ID][int(rg.Start)*d.Dim:], buf.vals)
-		return
-	}
-	panic(&ExchangeError{Kind: ErrUnexpected, Rank: r, From: buf.from, Dat: d.Name})
-}
-
-// unpackGrouped applies grouped messages into rank r's halo, walking the
-// specs in the exact order senders packed them.
-func (b *Backend) unpackGrouped(r int, specs []exchangeSpec, inbound []*sendBuf) {
-	cursor := map[int32]int{}
-	bySrc := map[int32]*sendBuf{}
-	for _, buf := range inbound {
-		bySrc[buf.from] = buf
-	}
-	take := func(src int32, n int) []float64 {
-		buf := bySrc[src]
-		if buf == nil {
-			panic(&ExchangeError{Kind: ErrMissing, Rank: r, From: src})
-		}
-		at := cursor[src]
-		if at+n > len(buf.vals) {
-			panic(&ExchangeError{Kind: ErrTruncated, Rank: r, From: src,
-				Want: n, Got: len(buf.vals) - at})
-		}
-		cursor[src] = at + n
-		return buf.vals[at : at+n]
-	}
-	for _, sp := range specs {
-		sl := b.layouts[r].SetL(sp.dat.Set)
-		local := b.dats[r][sp.dat.ID]
-		dim := sp.dat.Dim
-		unpack := func(ranges [][]halo.ImportRange, depth int) {
-			for d := 0; d < depth; d++ {
-				for _, rg := range ranges[d] {
-					copy(local[int(rg.Start)*dim:], take(rg.Rank, int(rg.Count)*dim))
+	for r := 0; r < n; r++ {
+		for si, sp := range specs {
+			sl := b.layouts[r].SetL(sp.dat.Set)
+			dim := int32(sp.dat.Dim)
+			add := func(ranges [][]halo.ImportRange, depth int, kind int8) {
+				for d := 0; d < depth; d++ {
+					for _, rg := range ranges[d] {
+						if rg.Count == 0 {
+							continue
+						}
+						key := segKey{rg.Rank, int32(r), int32(si), kind, int8(d)}
+						seg, sent := segs[key]
+						if !sent {
+							panic(&ExchangeError{Kind: ErrMissing, Rank: r, From: rg.Rank, Dat: sp.dat.Name})
+						}
+						if want := rg.Count * dim; seg.nvals != want {
+							panic(&ExchangeError{Kind: ErrSizeMismatch, Rank: r, From: rg.Rank,
+								Dat: sp.dat.Name, Want: int(want), Got: int(seg.nvals)})
+						}
+						delete(segs, key)
+						s.unpack[r] = append(s.unpack[r], unpackSeg{
+							dat: sp.dat, start: rg.Start * dim, nvals: seg.nvals, off: seg.off})
+					}
 				}
 			}
+			add(sl.ImportExec, sp.execDepth, 0)
+			add(sl.ImportNonexec, sp.nonexecDepth, 1)
 		}
-		unpack(sl.ImportExec, sp.execDepth)
-		unpack(sl.ImportNonexec, sp.nonexecDepth)
 	}
-	for src, buf := range bySrc {
-		if cursor[src] != len(buf.vals) {
-			panic(&ExchangeError{Kind: ErrTrailing, Rank: r, From: src,
-				Got: len(buf.vals) - cursor[src]})
+	for k := range segs {
+		panic(&ExchangeError{Kind: ErrUnexpected, Rank: int(k.to), From: k.from, Dat: specs[k.spec].dat.Name})
+	}
+	return s
+}
+
+// exchange packs, "transfers" and unpacks halo data for the given specs.
+// The data movement is real (receivers' halo copies are overwritten with
+// owners' current values); the returned schedule carries what the virtual
+// network needs to charge time. Schedules are memoised per backend by spec
+// fingerprint; with the plan cache disabled, or beyond the memoisation
+// bound, the exchange runs through a schedule built for this call — the
+// same walk, never a second code path.
+func (b *Backend) exchange(specs []exchangeSpec, grouped bool) *exchangeSchedule {
+	if len(specs) == 0 {
+		return b.noExchange
+	}
+	sc := &b.scr
+	sc.fpBuf = appendSpecFingerprint(sc.fpBuf[:0], specs, grouped)
+	s, ok := b.schedules[string(sc.fpBuf)]
+	if !ok {
+		s = b.buildSchedule(specs, grouped)
+		if !b.cfg.NoPlanCache && len(b.schedules) < maxSchedules {
+			b.schedules[string(sc.fpBuf)] = s
 		}
+	}
+	if len(s.msgs) == 0 {
+		return s
+	}
+	if need := int(s.slabLo[b.cfg.NParts]); need > len(sc.slab) {
+		sc.slab = make([]float64, need)
+	}
+	sc.sched = s
+	b.forEachRank(b.fnPack)
+	b.forEachRank(b.fnUnpack)
+	return s
+}
+
+// packRank gathers rank r's exported values into its slab window.
+func (b *Backend) packRank(w, r int) {
+	s, slab := b.scr.sched, b.scr.slab
+	at := int(s.slabLo[r])
+	for _, seg := range s.pack[r] {
+		local := b.dats[r][seg.dat.ID]
+		dim := seg.dat.Dim
+		for _, loc := range seg.locals {
+			at += copy(slab[at:], local[int(loc)*dim:(int(loc)+1)*dim])
+		}
+	}
+}
+
+// unpackRank scatters rank r's imported slab windows into its halo copies.
+func (b *Backend) unpackRank(w, r int) {
+	s, slab := b.scr.sched, b.scr.slab
+	for _, seg := range s.unpack[r] {
+		copy(b.dats[r][seg.dat.ID][seg.start:seg.start+seg.nvals], slab[seg.off:seg.off+seg.nvals])
 	}
 }
 

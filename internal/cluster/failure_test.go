@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"op2ca/internal/core"
+	"op2ca/internal/halo"
 	"op2ca/internal/mesh"
 	"op2ca/internal/partition"
 )
@@ -56,107 +57,135 @@ func expectExchangeError(t *testing.T, kind ExchangeErrorKind, f func(), check f
 	f()
 }
 
-// TestTruncatedGroupedMessage: a grouped message shorter than the
-// importer's layout implies must be detected, not silently mis-unpacked.
-func TestTruncatedGroupedMessage(t *testing.T) {
-	b, specs := failureFixture(t)
-	res := b.doExchange(specs, true)
-	if len(res.bufs) == 0 {
-		t.Fatal("fixture produced no messages")
+// importer finds a rank of the fixture that imports non-execute halo nodes
+// (a node set has no execute halo of its own), and returns it with that
+// first import range — a pointer into the layout, so tests corrupt it in
+// place.
+func importer(t *testing.T, b *Backend, specs []exchangeSpec) (int, *halo.ImportRange) {
+	t.Helper()
+	for r := range b.layouts {
+		if ranges := b.layouts[r].SetL(specs[0].dat.Set).ImportNonexec[0]; len(ranges) > 0 {
+			return r, &ranges[0]
+		}
 	}
-	buf := res.bufs[0]
-	truncated := &sendBuf{from: buf.from, to: buf.to, datID: -1,
-		vals: buf.vals[:len(buf.vals)-1]}
-	expectExchangeError(t, ErrTruncated, func() {
-		b.unpackGrouped(int(truncated.to), specs, []*sendBuf{truncated})
-	}, func(e *ExchangeError) {
-		if e.Rank != int(buf.to) || e.From != buf.from {
-			t.Errorf("rank pair = (%d <- %d), want (%d <- %d)", e.Rank, e.From, buf.to, buf.from)
+	t.Fatal("fixture has no halo import")
+	return 0, nil
+}
+
+// Sender and receiver layouts are built together and agree by
+// construction; these tests break that agreement the only way it can
+// break — a corrupted halo.Layout — and require schedule construction, the
+// one place messages are formed, to refuse with a typed error before any
+// value moves, under either message grouping.
+func eachGrouping(t *testing.T, f func(t *testing.T, grouped bool)) {
+	for _, grouped := range []bool{true, false} {
+		name := "per-dat"
+		if grouped {
+			name = "grouped"
 		}
-		if e.Got >= e.Want {
-			t.Errorf("truncation got %d >= want %d", e.Got, e.Want)
-		}
+		t.Run(name, func(t *testing.T) { f(t, grouped) })
+	}
+}
+
+// TestShortPayload: the receiver's import range holds more elements than
+// the sender's export list packs.
+func TestShortPayload(t *testing.T) {
+	eachGrouping(t, func(t *testing.T, grouped bool) {
+		b, specs := failureFixture(t)
+		r, rg := importer(t, b, specs)
+		from, sent := rg.Rank, int(rg.Count)
+		rg.Count++
+		expectExchangeError(t, ErrSizeMismatch, func() { b.exchange(specs, grouped) }, func(e *ExchangeError) {
+			if e.Rank != r || e.From != from || e.Dat != "x" {
+				t.Errorf("error names (%d <- %d, dat %q), want (%d <- %d, dat x)", e.Rank, e.From, e.Dat, r, from)
+			}
+			if e.Got != sent || e.Want != sent+1 {
+				t.Errorf("got %d of %d values, want %d of %d", e.Got, e.Want, sent, sent+1)
+			}
+		})
 	})
 }
 
-// TestOversizedGroupedMessage: trailing bytes mean sender and receiver
-// disagree about the halo layout.
-func TestOversizedGroupedMessage(t *testing.T) {
-	b, specs := failureFixture(t)
-	res := b.doExchange(specs, true)
-	buf := res.bufs[0]
-	oversized := &sendBuf{from: buf.from, to: buf.to, datID: -1,
-		vals: append(append([]float64(nil), buf.vals...), 1.0)}
-	expectExchangeError(t, ErrTrailing, func() {
-		b.unpackGrouped(int(oversized.to), specs, []*sendBuf{oversized})
-	}, func(e *ExchangeError) {
-		if e.Got != 1 {
-			t.Errorf("trailing values = %d, want 1", e.Got)
+// TestLongPayload: the sender packs more elements than the receiver's
+// import range holds — trailing values in the old wire format.
+func TestLongPayload(t *testing.T) {
+	eachGrouping(t, func(t *testing.T, grouped bool) {
+		b, specs := failureFixture(t)
+		_, rg := importer(t, b, specs)
+		if rg.Count < 2 {
+			t.Skip("import range too small to shrink")
 		}
+		sent := int(rg.Count)
+		rg.Count--
+		expectExchangeError(t, ErrSizeMismatch, func() { b.exchange(specs, grouped) }, func(e *ExchangeError) {
+			if e.Got != sent || e.Want != sent-1 {
+				t.Errorf("got %d of %d values, want %d of %d", e.Got, e.Want, sent, sent-1)
+			}
+		})
 	})
 }
 
-// TestMissingGroupedMessage: an expected neighbour that never sends.
-func TestMissingGroupedMessage(t *testing.T) {
-	b, specs := failureFixture(t)
-	res := b.doExchange(specs, true)
-	to := int(res.bufs[0].to)
-	expectExchangeError(t, ErrMissing, func() {
-		b.unpackGrouped(to, specs, nil)
-	}, func(e *ExchangeError) {
-		if e.Rank != to {
-			t.Errorf("detecting rank = %d, want %d", e.Rank, to)
-		}
+// TestMissingSource: the receiver imports from a rank that exports
+// nothing to it.
+func TestMissingSource(t *testing.T) {
+	eachGrouping(t, func(t *testing.T, grouped bool) {
+		b, specs := failureFixture(t)
+		r, rg := importer(t, b, specs)
+		rg.Rank = int32(r) // no rank exports to itself
+		expectExchangeError(t, ErrMissing, func() { b.exchange(specs, grouped) }, func(e *ExchangeError) {
+			if e.Rank != r || e.From != int32(r) {
+				t.Errorf("rank pair = (%d <- %d), want (%d <- %d)", e.Rank, e.From, r, r)
+			}
+		})
 	})
 }
 
-// TestWrongSizeSingleMessage: a per-dat message whose payload does not
-// match the import range.
-func TestWrongSizeSingleMessage(t *testing.T) {
-	b, specs := failureFixture(t)
-	res := b.doExchange(specs, false)
-	if len(res.bufs) == 0 {
-		t.Fatal("fixture produced no messages")
-	}
-	var target *sendBuf
-	for _, buf := range res.bufs {
-		if len(buf.vals) > 1 {
-			target = buf
-			break
-		}
-	}
-	if target == nil {
-		t.Skip("no multi-value message to corrupt")
-	}
-	bad := &sendBuf{from: target.from, to: target.to, datID: target.datID,
-		kind: target.kind, depth: target.depth, vals: target.vals[:len(target.vals)-1]}
-	expectExchangeError(t, ErrSizeMismatch, func() {
-		b.unpackSingle(int(bad.to), bad)
-	}, func(e *ExchangeError) {
-		if e.Dat != "x" {
-			t.Errorf("dat = %q, want x", e.Dat)
-		}
-		if e.Got != e.Want-1 {
-			t.Errorf("got %d values, want field says %d", e.Got, e.Want)
-		}
+// TestForeignSource: a rank sends a shell slice its destination does not
+// import from it.
+func TestForeignSource(t *testing.T) {
+	eachGrouping(t, func(t *testing.T, grouped bool) {
+		b, specs := failureFixture(t)
+		r, rg := importer(t, b, specs)
+		from := rg.Rank
+		sl := b.layouts[r].SetL(specs[0].dat.Set)
+		sl.ImportNonexec[0] = sl.ImportNonexec[0][1:] // forget the import; the export remains
+		expectExchangeError(t, ErrUnexpected, func() { b.exchange(specs, grouped) }, func(e *ExchangeError) {
+			if e.Rank != r || e.From != from {
+				t.Errorf("rank pair = (%d <- %d), want (%d <- %d)", e.Rank, e.From, r, from)
+			}
+		})
 	})
 }
 
-// TestForeignSingleMessage: a message from a rank the receiver does not
-// import from.
-func TestForeignSingleMessage(t *testing.T) {
-	b, specs := failureFixture(t)
-	res := b.doExchange(specs, false)
-	buf := res.bufs[0]
-	foreign := &sendBuf{from: buf.to, to: buf.to, datID: buf.datID,
-		kind: buf.kind, depth: buf.depth, vals: buf.vals}
-	expectExchangeError(t, ErrUnexpected, func() {
-		b.unpackSingle(int(foreign.to), foreign)
-	}, func(e *ExchangeError) {
-		if e.From != buf.to {
-			t.Errorf("offending sender = %d, want %d", e.From, buf.to)
+// TestCorruptLayoutStopsLoop: the typed error reaches the caller of an
+// ordinary loop execution — serial or through the worker pool — and no
+// halo value has moved when it does.
+func TestCorruptLayoutStopsLoop(t *testing.T) {
+	for _, workers := range []int{1, forcedWorkers} {
+		b, specs := failureFixture(t)
+		defer b.Close()
+		b.installPool(workers)
+		x := specs[0].dat
+		e2n := b.cfg.Prog.Maps[0]
+		_, rg := importer(t, b, specs)
+		rg.Count++
+		b.valid[x.ID] = validity{} // halo dirty: the loop must exchange
+		before := make([][]float64, len(b.dats))
+		for r := range b.dats {
+			before[r] = append([]float64(nil), b.dats[r][x.ID]...)
 		}
-	})
+		k := &core.Kernel{Name: "read", Fn: func(a [][]float64) {}}
+		expectExchangeError(t, ErrSizeMismatch, func() {
+			b.ParLoop(core.NewLoop(k, e2n.From, core.ArgDat(x, 0, e2n, core.Read)))
+		}, nil)
+		for r := range b.dats {
+			for i, v := range b.dats[r][x.ID] {
+				if v != before[r][i] {
+					t.Fatalf("workers=%d: rank %d value %d changed before the exchange was refused", workers, r, i)
+				}
+			}
+		}
+	}
 }
 
 // TestBeyondHaloDereferencePanics: executing an iteration whose map row

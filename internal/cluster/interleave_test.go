@@ -151,6 +151,7 @@ func TestLazyParallelComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
 	a.run(b, 2, false)
 	got := map[string][]float64{"res": b.GatherDat(a.res), "flux": b.GatherDat(a.flux)}
 	compareExact(t, "lazy-parallel", got, want)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"op2ca/internal/core"
 	"op2ca/internal/model"
+	"op2ca/internal/netsim"
 	"op2ca/internal/obs"
 )
 
@@ -15,7 +16,7 @@ func (b *Backend) runStandard(l core.Loop, chainName string) {
 	indirect := l.HasIndirection()
 
 	specs := b.filterNeeds(standardNeeds(l))
-	res := b.doExchange(specs, false)
+	res := b.exchange(specs, false)
 	if ct := b.tuneSampling; ct != nil && chainName == ct.chain {
 		ct.noteExchange(specs, res.sendBytes, m.PackRate)
 	}
@@ -45,28 +46,19 @@ func (b *Backend) runStandard(l core.Loop, chainName string) {
 	// (counted as giveups), and execution proceeds.
 	// Always bulk delivery (never overlapped): per-loop exchanges are the
 	// probe/calibration baseline, and their spans must decompose as
-	// h*L + m/B for the network fit (see taskgraph.go).
-	d := b.deliver(post, res.msgs, traceKey, b.maxRetries, false)
-	arrivals := d.arrivals
+	// h*L + m/B for the network fit (see overlapFor).
+	recs := b.deliver(post, res.msgs, traceKey, b.maxRetries, netsim.Bulk).recs
 	recvLast := sc.stdRecvLast
 	clear(recvLast)
 	for i, msg := range res.msgs {
-		if arrivals[i] > recvLast[msg.To] {
-			recvLast[msg.To] = arrivals[i]
-		}
+		recvLast[msg.To] = max(recvLast[msg.To], recs[i].Arrival)
 	}
 	gpuDirect := b.cfg.GPUDirect && m.GPU != nil
 
 	traced := b.tracer.Enabled()
 	var inbound [][]int
-	var sendStarts []float64
-	if traced {
-		if exchanging {
-			sendStarts = sendStartTimes(post, res.msgs, arrivals)
-			b.emitPackSpans(traceKey, res.sendBytes)
-			b.emitSendSpans(traceKey, sendStarts, res.msgs, arrivals)
-			inbound = inboundIndex(b.cfg.NParts, res.msgs)
-		}
+	if traced && exchanging {
+		inbound = b.emitSendSpans(traceKey, res, recs)
 	}
 	for r := 0; r < b.cfg.NParts; r++ {
 		var t float64
@@ -78,7 +70,7 @@ func (b *Backend) runStandard(l core.Loop, chainName string) {
 				t = recvLast[r]
 			}
 			if traced && exchanging {
-				b.emitWaitSpans(traceKey, r, post[r], inbound[r], res.msgs, arrivals, post, sendStarts)
+				b.emitWaitSpans(traceKey, r, post[r], inbound[r], res.msgs, recs, post)
 			}
 			start := t
 			t += launch + g*float64(end[r])
@@ -111,7 +103,7 @@ func (b *Backend) runStandard(l core.Loop, chainName string) {
 			}
 		}
 		if traced && exchanging {
-			b.emitWaitSpans(traceKey, r, afterCore, inbound[r], res.msgs, arrivals, post, sendStarts)
+			b.emitWaitSpans(traceKey, r, afterCore, inbound[r], res.msgs, recs, post)
 		}
 		if halo := end[r] - coreEnd[r]; halo > 0 {
 			haloStart := t
@@ -191,7 +183,7 @@ func (b *Backend) stdRank(w, r int) {
 	sc.stdPost[r] = post
 }
 
-func (b *Backend) recordLoopStats(l core.Loop, chainName string, res exchangeResult,
+func (b *Backend) recordLoopStats(l core.Loop, chainName string, res *exchangeSchedule,
 	coreEnd, end []int, t0, g, reduceTime float64) {
 	key := l.Kernel.Name
 	if chainName != "" {
@@ -203,32 +195,9 @@ func (b *Backend) recordLoopStats(l core.Loop, chainName string, res exchangeRes
 	ls.Executions++
 	ls.Msgs += int64(len(res.msgs))
 	ls.DatsExchanged += int64(res.nDats)
-	var execMaxMsg int64
-	execMaxNeigh := 0
-	neigh, perRank := b.scr.neigh, b.scr.perRank
-	clear(neigh)
-	clear(perRank)
-	for _, msg := range res.msgs {
-		ls.Bytes += msg.Bytes
-		if msg.Bytes > execMaxMsg {
-			execMaxMsg = msg.Bytes
-		}
-		if !neigh[[2]int32{msg.From, msg.To}] {
-			neigh[[2]int32{msg.From, msg.To}] = true
-			perRank[msg.From]++
-		}
-	}
-	if execMaxMsg > ls.MaxMsgBytes {
-		ls.MaxMsgBytes = execMaxMsg
-	}
-	for _, n := range perRank {
-		if n > execMaxNeigh {
-			execMaxNeigh = n
-		}
-	}
-	if execMaxNeigh > ls.MaxNeighbours {
-		ls.MaxNeighbours = execMaxNeigh
-	}
+	ls.Bytes += res.bytes
+	ls.MaxMsgBytes = max(ls.MaxMsgBytes, res.maxMsgBytes)
+	ls.MaxNeighbours = max(ls.MaxNeighbours, res.maxNeigh)
 	maxCore, maxHalo := 0, 0
 	for r := range coreEnd {
 		ls.CoreIters += int64(coreEnd[r])
@@ -245,14 +214,14 @@ func (b *Backend) recordLoopStats(l core.Loop, chainName string, res exchangeRes
 	// the per-execution building block of the model-vs-measured report.
 	ls.Predicted += reduceTime + model.TOp2Loop(model.LoopParams{
 		G: g, CoreIters: float64(maxCore), HaloIters: float64(maxHalo),
-		NDats: float64(res.nDats), Neighbours: float64(execMaxNeigh),
-		MsgBytes: float64(execMaxMsg),
+		NDats: float64(res.nDats), Neighbours: float64(res.maxNeigh),
+		MsgBytes: float64(res.maxMsgBytes),
 	}, b.modelNet(0))
 	if ct := b.tuneSampling; ct != nil && chainName == ct.chain {
 		ct.noteLoop(l.Kernel.Name, model.LoopParams{
 			CoreIters: float64(maxCore), HaloIters: float64(maxHalo),
-			NDats: float64(res.nDats), Neighbours: float64(execMaxNeigh),
-			MsgBytes: float64(execMaxMsg),
+			NDats: float64(res.nDats), Neighbours: float64(res.maxNeigh),
+			MsgBytes: float64(res.maxMsgBytes),
 		}, b.maxClock()-t0-reduceTime)
 	}
 }

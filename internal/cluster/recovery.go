@@ -25,10 +25,11 @@ import (
 
 // delivery is the outcome of one exchange's message delivery.
 type delivery struct {
-	// arrivals parallels the exchange's messages: the arrival time of the
-	// first usable copy, or of the final failed attempt for given-up
-	// messages.
-	arrivals []float64
+	// recs parallels the exchange's messages: each message's place on its
+	// sender's NIC timeline. Arrival is that of the first usable copy, or of
+	// the final failed attempt for given-up messages. Aliases Backend
+	// scratch, valid until the next deliver.
+	recs []netsim.Record
 	// giveups counts messages that exhausted the retransmission budget.
 	giveups int
 	// failAt is the latest final-attempt arrival among given-up messages.
@@ -39,99 +40,104 @@ type delivery struct {
 // complete: one detection timeout after the last given-up attempt's arrival.
 func (d delivery) restartTime(timeout float64) float64 { return d.failAt + timeout }
 
-// deliver computes message arrival times under the configured fault plan,
-// charging retransmissions, backoff and straggler slowdowns in virtual time
-// and counting every event into the run's FaultStats. With no plan (or a
-// plan that injects nothing) it reduces to netsim.Deliver — the arithmetic
-// of the clean path is identical operation for operation, so enabling fault
-// injection with zero probabilities does not perturb a single clock bit.
-// owner labels the retry/giveup trace spans (the chain or kernel name).
-// overlap selects the pipelined post/complete delivery of the task-graph
-// executor (see taskgraph.go) instead of bulk-synchronous NIC serialisation.
-func (b *Backend) deliver(post []float64, msgs []netsim.Message, owner string, maxRetries int, overlap bool) delivery {
+// deliver prices one exchange's messages on the netsim timeline under the
+// given protocol (netsim.Overlapped for overlap-enabled chains, see
+// overlapFor) and the configured fault plan, charging retransmissions,
+// backoff and straggler slowdowns in virtual time and counting every event
+// into the run's FaultStats. With no plan (or a plan that injects nothing)
+// the timeline runs without a verdict source — the same arithmetic with
+// factors of exactly 1.0, so enabling fault injection with zero
+// probabilities does not perturb a single clock bit. owner labels the
+// retry/giveup trace spans (the chain or kernel name).
+func (b *Backend) deliver(post []float64, msgs []netsim.Message, owner string, maxRetries int, proto netsim.Protocol) delivery {
 	seq := b.exchangeGate(owner)
-	plan := b.cfg.Faults
-	if overlap {
-		return b.deliverOverlapped(seq, post, msgs, owner, maxRetries)
+	sc := &b.scr
+	var src netsim.Attempts
+	if b.cfg.Faults.Enabled() {
+		sc.retry = retrier{b: b, seq: seq, owner: owner, maxRetries: maxRetries}
+		src = &sc.retry
 	}
-	if !plan.Enabled() {
-		b.scr.arrivals = b.net.DeliverInto(b.scr.arrivals[:0], b.scr.busy, post, msgs)
-		arrivals := b.scr.arrivals
-		if ct := b.tuneSampling; ct != nil {
-			// Calibration sampling: replay the per-sender serialisation to
-			// recover each message's own span (NIC-ready to arrival). Only
-			// clean deliveries feed the fit — retransmission noise under
-			// fault injection would poison the L/B regression.
-			busy := make(map[int32]float64, len(post))
-			for i, m := range msgs {
-				start, ok := busy[m.From]
-				if !ok {
-					start = post[m.From]
-				}
-				ct.cal.AddExchange(m.Bytes, arrivals[i]-start)
-				busy[m.From] = arrivals[i]
-			}
+	copy(sc.busy, post)
+	sc.recs = b.net.Timeline(proto, src, sc.recs[:0], sc.busy, post, msgs)
+	if src != nil {
+		return delivery{recs: sc.recs, giveups: sc.retry.giveups, failAt: sc.retry.failAt}
+	}
+	if ct := b.tuneSampling; ct != nil && proto == netsim.Bulk {
+		// Calibration sampling: each message's own span, NIC-ready to
+		// arrival. Only clean bulk deliveries feed the fit — retransmission
+		// noise would poison the L/B regression, and an overlapped span is
+		// m/B + L minus queueing, not the h*L + m/B the per-loop probe
+		// windows decompose into.
+		for i, m := range msgs {
+			ct.cal.AddExchange(m.Bytes, sc.recs[i].Arrival-sc.recs[i].Start)
 		}
-		return delivery{arrivals: arrivals}
 	}
+	return delivery{recs: sc.recs}
+}
+
+// retrier is the fault-tolerant transport on top of the netsim timeline: it
+// hands the fault plan's verdict on each transmission attempt to the
+// timeline and decides what a failed attempt costs — the one place the
+// retry/backoff/giveup policy, its FaultStats counters and its trace spans
+// live, whatever the protocol.
+type retrier struct {
+	b          *Backend
+	seq        uint64
+	owner      string
+	maxRetries int
+	// v is the verdict on the attempt being priced, from Judge to Settle.
+	v       faults.Verdict
+	giveups int
+	failAt  float64
+}
+
+func (rt *retrier) Judge(i, try int, m netsim.Message) (slow, delay float64) {
+	rt.v = rt.b.cfg.Faults.Judge(faults.Attempt{Exchange: rt.seq, Msg: i, Try: try, From: m.From, To: m.To})
+	return rt.v.Slow, rt.v.Delay
+}
+
+func (rt *retrier) Settle(i, try int, m netsim.Message, arr float64) (retryAt float64, retry bool) {
+	b := rt.b
 	fs := &b.stats.Faults
 	traced := b.tracer.Enabled()
-	d := delivery{arrivals: make([]float64, len(msgs))}
-	busy := make(map[int32]float64, len(post))
-	for i, m := range msgs {
-		start, ok := busy[m.From]
-		if !ok {
-			start = post[m.From]
-		}
-		base := b.net.MessageTime(m.Bytes)
-		for try := 0; ; try++ {
-			v := plan.Judge(faults.Attempt{Exchange: seq, Msg: i, Try: try, From: m.From, To: m.To})
-			arr := start + base*v.Slow*v.Delay
-			busy[m.From] = arr
-			if v.Delay > 1 {
-				fs.Delays++
-			}
-			if !v.Failed() {
-				d.arrivals[i] = arr
-				break
-			}
-			if v.Drop {
-				fs.Drops++
-			} else {
-				fs.Corrupts++
-			}
-			if try >= maxRetries {
-				fs.Giveups++
-				d.giveups++
-				d.arrivals[i] = arr
-				if arr > d.failAt {
-					d.failAt = arr
-				}
-				if traced {
-					b.tracer.Emit(m.From, obs.TrackExec, obs.Giveup, owner,
-						arr, arr+b.retryTimeout, m.Bytes)
-				}
-				break
-			}
-			fs.Retries++
-			// Detection one timeout after the failed attempt, then the
-			// exponential backoff; the NIC sits idle until the retransmit.
-			next := arr + b.retryTimeout + b.retryBackoff*backoffFactor(try)
-			if traced {
-				b.tracer.Emit(m.From, obs.TrackExec, obs.Retry, owner, arr, next, m.Bytes)
-				// The retry edge lets the critical-path walk and the wait
-				// attribution charge this stretch of the message's window
-				// to retransmission rather than transit.
-				b.tracer.EmitEdge(obs.Edge{
-					Kind: obs.EdgeRetry, Name: owner, From: m.From, To: m.From,
-					Post: arr, Begin: arr, End: next, Ready: arr, Bytes: m.Bytes,
-				})
-			}
-			busy[m.From] = next
-			start = next
-		}
+	if rt.v.Delay > 1 {
+		fs.Delays++
 	}
-	return d
+	if !rt.v.Failed() {
+		return 0, false
+	}
+	if rt.v.Drop {
+		fs.Drops++
+	} else {
+		fs.Corrupts++
+	}
+	if try >= rt.maxRetries {
+		fs.Giveups++
+		rt.giveups++
+		if arr > rt.failAt {
+			rt.failAt = arr
+		}
+		if traced {
+			b.tracer.Emit(m.From, obs.TrackExec, obs.Giveup, rt.owner,
+				arr, arr+b.retryTimeout, m.Bytes)
+		}
+		return 0, false
+	}
+	fs.Retries++
+	// Detection one timeout after the failed attempt, then the exponential
+	// backoff; the NIC sits idle until the retransmit.
+	next := arr + b.retryTimeout + b.retryBackoff*backoffFactor(try)
+	if traced {
+		b.tracer.Emit(m.From, obs.TrackExec, obs.Retry, rt.owner, arr, next, m.Bytes)
+		// The retry edge lets the critical-path walk and the wait
+		// attribution charge this stretch of the message's window to
+		// retransmission rather than transit.
+		b.tracer.EmitEdge(obs.Edge{
+			Kind: obs.EdgeRetry, Name: rt.owner, From: m.From, To: m.From,
+			Post: arr, Begin: arr, End: next, Ready: arr, Bytes: m.Bytes,
+		})
+	}
+	return next, true
 }
 
 // exchangeGate runs the per-exchange control checks shared by the bulk and

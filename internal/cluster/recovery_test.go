@@ -48,6 +48,7 @@ func faultyResult(t *testing.T, m *mesh.FV3D, steps int, plan *faults.Plan, mode
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(b.Close)
 	a.run(b, steps, chain)
 	return map[string][]float64{
 		"res": b.GatherDat(a.res), "flux": b.GatherDat(a.flux),

@@ -28,30 +28,19 @@ func (b *Backend) emitPackSpans(name string, sendBytes []int64) {
 	}
 }
 
-// sendStartTimes replays netsim's per-sender NIC serialisation to recover
-// each message's transmission start: the first message of a rank starts at
-// its post time, each further message starts when the previous one left
-// (its final attempt's arrival, under retransmission).
-func sendStartTimes(post []float64, msgs []netsim.Message, arrivals []float64) []float64 {
-	starts := make([]float64, len(msgs))
-	busy := make(map[int32]float64, len(post))
-	for i, msg := range msgs {
-		start, ok := busy[msg.From]
-		if !ok {
-			start = post[msg.From]
-		}
-		starts[i] = start
-		busy[msg.From] = arrivals[i]
+// emitSendSpans records the sending side of one exchange — the pack spans,
+// then one Send span per message on the sender's track, from its NIC
+// transmission start to its arrival as the delivery timeline recorded them —
+// and returns the message indices grouped by receiving rank, for the wait
+// spans.
+func (b *Backend) emitSendSpans(name string, res *exchangeSchedule, recs []netsim.Record) [][]int {
+	b.emitPackSpans(name, res.sendBytes)
+	inbound := make([][]int, b.cfg.NParts)
+	for i, msg := range res.msgs {
+		b.tracer.Emit(msg.From, obs.TrackExec, obs.Send, name, recs[i].Start, recs[i].Arrival, msg.Bytes)
+		inbound[msg.To] = append(inbound[msg.To], i)
 	}
-	return starts
-}
-
-// emitSendSpans records one Send span per message on the sender's track,
-// from its NIC transmission start (see sendStartTimes) to its arrival.
-func (b *Backend) emitSendSpans(name string, starts []float64, msgs []netsim.Message, arrivals []float64) {
-	for i, msg := range msgs {
-		b.tracer.Emit(msg.From, obs.TrackExec, obs.Send, name, starts[i], arrivals[i], msg.Bytes)
-	}
+	return inbound
 }
 
 // emitWaitSpans records one Wait span per inbound message on the
@@ -65,27 +54,17 @@ func (b *Backend) emitSendSpans(name string, starts []float64, msgs []netsim.Mes
 // (pack and staging done), the NIC transmission start, the arrival and the
 // receiver's wait start.
 func (b *Backend) emitWaitSpans(name string, r int, ready float64, inbound []int,
-	msgs []netsim.Message, arrivals, post, starts []float64) {
+	msgs []netsim.Message, recs []netsim.Record, post []float64) {
 	for _, i := range inbound {
-		end := arrivals[i]
+		end := recs[i].Arrival
 		if end < ready {
 			end = ready
 		}
 		b.tracer.Emit(int32(r), obs.TrackExec, obs.Wait, name, ready, end, msgs[i].Bytes)
 		b.tracer.EmitEdge(obs.Edge{
 			Kind: obs.EdgeMsg, Name: name, From: msgs[i].From, To: int32(r),
-			Post: post[msgs[i].From], Begin: starts[i], End: arrivals[i],
+			Post: post[msgs[i].From], Begin: recs[i].Start, End: recs[i].Arrival,
 			Ready: ready, Bytes: msgs[i].Bytes,
 		})
 	}
-}
-
-// inboundIndex groups message indices by receiving rank, for wait-span
-// emission. Only built when tracing is enabled.
-func inboundIndex(nparts int, msgs []netsim.Message) [][]int {
-	inbound := make([][]int, nparts)
-	for i, msg := range msgs {
-		inbound[msg.To] = append(inbound[msg.To], i)
-	}
-	return inbound
 }

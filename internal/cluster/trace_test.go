@@ -29,6 +29,7 @@ func runTraced(t *testing.T, mach *machine.Machine, tracer *obs.Tracer,
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(b.Close)
 	a.run(b, 2, chain)
 	return b
 }

@@ -15,9 +15,9 @@ package cluster
 //     workers pulling 32-rank chunks instead of 1024 short-lived goroutines
 //     churned per fork point.
 //
-//   - Panic transparency. A panic on a worker goroutine — a typed
-//     *ExchangeError from an unpack invariant, the halo-depth dereference
-//     panic in runLoopOnRank, a *faults.CrashError crossing a fork — cannot
+//   - Panic transparency. A panic on a worker goroutine — the halo-depth
+//     dereference panic in runLoopOnRank, a *faults.CrashError raised
+//     inside a kernel, any typed panic crossing a fork — cannot
 //     be recovered by the caller's deferred recover and would abort the
 //     process with a raw goroutine dump. The pool captures the first panic
 //     (value and worker stack), lets the join complete, and re-raises the
@@ -45,6 +45,7 @@ type rankPool struct {
 	work    chan *poolRun
 	stop    chan struct{}
 	once    sync.Once
+	exited  sync.WaitGroup
 	run     poolRun
 }
 
@@ -71,6 +72,7 @@ func newRankPool(workers int) *rankPool {
 		work:    make(chan *poolRun),
 		stop:    make(chan struct{}),
 	}
+	p.exited.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go p.worker(w)
 	}
@@ -80,6 +82,7 @@ func newRankPool(workers int) *rankPool {
 // worker is one background executor: it blocks between forks and joins the
 // runs handed to it.
 func (p *rankPool) worker(w int) {
+	defer p.exited.Done()
 	for {
 		select {
 		case <-p.stop:
@@ -91,10 +94,12 @@ func (p *rankPool) worker(w int) {
 	}
 }
 
-// close stops the background workers. Idempotent; in-flight forks complete
-// first because the dispatcher holds no new sends after the join.
+// close stops the background workers and waits for them to exit.
+// Idempotent; in-flight forks complete first because the dispatcher holds no
+// new sends after the join.
 func (p *rankPool) close() {
 	p.once.Do(func() { close(p.stop) })
+	p.exited.Wait()
 }
 
 // forEach executes f(w, r) for every rank r in [0, nparts), fanning
@@ -130,7 +135,7 @@ func (p *rankPool) forEach(nparts int, f func(w, r int)) {
 	run.f = nil
 	if pv := run.panicVal; pv != nil {
 		// Re-raise the first worker panic with its original value, so
-		// typed panics (*ExchangeError, *faults.CrashError) recover
+		// typed panics (*faults.CrashError, *CancelledError) recover
 		// identically to serial execution. The worker-side stack is kept
 		// in run.panicStack for diagnostics.
 		panic(pv)

@@ -8,8 +8,10 @@ import (
 
 	"op2ca/internal/core"
 	"op2ca/internal/faults"
+	"op2ca/internal/leakcheck"
 	"op2ca/internal/machine"
 	"op2ca/internal/mesh"
+	"op2ca/internal/netsim"
 	"op2ca/internal/partition"
 )
 
@@ -71,7 +73,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 func TestPoolReRaisesTypedPanics(t *testing.T) {
 	p := newRankPool(forcedWorkers)
 	defer p.close()
-	want := &ExchangeError{Kind: ErrTruncated, Rank: 13, From: 2, Dat: "res", Want: 8, Got: 3}
+	want := &ExchangeError{Kind: ErrSizeMismatch, Rank: 13, From: 2, Dat: "res", Want: 8, Got: 3}
 	for round := 0; round < 3; round++ {
 		// Repeated rounds prove the pool survives a panicking fork: the
 		// join completes, the run state resets, and the next fork works.
@@ -157,6 +159,32 @@ func toError(rec any) error {
 		return err
 	}
 	return nil
+}
+
+// TestCloseStopsPoolWorkers: Close is the only teardown of a Parallel
+// backend's worker goroutines, so it must stop all of them — and so must
+// installPool when it replaces a pool (tests re-install to force widths the
+// host's GOMAXPROCS would not give). Nothing may be left running after
+// Close, whatever was installed in between.
+func TestCloseStopsPoolWorkers(t *testing.T) {
+	defer leakcheck.Check(t)()
+	m := mesh.Rotor(8, 6, 5)
+	a := newMiniApp(m)
+	a.p.DeclDat(a.bedges, 1, makeBW(m.NBedges), "bw")
+	b, err := New(Config{
+		Prog: a.p, Primary: a.nodes, Assign: partition.KWay(m.NodeAdjacency(), 6), NParts: 6,
+		Depth: 2, MaxChainLen: 4, CA: true, Parallel: true, Machine: machine.ARCHER2(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{forcedWorkers, 2, 1, forcedWorkers} {
+		b.installPool(workers)
+		a.run(b, 1, true)
+	}
+	b.Close()
+	b.Close()         // idempotent
+	a.run(b, 1, true) // a closed backend keeps working, serially
 }
 
 // TestForcedPoolMatchesSerial: the forced multi-worker pool produces
@@ -281,6 +309,56 @@ func TestChainExecZeroAlloc(t *testing.T) {
 	}
 	if hits, misses, _ := b.PlanCacheStats(); misses != 1 || hits < 20 {
 		t.Fatalf("plan cache hits=%d misses=%d; the measured windows must replay one cached plan", hits, misses)
+	}
+}
+
+// TestPerLoopExchangeZeroAlloc: per-loop exchanges go through the same
+// memoised schedules and the same delivery timeline as chain exchanges, so
+// in the steady state one allocates nothing either — serially and pooled,
+// and with a fault plan retransmitting and slowing messages (the retry loop
+// prices into the backend's reusable timeline storage, not per-exchange
+// maps and slices).
+func TestPerLoopExchangeZeroAlloc(t *testing.T) {
+	m := mesh.Rotor(8, 6, 5)
+	for pname, plan := range map[string]*faults.Plan{
+		"clean":  nil,
+		"faulty": faults.MustParse("drop=0.2,corrupt=0.05,delay=3x@0.2,straggler=rank1:3x,seed=7"),
+	} {
+		a := newMiniApp(m)
+		b, err := New(Config{
+			Prog: a.p, Primary: a.nodes, Assign: partition.KWay(m.NodeAdjacency(), 4), NParts: 4,
+			Depth: 2, MaxChainLen: 4, Machine: machine.ARCHER2(), Faults: plan,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		// The exchange of a loop reading res and pres indirectly: one
+		// message per dat, halo kind and neighbour.
+		specs := []exchangeSpec{{dat: a.res, execDepth: 1, nonexecDepth: 1}, {dat: a.pres, execDepth: 1, nonexecDepth: 1}}
+		post := make([]float64, b.cfg.NParts)
+		var retries int64
+		step := func() {
+			s := b.exchange(specs, false)
+			if len(s.msgs) == 0 {
+				t.Fatal("fixture exchanges nothing")
+			}
+			b.deliver(post, s.msgs, "probe", b.maxRetries, netsim.Bulk)
+			retries = b.stats.Faults.Retries
+		}
+		for _, workers := range []int{1, forcedWorkers} {
+			b.installPool(workers)
+			step() // builds and memoises the schedule, sizes slab and records
+			if n := testing.AllocsPerRun(10, step); n != 0 {
+				t.Errorf("%s, %d workers: steady-state per-loop exchange allocates %v per run, want 0", pname, workers, n)
+			}
+		}
+		if len(b.schedules) != 1 {
+			t.Errorf("%s: %d schedules memoised, want the one replayed", pname, len(b.schedules))
+		}
+		if plan != nil && retries == 0 {
+			t.Errorf("%s: no retransmission happened; the faulted case measured the clean path", pname)
+		}
 	}
 }
 

@@ -80,95 +80,145 @@ func (n *Network) MessageTime(bytes int64) float64 {
 	return n.Latency + float64(bytes)/n.Bandwidth + n.HandshakeTime(bytes)
 }
 
-// Deliver computes the arrival time of every message. post[r] is the virtual
-// time rank r posts its sends; messages from the same sender serialise on
-// its NIC in slice order. The returned slice parallels msgs.
+// Protocol selects how a message occupies its sender's NIC.
+type Protocol uint8
+
+const (
+	// Bulk is the bulk-synchronous protocol: a message holds the NIC for
+	// its whole L + m/B (+ rendezvous handshake) and arrives when the NIC
+	// releases it.
+	Bulk Protocol = iota
+	// Overlapped is the pipelined post/complete protocol of the
+	// overlap-capable chain executor. The sender initiates the rendezvous
+	// handshake at its post time and injects the payload — only m/B
+	// occupies the NIC, so later messages queue behind earlier injections,
+	// not behind their wire latencies or handshake round trips — and the
+	// receiver sees the message one wire latency after the injection
+	// finishes: arrival = max(NIC free, post + handshake) + m/B + L. A
+	// sender's first (or only) message prices as under Bulk up to
+	// floating-point summation order; each further message from the same
+	// sender saves its latency and handshake, the serial fraction the
+	// bulk-synchronous model leaves on the critical path.
+	Overlapped
+)
+
+// Record is one message's place on its sender's NIC timeline.
+type Record struct {
+	// Start is when the first transmission attempt began.
+	Start float64
+	// InjectEnd is when the final attempt released the sender's NIC: the
+	// arrival under Bulk, one wire latency before it under Overlapped.
+	InjectEnd float64
+	// Arrival is when the final attempt reached the receiver.
+	Arrival float64
+}
+
+// Attempts is Timeline's per-attempt verdict source: what a fault-injecting
+// transport does to each transmission attempt and when a failed one is
+// retransmitted. The two calls for one attempt are consecutive, so an
+// implementation may carry its verdict from Judge to Settle.
+type Attempts interface {
+	// Judge returns the slowdown factors of attempt try of message i: the
+	// attempt occupies the NIC for its clean occupancy * slow * delay. Both
+	// are exactly 1 for an unperturbed attempt.
+	Judge(i, try int, m Message) (slow, delay float64)
+	// Settle is told the attempt's arrival. It returns retry = false when
+	// the attempt stands — delivered, or abandoned — and otherwise the time
+	// the sender's NIC, idle until then, starts the retransmission.
+	Settle(i, try int, m Message, arrival float64) (retryAt float64, retry bool)
+}
+
+// Timeline is the one message-timeline primitive: it walks msgs in order,
+// serialising each sender's messages on its NIC under the given protocol,
+// and appends one Record per message to recs (pass reusable storage
+// truncated to length 0; with enough capacity nothing is allocated).
+// post[r] is the virtual time rank r posted its sends. busy[r] is rank r's
+// NIC-free time, advanced in place: an exchange starts it at post (copy
+// post into busy), a caller pricing one exchange in several calls carries
+// it over. A nil src is the fault-free transport: every attempt is judged
+// with factors of exactly 1.0 and stands, and since x*1.0 == x the clean
+// clocks are the faulted arithmetic's own bits, not a second formula.
+func (n *Network) Timeline(p Protocol, src Attempts, recs []Record, busy, post []float64, msgs []Message) []Record {
+	if err := n.Validate(); err != nil {
+		panic(err.Error())
+	}
+	for i, m := range msgs {
+		if int(m.From) >= len(post) || m.From < 0 {
+			panic(fmt.Sprintf("netsim: message %d from invalid rank %d", i, m.From))
+		}
+		start := busy[m.From]
+		// occupy is the attempt's clean NIC occupancy, wire the flight time
+		// after the NIC lets go (adding Bulk's 0 is exact).
+		occupy, wire := n.MessageTime(m.Bytes), 0.0
+		if p == Overlapped {
+			// The rendezvous completes once, before the first attempt: a
+			// retransmission waits only for detection, backoff and the NIC.
+			if hs := post[m.From] + n.HandshakeTime(m.Bytes); hs > start {
+				start = hs
+			}
+			occupy, wire = float64(m.Bytes)/n.Bandwidth, n.Latency
+		}
+		rec := Record{Start: start}
+		for try := 0; ; try++ {
+			slow, delay := 1.0, 1.0
+			if src != nil {
+				slow, delay = src.Judge(i, try, m)
+			}
+			rec.InjectEnd = start + occupy*slow*delay
+			rec.Arrival = rec.InjectEnd + wire
+			busy[m.From] = rec.InjectEnd
+			if src == nil {
+				break
+			}
+			retryAt, retry := src.Settle(i, try, m, rec.Arrival)
+			if !retry {
+				break
+			}
+			busy[m.From], start = retryAt, retryAt
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// Deliver returns the fault-free Bulk arrival time of every message of one
+// exchange, parallel to msgs.
 func (n *Network) Deliver(post []float64, msgs []Message) []float64 {
 	return n.DeliverInto(make([]float64, 0, len(msgs)), make([]float64, len(post)), post, msgs)
 }
 
 // DeliverInto is Deliver with caller-supplied storage: arrivals are appended
 // to arrival (pass a reusable slice truncated to length 0) and busy, which
-// must have len(post) elements, holds per-sender NIC occupancy during the
-// computation. Hot executors pass scratch so steady-state exchanges allocate
-// nothing; the arithmetic is identical to Deliver's.
+// must have len(post) elements, is scratch for the NIC-free times. With
+// enough capacity in arrival nothing is allocated.
 func (n *Network) DeliverInto(arrival, busy, post []float64, msgs []Message) []float64 {
-	if err := n.Validate(); err != nil {
-		panic(err.Error())
-	}
-	copy(busy, post)
-	for i, m := range msgs {
-		if int(m.From) >= len(post) || m.From < 0 {
-			panic(fmt.Sprintf("netsim: message %d from invalid rank %d", i, m.From))
-		}
-		t := busy[m.From] + n.MessageTime(m.Bytes)
-		busy[m.From] = t
-		arrival = append(arrival, t)
-	}
-	return arrival
+	return n.arrivals(Bulk, arrival, busy, post, msgs)
 }
 
-// DeliverOverlapped is the pipelined (post/complete) counterpart of
-// Deliver, used by the overlap-capable chain executor. Delivery splits into
-// two halves per message:
-//
-//	post:     the sender initiates the rendezvous handshake at its post
-//	          time and injects the payload — only bytes/B occupies the
-//	          NIC, so later messages queue behind earlier injections, not
-//	          behind their wire latencies or handshake round trips;
-//	complete: the receiver sees the message one wire latency after the
-//	          injection finishes.
-//
-// A message therefore arrives at max(NIC free, post + handshake) + bytes/B
-// + L. A sender's first (or only) message prices exactly as under Deliver
-// — post + handshake + bytes/B + L, equal up to floating-point summation
-// order — so single-message exchanges cost the same in both modes; each
-// further message from the same sender saves its latency and handshake,
-// the serial fraction the bulk-synchronous model leaves on the critical
-// path. Only virtual clocks move: data effects apply in canonical order
-// regardless of delivery mode, so results stay bitwise identical.
+// DeliverOverlapped is Deliver under the Overlapped protocol.
 func (n *Network) DeliverOverlapped(post []float64, msgs []Message) []float64 {
 	return n.DeliverOverlappedInto(make([]float64, 0, len(msgs)), make([]float64, len(post)), post, msgs)
 }
 
-// DeliverOverlappedInto is DeliverOverlapped with caller-supplied storage,
-// mirroring DeliverInto: arrivals append to arrival, busy (len(post)) holds
-// per-sender NIC occupancy — here the injection end, not the arrival.
+// DeliverOverlappedInto is DeliverInto under the Overlapped protocol.
 func (n *Network) DeliverOverlappedInto(arrival, busy, post []float64, msgs []Message) []float64 {
-	if err := n.Validate(); err != nil {
-		panic(err.Error())
-	}
-	copy(busy, post)
-	for i, m := range msgs {
-		if int(m.From) >= len(post) || m.From < 0 {
-			panic(fmt.Sprintf("netsim: message %d from invalid rank %d", i, m.From))
-		}
-		t := busy[m.From]
-		if hs := post[m.From] + n.HandshakeTime(m.Bytes); hs > t {
-			t = hs
-		}
-		t += float64(m.Bytes) / n.Bandwidth
-		busy[m.From] = t
-		arrival = append(arrival, t+n.Latency)
-	}
-	return arrival
+	return n.arrivals(Overlapped, arrival, busy, post, msgs)
 }
 
-// WaitAll returns, per rank, the completion time of waiting for all messages
-// addressed to it: the maximum of its own readiness time and the latest
-// arrival. Ranks receiving nothing complete at their readiness time.
-func (n *Network) WaitAll(ready []float64, msgs []Message, arrival []float64) []float64 {
-	done := make([]float64, len(ready))
-	copy(done, ready)
-	for i, m := range msgs {
-		if int(m.To) >= len(done) || m.To < 0 {
-			panic(fmt.Sprintf("netsim: message %d to invalid rank %d", i, m.To))
+// arrivals runs the fault-free Timeline of one exchange and keeps only the
+// arrival times, through a fixed stack window of records so callers supply
+// no record storage.
+func (n *Network) arrivals(p Protocol, arrival, busy, post []float64, msgs []Message) []float64 {
+	copy(busy, post)
+	var window [64]Record
+	for len(msgs) > 0 {
+		k := min(len(msgs), len(window))
+		for _, rec := range n.Timeline(p, nil, window[:0], busy, post, msgs[:k]) {
+			arrival = append(arrival, rec.Arrival)
 		}
-		if arrival[i] > done[m.To] {
-			done[m.To] = arrival[i]
-		}
+		msgs = msgs[k:]
 	}
-	return done
+	return arrival
 }
 
 // ReduceTime returns the cost of a tree allreduce of the given payload over

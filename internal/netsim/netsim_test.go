@@ -180,17 +180,6 @@ func TestDeliverOverlappedPanicsOnBadRank(t *testing.T) {
 	n.DeliverOverlapped([]float64{0}, []Message{{From: 5, To: 0, Bytes: 1}})
 }
 
-func TestWaitAll(t *testing.T) {
-	n := &Network{Latency: 1, Bandwidth: 1}
-	ready := []float64{5, 30}
-	msgs := []Message{{From: 0, To: 1, Bytes: 1}, {From: 1, To: 0, Bytes: 1}}
-	arr := []float64{12, 40}
-	done := n.WaitAll(ready, msgs, arr)
-	if !almost(done[0], 40) || !almost(done[1], 30) {
-		t.Errorf("done = %v, want [40 30]", done)
-	}
-}
-
 // TestValidate: zero/negative Bandwidth used to yield Inf/negative
 // MessageTime and negative Latency/EagerThreshold were silently accepted;
 // all four must now be rejected with a clear error.

@@ -161,7 +161,10 @@ func TestServiceE2EOverHTTP(t *testing.T) {
 	// Preemption with the intent set while queued: the first attempt
 	// yields at its first exchange boundary and migrates.
 	pre1 := smallMGCFD("acme")
-	pre1.Iters = 5
+	// Long enough to still be running when the preempt lands even if a
+	// worker picked it up at once and GOMAXPROCS=1 runs it before this
+	// goroutine gets to POST.
+	pre1.MeshNodes, pre1.Iters = 6000, 5
 	pre1ID := submit(t, ts.URL, pre1).ID
 	specs[pre1ID] = pre1
 	ids = append(ids, pre1ID)

@@ -114,6 +114,7 @@ func (w *workload) runAttempt(st *checkpoint.State, sup *supervise.Supervisor,
 	if err != nil {
 		return out, err
 	}
+	defer cb.Close()
 	sup.Adopt(cb)
 	if st != nil {
 		if start, err = cmdutil.ParseIterNote(st.Note); err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"op2ca/internal/leakcheck"
 	"op2ca/internal/service"
 )
 
@@ -188,6 +189,35 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 	full := shed() // whole-queue shed outranks the tenant quota
 	if full.Scope != "queue" || full.RetryAfter < deep.RetryAfter {
 		t.Errorf("queue-full shed = %+v, want scope queue and Retry-After >= %d", full, deep.RetryAfter)
+	}
+}
+
+// TestCloseStopsWorkers: Service.Close is the only teardown of the worker
+// pool, so nothing it started — worker loops, attempts in flight, queued
+// jobs — may outlive it, whether the service is idle, drained or cut off
+// mid-job.
+func TestCloseStopsWorkers(t *testing.T) {
+	defer leakcheck.Check(t)()
+	for _, mode := range []string{"idle", "drained", "mid-job"} {
+		svc, err := service.New(service.Config{Workers: 2, QueueCap: 4, DataDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode != "idle" {
+			spec := smallMGCFD("acme")
+			if mode == "mid-job" {
+				spec.MeshNodes, spec.Iters = 6000, 200 // still running at Close
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := svc.Submit(spec); err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+			}
+		}
+		if mode == "drained" {
+			svc.Drain()
+		}
+		svc.Close()
 	}
 }
 

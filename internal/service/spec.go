@@ -40,7 +40,7 @@ type JobSpec struct {
 	// is not served: it has no virtual clock and nothing to checkpoint.
 	Backend string `json:"backend,omitempty"`
 	// Overlap runs the job's CA chains on the overlap-capable task-graph
-	// executor (see internal/cluster/taskgraph.go). Results stay bitwise
+	// executor (see cluster.Config.Overlap). Results stay bitwise
 	// identical to the bulk-synchronous run; only virtual time moves.
 	Overlap bool `json:"overlap,omitempty"`
 	// Iters is the main-loop iteration count. Default 5.
