@@ -2,13 +2,17 @@ package checkpoint
 
 import (
 	"bytes"
-	"io"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func sampleState() *State {
@@ -46,22 +50,47 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, sampleState()); err != nil {
+// wideState has sections on every side of the two buffer sizes: a dat that
+// spans several chunks, a dat and a meta blob larger than allocChunk (which
+// decode by growing, not by one make), and unaligned neighbours.
+func wideState() *State {
+	s := sampleState()
+	ramp := func(n int) []float64 {
+		f := make([]float64, n)
+		for i := range f {
+			f[i] = 1 / float64(i+1)
+		}
+		return f
+	}
+	s.Fingerprint = bytes.Repeat([]byte("f"), chunkLen+1)
+	s.Dats = [][][]float64{
+		{ramp(chunkLen/8 + 1), {}, ramp(3 * chunkLen / 8)},
+		{ramp(2*allocChunk/8 + 3), {7}},
+	}
+	s.Meta = bytes.Repeat([]byte("m"), allocChunk+chunkLen+5)
+	return s
+}
+
+func TestRoundTripWideSections(t *testing.T) {
+	s := wideState()
+	raw := encoded(t, s)
+	// Through a reader that returns short counts, as any io.Reader may.
+	got, err := Decode(iotest.HalfReader(bytes.NewReader(raw)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-
-	flipped := append([]byte(nil), raw...)
-	flipped[len(flipped)/2] ^= 0x40
-	if _, err := Decode(bytes.NewReader(flipped)); err == nil {
-		t.Error("bit flip not detected")
+	if !reflect.DeepEqual(got, s) {
+		t.Error("round trip of multi-chunk sections diverged")
 	}
-
-	if _, err := Decode(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Error("truncation not detected")
+	if err := Verify(bytes.NewReader(raw)); err != nil {
+		t.Errorf("Verify refuses what Decode accepts: %v", err)
 	}
+}
+
+// TestDecodeNamesHeaderDamage: a wrong magic and a wrong version are
+// reported as such (every other damage is TestCorruptionSweep's).
+func TestDecodeNamesHeaderDamage(t *testing.T) {
+	raw := encoded(t, sampleState())
 
 	bad := append([]byte("NOTACKPT"), raw[8:]...)
 	if _, err := Decode(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
@@ -72,6 +101,130 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	wrongVer[8] = 99
 	if _, err := Decode(bytes.NewReader(wrongVer)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("wrong version = %v, want version error", err)
+	}
+}
+
+// TestGoldenLayoutV2 pins the container's bytes for one tiny state, section
+// by section. The trailer's CRC was computed outside this package (a
+// bit-at-a-time CRC-32C, reflected polynomial 0x82F63B78), so the test also
+// pins which CRC the format means.
+func TestGoldenLayoutV2(t *testing.T) {
+	s := &State{
+		Fingerprint: []byte("fp"), Note: "n", FaultSeq: 7,
+		Clocks:    []float64{1.5},
+		ValidExec: []int64{2}, ValidNonexec: []int64{-1},
+		Dats: [][][]float64{{{0.5, -2}}},
+		Meta: []byte("{}"),
+	}
+	want, err := hex.DecodeString("" +
+		"4f50324341434b50" + // magic
+		"02000000" + // version
+		"0200000000000000" + "6670" + // fingerprint
+		"0100000000000000" + "6e" + // note
+		"0700000000000000" + // faultSeq
+		"0100000000000000" + "000000000000f83f" + // clocks
+		"0100000000000000" + "0200000000000000" + "ffffffffffffffff" + // validity
+		"0100000000000000" + "0100000000000000" + // ranks, dats of rank 0
+		"0200000000000000" + "000000000000e03f" + "00000000000000c0" + // dat 0
+		"0200000000000000" + "7b7d" + // meta
+		"00cc26cf" + "81000000") // CRC-32C, payload length (129)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encoded(t, s); !bytes.Equal(got, want) {
+		t.Errorf("v2 layout moved:\n got %x\nwant %x", got, want)
+	}
+	got, err := Decode(bytes.NewReader(want))
+	if err != nil || !reflect.DeepEqual(got, s) {
+		t.Errorf("golden bytes decode to %+v, %v", got, err)
+	}
+}
+
+// TestVersion1Rejected: a file from the FNV-trailer format (same magic,
+// version 1) is refused by the version check, by Decode and Verify alike,
+// before anything else in it is interpreted.
+func TestVersion1Rejected(t *testing.T) {
+	v1 := encoded(t, sampleState())
+	binary.LittleEndian.PutUint32(v1[len(magic):], 1)
+	const want = "checkpoint: format version 1, this build reads 2"
+	if _, err := Decode(bytes.NewReader(v1)); err == nil || err.Error() != want {
+		t.Errorf("Decode(v1) = %v, want %q", err, want)
+	}
+	if err := Verify(bytes.NewReader(v1)); err == nil || err.Error() != want {
+		t.Errorf("Verify(v1) = %v, want %q", err, want)
+	}
+}
+
+// mutants returns every truncation of raw and raw with each single bit
+// flipped, labelled.
+func mutants(raw []byte) map[string][]byte {
+	out := map[string][]byte{}
+	for cut := 0; cut < len(raw); cut++ {
+		out[fmt.Sprintf("truncate@%d", cut)] = raw[:cut]
+	}
+	for i := range raw {
+		for bit := 0; bit < 8; bit++ {
+			m := append([]byte(nil), raw...)
+			m[i] ^= 1 << bit
+			out[fmt.Sprintf("bitflip@%d.%d", i, bit)] = m
+		}
+	}
+	return out
+}
+
+// agree fails the test unless Verify and Decode give data the same verdict,
+// and returns it.
+func agree(t *testing.T, label string, data []byte) error {
+	t.Helper()
+	_, derr := Decode(bytes.NewReader(data))
+	verr := Verify(bytes.NewReader(data))
+	if fmt.Sprint(derr) != fmt.Sprint(verr) {
+		t.Errorf("%s: Decode says %v, Verify says %v", label, derr, verr)
+	}
+	return derr
+}
+
+// TestCorruptionSweep: every truncation and every single-bit flip of a
+// snapshot is rejected, and Verify — the ring's read-back check — rejects
+// exactly what Decode rejects, with the same error.
+func TestCorruptionSweep(t *testing.T) {
+	raw := encoded(t, sampleState())
+	if err := agree(t, "pristine", raw); err != nil {
+		t.Fatalf("pristine snapshot refused: %v", err)
+	}
+	for label, m := range mutants(raw) {
+		if agree(t, label, m) == nil {
+			t.Errorf("%s: corrupt snapshot accepted", label)
+		}
+	}
+}
+
+// TestLyingLengthAllocatesBoundedly: a length prefix far beyond what the
+// stream holds fails at the stream's real end, having allocated no more
+// than allocChunk ahead of it — not the gigabytes it claims.
+func TestLyingLengthAllocatesBoundedly(t *testing.T) {
+	s := sampleState()
+	raw := encoded(t, s)
+	clocksLen := len(magic) + 4 + 8 + len(s.Fingerprint) + 8 + len(s.Note) + 8
+	for _, claim := range []uint64{allocChunk/8 + 1, 1 << 30, maxSectionLen} {
+		lying := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(lying[clocksLen:], claim)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := agree(t, "lying clocks length", lying)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("claim of %d clocks accepted", claim)
+		}
+		// Decode's one section plus the two walks' chunk buffers.
+		if got := after.TotalAlloc - before.TotalAlloc; got > allocChunk+4*chunkLen {
+			t.Errorf("claim of %d clocks allocated %d bytes", claim, got)
+		}
+	}
+	over := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(over[clocksLen:], maxSectionLen+1)
+	if err := agree(t, "over-limit length", over); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("length above maxSectionLen = %v, want the limit error", err)
 	}
 }
 
@@ -100,11 +253,7 @@ func TestParseSpec(t *testing.T) {
 func TestAtomicWriteAndReadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.bin")
 	s := sampleState()
-	err := AtomicWriteFile(path, func(w io.Writer) error {
-		_, err := Encode(w, s)
-		return err
-	})
-	if err != nil {
+	if err := AtomicWriteFile(path, encodeTo(s)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {

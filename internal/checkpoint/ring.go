@@ -2,10 +2,11 @@ package checkpoint
 
 // ring.go is the generation ring behind "every=N,path=P,keep=K": instead of
 // overwriting one snapshot file, writes rotate through K numbered generation
-// files, every write is verified by decoding it back before older
-// generations are pruned, and recovery scans newest-to-oldest, quarantining
-// generations that fail to decode. A torn or bit-flipped newest snapshot
-// therefore costs one generation of progress, not the whole run.
+// files, every write is verified by reading it back (Verify: the decoder's
+// own walk, keeping nothing) before older generations are pruned, and
+// recovery scans newest-to-oldest, quarantining generations that fail to
+// decode. A torn or bit-flipped newest snapshot therefore costs one
+// generation of progress, not the whole run.
 
 import (
 	"fmt"
@@ -103,7 +104,7 @@ func (r *Ring) Generations() ([]Generation, error) {
 }
 
 // Write adds one snapshot generation: atomic write (fsynced), read-back
-// decode verification, then pruning of generations beyond Keep. A snapshot
+// verification, then pruning of generations beyond Keep. A snapshot
 // that fails verification is quarantined and reported as an error — the
 // older generations it would have displaced stay in place, so the caller
 // still has a valid recovery point.
@@ -115,7 +116,7 @@ func (r *Ring) Write(encode func(w io.Writer) error) (string, error) {
 	if err := AtomicWriteFile(path, encode); err != nil {
 		return "", err
 	}
-	if _, err := ReadFile(path); err != nil {
+	if _, err := readFile(path, false); err != nil {
 		r.VerifyFailures++
 		q, qerr := Quarantine(path)
 		if qerr != nil {

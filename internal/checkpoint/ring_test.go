@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -13,10 +15,7 @@ func writeGen(t *testing.T, r *Ring, note string) string {
 	t.Helper()
 	s := sampleState()
 	s.Note = note
-	path, err := r.Write(func(w io.Writer) error {
-		_, err := Encode(w, s)
-		return err
-	})
+	path, err := r.Write(encodeTo(s))
 	if err != nil {
 		t.Fatalf("ring write %q: %v", note, err)
 	}
@@ -164,5 +163,97 @@ func TestParseSpecKeep(t *testing.T) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
+	}
+}
+
+// failAfter passes n bytes through to w, then fails every write.
+type failAfter struct {
+	w io.Writer
+	n int
+}
+
+var errDiskFull = errors.New("no space left on device (injected)")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		n, _ := f.w.Write(p[:f.n])
+		f.n = 0
+		return n, errDiskFull
+	}
+	f.n -= len(p)
+	return f.w.Write(p)
+}
+
+// TestRingWriteFailuresLeaveRingIntact: a write that cannot complete —
+// the encode callback failing mid-stream, the directory refusing the
+// temporary file, the rename refused — returns the error, leaves no *.tmp
+// behind and leaves the older generations byte for byte as they were; the
+// ring's next write succeeds under the same generation number.
+func TestRingWriteFailuresLeaveRingIntact(t *testing.T) {
+	encodeInto := encodeTo(bigState(1))
+	for _, tc := range []struct {
+		name string
+		// arrange breaks the ring's next write to path and returns the undo.
+		arrange func(t *testing.T, dir, path string) (undo func())
+		encode  func(w io.Writer) error
+		want    error
+	}{
+		{name: "encode fails mid-stream",
+			encode: func(w io.Writer) error { return encodeInto(&failAfter{w: w, n: 300 << 10}) },
+			want:   errDiskFull},
+		{name: "unwritable directory",
+			arrange: func(t *testing.T, dir, _ string) func() {
+				if os.Geteuid() == 0 {
+					t.Skip("root ignores directory permissions")
+				}
+				os.Chmod(dir, 0o555)
+				return func() { os.Chmod(dir, 0o755) }
+			},
+			encode: encodeInto, want: os.ErrPermission},
+		{name: "rename refused",
+			arrange: func(t *testing.T, _, path string) func() {
+				// A non-empty directory where the generation should land.
+				if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				return func() { os.RemoveAll(path) }
+			},
+			encode: encodeInto},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r, err := NewRing(Spec{Every: 1, Path: filepath.Join(dir, "ck.bin"), Keep: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			older := map[string][]byte{}
+			for _, note := range []string{"gen=0", "gen=1"} {
+				p := writeGen(t, r, note)
+				if older[p], err = os.ReadFile(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := r.genPath(2)
+			undo := func() {}
+			if tc.arrange != nil {
+				undo = tc.arrange(t, dir, next)
+			}
+			_, err = r.Write(tc.encode)
+			undo()
+			if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+				t.Fatalf("Write = %v, want an error wrapping %v", err, tc.want)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+				t.Errorf("temporary files left behind: %v", tmps)
+			}
+			for p, want := range older {
+				if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("older generation %s changed (read error %v)", p, err)
+				}
+			}
+			if p := writeGen(t, r, "gen=2"); p != next {
+				t.Errorf("write after the failure landed at %s, want %s", p, next)
+			}
+		})
 	}
 }

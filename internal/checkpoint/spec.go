@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -75,7 +76,8 @@ func ParseSpec(s string) (Spec, error) {
 // temporary file and rename. The temp file is fsynced before the rename and
 // the parent directory after it, so neither a process crash mid-write nor a
 // host crash shortly after the rename can leave a truncated or
-// empty-but-renamed file where a complete snapshot stood.
+// empty-but-renamed file where a complete snapshot stood. The file is handed
+// to write unbuffered: Encode issues chunk-sized writes of its own.
 func AtomicWriteFile(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -117,11 +119,17 @@ func syncDir(dir string) error {
 }
 
 // ReadFile decodes the snapshot stored at path.
-func ReadFile(path string) (*State, error) {
+func ReadFile(path string) (*State, error) { return readFile(path, true) }
+
+// readFile walks the snapshot stored at path, as Decode (keep) or as Verify.
+// The small default bufio buffer batches the walker's 8-byte length reads
+// into one read call, while its chunk-sized section reads exceed the buffer
+// and go straight to the file, uncopied.
+func readFile(path string, keep bool) (*State, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Decode(f)
+	return walk(bufio.NewReader(f), keep)
 }

@@ -803,8 +803,7 @@ func (b *Backend) runLoopOnRank(w, r int, l core.Loop, lo, hi int, gblScratch []
 	deref := func(i int, a core.Arg, iter, slot int) []float64 {
 		e := int(maps[i][iter*a.Map.Arity+slot])
 		if e < 0 {
-			panic(fmt.Sprintf("cluster: rank %d loop %q iteration %d dereferences element beyond halo depth (map %s slot %d)",
-				r, l.Kernel.Name, iter, a.Map.Name, slot))
+			panic(&HaloDepthError{Rank: r, Loop: l.Kernel.Name, Iter: iter, Map: a.Map.Name, Slot: slot})
 		}
 		return data[i][e*a.Dat.Dim : (e+1)*a.Dat.Dim]
 	}

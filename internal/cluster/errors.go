@@ -48,6 +48,26 @@ func (e *HangError) Error() string {
 		e.Clock-e.Last, e.Last, e.Clock, e.Deadline, e.Exchange)
 }
 
+// HaloDepthError reports a loop iteration whose map row reaches an element
+// the rank's halo does not hold: the backend was built with too shallow a
+// Depth for the iteration range it was asked to execute. The element loop
+// panics with a typed *HaloDepthError rather than index the dat with the
+// layout's "absent" marker and corrupt memory.
+type HaloDepthError struct {
+	Rank int
+	// Loop is the kernel's name, Iter the rank-local iteration.
+	Loop string
+	Iter int
+	// Map and Slot name the map entry that points beyond the halo.
+	Map  string
+	Slot int
+}
+
+func (e *HaloDepthError) Error() string {
+	return fmt.Sprintf("cluster: rank %d loop %q iteration %d dereferences element beyond halo depth (map %s slot %d)",
+		e.Rank, e.Loop, e.Iter, e.Map, e.Slot)
+}
+
 // ExchangeError describes one halo-exchange integrity violation: which
 // receiving rank's import layout it concerns, which sender's export layout
 // disagrees with it, which dat's shell slice, and the expected versus

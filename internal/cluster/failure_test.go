@@ -189,14 +189,21 @@ func TestCorruptLayoutStopsLoop(t *testing.T) {
 }
 
 // TestBeyondHaloDereferencePanics: executing an iteration whose map row
-// reaches beyond the built halo must panic with a diagnostic rather than
-// corrupt memory.
+// reaches beyond the built halo must panic with a typed *HaloDepthError
+// naming the rank, loop, iteration and map entry, rather than corrupt memory.
 func TestBeyondHaloDereferencePanics(t *testing.T) {
 	m := mesh.Rotor(6, 5, 4)
 	p := core.NewProgram()
 	nodes := p.DeclSet(m.NNodes, "nodes")
 	edges := p.DeclSet(m.NEdges, "edges")
-	e2n := p.DeclMap(edges, nodes, 2, m.EdgeNodes, "e2n")
+	p.DeclMap(edges, nodes, 2, m.EdgeNodes, "e2n")
+	// far sends every node half the mesh away, so the non-execute nodes a
+	// rank imports for its edges have map rows that leave its depth-1 halo.
+	farVals := make([]int32, m.NNodes)
+	for n := range farVals {
+		farVals[n] = int32((n + m.NNodes/2) % m.NNodes)
+	}
+	far := p.DeclMap(nodes, nodes, 1, farVals, "far")
 	x := p.DeclDat(nodes, 1, nil, "x")
 	b, err := New(Config{Prog: p, Primary: nodes,
 		Assign: partition.Random(m.NNodes, 3, 5), NParts: 3, Depth: 1})
@@ -204,25 +211,24 @@ func TestBeyondHaloDereferencePanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := &core.Kernel{Name: "k", Fn: func(a [][]float64) {}}
-	l := core.NewLoop(k, edges, core.ArgDat(x, 0, e2n, core.Read), core.ArgDat(x, 1, e2n, core.Read))
-	// Find a rank with non-execute edges (never executed normally) and
-	// force execution into that region.
+	l := core.NewLoop(k, nodes, core.ArgDat(x, 0, far, core.Read))
+	// Force execution of one non-execute node (never executed normally)
+	// whose row holds the layout's "absent" marker.
 	for r := 0; r < 3; r++ {
-		sl := b.layouts[r].SetL(edges)
-		if sl.NNonexec(1) == 0 {
-			continue
+		sl, rows := b.layouts[r].SetL(nodes), b.layouts[r].MapL(far)
+		for it := int(sl.NonexecStart[0]); it < sl.Total(); it++ {
+			if rows[it] >= 0 {
+				continue
+			}
+			defer func() {
+				want := HaloDepthError{Rank: r, Loop: "k", Iter: it, Map: "far", Slot: 0}
+				if he, ok := recover().(*HaloDepthError); !ok || *he != want {
+					t.Fatalf("recovered %#v, want %#v", he, &want)
+				}
+			}()
+			b.runLoopOnRank(0, r, l, it, it+1, nil)
+			t.Fatal("expected panic for beyond-halo dereference")
 		}
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				t.Fatal("expected panic for beyond-halo dereference")
-			}
-			if msg, ok := rec.(string); !ok || !strings.Contains(msg, "beyond halo depth") {
-				t.Fatalf("panic %v does not mention beyond halo depth", rec)
-			}
-		}()
-		b.runLoopOnRank(0, r, l, int(sl.NonexecStart[0]), int(sl.NonexecStart[1]), nil)
-		return
 	}
-	t.Skip("no rank with non-execute edges in this partition")
+	t.Fatal("no rank imports a non-execute node whose far row leaves the halo")
 }

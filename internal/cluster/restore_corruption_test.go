@@ -6,16 +6,20 @@ import (
 	"strings"
 	"testing"
 
+	"op2ca/internal/checkpoint"
 	"op2ca/internal/mesh"
 	"op2ca/internal/partition"
 )
 
 // TestRestoreCorruptionSweep: Restore must reject any damaged snapshot with
 // a typed error and never panic — the property the supervisor's quarantine
-// path rests on. The sweep covers truncation at every interesting boundary,
-// a bit-flip at every single byte offset (every content byte is covered by
-// the trailing checksum, and flipping the checksum itself breaks the match),
-// and the valid-header/bad-tail shape a torn write leaves behind.
+// path rests on. The sweep covers truncation at every length (the
+// valid-header/bad-tail shape a torn write leaves behind among them) and a
+// bit-flip at every single byte offset (every content byte is covered by the
+// trailer, and flipping the trailer itself breaks the match). For every
+// mutant, checkpoint.Verify — the ring's read-back check, which keeps
+// nothing — must reach the verdict checkpoint.Decode reaches: a generation
+// the ring accepted is one a recovery can decode.
 func TestRestoreCorruptionSweep(t *testing.T) {
 	const nloops = 2
 	m := mesh.Rotor(6, 5, 4)
@@ -58,6 +62,10 @@ func TestRestoreCorruptionSweep(t *testing.T) {
 
 	check := func(label string, data []byte) {
 		t.Helper()
+		_, derr := checkpoint.Decode(bytes.NewReader(data))
+		if verr := checkpoint.Verify(bytes.NewReader(data)); (verr == nil) != (derr == nil) {
+			t.Errorf("%s: Decode says %v, Verify says %v", label, derr, verr)
+		}
 		err := restore(data)
 		if err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", label)
@@ -68,14 +76,11 @@ func TestRestoreCorruptionSweep(t *testing.T) {
 		}
 	}
 
-	// Truncations: empty, mid-magic, mid-version, mid-section-length,
-	// mid-payload, and the torn-tail shapes (checksum partially or wholly
-	// missing past a valid header).
+	// Truncation at every length: empty, mid-magic, mid-version, at and
+	// inside every section boundary, and the torn-tail shapes (trailer
+	// partially or wholly missing past a valid header).
 	n := len(good)
-	for _, cut := range []int{0, 1, 7, 8, 11, 12, 20, n / 2, n - 9, n - 8, n - 1} {
-		if cut < 0 || cut >= n {
-			continue
-		}
+	for cut := 0; cut < n; cut++ {
 		check(fmt.Sprintf("truncate@%d", cut), good[:cut])
 	}
 

@@ -15,8 +15,8 @@ package cluster
 //     workers pulling 32-rank chunks instead of 1024 short-lived goroutines
 //     churned per fork point.
 //
-//   - Panic transparency. A panic on a worker goroutine — the halo-depth
-//     dereference panic in runLoopOnRank, a *faults.CrashError raised
+//   - Panic transparency. A panic on a worker goroutine — the
+//     *HaloDepthError runLoopOnRank raises, a *faults.CrashError raised
 //     inside a kernel, any typed panic crossing a fork — cannot
 //     be recovered by the caller's deferred recover and would abort the
 //     process with a raw goroutine dump. The pool captures the first panic

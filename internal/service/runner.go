@@ -152,8 +152,9 @@ func (w *workload) tick(cb *cluster.Backend, ring *checkpoint.Ring, it int) erro
 
 // catchRun runs one attempt body, converting the executor's typed panics
 // — supervisable failures (crash faults, exchange giveups, watchdog
-// trips) and cooperative cancellation — into returned errors. Genuine
-// bugs keep panicking.
+// trips), cooperative cancellation and a halo too shallow for the job's
+// loops (not supervisable: the job ends failed) — into returned errors.
+// Anything else is a genuine bug and keeps panicking.
 func catchRun(f func() error) (err error) {
 	defer func() {
 		r := recover()
@@ -162,7 +163,8 @@ func catchRun(f func() error) (err error) {
 		}
 		if e, ok := r.(error); ok {
 			var ce *cluster.CancelledError
-			if supervise.Supervisable(e) || errors.As(e, &ce) {
+			var he *cluster.HaloDepthError
+			if supervise.Supervisable(e) || errors.As(e, &ce) || errors.As(e, &he) {
 				err = e
 				return
 			}

@@ -1,10 +1,14 @@
 package service_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"op2ca/internal/leakcheck"
 	"op2ca/internal/service"
@@ -241,5 +245,62 @@ func TestRunDirectSelfHeals(t *testing.T) {
 	}
 	if got.Supervise == nil || got.Supervise.CrashRestarts < 1 || got.Attempts < 2 {
 		t.Errorf("crash not exercised: %+v", got.Supervise)
+	}
+}
+
+// TestUnwritableRingFailsJob: a job whose checkpoint ring cannot be written
+// (its data directory vanished) ends failed, with the write error in its
+// view — not hung waiting on a snapshot and not a process abort — and the
+// worker goes on to serve the next job.
+func TestUnwritableRingFailsJob(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "rings")
+	svc, err := service.New(service.Config{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	terminal := func(id string) service.JobView {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		for after, done := 0, false; !done; {
+			evs, end, err := svc.Events(ctx, id, after)
+			if err != nil {
+				t.Fatalf("job %s did not reach a terminal state: %v", id, err)
+			}
+			after, done = after+len(evs), end
+		}
+		v, err := svc.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	v, err := svc.Submit(smallMGCFD("acme"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = terminal(v.ID)
+	if v.State != service.StateFailed || !strings.Contains(v.Error, "no such file or directory") ||
+		!strings.Contains(v.Error, v.ID+".ck") {
+		t.Errorf("job with an unwritable ring: state %s, error %q; want failed with the ring's write error", v.State, v.Error)
+	}
+	if _, err := svc.Result(v.ID); err == nil {
+		t.Error("failed job serves a result")
+	}
+
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	v, err = svc.Submit(smallMGCFD("acme"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v = terminal(v.ID); v.State != service.StateDone {
+		t.Errorf("job after the directory came back: state %s, error %q", v.State, v.Error)
 	}
 }
