@@ -273,8 +273,10 @@ func main() {
 			}
 			table = t
 		} else {
-			t, crash := runRecovering(run, cfg)
-			if crash != nil {
+			// An injected crash fault (the crash=rankN@E grammar) is
+			// reported with a pointer at the last checkpoint and a distinct
+			// exit status, not as a panic trace.
+			if crash := supervise.CatchCrash(func() { table = run(cfg) }); crash != nil {
 				fmt.Fprintf(os.Stderr, "op2ca-bench: injected crash of rank %d at exchange %d during %q\n",
 					crash.Rank, crash.Exchange, name)
 				if ring != nil {
@@ -285,7 +287,6 @@ func main() {
 				}
 				os.Exit(3)
 			}
-			table = t
 		}
 		elapsed := time.Since(start).Seconds()
 		if *csv {
@@ -436,23 +437,6 @@ func runSupervised(sup *supervise.Supervisor, run func(bench.Config) *bench.Tabl
 			return nil, ferr
 		}
 	}
-}
-
-// runRecovering executes one experiment, converting an injected crash fault
-// (the crash=rankN@E grammar) into a reportable value instead of a panic
-// trace, so main can point at the last checkpoint and exit with a distinct
-// status.
-func runRecovering(run func(bench.Config) *bench.Table, cfg bench.Config) (t *bench.Table, crash *faults.CrashError) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok := r.(*faults.CrashError)
-			if !ok {
-				panic(r)
-			}
-			crash = c
-		}
-	}()
-	return run(cfg), nil
 }
 
 func fatal(err error) {

@@ -33,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"op2ca/internal/cmdutil"
 	"op2ca/internal/service"
 )
 
@@ -218,5 +217,6 @@ func runLoadgen(base string, n int, tenants []string) (loadReport, error) {
 }
 
 func fatal(err error) {
-	cmdutil.Fatal("op2ca-server", err)
+	fmt.Fprintln(os.Stderr, "op2ca-server:", err)
+	os.Exit(1)
 }

@@ -14,7 +14,10 @@ import (
 // different mesh sizes or iteration count) would be adopted silently and
 // the resumed run would complete with the wrong workload's results. With
 // the key, two invocations share a ring path exactly when their results
-// are interchangeable.
+// are interchangeable. The key also covers every experiment-wide knob the
+// cluster-level checkpoint fingerprint covers (AutoTune, Overlap, the
+// message-fault plan): sharing a path across one of those would adopt a
+// ring whose snapshots the restore then refuses.
 //
 // The fingerprint deliberately excludes:
 //   - crash clauses (and any fault plan reduced to injecting nothing once
@@ -36,8 +39,8 @@ func (c Config) RingSpec(spec checkpoint.Spec) checkpoint.Spec {
 		}
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "n8=%d;n24=%d;rs=%g;it=%d;at=%t;faults=%s",
-		c.Nodes8M, c.Nodes24M, c.RankScale, c.Iters, c.AutoTune, fault)
+	fmt.Fprintf(h, "n8=%d;n24=%d;rs=%g;it=%d;at=%t;ov=%t;faults=%s",
+		c.Nodes8M, c.Nodes24M, c.RankScale, c.Iters, c.AutoTune, c.Overlap, fault)
 	spec.Path = fmt.Sprintf("%s.%016x", spec.Path, h.Sum64())
 	return spec
 }

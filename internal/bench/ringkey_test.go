@@ -1,13 +1,18 @@
 package bench
 
 import (
+	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"op2ca/internal/checkpoint"
+	"op2ca/internal/cluster"
 	"op2ca/internal/faults"
+	"op2ca/internal/leakcheck"
+	"op2ca/internal/obs"
+	"op2ca/internal/supervise"
 )
 
 // TestRingSpecKeysPathByWorkload is the regression test for the stale-ring
@@ -40,6 +45,7 @@ func TestRingSpecKeysPathByWorkload(t *testing.T) {
 		{"nodes24m", func(c *Config) { c.Nodes24M *= 2 }},
 		{"rankscale", func(c *Config) { c.RankScale *= 2 }},
 		{"autotune", func(c *Config) { c.AutoTune = !c.AutoTune }},
+		{"overlap", func(c *Config) { c.Overlap = !c.Overlap }},
 		{"faults", func(c *Config) { c.Faults = faults.MustParse("drop=0.01,seed=3") }},
 	} {
 		b := Quick()
@@ -98,5 +104,135 @@ func TestRingSpecKeysPathByWorkload(t *testing.T) {
 	}
 	if len(gens) != 0 {
 		t.Errorf("workload B adopted %d generations from workload A's ring", len(gens))
+	}
+}
+
+// TestRingKeyAgreesWithRestoreFingerprint ties the ring key to the
+// cluster-level checkpoint fingerprint, which decide the same question —
+// may this invocation continue that one's snapshot — at two levels. Every
+// knob RingSpec ignores must be one a restore tolerates: a crashed
+// invocation's ring is adopted and *restored* under the changed knob, and
+// the run finishes with the uninterrupted run's checksums. Every knob it
+// keys on starts an empty ring — and where the cluster fingerprint covers
+// the knob too, adopting the old ring anyway is what the key prevents: the
+// restore is refused.
+func TestRingKeyAgreesWithRestoreFingerprint(t *testing.T) {
+	defer leakcheck.Check(t)()
+	base := Config{Nodes8M: 2000, Nodes24M: 6000, RankScale: 0.006, Iters: 3}
+	// run executes one MG-CFD point (an OP2 leg, then a CA leg) and
+	// reports each leg's final checksum, how many legs were restored from
+	// a snapshot, and the OP2 leg's exchange count.
+	run := func(c Config) (sums map[string]string, restores int64, op2Exchanges uint64) {
+		sums = map[string]string{}
+		c.Observe = func(label string, b *cluster.Backend) {
+			sums[label] = b.ChecksumDats()
+			restores += b.Stats().Ckpt.Restores
+			if strings.HasPrefix(label, "mgcfd op2") {
+				op2Exchanges = b.ExchangeSeq()
+			}
+		}
+		c.runMGPoint(c.Nodes8M, 4, 1, archer())
+		return sums, restores, op2Exchanges
+	}
+	// write runs c to its keyed ring under dir and returns the newest
+	// generation left behind.
+	write := func(c Config, dir string) *checkpoint.State {
+		t.Helper()
+		ring, err := checkpoint.NewRing(c.RingSpec(checkpoint.Spec{Every: 1, Path: filepath.Join(dir, "ck.bin"), Keep: 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.CheckpointEvery, c.Ring = 1, ring
+		if crash := supervise.CatchCrash(func() { run(c) }); (crash != nil) != (c.Faults != nil) {
+			t.Fatalf("run under plan %v ended with crash %v", c.Faults, crash)
+		}
+		st, _, _, _, err := ring.RecoverNewest()
+		if err != nil || st == nil {
+			t.Fatalf("no generation left behind: %v", err)
+		}
+		return st
+	}
+	want, _, total := run(base)
+	if len(want) != 2 || total < 8 {
+		t.Fatalf("degenerate reference run: %v, %d exchanges", want, total)
+	}
+	// Dies in the OP2 leg after the warm-up and at least one measured
+	// iteration, before the last.
+	crashed := base
+	crashed.Faults = faults.MustParse(fmt.Sprintf("crash=rank0@%d,seed=1", total*5/8))
+
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config, *checkpoint.Spec)
+	}{
+		{"parallel", func(c *Config, _ *checkpoint.Spec) { c.Parallel = true }},
+		{"crash-clauses", func(c *Config, _ *checkpoint.Spec) {
+			c.Faults = faults.MustParse(fmt.Sprintf("crash=rank0@%d,crash=rank1@%d,seed=1", total*5/8, 1000*total))
+			c.ArmedCrashes = []bool{false, true} // as the supervisor arms a rerun: the fired clause stays off
+		}},
+		{"cadence-retention", func(_ *Config, s *checkpoint.Spec) { s.Every, s.Keep = 2, 5 }},
+		{"tracer", func(c *Config, _ *checkpoint.Spec) { c.Tracer = obs.New() }},
+	} {
+		dir := t.TempDir()
+		write(crashed, dir)
+		b, spec := base, checkpoint.Spec{Every: 1, Path: filepath.Join(dir, "ck.bin"), Keep: 3}
+		tc.mut(&b, &spec)
+		ring, err := checkpoint.NewRing(b.RingSpec(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _, _, _, err := ring.RecoverNewest()
+		if err != nil || st == nil {
+			t.Errorf("%s: the crashed invocation's ring was not adopted (%v)", tc.name, err)
+			continue
+		}
+		b.Resume, b.Ring, b.CheckpointEvery = st, ring, spec.Every
+		got, restores, _ := run(b)
+		if restores != 1 {
+			t.Errorf("%s: %d legs restored from the adopted ring, want 1", tc.name, restores)
+		}
+		for label, sum := range want {
+			if got[label] != sum {
+				t.Errorf("%s: %s finished with checksum %s, uninterrupted %s", tc.name, label, got[label], sum)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name    string
+		mut     func(*Config)
+		refused bool // the cluster fingerprint covers the knob as well
+	}{
+		{"iters", func(c *Config) { c.Iters++ }, false},
+		{"nodes8m", func(c *Config) { c.Nodes8M += 500 }, false},
+		{"nodes24m", func(c *Config) { c.Nodes24M += 500 }, false},
+		{"rankscale", func(c *Config) { c.RankScale *= 2 }, false},
+		{"autotune", func(c *Config) { c.AutoTune = true }, true},
+		{"overlap", func(c *Config) { c.Overlap = true }, true},
+		{"faults", func(c *Config) { c.Faults = faults.MustParse("drop=0.01,seed=3") }, true},
+	} {
+		dir := t.TempDir()
+		st := write(base, dir) // a completed invocation: the newest generation is the CA leg's last
+		b := base
+		tc.mut(&b)
+		ring, err := checkpoint.NewRing(b.RingSpec(checkpoint.Spec{Every: 1, Path: filepath.Join(dir, "ck.bin"), Keep: 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gens, err := ring.Generations(); err != nil || len(gens) != 0 {
+			t.Errorf("%s: changed workload starts with %d adopted generations (%v), want an empty ring", tc.name, len(gens), err)
+		}
+		if !tc.refused {
+			continue
+		}
+		b.Resume = st
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "fingerprint mismatch") {
+					t.Errorf("%s: adopting the old ring anyway ended with %v, want the restore refused", tc.name, r)
+				}
+			}()
+			run(b)
+		}()
 	}
 }

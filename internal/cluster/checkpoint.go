@@ -45,9 +45,10 @@ import (
 // everything that shapes partitioning, halo layouts, execution policy or the
 // virtual-time arithmetic. Restore refuses a snapshot whose fingerprint does
 // not match the restoring configuration — resuming into a different mesh,
-// machine or policy would silently break the restore invariant. Tracing and
-// checkpointing knobs are deliberately excluded: they never feed back into
-// results.
+// machine or policy would silently break the restore invariant. Tracing,
+// checkpointing knobs and host threading (Parallel) are deliberately
+// excluded: they never feed back into results, clocks or stats, so a
+// snapshot taken with a worker pool resumes on one host thread and back.
 type configFingerprint struct {
 	Version     int    `json:"version"`
 	NParts      int    `json:"nparts"`
@@ -56,7 +57,6 @@ type configFingerprint struct {
 	CA          bool   `json:"ca"`
 	Lazy        bool   `json:"lazy"`
 	AutoTune    bool   `json:"autotune"`
-	Parallel    bool   `json:"parallel"`
 	GPUDirect   bool   `json:"gpudirect"`
 	NoGrouped   bool   `json:"no_grouped_msgs"`
 	NoPlanCache bool   `json:"no_plan_cache"`
@@ -112,7 +112,6 @@ func (b *Backend) configFingerprint() ([]byte, error) {
 		CA:             cfg.CA,
 		Lazy:           cfg.Lazy,
 		AutoTune:       cfg.AutoTune,
-		Parallel:       cfg.Parallel,
 		GPUDirect:      cfg.GPUDirect,
 		NoGrouped:      cfg.NoGroupedMsgs,
 		NoPlanCache:    cfg.NoPlanCache,

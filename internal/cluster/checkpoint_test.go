@@ -315,6 +315,24 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 		!strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("restore under different delivery mode = %v, want fingerprint mismatch", err)
 	}
+	// Host threading is not: a snapshot taken on one host thread resumes
+	// under a worker pool and finishes where the uninterrupted run does.
+	w.run(b, 2, 4, false)
+	parW := newCkptWorkload(m, 1, nloops)
+	parCfg := cfg
+	parCfg.Prog = parW.app.p
+	parCfg.Primary = parW.app.nodes
+	parCfg.Parallel = true
+	par, _, err := Restore(bytes.NewReader(snap.Bytes()), parCfg)
+	if err != nil {
+		t.Fatalf("restore of a serial snapshot under Parallel: %v", err)
+	}
+	defer par.Close()
+	parW.run(par, 2, 4, false)
+	if got, want := par.ChecksumDats(), b.ChecksumDats(); got != want || par.MaxClock() != b.MaxClock() {
+		t.Errorf("serial snapshot resumed under Parallel: checksum %s clock %g, uninterrupted %s %g",
+			got, par.MaxClock(), want, b.MaxClock())
+	}
 }
 
 // TestCheckpointInsideChainRefused: there is no mid-chain state a restore

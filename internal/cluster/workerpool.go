@@ -22,8 +22,8 @@ package cluster
 //     process with a raw goroutine dump. The pool captures the first panic
 //     (value and worker stack), lets the join complete, and re-raises the
 //     original value on the dispatching goroutine, so recover-based callers
-//     (catchCrash in cmd/mgcfd and cmd/hydra, tests asserting on typed
-//     panics) behave identically in serial and parallel modes.
+//     (supervise.Catch and CatchCrash, tests asserting on typed panics)
+//     behave identically in serial and parallel modes.
 //
 // The contract of a forked function is unchanged: it must only touch state
 // owned by its rank argument (plus read-only shared state published before

@@ -1,25 +1,21 @@
 // Package cmdutil is the shared command-line wiring of the op2ca binaries:
 // the -trace/-metrics/-faults/-checkpoint/-restore/-supervise/-autotune
-// flag set, its validation rules (distributed-backend requirements, the
-// supervise/restore conflict), machine and partitioner resolution, the
-// iteration-marker checkpoint note convention, observability export, and
-// the exit-code conventions. mgcfd, hydra and op2ca-server all build on
-// it, so a flag behaves identically everywhere it appears.
+// flag set, which parses into a runspec.Spec, its validation rules
+// (distributed-backend requirements, the supervise/restore conflict),
+// observability export, and the exit-code conventions.
 package cmdutil
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"op2ca/internal/checkpoint"
 	"op2ca/internal/cluster"
 	"op2ca/internal/faults"
-	"op2ca/internal/machine"
-	"op2ca/internal/mesh"
 	"op2ca/internal/obs"
-	"op2ca/internal/partition"
-	"op2ca/internal/supervise"
+	"op2ca/internal/runspec"
 )
 
 // Exit codes shared by every op2ca command. 0 is success; 1 is the
@@ -30,60 +26,10 @@ const (
 	// unsupervised run; the process prints a -restore / -supervise hint
 	// first, so an operator (or the job service) can resume it.
 	ExitCrash = 3
-	// ExitProfileCheck reports a failed profile self-check (op2ca-bench).
-	ExitProfileCheck = 4
 )
 
-// Fatal prints err prefixed with the program name and exits with ExitFatal.
-func Fatal(prog string, err error) {
-	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
-	os.Exit(ExitFatal)
-}
-
-// MachineByName resolves the -machine flag.
-func MachineByName(name string) (*machine.Machine, error) {
-	switch name {
-	case "archer2":
-		return machine.ARCHER2(), nil
-	case "cirrus":
-		return machine.Cirrus(), nil
-	case "laptop":
-		return machine.Laptop(), nil
-	}
-	return nil, fmt.Errorf("unknown machine %q", name)
-}
-
-// Assignment resolves the -partitioner flag over mesh m.
-func Assignment(m *mesh.FV3D, partitioner string, ranks int) (partition.Assignment, error) {
-	switch partitioner {
-	case "kway":
-		return partition.KWay(m.NodeAdjacency(), ranks), nil
-	case "rib":
-		return partition.RIB(m.Coords, 3, ranks), nil
-	case "rcb":
-		return partition.RCB(m.Coords, 3, ranks), nil
-	case "block":
-		return partition.Block(m.NNodes, ranks), nil
-	}
-	return nil, fmt.Errorf("unknown partitioner %q", partitioner)
-}
-
-// IterNote renders the checkpoint note marking n completed iterations; it
-// is the convention every command writes and ParseIterNote reads back, so
-// a snapshot taken by one binary resumes under another.
-func IterNote(n int) string { return fmt.Sprintf("iter=%d", n) }
-
-// ParseIterNote decodes an IterNote.
-func ParseIterNote(note string) (int, error) {
-	var n int
-	if _, err := fmt.Sscanf(note, "iter=%d", &n); err != nil {
-		return 0, fmt.Errorf("checkpoint note %q is not an iteration marker: %w", note, err)
-	}
-	return n, nil
-}
-
-// RunFlags is the raw shared flag set. Register binds it to the process
-// flag set; Resolve validates the combination and produces a Run.
+// RunFlags is the raw shared flag set. Register binds it to a flag set;
+// Resolve folds it into a run description and validates the combination.
 type RunFlags struct {
 	Trace      string
 	Metrics    string
@@ -96,136 +42,118 @@ type RunFlags struct {
 	Supervise  string
 }
 
-// Register declares the shared flags on the default flag set with the
-// canonical help text.
-func (f *RunFlags) Register() {
-	flag.StringVar(&f.Trace, "trace", "", "write a Chrome trace-event JSON timeline to this file")
-	flag.StringVar(&f.Metrics, "metrics", "", "write Prometheus text metrics to this file (\"-\" for stdout)")
-	flag.BoolVar(&f.ModelCheck, "model-check", false, "print Equation (1)/(3) predictions next to measured virtual times")
-	flag.BoolVar(&f.Profile, "profile", false,
+// Register declares the shared flags on fs with the canonical help text.
+func (f *RunFlags) Register(fs *flag.FlagSet) {
+	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace-event JSON timeline to this file")
+	fs.StringVar(&f.Metrics, "metrics", "", "write Prometheus text metrics to this file (\"-\" for stdout)")
+	fs.BoolVar(&f.ModelCheck, "model-check", false, "print Equation (1)/(3) predictions next to measured virtual times")
+	fs.BoolVar(&f.Profile, "profile", false,
 		"print the critical-path / communication-matrix / imbalance report (forces tracing; the run stays bit-identical)")
-	flag.BoolVar(&f.AutoTune, "autotune", false,
+	fs.BoolVar(&f.AutoTune, "autotune", false,
 		"let the model-driven autotuner pick each chain's execution policy (requires -backend ca); results stay bit-identical to any static configuration")
-	flag.StringVar(&f.Faults, "faults", "",
+	fs.StringVar(&f.Faults, "faults", "",
 		"deterministic fault-injection spec, e.g. drop=0.01,corrupt=0.002,seed=42 (see internal/faults); results stay bit-identical, virtual times include recovery")
-	flag.StringVar(&f.Checkpoint, "checkpoint", "",
+	fs.StringVar(&f.Checkpoint, "checkpoint", "",
 		"periodic snapshots, e.g. every=5,path=ck.bin,keep=3: checkpoint the backend after every N iterations, rotating keep=K verified generations (requires -backend op2 or ca)")
-	flag.StringVar(&f.Restore, "restore", "",
+	fs.StringVar(&f.Restore, "restore", "",
 		"resume from a checkpoint file instead of initialising; completed iterations are skipped (requires -backend op2 or ca)")
-	flag.StringVar(&f.Supervise, "supervise", "",
+	fs.StringVar(&f.Supervise, "supervise", "",
 		"self-healing supervised execution, e.g. on or budget=8,backoff=1,watchdog=50: catch injected crashes, exchange failures and no-progress stalls, restore from the newest valid checkpoint generation and resume (requires -backend op2 or ca; incompatible with -restore)")
 }
 
-// Run is the resolved shared configuration: parsed specs, the shared
-// tracer and checkpoint ring, and the validated flag combination.
+// Run is a command-line run: the resolved description (with the shared
+// tracer attached) plus what only a command line has — the checkpoint ring
+// at the path the user named, the file to restore from, and the reports to
+// print.
 type Run struct {
-	Prog       string
-	Ckpt       checkpoint.Spec
-	Ring       *checkpoint.Ring
-	Supervise  supervise.Spec
-	Plan       *faults.Plan
-	Tracer     *obs.Tracer
-	Trace      string
-	Metrics    string
-	ModelCheck bool
-	Profile    bool
-	AutoTune   bool
-	Restore    string
+	*runspec.Run
+	Flags RunFlags
+	Prog  string
+	Ring  *checkpoint.Ring
 }
 
-// Resolve validates the flag combination against the chosen backend and
-// builds the derived objects (fault plan, tracer, checkpoint ring). prog
-// prefixes warnings; backendName is the -backend value.
-func (f *RunFlags) Resolve(prog, backendName string) (*Run, error) {
-	r := &Run{
-		Prog: prog, Trace: f.Trace, Metrics: f.Metrics,
-		ModelCheck: f.ModelCheck, Profile: f.Profile, AutoTune: f.AutoTune,
-		Restore: f.Restore,
-	}
+// Resolve folds the shared flags into spec (fault plan, supervise spec,
+// autotune, checkpoint cadence), resolves it, validates the flag
+// combination against the chosen backend, and builds the tracer and the
+// checkpoint ring. prog prefixes the warnings written to stderr.
+func (f *RunFlags) Resolve(prog string, spec runspec.Spec, stderr io.Writer) (*Run, error) {
+	r := &Run{Flags: *f, Prog: prog}
+	var (
+		ckpt checkpoint.Spec
+		err  error
+	)
 	if f.Checkpoint != "" {
-		s, err := checkpoint.ParseSpec(f.Checkpoint)
-		if err != nil {
+		if ckpt, err = checkpoint.ParseSpec(f.Checkpoint); err != nil {
 			return nil, err
 		}
-		r.Ckpt = s
 	}
-	sv, err := supervise.ParseSpec(f.Supervise)
-	if err != nil {
+	spec.CheckpointEvery = ckpt.Every
+	spec.Faults, spec.Supervise, spec.AutoTune = f.Faults, f.Supervise, f.AutoTune
+	if f.AutoTune && spec.Backend != "ca" {
+		fmt.Fprintf(stderr, "%s: -autotune requires -backend ca; ignored\n", prog)
+		spec.AutoTune = false
+	}
+	if r.Run, err = spec.Resolve(); err != nil {
 		return nil, err
 	}
-	r.Supervise = sv
-	if (f.Checkpoint != "" || f.Restore != "" || sv.Enabled) && backendName == "seq" {
+	if (f.Checkpoint != "" || f.Restore != "" || r.Supervise.Enabled) && spec.Backend == "seq" {
 		return nil, fmt.Errorf("-checkpoint/-restore/-supervise need a distributed backend (op2 or ca)")
 	}
-	if sv.Enabled && f.Restore != "" {
+	if r.Supervise.Enabled && f.Restore != "" {
 		return nil, fmt.Errorf("-supervise and -restore are incompatible: the supervisor recovers from the checkpoint ring itself")
 	}
 	if f.Trace != "" || f.Profile {
 		r.Tracer = obs.New()
 	}
-	if f.Faults != "" {
-		p, err := faults.Parse(f.Faults)
-		if err != nil {
+	if ckpt.Enabled() {
+		if r.Ring, err = checkpoint.NewRing(ckpt); err != nil {
 			return nil, err
 		}
-		r.Plan = p
-	}
-	if f.AutoTune && backendName != "ca" {
-		fmt.Fprintf(os.Stderr, "%s: -autotune requires -backend ca; ignored\n", prog)
-		r.AutoTune = false
-	}
-	if r.Ckpt.Enabled() {
-		ring, err := checkpoint.NewRing(r.Ckpt)
-		if err != nil {
-			return nil, err
-		}
-		r.Ring = ring
 	}
 	return r, nil
 }
 
-// CrashExit reports an injected crash that killed an unsupervised run,
-// prints the resume hint when a checkpoint generation survives, and exits
-// with ExitCrash.
-func (r *Run) CrashExit(crash *faults.CrashError) {
-	fmt.Fprintf(os.Stderr, "%s: injected crash of rank %d at exchange %d\n", r.Prog, crash.Rank, crash.Exchange)
+// ReportCrash reports an injected crash that killed an unsupervised run and
+// prints the resume hint when a checkpoint generation survives. The caller
+// exits with ExitCrash.
+func (r *Run) ReportCrash(stderr io.Writer, crash *faults.CrashError) {
+	fmt.Fprintf(stderr, "%s: injected crash of rank %d at exchange %d\n", r.Prog, crash.Rank, crash.Exchange)
 	if r.Ring != nil {
 		if gens, err := r.Ring.Generations(); err == nil && len(gens) > 0 {
-			fmt.Fprintf(os.Stderr, "%s: resume with -restore %s (drop the crash= clause), or rerun with -supervise on\n",
+			fmt.Fprintf(stderr, "%s: resume with -restore %s (drop the crash= clause), or rerun with -supervise on\n",
 				r.Prog, gens[0].Path)
 		}
 	}
-	os.Exit(ExitCrash)
 }
 
 // PrintRunSummary prints the post-run fault and supervision recovery lines
-// both demo commands share (nothing when neither applies).
-func (r *Run) PrintRunSummary(cb *cluster.Backend) {
+// (nothing when neither applies).
+func (r *Run) PrintRunSummary(w io.Writer, cb *cluster.Backend) {
 	if r.Plan != nil {
 		fs := cb.Stats().Faults
-		fmt.Printf("faults: %s -> drops %d corrupts %d delays %d retries %d giveups %d fallback_ungrouped %d fallback_perloop %d\n",
+		fmt.Fprintf(w, "faults: %s -> drops %d corrupts %d delays %d retries %d giveups %d fallback_ungrouped %d fallback_perloop %d\n",
 			r.Plan.String(), fs.Drops, fs.Corrupts, fs.Delays, fs.Retries, fs.Giveups,
 			fs.FallbackUngrouped, fs.FallbackPerLoop)
 	}
 	if sv := cb.Stats().Supervise; sv.Enabled && sv.Restarts > 0 {
-		fmt.Printf("supervise: recovered from %d failures (crash %d exchange %d watchdog %d), %d generations quarantined\n",
+		fmt.Fprintf(w, "supervise: recovered from %d failures (crash %d exchange %d watchdog %d), %d generations quarantined\n",
 			sv.Restarts, sv.CrashRestarts, sv.ExchangeRestarts, sv.WatchdogTrips, sv.Quarantined)
 	}
 }
 
 // WriteObservability exports the trace and metrics files requested on the
-// command line.
-func (r *Run) WriteObservability(cb *cluster.Backend) error {
-	if r.Trace != "" {
-		if err := r.Tracer.WriteChromeTraceFile(r.Trace); err != nil {
+// command line; stdout receives the confirmation line and "-metrics -".
+func (r *Run) WriteObservability(stdout io.Writer, cb *cluster.Backend) error {
+	if path := r.Flags.Trace; path != "" {
+		if err := r.Tracer.WriteChromeTraceFile(path); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d spans written to %s (open in Perfetto or chrome://tracing)\n", r.Tracer.Len(), r.Trace)
+		fmt.Fprintf(stdout, "trace: %d spans written to %s (open in Perfetto or chrome://tracing)\n", r.Tracer.Len(), path)
 	}
-	if r.Metrics != "" {
-		w := os.Stdout
-		if r.Metrics != "-" {
-			f, err := os.Create(r.Metrics)
+	if path := r.Flags.Metrics; path != "" {
+		w := stdout
+		if path != "-" {
+			f, err := os.Create(path)
 			if err != nil {
 				return err
 			}

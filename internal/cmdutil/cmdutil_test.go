@@ -1,11 +1,16 @@
 package cmdutil
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
-	"op2ca/internal/mesh"
+	"op2ca/internal/runspec"
 )
+
+func spec(backend string) runspec.Spec {
+	return runspec.Spec{App: "mgcfd", MeshNodes: 500, Levels: 2, Ranks: 2, Backend: backend, Iters: 1, Machine: "laptop"}
+}
 
 func TestResolveValidation(t *testing.T) {
 	for _, tc := range []struct {
@@ -22,8 +27,9 @@ func TestResolveValidation(t *testing.T) {
 		{"dup-ckpt-key", RunFlags{Checkpoint: "every=1,path=x,every=2"}, "ca", "duplicate"},
 		{"bad-supervise", RunFlags{Supervise: "budget=-1"}, "ca", "non-negative"},
 		{"bad-faults", RunFlags{Faults: "drop=2"}, "ca", "drop"},
+		{"bad-spec", RunFlags{}, "mpi", "backend"},
 	} {
-		_, err := tc.flags.Resolve("test", tc.backend)
+		_, err := tc.flags.Resolve("test", spec(tc.backend), &bytes.Buffer{})
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: Resolve err = %v, want substring %q", tc.name, err, tc.wantErr)
 		}
@@ -37,12 +43,13 @@ func TestResolveBuildsDerivedState(t *testing.T) {
 		Supervise:  "budget=2",
 		Faults:     "drop=0.01,seed=5",
 		Trace:      dir + "/trace.json",
-	}).Resolve("prog", "ca")
+		AutoTune:   true,
+	}).Resolve("prog", spec("ca"), &bytes.Buffer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Ring == nil || r.Ckpt.Every != 2 || r.Ckpt.Keep != 3 {
-		t.Errorf("ring/ckpt not resolved: %+v", r.Ckpt)
+	if r.Ring == nil || r.Spec.CheckpointEvery != 2 {
+		t.Errorf("ring %v, cadence %d; want a ring snapshotting every 2", r.Ring, r.Spec.CheckpointEvery)
 	}
 	if !r.Supervise.Enabled || r.Supervise.Budget != 2 {
 		t.Errorf("supervise spec = %+v", r.Supervise)
@@ -53,43 +60,19 @@ func TestResolveBuildsDerivedState(t *testing.T) {
 	if r.Tracer == nil {
 		t.Error("tracer not created for -trace")
 	}
-	// AutoTune silently downgrades off the CA backend.
-	r2, err := (&RunFlags{AutoTune: true}).Resolve("prog", "op2")
+	if !r.Spec.AutoTune {
+		t.Error("-autotune did not reach the run description")
+	}
+	// AutoTune downgrades off the CA backend, with a warning.
+	var warn bytes.Buffer
+	r2, err := (&RunFlags{AutoTune: true}).Resolve("prog", spec("op2"), &warn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.AutoTune {
-		t.Error("autotune survived a non-CA backend")
+	if r2.Spec.AutoTune || !strings.Contains(warn.String(), "prog: -autotune requires -backend ca") {
+		t.Errorf("autotune on op2: spec %+v, warning %q", r2.Spec, warn.String())
 	}
-}
-
-func TestIterNoteRoundTrip(t *testing.T) {
-	n, err := ParseIterNote(IterNote(17))
-	if err != nil || n != 17 {
-		t.Fatalf("round trip = %d, %v", n, err)
-	}
-	if _, err := ParseIterNote("setup complete"); err == nil {
-		t.Error("non-iteration note accepted")
-	}
-}
-
-func TestMachineAndPartitioner(t *testing.T) {
-	for _, name := range []string{"archer2", "cirrus", "laptop"} {
-		if m, err := MachineByName(name); err != nil || m == nil {
-			t.Errorf("MachineByName(%q) = %v, %v", name, m, err)
-		}
-	}
-	if _, err := MachineByName("cray"); err == nil {
-		t.Error("unknown machine accepted")
-	}
-	m := mesh.Rotor(6, 5, 4)
-	for _, p := range []string{"kway", "rib", "rcb", "block"} {
-		a, err := Assignment(m, p, 3)
-		if err != nil || len(a) != m.NNodes {
-			t.Errorf("Assignment(%q) len %d, %v", p, len(a), err)
-		}
-	}
-	if _, err := Assignment(m, "metis", 3); err == nil {
-		t.Error("unknown partitioner accepted")
+	if r2.Ring != nil || r2.Tracer != nil || r2.Spec.CheckpointEvery != 0 {
+		t.Errorf("bare flags built a ring/tracer/cadence: %+v", r2)
 	}
 }

@@ -1,0 +1,208 @@
+package runspec
+
+import (
+	"strings"
+	"testing"
+
+	"op2ca/internal/checkpoint"
+	"op2ca/internal/leakcheck"
+	"op2ca/internal/mesh"
+)
+
+func small(app string) Spec {
+	s := Spec{App: app, MeshNodes: 600, Ranks: 3, Backend: "ca", Iters: 3, Machine: "laptop"}
+	if app == "mgcfd" {
+		s.Levels, s.NChains = 2, 2
+	}
+	return s
+}
+
+func TestResolveRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		app  string
+		mut  func(*Spec)
+		want string
+	}{
+		{"no-app", "mgcfd", func(s *Spec) { s.App = "" }, "want mgcfd or hydra"},
+		{"bad-app", "mgcfd", func(s *Spec) { s.App = "nekbone" }, "want mgcfd or hydra"},
+		{"bad-backend", "mgcfd", func(s *Spec) { s.Backend = "mpi" }, "want seq, op2 or ca"},
+		{"bad-machine", "hydra", func(s *Spec) { s.Machine = "cray" }, "unknown machine"},
+		{"bad-partitioner", "hydra", func(s *Spec) { s.Partitioner = "metis" }, "partitioner"},
+		{"chains-on-mgcfd", "mgcfd", func(s *Spec) { s.Chains = "chain weight\n" }, "hydra-only"},
+		{"safe-on-mgcfd", "mgcfd", func(s *Spec) { s.Safe = true }, "hydra-only"},
+		{"levels-on-hydra", "hydra", func(s *Spec) { s.Levels = 2 }, "mgcfd-only"},
+		{"nchains-on-hydra", "hydra", func(s *Spec) { s.NChains = 1 }, "mgcfd-only"},
+		{"bad-chains", "hydra", func(s *Spec) { s.Chains = "loop orphan he=1\n" }, "chain"},
+		{"bad-faults", "mgcfd", func(s *Spec) { s.Faults = "drop=2" }, "drop"},
+		{"bad-supervise", "mgcfd", func(s *Spec) { s.Supervise = "budget=-1" }, "non-negative"},
+	} {
+		s := small(tc.app)
+		tc.mut(&s)
+		if _, err := s.Resolve(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Resolve err = %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestResolveDerives pins what Resolve works out: the app's default
+// partitioner, the parsed artefacts, and the chain-file -> halo-depth rule.
+func TestResolveDerives(t *testing.T) {
+	r, err := small("mgcfd").Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Spec.Partitioner != "kway" || r.Depth != 2 || r.Chains != nil || r.Plan != nil || r.Supervise.Enabled {
+		t.Errorf("mgcfd resolved to %+v", r)
+	}
+
+	h := small("hydra")
+	h.Faults, h.Supervise = "drop=0.01,seed=3", "budget=2"
+	if r, err = h.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Spec.Partitioner != "rib" || r.Depth != 2 || r.Chains.Get("weight") == nil {
+		t.Errorf("hydra resolved to partitioner %q depth %d chains %v; want rib, 2, the paper configuration",
+			r.Spec.Partitioner, r.Depth, r.Chains)
+	}
+	if r.Plan == nil || r.Plan.Drop != 0.01 || !r.Supervise.Enabled || r.Supervise.Budget != 2 {
+		t.Errorf("plan %+v supervise %+v", r.Plan, r.Supervise)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mut    func(*Spec)
+		depth  int
+		chains bool
+	}{
+		{"safe", func(s *Spec) { s.Safe = true }, 5, false},
+		{"safe-beats-file", func(s *Spec) { s.Safe, s.Chains = true, "chain gradl maxhe=4\n" }, 5, false},
+		{"shallow-file", func(s *Spec) { s.Chains = "chain gradl maxhe=1\n" }, 2, true},
+		{"deep-maxhe", func(s *Spec) { s.Chains = "chain gradl maxhe=4\n" }, 4, true},
+		{"deep-loop", func(s *Spec) { s.Chains = "chain gradl maxhe=2\n  loop edgecon he=3\n  loop period he=1\n" }, 3, true},
+	} {
+		s := small("hydra")
+		tc.mut(&s)
+		r, err := s.Resolve()
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if r.Depth != tc.depth || (r.Chains != nil) != tc.chains {
+			t.Errorf("%s: depth %d chains %v, want depth %d chains %t", tc.name, r.Depth, r.Chains, tc.depth, tc.chains)
+		}
+	}
+}
+
+func TestIterNoteRoundTrip(t *testing.T) {
+	n, err := ParseIterNote(IterNote(17))
+	if err != nil || n != 17 {
+		t.Fatalf("round trip = %d, %v", n, err)
+	}
+	if _, err := ParseIterNote("setup complete"); err == nil {
+		t.Error("non-iteration note accepted")
+	}
+}
+
+func TestMachineAndPartitioner(t *testing.T) {
+	for _, name := range []string{"archer2", "cirrus", "laptop"} {
+		if m, err := machineByName(name); err != nil || m == nil {
+			t.Errorf("machineByName(%q) = %v, %v", name, m, err)
+		}
+	}
+	m := mesh.Rotor(6, 5, 4)
+	for _, p := range []string{"kway", "rib", "rcb", "block"} {
+		a, err := assignment(m, p, 3)
+		if err != nil || len(a) != m.NNodes {
+			t.Errorf("assignment(%q) len %d, %v", p, len(a), err)
+		}
+	}
+	if _, err := assignment(m, "metis", 3); err == nil {
+		t.Error("unknown partitioner accepted")
+	}
+}
+
+// TestDriveResumesAcrossHostThreading runs each app uninterrupted, then
+// again stopping early with a ring under a worker pool, and resumes the
+// newest generation on one host thread: the resumed attempt starts where
+// the snapshot says and ends in the uninterrupted outcome, which also
+// matches the sequential reference.
+func TestDriveResumesAcrossHostThreading(t *testing.T) {
+	defer leakcheck.Check(t)()
+	for _, app := range []string{"mgcfd", "hydra"} {
+		s := small(app)
+		s.Safe = app == "hydra" // so VerifyAgainstSeq must match to rounding
+		s.CheckpointEvery = 1
+		r, err := s.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(r *Run, st *checkpoint.State, ring *checkpoint.Ring) (*Attempt, Outcome) {
+			t.Helper()
+			a, err := r.Build(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Drive(ring); err != nil {
+				t.Fatal(err)
+			}
+			return a, a.Outcome()
+		}
+		whole, want := run(r, nil, nil)
+		if worst, tol := whole.VerifyAgainstSeq(); worst > tol || tol != 1e-9 {
+			t.Errorf("%s: differs from the sequential reference by %g (tolerance %g)", app, worst, tol)
+		}
+		whole.Close()
+		if want.Checksum == "" || want.MaxClock <= 0 || (want.Residual != 0) != (app == "mgcfd") {
+			t.Errorf("%s: degenerate outcome %+v", app, want)
+		}
+
+		ring, err := checkpoint.NewRing(checkpoint.Spec{Every: 1, Path: t.TempDir() + "/ck.bin", Keep: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		short := *r
+		short.Spec.Iters = 2
+		short.Parallel = true
+		first, _ := run(&short, nil, ring)
+		first.Close()
+		st, _, _, _, err := ring.RecoverNewest()
+		if err != nil || st == nil {
+			t.Fatalf("%s: no generation to resume from: %v", app, err)
+		}
+		resumed, got := run(r, st, nil)
+		resumed.Close()
+		if resumed.Start != 2 {
+			t.Errorf("%s: resumed at iteration %d, want 2", app, resumed.Start)
+		}
+		if got.Checksum != want.Checksum || got.Residual != want.Residual || got.MaxClock != want.MaxClock {
+			t.Errorf("%s: resumed (%s, %g, %g), uninterrupted (%s, %g, %g)", app,
+				got.Checksum, got.Residual, got.MaxClock, want.Checksum, want.Residual, want.MaxClock)
+		}
+	}
+}
+
+// TestSeqBackend: the sequential reference builds no cluster backend and
+// still drives and reports a residual.
+func TestSeqBackend(t *testing.T) {
+	s := small("mgcfd")
+	s.Backend = "seq"
+	r, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := r.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Drive(nil); err != nil {
+		t.Fatal(err)
+	}
+	if out := a.Outcome(); a.CB != nil || out.Residual == 0 || out.Checksum != "" {
+		t.Errorf("seq attempt: CB %v, outcome %+v", a.CB, out)
+	}
+	if !strings.HasPrefix(a.Describe, "mesh: ") {
+		t.Errorf("Describe() = %q", a.Describe)
+	}
+}

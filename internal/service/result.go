@@ -2,6 +2,7 @@ package service
 
 import (
 	"op2ca/internal/bench"
+	"op2ca/internal/runspec"
 	"op2ca/internal/supervise"
 )
 
@@ -39,18 +40,18 @@ type Result struct {
 // newResult flattens a successful final attempt into the wire record.
 // Call after sup.Finish so the supervise ledger includes ring
 // write-verification quarantines.
-func newResult(id string, w *workload, out attemptOutcome, sup *supervise.Supervisor,
+func newResult(id string, w *workload, out runspec.Outcome, sup *supervise.Supervisor,
 	attempts, preemptions int, workers []string) *Result {
 	r := &Result{
 		JobID: id, Tenant: w.spec.Tenant, Spec: w.spec,
-		Checksum: out.checksum, Residual: out.residual,
-		MaxClockSeconds: out.maxClock, Exchanges: out.exchanges,
+		Checksum: out.Checksum, Residual: out.Residual,
+		MaxClockSeconds: out.MaxClock, Exchanges: out.Exchanges,
 		Attempts: attempts, Preemptions: preemptions,
 		Restarts: sup.Restarts(), Workers: workers,
 	}
-	if w.plan != nil {
-		f := out.stats.Faults
-		r.FaultSpec = w.plan.String()
+	if plan := w.run.Plan; plan != nil {
+		f := out.Stats.Faults
+		r.FaultSpec = plan.String()
 		r.Faults = &bench.FaultTotals{
 			Drops: f.Drops, Corrupts: f.Corrupts, Delays: f.Delays,
 			Retries: f.Retries, Giveups: f.Giveups,

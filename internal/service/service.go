@@ -12,6 +12,7 @@ import (
 
 	"op2ca/internal/checkpoint"
 	"op2ca/internal/cluster"
+	"op2ca/internal/runspec"
 	"op2ca/internal/supervise"
 )
 
@@ -194,7 +195,7 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	}
 	j := &job{
 		id: id, w: w, ring: ring,
-		sup:   supervise.NewSupervisor(w.sv, w.plan, ring, nil),
+		sup:   supervise.NewSupervisor(w.run.Supervise, w.run.Plan, ring, nil),
 		state: StateQueued, submitted: time.Now(),
 	}
 	s.jobs[id] = j
@@ -576,21 +577,17 @@ func (s *Service) workerLoop(w *worker) {
 // run without the service lock.
 func (s *Service) runJob(w *worker, j *job) {
 	st, err := j.sup.Recover()
-	var out attemptOutcome
+	var out runspec.Outcome
 	if err == nil {
-		err = catchRun(func() error {
-			var e error
-			out, e = j.w.runAttempt(st, j.sup, j.ring, func(b *cluster.Backend) {
-				s.mu.Lock()
-				j.backend = b
-				// An intent that landed before the backend existed takes
-				// effect at the attempt's first exchange boundary.
-				if j.cancelled || j.preempt {
-					b.Cancel()
-				}
-				s.mu.Unlock()
-			})
-			return e
+		out, err = j.w.runAttempt(st, j.sup, j.ring, func(a *runspec.Attempt) {
+			s.mu.Lock()
+			j.backend = a.CB
+			// An intent that landed before the backend existed takes
+			// effect at the attempt's first exchange boundary.
+			if j.cancelled || j.preempt {
+				a.CB.Cancel()
+			}
+			s.mu.Unlock()
 		})
 	}
 
@@ -603,12 +600,12 @@ func (s *Service) runJob(w *worker, j *job) {
 	var ce *cluster.CancelledError
 	switch {
 	case err == nil:
-		w.load += out.maxClock
+		w.load += out.MaxClock
 		w.jobs++
-		j.sup.Finish(out.stats)
+		j.sup.Finish(out.Stats)
 		j.restarts = j.sup.Restarts()
 		j.result = newResult(j.id, j.w, out, j.sup, j.attempts, j.preemptions, j.workers)
-		s.finishLocked(j, StateDone, fmt.Sprintf("checksum %s", out.checksum))
+		s.finishLocked(j, StateDone, fmt.Sprintf("checksum %s", out.Checksum))
 	case errors.As(err, &ce) && j.cancelled:
 		s.finishLocked(j, StateCancelled, err.Error())
 	case errors.As(err, &ce):

@@ -3,14 +3,8 @@ package service
 import (
 	"fmt"
 	"regexp"
-	"strings"
 
-	"op2ca/internal/chaincfg"
-	"op2ca/internal/cmdutil"
-	"op2ca/internal/faults"
-	"op2ca/internal/hydra"
-	"op2ca/internal/machine"
-	"op2ca/internal/supervise"
+	"op2ca/internal/runspec"
 )
 
 // JobSpec is the wire form of a job submission: which mini-app to run, how
@@ -79,27 +73,21 @@ const (
 
 var tenantRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 
-// workload is a validated, fully resolved job: the normalized spec plus
-// every parsed artifact the runner needs (fault plan, supervise spec,
-// machine model, hydra chain configuration and halo depth).
+// workload is a validated job: the normalized spec as echoed in views and
+// results, and the resolved run description the worker drives.
 type workload struct {
-	spec   JobSpec
-	plan   *faults.Plan
-	sv     supervise.Spec
-	mach   *machine.Machine
-	chains *chaincfg.Config // hydra only
-	depth  int
+	spec JobSpec
+	run  *runspec.Run
 }
 
-// Validate checks spec against the job grammar and admission bounds,
-// fills defaults, and returns the resolved workload. Every error it
-// returns maps to HTTP 400: nothing here inspects service state.
+// Validate checks spec against the admission bounds, fills the service's
+// defaults, and resolves the run it describes (runspec.Spec.Resolve owns
+// the grammar: names, app-specific fields, the embedded chaincfg, faults
+// and supervise specs). Every error it returns maps to HTTP 400: nothing
+// here inspects service state.
 func (s JobSpec) Validate() (*workload, error) {
 	if !tenantRE.MatchString(s.Tenant) {
 		return nil, fmt.Errorf("tenant %q: need 1-64 chars of [a-zA-Z0-9._-] starting alphanumeric", s.Tenant)
-	}
-	if s.App != "mgcfd" && s.App != "hydra" {
-		return nil, fmt.Errorf("app %q: want mgcfd or hydra", s.App)
 	}
 	if s.Backend == "" {
 		s.Backend = "ca"
@@ -131,12 +119,7 @@ func (s JobSpec) Validate() (*workload, error) {
 	if s.CheckpointEvery < 1 || s.CheckpointEvery > MaxCkptEvery {
 		return nil, fmt.Errorf("checkpoint_every %d outside [1, %d]", s.CheckpointEvery, MaxCkptEvery)
 	}
-
-	switch s.App {
-	case "mgcfd":
-		if s.Chains != "" {
-			return nil, fmt.Errorf("chains is hydra-only")
-		}
+	if s.App == "mgcfd" {
 		if s.Levels == 0 {
 			s.Levels = 2
 		}
@@ -146,67 +129,26 @@ func (s JobSpec) Validate() (*workload, error) {
 		if s.NChains < 0 || s.NChains > MaxNChains {
 			return nil, fmt.Errorf("nchains %d outside [0, %d]", s.NChains, MaxNChains)
 		}
-		if s.Partitioner == "" {
-			s.Partitioner = "kway"
-		}
-	case "hydra":
-		if s.Levels != 0 || s.NChains != 0 {
-			return nil, fmt.Errorf("levels/nchains are mgcfd-only")
-		}
-		if s.Partitioner == "" {
-			s.Partitioner = "rib"
-		}
-	}
-	switch s.Partitioner {
-	case "kway", "rib", "rcb", "block":
-	default:
-		return nil, fmt.Errorf("partitioner %q: want kway, rib, rcb or block", s.Partitioner)
 	}
 	if s.Machine == "" {
 		s.Machine = "archer2"
 	}
-	mach, err := cmdutil.MachineByName(s.Machine)
+	if s.Supervise == "" {
+		s.Supervise = "on"
+	}
+	run, err := runspec.Spec{
+		App: s.App, MeshNodes: s.MeshNodes, Levels: s.Levels, NChains: s.NChains,
+		Ranks: s.Ranks, Backend: s.Backend, Overlap: s.Overlap, Iters: s.Iters,
+		Machine: s.Machine, Partitioner: s.Partitioner, Chains: s.Chains,
+		Faults: s.Faults, Supervise: s.Supervise, CheckpointEvery: s.CheckpointEvery,
+	}.Resolve()
 	if err != nil {
 		return nil, err
 	}
-
-	w := &workload{mach: mach, depth: 2}
-	if s.App == "hydra" {
-		w.chains = hydra.MustPaperConfig()
-		if s.Chains != "" {
-			cfg, err := chaincfg.Parse(strings.NewReader(s.Chains))
-			if err != nil {
-				return nil, err
-			}
-			w.chains = cfg
-			// A custom file may pin deeper extensions; build generously.
-			for _, name := range cfg.Order {
-				c := cfg.Chains[name]
-				if c.MaxHE > w.depth {
-					w.depth = c.MaxHE
-				}
-				for _, l := range c.Loops {
-					if l.HE > w.depth {
-						w.depth = l.HE
-					}
-				}
-			}
-		}
-	}
-	if s.Faults != "" {
-		if w.plan, err = faults.Parse(s.Faults); err != nil {
-			return nil, err
-		}
-	}
-	if s.Supervise == "" {
-		w.sv = supervise.Spec{Enabled: true, Budget: supervise.DefaultBudget, Backoff: supervise.DefaultBackoff}
-	} else if w.sv, err = supervise.ParseSpec(s.Supervise); err != nil {
-		return nil, err
-	}
-	if !w.sv.Enabled {
+	if !run.Supervise.Enabled {
 		return nil, fmt.Errorf("supervise %q parsed to disabled; served jobs must be supervised", s.Supervise)
 	}
-	s.Supervise = w.sv.String()
-	w.spec = s
-	return w, nil
+	s.Partitioner = run.Spec.Partitioner
+	s.Supervise = run.Supervise.String()
+	return &workload{spec: s, run: run}, nil
 }

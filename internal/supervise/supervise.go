@@ -150,19 +150,27 @@ func Supervisable(err error) bool {
 	return errors.As(err, &ce) || errors.As(err, &ee) || errors.As(err, &he)
 }
 
-// Catch runs one attempt body, converting the typed failure panics the
-// runtime throws (*faults.CrashError, *cluster.ExchangeError,
-// *cluster.HangError) into returned errors. Any other panic — a genuine
-// bug — propagates. An error returned by f passes through unchanged.
+// Catch runs one attempt body, converting the executor's typed panics into
+// returned errors: the supervisable failures (*faults.CrashError,
+// *cluster.ExchangeError, *cluster.HangError), cooperative cancellation
+// (*cluster.CancelledError — the job service's preemption) and a halo too
+// shallow for the run's loops (*cluster.HaloDepthError). OnFailure retries
+// only the supervisable ones; the rest end the run with that error. Any
+// other panic — a genuine bug — propagates. An error returned by f passes
+// through unchanged.
 func Catch(f func() error) (err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		if e, ok := r.(error); ok && Supervisable(e) {
-			err = e
-			return
+		if e, ok := r.(error); ok {
+			var ce *cluster.CancelledError
+			var he *cluster.HaloDepthError
+			if Supervisable(e) || errors.As(e, &ce) || errors.As(e, &he) {
+				err = e
+				return
+			}
 		}
 		panic(r)
 	}()
@@ -171,8 +179,8 @@ func Catch(f func() error) (err error) {
 
 // CatchCrash runs f, returning the *faults.CrashError it panicked with, or
 // nil when it completed. Any other panic propagates. This is the shared
-// helper behind the unsupervised crash-fault exit path of the demo apps
-// (report the crash, exit 3, let an operator -restore).
+// helper behind the unsupervised crash-fault exit path of op2ca-run and
+// op2ca-bench (report the crash, exit 3, let an operator -restore).
 func CatchCrash(f func()) (c *faults.CrashError) {
 	defer func() {
 		r := recover()

@@ -323,8 +323,8 @@ func TestHangErrorIsTyped(t *testing.T) {
 
 // TestCancelledErrorNotSupervisable: cooperative cancellation is deliberate,
 // not a failure — a supervisor must never burn restart budget resuming a
-// run its owner asked to stop. The job service catches *CancelledError
-// itself to implement preemption.
+// run its owner asked to stop. Catch hands the job service the
+// *CancelledError; it implements preemption on top.
 func TestCancelledErrorNotSupervisable(t *testing.T) {
 	if supervise.Supervisable(&cluster.CancelledError{Exchange: 7}) {
 		t.Error("CancelledError must not be supervisable")
@@ -369,8 +369,19 @@ func TestParseSpec(t *testing.T) {
 }
 
 // TestCatchPropagatesForeignPanics: only the typed failure panics are
-// converted; anything else is a bug and must keep crashing the process.
+// converted — a halo-depth dereference or a cancellation inside an attempt
+// is a failure its owner reports (the job service: a failed or preempted
+// job, not a panic that takes every other tenant's job down); anything
+// else is a bug and must keep crashing the process.
 func TestCatchPropagatesForeignPanics(t *testing.T) {
+	for _, want := range []error{
+		&cluster.HaloDepthError{Rank: 1, Loop: "flux", Iter: 7, Map: "e2n", Slot: 1},
+		&cluster.CancelledError{Exchange: 7},
+	} {
+		if err := supervise.Catch(func() error { panic(want) }); err != want {
+			t.Errorf("Catch returned %v, want the %T it recovered", err, want)
+		}
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("foreign panic was swallowed")
@@ -379,7 +390,7 @@ func TestCatchPropagatesForeignPanics(t *testing.T) {
 	supervise.Catch(func() error { panic("a genuine bug") })
 }
 
-// TestCatchCrash covers the shared helper behind the demo apps' exit-3
+// TestCatchCrash covers the shared helper behind the commands' exit-3
 // path.
 func TestCatchCrash(t *testing.T) {
 	if c := supervise.CatchCrash(func() {}); c != nil {
