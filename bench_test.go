@@ -141,12 +141,19 @@ func benchClusterIteration(b *testing.B, ca bool) {
 func BenchmarkClusterChainOP2(b *testing.B) { benchClusterIteration(b, false) }
 func BenchmarkClusterChainCA(b *testing.B)  { benchClusterIteration(b, true) }
 
-// benchPlanCache measures the inspect-once/execute-many plan cache: the
-// same CA chain executed many times over a small, rank-heavy decomposition
-// where inspection and exchange-buffer churn dominate. With the cache on,
-// steady-state executions skip ca.Inspect and reuse precomputed pack/unpack
-// schedules and buffers, so allocs/op in the exchange path drop to ~zero.
-func benchPlanCache(b *testing.B, noCache bool) {
+// benchChainExec measures steady-state execution of one CA chain, executed
+// many times over a small, rank-heavy decomposition where inspection,
+// exchange-buffer churn and per-element dispatch dominate. With the plan
+// cache on, executions skip ca.Inspect, replay precomputed pack/unpack
+// schedules and run the plan's compiled program, so allocs/op drop to
+// ~zero; with it off the same executor runs a program compiled per
+// execution. The per-loop twin (ca false) runs the same demarcated chain
+// through the per-loop interpreter the compiled executor is checked
+// against. ns/iter divides by executed core + halo iterations, so the three
+// read on one scale whatever halo depth they execute:
+//
+//	go test -run '^$' -bench ChainExec -benchtime 20x .
+func benchChainExec(b *testing.B, ca, noCache bool) {
 	m := mesh.RotorForNodes(3000)
 	h := mesh.NewHierarchy(m, 1, true)
 	app := mgcfd.New(h)
@@ -154,13 +161,14 @@ func benchPlanCache(b *testing.B, noCache bool) {
 	cb, err := NewCluster(ClusterConfig{
 		Prog: app.Prog, Primary: app.Primary,
 		Assign: partition.KWay(m.NodeAdjacency(), 16), NParts: 16,
-		Depth: 2, MaxChainLen: 8, CA: true, NoPlanCache: noCache,
+		Depth: 2, MaxChainLen: 8, CA: ca, NoPlanCache: noCache,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	app.Init(cb)
-	syn.Run(cb, 4, true) // warm: inspection + schedule build on first executions
+	syn.Run(cb, 1, true) // warm: inspection + schedule build on first executions
+	iters0 := executedIters(cb)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -169,10 +177,26 @@ func benchPlanCache(b *testing.B, noCache bool) {
 			syn.Run(cb, 1, true)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(executedIters(cb)-iters0), "ns/iter")
 }
 
-func BenchmarkChainExecCached(b *testing.B)   { benchPlanCache(b, false) }
-func BenchmarkChainExecUncached(b *testing.B) { benchPlanCache(b, true) }
+// executedIters totals the core and halo iterations cb has executed so far,
+// inside CA chains and loop by loop.
+func executedIters(cb *ClusterBackend) int64 {
+	var n int64
+	st := cb.Stats()
+	for _, l := range st.Loops {
+		n += l.CoreIters + l.HaloIters
+	}
+	for _, c := range st.Chains {
+		n += c.CoreIters + c.HaloIters
+	}
+	return n
+}
+
+func BenchmarkChainExecCached(b *testing.B)   { benchChainExec(b, true, false) }
+func BenchmarkChainExecUncached(b *testing.B) { benchChainExec(b, true, true) }
+func BenchmarkChainExecPerLoop(b *testing.B)  { benchChainExec(b, false, false) }
 
 // BenchmarkChainExecParallel measures wall-clock scaling of the persistent
 // worker-pool rank executor: the same cached-plan CA chain workload as

@@ -25,6 +25,7 @@ import (
 	"op2ca/internal/bench"
 	"op2ca/internal/checkpoint"
 	"op2ca/internal/cluster"
+	"op2ca/internal/cmdutil"
 	"op2ca/internal/faults"
 	"op2ca/internal/obs"
 	"op2ca/internal/supervise"
@@ -65,10 +66,18 @@ func main() {
 		superviseFlag = flag.String("supervise", "",
 			"self-healing supervised execution, e.g. on or budget=8,backoff=1,watchdog=50: catch injected crashes, exchange failures and no-progress stalls, restore from the newest valid checkpoint generation and retry the experiment (incompatible with -restore)")
 	)
+	var prof cmdutil.ProfileFlags
+	prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *compare {
 		os.Exit(runCompare(flag.Args(), *thresholds))
+	}
+	// Host profiles cover a run that completes; the fatal and crash exits
+	// below leave them unfinished.
+	stopProf, err := prof.Start()
+	if err != nil {
+		fatal(err)
 	}
 
 	var plan *faults.Plan
@@ -368,6 +377,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("json: results written to %s\n", *jsonPath)
+	}
+	if err := stopProf(); err != nil {
+		fatal(err)
 	}
 	if profileErrs > 0 {
 		fmt.Fprintf(os.Stderr, "op2ca-bench: %d run(s) failed the critical-path == makespan self-check\n", profileErrs)

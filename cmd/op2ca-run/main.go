@@ -50,6 +50,7 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 	var (
 		spec   runspec.Spec
 		shared cmdutil.RunFlags
+		prof   cmdutil.ProfileFlags
 	)
 	fs.StringVar(&spec.App, "app", "", "application: mgcfd or hydra")
 	fs.IntVar(&spec.MeshNodes, "mesh-nodes", 60000, "approximate node count (finest level for mgcfd)")
@@ -68,6 +69,7 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 	serial := fs.Bool("serial", false, "run simulated ranks on one host thread")
 	verify := fs.Bool("verify", false, "compare final state against the sequential reference")
 	shared.Register(fs)
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return out, 0
@@ -78,6 +80,15 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
 		return out, cmdutil.ExitFatal
 	}
+	stopProf, err := prof.Start()
+	if err != nil {
+		return fatal(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil && code == 0 {
+			out, code = fatal(err)
+		}
+	}()
 
 	// The apps' defaults differ; a flag the user gave always wins, so one
 	// that does not apply to the chosen app reaches Resolve and is rejected.

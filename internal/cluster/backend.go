@@ -267,15 +267,16 @@ type execScratch struct {
 	// runChainImpl per-rank × per-loop matrices and fork parameters.
 	chainCores    [][]int
 	chainHalos    [][]int
-	chainExecEnds [][]int
-	chainNxs      [][]nxRange
 	chainPost     []float64
 	chainRecvLast []float64
 	chainLoops    []core.Loop
-	chainHE       []int
-	chainHN       []int
 	chainExch     bool
 	chainSend     []int64
+	// chainProg is the compiled program of the chain being executed (the
+	// plan entry's, or uncachedProg); uncachedProg is where NoPlanCache
+	// executions compile theirs, storage reused from one to the next.
+	chainProg    *chainProgram
+	uncachedProg chainProgram
 
 	// Per-chain work vectors (iteration-time table, model parameters).
 	g  []float64
@@ -743,15 +744,10 @@ func (b *Backend) initScratch() {
 	s.chainRecvLast = make([]float64, n)
 	s.chainCores = make([][]int, n)
 	s.chainHalos = make([][]int, n)
-	s.chainExecEnds = make([][]int, n)
-	s.chainNxs = make([][]nxRange, n)
-	flatI := make([]int, 3*n*cl)
-	flatNx := make([]nxRange, n*cl)
+	flatI := make([]int, 2*n*cl)
 	for r := 0; r < n; r++ {
-		s.chainCores[r] = flatI[(3*r+0)*cl : (3*r+1)*cl]
-		s.chainHalos[r] = flatI[(3*r+1)*cl : (3*r+2)*cl]
-		s.chainExecEnds[r] = flatI[(3*r+2)*cl : (3*r+3)*cl]
-		s.chainNxs[r] = flatNx[r*cl : (r+1)*cl]
+		s.chainCores[r] = flatI[(2*r+0)*cl : (2*r+1)*cl]
+		s.chainHalos[r] = flatI[(2*r+1)*cl : (2*r+2)*cl]
 	}
 	s.g = make([]float64, cl)
 	s.lp = make([]model.LoopParams, cl)

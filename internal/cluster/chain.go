@@ -132,6 +132,12 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 			name, len(loops), b.cfg.MaxChainLen))
 	}
 
+	// The executable plan, compiled and validated before the exchange below
+	// moves a value: a chain that under-reaches its halo fails here, with
+	// every dat still in its pre-chain state.
+	sc := &b.scr
+	sc.chainProg = b.programFor(entry, loops, plan)
+
 	// Snapshot the validity state before filterNeeds bumps it: the
 	// per-loop degradation rung re-executes the window through
 	// runStandard, whose exchanges must see the pre-chain dirty state.
@@ -148,7 +154,6 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	exchanging := len(res.msgs) > 0
 
 	n := len(loops)
-	sc := &b.scr
 	g := sc.g[:n]
 	for i, l := range loops {
 		g[i] = m.IterTime(l.Kernel)
@@ -166,8 +171,7 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	nparts := b.cfg.NParts
 	coreEnds, haloIters := sc.chainCores, sc.chainHalos
 	post := sc.chainPost
-	sc.chainLoops, sc.chainHE, sc.chainHN = loops, plan.HE, plan.HN
-	sc.chainExch, sc.chainSend = exchanging, res.sendBytes
+	sc.chainLoops, sc.chainExch, sc.chainSend = loops, exchanging, res.sendBytes
 	b.forEachRank(b.fnChainPrep)
 
 	maxR := b.maxRetriesFor(cfgChain)
@@ -377,36 +381,26 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	cs.Time += b.maxClock() - t0
 }
 
-// nxRange is one loop's non-execute refresh range on one rank (direct
-// loops re-iterate non-execute halo copies of their outputs).
-type nxRange struct{ lo, hi int }
-
 // chainPrepRank is the first fork of a CA chain execution: derive rank r's
-// per-loop iteration ranges (core prefix, execute end, non-execute refresh
-// range) and its send-post time. Parameters arrive via Backend scratch.
+// per-loop core prefix and halo iteration counts from the compiled
+// program's ranges (execute end, non-execute refresh range) and its
+// send-post time. Parameters arrive via Backend scratch.
 func (b *Backend) chainPrepRank(w, r int) {
 	sc := &b.scr
 	m := b.cfg.Machine
-	loops, he, hn := sc.chainLoops, sc.chainHE, sc.chainHN
 	lay := b.layouts[r]
+	prog := sc.chainProg.ranks[r]
 	cores, halos := sc.chainCores[r], sc.chainHalos[r]
-	execEnd, nx := sc.chainExecEnds[r], sc.chainNxs[r]
-	for i, l := range loops {
-		sl := lay.SetL(l.Set)
-		e := sl.ExecEnd(he[i])
-		c := e
+	for i, l := range sc.chainLoops {
+		lp := &prog[i]
+		c := lp.end
 		if sc.chainExch {
-			c = min(sl.CorePrefix(i), e)
+			c = min(lay.SetL(l.Set).CorePrefix(i), lp.end)
 		}
-		cores[i], execEnd[i] = c, e
-		halos[i] = e - c
-		nx[i] = nxRange{}
-		if hn[i] > 0 {
-			// Direct loops additionally refresh non-execute halo copies
-			// of their outputs by iterating them.
-			nx[i] = nxRange{int(sl.NonexecStart[0]), int(sl.NonexecStart[hn[i]])}
-			halos[i] += nx[i].hi - nx[i].lo
-		}
+		cores[i] = c
+		// Direct loops additionally refresh non-execute halo copies of
+		// their outputs by iterating them.
+		halos[i] = lp.end - c + lp.nx.hi - lp.nx.lo
 	}
 	post := b.clock[r] + float64(sc.chainSend[r])/m.PackRate
 	if !b.cfg.GPUDirect {
@@ -415,18 +409,19 @@ func (b *Backend) chainPrepRank(w, r int) {
 	sc.chainPost[r] = post
 }
 
-// chainExecRank is the data pass of a CA chain execution on rank r: each
-// loop runs completely, in chain order, in the canonical element order
-// (see runLoopOnRank) — exactly the sequence the sequential reference and
-// the per-loop path apply. Algorithm 2's core/halo phase split (lines
-// 8-18) lives entirely in the caller's virtual-time arithmetic; splitting
-// the data pass too would re-order float accumulations per rank and
-// policy.
+// chainExecRank is the data pass of a CA chain execution on rank r, as
+// worker w: each loop of the compiled program runs completely, in chain
+// order, in the canonical element order (see loopProgram.run) — exactly the
+// sequence the sequential reference and the per-loop path apply. Algorithm
+// 2's core/halo phase split (lines 8-18) lives entirely in the caller's
+// virtual-time arithmetic; splitting the data pass too would re-order float
+// accumulations per rank and policy.
 func (b *Backend) chainExecRank(w, r int) {
 	sc := &b.scr
-	execEnd, nx := sc.chainExecEnds[r], sc.chainNxs[r]
+	ws := &b.wsc[w]
+	prog := sc.chainProg.ranks[r]
 	for i, l := range sc.chainLoops {
-		b.runLoopOnRank(w, r, l, 0, execEnd[i], nil)
-		b.runLoopOnRank(w, r, l, nx[i].lo, nx[i].hi, nil)
+		lp := &prog[i]
+		lp.run(l, growSlices(&ws.views, len(lp.slots)))
 	}
 }

@@ -10,6 +10,8 @@ package cluster
 // depends on the spec set and the layouts, not on the plan that asked.
 
 import (
+	"slices"
+
 	"op2ca/internal/ca"
 	"op2ca/internal/core"
 )
@@ -33,6 +35,9 @@ type planEntry struct {
 	err    error
 	// specs is plan.Required as exchange specs, precomputed once.
 	specs []exchangeSpec
+	// prog is the plan's executable form, compiled and validated by the
+	// entry's first execution (see programFor); nil until then.
+	prog *chainProgram
 }
 
 // planMapKey builds the plans-map key for (name, sig) into scratch bytes.
@@ -120,4 +125,192 @@ func requiredSpecs(plan ca.Plan) []exchangeSpec {
 		specs = append(specs, exchangeSpec{dat: r.Dat, execDepth: r.ExecDepth, nonexecDepth: r.NonexecDepth})
 	}
 	return specs
+}
+
+// viewKind says how a kernel view is bound at each iteration.
+type viewKind uint8
+
+const (
+	viewDirect   viewKind = iota // data[iter]
+	viewIndirect                 // data[maps[iter*arity+slot]]
+	viewGlobal                   // the loop's live Gbl buffer, bound once per execution
+)
+
+// viewSlot is one kernel view of a compiled loop on one rank: everything
+// the executor needs to bind it, resolved from the core.Arg once. A vector
+// argument occupies Map.Arity consecutive slots.
+type viewSlot struct {
+	kind viewKind
+	// arg indexes Loop.Args: where a global's buffer is re-bound from.
+	arg int32
+	// arity and slot locate an indirect view's entry in its map row.
+	arity int32
+	slot  int32
+	dim   int
+	data  []float64 // the dat's rank-local storage (direct, indirect)
+	maps  []int32   // the map's localized values (indirect)
+}
+
+// nxRange is one loop's non-execute refresh range on one rank (direct
+// loops re-iterate non-execute halo copies of their outputs).
+type nxRange struct{ lo, hi int }
+
+// loopProgram is one (loop, rank) of a compiled chain: the view-slot table
+// and the iteration ranges the plan's halo extensions select.
+type loopProgram struct {
+	slots []viewSlot // one per kernel view, in view order
+	// order is the set layout's canonical ExecOrder, walked up to end, for
+	// loops with indirection; nil for all-direct loops, whose iterations
+	// touch only their own element and so run [0, end) in storage order.
+	order []int32
+	end   int // ExecEnd(HE_i)
+	// nx is the non-execute refresh range (all-direct loops with HN_i > 0).
+	nx nxRange
+}
+
+// chainProgram is the executable half of a chain plan: per rank, per loop,
+// a flat view-slot table. It holds only what ca.AppendChainSignature covers
+// — sets, dats, maps, slots, modes, halo extensions, all resolved against
+// this backend's layouts and storage, neither of which ever moves. What the
+// signature does not cover is not cached: Kernel.Fn and every global's Gbl
+// buffer are read from the live core.Loop at each execution (applications
+// re-create kernels as per-call closures under one name).
+type chainProgram struct {
+	ranks [][]loopProgram // [rank][loop]
+	// loops and slots back ranks and every loopProgram.slots, so recompiling
+	// into the same chainProgram (NoPlanCache) reuses the storage.
+	loops []loopProgram
+	slots []viewSlot
+}
+
+// programFor returns the executable program of a chain that passed the
+// depth and length gates: the cached entry's, compiled on the entry's first
+// execution, or — with the cache off (nil entry) — one compiled for this
+// execution into backend scratch. Either way compilation validates the
+// program before the chain's exchange moves a value; a validation panic
+// leaves the entry without a program, so a retry on this backend
+// re-validates.
+func (b *Backend) programFor(e *planEntry, loops []core.Loop, plan ca.Plan) *chainProgram {
+	if e == nil {
+		b.compileChain(&b.scr.uncachedProg, loops, plan)
+		return &b.scr.uncachedProg
+	}
+	if e.prog == nil {
+		p := new(chainProgram)
+		b.compileChain(p, loops, plan)
+		e.prog = p
+	}
+	return e.prog
+}
+
+// compileChain fills p with the chain's per-(rank, loop) view-slot tables
+// and checks, once, what the interpreter checked per element: every map
+// entry a loop will dereference over [0, ExecEnd(HE_i)) is present in the
+// rank's halo. A chain that under-reaches panics with *HaloDepthError here,
+// on the caller's goroutine and in rank, loop, view, iteration order —
+// before any dat changes. Correctly built layouts close every execute
+// shell under every map, so the check fails only on a layout that does not
+// hold what its Depth promises.
+func (b *Backend) compileChain(p *chainProgram, loops []core.Loop, plan ca.Plan) {
+	nparts, n := b.cfg.NParts, len(loops)
+	nviews := 0
+	for _, l := range loops {
+		nviews += l.NumViews()
+	}
+	p.ranks = slices.Grow(p.ranks[:0], nparts)[:nparts]
+	p.loops = slices.Grow(p.loops[:0], nparts*n)[:nparts*n]
+	p.slots = slices.Grow(p.slots[:0], nparts*nviews)[:nparts*nviews]
+	free := p.slots
+	for r := range p.ranks {
+		lay := b.layouts[r]
+		p.ranks[r] = p.loops[r*n : (r+1)*n]
+		for i, l := range loops {
+			sl := lay.SetL(l.Set)
+			lp := &p.ranks[r][i]
+			*lp = loopProgram{end: sl.ExecEnd(plan.HE[i])}
+			if l.HasIndirection() {
+				lp.order = sl.ExecOrder
+			}
+			if hn := plan.HN[i]; hn > 0 {
+				lp.nx = nxRange{int(sl.NonexecStart[0]), int(sl.NonexecStart[hn])}
+			}
+			nv := l.NumViews()
+			lp.slots, free = free[:nv:nv], free[nv:]
+			v := 0
+			for ai, a := range l.Args {
+				switch {
+				case a.IsGlobal():
+					lp.slots[v] = viewSlot{kind: viewGlobal, arg: int32(ai)}
+					v++
+				case !a.Indirect():
+					lp.slots[v] = viewSlot{kind: viewDirect, dim: a.Dat.Dim, data: b.dats[r][a.Dat.ID]}
+					v++
+				default:
+					s := viewSlot{kind: viewIndirect, dim: a.Dat.Dim, data: b.dats[r][a.Dat.ID],
+						maps: lay.MapL(a.Map), arity: int32(a.Map.Arity)}
+					first, last := a.Idx, a.Idx
+					if a.Idx == core.VecAll {
+						first, last = 0, a.Map.Arity-1
+					}
+					for slot := first; slot <= last; slot++ {
+						for it := 0; it < lp.end; it++ {
+							if s.maps[it*a.Map.Arity+slot] < 0 {
+								panic(&HaloDepthError{Rank: r, Loop: l.Kernel.Name, Iter: it, Map: a.Map.Name, Slot: slot})
+							}
+						}
+						s.slot = int32(slot)
+						lp.slots[v] = s
+						v++
+					}
+				}
+			}
+		}
+	}
+}
+
+// run executes the compiled loop: every view bound from the slot table —
+// no closure, no core.Arg copy, no per-element absent-entry check (compile
+// did it) — and the kernel and global buffers taken from the live loop l.
+// Loops with indirection walk the canonical ExecOrder (ascending global
+// index), so indirect increments accumulate identically on every rank and
+// execution policy and match the sequential reference bit for bit;
+// all-direct loops and the non-execute refresh range write elementwise and
+// run in storage order.
+func (lp *loopProgram) run(l core.Loop, views [][]float64) {
+	fn := l.Kernel.Fn
+	for v := range lp.slots {
+		if s := &lp.slots[v]; s.kind == viewGlobal {
+			views[v] = l.Args[s.arg].Gbl
+		}
+	}
+	if lp.order == nil {
+		for it := 0; it < lp.end; it++ {
+			lp.bind(views, it)
+			fn(views)
+		}
+	}
+	for _, it := range lp.order {
+		if it := int(it); it < lp.end {
+			lp.bind(views, it)
+			fn(views)
+		}
+	}
+	for it := lp.nx.lo; it < lp.nx.hi; it++ {
+		lp.bind(views, it)
+		fn(views)
+	}
+}
+
+// bind points the dat views at iteration it.
+func (lp *loopProgram) bind(views [][]float64, it int) {
+	for v := range lp.slots {
+		s := &lp.slots[v]
+		switch s.kind {
+		case viewDirect:
+			views[v] = s.data[it*s.dim : (it+1)*s.dim]
+		case viewIndirect:
+			e := int(s.maps[it*int(s.arity)+int(s.slot)])
+			views[v] = s.data[e*s.dim : (e+1)*s.dim]
+		}
+	}
 }

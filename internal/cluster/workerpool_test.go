@@ -8,6 +8,7 @@ import (
 
 	"op2ca/internal/core"
 	"op2ca/internal/faults"
+	"op2ca/internal/hydra"
 	"op2ca/internal/leakcheck"
 	"op2ca/internal/machine"
 	"op2ca/internal/mesh"
@@ -259,56 +260,78 @@ func pooledResult(t *testing.T, m *mesh.FV3D, steps int, plan *faults.Plan, mode
 }
 
 // TestChainExecZeroAlloc: steady-state execution of a cached-plan chain
-// allocates nothing — serially and through a forced multi-worker pool. The
-// first executions populate the plan cache and its exchange schedules and
-// size the Backend scratch; thereafter signature building, plan lookup,
-// schedule replay, fork dispatch and loop execution all run out of
-// preallocated state.
+// allocates nothing — serially and through a forced multi-worker pool, for
+// the mini-app's two-loop chain and for Hydra's gradl and vflux chains (an
+// all-direct loop, 7- and 15-argument edge loops, configured halo
+// extensions). The first executions populate the plan cache, compile its
+// programs, build the exchange schedules and size the Backend scratch;
+// thereafter signature building, plan lookup, schedule replay, fork
+// dispatch and compiled loop execution all run out of preallocated state.
 func TestChainExecZeroAlloc(t *testing.T) {
 	m := mesh.Rotor(8, 6, 5)
-	a := newMiniApp(m)
-	a.p.DeclDat(a.bedges, 1, makeBW(m.NBedges), "bw")
-	b, err := New(Config{
-		Prog: a.p, Primary: a.nodes, Assign: partition.KWay(m.NodeAdjacency(), 4), NParts: 4,
-		Depth: 2, MaxChainLen: 4, CA: true, Machine: machine.ARCHER2(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
 	// Loops are prebuilt: core.NewLoop allocates and a real application
 	// constructs its loops once, not per execution.
-	lUpdate := core.NewLoop(kUpdate, a.edges,
-		core.ArgDat(a.res, 0, a.e2n, core.Inc), core.ArgDat(a.res, 1, a.e2n, core.Inc),
-		core.ArgDat(a.pres, 0, a.e2n, core.Read), core.ArgDat(a.pres, 1, a.e2n, core.Read))
-	lFlux := core.NewLoop(kFlux, a.edges,
-		core.ArgDat(a.flux, 0, a.e2n, core.Inc), core.ArgDat(a.flux, 1, a.e2n, core.Inc),
-		core.ArgDat(a.res, 0, a.e2n, core.Read), core.ArgDat(a.res, 1, a.e2n, core.Read),
-		core.ArgDatDirect(a.ew, core.Read))
-	window := func() {
-		b.ChainBegin("synth")
-		b.ParLoop(lUpdate)
-		b.ParLoop(lFlux)
-		b.ChainEnd()
+	type chain struct {
+		name  string
+		loops []core.Loop
 	}
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", forcedWorkers}} {
-		t.Run(tc.name, func(t *testing.T) {
-			b.installPool(tc.workers)
+	a := newMiniApp(m)
+	a.p.DeclDat(a.bedges, 1, makeBW(m.NBedges), "bw")
+	h := hydra.New(m)
+	for _, fx := range []struct {
+		name   string
+		cfg    Config
+		chains []chain
+	}{
+		{"synth", Config{Prog: a.p, Primary: a.nodes, MaxChainLen: 4}, []chain{{"synth", []core.Loop{
+			core.NewLoop(kUpdate, a.edges,
+				core.ArgDat(a.res, 0, a.e2n, core.Inc), core.ArgDat(a.res, 1, a.e2n, core.Inc),
+				core.ArgDat(a.pres, 0, a.e2n, core.Read), core.ArgDat(a.pres, 1, a.e2n, core.Read)),
+			core.NewLoop(kFlux, a.edges,
+				core.ArgDat(a.flux, 0, a.e2n, core.Inc), core.ArgDat(a.flux, 1, a.e2n, core.Inc),
+				core.ArgDat(a.res, 0, a.e2n, core.Read), core.ArgDat(a.res, 1, a.e2n, core.Read),
+				core.ArgDatDirect(a.ew, core.Read)),
+		}}}},
+		{"hydra", Config{Prog: h.Prog, Primary: h.Nodes, MaxChainLen: 6, Chains: hydra.MustPaperConfig()},
+			[]chain{{"gradl", h.ChainLoops("gradl")}, {"vflux", h.ChainLoops("vflux")}}},
+	} {
+		cfg := fx.cfg
+		cfg.Assign, cfg.NParts = partition.KWay(m.NodeAdjacency(), 4), 4
+		cfg.Depth, cfg.CA, cfg.Machine = 2, true, machine.ARCHER2()
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		window := func() {
+			for _, c := range fx.chains {
+				b.ChainBegin(c.name)
+				for _, l := range c.loops {
+					b.ParLoop(l)
+				}
+				b.ChainEnd()
+			}
+		}
+		for _, workers := range []int{1, forcedWorkers} {
+			b.installPool(workers)
 			// Warm up: populate the plan cache, build the steady-state
 			// exchange schedule, and size every scratch buffer.
 			for i := 0; i < 3; i++ {
 				window()
 			}
 			if n := testing.AllocsPerRun(10, window); n != 0 {
-				t.Fatalf("cached-plan chain execution allocates %v per run, want 0", n)
+				t.Fatalf("%s, %d workers: cached-plan chain execution allocates %v per run, want 0", fx.name, workers, n)
 			}
-		})
-	}
-	if hits, misses, _ := b.PlanCacheStats(); misses != 1 || hits < 20 {
-		t.Fatalf("plan cache hits=%d misses=%d; the measured windows must replay one cached plan", hits, misses)
+		}
+		if hits, misses, _ := b.PlanCacheStats(); int(misses) != len(fx.chains) || hits < 20 {
+			t.Fatalf("%s: plan cache hits=%d misses=%d; the measured windows must replay one cached plan per chain", fx.name, hits, misses)
+		}
+		for _, c := range fx.chains {
+			if cs := b.Stats().Chains[c.name]; cs.CAExecutions != cs.Executions {
+				t.Fatalf("%s: chain %s ran %d of %d executions with CA; the windows must measure the compiled executor",
+					fx.name, c.name, cs.CAExecutions, cs.Executions)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package halo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"op2ca/internal/core"
@@ -73,6 +75,7 @@ func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int)
 		ilvl[s] = make([]int32, set.Size)
 	}
 	var touched []selem
+	var keys []uint64 // sortByKey scratch
 
 	cap32 := int32(2*maxChainLen + 1)
 	layouts := make([]*Layout, nparts)
@@ -188,12 +191,7 @@ func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int)
 			sl := &SetLayout{Set: set}
 			own := append([]int32(nil), ownedBy[s][rank]...)
 			lv := ilvl[s]
-			sort.Slice(own, func(i, j int) bool {
-				if lv[own[i]] != lv[own[j]] {
-					return lv[own[i]] > lv[own[j]]
-				}
-				return own[i] < own[j]
-			})
+			sortByKey(own, &keys, func(e int32) int32 { return cap32 + 1 - lv[e] })
 			sl.NOwned = len(own)
 			sl.corePrefix = make([]int32, maxChainLen)
 			for loop := 0; loop < maxChainLen; loop++ {
@@ -212,13 +210,8 @@ func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int)
 			sl.ExportNonexec = make([][]ExportList, depth)
 
 			appendShell := func(els []int32) []ImportRange {
-				sort.Slice(els, func(i, j int) bool {
-					oi, oj := owners[s][els[i]], owners[s][els[j]]
-					if oi != oj {
-						return oi < oj
-					}
-					return els[i] < els[j]
-				})
+				owner := owners[s]
+				sortByKey(els, &keys, func(e int32) int32 { return owner[e] })
 				var ranges []ImportRange
 				for i := 0; i < len(els); {
 					j := i
@@ -253,9 +246,8 @@ func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int)
 			for i := range sl.ExecOrder {
 				sl.ExecOrder[i] = int32(i)
 			}
-			sort.Slice(sl.ExecOrder, func(i, j int) bool {
-				return sl.L2G[sl.ExecOrder[i]] < sl.L2G[sl.ExecOrder[j]]
-			})
+			l2g := sl.L2G
+			sortByKey(sl.ExecOrder, &keys, func(loc int32) int32 { return l2g[loc] })
 			l.Sets[s] = sl
 		}
 
@@ -292,6 +284,22 @@ func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int)
 	return layouts
 }
 
+// sortByKey sorts els ascending by (key(e), e), both non-negative. The pair
+// is packed into one uint64 so the sort runs on an ordered type — no
+// comparator call, no reflection-based swapper, no random access into the
+// key table per comparison; keys is scratch reused from call to call.
+func sortByKey(els []int32, keys *[]uint64, key func(e int32) int32) {
+	ks := slices.Grow((*keys)[:0], len(els))[:len(els)]
+	for i, e := range els {
+		ks[i] = uint64(key(e))<<32 | uint64(e)
+	}
+	slices.Sort(ks)
+	for i, k := range ks {
+		els[i] = int32(uint32(k))
+	}
+	*keys = ks
+}
+
 // fillExports derives each rank's export lists from every other rank's
 // import ranges, preserving the importer's storage order.
 func fillExports(prog *core.Program, layouts []*Layout) {
@@ -321,15 +329,12 @@ func fillExports(prog *core.Program, layouts []*Layout) {
 			}
 		}
 	}
+	byRank := func(a, b ExportList) int { return cmp.Compare(a.Rank, b.Rank) }
 	for _, l := range layouts {
 		for _, sl := range l.Sets {
 			for d := 0; d < l.Depth; d++ {
-				sort.Slice(sl.ExportExec[d], func(i, j int) bool {
-					return sl.ExportExec[d][i].Rank < sl.ExportExec[d][j].Rank
-				})
-				sort.Slice(sl.ExportNonexec[d], func(i, j int) bool {
-					return sl.ExportNonexec[d][i].Rank < sl.ExportNonexec[d][j].Rank
-				})
+				slices.SortFunc(sl.ExportExec[d], byRank)
+				slices.SortFunc(sl.ExportNonexec[d], byRank)
 			}
 		}
 	}
@@ -358,6 +363,6 @@ func fillNeighbours(layouts []*Layout) {
 		for r := range seen {
 			l.Neighbours = append(l.Neighbours, r)
 		}
-		sort.Slice(l.Neighbours, func(i, j int) bool { return l.Neighbours[i] < l.Neighbours[j] })
+		slices.Sort(l.Neighbours)
 	}
 }
