@@ -61,12 +61,10 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 	fs.IntVar(&spec.Iters, "iters", 0, "main-loop iterations (default 10 for mgcfd, 20 for hydra as the paper measures)")
 	fs.StringVar(&spec.Partitioner, "partitioner", "", "partitioner: kway, rib, rcb or block (default kway for mgcfd, rib for hydra)")
 	fs.StringVar(&spec.Machine, "machine", "archer2", "machine model: archer2, cirrus or laptop")
-	fs.BoolVar(&spec.Overlap, "overlap", false, "run CA chains on the overlap-capable task-graph executor (results are bit-identical; virtual time drops)")
 	fs.BoolVar(&spec.Safe, "safe", false, "hydra: let the inspector pick conservative halo extensions")
 	cfgPath := fs.String("config", "", "hydra: CA chain configuration file (default: built-in paper config)")
 	explain := fs.Bool("explain", false, "hydra: print each chain's inspection plan and exit")
 	stats := fs.Bool("stats", false, "print per-loop/per-chain statistics")
-	serial := fs.Bool("serial", false, "run simulated ranks on one host thread")
 	verify := fs.Bool("verify", false, "compare final state against the sequential reference")
 	shared.Register(fs)
 	prof.Register(fs)
@@ -118,7 +116,6 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 	if err != nil {
 		return fatal(err)
 	}
-	r.Parallel = !*serial
 	if *explain {
 		if err := r.Explain(stdout); err != nil {
 			return fatal(err)

@@ -4,38 +4,47 @@ import (
 	"fmt"
 
 	"op2ca/internal/chaincfg"
-	"op2ca/internal/cluster"
 	"op2ca/internal/halo"
 	"op2ca/internal/hydra"
 	"op2ca/internal/machine"
 	"op2ca/internal/mesh"
 	"op2ca/internal/mgcfd"
 	"op2ca/internal/partition"
+	"op2ca/internal/runspec"
 )
-
-// hydraApp and hydraPaperConfig keep the ablation code terse.
-func hydraApp(m *mesh.FV3D) *hydra.App   { return hydra.New(m) }
-func hydraPaperConfig() *chaincfg.Config { return hydra.MustPaperConfig() }
 
 // Ablations isolate the design choices DESIGN.md calls out: halo depth
 // (redundant compute vs communication), message grouping (Figure 8),
-// partitioner choice (neighbour counts), and GPU launch overhead.
+// partitioner choice (neighbour counts), and GPU launch overhead. What an
+// ablation pins that no run description can say — depth, grouping,
+// GPUDirect, a modified machine — it sets on the resolved Run.
 
-// runSyntheticOnce runs the MG-CFD synthetic chain for one configuration
-// and returns the per-iteration virtual time.
-func (c Config) runSyntheticOnce(cfg cluster.Config, h *mesh.Hierarchy, nchains int, chained bool) float64 {
-	app := mgcfd.New(h)
+// synthetic describes the run the synthetic-chain ablations study: the
+// 8M-class mesh, single level, nchains chain pairs per iteration, under the
+// named backend.
+func (c Config) synthetic(backend string, nchains, ranks int) runspec.Spec {
+	return runspec.Spec{App: "mgcfd", MeshNodes: c.Nodes8M, Levels: 1, NChains: nchains,
+		Ranks: ranks, Backend: backend, Iters: c.Iters + 1}
+}
+
+// runSyntheticOnce runs the MG-CFD synthetic chain alone — r's backend over
+// p, but stepping the chain without the multigrid cycle, a main loop no run
+// description has — and returns the per-iteration virtual time.
+func (c Config) runSyntheticOnce(r *runspec.Run, p *runspec.Problem) float64 {
+	nchains, chained := r.Spec.NChains, r.Spec.Backend == "ca"
+	app := mgcfd.New(p.Hierarchy)
 	syn := mgcfd.NewSynthetic(app)
-	cfg.Prog = app.Prog
-	cfg.Primary = app.Primary
-	cfg.Tracer = c.Tracer
-	cfg.Faults = c.Faults
 	label := fmt.Sprintf("synthetic ca=%v depth=%d grouped=%v loops=%d ranks=%d",
-		cfg.CA, cfg.Depth, !cfg.NoGroupedMsgs, 2*nchains, cfg.NParts)
+		chained, r.Depth, !r.NoGroupedMsgs, 2*nchains, r.Spec.Ranks)
 	var rctx synResumeCtx
-	b, start, fresh := c.open(label, cfg, &rctx)
+	st, start := c.resumeFor(label, &rctx)
+	b, err := r.Open(p, app.Prog, app.Primary, 2*nchains, st)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
 	defer b.Close()
-	if fresh {
+	c.Sup.Adopt(b)
+	if st == nil {
 		app.Init(b)
 		syn.Run(b, nchains, chained) // warm-up
 		rctx.T0 = b.MaxClock()
@@ -61,23 +70,14 @@ func AblationDepth(c Config) *Table {
 		},
 	}
 	ranks := c.ranksFor(64, 128)
-	m := mesh.RotorForNodes(c.Nodes8M)
-	h := mesh.NewHierarchy(m, 1, true)
-	assign := partition.KWay(m.NodeAdjacency(), ranks)
 	const nchains = 8
-
-	base := cluster.Config{
-		Assign: assign, NParts: ranks, MaxChainLen: 2 * nchains,
-		Machine: machine.ARCHER2(), Parallel: c.Parallel,
-	}
-	op2Cfg := base
-	op2Cfg.Depth = 2
-	op2Time := c.runSyntheticOnce(op2Cfg, h, nchains, false)
+	op2 := c.resolve(c.synthetic("op2", nchains, ranks), archer())
+	p := problem(op2)
+	op2Time := c.runSyntheticOnce(op2, p)
 
 	for _, he := range []int{2, 3, 4} {
-		cfg := base
-		cfg.CA = true
-		cfg.Depth = he
+		r := c.resolve(c.synthetic("ca", nchains, ranks), archer())
+		r.Depth = he
 		if he > 2 {
 			// The inspector picks r = 2 naturally; pin every loop deeper
 			// to expose the cost of excess redundancy.
@@ -89,9 +89,9 @@ func AblationDepth(c Config) *Table {
 			if err != nil {
 				panic("bench: " + err.Error())
 			}
-			cfg.Chains = chains
+			r.Chains = chains
 		}
-		caTime := c.runSyntheticOnce(cfg, h, nchains, true)
+		caTime := c.runSyntheticOnce(r, p)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(he), f6(caTime), f2(gain(op2Time, caTime)),
 		})
@@ -111,24 +111,17 @@ func AblationGrouping(c Config) *Table {
 		},
 	}
 	ranks := c.ranksFor(64, 128)
-	m := mesh.RotorForNodes(c.Nodes8M)
-	h := mesh.NewHierarchy(m, 1, true)
-	assign := partition.KWay(m.NodeAdjacency(), ranks)
-
+	var p *runspec.Problem // does not depend on the loop count
 	for _, nchains := range []int{2, 8} {
-		base := cluster.Config{
-			Assign: assign, NParts: ranks, Depth: 2, MaxChainLen: 2 * nchains,
-			Machine: machine.ARCHER2(), Parallel: c.Parallel,
+		op2 := c.resolve(c.synthetic("op2", nchains, ranks), archer())
+		if p == nil {
+			p = problem(op2)
 		}
-		op2Cfg := base
-		op2Time := c.runSyntheticOnce(op2Cfg, h, nchains, false)
-		perDat := base
-		perDat.CA = true
+		op2Time := c.runSyntheticOnce(op2, p)
+		perDat := c.resolve(c.synthetic("ca", nchains, ranks), archer())
 		perDat.NoGroupedMsgs = true
-		perDatTime := c.runSyntheticOnce(perDat, h, nchains, true)
-		grouped := base
-		grouped.CA = true
-		groupedTime := c.runSyntheticOnce(grouped, h, nchains, true)
+		perDatTime := c.runSyntheticOnce(perDat, p)
+		groupedTime := c.runSyntheticOnce(c.resolve(c.synthetic("ca", nchains, ranks), archer()), p)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(2 * nchains), f6(op2Time), f6(perDatTime), f6(groupedTime),
 			f2(gain(perDatTime, groupedTime)),
@@ -147,33 +140,30 @@ func AblationPartitioner(c Config) *Table {
 		Header: []string{"Partitioner", "EdgeCut", "MaxNeigh", "Imbal", "OP2 t(s)", "CA t(s)", "Gain%"},
 	}
 	ranks := c.ranksFor(64, 128)
-	m := mesh.RotorForNodes(c.Nodes8M)
-	h := mesh.NewHierarchy(m, 1, true)
-	adj := m.NodeAdjacency()
 	const nchains = 8
-
-	parts := []struct {
-		name   string
-		assign partition.Assignment
-	}{
-		{"kway", partition.KWay(adj, ranks)},
-		{"rib", partition.RIB(m.Coords, 3, ranks)},
-		{"rcb", partition.RCB(m.Coords, 3, ranks)},
-		{"block", partition.Block(m.NNodes, ranks)},
-		{"random", partition.Random(m.NNodes, ranks, 7)},
-	}
-	for _, pc := range parts {
-		q := partition.Evaluate(adj, pc.assign, ranks)
-		base := cluster.Config{
-			Assign: pc.assign, NParts: ranks, Depth: 2, MaxChainLen: 2 * nchains,
-			Machine: machine.ARCHER2(), Parallel: c.Parallel,
+	var p *runspec.Problem
+	var adj [][]int32
+	for _, name := range []string{"kway", "rib", "rcb", "block", "random"} {
+		spec := c.synthetic("op2", nchains, ranks)
+		if name == "random" {
+			// No run description names it: the same mesh under an explicit
+			// assignment.
+			random := *p
+			random.Assign = partition.Random(p.Mesh.NNodes, ranks, 7)
+			p = &random
+		} else {
+			spec.Partitioner = name
+			p = problem(c.resolve(spec, archer()))
 		}
-		op2Time := c.runSyntheticOnce(base, h, nchains, false)
-		caCfg := base
-		caCfg.CA = true
-		caTime := c.runSyntheticOnce(caCfg, h, nchains, true)
+		if adj == nil {
+			adj = p.Mesh.NodeAdjacency()
+		}
+		q := partition.Evaluate(adj, p.Assign, ranks)
+		op2Time := c.runSyntheticOnce(c.resolve(spec, archer()), p)
+		spec.Backend = "ca"
+		caTime := c.runSyntheticOnce(c.resolve(spec, archer()), p)
 		t.Rows = append(t.Rows, []string{
-			pc.name, fmt.Sprint(q.EdgeCut), fmt.Sprint(q.MaxNeighbours),
+			name, fmt.Sprint(q.EdgeCut), fmt.Sprint(q.MaxNeighbours),
 			f2(q.Imbalance), f6(op2Time), f6(caTime), f2(gain(op2Time, caTime)),
 		})
 	}
@@ -195,30 +185,27 @@ func AblationGPUDirect(c Config) *Table {
 			"staging wins when per-GPU kernels are heavy enough to hide the transfers; at very small per-rank loads GPUDirect's saved latencies win instead",
 		},
 	}
-	m := mesh.RotorForNodes(c.Nodes8M)
 	for _, ranks := range []int{2, 4} {
-		assign := partition.RIB(m.Coords, 3, ranks)
+		var p *runspec.Problem
 		run := func(direct bool) float64 {
-			app := hydraApp(m)
-			b, err := cluster.New(cluster.Config{
-				Prog: app.Prog, Primary: app.Nodes, Assign: assign, NParts: ranks,
-				Depth: 2, MaxChainLen: 6, CA: true, GPUDirect: direct,
-				Chains: hydraPaperConfig(), Machine: machine.Cirrus(), Parallel: c.Parallel,
-				Tracer: c.Tracer, Faults: c.Faults,
-			})
-			if err != nil {
-				panic("bench: " + err.Error())
+			label := fmt.Sprintf("hydra ca gpudirect=%v ranks=%d (Cirrus)", direct, ranks)
+			r := c.resolve(runspec.Spec{App: "hydra", MeshNodes: c.Nodes8M, Ranks: ranks,
+				Backend: "ca", Iters: c.Iters + 1}, cirrus())
+			r.GPUDirect = direct
+			if p == nil {
+				p = problem(r)
 			}
-			defer b.Close()
-			c.adopt(b)
-			app.RunSetup(b, true)
-			app.RunIteration(b, true)
-			t0 := b.MaxClock()
+			// Not checkpointed: no snapshot carries this label.
+			a, _, _ := c.open(r, p, label, nil)
+			defer a.Close()
+			a.Init()
+			a.Step() // warm-up
+			t0 := a.CB.MaxClock()
 			for it := 0; it < c.Iters; it++ {
-				app.RunIteration(b, true)
+				a.Step()
 			}
-			c.observe(fmt.Sprintf("hydra ca gpudirect=%v ranks=%d (Cirrus)", direct, ranks), b)
-			return (b.MaxClock() - t0) / float64(c.Iters)
+			c.observe(label, a.CB)
+			return (a.CB.MaxClock() - t0) / float64(c.Iters)
 		}
 		staged := run(false)
 		direct := run(true)
@@ -242,22 +229,17 @@ func AblationGPULaunch(c Config) *Table {
 		},
 	}
 	ranks := gpuRanksFor(8)
-	m := mesh.RotorForNodes(c.Nodes8M)
-	h := mesh.NewHierarchy(m, 1, true)
-	assign := partition.KWay(m.NodeAdjacency(), ranks)
 	const nchains = 8
-
+	var p *runspec.Problem // does not depend on the machine
 	for _, overhead := range []float64{0, 8e-6, 32e-6} {
 		mach := machine.Cirrus()
 		mach.GPU.LaunchOverhead = overhead
-		base := cluster.Config{
-			Assign: assign, NParts: ranks, Depth: 2, MaxChainLen: 2 * nchains,
-			Machine: mach, Parallel: c.Parallel,
+		op2 := c.resolve(c.synthetic("op2", nchains, ranks), mach)
+		if p == nil {
+			p = problem(op2)
 		}
-		op2Time := c.runSyntheticOnce(base, h, nchains, false)
-		caCfg := base
-		caCfg.CA = true
-		caTime := c.runSyntheticOnce(caCfg, h, nchains, true)
+		op2Time := c.runSyntheticOnce(op2, p)
+		caTime := c.runSyntheticOnce(c.resolve(c.synthetic("ca", nchains, ranks), mach), p)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0fus", overhead*1e6), f6(op2Time), f6(caTime),
 			f2(gain(op2Time, caTime)),
@@ -280,7 +262,7 @@ func HaloProfile(c Config) *Table {
 		},
 	}
 	m := mesh.RotorForNodes(c.Nodes8M)
-	app := hydraApp(m)
+	app := hydra.New(m)
 	for _, paperNodes := range []int{4, 16, 64} {
 		ranks := c.ranksFor(paperNodes, 128)
 		assign := partition.RIB(m.Coords, 3, ranks)

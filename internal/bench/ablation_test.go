@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"testing"
+
+	"op2ca/internal/cluster"
 )
 
 // fmtSscan parses one float from a table cell.
@@ -80,6 +82,71 @@ func TestAblationGPULaunch(t *testing.T) {
 		}
 		if g <= 0 {
 			t.Errorf("CA should win on the GPU model at overhead %s: gain %g%%", row[0], g)
+		}
+	}
+}
+
+// TestAblationGPUDirect: the pin reaches the backend (the two modes time
+// differently) and, with per-GPU kernels this heavy, staging beats GPUDirect
+// — the paper's Section 3.3 choice.
+func TestAblationGPUDirect(t *testing.T) {
+	c := tiny()
+	var labels []string
+	c.Observe = func(label string, _ *cluster.Backend) { labels = append(labels, label) }
+	tab := AblationGPUDirect(c)
+	if len(tab.Rows) != 2 || len(labels) != 4 ||
+		labels[0] != "hydra ca gpudirect=false ranks=2 (Cirrus)" || labels[3] != "hydra ca gpudirect=true ranks=4 (Cirrus)" {
+		t.Fatalf("rows %v, observed %q", tab.Rows, labels)
+	}
+	for _, row := range tab.Rows {
+		var staged, direct float64
+		if _, err := sscan(row[1], &staged); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sscan(row[2], &direct); err != nil {
+			t.Fatal(err)
+		}
+		if staged <= 0 || direct <= 0 || staged == direct {
+			t.Errorf("staged %g vs GPUDirect %g: want two positive, different times", staged, direct)
+		}
+	}
+	var gain float64
+	if _, err := sscan(tab.Rows[0][3], &gain); err != nil || gain <= 0 {
+		t.Errorf("2 ranks: staging gain %q (%v), want staging to win", tab.Rows[0][3], err)
+	}
+}
+
+// TestHaloProfileShape: one row per (rank count, set); partitions shrink as
+// ranks grow, a rank's core is a strict part of what it owns, and every
+// deeper execute shell of the edges adds elements (the per-layer cost of a
+// CA chain).
+func TestHaloProfileShape(t *testing.T) {
+	tab := HaloProfile(tiny())
+	if len(tab.Rows) != 9 {
+		t.Fatalf("rows = %d, want 3 rank counts x 3 sets", len(tab.Rows))
+	}
+	cell := func(row []string, i int) float64 {
+		var v float64
+		if _, err := sscan(row[i], &v); err != nil {
+			t.Fatalf("bad cell %q in %v", row[i], row)
+		}
+		return v
+	}
+	prevOwned := map[string]float64{}
+	for _, row := range tab.Rows {
+		set, owned, core := row[1], cell(row, 2), cell(row, 3)
+		if core <= 0 || core >= owned {
+			t.Errorf("%v: core %g should be a strict part of owned %g", row, core, owned)
+		}
+		if prev, ok := prevOwned[set]; ok && owned >= prev {
+			t.Errorf("%v: owned %g did not shrink from %g with more ranks", row, owned, prev)
+		}
+		prevOwned[set] = owned
+		if set == "edges" {
+			d1, d2, d3 := cell(row, 4), cell(row, 5), cell(row, 6)
+			if d1 <= 0 || d2 <= d1 || d3 < d2 || cell(row, 10) <= 1 {
+				t.Errorf("%v: exec shells %g, %g, %g should grow", row, d1, d2, d3)
+			}
 		}
 	}
 }

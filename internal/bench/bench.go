@@ -26,6 +26,8 @@ import (
 	"op2ca/internal/faults"
 	"op2ca/internal/machine"
 	"op2ca/internal/obs"
+	"op2ca/internal/runspec"
+	"op2ca/internal/supervise"
 )
 
 // Config scales the experiments.
@@ -69,39 +71,66 @@ type Config struct {
 	// OverlapSink, when non-nil, receives the overlap experiment's
 	// machine-readable record (the -json document's overlap field).
 	OverlapSink func(*OverlapRecord)
-	// CheckpointEvery and Ring, when both set, snapshot each measured
-	// run's backend through the verified checkpoint ring after every
-	// CheckpointEvery measured iterations (the -checkpoint flag); every
-	// generation is written atomically and read back, so a crash always
-	// finds the most recent complete snapshot.
-	CheckpointEvery int
-	Ring            *checkpoint.Ring
+	// Ring, when non-nil, snapshots each measured run's backend through the
+	// verified checkpoint ring at the ring's cadence, counted in measured
+	// iterations (the -checkpoint flag); every generation is written
+	// atomically and read back, so a crash always finds the most recent
+	// complete snapshot.
+	Ring *checkpoint.Ring
 	// Resume, when non-nil, is a snapshot a previous (crashed) invocation
 	// wrote: the run whose label matches the snapshot's resume point
 	// restores mid-measurement, all other runs re-execute deterministically,
 	// and the invocation's final checksums equal an uninterrupted run's.
-	Resume *checkpoint.State
-	// ArmedCrashes, when non-nil, is the supervisor's per-clause arming
-	// mask for the fault plan's crash schedule, applied to every backend
-	// the experiments construct or restore (see internal/supervise). Nil
-	// leaves fresh backends fully armed and restored backends disarmed.
-	ArmedCrashes []bool
-	// Watchdog, when positive, sets the no-progress deadline (virtual
-	// seconds between exchanges) on every backend the experiments build.
-	Watchdog float64
+	Resume *Resume
+	// Sup, when non-nil, is the invocation's supervisor: it adopts every
+	// backend the checkpointable experiments construct or restore, arming
+	// the fault plan's crash clauses that have not fired yet and the
+	// watchdog deadline (see internal/supervise). Without one, fresh
+	// backends are fully armed and restored backends disarmed.
+	Sup *supervise.Supervisor
 }
 
-// adopt applies the supervisor-owned knobs — the crash-arming mask and the
-// watchdog deadline — to a backend an experiment constructed or restored,
-// and returns it for call-site brevity.
-func (c Config) adopt(b *cluster.Backend) *cluster.Backend {
-	if c.ArmedCrashes != nil {
-		b.ArmCrashes(c.ArmedCrashes)
+// resolve turns the description of one backend of an experiment into a
+// run on mach — named in the description by its preset, handed over as
+// built, since the launch-overhead ablation modifies one — under the
+// invocation's host-side knobs and fault plan. The description is the
+// harness's own, so a Resolve error is a bug.
+func (c Config) resolve(s runspec.Spec, mach *machine.Machine) *runspec.Run {
+	s.Machine = strings.ToLower(mach.Name)
+	r, err := s.Resolve()
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
-	if c.Watchdog > 0 {
-		b.SetWatchdog(c.Watchdog)
+	r.Machine, r.Parallel, r.Tracer, r.Plan = mach, c.Parallel, c.Tracer, c.Faults
+	return r
+}
+
+// problem builds what the backends of one experiment point share.
+func problem(r *runspec.Run) *runspec.Problem {
+	p, err := r.NewProblem()
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
-	return b
+	return p
+}
+
+// point measures one paper point: body runs on the OP2 and then the CA
+// backend that spec — the point's description but for the backend — gives on
+// mach, after one warm-up iteration. The autotuner and the overlapped
+// executor apply to CA only. Both backends are built over one Problem:
+// rebuilding mesh and partition per backend would cost paper-sweep about 5%
+// of its throughput and most of its allocation bound.
+func (c Config) point(spec runspec.Spec, mach *machine.Machine, body func(r *runspec.Run, p *runspec.Problem)) {
+	var p *runspec.Problem
+	for _, backend := range []string{"op2", "ca"} {
+		spec.Backend, spec.Iters = backend, c.Iters+1
+		spec.AutoTune, spec.Overlap = c.AutoTune && backend == "ca", c.Overlap && backend == "ca"
+		r := c.resolve(spec, mach)
+		if p == nil {
+			p = problem(r)
+		}
+		body(r, p)
+	}
 }
 
 // observe invokes the Observe hook if one is configured.
@@ -132,6 +161,14 @@ func (c Config) ranksFor(paperNodes int, ranksPerNode int) int {
 		r = 2
 	}
 	return r
+}
+
+// ranksOn is the simulated rank count of a paper point on mach.
+func (c Config) ranksOn(paperNodes int, mach *machine.Machine) int {
+	if mach.GPU != nil {
+		return gpuRanksFor(paperNodes)
+	}
+	return c.ranksFor(paperNodes, mach.RanksPerNode)
 }
 
 // Table is a rendered experiment result.
@@ -209,7 +246,6 @@ func (t *Table) CSV() string {
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f6(v float64) string { return fmt.Sprintf("%.6f", v) }
-func d64(v int64) string  { return fmt.Sprintf("%d", v) }
 func gain(op2, ca float64) float64 {
 	if op2 <= 0 {
 		return 0

@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"op2ca/internal/cluster"
+	"op2ca/internal/leakcheck"
+	"op2ca/internal/runspec"
 )
 
 // tiny is a configuration small enough for unit tests while keeping
@@ -109,22 +114,22 @@ func TestRunHydraPoint(t *testing.T) {
 	pt := c.runHydraPoint(c.Nodes8M, 16, archer())
 	for _, chain := range []string{"weight", "period", "gradl", "vflux", "iflux", "jacob"} {
 		o, a := pt.op2[chain], pt.cab[chain]
-		if o.time <= 0 || a.time <= 0 {
-			t.Errorf("%s: times %g / %g", chain, o.time, a.time)
+		if o.Time <= 0 || a.Time <= 0 {
+			t.Errorf("%s: times %g / %g", chain, o.Time, a.Time)
 		}
-		if o.execs == 0 || a.execs == 0 {
+		if o.Execs == 0 || a.Execs == 0 {
 			t.Errorf("%s: not executed", chain)
 		}
 	}
 	// The period chain has the paper's highest communication reduction.
 	o, a := pt.op2["period"], pt.cab["period"]
-	if a.comm >= o.comm {
-		t.Errorf("period: CA comm %g should be below OP2 comm %g", a.comm, o.comm)
+	if a.Comm >= o.Comm {
+		t.Errorf("period: CA comm %g should be below OP2 comm %g", a.Comm, o.Comm)
 	}
 	// gradl increases communication under CA (the paper's negative case).
 	o, a = pt.op2["gradl"], pt.cab["gradl"]
-	if a.comm <= o.comm {
-		t.Errorf("gradl: CA comm %g should exceed OP2 comm %g (deeper halos)", a.comm, o.comm)
+	if a.Comm <= o.Comm {
+		t.Errorf("gradl: CA comm %g should exceed OP2 comm %g (deeper halos)", a.Comm, o.Comm)
 	}
 }
 
@@ -163,5 +168,69 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if len(exps) != len(ExperimentOrder()) {
 		t.Error("registry and order disagree")
+	}
+}
+
+// TestBenchPointAgreesWithRun puts the harness on the entry-point oracle: a
+// paper point's backend is the run description its label spells out, with
+// one warm-up iteration — so what Observe sees equals what the driver
+// behind op2ca-run, RunDirect and the job service executes for that Spec.
+func TestBenchPointAgreesWithRun(t *testing.T) {
+	defer leakcheck.Check(t)()
+	c := Config{Nodes8M: 4000, Nodes24M: 12000, RankScale: 0.004, Iters: 2, Parallel: true}
+	type result struct {
+		checksum string
+		clock    float64
+	}
+	got := map[string]result{}
+	c.Observe = func(label string, b *cluster.Backend) { got[label] = result{b.ChecksumDats(), b.MaxClock()} }
+	const paperNodes, nchains = 16, 4
+	ranks := c.ranksFor(paperNodes, archer().RanksPerNode)
+	c.runMGPoint(c.Nodes8M, paperNodes, nchains, archer())
+	c.runHydraPoint(c.Nodes8M, paperNodes, archer())
+	if len(got) != 4 {
+		t.Fatalf("observed %d runs, want 4", len(got))
+	}
+	for _, backend := range []string{"op2", "ca"} {
+		for label, spec := range map[string]runspec.Spec{
+			fmt.Sprintf("mgcfd %s mesh=%d paper-nodes=%d loops=%d ranks=%d", backend, c.Nodes8M, paperNodes, 2*nchains, ranks): {
+				App: "mgcfd", MeshNodes: c.Nodes8M, Levels: 3, NChains: nchains},
+			fmt.Sprintf("hydra %s mesh=%d paper-nodes=%d ranks=%d (ARCHER2)", backend, c.Nodes8M, paperNodes, ranks): {
+				App: "hydra", MeshNodes: c.Nodes8M},
+		} {
+			spec.Ranks, spec.Backend, spec.Iters, spec.Machine = ranks, backend, c.Iters+1, "archer2"
+			r, err := spec.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := r.Execute(nil, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Not through Outcome: its residual is a loop with a reduction
+			// and advances the clock.
+			want := result{a.CB.ChecksumDats(), a.CB.MaxClock()}
+			a.Close()
+			if g, ok := got[label]; !ok || g != want {
+				t.Errorf("%s: harness observed %+v (%t), the run it describes gives %+v", label, g, ok, want)
+			}
+		}
+	}
+}
+
+// TestOverlapStudy: the overlapped executor is bitwise identical to the
+// bulk-synchronous exchange, hides a positive amount of in-flight message
+// time, and lands a lower makespan on the comm-bound study.
+func TestOverlapStudy(t *testing.T) {
+	defer leakcheck.Check(t)()
+	c := tiny()
+	var rec *OverlapRecord
+	c.OverlapSink = func(r *OverlapRecord) { rec = r }
+	tab := OverlapStudy(c)
+	if len(tab.Rows) != 2 || rec == nil {
+		t.Fatalf("rows %v, record %v", tab.Rows, rec)
+	}
+	if !rec.ChecksumsEqual || rec.HiddenSeconds <= 0 || rec.OverlapSeconds >= rec.BulkSeconds {
+		t.Errorf("overlap record %+v: want equal checksums, hidden > 0, overlap < bulk", *rec)
 	}
 }

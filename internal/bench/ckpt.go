@@ -1,18 +1,20 @@
 package bench
 
-// ckpt.go gives the experiments checkpoint/restart: with CheckpointEvery and
-// Ring set, every measured run snapshots its backend periodically through
-// the verified generation ring, and with Resume set, the one run whose label
-// matches the snapshot's resume point restores mid-measurement while every
-// other run simply re-executes — the simulation is deterministic, so
-// re-executed runs reproduce their results bitwise and the resumed
-// invocation's checksums equal an uninterrupted run's.
+// ckpt.go gives the experiments checkpoint/restart: with Ring set, every
+// measured run snapshots its backend periodically through the verified
+// generation ring, and with Resume set, the one run whose label matches the
+// snapshot's resume point restores mid-measurement while every other run
+// simply re-executes — the simulation is deterministic, so re-executed runs
+// reproduce their results bitwise and the resumed invocation's checksums
+// equal an uninterrupted run's.
 
 import (
 	"encoding/json"
 	"io"
 
+	"op2ca/internal/checkpoint"
 	"op2ca/internal/cluster"
+	"op2ca/internal/runspec"
 )
 
 // resumePoint is the JSON note a bench checkpoint carries: which measured
@@ -25,11 +27,31 @@ type resumePoint struct {
 	Ctx   json.RawMessage `json:"ctx,omitempty"`
 }
 
+// Resume is a snapshot to continue from, and how many runs did: a snapshot
+// file a user names must be adopted by some run of the invocation, while a
+// supervisor's recovery scan legitimately returns generations of runs that
+// already completed.
+type Resume struct {
+	State   *checkpoint.State
+	Adopted int
+}
+
+// Label names the measured run the snapshot belongs to ("" when its note is
+// not a bench resume point).
+func (r *Resume) Label() string {
+	var rp resumePoint
+	_ = json.Unmarshal([]byte(r.State.Note), &rp) // a foreign note leaves the label empty
+	return rp.Label
+}
+
 // tick writes a periodic snapshot after a measured iteration completes.
 // done counts completed measured iterations; ctx is the run's measurement
 // baseline, restored verbatim on resume.
 func (c Config) tick(b *cluster.Backend, label string, done int, ctx any) {
-	if c.CheckpointEvery <= 0 || c.Ring == nil || done%c.CheckpointEvery != 0 {
+	if c.Ring == nil {
+		return
+	}
+	if every := c.Ring.Spec().Every; every <= 0 || done%every != 0 {
 		return
 	}
 	raw, err := json.Marshal(ctx)
@@ -47,90 +69,55 @@ func (c Config) tick(b *cluster.Backend, label string, done int, ctx any) {
 	}
 }
 
-// resume restores the pending snapshot when it belongs to the run labelled
-// label, unmarshals the snapshot's measurement baseline into ctx, and
-// returns the restored backend plus the number of measured iterations
-// already complete. Any other run gets (nil, 0) and executes from scratch.
-func (c Config) resume(label string, cfg cluster.Config, ctx any) (*cluster.Backend, int) {
+// resumeFor returns the pending snapshot and its count of completed measured
+// iterations when it belongs to the run labelled label, unmarshalling the
+// snapshot's measurement baseline into ctx. Any other run gets (nil, 0) and
+// executes from scratch.
+func (c Config) resumeFor(label string, ctx any) (*checkpoint.State, int) {
 	if c.Resume == nil {
 		return nil, 0
 	}
 	var rp resumePoint
-	if err := json.Unmarshal([]byte(c.Resume.Note), &rp); err != nil || rp.Label != label {
+	if err := json.Unmarshal([]byte(c.Resume.State.Note), &rp); err != nil || rp.Label != label {
 		return nil, 0
 	}
-	b, err := cluster.RestoreState(c.Resume, cfg)
-	if err != nil {
-		panic("bench: restore: " + err.Error())
-	}
-	c.adopt(b)
-	if len(rp.Ctx) > 0 && ctx != nil {
+	if len(rp.Ctx) > 0 {
 		if err := json.Unmarshal(rp.Ctx, ctx); err != nil {
 			panic("bench: restore: " + err.Error())
 		}
 	}
-	return b, rp.Done
+	c.Resume.Adopted++
+	return c.Resume.State, rp.Done
 }
 
-// open returns the backend a run executes on and the number of measured
-// iterations already complete: restored from the pending snapshot when it
-// belongs to the run labelled label (ctx then holds the snapshot's
-// measurement baseline), else freshly constructed — fresh is true and the
-// caller initialises it. The caller owns the backend and must Close it.
-func (c Config) open(label string, cfg cluster.Config, ctx any) (b *cluster.Backend, start int, fresh bool) {
-	if b, start = c.resume(label, cfg, ctx); b != nil {
-		return b, start, false
-	}
-	b, err := cluster.New(cfg)
+// open returns the attempt a measured run executes on — r's app over p —
+// and the number of measured iterations already complete: restored from the
+// pending snapshot when it belongs to the run labelled label (ctx then
+// holds the snapshot's measurement baseline), else freshly built — fresh is
+// true and the caller initialises and warms it up. Either way the
+// invocation's supervisor adopts the backend. The caller owns the attempt
+// and must Close it.
+func (c Config) open(r *runspec.Run, p *runspec.Problem, label string, ctx any) (a *runspec.Attempt, start int, fresh bool) {
+	st, start := c.resumeFor(label, ctx)
+	a, err := r.BuildOn(p, st)
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	return c.adopt(b), 0, true
+	c.Sup.Adopt(a.CB)
+	return a, start, st == nil
 }
 
 // mgResumeCtx is runMGPoint's measurement baseline: the virtual-time and
 // counter snapshot taken after warm-up, before the measured loop.
 type mgResumeCtx struct {
-	T0         float64 `json:"t0"`
-	LoopBytes  int64   `json:"loop_bytes"`
-	LoopCore   int64   `json:"loop_core"`
-	LoopHalo   int64   `json:"loop_halo"`
-	ChainBytes int64   `json:"chain_bytes"`
-	ChainCore  int64   `json:"chain_core"`
-	ChainHalo  int64   `json:"chain_halo"`
-}
-
-func mgCtxOf(t0 float64, s mgSnapshot) mgResumeCtx {
-	return mgResumeCtx{T0: t0, LoopBytes: s.loopBytes, LoopCore: s.loopCore, LoopHalo: s.loopHalo,
-		ChainBytes: s.chainBytes, ChainCore: s.chainCore, ChainHalo: s.chainHalo}
-}
-
-func (c mgResumeCtx) snapshot() mgSnapshot {
-	return mgSnapshot{loopBytes: c.LoopBytes, loopCore: c.LoopCore, loopHalo: c.LoopHalo,
-		chainBytes: c.ChainBytes, chainCore: c.ChainCore, chainHalo: c.ChainHalo}
+	T0 float64 `json:"t0"`
+	mgSnapshot
 }
 
 // hydraResumeCtx is runHydraPoint's baseline: per-chain cumulative counters
 // read after warm-up.
 type hydraResumeCtx struct {
-	Before map[string]hydraMeasJSON `json:"before"`
-}
-
-type hydraMeasJSON struct {
-	Time  float64 `json:"time"`
-	Comm  float64 `json:"comm"`
-	Pmr   float64 `json:"pmr"`
-	Core  float64 `json:"core"`
-	Halo  float64 `json:"halo"`
-	Execs int     `json:"execs"`
-}
-
-func measJSONOf(m hydraMeas) hydraMeasJSON {
-	return hydraMeasJSON{Time: m.time, Comm: m.comm, Pmr: m.pmr, Core: m.core, Halo: m.halo, Execs: m.execs}
-}
-
-func (m hydraMeasJSON) meas() hydraMeas {
-	return hydraMeas{time: m.Time, comm: m.Comm, pmr: m.Pmr, core: m.Core, halo: m.Halo, execs: m.Execs}
+	Before map[string]hydraMeas `json:"before"`
 }
 
 // synResumeCtx is runSyntheticOnce's baseline.

@@ -9,18 +9,18 @@ import (
 	"op2ca/internal/hydra"
 	"op2ca/internal/machine"
 	"op2ca/internal/mesh"
-	"op2ca/internal/partition"
+	"op2ca/internal/runspec"
 )
 
 // hydraMeas is one chain's measurement under one back-end: virtual time and
 // per-rank communication/iteration counters, normalised per execution.
 type hydraMeas struct {
-	time  float64
-	comm  float64 // bytes sent per rank per execution
-	pmr   float64 // p*m^r (CA only)
-	core  float64
-	halo  float64
-	execs int
+	Time  float64 `json:"time"`
+	Comm  float64 `json:"comm"` // bytes sent per rank per execution
+	Pmr   float64 `json:"pmr"`  // p*m^r (CA only)
+	Core  float64 `json:"core"`
+	Halo  float64 `json:"halo"`
+	Execs int     `json:"execs"`
 }
 
 // hydraPoint holds all chains' measurements for one configuration.
@@ -30,53 +30,35 @@ type hydraPoint struct {
 }
 
 func (c Config) runHydraPoint(meshNodes, paperNodes int, mach *machine.Machine) hydraPoint {
-	var ranks int
-	if mach.GPU != nil {
-		ranks = gpuRanksFor(paperNodes)
-	} else {
-		ranks = c.ranksFor(paperNodes, mach.RanksPerNode)
-	}
-	m := mesh.RotorForNodes(meshNodes)
-	assign := partition.RIB(m.Coords, 3, ranks) // Hydra's default partitioner
-
+	ranks := c.ranksOn(paperNodes, mach)
 	pt := hydraPoint{ranks: ranks, op2: map[string]hydraMeas{}, cab: map[string]hydraMeas{}}
-	run := func(caMode bool) {
-		mode := "op2"
-		if caMode {
-			mode = "ca"
-		}
+	// The partition is RIB, Hydra's default.
+	spec := runspec.Spec{App: "hydra", MeshNodes: meshNodes, Ranks: ranks}
+	c.point(spec, mach, func(r *runspec.Run, p *runspec.Problem) {
+		caMode := r.Spec.Backend == "ca"
 		label := fmt.Sprintf("hydra %s mesh=%d paper-nodes=%d ranks=%d (%s)",
-			mode, meshNodes, paperNodes, ranks, mach.Name)
-		app := hydra.New(m)
-		ccfg := cluster.Config{
-			Prog: app.Prog, Primary: app.Nodes, Assign: assign, NParts: ranks,
-			Depth: 2, MaxChainLen: 6, CA: caMode, Chains: hydra.MustPaperConfig(),
-			Machine: mach, Parallel: c.Parallel, Tracer: c.Tracer, Faults: c.Faults,
-			AutoTune: c.AutoTune && caMode, Overlap: c.Overlap && caMode,
-		}
+			r.Spec.Backend, meshNodes, paperNodes, ranks, mach.Name)
+		// rawChain reads per-chain rows under both backends.
+		r.Demarcate = true
 		var rctx hydraResumeCtx
-		b, start, fresh := c.open(label, ccfg, &rctx)
-		defer b.Close()
-		before := map[string]hydraMeas{}
+		a, start, fresh := c.open(r, p, label, &rctx)
+		defer a.Close()
+		b := a.CB
 		if fresh {
 			// Setup chains (weight, period) execute once; measure them
 			// cumulatively. Per-iteration chains are measured after a warm-up
 			// iteration, so first-execution clean halos do not skew the
 			// communication counters.
-			app.RunSetup(b, true)
-			app.RunIteration(b, true) // warm-up
-			rctx.Before = map[string]hydraMeasJSON{}
+			a.Init()
+			a.Step() // warm-up
+			rctx.Before = map[string]hydraMeas{}
 			for _, name := range hydra.ChainNames() {
-				before[name] = rawChain(b, name)
-				rctx.Before[name] = measJSONOf(before[name])
-			}
-		} else {
-			for name, mj := range rctx.Before {
-				before[name] = mj.meas()
+				rctx.Before[name] = rawChain(b, name)
 			}
 		}
+		before := rctx.Before
 		for it := start; it < c.Iters; it++ {
-			app.RunIteration(b, true)
+			a.Step()
 			c.tick(b, label, it+1, rctx)
 		}
 		dst := pt.op2
@@ -85,25 +67,22 @@ func (c Config) runHydraPoint(meshNodes, paperNodes int, mach *machine.Machine) 
 		}
 		for _, name := range hydra.ChainNames() {
 			after := rawChain(b, name)
-			execs := after.execs - before[name].execs
+			execs := after.Execs - before[name].Execs
 			if execs == 0 { // setup chain: single execution, cumulative
-				after.execs = rawChainExecs(b, name)
-				dst[name] = normalise(after, after.execs, ranks)
+				dst[name] = normalise(after, after.Execs, ranks)
 				continue
 			}
 			delta := hydraMeas{
-				time: after.time - before[name].time,
-				comm: after.comm - before[name].comm,
-				pmr:  after.pmr,
-				core: after.core - before[name].core,
-				halo: after.halo - before[name].halo,
+				Time: after.Time - before[name].Time,
+				Comm: after.Comm - before[name].Comm,
+				Pmr:  after.Pmr,
+				Core: after.Core - before[name].Core,
+				Halo: after.Halo - before[name].Halo,
 			}
 			dst[name] = normalise(delta, execs, ranks)
 		}
 		c.observe(label, b)
-	}
-	run(false)
-	run(true)
+	})
 	return pt
 }
 
@@ -114,12 +93,12 @@ func rawChain(b *cluster.Backend, name string) hydraMeas {
 	if cs == nil {
 		return hydraMeas{}
 	}
-	meas := hydraMeas{execs: cs.Executions, time: cs.Time}
+	meas := hydraMeas{Execs: cs.Executions, Time: cs.Time}
 	if cs.CAExecutions > 0 {
-		meas.comm = float64(cs.Bytes)
-		meas.pmr = float64(cs.MaxNeighbours) * float64(cs.MaxMsgBytes)
-		meas.core = float64(cs.CoreIters)
-		meas.halo = float64(cs.HaloIters)
+		meas.Comm = float64(cs.Bytes)
+		meas.Pmr = float64(cs.MaxNeighbours) * float64(cs.MaxMsgBytes)
+		meas.Core = float64(cs.CoreIters)
+		meas.Halo = float64(cs.HaloIters)
 		return meas
 	}
 	prefix := name + "/"
@@ -127,18 +106,11 @@ func rawChain(b *cluster.Backend, name string) hydraMeas {
 		if !strings.HasPrefix(key, prefix) {
 			continue
 		}
-		meas.comm += float64(ls.Bytes)
-		meas.core += float64(ls.CoreIters)
-		meas.halo += float64(ls.HaloIters)
+		meas.Comm += float64(ls.Bytes)
+		meas.Core += float64(ls.CoreIters)
+		meas.Halo += float64(ls.HaloIters)
 	}
 	return meas
-}
-
-func rawChainExecs(b *cluster.Backend, name string) int {
-	if cs := b.Stats().Chains[name]; cs != nil {
-		return cs.Executions
-	}
-	return 0
 }
 
 // normalise converts cumulative counters to per-execution, per-rank values.
@@ -149,12 +121,12 @@ func normalise(m hydraMeas, execs, ranks int) hydraMeas {
 	perExec := float64(execs)
 	perRank := perExec * float64(ranks)
 	return hydraMeas{
-		time:  m.time / perExec,
-		comm:  m.comm / perRank,
-		pmr:   m.pmr,
-		core:  m.core / perRank,
-		halo:  m.halo / perRank,
-		execs: execs,
+		Time:  m.Time / perExec,
+		Comm:  m.Comm / perRank,
+		Pmr:   m.Pmr,
+		Core:  m.Core / perRank,
+		Halo:  m.Halo / perRank,
+		Execs: execs,
 	}
 }
 
@@ -187,7 +159,7 @@ func figHydra(c Config, mach *machine.Machine, nodes []int, title string) *Table
 				o, a := pt.op2[chain], pt.cab[chain]
 				t.Rows = append(t.Rows, []string{
 					mesh.name, chain, fmt.Sprint(nn), fmt.Sprint(pt.ranks),
-					f6(o.time), f6(a.time), f2(gain(o.time, a.time)),
+					f6(o.Time), f6(a.Time), f2(gain(o.Time, a.Time)),
 				})
 			}
 		}
@@ -223,18 +195,18 @@ func Table5(c Config) *Table {
 		for _, chain := range table5Chains {
 			o, a := pt.op2[chain], pt.cab[chain]
 			commRed := 0.0
-			if o.comm > 0 {
-				commRed = (o.comm - a.comm) / o.comm * 100
+			if o.Comm > 0 {
+				commRed = (o.Comm - a.Comm) / o.Comm * 100
 			}
 			compInc := 0.0
-			if tot := o.core + o.halo; tot > 0 {
-				compInc = (a.core + a.halo - tot) / tot * 100
+			if tot := o.Core + o.Halo; tot > 0 {
+				compInc = (a.Core + a.Halo - tot) / tot * 100
 			}
 			t.Rows = append(t.Rows, []string{
 				chain, fmt.Sprint(nn),
-				f2(o.comm), f2(o.core), f2(o.halo),
-				f2(a.pmr), f2(a.core), f2(a.halo),
-				f2(gain(o.time, a.time)), f2(commRed), f2(compInc),
+				f2(o.Comm), f2(o.Core), f2(o.Halo),
+				f2(a.Pmr), f2(a.Core), f2(a.Halo),
+				f2(gain(o.Time, a.Time)), f2(commRed), f2(compInc),
 			})
 		}
 	}

@@ -5,9 +5,7 @@ import (
 
 	"op2ca/internal/cluster"
 	"op2ca/internal/machine"
-	"op2ca/internal/mesh"
-	"op2ca/internal/mgcfd"
-	"op2ca/internal/partition"
+	"op2ca/internal/runspec"
 )
 
 // gpuRanksFor maps paper Cirrus nodes (4 GPUs each, one rank per GPU) to
@@ -26,27 +24,27 @@ func gpuRanksFor(paperNodes int) int {
 
 // mgSnapshot captures the counters the Table 2 columns are computed from.
 type mgSnapshot struct {
-	loopBytes  int64
-	loopCore   int64
-	loopHalo   int64
-	chainBytes int64
-	chainCore  int64
-	chainHalo  int64
+	LoopBytes  int64 `json:"loop_bytes"`
+	LoopCore   int64 `json:"loop_core"`
+	LoopHalo   int64 `json:"loop_halo"`
+	ChainBytes int64 `json:"chain_bytes"`
+	ChainCore  int64 `json:"chain_core"`
+	ChainHalo  int64 `json:"chain_halo"`
 }
 
 func snapshotMG(b *cluster.Backend) mgSnapshot {
 	var s mgSnapshot
 	for _, name := range []string{"update", "edge_flux"} {
 		if ls := b.Stats().Loops[name]; ls != nil {
-			s.loopBytes += ls.Bytes
-			s.loopCore += ls.CoreIters
-			s.loopHalo += ls.HaloIters
+			s.LoopBytes += ls.Bytes
+			s.LoopCore += ls.CoreIters
+			s.LoopHalo += ls.HaloIters
 		}
 	}
 	if cs := b.Stats().Chains["synthetic"]; cs != nil {
-		s.chainBytes += cs.Bytes
-		s.chainCore += cs.CoreIters
-		s.chainHalo += cs.HaloIters
+		s.ChainBytes += cs.Bytes
+		s.ChainCore += cs.CoreIters
+		s.ChainHalo += cs.HaloIters
 	}
 	return s
 }
@@ -62,49 +60,29 @@ type mgPoint struct {
 
 // runMGPoint measures one configuration under both back-ends.
 func (c Config) runMGPoint(meshNodes, paperNodes, nchains int, mach *machine.Machine) mgPoint {
-	var ranks int
-	if mach.GPU != nil {
-		ranks = gpuRanksFor(paperNodes)
-	} else {
-		ranks = c.ranksFor(paperNodes, mach.RanksPerNode)
-	}
-	m := mesh.RotorForNodes(meshNodes)
-	h := mesh.NewHierarchy(m, 3, true)
-	assign := partition.KWay(m.NodeAdjacency(), ranks) // the paper uses ParMETIS k-way for MG-CFD
-
-	var pt mgPoint
-	pt.ranks = ranks
-	run := func(caMode bool) {
-		mode := "op2"
-		if caMode {
-			mode = "ca"
-		}
+	ranks := c.ranksOn(paperNodes, mach)
+	pt := mgPoint{ranks: ranks}
+	// The partition is mgcfd's default k-way, as the paper uses ParMETIS
+	// k-way for MG-CFD.
+	spec := runspec.Spec{App: "mgcfd", MeshNodes: meshNodes, Levels: 3, NChains: nchains, Ranks: ranks}
+	c.point(spec, mach, func(r *runspec.Run, p *runspec.Problem) {
+		caMode := r.Spec.Backend == "ca"
 		label := fmt.Sprintf("mgcfd %s mesh=%d paper-nodes=%d loops=%d ranks=%d",
-			mode, meshNodes, paperNodes, 2*nchains, ranks)
-		app := mgcfd.New(h)
-		syn := mgcfd.NewSynthetic(app)
-		ccfg := cluster.Config{
-			Prog: app.Prog, Primary: app.Primary, Assign: assign, NParts: ranks,
-			Depth: 2, MaxChainLen: 2 * nchains, CA: caMode,
-			Machine: mach, Parallel: c.Parallel, Tracer: c.Tracer, Faults: c.Faults,
-			AutoTune: c.AutoTune && caMode, Overlap: c.Overlap && caMode,
-		}
+			r.Spec.Backend, meshNodes, paperNodes, 2*nchains, ranks)
 		var rctx mgResumeCtx
-		b, start, fresh := c.open(label, ccfg, &rctx)
-		defer b.Close()
+		a, start, fresh := c.open(r, p, label, &rctx)
+		defer a.Close()
+		b := a.CB
 		if fresh {
-			app.Init(b)
+			a.Init()
 			// Warm-up (dirties halos, amortises nothing else); excluded from
 			// the measurement like the paper's inspection phase.
-			syn.Run(b, nchains, caMode)
-			app.Cycle(b)
-			rctx = mgCtxOf(b.MaxClock(), snapshotMG(b))
+			a.Step()
+			rctx = mgResumeCtx{b.MaxClock(), snapshotMG(b)}
 		}
-		before := rctx.snapshot()
-		t0 := rctx.T0
+		before, t0 := rctx.mgSnapshot, rctx.T0
 		for it := start; it < c.Iters; it++ {
-			syn.Run(b, nchains, caMode)
-			app.Cycle(b)
+			a.Step()
 			c.tick(b, label, it+1, rctx)
 		}
 		elapsed := (b.MaxClock() - t0) / float64(c.Iters)
@@ -116,21 +94,19 @@ func (c Config) runMGPoint(meshNodes, paperNodes, nchains int, mach *machine.Mac
 			pt.caTime = elapsed
 			cs := b.Stats().Chains["synthetic"]
 			pt.caComm = float64(cs.MaxNeighbours) * float64(cs.MaxMsgBytes)
-			pt.caCore = float64(after.chainCore-before.chainCore) / perRank
-			pt.caHalo = float64(after.chainHalo-before.chainHalo) / perRank
+			pt.caCore = float64(after.ChainCore-before.ChainCore) / perRank
+			pt.caHalo = float64(after.ChainHalo-before.ChainHalo) / perRank
 		} else {
 			pt.op2Time = elapsed
 			// Σ(2dpm¹): measured per-loop maxima; the factor 2 (separate
 			// eeh and enh messages) is already in the per-message count,
 			// so use the byte total per rank per iteration.
-			pt.op2Comm = float64(after.loopBytes-before.loopBytes) / perRank
-			pt.op2Core = float64(after.loopCore-before.loopCore) / perRank
-			pt.op2Halo = float64(after.loopHalo-before.loopHalo) / perRank
+			pt.op2Comm = float64(after.LoopBytes-before.LoopBytes) / perRank
+			pt.op2Core = float64(after.LoopCore-before.LoopCore) / perRank
+			pt.op2Halo = float64(after.LoopHalo-before.LoopHalo) / perRank
 		}
 		c.observe(label, b)
-	}
-	run(false)
-	run(true)
+	})
 	return pt
 }
 

@@ -1,7 +1,7 @@
 package bench
 
 // overlap.go is the dedicated study of the overlap-capable task-graph chain
-// executor (cluster.Config.Overlap): the same comm-bound MG-CFD
+// executor (runspec.Spec.Overlap): the same comm-bound MG-CFD
 // synthetic loop-chain configuration runs once bulk-synchronous and once
 // overlapped, and the experiment reports virtual time, receiver-observed
 // wait, hidden in-flight time and dat-checksum equality for both modes. The
@@ -16,11 +16,8 @@ package bench
 import (
 	"fmt"
 
-	"op2ca/internal/cluster"
-	"op2ca/internal/mesh"
-	"op2ca/internal/mgcfd"
 	"op2ca/internal/obs"
-	"op2ca/internal/partition"
+	"op2ca/internal/runspec"
 )
 
 // OverlapRecord is the machine-readable result of the overlap experiment
@@ -58,9 +55,7 @@ func OverlapStudy(c Config) *Table {
 	const paperNodes = 64
 	const nchains = 4
 	ranks := c.ranksFor(paperNodes, archer().RanksPerNode)
-	m := mesh.RotorForNodes(c.Nodes8M)
-	h := mesh.NewHierarchy(m, 3, true)
-	assign := partition.KWay(m.NodeAdjacency(), ranks)
+	var p *runspec.Problem
 
 	measure := func(overlap bool) overlapRun {
 		mode := "bulk"
@@ -69,33 +64,31 @@ func OverlapStudy(c Config) *Table {
 		}
 		label := fmt.Sprintf("overlap-study %s mesh=%d ranks=%d loops=%d",
 			mode, c.Nodes8M, ranks, 2*nchains)
+		run := c.resolve(runspec.Spec{App: "mgcfd", MeshNodes: c.Nodes8M, Levels: 3, NChains: nchains,
+			Ranks: ranks, Backend: "ca", Iters: c.Iters, Overlap: overlap}, archer())
+		run.Plan = nil // pinned fault-free, see above
 		// The hidden-wait accounting reads message edges, so the run is
 		// always traced — on the invocation's tracer when present (its
 		// epochs keep backends separate), else on a private one.
-		tr := c.Tracer
-		if tr == nil {
-			tr = obs.New()
+		if run.Tracer == nil {
+			run.Tracer = obs.New()
 		}
-		app := mgcfd.New(h)
-		syn := mgcfd.NewSynthetic(app)
-		b, err := cluster.New(cluster.Config{
-			Prog: app.Prog, Primary: app.Primary, Assign: assign, NParts: ranks,
-			Depth: 2, MaxChainLen: 2 * nchains, CA: true,
-			Machine: archer(), Parallel: c.Parallel, Tracer: tr,
-			Overlap: overlap,
-		})
+		if p == nil {
+			p = problem(run)
+		}
+		a, err := run.BuildOn(p, nil)
 		if err != nil {
 			panic("bench: " + err.Error())
 		}
-		defer b.Close()
-		app.Init(b)
-		for it := 0; it < c.Iters; it++ {
-			syn.Run(b, nchains, true)
-			app.Cycle(b)
+		defer a.Close()
+		// No warm-up and no measured window: the study is the whole run.
+		if err := a.Drive(nil); err != nil {
+			panic("bench: " + err.Error())
 		}
+		b := a.CB
 		r := overlapRun{clock: b.MaxClock(), checksum: b.ChecksumDats()}
-		if p := b.Profile(); p != nil {
-			for _, cc := range p.Comm {
+		if prof := b.Profile(); prof != nil {
+			for _, cc := range prof.Comm {
 				r.wait += cc.Wait
 				r.hidden += cc.WaitHidden
 			}

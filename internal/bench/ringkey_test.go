@@ -142,7 +142,7 @@ func TestRingKeyAgreesWithRestoreFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.CheckpointEvery, c.Ring = 1, ring
+		c.Ring = ring
 		if crash := supervise.CatchCrash(func() { run(c) }); (crash != nil) != (c.Faults != nil) {
 			t.Fatalf("run under plan %v ended with crash %v", c.Faults, crash)
 		}
@@ -168,7 +168,11 @@ func TestRingKeyAgreesWithRestoreFingerprint(t *testing.T) {
 		{"parallel", func(c *Config, _ *checkpoint.Spec) { c.Parallel = true }},
 		{"crash-clauses", func(c *Config, _ *checkpoint.Spec) {
 			c.Faults = faults.MustParse(fmt.Sprintf("crash=rank0@%d,crash=rank1@%d,seed=1", total*5/8, 1000*total))
-			c.ArmedCrashes = []bool{false, true} // as the supervisor arms a rerun: the fired clause stays off
+			// As the supervisor arms a rerun: the fired clause stays off.
+			c.Sup = supervise.NewSupervisor(supervise.Spec{Enabled: true, Budget: 1}, c.Faults, nil, nil)
+			if err := c.Sup.OnFailure(&faults.CrashError{Rank: 0, Exchange: total * 5 / 8}); err != nil {
+				t.Fatal(err)
+			}
 		}},
 		{"cadence-retention", func(_ *Config, s *checkpoint.Spec) { s.Every, s.Keep = 2, 5 }},
 		{"tracer", func(c *Config, _ *checkpoint.Spec) { c.Tracer = obs.New() }},
@@ -186,7 +190,7 @@ func TestRingKeyAgreesWithRestoreFingerprint(t *testing.T) {
 			t.Errorf("%s: the crashed invocation's ring was not adopted (%v)", tc.name, err)
 			continue
 		}
-		b.Resume, b.Ring, b.CheckpointEvery = st, ring, spec.Every
+		b.Resume, b.Ring = &Resume{State: st}, ring
 		got, restores, _ := run(b)
 		if restores != 1 {
 			t.Errorf("%s: %d legs restored from the adopted ring, want 1", tc.name, restores)
@@ -225,7 +229,7 @@ func TestRingKeyAgreesWithRestoreFingerprint(t *testing.T) {
 		if !tc.refused {
 			continue
 		}
-		b.Resume = st
+		b.Resume = &Resume{State: st}
 		func() {
 			defer func() {
 				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "fingerprint mismatch") {

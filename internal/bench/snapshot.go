@@ -71,9 +71,9 @@ type Result struct {
 	Seconds float64    `json:"seconds"`
 }
 
-// FaultTotals mirrors cluster.FaultStats with stable JSON names, summed
-// over every backend the experiments construct. All zeros on a fault-free
-// run.
+// FaultTotals mirrors cluster.FaultStats field for field (it converts) with
+// stable JSON names, summed over every backend the experiments construct.
+// All zeros on a fault-free run.
 type FaultTotals struct {
 	Drops             int64 `json:"drops"`
 	Corrupts          int64 `json:"corrupts"`

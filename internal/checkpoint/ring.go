@@ -5,8 +5,8 @@ package checkpoint
 // files, every write is verified by reading it back (Verify: the decoder's
 // own walk, keeping nothing) before older generations are pruned, and
 // recovery scans newest-to-oldest, quarantining generations that fail to
-// decode. A torn or bit-flipped newest snapshot therefore costs one
-// generation of progress, not the whole run.
+// decode. With keep > 1 a torn or bit-flipped newest snapshot therefore
+// costs one generation of progress, not the whole run.
 
 import (
 	"fmt"
@@ -27,14 +27,11 @@ const quarantineSuffix = ".quarantined"
 // Generation is one snapshot file of a ring.
 type Generation struct {
 	Path string
-	// Seq is the generation's monotonically increasing write number (-1
-	// for the legacy single-file layout, which has no numbering).
+	// Seq is the generation's monotonically increasing write number.
 	Seq int
 }
 
-// Ring writes and recovers snapshot generations under a Spec. With Keep <= 1
-// it degenerates to the legacy single-file layout (same path, atomic
-// overwrite) while still verifying every write by read-back. A Ring is not
+// Ring writes and recovers snapshot generations under a Spec. A Ring is not
 // safe for concurrent use; the runtime checkpoints from one goroutine.
 type Ring struct {
 	spec Spec
@@ -44,13 +41,15 @@ type Ring struct {
 	VerifyFailures int
 }
 
-// NewRing builds a ring over spec, resuming the generation numbering past
-// any generations already on disk (a supervised restart must not overwrite
-// the snapshots it is about to recover from).
+// NewRing builds a ring over spec (an unset Keep retains one generation),
+// resuming the generation numbering past any generations already on disk (a
+// supervised restart must not overwrite the snapshots it is about to
+// recover from).
 func NewRing(spec Spec) (*Ring, error) {
 	if spec.Path == "" {
 		return nil, fmt.Errorf("checkpoint: ring needs a path")
 	}
+	spec.Keep = max(spec.Keep, 1)
 	r := &Ring{spec: spec}
 	gens, err := r.Generations()
 	if err != nil {
@@ -72,18 +71,8 @@ func (r *Ring) genPath(seq int) string {
 }
 
 // Generations lists the ring's on-disk snapshot generations, newest first.
-// Quarantined files are excluded. Under the legacy single-file layout the
-// result is at most one entry (the file itself, Seq -1).
+// Quarantined files are excluded.
 func (r *Ring) Generations() ([]Generation, error) {
-	if r.spec.Keep <= 1 {
-		if _, err := os.Stat(r.spec.Path); err != nil {
-			if os.IsNotExist(err) {
-				return nil, nil
-			}
-			return nil, err
-		}
-		return []Generation{{Path: r.spec.Path, Seq: -1}}, nil
-	}
 	matches, err := filepath.Glob(r.spec.Path + ".g*")
 	if err != nil {
 		return nil, err
@@ -109,10 +98,7 @@ func (r *Ring) Generations() ([]Generation, error) {
 // older generations it would have displaced stay in place, so the caller
 // still has a valid recovery point.
 func (r *Ring) Write(encode func(w io.Writer) error) (string, error) {
-	path := r.spec.Path
-	if r.spec.Keep > 1 {
-		path = r.genPath(r.next)
-	}
+	path := r.genPath(r.next)
 	if err := AtomicWriteFile(path, encode); err != nil {
 		return "", err
 	}
@@ -124,10 +110,8 @@ func (r *Ring) Write(encode func(w io.Writer) error) (string, error) {
 		}
 		return "", fmt.Errorf("checkpoint: ring: write verification failed, snapshot quarantined to %s: %w", q, err)
 	}
-	if r.spec.Keep > 1 {
-		r.next++
-		r.prune()
-	}
+	r.next++
+	r.prune()
 	return path, nil
 }
 

@@ -112,24 +112,46 @@ func TestRingWriteVerificationRejectsBadSnapshot(t *testing.T) {
 	}
 }
 
-func TestRingSingleFileLayout(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.bin")
-	r, err := NewRing(Spec{Every: 1, Path: path, Keep: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gens, _ := r.Generations(); len(gens) != 0 {
-		t.Fatalf("empty ring lists %d generations", len(gens))
-	}
-	writeGen(t, r, "a")
-	got := writeGen(t, r, "b")
-	if got != path {
-		t.Errorf("keep=1 wrote %s, want overwrite of %s", got, path)
-	}
-	st, gen, _, _, err := r.RecoverNewest()
-	if err != nil || st == nil || st.Note != "b" || gen.Path != path {
-		t.Fatalf("single-file recovery: %+v %+v %v", st, gen, err)
+// TestRingKeepOne: keep=1 (and the unset Keep of a hand-built Spec) is a
+// one-generation ring — numbered files pruned to the newest after each
+// verified write, recovered and quarantined like any other ring.
+func TestRingKeepOne(t *testing.T) {
+	for _, keep := range []int{0, 1} {
+		path := filepath.Join(t.TempDir(), "ck.bin")
+		r, err := NewRing(Spec{Every: 1, Path: path, Keep: keep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gens, _ := r.Generations(); len(gens) != 0 {
+			t.Fatalf("keep=%d: empty ring lists %d generations", keep, len(gens))
+		}
+		writeGen(t, r, "a")
+		got := writeGen(t, r, "b")
+		if want := path + ".g000001"; got != want {
+			t.Errorf("keep=%d: second write went to %s, want %s", keep, got, want)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("keep=%d: the bare path exists (%v); every snapshot is a numbered generation", keep, err)
+		}
+		gens, err := r.Generations()
+		if err != nil || len(gens) != 1 || gens[0].Path != got || gens[0].Seq != 1 {
+			t.Fatalf("keep=%d: generations %+v, %v; want only the newest", keep, gens, err)
+		}
+		st, gen, _, _, err := r.RecoverNewest()
+		if err != nil || st == nil || st.Note != "b" || gen.Path != got {
+			t.Fatalf("keep=%d: recovery: %+v %+v %v", keep, st, gen, err)
+		}
+		// A corrupt only generation is quarantined: a cold start, not an error.
+		if err := os.Truncate(got, 10); err != nil {
+			t.Fatal(err)
+		}
+		st, _, tried, quarantined, err := r.RecoverNewest()
+		if err != nil || st != nil || tried != 1 || quarantined != 1 {
+			t.Fatalf("keep=%d: corrupt recovery: %+v tried %d quarantined %d %v", keep, st, tried, quarantined, err)
+		}
+		if _, err := os.Stat(got + quarantineSuffix); err != nil {
+			t.Errorf("keep=%d: no quarantined file: %v", keep, err)
+		}
 	}
 }
 

@@ -12,16 +12,15 @@ import (
 
 // Spec is the parsed form of the -checkpoint command-line flag:
 // "every=N,path=P,keep=K" requests a snapshot after every N measured
-// iterations. With keep=1 (the default) the same file P is overwritten each
-// time (atomically), so a crash always finds the most recent complete
-// snapshot; with keep=K > 1 snapshots rotate through a generation ring of K
-// numbered files (see Ring), so recovery can fall back past a corrupt
-// newest generation.
+// iterations. Snapshots rotate through a generation ring of numbered files
+// P.g00000N (see Ring), each written atomically and verified by read-back
+// before the generations beyond the newest K are pruned, so a crash always
+// finds the most recent complete snapshot; with K > 1 recovery can also
+// fall back past a corrupt newest generation.
 type Spec struct {
 	Every int
 	Path  string
-	// Keep is the number of snapshot generations retained. 0 and 1 both
-	// mean the legacy single-file behaviour.
+	// Keep is the number of snapshot generations retained; 0 means 1.
 	Keep int
 }
 

@@ -500,13 +500,6 @@ func (b *Backend) ArmCrashes(mask []bool) {
 	}
 }
 
-// ArmedCrashes returns a copy of the per-clause crash mask.
-func (b *Backend) ArmedCrashes() []bool {
-	out := make([]bool, len(b.crashArmed))
-	copy(out, b.crashArmed)
-	return out
-}
-
 // SetWatchdog sets the no-progress deadline in virtual seconds (0 disables
 // it): if the maximum virtual clock advances more than deadline past the end
 // of the last completed exchange, the next exchange panics with a typed

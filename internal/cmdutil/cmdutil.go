@@ -1,8 +1,9 @@
 // Package cmdutil is the shared command-line wiring of the op2ca binaries:
-// the -trace/-metrics/-faults/-checkpoint/-restore/-supervise/-autotune
-// flag set, which parses into a runspec.Spec, its validation rules
-// (distributed-backend requirements, the supervise/restore conflict),
-// observability export, and the exit-code conventions.
+// the -trace/-metrics/-faults/-checkpoint/-restore/-supervise/-autotune/
+// -overlap/-serial flag set, which folds into a run description, its
+// validation rules (distributed-backend requirements, the supervise/restore
+// conflict), observability export, crash reporting and the exit-code
+// conventions.
 package cmdutil
 
 import (
@@ -16,6 +17,7 @@ import (
 	"op2ca/internal/faults"
 	"op2ca/internal/obs"
 	"op2ca/internal/runspec"
+	"op2ca/internal/supervise"
 )
 
 // Exit codes shared by every op2ca command. 0 is success; 1 is the
@@ -28,14 +30,17 @@ const (
 	ExitCrash = 3
 )
 
-// RunFlags is the raw shared flag set. Register binds it to a flag set;
-// Resolve folds it into a run description and validates the combination.
+// RunFlags is the raw shared flag set. Register binds it to a flag set; Fold
+// parses what the flags say by themselves; Resolve folds them into the
+// description of one application run and validates the combination.
 type RunFlags struct {
 	Trace      string
 	Metrics    string
 	ModelCheck bool
 	Profile    bool
 	AutoTune   bool
+	Overlap    bool
+	Serial     bool
 	Faults     string
 	Checkpoint string
 	Restore    string
@@ -51,6 +56,9 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 		"print the critical-path / communication-matrix / imbalance report (forces tracing; the run stays bit-identical)")
 	fs.BoolVar(&f.AutoTune, "autotune", false,
 		"let the model-driven autotuner pick each chain's execution policy (requires -backend ca); results stay bit-identical to any static configuration")
+	fs.BoolVar(&f.Overlap, "overlap", false,
+		"run CA chains on the overlap-capable task-graph executor (results stay bit-identical; virtual time drops)")
+	fs.BoolVar(&f.Serial, "serial", false, "run simulated ranks on one host thread")
 	fs.StringVar(&f.Faults, "faults", "",
 		"deterministic fault-injection spec, e.g. drop=0.01,corrupt=0.002,seed=42 (see internal/faults); results stay bit-identical, virtual times include recovery")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "",
@@ -64,7 +72,9 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 // Run is a command-line run: the resolved description (with the shared
 // tracer attached) plus what only a command line has — the checkpoint ring
 // at the path the user named, the file to restore from, and the reports to
-// print.
+// print. After Fold alone the description names no application: it carries
+// the fault plan, the supervise spec and the host-side knobs, for a
+// front-end (op2ca-bench) that describes its runs itself.
 type Run struct {
 	*runspec.Run
 	Flags RunFlags
@@ -72,45 +82,65 @@ type Run struct {
 	Ring  *checkpoint.Ring
 }
 
-// Resolve folds the shared flags into spec (fault plan, supervise spec,
-// autotune, checkpoint cadence), resolves it, validates the flag
-// combination against the chosen backend, and builds the tracer and the
-// checkpoint ring. prog prefixes the warnings written to stderr.
-func (f *RunFlags) Resolve(prog string, spec runspec.Spec, stderr io.Writer) (*Run, error) {
-	r := &Run{Flags: *f, Prog: prog}
-	var (
-		ckpt checkpoint.Spec
-		err  error
-	)
-	if f.Checkpoint != "" {
-		if ckpt, err = checkpoint.ParseSpec(f.Checkpoint); err != nil {
+// Fold parses the specs the shared flags carry — fault plan, supervise
+// spec, checkpoint spec — rejects -supervise with -restore, and builds the
+// tracer and the checkpoint ring. prog prefixes diagnostics.
+func (f *RunFlags) Fold(prog string) (*Run, error) {
+	run := &runspec.Run{}
+	var err error
+	if f.Faults != "" {
+		if run.Plan, err = faults.Parse(f.Faults); err != nil {
 			return nil, err
 		}
 	}
-	spec.CheckpointEvery = ckpt.Every
-	spec.Faults, spec.Supervise, spec.AutoTune = f.Faults, f.Supervise, f.AutoTune
-	if f.AutoTune && spec.Backend != "ca" {
-		fmt.Fprintf(stderr, "%s: -autotune requires -backend ca; ignored\n", prog)
-		spec.AutoTune = false
-	}
-	if r.Run, err = spec.Resolve(); err != nil {
+	if run.Supervise, err = supervise.ParseSpec(f.Supervise); err != nil {
 		return nil, err
 	}
-	if (f.Checkpoint != "" || f.Restore != "" || r.Supervise.Enabled) && spec.Backend == "seq" {
-		return nil, fmt.Errorf("-checkpoint/-restore/-supervise need a distributed backend (op2 or ca)")
-	}
+	return f.attach(prog, run)
+}
+
+// attach adds the flags' host side to a run whose fault plan and supervise
+// spec are parsed: the cadence, tracer and threading on the run, the ring
+// beside it.
+func (f *RunFlags) attach(prog string, run *runspec.Run) (*Run, error) {
+	r := &Run{Run: run, Flags: *f, Prog: prog}
 	if r.Supervise.Enabled && f.Restore != "" {
 		return nil, fmt.Errorf("-supervise and -restore are incompatible: the supervisor recovers from the checkpoint ring itself")
 	}
+	r.Parallel = !f.Serial
 	if f.Trace != "" || f.Profile {
 		r.Tracer = obs.New()
 	}
-	if ckpt.Enabled() {
+	if f.Checkpoint != "" {
+		ckpt, err := checkpoint.ParseSpec(f.Checkpoint)
+		if err != nil {
+			return nil, err
+		}
+		r.Spec.CheckpointEvery = ckpt.Every
 		if r.Ring, err = checkpoint.NewRing(ckpt); err != nil {
 			return nil, err
 		}
 	}
 	return r, nil
+}
+
+// Resolve folds the shared flags into spec (fault plan, supervise spec,
+// autotune, overlap), resolves it, validates the flag combination against
+// the chosen backend, and attaches what Fold builds. Warnings go to stderr.
+func (f *RunFlags) Resolve(prog string, spec runspec.Spec, stderr io.Writer) (*Run, error) {
+	spec.Faults, spec.Supervise, spec.AutoTune, spec.Overlap = f.Faults, f.Supervise, f.AutoTune, f.Overlap
+	if f.AutoTune && spec.Backend != "ca" {
+		fmt.Fprintf(stderr, "%s: -autotune requires -backend ca; ignored\n", prog)
+		spec.AutoTune = false
+	}
+	run, err := spec.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	if (f.Checkpoint != "" || f.Restore != "" || run.Supervise.Enabled) && spec.Backend == "seq" {
+		return nil, fmt.Errorf("-checkpoint/-restore/-supervise need a distributed backend (op2 or ca)")
+	}
+	return f.attach(prog, run)
 }
 
 // ReportCrash reports an injected crash that killed an unsupervised run and
@@ -141,14 +171,24 @@ func (r *Run) PrintRunSummary(w io.Writer, cb *cluster.Backend) {
 	}
 }
 
+// WriteTrace exports the -trace file, confirming on stdout.
+func (r *Run) WriteTrace(stdout io.Writer) error {
+	path := r.Flags.Trace
+	if path == "" {
+		return nil
+	}
+	if err := r.Tracer.WriteChromeTraceFile(path); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "trace: %d spans written to %s (open in Perfetto or chrome://tracing)\n", r.Tracer.Len(), path)
+	return nil
+}
+
 // WriteObservability exports the trace and metrics files requested on the
 // command line; stdout receives the confirmation line and "-metrics -".
 func (r *Run) WriteObservability(stdout io.Writer, cb *cluster.Backend) error {
-	if path := r.Flags.Trace; path != "" {
-		if err := r.Tracer.WriteChromeTraceFile(path); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "trace: %d spans written to %s (open in Perfetto or chrome://tracing)\n", r.Tracer.Len(), path)
+	if err := r.WriteTrace(stdout); err != nil {
+		return err
 	}
 	if path := r.Flags.Metrics; path != "" {
 		w := stdout

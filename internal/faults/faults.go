@@ -33,6 +33,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -246,7 +247,7 @@ func MustParse(spec string) *Plan {
 
 func parseProb(s string, out *float64) error {
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 || v > 1 {
+	if err != nil || !(v >= 0 && v <= 1) { // not v < 0 || v > 1: NaN compares false
 		return fmt.Errorf("probability %q outside [0, 1]", s)
 	}
 	*out = v
@@ -258,8 +259,8 @@ func parseFactor(s string) (float64, error) {
 		return 0, fmt.Errorf("factor %q missing x suffix", s)
 	}
 	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
-	if err != nil || v < 1 {
-		return 0, fmt.Errorf("factor %q must be >= 1", s)
+	if err != nil || !(v >= 1) || math.IsInf(v, 1) {
+		return 0, fmt.Errorf("factor %q must be a finite number >= 1", s)
 	}
 	return v, nil
 }

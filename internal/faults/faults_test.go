@@ -47,15 +47,18 @@ func TestParseEmptyAndDefaults(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"drop=1.5",            // probability out of range
-		"drop=-0.1",           // negative probability
-		"corrupt=abc",         // not a number
-		"delay=5x",            // missing probability
-		"delay=0.5x@0.1",      // factor < 1
-		"delay=5@0.1",         // missing x suffix
-		"straggler=3:10x",     // missing rank prefix
-		"straggler=rank3:0x",  // factor < 1
-		"straggler=rank-1:2x", // negative rank
+		"drop=1.5",             // probability out of range
+		"drop=-0.1",            // negative probability
+		"drop=NaN",             // compares false against both bounds
+		"corrupt=abc",          // not a number
+		"delay=5x",             // missing probability
+		"delay=0.5x@0.1",       // factor < 1
+		"delay=NaNx@0.1",       // not a factor at all
+		"straggler=rank3:Infx", // a rank that never finishes
+		"delay=5@0.1",          // missing x suffix
+		"straggler=3:10x",      // missing rank prefix
+		"straggler=rank3:0x",   // factor < 1
+		"straggler=rank-1:2x",  // negative rank
 		"seed=abc",
 		"maxretries=0",
 		"maxretries=-3", // negative budget

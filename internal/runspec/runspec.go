@@ -2,15 +2,20 @@
 // driver that executes it. A Spec names the app (MG-CFD with synthetic
 // chains, or the Hydra proxy with the Section 3.4 chain configuration), its
 // size, the back-end and every result-bearing knob; Resolve parses the
-// embedded spec grammars and derives the halo depth; Build constructs one
-// attempt (mesh, app, cluster configuration, backend — fresh or from a
-// snapshot); Drive iterates it, writing a checkpoint-ring generation at the
-// cadence; VerifyAgainstSeq replays it on the sequential reference.
+// embedded spec grammars and derives the halo depth; NewProblem builds what
+// attempts share (mesh, multigrid hierarchy, partition); BuildOn constructs
+// one attempt over a Problem (app instance, cluster configuration, backend —
+// fresh or from a snapshot) and Build does both; Drive iterates it, writing
+// a checkpoint-ring generation at the cadence; VerifyAgainstSeq replays it on
+// the sequential reference.
 //
 // Every front-end drives this package and adds only what is its own: the
 // job service (internal/service) adds the wire grammar's defaults and
 // admission bounds, queueing, placement and preemption; cmd/op2ca-run adds
-// flags, reports and exit codes.
+// flags, reports and exit codes; the paper harness (internal/bench) adds
+// its tables, labels and warm-up / measured-window loops (Init, Step, and
+// Open for the chain-only ablations). Outside internal/cluster this is the
+// only package that assembles a cluster.Config.
 package runspec
 
 import (
@@ -79,6 +84,11 @@ type Spec struct {
 // Run is a resolved Spec: the normalised description plus every parsed
 // artefact an attempt needs. Tracer and Parallel are the two host-side
 // knobs a front-end may set before Build; neither changes a result.
+//
+// The paper harness's ablations pin what no Spec field (and so no flag and
+// no served job) can say, by overwriting a resolved Run before building: a
+// deeper Depth, a Chains file for the synthetic chain, a modified Machine,
+// and the three fields below.
 type Run struct {
 	Spec      Spec
 	Plan      *faults.Plan
@@ -89,6 +99,15 @@ type Run struct {
 
 	Tracer   *obs.Tracer
 	Parallel bool
+
+	// NoGroupedMsgs and GPUDirect are cluster.Config's ablation knobs of the
+	// same names.
+	NoGroupedMsgs, GPUDirect bool
+	// Demarcate issues the app's ChainBegin/ChainEnd under the op2 backend
+	// too. The chains still execute loop by loop — no checksum or clock
+	// moves — but the run's Stats then carry per-chain rows and
+	// chain-prefixed loop rows, which the harness's per-chain tables read.
+	Demarcate bool
 }
 
 // Resolve checks s against the run grammar — names, app-specific fields,
@@ -210,7 +229,34 @@ func ParseIterNote(note string) (int, error) {
 	return n, nil
 }
 
-// Attempt is one constructed run: an instance of the app over a mesh and
+// Problem is what the attempts of a run description share and never modify:
+// the mesh, the multigrid hierarchy (mgcfd only) and the partition
+// assignment (nil under seq). Building one is deterministic, so Build makes
+// a new one per attempt; the harness builds one per paper point for the
+// point's OP2 and CA backends. An ablation whose partition no Spec names
+// copies the Problem and replaces Assign.
+type Problem struct {
+	Mesh      *mesh.FV3D
+	Hierarchy *mesh.Hierarchy
+	Assign    partition.Assignment
+}
+
+// NewProblem builds the mesh, hierarchy and partition r describes.
+func (r *Run) NewProblem() (*Problem, error) {
+	p := &Problem{Mesh: mesh.RotorForNodes(r.Spec.MeshNodes)}
+	if r.Spec.App == "mgcfd" {
+		p.Hierarchy = mesh.NewHierarchy(p.Mesh, r.Spec.Levels, true)
+	}
+	if r.Spec.Backend != "seq" {
+		var err error
+		if p.Assign, err = assignment(p.Mesh, r.Spec.Partitioner, r.Spec.Ranks); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// Attempt is one constructed run: an instance of the app over a Problem and
 // the backend it executes on. B is the backend loops are issued to; CB is
 // the same backend when it is distributed and nil under seq. Start is the
 // number of iterations the restored snapshot had already completed (0 on a
@@ -223,8 +269,7 @@ type Attempt struct {
 	Describe string
 
 	run *Run
-	m   *mesh.FV3D
-	h   *mesh.Hierarchy // mgcfd
+	p   *Problem
 	// What the back-end must declare, how the main loop initialises and
 	// steps, and the state the sequential-reference check compares.
 	prog     *core.Program
@@ -240,15 +285,16 @@ type Attempt struct {
 // instantiate constructs the app's sets, maps, dats and loop bodies over an
 // already built mesh. The Dats are fresh, so a backend built on them starts
 // from the initial state.
-func (r *Run) instantiate(m *mesh.FV3D, h *mesh.Hierarchy) *Attempt {
-	chained := r.Spec.Backend == "ca"
+func (r *Run) instantiate(p *Problem) *Attempt {
+	chained := r.Spec.Backend == "ca" || r.Demarcate
+	m := p.Mesh
 	if r.Spec.App == "mgcfd" {
-		app := mgcfd.New(h)
+		app := mgcfd.New(p.Hierarchy)
 		syn := mgcfd.NewSynthetic(app)
 		nchains := r.Spec.NChains
 		return &Attempt{
-			run: r, m: m, h: h, prog: app.Prog, primary: app.Primary, maxChain: 2 * max(nchains, 1),
-			Describe: fmt.Sprintf("mesh: %d nodes, %d edges, %d multigrid levels", m.NNodes, m.NEdges, len(h.Levels)),
+			run: r, p: p, prog: app.Prog, primary: app.Primary, maxChain: 2 * max(nchains, 1),
+			Describe: fmt.Sprintf("mesh: %d nodes, %d edges, %d multigrid levels", m.NNodes, m.NEdges, len(p.Hierarchy.Levels)),
 			init:     app.Init,
 			step: func(b core.Backend) {
 				if nchains > 0 {
@@ -263,7 +309,7 @@ func (r *Run) instantiate(m *mesh.FV3D, h *mesh.Hierarchy) *Attempt {
 	}
 	app := hydra.New(m)
 	a := &Attempt{
-		run: r, m: m, prog: app.Prog, primary: app.Nodes, maxChain: 6,
+		run: r, p: p, prog: app.Prog, primary: app.Nodes, maxChain: 6,
 		Describe: fmt.Sprintf("mesh: %d nodes, %d edges, %d pedges, %d bnd, %d cbnd",
 			m.NNodes, m.NEdges, m.NPedges, m.NBedges, m.NCbnd),
 		init:  func(b core.Backend) { app.RunSetup(b, chained) },
@@ -279,49 +325,76 @@ func (r *Run) instantiate(m *mesh.FV3D, h *mesh.Hierarchy) *Attempt {
 	return a
 }
 
-// Build constructs one attempt: the mesh, the app over it, the partition
-// and the backend — fresh when st is nil, restored from the snapshot
-// otherwise. The cluster configuration embeds the app's freshly constructed
-// Dats, so all of it is rebuilt per attempt; a restored attempt overwrites
-// the initial state with the snapshot's.
+// Build constructs one attempt from nothing: a new Problem, the attempt over
+// it, and — when st is given — the iteration its note says the snapshot had
+// completed.
 func (r *Run) Build(st *checkpoint.State) (*Attempt, error) {
-	m := mesh.RotorForNodes(r.Spec.MeshNodes)
-	var h *mesh.Hierarchy
-	if r.Spec.App == "mgcfd" {
-		h = mesh.NewHierarchy(m, r.Spec.Levels, true)
-	}
-	a := r.instantiate(m, h)
+	start := 0
 	if st != nil {
 		var err error
-		if a.Start, err = ParseIterNote(st.Note); err != nil {
+		if start, err = ParseIterNote(st.Note); err != nil {
 			return nil, err
 		}
 	}
+	p, err := r.NewProblem()
+	if err != nil {
+		return nil, err
+	}
+	a, err := r.BuildOn(p, st)
+	if err != nil {
+		return nil, err
+	}
+	a.Start = start
+	return a, nil
+}
+
+// BuildOn constructs one attempt over p: a fresh instance of the app and the
+// backend — fresh when st is nil, restored from the snapshot otherwise. The
+// cluster configuration embeds the instance's freshly constructed Dats, so
+// app and backend are rebuilt per attempt; a restored attempt overwrites the
+// initial state with the snapshot's. The snapshot's note is the caller's:
+// Build reads an IterNote from it, the harness its own resume point.
+func (r *Run) BuildOn(p *Problem, st *checkpoint.State) (*Attempt, error) {
+	a := r.instantiate(p)
 	if r.Spec.Backend == "seq" {
 		a.B = core.NewSeq()
 		return a, nil
 	}
-	assign, err := assignment(m, r.Spec.Partitioner, r.Spec.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	cfg := cluster.Config{
-		Prog: a.prog, Primary: a.primary, Assign: assign, NParts: r.Spec.Ranks,
-		Depth: r.Depth, MaxChainLen: a.maxChain, CA: r.Spec.Backend == "ca",
-		Chains: r.Chains, Machine: r.Machine, Parallel: r.Parallel, Tracer: r.Tracer,
-		Faults: r.Plan, AutoTune: r.Spec.AutoTune, Overlap: r.Spec.Overlap,
-	}
-	if st == nil {
-		a.CB, err = cluster.New(cfg)
-	} else {
-		a.CB, err = cluster.RestoreState(st, cfg)
-	}
-	if err != nil {
+	var err error
+	if a.CB, err = r.Open(p, a.prog, a.primary, a.maxChain, st); err != nil {
 		return nil, err
 	}
 	a.B = a.CB
 	return a, nil
 }
+
+// Open is the backend-opening half of BuildOn: it assembles the cluster
+// configuration r describes around a program instantiated over p — prog,
+// partitioned on primary, demarcating chains of at most maxChain loops — and
+// opens the backend, fresh or from st. BuildOn calls it with the app the
+// Spec names; the harness's chain-only ablations call it with the instance
+// they step themselves.
+func (r *Run) Open(p *Problem, prog *core.Program, primary *core.Set, maxChain int,
+	st *checkpoint.State) (*cluster.Backend, error) {
+	cfg := cluster.Config{
+		Prog: prog, Primary: primary, Assign: p.Assign, NParts: r.Spec.Ranks,
+		Depth: r.Depth, MaxChainLen: maxChain, CA: r.Spec.Backend == "ca",
+		Chains: r.Chains, Machine: r.Machine, Parallel: r.Parallel, Tracer: r.Tracer,
+		Faults: r.Plan, AutoTune: r.Spec.AutoTune, Overlap: r.Spec.Overlap,
+		NoGroupedMsgs: r.NoGroupedMsgs, GPUDirect: r.GPUDirect,
+	}
+	if st == nil {
+		return cluster.New(cfg)
+	}
+	return cluster.RestoreState(st, cfg)
+}
+
+// Init runs the app's initialisation on the attempt's backend (what Drive
+// does first on a fresh run).
+func (a *Attempt) Init() { a.init(a.B) }
+
+// Step runs one main-loop iteration.
+func (a *Attempt) Step() { a.step(a.B) }
 
 // Close releases the backend's worker pool.
 func (a *Attempt) Close() {
@@ -337,11 +410,11 @@ func (a *Attempt) Close() {
 // executor detects surface as its typed panics.
 func (a *Attempt) Drive(ring *checkpoint.Ring) error {
 	if a.Start == 0 {
-		a.init(a.B)
+		a.Init()
 	}
 	every := a.run.Spec.CheckpointEvery
 	for it := a.Start; it < a.run.Spec.Iters; it++ {
-		a.step(a.B)
+		a.Step()
 		if ring != nil && every > 0 && (it+1)%every == 0 {
 			note := IterNote(it + 1)
 			if _, err := ring.Write(func(w io.Writer) error { return a.CB.Checkpoint(w, note) }); err != nil {
@@ -397,9 +470,7 @@ func (r *Run) Execute(st *checkpoint.State, sup *supervise.Supervisor, ring *che
 			a.Close()
 		}
 	}()
-	if sup != nil {
-		sup.Adopt(a.CB)
-	}
+	sup.Adopt(a.CB)
 	if attach != nil {
 		attach(a)
 	}
@@ -414,7 +485,7 @@ func (r *Run) Execute(st *checkpoint.State, sup *supervise.Supervisor, ring *che
 // and returns the worst relative difference of the app's primary state
 // against this attempt's, with the tolerance the app allows.
 func (a *Attempt) VerifyAgainstSeq() (worst, tol float64) {
-	ref := a.run.instantiate(a.m, a.h)
+	ref := a.run.instantiate(a.p)
 	ref.B = core.NewSeq()
 	if err := ref.Drive(nil); err != nil {
 		panic(err) // unreachable: only ring writes fail, and there is no ring

@@ -374,7 +374,10 @@ func TestCancelAndErrorsOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(service.NewHandler(svc))
 	defer ts.Close()
 
-	running := service.JobSpec{Tenant: "acme", App: "mgcfd", MeshNodes: 6000, Ranks: 3, Iters: 10, Machine: "laptop"}
+	// Long enough (over a second when left alone) to still be running when
+	// the cancel below arrives, however few CPUs the requests before it get;
+	// cancelled, it ends at its next exchange.
+	running := service.JobSpec{Tenant: "acme", App: "mgcfd", MeshNodes: 6000, Ranks: 3, Iters: 100, Machine: "laptop"}
 	runningID := submit(t, ts.URL, running).ID
 	queuedID := submit(t, ts.URL, smallMGCFD("acme")).ID
 

@@ -50,13 +50,8 @@ func newResult(id string, w *workload, out runspec.Outcome, sup *supervise.Super
 		Restarts: sup.Restarts(), Workers: workers,
 	}
 	if plan := w.run.Plan; plan != nil {
-		f := out.Stats.Faults
-		r.FaultSpec = plan.String()
-		r.Faults = &bench.FaultTotals{
-			Drops: f.Drops, Corrupts: f.Corrupts, Delays: f.Delays,
-			Retries: f.Retries, Giveups: f.Giveups,
-			FallbackUngrouped: f.FallbackUngrouped, FallbackPerLoop: f.FallbackPerLoop,
-		}
+		ft := bench.FaultTotals(out.Stats.Faults)
+		r.FaultSpec, r.Faults = plan.String(), &ft
 	}
 	r.Supervise = bench.NewSuperviseRecord(sup.Stats())
 	return r

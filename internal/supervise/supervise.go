@@ -15,6 +15,7 @@ package supervise
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -88,14 +89,14 @@ func ParseSpec(s string) (Spec, error) {
 			spec.Budget = n
 		case "backoff":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 {
-				return Spec{}, fmt.Errorf("supervise spec: backoff=%q must be a non-negative duration in virtual seconds", val)
+			if err != nil || !(f >= 0) || math.IsInf(f, 1) { // not f < 0: NaN compares false
+				return Spec{}, fmt.Errorf("supervise spec: backoff=%q must be a finite non-negative duration in virtual seconds", val)
 			}
 			spec.Backoff = f
 		case "watchdog":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 {
-				return Spec{}, fmt.Errorf("supervise spec: watchdog=%q must be a positive deadline in virtual seconds", val)
+			if err != nil || !(f > 0) || math.IsInf(f, 1) {
+				return Spec{}, fmt.Errorf("supervise spec: watchdog=%q must be a finite positive deadline in virtual seconds", val)
 			}
 			spec.Watchdog = f
 		default:
@@ -233,22 +234,18 @@ func NewSupervisor(spec Spec, plan *faults.Plan, ring *checkpoint.Ring, tracer *
 // Restarts returns the number of supervised restarts consumed so far.
 func (s *Supervisor) Restarts() int { return s.restarts }
 
-// Armed returns the per-clause crash mask for Backend.ArmCrashes: true for
-// every clause of the plan's crash schedule that has not fired yet.
-func (s *Supervisor) Armed() []bool {
-	out := make([]bool, len(s.armed))
-	copy(out, s.armed)
-	return out
-}
-
 // Watchdog returns the effective no-progress deadline for the next attempt
 // (the configured deadline doubled once per trip so far; 0 = off).
 func (s *Supervisor) Watchdog() float64 { return s.wd }
 
 // Adopt arms a freshly built or restored backend with the supervisor's
 // crash mask and watchdog deadline. The attempt body must call it on every
-// backend it constructs before executing loops.
+// backend it constructs before executing loops. A nil supervisor adopts
+// nothing: the run is unsupervised.
 func (s *Supervisor) Adopt(b *cluster.Backend) {
+	if s == nil {
+		return
+	}
 	b.ArmCrashes(s.armed)
 	if s.wd > 0 {
 		b.SetWatchdog(s.wd)
@@ -377,8 +374,8 @@ type Runner struct {
 	// the typed panics Catch converts.
 	Body func(st *checkpoint.State, sup *Supervisor) error
 	// BeforeRecover, when set, runs after each supervised failure before
-	// the next recovery scan — a chaos hook for tests to corrupt the ring
-	// between attempts.
+	// the next recovery scan: where a front-end logs the failure, and a
+	// chaos hook for tests to corrupt the ring between attempts.
 	BeforeRecover func(failure error, restarts int)
 }
 

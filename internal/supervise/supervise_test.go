@@ -348,6 +348,7 @@ func TestParseSpec(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"off", "budget=-1", "backoff=x", "backoff=-1", "watchdog=0", "watchdog=-3", "bogus=1",
+		"backoff=NaN", "watchdog=NaN", "backoff=Inf", "watchdog=Inf", // compare false against a bound, or never elapse
 		"budget=1,budget=2",      // duplicate key
 		"on,backoff=2,backoff=2", // duplicate, even with equal values
 		"watchdog=5,watchdog=6",  // duplicate watchdog
