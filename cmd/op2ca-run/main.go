@@ -123,6 +123,12 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 		return out, 0
 	}
 
+	// One mesh, hierarchy and partition for the invocation: a supervised
+	// restart rebuilds the app and the backend on it, nothing else.
+	p, err := r.NewProblem()
+	if err != nil {
+		return fatal(err)
+	}
 	// run owns the attempt's backend (its worker pool, under -serial=false);
 	// a failed supervised attempt has already closed its own.
 	var att *runspec.Attempt
@@ -153,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 		runner := &supervise.Runner{
 			Spec: r.Supervise, Plan: r.Plan, Ring: r.Ring, Tracer: r.Tracer,
 			Body: func(st *checkpoint.State, sup *supervise.Supervisor) (err error) {
-				att, err = r.Execute(st, sup, r.Ring, describe)
+				att, err = r.Execute(p, st, sup, r.Ring, describe)
 				return err
 			},
 		}
@@ -169,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 				return fatal(err)
 			}
 		}
-		if crash := supervise.CatchCrash(func() { att, err = r.Execute(st, nil, r.Ring, describe) }); crash != nil {
+		if crash := supervise.CatchCrash(func() { att, err = r.Execute(p, st, nil, r.Ring, describe) }); crash != nil {
 			r.ReportCrash(stderr, crash)
 			return out, cmdutil.ExitCrash
 		}

@@ -203,7 +203,11 @@ func TestBenchPointAgreesWithRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := r.Execute(nil, nil, nil, nil)
+			p, err := r.NewProblem()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := r.Execute(p, nil, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,8 +16,9 @@ import (
 // the key, two invocations share a ring path exactly when their results
 // are interchangeable. The key also covers every experiment-wide knob the
 // cluster-level checkpoint fingerprint covers (AutoTune, Overlap, the
-// message-fault plan): sharing a path across one of those would adopt a
-// ring whose snapshots the restore then refuses.
+// message-fault plan, the snapshot format version): sharing a path across
+// one of those would adopt a ring whose snapshots the restore then refuses —
+// or, for a ring an older format left behind, quarantines one by one.
 //
 // The fingerprint deliberately excludes:
 //   - crash clauses (and any fault plan reduced to injecting nothing once
@@ -39,8 +40,8 @@ func (c Config) RingSpec(spec checkpoint.Spec) checkpoint.Spec {
 		}
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "n8=%d;n24=%d;rs=%g;it=%d;at=%t;ov=%t;faults=%s",
-		c.Nodes8M, c.Nodes24M, c.RankScale, c.Iters, c.AutoTune, c.Overlap, fault)
+	fmt.Fprintf(h, "v=%d;n8=%d;n24=%d;rs=%g;it=%d;at=%t;ov=%t;faults=%s",
+		checkpoint.Version, c.Nodes8M, c.Nodes24M, c.RankScale, c.Iters, c.AutoTune, c.Overlap, fault)
 	spec.Path = fmt.Sprintf("%s.%016x", spec.Path, h.Sum64())
 	return spec
 }

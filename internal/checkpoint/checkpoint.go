@@ -1,22 +1,32 @@
 // Package checkpoint defines the on-disk snapshot format of the simulated
-// runtime's complete backend state, for checkpoint/restart: per-rank dat
-// values, the halo-validity state, virtual clocks, the fault/exchange
-// sequence counter, and an opaque backend-defined continuation blob (stats,
-// plan-cache fingerprints, autotuner state). The container is versioned and
-// integrity-checked, so a truncated or bit-flipped file is rejected rather
-// than silently resumed from.
+// runtime's backend state, for checkpoint/restart: what a restore cannot
+// rebuild from the configuration it restores into — the owned values of the
+// dats written since the backend was constructed — plus the halo-validity
+// state, virtual clocks, the fault/exchange sequence counter, and an opaque
+// backend-defined continuation blob (stats, plan-cache fingerprints,
+// autotuner state, which dats the snapshot holds). Halo copies and
+// never-written dats are not stored: a halo copy is its owner's value, and a
+// never-written dat is still what the restoring program declares (see
+// State.Dats). The container is versioned and integrity-checked, so a
+// truncated or bit-flipped file is rejected rather than silently resumed
+// from.
 //
 // Layout (all integers little-endian):
 //
 //	offset  size  content
 //	0       8     magic "OP2CACKP"
-//	8       4     format version (uint32, currently 2)
+//	8       4     format version (uint32, currently 3)
 //	12      ...   sections, each length-prefixed (uint64 count/len):
 //	              fingerprint JSON, note, faultSeq (uint64), clocks
 //	              ([]float64 bit patterns), validity (exec/nonexec int64
 //	              pairs per dat), dats ([rank][dat][]float64), meta JSON
 //	end-8   4     CRC-32C (Castagnoli) of every preceding byte
 //	end-4   4     low 32 bits of the count of those bytes
+//
+// Version 3 has version 2's framing; what changed is the meaning of the dats
+// section (owned prefixes of written dats, empty slabs otherwise, where
+// version 2 held every rank's whole local slab), so a version 2 file is
+// refused like any other foreign version.
 //
 // Float64 values are stored as their IEEE-754 bit patterns, so a snapshot
 // restores the exact values — the restore invariant (resumed run bitwise
@@ -45,7 +55,7 @@ const magic = "OP2CACKP"
 // Version is the current container format version. Decode rejects files
 // written by other versions: state layout is coupled to the runtime, and a
 // cross-version resume would violate the restore invariant silently.
-const Version = 2
+const Version = 3
 
 // maxSectionLen bounds any single length prefix, so a corrupt header cannot
 // drive a multi-terabyte allocation before the checksum is verified.
@@ -83,8 +93,13 @@ type State struct {
 	// ValidExec and ValidNonexec are the per-dat halo validity depths.
 	ValidExec    []int64
 	ValidNonexec []int64
-	// Dats holds every rank's local values per dat: Dats[rank][dat] is the
-	// rank's slab in layout order.
+	// Dats holds, per rank and dat, what the restoring side cannot rebuild:
+	// Dats[rank][dat] is the rank's owned values of the dat in layout order
+	// (owned elements are the storage prefix) when the dat has been written
+	// since the backend was constructed, and empty otherwise. Halo copies are
+	// refilled from their owners on restore; a never-written dat keeps the
+	// values the restoring program declares, which the backend checks
+	// against a CRC it records in Meta.
 	Dats [][][]float64
 	// Meta is a backend-defined JSON continuation blob (stats, plan-cache
 	// keys, autotuner state), opaque to this package.
@@ -160,6 +175,24 @@ func (e *encoder) floats(f []float64) {
 		}
 		f = f[n:]
 	}
+}
+
+// ChecksumFloats folds f into crc: the CRC-32C of the bytes Encode writes for
+// the values (little-endian bit patterns), continued from crc (0 starts one).
+// The backend records it for the dats a snapshot omits, so a restore can tell
+// the restoring program declares the same values.
+func ChecksumFloats(crc uint32, f []float64) uint32 {
+	tab := castagnoli()
+	var buf [4096]byte
+	for len(f) > 0 {
+		n := min(len(f), len(buf)/8)
+		for i, v := range f[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		crc = crc32.Update(crc, tab, buf[:8*n])
+		f = f[n:]
+	}
+	return crc
 }
 
 // Encode writes the snapshot to w and returns the encoded size in bytes.

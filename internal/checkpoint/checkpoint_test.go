@@ -23,9 +23,11 @@ func sampleState() *State {
 		Clocks:       []float64{0.25, 1.0 / 3.0, math.Pi},
 		ValidExec:    []int64{2, 0, -1},
 		ValidNonexec: []int64{2, 1, 0},
+		// Two written dats and one the snapshot omits (empty on every
+		// rank); rank 0 owns no element of dat 1.
 		Dats: [][][]float64{
-			{{1, 2, 3}, {}},
-			{{-0.5, 1e-300}, {4}},
+			{{1, 2, 3}, {}, {}},
+			{{-0.5, 1e-300}, {4}, {}},
 		},
 		Meta: []byte(`{"stats":null}`),
 	}
@@ -104,35 +106,37 @@ func TestDecodeNamesHeaderDamage(t *testing.T) {
 	}
 }
 
-// TestGoldenLayoutV2 pins the container's bytes for one tiny state, section
-// by section. The trailer's CRC was computed outside this package (a
-// bit-at-a-time CRC-32C, reflected polynomial 0x82F63B78), so the test also
-// pins which CRC the format means.
-func TestGoldenLayoutV2(t *testing.T) {
+// TestGoldenLayout pins the container's bytes for one tiny state — a rank
+// with one dat it holds values of and one it omits — section by section. The
+// trailer's CRC was computed outside this package (a bit-at-a-time CRC-32C,
+// reflected polynomial 0x82F63B78), so the test also pins which CRC the
+// format means.
+func TestGoldenLayout(t *testing.T) {
 	s := &State{
 		Fingerprint: []byte("fp"), Note: "n", FaultSeq: 7,
 		Clocks:    []float64{1.5},
 		ValidExec: []int64{2}, ValidNonexec: []int64{-1},
-		Dats: [][][]float64{{{0.5, -2}}},
+		Dats: [][][]float64{{{0.5, -2}, {}}},
 		Meta: []byte("{}"),
 	}
 	want, err := hex.DecodeString("" +
 		"4f50324341434b50" + // magic
-		"02000000" + // version
+		"03000000" + // version
 		"0200000000000000" + "6670" + // fingerprint
 		"0100000000000000" + "6e" + // note
 		"0700000000000000" + // faultSeq
 		"0100000000000000" + "000000000000f83f" + // clocks
 		"0100000000000000" + "0200000000000000" + "ffffffffffffffff" + // validity
-		"0100000000000000" + "0100000000000000" + // ranks, dats of rank 0
+		"0100000000000000" + "0200000000000000" + // ranks, dats of rank 0
 		"0200000000000000" + "000000000000e03f" + "00000000000000c0" + // dat 0
+		"0000000000000000" + // dat 1: an empty slab
 		"0200000000000000" + "7b7d" + // meta
-		"00cc26cf" + "81000000") // CRC-32C, payload length (129)
+		"ef62866d" + "89000000") // CRC-32C, payload length (137)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := encoded(t, s); !bytes.Equal(got, want) {
-		t.Errorf("v2 layout moved:\n got %x\nwant %x", got, want)
+		t.Errorf("v%d layout moved:\n got %x\nwant %x", Version, got, want)
 	}
 	got, err := Decode(bytes.NewReader(want))
 	if err != nil || !reflect.DeepEqual(got, s) {
@@ -140,18 +144,22 @@ func TestGoldenLayoutV2(t *testing.T) {
 	}
 }
 
-// TestVersion1Rejected: a file from the FNV-trailer format (same magic,
-// version 1) is refused by the version check, by Decode and Verify alike,
-// before anything else in it is interpreted.
-func TestVersion1Rejected(t *testing.T) {
-	v1 := encoded(t, sampleState())
-	binary.LittleEndian.PutUint32(v1[len(magic):], 1)
-	const want = "checkpoint: format version 1, this build reads 2"
-	if _, err := Decode(bytes.NewReader(v1)); err == nil || err.Error() != want {
-		t.Errorf("Decode(v1) = %v, want %q", err, want)
-	}
-	if err := Verify(bytes.NewReader(v1)); err == nil || err.Error() != want {
-		t.Errorf("Verify(v1) = %v, want %q", err, want)
+// TestOlderVersionsRejected: a file from the FNV-trailer format (same magic,
+// version 1) or the whole-slab format (version 2: this container's framing
+// and trailer, but every rank's full local slab in the dats section) is
+// refused by the version check, by Decode and Verify alike, before anything
+// else in it is interpreted.
+func TestOlderVersionsRejected(t *testing.T) {
+	for _, v := range []uint32{1, 2} {
+		old := encoded(t, sampleState())
+		binary.LittleEndian.PutUint32(old[len(magic):], v)
+		want := fmt.Sprintf("checkpoint: format version %d, this build reads 3", v)
+		if _, err := Decode(bytes.NewReader(old)); err == nil || err.Error() != want {
+			t.Errorf("Decode(v%d) = %v, want %q", v, err, want)
+		}
+		if err := Verify(bytes.NewReader(old)); err == nil || err.Error() != want {
+			t.Errorf("Verify(v%d) = %v, want %q", v, err, want)
+		}
 	}
 }
 

@@ -7,12 +7,16 @@ import (
 )
 
 // seedCorpus adds valid snapshots of several shapes (one with a section that
-// spans chunks) and the corruption sweep's mutants of one of them.
+// spans chunks, one taken before any dat was written: every slab empty) and
+// the corruption sweep's mutants of one of them.
 func seedCorpus(f *testing.F) {
 	f.Helper()
 	raw := encoded(f, sampleState())
 	f.Add(raw)
 	f.Add(encoded(f, &State{}))
+	unwritten := sampleState()
+	unwritten.Dats = [][][]float64{{{}, {}, {}}, {{}, {}, {}}}
+	f.Add(encoded(f, unwritten))
 	chunky := sampleState()
 	chunky.Dats[0][1] = make([]float64, chunkLen/8+1)
 	f.Add(encoded(f, chunky))

@@ -9,11 +9,13 @@ package checkpoint
 // costs one generation of progress, not the whole run.
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -36,27 +38,33 @@ type Generation struct {
 type Ring struct {
 	spec Spec
 	next int
+	// live is the ring's own record of its generations on disk, newest
+	// first: seeded by NewRing's one directory scan, extended by Write,
+	// shrunk by pruning and quarantine. Housekeeping works from it, so a
+	// write costs no directory listing; a file removed behind the ring's
+	// back is noticed when it is next touched and dropped from the record.
+	live []Generation
 	// VerifyFailures counts writes whose read-back verification failed
 	// (the snapshot was quarantined and the write reported as an error).
 	VerifyFailures int
 }
 
 // NewRing builds a ring over spec (an unset Keep retains one generation),
-// resuming the generation numbering past any generations already on disk (a
-// supervised restart must not overwrite the snapshots it is about to
-// recover from).
+// adopting the generations already on disk and resuming the numbering past
+// them (a supervised restart must not overwrite the snapshots it is about to
+// recover from). Generations beyond Keep that an earlier ring left behind are
+// pruned by the next write.
 func NewRing(spec Spec) (*Ring, error) {
 	if spec.Path == "" {
 		return nil, fmt.Errorf("checkpoint: ring needs a path")
 	}
 	spec.Keep = max(spec.Keep, 1)
 	r := &Ring{spec: spec}
-	gens, err := r.Generations()
-	if err != nil {
+	if err := r.scan(); err != nil {
 		return nil, err
 	}
-	if len(gens) > 0 {
-		r.next = gens[0].Seq + 1
+	if len(r.live) > 0 {
+		r.next = r.live[0].Seq + 1
 	}
 	return r, nil
 }
@@ -70,27 +78,36 @@ func (r *Ring) genPath(seq int) string {
 	return fmt.Sprintf("%s.g%06d", r.spec.Path, seq)
 }
 
-// Generations lists the ring's on-disk snapshot generations, newest first.
-// Quarantined files are excluded.
-func (r *Ring) Generations() ([]Generation, error) {
-	matches, err := filepath.Glob(r.spec.Path + ".g*")
-	if err != nil {
-		return nil, err
+// scan seeds live from the ring's directory: every entry named
+// "<base>.g<digits>", matched literally — the path is the user's
+// (-checkpoint path=..., the service's data directory) and may hold any
+// character a glob pattern would interpret. Quarantined and temporary files
+// carry a further suffix and do not match. A directory that does not exist
+// yet holds no generations.
+func (r *Ring) scan() error {
+	entries, err := os.ReadDir(filepath.Dir(r.spec.Path))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
-	var gens []Generation
-	for _, m := range matches {
-		if strings.HasSuffix(m, quarantineSuffix) || strings.HasSuffix(m, ".tmp") {
+	prefix := filepath.Base(r.spec.Path) + ".g"
+	for _, e := range entries {
+		digits, ok := strings.CutPrefix(e.Name(), prefix)
+		if !ok || strings.Trim(digits, "0123456789") != "" {
 			continue
 		}
-		seq, err := strconv.Atoi(strings.TrimPrefix(m, r.spec.Path+".g"))
+		seq, err := strconv.Atoi(digits)
 		if err != nil {
 			continue
 		}
-		gens = append(gens, Generation{Path: m, Seq: seq})
+		r.live = append(r.live, Generation{Path: r.spec.Path + ".g" + digits, Seq: seq})
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].Seq > gens[j].Seq })
-	return gens, nil
+	slices.SortFunc(r.live, func(a, b Generation) int { return b.Seq - a.Seq })
+	return nil
 }
+
+// Generations returns the ring's snapshot generations, newest first, as the
+// ring knows them (see Ring.live). Quarantined files are excluded.
+func (r *Ring) Generations() []Generation { return slices.Clone(r.live) }
 
 // Write adds one snapshot generation: atomic write (fsynced), read-back
 // verification, then pruning of generations beyond Keep. A snapshot
@@ -110,22 +127,35 @@ func (r *Ring) Write(encode func(w io.Writer) error) (string, error) {
 		}
 		return "", fmt.Errorf("checkpoint: ring: write verification failed, snapshot quarantined to %s: %w", q, err)
 	}
+	r.live = slices.Insert(r.live, 0, Generation{Path: path, Seq: r.next})
 	r.next++
 	r.prune()
 	return path, nil
 }
 
-// prune removes the oldest generations beyond Keep. Removal errors are
-// ignored: a leftover old generation is harmless (recovery prefers newer
-// ones) and the next prune retries.
+// prune removes the oldest generations beyond Keep. A generation already
+// gone is forgotten; any other removal error keeps it on record, so the next
+// prune retries — a leftover old generation is harmless (recovery prefers
+// newer ones).
 func (r *Ring) prune() {
-	gens, err := r.Generations()
-	if err != nil {
-		return
+	keep := min(len(r.live), r.spec.Keep)
+	kept := r.live[:keep]
+	for _, g := range r.live[keep:] {
+		if err := os.Remove(g.Path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			kept = append(kept, g)
+		}
 	}
-	for _, g := range gens[min(len(gens), r.spec.Keep):] {
+	r.live = kept
+}
+
+// Clear unlinks every generation on record and forgets them: the run the ring
+// served is settled and its snapshots are dead weight. Quarantined snapshots
+// stay for inspection. Removal errors are ignored, as in prune.
+func (r *Ring) Clear() {
+	for _, g := range r.live {
 		os.Remove(g.Path)
 	}
+	r.live = nil
 }
 
 // Quarantine renames a corrupt snapshot aside (path -> path.quarantined)
@@ -140,24 +170,30 @@ func Quarantine(path string) (string, error) {
 }
 
 // RecoverNewest scans the ring newest-to-oldest for a generation that
-// decodes cleanly, quarantining every corrupt generation it passes over.
-// It returns the decoded state and its generation, how many generations
-// were tried and how many quarantined; a nil state with a nil error means
-// the ring holds no usable snapshot (cold start).
-func (r *Ring) RecoverNewest() (st *State, gen Generation, tried, quarantined int, err error) {
-	gens, err := r.Generations()
-	if err != nil {
-		return nil, Generation{}, 0, 0, err
-	}
-	for _, g := range gens {
-		tried++
-		st, derr := ReadFile(g.Path)
-		if derr == nil {
-			return st, g, tried, quarantined, nil
+// decodes cleanly, quarantining every corrupt generation it passes over and
+// forgetting any that is no longer on disk. It returns the decoded state and
+// its generation, how many generations were tried and how many quarantined;
+// a nil state means the ring holds no usable snapshot (cold start).
+func (r *Ring) RecoverNewest() (st *State, gen Generation, tried, quarantined int) {
+	for i := 0; i < len(r.live); {
+		g := r.live[i]
+		st, err := ReadFile(g.Path)
+		if err == nil {
+			return st, g, tried + 1, quarantined
 		}
-		if _, qerr := Quarantine(g.Path); qerr == nil {
-			quarantined++
+		gone := errors.Is(err, fs.ErrNotExist)
+		if !gone {
+			tried++
+			if _, qerr := Quarantine(g.Path); qerr == nil {
+				quarantined++
+				gone = true
+			}
+		}
+		if gone {
+			r.live = slices.Delete(r.live, i, i+1)
+		} else {
+			i++ // could not be moved aside: stays on record, passed over
 		}
 	}
-	return nil, Generation{}, tried, quarantined, nil
+	return nil, Generation{}, tried, quarantined
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,10 +33,7 @@ func TestRingRotationAndPrune(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		writeGen(t, r, fmt.Sprintf("gen=%d", i))
 	}
-	gens, err := r.Generations()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gens := r.Generations()
 	if len(gens) != 3 {
 		t.Fatalf("keep=3 after 5 writes: %d generations (%+v)", len(gens), gens)
 	}
@@ -44,9 +42,9 @@ func TestRingRotationAndPrune(t *testing.T) {
 			t.Errorf("generation %d has seq %d, want %d (newest first)", i, gens[i].Seq, want)
 		}
 	}
-	st, gen, tried, quarantined, err := r.RecoverNewest()
-	if err != nil || st == nil {
-		t.Fatalf("RecoverNewest: %v, state %v", err, st)
+	st, gen, tried, quarantined := r.RecoverNewest()
+	if st == nil {
+		t.Fatal("RecoverNewest found no generation")
 	}
 	if st.Note != "gen=4" || gen.Seq != 4 || tried != 1 || quarantined != 0 {
 		t.Errorf("RecoverNewest = note %q seq %d tried %d quarantined %d, want gen=4/4/1/0",
@@ -70,9 +68,9 @@ func TestRingRecoveryQuarantinesCorruptNewest(t *testing.T) {
 	if err := os.Truncate(newest, info.Size()-9); err != nil {
 		t.Fatal(err)
 	}
-	st, gen, tried, quarantined, err := r.RecoverNewest()
-	if err != nil || st == nil {
-		t.Fatalf("RecoverNewest: %v, state %v", err, st)
+	st, gen, tried, quarantined := r.RecoverNewest()
+	if st == nil {
+		t.Fatal("RecoverNewest found no generation")
 	}
 	if st.Note != "gen=0" || tried != 2 || quarantined != 1 {
 		t.Errorf("RecoverNewest = note %q seq %d tried %d quarantined %d, want fallback to gen=0 with one quarantine",
@@ -82,9 +80,8 @@ func TestRingRecoveryQuarantinesCorruptNewest(t *testing.T) {
 		t.Errorf("corrupt generation not quarantined: %v", err)
 	}
 	// The quarantined file is invisible to further recovery scans.
-	gens, err := r.Generations()
-	if err != nil || len(gens) != 1 {
-		t.Fatalf("generations after quarantine = %+v, %v", gens, err)
+	if gens := r.Generations(); len(gens) != 1 {
+		t.Fatalf("generations after quarantine = %+v", gens)
 	}
 }
 
@@ -106,9 +103,9 @@ func TestRingWriteVerificationRejectsBadSnapshot(t *testing.T) {
 		t.Errorf("VerifyFailures = %d, want 1", r.VerifyFailures)
 	}
 	// The good generation is still the recovery point.
-	st, _, _, _, err := r.RecoverNewest()
-	if err != nil || st == nil || st.Note != "good" {
-		t.Fatalf("recovery after failed write: %v, %v", st, err)
+	st, _, _, _ := r.RecoverNewest()
+	if st == nil || st.Note != "good" {
+		t.Fatalf("recovery after failed write: %v", st)
 	}
 }
 
@@ -122,7 +119,7 @@ func TestRingKeepOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gens, _ := r.Generations(); len(gens) != 0 {
+		if gens := r.Generations(); len(gens) != 0 {
 			t.Fatalf("keep=%d: empty ring lists %d generations", keep, len(gens))
 		}
 		writeGen(t, r, "a")
@@ -133,21 +130,21 @@ func TestRingKeepOne(t *testing.T) {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("keep=%d: the bare path exists (%v); every snapshot is a numbered generation", keep, err)
 		}
-		gens, err := r.Generations()
-		if err != nil || len(gens) != 1 || gens[0].Path != got || gens[0].Seq != 1 {
-			t.Fatalf("keep=%d: generations %+v, %v; want only the newest", keep, gens, err)
+		gens := r.Generations()
+		if len(gens) != 1 || gens[0].Path != got || gens[0].Seq != 1 {
+			t.Fatalf("keep=%d: generations %+v; want only the newest", keep, gens)
 		}
-		st, gen, _, _, err := r.RecoverNewest()
-		if err != nil || st == nil || st.Note != "b" || gen.Path != got {
-			t.Fatalf("keep=%d: recovery: %+v %+v %v", keep, st, gen, err)
+		st, gen, _, _ := r.RecoverNewest()
+		if st == nil || st.Note != "b" || gen.Path != got {
+			t.Fatalf("keep=%d: recovery: %+v %+v", keep, st, gen)
 		}
 		// A corrupt only generation is quarantined: a cold start, not an error.
 		if err := os.Truncate(got, 10); err != nil {
 			t.Fatal(err)
 		}
-		st, _, tried, quarantined, err := r.RecoverNewest()
-		if err != nil || st != nil || tried != 1 || quarantined != 1 {
-			t.Fatalf("keep=%d: corrupt recovery: %+v tried %d quarantined %d %v", keep, st, tried, quarantined, err)
+		st, _, tried, quarantined := r.RecoverNewest()
+		if st != nil || tried != 1 || quarantined != 1 {
+			t.Fatalf("keep=%d: corrupt recovery: %+v tried %d quarantined %d", keep, st, tried, quarantined)
 		}
 		if _, err := os.Stat(got + quarantineSuffix); err != nil {
 			t.Errorf("keep=%d: no quarantined file: %v", keep, err)
@@ -277,5 +274,166 @@ func TestRingWriteFailuresLeaveRingIntact(t *testing.T) {
 				t.Errorf("write after the failure landed at %s, want %s", p, next)
 			}
 		})
+	}
+}
+
+// onDisk lists the entries of dir whose names start with base, sorted.
+func onDisk(t *testing.T, dir, base string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), base) {
+			names = append(names, e.Name())
+		}
+	}
+	return names
+}
+
+// TestRingPathWithGlobMetacharacters is the regression test for the ring
+// that listed its generations with filepath.Glob on the user's path: in a
+// directory named "run[1]" the pattern matched nothing, so nothing was ever
+// pruned, a reopened ring restarted its numbering at 0 over the snapshots it
+// should have recovered from, and recovery cold-started silently. The
+// directory is listed and the name matched literally now, whatever
+// characters the path holds.
+func TestRingPathWithGlobMetacharacters(t *testing.T) {
+	for _, tc := range []struct{ dir, file string }{
+		{"run[1]", "ck.bin"},
+		{"a*b", "ck.bin"},
+		{"q?", "ck.bin"},
+		{`back\slash`, "ck.bin"},
+		{"plain", "ck[0-9].bin"},
+		{"plain", "c*k"},
+		{"plain", "c?k"},
+		{"plain", `c\k`},
+		{"[a-z]*", `[*?\]`},
+	} {
+		t.Run(tc.dir+"/"+tc.file, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), tc.dir)
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			spec := Spec{Every: 1, Path: filepath.Join(dir, tc.file), Keep: 2}
+			r, err := NewRing(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				writeGen(t, r, fmt.Sprintf("gen=%d", i))
+			}
+			want := []string{tc.file + ".g000002", tc.file + ".g000003"}
+			if got := onDisk(t, dir, tc.file); !slices.Equal(got, want) {
+				t.Fatalf("keep=2 after 4 writes: on disk %v, want %v", got, want)
+			}
+			if gens := r.Generations(); len(gens) != 2 || gens[0].Seq != 3 || gens[1].Seq != 2 {
+				t.Fatalf("generations %+v, want seq 3 then 2", gens)
+			}
+
+			// A reopened ring adopts them, recovers the newest and numbers on.
+			r2, err := NewRing(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gens := r2.Generations(); len(gens) != 2 || gens[0].Path != r.genPath(3) {
+				t.Fatalf("reopened ring lists %+v, want the two generations on disk", gens)
+			}
+			st, gen, tried, quarantined := r2.RecoverNewest()
+			if st == nil || st.Note != "gen=3" || gen.Seq != 3 || tried != 1 || quarantined != 0 {
+				t.Fatalf("reopened ring recovered %+v from %+v (tried %d, quarantined %d), want gen=3",
+					st, gen, tried, quarantined)
+			}
+			if p := writeGen(t, r2, "gen=4"); p != r.genPath(4) {
+				t.Errorf("reopened ring wrote %s, want seq 4", p)
+			}
+			want = []string{tc.file + ".g000003", tc.file + ".g000004"}
+			if got := onDisk(t, dir, tc.file); !slices.Equal(got, want) {
+				t.Errorf("after the reopened ring's write: on disk %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestRingKeepAcrossReopen: housekeeping works from the ring's own record of
+// its generations (seeded by NewRing's one scan), so a ring reopened with a
+// smaller Keep adopts everything on disk and its first write prunes down to
+// the new bound — and a neighbour's files, quarantined snapshots and
+// temporaries are never adopted.
+func TestRingKeepAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.bin")
+	r, err := NewRing(Spec{Every: 1, Path: path, Keep: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		writeGen(t, r, fmt.Sprintf("gen=%d", i))
+	}
+	for _, bystander := range []string{"ck.bin.g000009.tmp", "ck.bin.g000008.quarantined", "ck.bin.gx", "ck.bin.g", "ck.binx.g000007", "other.g000001"} {
+		if err := os.WriteFile(filepath.Join(dir, bystander), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r2, err := NewRing(Spec{Every: 1, Path: path, Keep: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gens := r2.Generations(); len(gens) != 4 || gens[0].Seq != 3 || gens[3].Seq != 0 {
+		t.Fatalf("reopened ring adopted %+v, want generations 3..0", gens)
+	}
+	writeGen(t, r2, "gen=4")
+	if gens := r2.Generations(); len(gens) != 2 || gens[0].Seq != 4 || gens[1].Seq != 3 {
+		t.Errorf("keep=2 after the reopened ring's write: %+v, want seq 4 then 3", gens)
+	}
+	want := []string{"ck.bin.g", "ck.bin.g000003", "ck.bin.g000004", "ck.bin.g000008.quarantined", "ck.bin.g000009.tmp", "ck.bin.gx", "ck.binx.g000007"}
+	if got := onDisk(t, dir, "ck.bin"); !slices.Equal(got, want) {
+		t.Errorf("on disk %v, want %v", got, want)
+	}
+	// Clear takes the ring's generations and nothing else; numbering goes on.
+	r2.Clear()
+	want = slices.DeleteFunc(want, func(n string) bool { return n == "ck.bin.g000003" || n == "ck.bin.g000004" })
+	if got := onDisk(t, dir, "ck.bin"); !slices.Equal(got, want) || len(r2.Generations()) != 0 {
+		t.Errorf("after Clear: on disk %v, want %v; on record %+v", got, want, r2.Generations())
+	}
+	if st, _, tried, _ := r2.RecoverNewest(); st != nil || tried != 0 {
+		t.Errorf("a cleared ring recovered %+v after %d tries", st, tried)
+	}
+	if p := writeGen(t, r2, "gen=5"); !strings.HasSuffix(p, ".g000005") {
+		t.Errorf("write after Clear landed at %s, want seq 5", p)
+	}
+}
+
+// TestRingToleratesVanishedGenerations: a generation removed behind the
+// ring's back is neither an error nor a corrupt snapshot — recovery passes
+// over it without counting it, pruning forgets it.
+func TestRingToleratesVanishedGenerations(t *testing.T) {
+	r, err := NewRing(Spec{Every: 1, Path: filepath.Join(t.TempDir(), "ck.bin"), Keep: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for i := 0; i < 3; i++ {
+		paths = append(paths, writeGen(t, r, fmt.Sprintf("gen=%d", i)))
+	}
+	if err := os.Remove(paths[2]); err != nil {
+		t.Fatal(err)
+	}
+	st, gen, tried, quarantined := r.RecoverNewest()
+	if st == nil || st.Note != "gen=1" || gen.Seq != 1 || tried != 1 || quarantined != 0 {
+		t.Fatalf("recovered %+v from %+v (tried %d, quarantined %d), want gen=1 on the first try", st, gen, tried, quarantined)
+	}
+	if gens := r.Generations(); len(gens) != 2 {
+		t.Errorf("the vanished generation is still on record: %+v", gens)
+	}
+	if err := os.Remove(paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	writeGen(t, r, "gen=3")
+	writeGen(t, r, "gen=4") // prunes gen=0, already gone
+	if gens := r.Generations(); len(gens) != 3 || gens[0].Seq != 4 || gens[2].Seq != 1 {
+		t.Errorf("after pruning past a vanished generation: %+v, want seq 4, 3, 1", gens)
 	}
 }

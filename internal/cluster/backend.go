@@ -138,11 +138,16 @@ type Backend struct {
 	owners  [][]int32
 	layouts []*halo.Layout
 	// dats[rank][datID] is the rank-local storage of each dat.
-	dats   [][][]float64
-	valid  []validity
-	clock  []float64
-	stats  *Stats
-	tracer *obs.Tracer
+	dats  [][][]float64
+	valid []validity
+	// written[datID] records that a loop or ScatterDat has written the dat
+	// since the backend was constructed: a snapshot holds the owned values of
+	// exactly these dats (see checkpoint.go). Set where the dat's halo copies
+	// are invalidated; never cleared.
+	written []bool
+	clock   []float64
+	stats   *Stats
+	tracer  *obs.Tracer
 	// epoch is this backend's trace epoch index (see obs.Tracer.NewEpoch);
 	// Profile analyses exactly this epoch when a sweep shares one tracer.
 	epoch int32
@@ -202,6 +207,14 @@ type Backend struct {
 	// entries must be rebuilt on first use but accounted as cache hits,
 	// so PlanCacheStats continue exactly as in the uninterrupted run.
 	warmPlans map[planKey]bool
+	// Snapshot state that outlives one Checkpoint call (see checkpoint.go):
+	// the configuration fingerprint, the CRCs of the dats no loop had written
+	// when they were first needed, and the slab table handed to the encoder.
+	// All three are built on first use, so a backend that never checkpoints
+	// pays for none of them.
+	ckptFingerprint []byte
+	ckptConstCRC    []uint32
+	ckptSlabs       [][][]float64
 
 	// pool is the persistent fork/join executor behind forEachRank, nil
 	// in serial mode (or on a single-slot machine); see workerpool.go.
@@ -385,6 +398,7 @@ func New(cfg Config) (*Backend, error) {
 		layouts:    halo.Build(cfg.Prog, owners, cfg.NParts, cfg.Depth, cfg.MaxChainLen),
 		dats:       make([][][]float64, cfg.NParts),
 		valid:      make([]validity, len(cfg.Prog.Dats)),
+		written:    make([]bool, len(cfg.Prog.Dats)),
 		clock:      make([]float64, cfg.NParts),
 		stats:      newStats(),
 		plans:      map[string]*planEntry{},
@@ -676,6 +690,7 @@ func (b *Backend) ScatterDat(d *core.Dat, global []float64) {
 		}
 	}
 	b.valid[d.ID] = validity{exec: b.cfg.Depth, nonexec: b.cfg.Depth}
+	b.written[d.ID] = true
 }
 
 // forEachRank runs f(w, r) for every rank r, through the persistent worker
@@ -926,5 +941,6 @@ func (b *Backend) updateValidity(l core.Loop) {
 			continue
 		}
 		b.valid[a.Dat.ID] = validity{}
+		b.written[a.Dat.ID] = true
 	}
 }

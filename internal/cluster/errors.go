@@ -68,6 +68,38 @@ func (e *HaloDepthError) Error() string {
 		e.Rank, e.Loop, e.Iter, e.Map, e.Slot)
 }
 
+// SnapshotErrorKind classifies why a snapshot cannot be restored.
+type SnapshotErrorKind int
+
+const (
+	// ErrSnapshotConfig: the snapshot was taken under a different
+	// configuration (mesh, partition, machine, policy): its fingerprint does
+	// not match the restoring one.
+	ErrSnapshotConfig SnapshotErrorKind = iota
+	// ErrSnapshotShape: a section does not have the shape the configuration
+	// builds — a count, a slab length, the continuation blob's account of
+	// which dats the snapshot holds.
+	ErrSnapshotShape
+	// ErrSnapshotConstants: a dat the snapshot omits, because nothing had
+	// written it, holds different values in the restoring program.
+	ErrSnapshotConstants
+)
+
+// SnapshotError reports a snapshot that decoded cleanly — the container and
+// its checksum are intact — but cannot be resumed under the restoring
+// configuration. RestoreState returns it (never panics on snapshot content)
+// and leaves no backend behind.
+type SnapshotError struct {
+	Kind SnapshotErrorKind
+	Msg  string
+}
+
+func (e *SnapshotError) Error() string { return "cluster: checkpoint " + e.Msg }
+
+func snapshotErrorf(kind SnapshotErrorKind, format string, args ...any) error {
+	return &SnapshotError{Kind: kind, Msg: fmt.Sprintf(format, args...)}
+}
+
 // ExchangeError describes one halo-exchange integrity violation: which
 // receiving rank's import layout it concerns, which sender's export layout
 // disagrees with it, which dat's shell slice, and the expected versus

@@ -149,7 +149,7 @@ func (f *RunFlags) Resolve(prog string, spec runspec.Spec, stderr io.Writer) (*R
 func (r *Run) ReportCrash(stderr io.Writer, crash *faults.CrashError) {
 	fmt.Fprintf(stderr, "%s: injected crash of rank %d at exchange %d\n", r.Prog, crash.Rank, crash.Exchange)
 	if r.Ring != nil {
-		if gens, err := r.Ring.Generations(); err == nil && len(gens) > 0 {
+		if gens := r.Ring.Generations(); len(gens) > 0 {
 			fmt.Fprintf(stderr, "%s: resume with -restore %s (drop the crash= clause), or rerun with -supervise on\n",
 				r.Prog, gens[0].Path)
 		}

@@ -5,9 +5,10 @@
 // embedded spec grammars and derives the halo depth; NewProblem builds what
 // attempts share (mesh, multigrid hierarchy, partition); BuildOn constructs
 // one attempt over a Problem (app instance, cluster configuration, backend —
-// fresh or from a snapshot) and Build does both; Drive iterates it, writing
-// a checkpoint-ring generation at the cadence; VerifyAgainstSeq replays it on
-// the sequential reference.
+// fresh or from a snapshot) and BuildFrom also reads the resume iteration
+// from the snapshot's note; Drive iterates it, writing a checkpoint-ring
+// generation at the cadence; VerifyAgainstSeq replays it on the sequential
+// reference.
 //
 // Every front-end drives this package and adds only what is its own: the
 // job service (internal/service) adds the wire grammar's defaults and
@@ -231,10 +232,11 @@ func ParseIterNote(note string) (int, error) {
 
 // Problem is what the attempts of a run description share and never modify:
 // the mesh, the multigrid hierarchy (mgcfd only) and the partition
-// assignment (nil under seq). Building one is deterministic, so Build makes
-// a new one per attempt; the harness builds one per paper point for the
-// point's OP2 and CA backends. An ablation whose partition no Spec names
-// copies the Problem and replaces Assign.
+// assignment (nil under seq). Its owner builds one per run — the service per
+// job, the command line per invocation, the harness per paper point for the
+// point's OP2 and CA backends — and every attempt, restarts included, is
+// built on it. An ablation whose partition no Spec names copies the Problem
+// and replaces Assign.
 type Problem struct {
 	Mesh      *mesh.FV3D
 	Hierarchy *mesh.Hierarchy
@@ -325,20 +327,18 @@ func (r *Run) instantiate(p *Problem) *Attempt {
 	return a
 }
 
-// Build constructs one attempt from nothing: a new Problem, the attempt over
-// it, and — when st is given — the iteration its note says the snapshot had
-// completed.
-func (r *Run) Build(st *checkpoint.State) (*Attempt, error) {
+// BuildFrom constructs one attempt of the run over p, fresh or resumed: it
+// is BuildOn plus — when st is given — the iteration its note (an IterNote,
+// parsed before anything is built) says the snapshot had completed. The
+// service, the command line and RunDirect build every attempt of a job with
+// it, over the one Problem they hold for the job's life.
+func (r *Run) BuildFrom(p *Problem, st *checkpoint.State) (*Attempt, error) {
 	start := 0
 	if st != nil {
 		var err error
 		if start, err = ParseIterNote(st.Note); err != nil {
 			return nil, err
 		}
-	}
-	p, err := r.NewProblem()
-	if err != nil {
-		return nil, err
 	}
 	a, err := r.BuildOn(p, st)
 	if err != nil {
@@ -353,7 +353,7 @@ func (r *Run) Build(st *checkpoint.State) (*Attempt, error) {
 // cluster configuration embeds the instance's freshly constructed Dats, so
 // app and backend are rebuilt per attempt; a restored attempt overwrites the
 // initial state with the snapshot's. The snapshot's note is the caller's:
-// Build reads an IterNote from it, the harness its own resume point.
+// BuildFrom reads an IterNote from it, the harness its own resume point.
 func (r *Run) BuildOn(p *Problem, st *checkpoint.State) (*Attempt, error) {
 	a := r.instantiate(p)
 	if r.Spec.Backend == "seq" {
@@ -452,15 +452,17 @@ func (a *Attempt) Outcome() Outcome {
 	return out
 }
 
-// Execute runs one whole attempt: build from st, adopt the backend into sup
-// (arming crash clauses and the watchdog; nil when unsupervised), show the
-// live attempt to attach (may be nil) so the owner can describe, cancel or
-// preempt it, and drive the main loop. On success the caller owns the returned Attempt; on any
-// failure — a returned error or one of the executor's typed panics — the
-// backend is closed on the way out.
-func (r *Run) Execute(st *checkpoint.State, sup *supervise.Supervisor, ring *checkpoint.Ring,
+// Execute runs one whole attempt over p: build from st, adopt the backend
+// into sup (arming crash clauses and the watchdog; nil when unsupervised),
+// show the live attempt to attach (may be nil) so the owner can describe,
+// cancel or preempt it, and drive the main loop. p is the caller's, built
+// once (NewProblem) and handed to every attempt of the run, so a restart
+// regenerates no mesh, hierarchy or partition. On success the caller owns the
+// returned Attempt; on any failure — a returned error or one of the
+// executor's typed panics — the backend is closed on the way out.
+func (r *Run) Execute(p *Problem, st *checkpoint.State, sup *supervise.Supervisor, ring *checkpoint.Ring,
 	attach func(*Attempt)) (*Attempt, error) {
-	a, err := r.Build(st)
+	a, err := r.BuildFrom(p, st)
 	if err != nil {
 		return nil, err
 	}

@@ -12,11 +12,18 @@ import (
 // runAttempt executes one attempt of the job's run description (see
 // runspec.Run.Execute) from st under sup, handing the live attempt to
 // attach (may be nil) so the owner can cancel or preempt it, and reads the
-// outcome. The executor's typed panics come back as errors.
+// outcome. The first attempt builds the job's Problem; restarts reuse it.
+// The executor's typed panics come back as errors.
 func (w *workload) runAttempt(st *checkpoint.State, sup *supervise.Supervisor,
 	ring *checkpoint.Ring, attach func(*runspec.Attempt)) (out runspec.Outcome, err error) {
 	err = supervise.Catch(func() error {
-		a, err := w.run.Execute(st, sup, ring, attach)
+		if w.problem == nil {
+			var err error
+			if w.problem, err = w.run.NewProblem(); err != nil {
+				return err
+			}
+		}
+		a, err := w.run.Execute(w.problem, st, sup, ring, attach)
 		if err != nil {
 			return err
 		}

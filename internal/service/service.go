@@ -105,6 +105,11 @@ type Service struct {
 	order   []string
 	queue   []*job // runnable jobs awaiting placement, FIFO
 	workers []*worker
+	// scrub lists the rings of jobs settled under the current hold of mu;
+	// unlockAndScrub clears them once the lock is released. beforeScrub, when
+	// set (tests), runs between the two.
+	scrub       []*checkpoint.Ring
+	beforeScrub func()
 
 	// Counters for /metrics.
 	submitted  map[string]int // accepted, by tenant
@@ -279,7 +284,7 @@ func (s *Service) Result(id string) (*Result, error) {
 // terminal job is a no-op returning its final view.
 func (s *Service) Cancel(id string) (JobView, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockAndScrub()
 	j := s.jobs[id]
 	if j == nil {
 		return JobView{}, ErrNotFound
@@ -424,7 +429,7 @@ func (s *Service) Close() {
 		close(w.ch)
 	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.unlockAndScrub()
 	s.wg.Wait()
 	if s.ownsDir {
 		os.RemoveAll(s.dataDir)
@@ -526,14 +531,35 @@ func (s *Service) finishLocked(j *job, st State, msg string) {
 	case StateCancelled:
 		s.nCancelled++
 	}
+	// A settled job restarts no more: let go of the mesh and partition its
+	// attempts shared (job records are retained).
+	j.w.problem = nil
 	if st != StateFailed {
 		// Scrub the ring: the job is settled, its generations are dead
-		// weight. Failed jobs keep theirs for post-mortems.
-		if gens, err := j.ring.Generations(); err == nil {
-			for _, g := range gens {
-				os.Remove(g.Path)
-			}
-		}
+		// weight. Failed jobs keep theirs for post-mortems. Unlinking is
+		// disk work, so it waits for unlockAndScrub; nobody else touches a
+		// settled job's ring.
+		s.scrub = append(s.scrub, j.ring)
+	}
+}
+
+// unlockAndScrub releases the service lock and then clears the rings
+// finishLocked queued. Every path that can settle a job ends with it in
+// place of a bare Unlock, so no submit, view or event stream waits on a disk
+// unlink: the job is terminal and observable first, its ring empty shortly
+// after.
+func (s *Service) unlockAndScrub() {
+	rings := s.scrub
+	s.scrub = nil
+	s.mu.Unlock()
+	if len(rings) == 0 {
+		return
+	}
+	if s.beforeScrub != nil {
+		s.beforeScrub()
+	}
+	for _, r := range rings {
+		r.Clear()
 	}
 }
 
@@ -576,23 +602,19 @@ func (s *Service) workerLoop(w *worker) {
 // exclusively ours between dispatch and settlement, so Recover/OnFailure
 // run without the service lock.
 func (s *Service) runJob(w *worker, j *job) {
-	st, err := j.sup.Recover()
-	var out runspec.Outcome
-	if err == nil {
-		out, err = j.w.runAttempt(st, j.sup, j.ring, func(a *runspec.Attempt) {
-			s.mu.Lock()
-			j.backend = a.CB
-			// An intent that landed before the backend existed takes
-			// effect at the attempt's first exchange boundary.
-			if j.cancelled || j.preempt {
-				a.CB.Cancel()
-			}
-			s.mu.Unlock()
-		})
-	}
+	out, err := j.w.runAttempt(j.sup.Recover(), j.sup, j.ring, func(a *runspec.Attempt) {
+		s.mu.Lock()
+		j.backend = a.CB
+		// An intent that landed before the backend existed takes
+		// effect at the attempt's first exchange boundary.
+		if j.cancelled || j.preempt {
+			a.CB.Cancel()
+		}
+		s.mu.Unlock()
+	})
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlockAndScrub()
 	j.backend = nil
 	w.busy = nil
 	j.restarts = j.sup.Restarts()

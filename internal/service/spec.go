@@ -74,10 +74,14 @@ const (
 var tenantRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 
 // workload is a validated job: the normalized spec as echoed in views and
-// results, and the resolved run description the worker drives.
+// results, the resolved run description the worker drives, and — from the
+// first attempt until the job settles — the mesh, hierarchy and partition
+// every attempt of the job is built on. problem belongs to whoever is
+// running an attempt (one at a time, handed over under the service lock).
 type workload struct {
-	spec JobSpec
-	run  *runspec.Run
+	spec    JobSpec
+	run     *runspec.Run
+	problem *runspec.Problem
 }
 
 // Validate checks spec against the admission bounds, fills the service's

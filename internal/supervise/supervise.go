@@ -256,19 +256,15 @@ func (s *Supervisor) Adopt(b *cluster.Backend) {
 // for a valid snapshot, quarantining corrupt generations, and returns the
 // state to resume from (nil = cold start). With no ring every attempt is a
 // cold start.
-func (s *Supervisor) Recover() (*checkpoint.State, error) {
+func (s *Supervisor) Recover() *checkpoint.State {
 	s.stats.Attempts++
 	var st *checkpoint.State
 	var gen checkpoint.Generation
 	if s.ring != nil {
 		var tried, quarantined int
-		var err error
-		st, gen, tried, quarantined, err = s.ring.RecoverNewest()
+		st, gen, tried, quarantined = s.ring.RecoverNewest()
 		s.stats.GenerationsTried += tried
 		s.stats.Quarantined += quarantined
-		if err != nil {
-			return nil, err
-		}
 	}
 	if st == nil {
 		s.stats.ColdStarts++
@@ -286,7 +282,7 @@ func (s *Supervisor) Recover() (*checkpoint.State, error) {
 		s.tracer.Emit(0, obs.TrackExec, obs.Restart,
 			fmt.Sprintf("%v <- %s", s.lastFailure, src), t, t, 0)
 	}
-	return st, nil
+	return st
 }
 
 // OnFailure charges one supervised failure against the restart budget. A
@@ -384,11 +380,8 @@ type Runner struct {
 func (r *Runner) Run() (*Supervisor, error) {
 	s := NewSupervisor(r.Spec, r.Plan, r.Ring, r.Tracer)
 	for {
-		st, err := s.Recover()
-		if err != nil {
-			return s, err
-		}
-		err = Catch(func() error { return r.Body(st, s) })
+		st := s.Recover()
+		err := Catch(func() error { return r.Body(st, s) })
 		if err == nil {
 			return s, nil
 		}
