@@ -105,6 +105,43 @@ func benchHaloBuild(b *testing.B, depth int) {
 	}
 }
 
+// BenchmarkHaloBuildRanks64 is the rank-heavy shape (the benchmark's
+// mgcfd-ranks problem): ~95 nodes per rank, so the halo shells outnumber the
+// owned elements and per-rank costs dominate per-element ones.
+func BenchmarkHaloBuildRanks64(b *testing.B) {
+	m := mesh.RotorForNodes(6000)
+	app := mgcfd.New(mesh.NewHierarchy(m, 2, true))
+	owners, err := halo.DeriveOwnership(app.Prog, app.Primary, partition.KWay(m.NodeAdjacency(), 64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		halo.Build(app.Prog, owners, 64, 2, 2)
+	}
+}
+
+// BenchmarkClusterNew is what every served job, restart and restore pays
+// before its first iteration: the service's Hydra template (4 200 nodes,
+// RIB x 8) opened as a CA backend at depth 2.
+func BenchmarkClusterNew(b *testing.B) {
+	m := mesh.RotorForNodes(4200)
+	app := hydra.New(m)
+	cfg := ClusterConfig{
+		Prog: app.Prog, Primary: app.Nodes,
+		Assign: partition.RIB(m.Coords, 3, 8), NParts: 8,
+		Depth: 2, MaxChainLen: 6, CA: true, Chains: hydra.MustPaperConfig(),
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cb, err := NewCluster(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cb.Close()
+	}
+}
+
 func BenchmarkSeqParLoop(b *testing.B) {
 	m := mesh.RotorForNodes(20000)
 	h := mesh.NewHierarchy(m, 1, true)

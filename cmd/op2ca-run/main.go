@@ -127,7 +127,9 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 	// restart rebuilds the app and the backend on it, nothing else.
 	p, err := r.NewProblem()
 	if err != nil {
-		return fatal(err)
+		// The sizes asked for do not make a problem: a usage error.
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+		return out, 2
 	}
 	// run owns the attempt's backend (its worker pool, under -serial=false);
 	// a failed supervised attempt has already closed its own.

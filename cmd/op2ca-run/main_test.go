@@ -221,6 +221,11 @@ func TestFlagValidation(t *testing.T) {
 		{"-app hydra -config testdata/no-such-file", 1, "no such file"},
 		{"-app mgcfd -restore testdata/no-such-file", 1, "no such file"},
 		{"-app mgcfd -bogus", 2, "flag provided but not defined"},
+		// More ranks than the generated mesh has nodes: a usage error, not
+		// the partitioner's panic.
+		{"-app mgcfd -mesh-nodes 300 -ranks 400", 2, "ranks 400 outside [1, 315]"},
+		{"-app hydra -mesh-nodes 300 -ranks 400", 2, "ranks 400 outside [1, 315]"},
+		{"-app hydra -ranks 0", 2, "ranks 0 outside"},
 	} {
 		_, code, stdout, stderr := cli(t, t.TempDir(), strings.Fields(tc.args)...)
 		if code != tc.exit || !strings.Contains(stderr, tc.want) || stdout != "" {

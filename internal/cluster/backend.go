@@ -302,6 +302,10 @@ type execScratch struct {
 	keyBuf []byte
 	fpBuf  []byte
 
+	// gather is where ChecksumDats assembles one dat at a time: sized to
+	// the largest dat by the first call.
+	gather []float64
+
 	// Delivery scratch: the per-sender NIC-free times and per-message
 	// timeline records of the exchange being priced, and the fault-tolerant
 	// transport's state while a fault plan is active.
@@ -643,7 +647,11 @@ func (b *Backend) FlushLazy() {
 // flushing any lazily queued loops first (it observes their results).
 func (b *Backend) GatherDat(d *core.Dat) []float64 {
 	b.FlushLazy()
-	out := make([]float64, d.Set.Size*d.Dim)
+	return b.gatherInto(make([]float64, d.Set.Size*d.Dim), d)
+}
+
+// gatherInto writes the owners' values of d into out, in global order.
+func (b *Backend) gatherInto(out []float64, d *core.Dat) []float64 {
 	for r := 0; r < b.cfg.NParts; r++ {
 		sl := b.layouts[r].SetL(d.Set)
 		local := b.dats[r][d.ID]
@@ -659,15 +667,29 @@ func (b *Backend) GatherDat(d *core.Dat) []float64 {
 // every declared dat, in declaration order. Two backends that executed the
 // same program produce the same checksum iff their final states are
 // bit-identical — the check behind the fault-injection invariant (faults
-// shape virtual time, never data).
+// shape virtual time, never data). Every dat is gathered into one buffer
+// the backend keeps, so a call allocates nothing proportional to the data.
 func (b *Backend) ChecksumDats() string {
+	b.FlushLazy()
+	if b.scr.gather == nil {
+		n := 0
+		for _, d := range b.cfg.Prog.Dats {
+			n = max(n, d.Set.Size*d.Dim)
+		}
+		b.scr.gather = make([]float64, n)
+	}
 	h := fnv.New64a()
-	var buf [8]byte
+	var block [4096]byte
 	for _, d := range b.cfg.Prog.Dats {
 		h.Write([]byte(d.Name))
-		for _, v := range b.GatherDat(d) {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
+		vals := b.gatherInto(b.scr.gather[:d.Set.Size*d.Dim], d)
+		for len(vals) > 0 {
+			n := min(len(vals), len(block)/8)
+			for i, v := range vals[:n] {
+				binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
+			}
+			h.Write(block[:8*n])
+			vals = vals[n:]
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

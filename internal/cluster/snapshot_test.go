@@ -115,13 +115,21 @@ func (b *Backend) haloInside(r int, d *core.Dat, f func(lo, hi int)) {
 func checkHaloInvariant(t *testing.T, label string, b *Backend) {
 	t.Helper()
 	for _, d := range b.cfg.Prog.Dats {
+		// ownerLoc[g] is the local index g has on the rank owning it.
+		ownerLoc := make([]int, d.Set.Size)
+		for r := range b.dats {
+			sl := b.layouts[r].SetL(d.Set)
+			for loc, g := range sl.L2G[:sl.NOwned] {
+				ownerLoc[g] = loc
+			}
+		}
 		for r := range b.dats {
 			sl := b.layouts[r].SetL(d.Set)
 			b.haloInside(r, d, func(lo, hi int) {
 				for loc := lo / d.Dim; loc < hi/d.Dim; loc++ {
 					g := sl.L2G[loc]
 					o := int(b.owners[d.Set.ID][g])
-					oloc := int(b.layouts[o].SetL(d.Set).G2L[g])
+					oloc := ownerLoc[g]
 					got := b.dats[r][d.ID][loc*d.Dim : (loc+1)*d.Dim]
 					want := b.dats[o][d.ID][oloc*d.Dim : (oloc+1)*d.Dim]
 					if !sameBits(got, want) {

@@ -21,7 +21,8 @@ import (
 )
 
 // Exit codes shared by every op2ca command. 0 is success; 1 is the
-// catch-all fatal error; 2 is flag.Parse's own usage failure.
+// catch-all fatal error; 2 is a usage failure — flag.Parse's own, or sizes
+// that do not make a problem (more ranks than the generated mesh has nodes).
 const (
 	ExitFatal = 1
 	// ExitCrash reports an injected crash fault that terminated an

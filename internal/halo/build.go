@@ -1,10 +1,9 @@
 package halo
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"op2ca/internal/core"
 )
@@ -18,7 +17,16 @@ type selem struct {
 // Build constructs the per-rank local layouts of prog for the given
 // per-set ownership (from DeriveOwnership), with halo shells of the given
 // depth and core prefixes supporting chains of up to maxChainLen loops.
+// The package comment describes the passes and their cost.
 func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) []*Layout {
+	layouts, ownerLocal := buildLayouts(prog, owners, nparts, depth, maxChainLen)
+	fillExports(layouts, ownerLocal)
+	return layouts
+}
+
+// buildLayouts is Build up to (not including) the export and neighbour lists.
+// ownerLocal[s][g] is the local index element g of set s has on its owner.
+func buildLayouts(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) ([]*Layout, [][]int32) {
 	if depth < 1 {
 		panic(fmt.Sprintf("halo: depth %d < 1", depth))
 	}
@@ -28,341 +36,395 @@ func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int)
 	if len(owners) != len(prog.Sets) {
 		panic(fmt.Sprintf("halo: ownership for %d sets, program has %d", len(owners), len(prog.Sets)))
 	}
-	nsets := len(prog.Sets)
-
-	// Reverse maps and per-set map indices.
-	rev := make([]reverseMap, len(prog.Maps))
-	mapsFrom := make([][]*core.Map, nsets)
-	mapsTo := make([][]*core.Map, nsets)
-	for i, m := range prog.Maps {
-		rev[i] = buildReverse(m)
-		mapsFrom[m.From.ID] = append(mapsFrom[m.From.ID], m)
-		mapsTo[m.To.ID] = append(mapsTo[m.To.ID], m)
-	}
-
-	// Owned-element buckets per set and rank.
-	ownedBy := make([][][]int32, nsets)
-	for s := range ownedBy {
-		ownedBy[s] = make([][]int32, nparts)
-		for e, r := range owners[s] {
-			ownedBy[s][r] = append(ownedBy[s][r], int32(e))
-		}
-	}
-
-	// Boundary marks: an element is boundary (for its owner) when a map
-	// entry connects it to an element with a different owner.
-	boundary := make([][]bool, nsets)
-	for s, set := range prog.Sets {
-		boundary[s] = make([]bool, set.Size)
-	}
-	for _, m := range prog.Maps {
-		fo, to := owners[m.From.ID], owners[m.To.ID]
-		for e := 0; e < m.From.Size; e++ {
-			for _, t := range m.Targets(e) {
-				if fo[e] != to[t] {
-					boundary[m.From.ID][e] = true
-					boundary[m.To.ID][t] = true
-				}
-			}
-		}
-	}
-
-	// Scratch arrays reused across ranks, reset through touched lists.
-	status := make([][]int8, nsets) // 0 unknown, 1 owned, 2 exec, 3 nonexec
-	ilvl := make([][]int32, nsets)  // interior level of owned elements
-	for s, set := range prog.Sets {
-		status[s] = make([]int8, set.Size)
-		ilvl[s] = make([]int32, set.Size)
-	}
-	var touched []selem
-	var keys []uint64 // sortByKey scratch
-
-	cap32 := int32(2*maxChainLen + 1)
+	b := newBuilder(prog, owners, nparts, depth, maxChainLen)
 	layouts := make([]*Layout, nparts)
-
-	for rank := 0; rank < nparts; rank++ {
-		touched = touched[:0]
-
-		// Mark owned and seed the interior-level BFS from boundary
-		// elements.
-		var bfs []selem
-		for s := 0; s < nsets; s++ {
-			for _, e := range ownedBy[s][rank] {
-				status[s][e] = 1
-				touched = append(touched, selem{int32(s), e})
-				if boundary[s][e] {
-					ilvl[s][e] = 1
-					bfs = append(bfs, selem{int32(s), e})
-				}
-			}
-		}
-		boundaryOwned := append([]selem(nil), bfs...)
-
-		// Interior levels: union-graph BFS inward over owned elements.
-		relax := func(s2 int32, e2 int32, next int32) []selem {
-			if status[s2][e2] == 1 && ilvl[s2][e2] == 0 {
-				ilvl[s2][e2] = next
-				return []selem{{s2, e2}}
-			}
-			return nil
-		}
-		for head := 0; head < len(bfs); head++ {
-			cur := bfs[head]
-			next := ilvl[cur.set][cur.elem] + 1
-			if next > cap32 {
-				continue
-			}
-			for _, m := range mapsFrom[cur.set] {
-				for _, t := range m.Targets(int(cur.elem)) {
-					bfs = append(bfs, relax(int32(m.To.ID), t, next)...)
-				}
-			}
-			for _, m := range mapsTo[cur.set] {
-				for _, a := range rev[m.ID].sourcesOf(cur.elem) {
-					bfs = append(bfs, relax(int32(m.From.ID), a, next)...)
-				}
-			}
-		}
-		for s := 0; s < nsets; s++ {
-			for _, e := range ownedBy[s][rank] {
-				if ilvl[s][e] == 0 {
-					ilvl[s][e] = cap32 + 1
-				}
-			}
-		}
-
-		// Halo shells.
-		execEls := make([][][]int32, nsets)
-		nonexecEls := make([][][]int32, nsets)
-		for s := 0; s < nsets; s++ {
-			execEls[s] = make([][]int32, depth)
-			nonexecEls[s] = make([][]int32, depth)
-		}
-		frontier := boundaryOwned
-		for d := 0; d < depth; d++ {
-			var next []selem
-			// Execute shell: foreign elements with a forward map entry
-			// into the current closure (sources of frontier elements).
-			for _, cur := range frontier {
-				for _, m := range mapsTo[cur.set] {
-					sf := int32(m.From.ID)
-					for _, a := range rev[m.ID].sourcesOf(cur.elem) {
-						if status[sf][a] == 0 {
-							status[sf][a] = 2
-							execEls[sf][d] = append(execEls[sf][d], a)
-							touched = append(touched, selem{sf, a})
-							next = append(next, selem{sf, a})
-						}
-					}
-				}
-			}
-			// Non-execute shell: unseen targets of this shell's execute
-			// elements (and of boundary owned elements for shell 1).
-			producers := next
-			if d == 0 {
-				producers = append(append([]selem(nil), next...), boundaryOwned...)
-			}
-			for _, cur := range producers {
-				if status[cur.set][cur.elem] == 3 {
-					continue
-				}
-				for _, m := range mapsFrom[cur.set] {
-					st := int32(m.To.ID)
-					for _, t := range m.Targets(int(cur.elem)) {
-						if status[st][t] == 0 {
-							status[st][t] = 3
-							nonexecEls[st][d] = append(nonexecEls[st][d], t)
-							touched = append(touched, selem{st, t})
-							next = append(next, selem{st, t})
-						}
-					}
-				}
-			}
-			frontier = next
-		}
-
-		// Local numbering and per-set layouts.
-		l := &Layout{
-			Rank: rank, NParts: nparts, Depth: depth, MaxChainLen: maxChainLen,
-			Sets: make([]*SetLayout, nsets),
-			Maps: make([][]int32, len(prog.Maps)),
-		}
-		for s, set := range prog.Sets {
-			sl := &SetLayout{Set: set}
-			own := append([]int32(nil), ownedBy[s][rank]...)
-			lv := ilvl[s]
-			sortByKey(own, &keys, func(e int32) int32 { return cap32 + 1 - lv[e] })
-			sl.NOwned = len(own)
-			sl.corePrefix = make([]int32, maxChainLen)
-			for loop := 0; loop < maxChainLen; loop++ {
-				need := int32(2 * (loop + 1))
-				// own is sorted by decreasing level: find the prefix.
-				n := sort.Search(len(own), func(i int) bool { return lv[own[i]] < need })
-				sl.corePrefix[loop] = int32(n)
-			}
-
-			sl.L2G = own
-			sl.ExecStart = make([]int32, depth+1)
-			sl.ExecStart[0] = int32(len(own))
-			sl.ImportExec = make([][]ImportRange, depth)
-			sl.ImportNonexec = make([][]ImportRange, depth)
-			sl.ExportExec = make([][]ExportList, depth)
-			sl.ExportNonexec = make([][]ExportList, depth)
-
-			appendShell := func(els []int32) []ImportRange {
-				owner := owners[s]
-				sortByKey(els, &keys, func(e int32) int32 { return owner[e] })
-				var ranges []ImportRange
-				for i := 0; i < len(els); {
-					j := i
-					for j < len(els) && owners[s][els[j]] == owners[s][els[i]] {
-						j++
-					}
-					ranges = append(ranges, ImportRange{
-						Rank:  owners[s][els[i]],
-						Start: int32(len(sl.L2G)),
-						Count: int32(j - i),
-					})
-					sl.L2G = append(sl.L2G, els[i:j]...)
-					i = j
-				}
-				return ranges
-			}
-			for d := 0; d < depth; d++ {
-				sl.ImportExec[d] = appendShell(execEls[s][d])
-				sl.ExecStart[d+1] = int32(len(sl.L2G))
-			}
-			sl.NonexecStart = make([]int32, depth+1)
-			sl.NonexecStart[0] = int32(len(sl.L2G))
-			for d := 0; d < depth; d++ {
-				sl.ImportNonexec[d] = appendShell(nonexecEls[s][d])
-				sl.NonexecStart[d+1] = int32(len(sl.L2G))
-			}
-			sl.G2L = make(map[int32]int32, len(sl.L2G))
-			for loc, g := range sl.L2G {
-				sl.G2L[g] = int32(loc)
-			}
-			sl.ExecOrder = make([]int32, sl.ExecEnd(depth))
-			for i := range sl.ExecOrder {
-				sl.ExecOrder[i] = int32(i)
-			}
-			l2g := sl.L2G
-			sortByKey(sl.ExecOrder, &keys, func(loc int32) int32 { return l2g[loc] })
-			l.Sets[s] = sl
-		}
-
-		// Localized maps: rows for the executable region, -1 elsewhere.
-		for mi, m := range prog.Maps {
-			from := l.Sets[m.From.ID]
-			to := l.Sets[m.To.ID]
-			vals := make([]int32, from.Total()*m.Arity)
-			for i := range vals {
-				vals[i] = -1
-			}
-			for loc := 0; loc < from.ExecEnd(depth); loc++ {
-				g := from.L2G[loc]
-				for a := 0; a < m.Arity; a++ {
-					tg := m.Values[int(g)*m.Arity+a]
-					if tl, ok := to.G2L[tg]; ok {
-						vals[loc*m.Arity+a] = tl
-					}
-				}
-			}
-			l.Maps[mi] = vals
-		}
-		layouts[rank] = l
-
-		// Reset scratch.
-		for _, c := range touched {
-			status[c.set][c.elem] = 0
-			ilvl[c.set][c.elem] = 0
-		}
+	for rank := range layouts {
+		nb := b.interiorLevels(rank)
+		b.shells(nb)
+		layouts[rank] = b.number(rank)
+		b.reset(layouts[rank])
 	}
-
-	fillExports(prog, layouts)
-	fillNeighbours(layouts)
-	return layouts
+	return layouts, b.ownerLocal
 }
 
-// sortByKey sorts els ascending by (key(e), e), both non-negative. The pair
-// is packed into one uint64 so the sort runs on an ordered type — no
-// comparator call, no reflection-based swapper, no random access into the
-// key table per comparison; keys is scratch reused from call to call.
-func sortByKey(els []int32, keys *[]uint64, key func(e int32) int32) {
-	ks := slices.Grow((*keys)[:0], len(els))[:len(els)]
-	for i, e := range els {
-		ks[i] = uint64(key(e))<<32 | uint64(e)
+// builder is the scratch of one Build call. Everything indexed by global
+// element id is sized once and, where it is per rank, restored by reset
+// through the rank's own L2G; every list is truncated and refilled, never
+// reallocated per rank. Nothing here outlives the call.
+type builder struct {
+	prog                       *core.Program
+	owners                     [][]int32
+	nparts, depth, maxChainLen int
+	maxLevel                   int32 // levels are capped at 2*maxChainLen+1; deeper is maxLevel
+
+	rev              []reverseMap
+	mapsFrom, mapsTo [][]*core.Map // by set id
+	ownedBy          [][][]int32   // [set][rank] owned globals, ascending
+	boundary         [][]bool      // [set][g]: a map entry joins g to another owner's element
+	ownerLocal       [][]int32     // [set][g]: g's local index on its owner, -1 until numbered
+
+	// Per rank, reset through L2G.
+	status [][]int8  // [set][g]: 0 unknown, 1 owned, 2 execute halo, 3 non-execute halo
+	level  [][]int32 // [set][g]: interior level of owned elements, 0 unset
+	g2l    [][]int32 // [set][g]: local index, -1 absent
+
+	queue, frontier, next []selem     // BFS queue; shell frontiers
+	exec, nonexec         [][][]int32 // [set][shell] globals; number sorts each ascending
+	levelStart            []int32     // counting sort of owned elements by level
+	perRank, ranks        []int32     // counting sort of a shell by owner: counts/cursors, distinct owners
+	heads                 []int       // execOrder's cursor into each shell
+}
+
+func newBuilder(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) *builder {
+	nsets := len(prog.Sets)
+	b := &builder{
+		prog: prog, owners: owners, nparts: nparts, depth: depth, maxChainLen: maxChainLen,
+		maxLevel: int32(2*maxChainLen + 2),
+		rev:      make([]reverseMap, len(prog.Maps)),
+		mapsFrom: make([][]*core.Map, nsets), mapsTo: make([][]*core.Map, nsets),
+		ownedBy: make([][][]int32, nsets), boundary: make([][]bool, nsets), ownerLocal: make([][]int32, nsets),
+		status: make([][]int8, nsets), level: make([][]int32, nsets), g2l: make([][]int32, nsets),
+		exec: make([][][]int32, nsets), nonexec: make([][][]int32, nsets),
+		levelStart: make([]int32, 2*maxChainLen+3), perRank: make([]int32, nparts), heads: make([]int, depth),
 	}
-	slices.Sort(ks)
-	for i, k := range ks {
-		els[i] = int32(uint32(k))
+	for i, m := range prog.Maps {
+		b.rev[i] = buildReverse(m)
+		b.mapsFrom[m.From.ID] = append(b.mapsFrom[m.From.ID], m)
+		b.mapsTo[m.To.ID] = append(b.mapsTo[m.To.ID], m)
 	}
-	*keys = ks
+	for s, set := range prog.Sets {
+		b.boundary[s] = make([]bool, set.Size)
+		b.status[s] = make([]int8, set.Size)
+		b.level[s] = make([]int32, set.Size)
+		b.ownerLocal[s] = make([]int32, set.Size)
+		b.g2l[s] = make([]int32, set.Size)
+		for g := range b.g2l[s] {
+			b.ownerLocal[s][g], b.g2l[s][g] = -1, -1
+		}
+		b.exec[s] = make([][]int32, depth)
+		b.nonexec[s] = make([][]int32, depth)
+
+		// Ownership buckets: one counting pass, one slab per set.
+		first := make([]int32, nparts+1)
+		for _, r := range owners[s] {
+			first[r+1]++
+		}
+		for r := 0; r < nparts; r++ {
+			first[r+1] += first[r]
+		}
+		slab := make([]int32, set.Size)
+		b.ownedBy[s] = make([][]int32, nparts)
+		for r := range b.ownedBy[s] {
+			b.ownedBy[s][r] = slab[first[r]:first[r]:first[r+1]]
+		}
+		for g, r := range owners[s] {
+			b.ownedBy[s][r] = append(b.ownedBy[s][r], int32(g))
+		}
+	}
+	// Boundary marks.
+	for _, m := range prog.Maps {
+		fo, to := owners[m.From.ID], owners[m.To.ID]
+		fb, tb := b.boundary[m.From.ID], b.boundary[m.To.ID]
+		for e := range fo {
+			for _, t := range m.Targets(e) {
+				if fo[e] != to[t] {
+					fb[e], tb[t] = true, true
+				}
+			}
+		}
+	}
+	return b
+}
+
+// interiorLevels marks rank's owned elements and levels them by union-graph
+// BFS inward from the partition boundary (level 1), to at most maxLevel-1;
+// owned elements the capped search never reaches get maxLevel. It returns
+// the number of boundary elements, which lead b.queue.
+func (b *builder) interiorLevels(rank int) int {
+	b.queue = b.queue[:0]
+	for s := range b.ownedBy {
+		status, level, boundary := b.status[s], b.level[s], b.boundary[s]
+		for _, e := range b.ownedBy[s][rank] {
+			status[e] = 1
+			if boundary[e] {
+				level[e] = 1
+				b.queue = append(b.queue, selem{int32(s), e})
+			}
+		}
+	}
+	nb := len(b.queue)
+	for head := 0; head < len(b.queue); head++ {
+		cur := b.queue[head]
+		next := b.level[cur.set][cur.elem] + 1
+		if next >= b.maxLevel {
+			continue
+		}
+		for _, m := range b.mapsFrom[cur.set] {
+			status, level := b.status[m.To.ID], b.level[m.To.ID]
+			for _, t := range m.Targets(int(cur.elem)) {
+				if status[t] == 1 && level[t] == 0 {
+					level[t] = next
+					b.queue = append(b.queue, selem{int32(m.To.ID), t})
+				}
+			}
+		}
+		for _, m := range b.mapsTo[cur.set] {
+			status, level := b.status[m.From.ID], b.level[m.From.ID]
+			for _, a := range b.rev[m.ID].sourcesOf(cur.elem) {
+				if status[a] == 1 && level[a] == 0 {
+					level[a] = next
+					b.queue = append(b.queue, selem{int32(m.From.ID), a})
+				}
+			}
+		}
+	}
+	return nb
+}
+
+// shells grows the halo shells outward from the nb boundary elements at the
+// head of b.queue, collecting each shell's globals per set. Which elements a
+// shell holds does not depend on traversal order; number orders them.
+func (b *builder) shells(nb int) {
+	frontier := b.queue[:nb]
+	for d := 0; d < b.depth; d++ {
+		for s := range b.exec {
+			b.exec[s][d], b.nonexec[s][d] = b.exec[s][d][:0], b.nonexec[s][d][:0]
+		}
+		next := b.next[:0]
+		// Execute shell: foreign elements with a forward map entry into
+		// the current closure (sources of frontier elements).
+		for _, cur := range frontier {
+			for _, m := range b.mapsTo[cur.set] {
+				sf := m.From.ID
+				status := b.status[sf]
+				for _, a := range b.rev[m.ID].sourcesOf(cur.elem) {
+					if status[a] == 0 {
+						status[a] = 2
+						b.exec[sf][d] = append(b.exec[sf][d], a)
+						next = append(next, selem{int32(sf), a})
+					}
+				}
+			}
+		}
+		// Non-execute shell: unseen targets of this shell's execute
+		// elements (and of boundary owned elements for shell 1).
+		for i, nexec := 0, len(next); i < nexec; i++ {
+			next = b.unseenTargets(next[i], d, next)
+		}
+		if d == 0 {
+			for _, cur := range frontier {
+				next = b.unseenTargets(cur, d, next)
+			}
+		}
+		b.frontier, b.next = next, b.frontier
+		frontier = next
+	}
+}
+
+// unseenTargets puts cur's not yet seen map targets into non-execute shell
+// d+1 and appends them to next.
+func (b *builder) unseenTargets(cur selem, d int, next []selem) []selem {
+	for _, m := range b.mapsFrom[cur.set] {
+		st := m.To.ID
+		status := b.status[st]
+		for _, t := range m.Targets(int(cur.elem)) {
+			if status[t] == 0 {
+				status[t] = 3
+				b.nonexec[st][d] = append(b.nonexec[st][d], t)
+				next = append(next, selem{int32(st), t})
+			}
+		}
+	}
+	return next
+}
+
+// number assigns rank's local numbering — owned elements by decreasing
+// interior level then ascending global id, then each shell grouped by owner
+// and ascending within an owner — and from it the canonical ExecOrder and
+// the localized maps.
+func (b *builder) number(rank int) *Layout {
+	depth := b.depth
+	l := &Layout{
+		Rank: rank, NParts: b.nparts, Depth: depth, MaxChainLen: b.maxChainLen,
+		Sets: make([]*SetLayout, len(b.prog.Sets)),
+		Maps: make([][]int32, len(b.prog.Maps)),
+	}
+	for s, set := range b.prog.Sets {
+		own, level, g2l := b.ownedBy[s][rank], b.level[s], b.g2l[s]
+		total := len(own)
+		for d := 0; d < depth; d++ {
+			total += len(b.exec[s][d]) + len(b.nonexec[s][d])
+		}
+		sl := &SetLayout{
+			Set: set, NOwned: len(own), L2G: make([]int32, total),
+			corePrefix: make([]int32, b.maxChainLen),
+			ExecStart:  make([]int32, depth+1), NonexecStart: make([]int32, depth+1),
+			ImportExec: make([][]ImportRange, depth), ImportNonexec: make([][]ImportRange, depth),
+			ExportExec: make([][]ExportList, depth), ExportNonexec: make([][]ExportList, depth),
+		}
+		// Owned: stable counting sort of the ascending owned list by
+		// decreasing level. start[v] counts the elements of level > v.
+		start := b.levelStart
+		clear(start)
+		for _, e := range own {
+			if level[e] == 0 {
+				level[e] = b.maxLevel
+			}
+			start[level[e]-1]++
+		}
+		for v := len(start) - 1; v > 0; v-- {
+			start[v-1] += start[v]
+		}
+		for loop := range sl.corePrefix {
+			sl.corePrefix[loop] = start[2*(loop+1)-1]
+		}
+		for _, e := range own {
+			loc := start[level[e]]
+			start[level[e]]++
+			sl.L2G[loc], g2l[e], b.ownerLocal[s][e] = e, loc, loc
+		}
+		at := int32(len(own))
+		sl.ExecStart[0] = at
+		for d := 0; d < depth; d++ {
+			sl.ImportExec[d], at = b.appendShell(sl, s, b.exec[s][d], at)
+			sl.ExecStart[d+1] = at
+		}
+		sl.NonexecStart[0] = at
+		for d := 0; d < depth; d++ {
+			sl.ImportNonexec[d], at = b.appendShell(sl, s, b.nonexec[s][d], at)
+			sl.NonexecStart[d+1] = at
+		}
+		sl.ExecOrder = b.execOrder(own, b.exec[s], g2l)
+		l.Sets[s] = sl
+	}
+
+	// Localized maps: rows for the executable region, -1 elsewhere.
+	for mi, m := range b.prog.Maps {
+		from, g2l := l.Sets[m.From.ID], b.g2l[m.To.ID]
+		vals := make([]int32, from.Total()*m.Arity)
+		n := 0
+		for _, g := range from.L2G[:from.ExecEnd(depth)] {
+			for _, tg := range m.Targets(int(g)) {
+				vals[n] = g2l[tg]
+				n++
+			}
+		}
+		for i := n; i < len(vals); i++ {
+			vals[i] = -1
+		}
+		l.Maps[mi] = vals
+	}
+	return l
+}
+
+// execOrder lists the local indices of the executable region by ascending
+// global id: a merge of the owned list and the execute shells, each ascending
+// already. The owned run is copied in a tight loop between halo elements, so
+// the cost is its length plus (halo elements x shells).
+func (b *builder) execOrder(own []int32, shells [][]int32, g2l []int32) []int32 {
+	n := len(own)
+	for _, sh := range shells {
+		n += len(sh)
+	}
+	order := make([]int32, 0, n)
+	heads := b.heads[:len(shells)]
+	clear(heads)
+	for {
+		// The smallest global not yet merged among the shells.
+		best, halo := -1, int32(math.MaxInt32)
+		for k, sh := range shells {
+			if h := heads[k]; h < len(sh) && sh[h] <= halo {
+				best, halo = k, sh[h]
+			}
+		}
+		i := 0
+		for ; i < len(own) && own[i] < halo; i++ {
+			order = append(order, g2l[own[i]])
+		}
+		own = own[i:]
+		if best < 0 {
+			return order
+		}
+		order = append(order, g2l[halo])
+		heads[best]++
+	}
+}
+
+// appendShell numbers one shell of set s from local index at: the globals
+// are sorted once, then bucketed stably by owner (a counting sort over the
+// shell's distinct owners), so every owner's run is contiguous and ascending.
+// els is left sorted ascending for the ExecOrder merge.
+func (b *builder) appendShell(sl *SetLayout, s int, els []int32, at int32) ([]ImportRange, int32) {
+	slices.Sort(els)
+	owner, g2l := b.owners[s], b.g2l[s]
+	b.ranks = b.ranks[:0]
+	for _, e := range els {
+		if b.perRank[owner[e]] == 0 {
+			b.ranks = append(b.ranks, owner[e])
+		}
+		b.perRank[owner[e]]++
+	}
+	slices.Sort(b.ranks)
+	ranges := make([]ImportRange, len(b.ranks))
+	for i, r := range b.ranks {
+		ranges[i] = ImportRange{Rank: r, Start: at, Count: b.perRank[r]}
+		b.perRank[r] = at // now the owner's cursor
+		at += ranges[i].Count
+	}
+	for _, e := range els {
+		loc := b.perRank[owner[e]]
+		b.perRank[owner[e]]++
+		sl.L2G[loc], g2l[e] = e, loc
+	}
+	for _, r := range b.ranks {
+		b.perRank[r] = 0
+	}
+	return ranges, at
+}
+
+// reset restores the per-rank scratch l's passes marked.
+func (b *builder) reset(l *Layout) {
+	for s, sl := range l.Sets {
+		status, level, g2l := b.status[s], b.level[s], b.g2l[s]
+		for _, g := range sl.L2G {
+			status[g], level[g], g2l[g] = 0, 0, -1
+		}
+	}
 }
 
 // fillExports derives each rank's export lists from every other rank's
-// import ranges, preserving the importer's storage order.
-func fillExports(prog *core.Program, layouts []*Layout) {
+// import ranges, preserving the importer's storage order, and the neighbour
+// lists from both. Importers are visited in rank order and import at most
+// one range per (shell, owner), so every export list comes out sorted by
+// destination rank.
+func fillExports(layouts []*Layout, ownerLocal [][]int32) {
 	for _, l := range layouts {
-		for s := range prog.Sets {
-			sl := l.Sets[s]
-			fill := func(imports [][]ImportRange, exports func(*SetLayout) *[][]ExportList, d int) {
-				for _, r := range imports[d] {
-					src := layouts[r.Rank].Sets[s]
-					locals := make([]int32, r.Count)
-					for i := int32(0); i < r.Count; i++ {
-						g := sl.L2G[r.Start+i]
-						loc, ok := src.G2L[g]
-						if !ok || int(loc) >= src.NOwned {
-							panic(fmt.Sprintf("halo: rank %d imports %s element %d from rank %d which does not own it",
-								l.Rank, sl.Set.Name, g, r.Rank))
-						}
-						locals[i] = loc
-					}
-					ex := exports(src)
-					(*ex)[d] = append((*ex)[d], ExportList{Rank: int32(l.Rank), Locals: locals})
+		for s, sl := range l.Sets {
+			// One slab per importing (rank, set): every halo element is
+			// exported by exactly one owner.
+			locals := make([]int32, sl.Total()-sl.NOwned)
+			for i, g := range sl.L2G[sl.NOwned:] {
+				if locals[i] = ownerLocal[s][g]; locals[i] < 0 {
+					panic(fmt.Sprintf("halo: rank %d imports %s element %d, which no rank owns", l.Rank, sl.Set.Name, g))
 				}
 			}
-			for d := 0; d < l.Depth; d++ {
-				fill(sl.ImportExec, func(x *SetLayout) *[][]ExportList { return &x.ExportExec }, d)
-				fill(sl.ImportNonexec, func(x *SetLayout) *[][]ExportList { return &x.ExportNonexec }, d)
+			export := func(r ImportRange, to *[]ExportList) {
+				*to = append(*to, ExportList{Rank: int32(l.Rank), Locals: locals[r.Start-int32(sl.NOwned):][:r.Count:r.Count]})
+				src := layouts[r.Rank]
+				l.Neighbours, src.Neighbours = append(l.Neighbours, r.Rank), append(src.Neighbours, int32(l.Rank))
 			}
-		}
-	}
-	byRank := func(a, b ExportList) int { return cmp.Compare(a.Rank, b.Rank) }
-	for _, l := range layouts {
-		for _, sl := range l.Sets {
-			for d := 0; d < l.Depth; d++ {
-				slices.SortFunc(sl.ExportExec[d], byRank)
-				slices.SortFunc(sl.ExportNonexec[d], byRank)
-			}
-		}
-	}
-}
-
-func fillNeighbours(layouts []*Layout) {
-	for _, l := range layouts {
-		seen := make(map[int32]bool)
-		for _, sl := range l.Sets {
 			for d := 0; d < l.Depth; d++ {
 				for _, r := range sl.ImportExec[d] {
-					seen[r.Rank] = true
+					export(r, &layouts[r.Rank].Sets[s].ExportExec[d])
 				}
 				for _, r := range sl.ImportNonexec[d] {
-					seen[r.Rank] = true
-				}
-				for _, e := range sl.ExportExec[d] {
-					seen[e.Rank] = true
-				}
-				for _, e := range sl.ExportNonexec[d] {
-					seen[e.Rank] = true
+					export(r, &layouts[r.Rank].Sets[s].ExportNonexec[d])
 				}
 			}
 		}
-		l.Neighbours = make([]int32, 0, len(seen))
-		for r := range seen {
-			l.Neighbours = append(l.Neighbours, r)
-		}
+	}
+	for _, l := range layouts {
 		slices.Sort(l.Neighbours)
+		l.Neighbours = slices.Clone(slices.Compact(l.Neighbours))
 	}
 }

@@ -35,4 +35,18 @@
 // form a prefix; CorePrefix(l) gives the prefix executable before the wait
 // by the l-th loop of a chain. Shell elements are grouped by owning rank so
 // each import is a contiguous copy.
+//
+// # Build
+//
+// Build is a sequence of linear passes over scratch arrays indexed by global
+// element id, sized once per call: ownership buckets and boundary marks for
+// the whole program, then per rank interior levels (a capped BFS), shells,
+// numbering (counting sorts by level and by owner; only a shell's globals
+// are comparison-sorted, once), the canonical ExecOrder (a merge of runs
+// already ascending) and the localized maps, then export lists for all
+// ranks. A rank's passes visit only its local elements and reset what they
+// marked through its L2G, so the call costs O(program + sum of local sizes)
+// whatever the rank count. The global-to-local inverse of L2G exists only
+// here, as scratch: a Layout keeps no hash map and nothing per global
+// element.
 package halo

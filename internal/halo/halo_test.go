@@ -1,6 +1,7 @@
 package halo
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -210,6 +211,19 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 		}
 	}
 
+	// The owner-local table fillExports reads agrees with a brute-force
+	// inverse of every owner's L2G.
+	_, ownerLocal := buildLayouts(p, owners, nparts, depth, chain)
+	for s, set := range p.Sets {
+		for g := 0; g < set.Size; g++ {
+			sl := layouts[owners[s][g]].Sets[s]
+			if loc := slices.Index(sl.L2G[:sl.NOwned], int32(g)); loc < 0 || ownerLocal[s][g] != int32(loc) {
+				t.Fatalf("set %s element %d: owner-local table says %d, rank %d stores it at %d",
+					set.Name, g, ownerLocal[s][g], owners[s][g], loc)
+			}
+		}
+	}
+
 	for _, l := range layouts {
 		exRef, neRef := bruteShells(p, owners, int32(l.Rank), depth)
 		for s, set := range p.Sets {
@@ -217,13 +231,23 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 			if len(sl.L2G) != sl.Total() {
 				t.Fatalf("rank %d set %s: L2G len %d != Total %d", l.Rank, set.Name, len(sl.L2G), sl.Total())
 			}
-			// Bijectivity.
-			if len(sl.G2L) != len(sl.L2G) {
-				t.Fatalf("rank %d set %s: duplicate elements in local view", l.Rank, set.Name)
-			}
+			// Injectivity: no global element appears twice in a local view.
+			g2l := map[int32]int{}
 			for loc, g := range sl.L2G {
-				if sl.G2L[g] != int32(loc) {
-					t.Fatalf("rank %d set %s: G2L/L2G mismatch at %d", l.Rank, set.Name, loc)
+				if first, dup := g2l[g]; dup {
+					t.Fatalf("rank %d set %s: element %d at locals %d and %d", l.Rank, set.Name, g, first, loc)
+				}
+				g2l[g] = loc
+			}
+			// ExecOrder: the executable region, each local once, by
+			// strictly ascending global id.
+			if len(sl.ExecOrder) != sl.ExecEnd(depth) {
+				t.Fatalf("rank %d set %s: ExecOrder lists %d locals, executable region has %d",
+					l.Rank, set.Name, len(sl.ExecOrder), sl.ExecEnd(depth))
+			}
+			for i, loc := range sl.ExecOrder {
+				if int(loc) >= sl.ExecEnd(depth) || i > 0 && sl.L2G[loc] <= sl.L2G[sl.ExecOrder[i-1]] {
+					t.Fatalf("rank %d set %s: ExecOrder[%d] = local %d breaks ascending global order", l.Rank, set.Name, i, loc)
 				}
 			}
 			// Owned prefix really owned; shells match brute force.

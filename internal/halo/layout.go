@@ -29,9 +29,10 @@ type ExportList struct {
 type SetLayout struct {
 	Set *core.Set
 
-	// L2G maps local to global indices; G2L is its inverse.
+	// L2G maps local to global indices. Its inverse exists only inside
+	// Build, as scratch: nothing at run time asks for the local index of a
+	// global element.
 	L2G []int32
-	G2L map[int32]int32
 
 	// NOwned is the number of locally owned elements.
 	NOwned int

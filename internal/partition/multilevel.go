@@ -6,12 +6,12 @@ package partition
 // weighted FM passes at every level. This is the ParMETIS-k-way stand-in
 // the paper's MG-CFD experiments rely on.
 //
-// Every step is deterministic: edge lists assembled from maps are sorted
-// into canonical order, so the same graph always yields the same
+// Every step is deterministic: every CSR row is emitted in ascending
+// neighbour order (rowMerger), so the same graph always yields the same
 // assignment. Downstream consumers (halo construction, the virtual-time
 // simulator, the tracer) rely on this for reproducible runs.
 
-import "sort"
+import "slices"
 
 // wgraph is a weighted graph in CSR form.
 type wgraph struct {
@@ -23,49 +23,61 @@ type wgraph struct {
 
 func (g *wgraph) nv() int { return len(g.vwgt) }
 
+// rowMerger accumulates the weighted neighbours of one vertex at a time in
+// arrays indexed by vertex id: wsum[u] is live while stamp[u] names the
+// current row, so starting the next row clears nothing.
+type rowMerger struct {
+	stamp []int32 // row+1 of the last row that touched u; 0 = never
+	wsum  []int32
+	tos   []int32 // distinct neighbours of the current row, in first-seen order
+}
+
+func newRowMerger(n int) *rowMerger {
+	return &rowMerger{stamp: make([]int32, n), wsum: make([]int32, n)}
+}
+
+func (m *rowMerger) add(row, to, w int32) {
+	if m.stamp[to] != row+1 {
+		m.stamp[to], m.wsum[to] = row+1, 0
+		m.tos = append(m.tos, to)
+	}
+	m.wsum[to] += w
+}
+
+// emit appends the current row to g in ascending neighbour order — the
+// canonical order every later tie-break (matching, refinement) depends on —
+// and closes it.
+func (m *rowMerger) emit(g *wgraph, row int) {
+	slices.Sort(m.tos)
+	for _, to := range m.tos {
+		g.adjncy = append(g.adjncy, to)
+		g.adjwgt = append(g.adjwgt, m.wsum[to])
+	}
+	g.xadj[row+1] = int32(len(g.adjncy))
+	m.tos = m.tos[:0]
+}
+
 // toCSR converts adjacency lists (possibly with duplicate entries) to a
-// unit-weight CSR graph, merging duplicates into edge weights.
+// unit-weight CSR graph, merging duplicates into edge weights and dropping
+// self-loops.
 func toCSR(adj [][]int32) *wgraph {
-	n := len(adj)
-	g := &wgraph{xadj: make([]int32, n+1), vwgt: make([]int32, n)}
-	for i := range g.vwgt {
-		g.vwgt[i] = 1
+	n, nent := len(adj), 0
+	for _, row := range adj {
+		nent += len(row)
 	}
-	// Merge duplicates per vertex.
-	type edge struct {
-		to int32
-		w  int32
+	g := &wgraph{
+		xadj: make([]int32, n+1), vwgt: make([]int32, n),
+		adjncy: make([]int32, 0, nent), adjwgt: make([]int32, 0, nent),
 	}
-	merged := make([][]edge, n)
-	seen := make(map[int32]int32)
-	for v := range adj {
-		for k := range seen {
-			delete(seen, k)
-		}
-		for _, w := range adj[v] {
-			if w == int32(v) {
-				continue
+	m := newRowMerger(n)
+	for v, row := range adj {
+		g.vwgt[v] = 1
+		for _, w := range row {
+			if w != int32(v) {
+				m.add(int32(v), w, 1)
 			}
-			seen[w]++
 		}
-		es := make([]edge, 0, len(seen))
-		for to, w := range seen {
-			es = append(es, edge{to, w})
-		}
-		// Canonical neighbour order: map iteration order must not leak
-		// into the graph, or partitions differ from run to run.
-		sort.Slice(es, func(i, j int) bool { return es[i].to < es[j].to })
-		merged[v] = es
-		g.xadj[v+1] = g.xadj[v] + int32(len(es))
-	}
-	g.adjncy = make([]int32, g.xadj[n])
-	g.adjwgt = make([]int32, g.xadj[n])
-	for v := range merged {
-		at := g.xadj[v]
-		for i, e := range merged[v] {
-			g.adjncy[at+int32(i)] = e.to
-			g.adjwgt[at+int32(i)] = e.w
-		}
+		m.emit(g, v)
 	}
 	return g
 }
@@ -108,52 +120,35 @@ func matchHeavyEdge(g *wgraph) ([]int32, int) {
 
 // coarsen builds the coarse graph induced by cmap.
 func coarsen(g *wgraph, cmap []int32, nc int) *wgraph {
-	c := &wgraph{xadj: make([]int32, nc+1), vwgt: make([]int32, nc)}
-	for v := 0; v < g.nv(); v++ {
-		c.vwgt[cmap[v]] += g.vwgt[v]
+	c := &wgraph{
+		xadj: make([]int32, nc+1), vwgt: make([]int32, nc),
+		adjncy: make([]int32, 0, len(g.adjncy)), adjwgt: make([]int32, 0, len(g.adjncy)),
 	}
-	// Accumulate coarse edges per coarse vertex.
-	acc := make(map[int32]int32)
-	bucket := make([][]int32, nc) // interleaved (to, w) pairs
-	members := make([][]int32, nc)
-	for v := 0; v < g.nv(); v++ {
-		members[cmap[v]] = append(members[cmap[v]], int32(v))
+	// Fine members of every coarse vertex, laid out by one counting pass.
+	first := make([]int32, nc+1)
+	for _, cv := range cmap {
+		first[cv+1]++
 	}
 	for cv := 0; cv < nc; cv++ {
-		for k := range acc {
-			delete(acc, k)
-		}
-		for _, v := range members[cv] {
+		first[cv+1] += first[cv]
+	}
+	members := make([]int32, len(cmap))
+	fill := slices.Clone(first[:nc])
+	for v, cv := range cmap {
+		c.vwgt[cv] += g.vwgt[v]
+		members[fill[cv]] = int32(v)
+		fill[cv]++
+	}
+	m := newRowMerger(nc)
+	for cv := 0; cv < nc; cv++ {
+		for _, v := range members[first[cv]:first[cv+1]] {
 			for e := g.xadj[v]; e < g.xadj[v+1]; e++ {
-				cu := cmap[g.adjncy[e]]
-				if cu != int32(cv) {
-					acc[cu] += g.adjwgt[e]
+				if cu := cmap[g.adjncy[e]]; cu != int32(cv) {
+					m.add(int32(cv), cu, g.adjwgt[e])
 				}
 			}
 		}
-		tos := make([]int32, 0, len(acc))
-		for to := range acc {
-			tos = append(tos, to)
-		}
-		// Canonical order, as in toCSR: keeps coarse graphs (and hence
-		// the whole pipeline) deterministic.
-		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-		pairs := make([]int32, 0, 2*len(acc))
-		for _, to := range tos {
-			pairs = append(pairs, to, acc[to])
-		}
-		bucket[cv] = pairs
-		c.xadj[cv+1] = c.xadj[cv] + int32(len(pairs)/2)
-	}
-	c.adjncy = make([]int32, c.xadj[nc])
-	c.adjwgt = make([]int32, c.xadj[nc])
-	for cv := 0; cv < nc; cv++ {
-		at := c.xadj[cv]
-		for i := 0; i < len(bucket[cv]); i += 2 {
-			c.adjncy[at] = bucket[cv][i]
-			c.adjwgt[at] = bucket[cv][i+1]
-			at++
-		}
+		m.emit(c, cv)
 	}
 	return c
 }
@@ -290,7 +285,12 @@ func growWeighted(g *wgraph, nparts, seedStart int) Assignment {
 func refineWeighted(g *wgraph, a Assignment, weights []int32, target int32, passes int) {
 	nparts := len(weights)
 	maxW := target + target/20 + 1
+	// conn[p] is v's edge weight into part p; only the few parts in touch —
+	// v's neighbours' — are non-zero, visited (in ascending order, which the
+	// tie-breaks below depend on) and cleared, so a vertex costs its degree,
+	// not the part count.
 	conn := make([]int64, nparts)
+	var touch []int32
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for v := 0; v < g.nv(); v++ {
@@ -301,18 +301,24 @@ func refineWeighted(g *wgraph, a Assignment, weights []int32, target int32, pass
 			if weights[own] <= g.vwgt[v] {
 				continue
 			}
-			for i := range conn {
-				conn[i] = 0
+			for _, p := range touch {
+				conn[p] = 0
 			}
+			touch = touch[:0]
 			for e := g.xadj[v]; e < g.xadj[v+1]; e++ {
-				conn[a[g.adjncy[e]]] += int64(g.adjwgt[e])
+				p := a[g.adjncy[e]]
+				if conn[p] == 0 {
+					touch = append(touch, p)
+				}
+				conn[p] += int64(g.adjwgt[e])
 			}
+			slices.Sort(touch)
 			overweight := weights[own] > maxW
 			best := own
 			bestGain := int64(0)
 			haveBest := false
-			for p := 0; p < nparts; p++ {
-				if int32(p) == own || conn[p] == 0 {
+			for _, p := range touch {
+				if p == own {
 					continue
 				}
 				gain := conn[p] - conn[own]
@@ -322,13 +328,13 @@ func refineWeighted(g *wgraph, a Assignment, weights []int32, target int32, pass
 					// neighbouring part, even at a loss.
 					if !haveBest || gain > bestGain ||
 						(gain == bestGain && weights[p] < weights[best]) {
-						best, bestGain, haveBest = int32(p), gain, true
+						best, bestGain, haveBest = p, gain, true
 					}
 				case !overweight && weights[p]+g.vwgt[v] <= maxW:
 					if gain > bestGain ||
 						(gain == bestGain && gain > 0 && weights[p] < weights[best]) ||
 						(gain == 0 && bestGain == 0 && weights[p]+g.vwgt[v] < weights[own]) {
-						best, bestGain, haveBest = int32(p), gain, true
+						best, bestGain, haveBest = p, gain, true
 					}
 				}
 			}
@@ -352,7 +358,7 @@ func multilevelKWay(adj [][]int32, nparts int) Assignment {
 	var levels []*wgraph
 	var cmaps [][]int32
 	levels = append(levels, g)
-	coarsestTarget := maxIntP(128, 8*nparts)
+	coarsestTarget := max(128, 8*nparts)
 	for levels[len(levels)-1].nv() > coarsestTarget {
 		cur := levels[len(levels)-1]
 		cmap, nc := matchHeavyEdge(cur)
@@ -412,11 +418,4 @@ func fixEmptyParts(g *wgraph, a Assignment, nparts int) {
 			}
 		}
 	}
-}
-
-func maxIntP(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"op2ca/internal/mesh"
@@ -93,5 +96,48 @@ func TestCutWeight(t *testing.T) {
 	}
 	if c := cutWeight(g, Assignment{0, 1, 0, 1}); c != 3 {
 		t.Errorf("alternating cut = %d, want 3", c)
+	}
+}
+
+func assignHash(a Assignment) string {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, p := range a {
+		binary.LittleEndian.PutUint32(buf[:], uint32(p))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestKWayGolden pins the multilevel pipeline's assignment byte for byte on
+// the graph shapes the benchmark partitions (hashes captured with the
+// map-and-sort toCSR/coarsen): any change to a neighbour order, an edge
+// weight or a coarse numbering moves a matching and fails here before it
+// moves a layout or a clock.
+func TestKWayGolden(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		want  [3]string // 4, 16, 64 parts
+	}{
+		{4200, [3]string{"144977b7ca3b6725", "9f53a6dd9bf4ae4f", "aae411197eaf7488"}},
+		{6175, [3]string{"b2d531c64eeb6a35", "326576976657e572", "cbaeeba07b034364"}},
+		{20000, [3]string{"a2c235caf5bf3f25", "840629204fd87d3b", "ae81375d15837c45"}},
+	} {
+		adj := mesh.RotorForNodes(tc.nodes).NodeAdjacency()
+		for i, nparts := range []int{4, 16, 64} {
+			if got := assignHash(multilevelKWay(adj, nparts)); got != tc.want[i] {
+				t.Errorf("%d nodes (%d vertices), %d parts: assignment hash %s, want %s",
+					tc.nodes, len(adj), nparts, got, tc.want[i])
+			}
+		}
+	}
+	// Below KWay's multilevel threshold (240 vertices): the direct
+	// partitioner, and the pipeline with no coarsening level (toCSR alone).
+	adj := mesh.Rotor(8, 6, 5).NodeAdjacency()
+	if got, want := assignHash(KWay(adj, 4)), "b46e66f1f0f0b2b6"; got != want {
+		t.Errorf("KWay below threshold: assignment hash %s, want %s", got, want)
+	}
+	if got, want := assignHash(multilevelKWay(adj, 4)), "93809474cef0c0a7"; got != want {
+		t.Errorf("multilevelKWay below threshold: assignment hash %s, want %s", got, want)
 	}
 }

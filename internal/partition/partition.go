@@ -76,7 +76,7 @@ func checkArgs(n, nparts int) {
 // directly by greedy growing.
 func KWay(adj [][]int32, nparts int) Assignment {
 	checkArgs(len(adj), nparts)
-	if len(adj) > maxIntP(256, 16*nparts) {
+	if len(adj) > max(256, 16*nparts) {
 		return multilevelKWay(adj, nparts)
 	}
 	return greedyKWay(adj, nparts)

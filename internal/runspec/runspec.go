@@ -201,8 +201,14 @@ func machineByName(name string) (*machine.Machine, error) {
 	return nil, fmt.Errorf("unknown machine %q", name)
 }
 
-// assignment partitions mesh m over ranks with the named partitioner.
+// assignment partitions mesh m over ranks with the named partitioner. The
+// generator rounds the requested size, so this is where the node count is
+// first known: a rank count it cannot hold is the request's error, not the
+// partitioners' panic.
 func assignment(m *mesh.FV3D, partitioner string, ranks int) (partition.Assignment, error) {
+	if ranks < 1 || ranks > m.NNodes {
+		return nil, fmt.Errorf("ranks %d outside [1, %d], the node count of the generated mesh", ranks, m.NNodes)
+	}
 	switch partitioner {
 	case "kway":
 		return partition.KWay(m.NodeAdjacency(), ranks), nil

@@ -1,6 +1,7 @@
 package runspec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -119,6 +120,18 @@ func TestMachineAndPartitioner(t *testing.T) {
 	}
 	if _, err := assignment(m, "metis", 3); err == nil {
 		t.Error("unknown partitioner accepted")
+	}
+	// A part count the mesh cannot hold is an error for every partitioner,
+	// not their argument panic; one node per rank is the limit.
+	for _, p := range []string{"kway", "rib", "rcb", "block"} {
+		for _, ranks := range []int{0, -1, m.NNodes + 1} {
+			if _, err := assignment(m, p, ranks); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("ranks %d outside [1, %d]", ranks, m.NNodes)) {
+				t.Errorf("assignment(%q, %d ranks on %d nodes): err = %v", p, ranks, m.NNodes, err)
+			}
+		}
+		if a, err := assignment(m, p, m.NNodes); err != nil || a.NumParts() != m.NNodes {
+			t.Errorf("assignment(%q, one node per rank) = %d parts, %v", p, a.NumParts(), err)
+		}
 	}
 }
 

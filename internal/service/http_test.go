@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"op2ca/internal/leakcheck"
 	"op2ca/internal/service"
 )
 
@@ -426,5 +427,40 @@ func TestCancelAndErrorsOverHTTP(t *testing.T) {
 		if resp, _ := postJSON(t, ts.URL+"/v1/jobs", bad); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad spec %q: status %d, want 400", bad, resp.StatusCode)
 		}
+	}
+}
+
+// TestMoreRanksThanNodesOverHTTP: a spec asking for more ranks than its mesh
+// has nodes once killed the server (the partitioner's argument panic on a
+// worker goroutine). The admissible-looking case is refused with 400; the
+// case only the generator's rounding reveals (62 requested nodes make a
+// 60-node mesh) fails its job with the message, and the service carries on.
+func TestMoreRanksThanNodesOverHTTP(t *testing.T) {
+	defer leakcheck.Check(t)()
+	defer http.DefaultClient.CloseIdleConnections()
+	svc, err := service.New(service.Config{Workers: 1, QueueCap: 4, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(service.NewHandler(svc))
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", `{"app":"mgcfd","mesh_nodes":60,"ranks":64,"iters":1,"tenant":"t"}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "ranks 64 exceed mesh_nodes 60") {
+		t.Errorf("64 ranks on 60 nodes: status %d, body %s; want 400 naming both", resp.StatusCode, body)
+	}
+	for _, app := range []string{"mgcfd", "hydra"} {
+		id := submit(t, ts.URL, service.JobSpec{Tenant: "t", App: app, MeshNodes: 62, Ranks: 62, Iters: 1}).ID
+		if v := await(t, ts.URL, id); v.State != service.StateFailed || !strings.Contains(v.Error, "ranks 62 outside [1, 60]") {
+			t.Errorf("%s, 62 ranks on a mesh rounded to 60 nodes: state %s, error %q; want failed naming both", app, v.State, v.Error)
+		}
+	}
+	var h service.Health
+	if resp := getJSON(t, ts.URL+"/healthz", &h); resp.StatusCode != http.StatusOK || h.Status != "ok" {
+		t.Errorf("healthz after the failed jobs: status %d, %+v", resp.StatusCode, h)
+	}
+	if v := await(t, ts.URL, submit(t, ts.URL, smallMGCFD("t")).ID); v.State != service.StateDone {
+		t.Errorf("job after the failed ones: state %s (%s)", v.State, v.Error)
 	}
 }

@@ -42,6 +42,7 @@ func TestValidateRejects(t *testing.T) {
 		{"seq-backend", func(s *service.JobSpec) { s.Backend = "seq" }, "backend"},
 		{"mesh-too-big", func(s *service.JobSpec) { s.MeshNodes = service.MaxMeshNodes + 1 }, "mesh_nodes"},
 		{"one-rank", func(s *service.JobSpec) { s.Ranks = 1 }, "ranks"},
+		{"ranks-over-nodes", func(s *service.JobSpec) { s.MeshNodes, s.Ranks = 60, 64 }, "exceed mesh_nodes"},
 		{"neg-iters", func(s *service.JobSpec) { s.Iters = -1 }, "iters"},
 		{"bad-machine", func(s *service.JobSpec) { s.Machine = "cray" }, "machine"},
 		{"bad-partitioner", func(s *service.JobSpec) { s.Partitioner = "metis" }, "partitioner"},
@@ -111,6 +112,27 @@ func TestRunDirectDeterministic(t *testing.T) {
 		}
 		if c.Checksum != a.Checksum {
 			t.Errorf("%s: op2 checksum %s != ca %s", spec.App, c.Checksum, a.Checksum)
+		}
+	}
+}
+
+// TestRunDirectMoreRanksThanNodes: the inline path reports a rank count the
+// mesh cannot hold as an error — a validation error when the request shows
+// it, the problem builder's when only the generated mesh does — never as the
+// partitioner's panic.
+func TestRunDirectMoreRanksThanNodes(t *testing.T) {
+	for _, app := range []string{"mgcfd", "hydra"} {
+		var ve *service.ValidationError
+		_, err := service.RunDirect(service.JobSpec{Tenant: "t", App: app, MeshNodes: 60, Ranks: 64, Iters: 1}, "")
+		if !errors.As(err, &ve) || !strings.Contains(err.Error(), "ranks 64 exceed mesh_nodes 60") {
+			t.Errorf("%s, 64 ranks on 60 nodes: err = %v, want a validation error naming both", app, err)
+		}
+		_, err = service.RunDirect(service.JobSpec{Tenant: "t", App: app, MeshNodes: 62, Ranks: 62, Iters: 1}, "")
+		if err == nil || errors.As(err, &ve) || !strings.Contains(err.Error(), "ranks 62 outside [1, 60]") {
+			t.Errorf("%s, 62 ranks on a mesh rounded to 60 nodes: err = %v, want the problem builder's error", app, err)
+		}
+		if _, err = service.RunDirect(service.JobSpec{Tenant: "t", App: app, MeshNodes: 60, Ranks: 60, Iters: 1}, ""); err != nil {
+			t.Errorf("%s, one node per rank: %v", app, err)
 		}
 	}
 }

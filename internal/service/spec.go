@@ -111,6 +111,11 @@ func (s JobSpec) Validate() (*workload, error) {
 	if s.Ranks < 2 || s.Ranks > MaxRanks {
 		return nil, fmt.Errorf("ranks %d outside [2, %d]", s.Ranks, MaxRanks)
 	}
+	if s.Ranks > s.MeshNodes {
+		// The generator may still round the mesh below the rank count; the
+		// worker reports that as a failed job (runspec.Run.NewProblem).
+		return nil, fmt.Errorf("ranks %d exceed mesh_nodes %d: every rank needs a node", s.Ranks, s.MeshNodes)
+	}
 	if s.Iters == 0 {
 		s.Iters = 5
 	}
