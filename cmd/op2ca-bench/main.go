@@ -242,7 +242,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	snap := bench.Snapshot{Nodes8M: cfg.Nodes8M, Nodes24M: cfg.Nodes24M,
 		RankScale: cfg.RankScale, Iters: cfg.Iters}
-	cfg.OverlapSink = func(r *bench.OverlapRecord) { snap.Overlap = r }
 	fmt.Fprintf(results, "%s: meshes %d/%d nodes, rank scale %g, %d iterations\n\n",
 		prog, cfg.Nodes8M, cfg.Nodes24M, cfg.RankScale, cfg.Iters)
 	// remaining runs the experiments not yet complete, in order. A failure
@@ -328,10 +327,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	if r.Plan != nil {
-		fmt.Fprintf(results, "faults: %s -> drops %d corrupts %d delays %d retries %d giveups %d fallback_ungrouped %d fallback_perloop %d\n\n",
-			r.Plan.String(), faultTotals.Drops, faultTotals.Corrupts, faultTotals.Delays,
-			faultTotals.Retries, faultTotals.Giveups,
-			faultTotals.FallbackUngrouped, faultTotals.FallbackPerLoop)
+		fmt.Fprintf(results, "faults: %s -> %s\n\n", r.Plan, faultTotals)
 	}
 	if mw != nil {
 		if err := mw.Flush(); err != nil {
@@ -348,13 +344,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if r.Plan != nil {
 			snap.FaultSpec = r.Plan.String()
 		}
-		ft := bench.FaultTotals(faultTotals)
-		snap.Faults = &ft
+		snap.Faults = &faultTotals
 		snap.Checksums = checksums
 		snap.AutoTune = tuneRuns
 		snap.Profiles = profiles
 		if sup != nil {
-			snap.Supervise = bench.NewSuperviseRecord(svStats)
+			snap.Supervise = &svStats
 		}
 		if err := snap.WriteFile(*jsonPath); err != nil {
 			return fatal(err)

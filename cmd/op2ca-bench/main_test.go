@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"op2ca/internal/bench"
+	"op2ca/internal/cluster"
 	"op2ca/internal/leakcheck"
 )
 
@@ -56,7 +58,7 @@ func TestEntryPoint(t *testing.T) {
 	if len(base.Results) != 1 || base.Results[0].Name != "table2" || len(base.Results[0].Rows) != 18 || len(base.Checksums) != 36 {
 		t.Fatalf("baseline: %d tables, %d checksums", len(base.Results), len(base.Checksums))
 	}
-	if *base.Faults != (bench.FaultTotals{}) || base.Supervise != nil || base.AutoTune != nil {
+	if *base.Faults != (cluster.FaultStats{}) || base.Supervise != nil || base.AutoTune != nil {
 		t.Errorf("baseline carries faults %+v supervise %+v autotune %+v", base.Faults, base.Supervise, base.AutoTune)
 	}
 	// same checks that snap ran the baseline's runs to the baseline's final
@@ -178,6 +180,38 @@ func TestEntryPoint(t *testing.T) {
 	}
 }
 
+// TestSnapshotWireFormat pins the -json document's fault and supervise
+// ledgers (names, order, zeros present) across their move from
+// internal/bench's mirror structs to the cluster types themselves: the two
+// objects of a faulted, crashed and self-healed invocation are the bytes
+// op2ca-bench wrote before.
+func TestSnapshotWireFormat(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.json")
+	code, _, stderr := cli(t, "-faults", "drop=0.05,crash=rank0@60,seed=1",
+		"-checkpoint", "every=1,path="+filepath.Join(dir, "ck.bin"), "-supervise", "on", "-json", path)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{
+		"faults":    `{"drops":602,"corrupts":0,"delays":0,"retries":602,"giveups":0,"fallback_ungrouped":0,"fallback_perloop":0}`,
+		"supervise": `{"attempts":2,"restarts":1,"crash_restarts":1,"exchange_restarts":0,"watchdog_trips":0,"generations_tried":1,"quarantined":0,"cold_starts":1,"backoff_virtual_seconds":1}`,
+	} {
+		var got bytes.Buffer
+		if err := json.Compact(&got, doc[key]); err != nil || got.String() != want {
+			t.Errorf("%s (%v)\n got %s\nwant %s", key, err, got.String(), want)
+		}
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -188,6 +222,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-faults drop=2", 1, "drop"},
 		{"-checkpoint every=0,path=x", 1, "positive integer"},
 		{"-compare only-one.json", 2, "exactly two"},
+		{"-compare -thresholds default=NaN a.json b.json", 2, "bad value"},
 		{"-no-such-flag", 2, "flag provided but not defined"},
 	} {
 		var o, e bytes.Buffer

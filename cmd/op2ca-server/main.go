@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,75 +37,102 @@ import (
 	"op2ca/internal/service"
 )
 
+const prog = "op2ca-server"
+
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, serves until ctx is done (or
+// runs the one-shot mode they select), and returns the process exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
-		workers   = flag.Int("workers", 2, "executor pool size (one simulated run per worker)")
-		queueCap  = flag.Int("queue-cap", 8, "admission queue bound; beyond it jobs are shed with 429")
-		tenantCap = flag.Int("tenant-cap", 0, "per-tenant share of the queue (0 = queue-cap)")
-		dataDir   = flag.String("data-dir", "", "checkpoint ring directory (default: a temp dir, removed on exit)")
-		keep      = flag.Int("keep", 3, "checkpoint generations retained per job")
-		runSpec   = flag.String("run", "", "execute one job spec (JSON file, - for stdin) directly and print its result")
-		loadgen   = flag.String("loadgen", "", "flood the server at this base URL with synthetic jobs and print a report")
-		jobs      = flag.Int("jobs", 32, "loadgen: jobs to submit")
-		tenants   = flag.String("tenants", "acme,zeta,hog", "loadgen: comma-separated tenant names")
+		addr      = fs.String("addr", "127.0.0.1:8080", "listen address")
+		workers   = fs.Int("workers", 2, "executor pool size (one simulated run per worker)")
+		queueCap  = fs.Int("queue-cap", 8, "admission queue bound; beyond it jobs are shed with 429")
+		tenantCap = fs.Int("tenant-cap", 0, "per-tenant share of the queue (0 = queue-cap)")
+		dataDir   = fs.String("data-dir", "", "checkpoint ring directory (default: a temp dir, removed on exit)")
+		keep      = fs.Int("keep", 3, "checkpoint generations retained per job")
+		runSpec   = fs.String("run", "", "execute one job spec (JSON file, - for stdin) directly and print its result")
+		loadgen   = fs.String("loadgen", "", "flood the server at this base URL with synthetic jobs and print a report")
+		jobs      = fs.Int("jobs", 32, "loadgen: jobs to submit")
+		tenants   = fs.String("tenants", "acme,zeta,hog", "loadgen: comma-separated tenant names")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+		return 1
+	}
 
 	switch {
 	case *runSpec != "":
-		if err := runDirect(*runSpec, os.Stdout); err != nil {
-			fatal(err)
+		if err := runDirect(*runSpec, stdout); err != nil {
+			return fatal(err)
 		}
 	case *loadgen != "":
 		rep, err := runLoadgen(*loadgen, *jobs, strings.Split(*tenants, ","))
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(rep)
 		if rep.Failed > 0 || rep.Errors > 0 {
-			os.Exit(1)
+			return 1
 		}
 	default:
 		cfg := service.Config{
 			Workers: *workers, QueueCap: *queueCap, TenantCap: *tenantCap,
 			DataDir: *dataDir, Keep: *keep,
 		}
-		if err := serve(*addr, cfg); err != nil {
-			fatal(err)
+		if err := serve(ctx, *addr, cfg, stdout, stderr); err != nil {
+			return fatal(err)
 		}
 	}
+	return 0
 }
 
-// serve runs the HTTP service until SIGINT/SIGTERM, then shuts down
-// gracefully: stop accepting, cancel everything in flight, drain the
-// worker pool.
-func serve(addr string, cfg service.Config) error {
+// serve runs the HTTP service until ctx is done (SIGINT/SIGTERM), then shuts
+// down gracefully: stop accepting, cancel everything in flight, drain the
+// worker pool, and return once every response under way has been written.
+func serve(ctx context.Context, addr string, cfg service.Config, stdout, stderr io.Writer) error {
 	svc, err := service.New(cfg)
 	if err != nil {
 		return err
 	}
+	defer svc.Close()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("op2ca-server: listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(stdout, "%s: listening on http://%s\n", prog, ln.Addr())
 	srv := &http.Server{Handler: service.NewHandler(svc)}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "op2ca-server: shutting down")
-		srv.Shutdown(context.Background())
-	}()
-	if err := srv.Serve(ln); err != http.ErrServerClosed {
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served: // the listener failed
 		return err
+	case <-ctx.Done():
 	}
+	fmt.Fprintf(stderr, "%s: shutting down\n", prog)
+	// Serve returns the moment Shutdown closes the listener, Shutdown only
+	// when every connection is idle. In between, closing the service settles
+	// every job, which lets the responses under way finish: an /events
+	// stream ends with its job's terminal event.
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown(context.Background()) }()
+	<-served
 	svc.Close()
-	return nil
+	return <-shut
 }
 
 // runDirect executes one spec inline and prints its Result as JSON —
@@ -214,9 +242,4 @@ func runLoadgen(base string, n int, tenants []string) (loadReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "op2ca-server:", err)
-	os.Exit(1)
 }

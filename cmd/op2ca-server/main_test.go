@@ -1,16 +1,90 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"op2ca/internal/leakcheck"
 	"op2ca/internal/service"
 )
+
+// TestShutdownFinishesResponses drives the serving mode in-process through
+// run: a job is running and a client is reading its /events stream when the
+// context is cancelled (the signal). The shutdown must let the response
+// finish — the stream ends with the job's terminal event instead of being cut
+// when the process exits — before run returns 0 with every goroutine gone.
+func TestShutdownFinishesResponses(t *testing.T) {
+	defer leakcheck.Check(t)()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	stdout, stdoutW := io.Pipe()
+	var stderr bytes.Buffer
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-data-dir", t.TempDir()}, stdoutW, &stderr)
+		stdoutW.Close()
+	}()
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	base, ok := strings.CutPrefix(strings.TrimSpace(line), "op2ca-server: listening on ")
+	if err != nil || !ok {
+		t.Fatalf("first line of stdout %q, %v", line, err)
+	}
+
+	// Long enough to still be running when the context is cancelled; a
+	// cancelled attempt unwinds at its next exchange, within milliseconds.
+	spec := `{"tenant":"t","app":"mgcfd","mesh_nodes":6000,"ranks":2,"iters":500,"machine":"laptop"}`
+	resp, err := client.Post(base+"/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view service.JobView
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	stream, err := client.Get(base + "/v1/jobs/" + view.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	events := json.NewDecoder(stream.Body)
+	var last service.Event
+	for last.State != service.StateRunning {
+		if err := events.Decode(&last); err != nil {
+			t.Fatalf("stream ended before the job ran: %v (last event %+v)", err, last)
+		}
+	}
+	cancel()
+	for {
+		var e service.Event
+		if err := events.Decode(&e); err != nil {
+			if err != io.EOF {
+				t.Errorf("stream cut: %v", err)
+			}
+			break
+		}
+		last = e
+	}
+	if last.State != service.StateCancelled {
+		t.Errorf("stream ended on %+v, want the job's terminal cancelled event", last)
+	}
+	if code := <-exit; code != 0 || !strings.Contains(stderr.String(), "shutting down") {
+		t.Errorf("run returned %d, stderr %q", code, stderr.String())
+	}
+}
 
 // TestLoadgenShedsAndDrains floods a tightly provisioned service through
 // the real HTTP handler: part of the burst must be shed with 429s, and

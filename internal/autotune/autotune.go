@@ -22,32 +22,6 @@ import (
 	"op2ca/internal/model"
 )
 
-// Config holds the tuner knobs. The zero value selects defaults via
-// WithDefaults.
-type Config struct {
-	// ProbeWindows is how many chain windows run per-loop (standard OP2)
-	// while the calibrator collects samples before the first decision.
-	// At least one probe window is required — the tuner's per-loop
-	// parameters and dirty-dat observations come from probes — so values
-	// below 1 (including the zero default) resolve to 1.
-	ProbeWindows int
-	// ReplanPct is the predicted-vs-measured absolute percent error above
-	// which a chain is re-tuned at the next window boundary. 0 selects
-	// the default (25); negative disables re-planning.
-	ReplanPct float64
-}
-
-// WithDefaults resolves zero fields to their defaults.
-func (c Config) WithDefaults() Config {
-	if c.ProbeWindows < 1 {
-		c.ProbeWindows = 1
-	}
-	if c.ReplanPct == 0 {
-		c.ReplanPct = 25
-	}
-	return c
-}
-
 // Policy is one executable configuration for a chain.
 type Policy struct {
 	// CA selects the communication-avoiding chain execution; false is the
@@ -62,8 +36,8 @@ type Policy struct {
 	// Grouped selects one aggregated message per neighbour (Equation (4));
 	// false sends one message per dat and shell.
 	Grouped bool `json:"grouped,omitempty"`
-	// Overlap selects the pipelined task-graph exchange (post/complete
-	// delivery overlapping core compute); false is bulk-synchronous. Only
+	// Overlap selects the pipelined exchange (post/complete delivery
+	// overlapping core compute); false is bulk-synchronous. Only
 	// meaningful with CA — the per-loop baseline always delivers bulk.
 	Overlap bool `json:"overlap,omitempty"`
 }
@@ -185,11 +159,15 @@ func Score(in ChainInputs, cal Calib) (Decision, error) {
 	return d, nil
 }
 
+// replanThresholdPct is the predicted-vs-measured absolute percent error
+// above which a chain is re-tuned at the next window boundary.
+const replanThresholdPct = 25
+
 // ShouldReplan reports whether a decided window's measured time diverged
-// from the prediction by more than thresholdPct percent.
-func ShouldReplan(predicted, measured, thresholdPct float64) bool {
-	if thresholdPct < 0 || measured <= 0 {
+// from the prediction by more than the re-plan threshold (25 %).
+func ShouldReplan(predicted, measured float64) bool {
+	if measured <= 0 {
 		return false
 	}
-	return math.Abs(predicted-measured)/measured*100 > thresholdPct
+	return math.Abs(predicted-measured)/measured*100 > replanThresholdPct
 }

@@ -6,19 +6,6 @@ import (
 	"op2ca/internal/model"
 )
 
-func TestWithDefaults(t *testing.T) {
-	d := Config{}.WithDefaults()
-	if d.ProbeWindows != 1 || d.ReplanPct != 25 {
-		t.Errorf("zero config resolved to %+v", d)
-	}
-	if got := (Config{ProbeWindows: -3}).WithDefaults().ProbeWindows; got != 1 {
-		t.Errorf("ProbeWindows=-3 resolved to %d, want 1", got)
-	}
-	if got := (Config{ProbeWindows: 4, ReplanPct: -1}).WithDefaults(); got.ProbeWindows != 4 || got.ReplanPct != -1 {
-		t.Errorf("explicit config altered: %+v", got)
-	}
-}
-
 func TestPolicyKeyAndEqual(t *testing.T) {
 	if (Policy{}).Key() != "op2" {
 		t.Errorf("zero policy key = %q", Policy{}.Key())
@@ -196,16 +183,13 @@ func TestScoreValidates(t *testing.T) {
 }
 
 func TestShouldReplan(t *testing.T) {
-	if ShouldReplan(1.0, 1.1, 25) {
-		t.Error("10% error under a 25% threshold must not re-plan")
+	if ShouldReplan(1.0, 1.1) {
+		t.Error("10% error under the 25% threshold must not re-plan")
 	}
-	if !ShouldReplan(1.0, 2.0, 25) {
-		t.Error("50% error over a 25% threshold must re-plan")
+	if !ShouldReplan(1.0, 2.0) {
+		t.Error("50% error over the 25% threshold must re-plan")
 	}
-	if ShouldReplan(1.0, 2.0, -1) {
-		t.Error("negative threshold disables re-planning")
-	}
-	if ShouldReplan(1.0, 0, 25) {
+	if ShouldReplan(1.0, 0) {
 		t.Error("unmeasured window must not re-plan")
 	}
 }

@@ -62,15 +62,12 @@ type Config struct {
 	// deliberately excluded: they study pinned static knobs (fixed depth,
 	// grouping, partitioner, GPUDirect) that the tuner would override.
 	AutoTune bool
-	// Overlap runs the CA back-ends of the paper experiments on the
-	// overlap-capable task-graph chain executor (the -overlap flag). Results
-	// stay bit-identical; virtual times drop by the pipelined latency and
+	// Overlap runs the CA back-ends of the paper experiments with
+	// overlapped chain exchanges (the -overlap flag). Results stay
+	// bit-identical; virtual times drop by the pipelined latency and
 	// handshake savings. The dedicated overlap experiment measures both
 	// modes regardless of this knob.
 	Overlap bool
-	// OverlapSink, when non-nil, receives the overlap experiment's
-	// machine-readable record (the -json document's overlap field).
-	OverlapSink func(*OverlapRecord)
 	// Ring, when non-nil, snapshots each measured run's backend through the
 	// verified checkpoint ring at the ring's cadence, counted in measured
 	// iterations (the -checkpoint flag); every generation is written

@@ -227,14 +227,19 @@ func TestBenchPointAgreesWithRun(t *testing.T) {
 // time, and lands a lower makespan on the comm-bound study.
 func TestOverlapStudy(t *testing.T) {
 	defer leakcheck.Check(t)()
-	c := tiny()
-	var rec *OverlapRecord
-	c.OverlapSink = func(r *OverlapRecord) { rec = r }
-	tab := OverlapStudy(c)
-	if len(tab.Rows) != 2 || rec == nil {
-		t.Fatalf("rows %v, record %v", tab.Rows, rec)
+	tab := OverlapStudy(tiny())
+	if len(tab.Rows) != 2 || tab.Rows[0][0] != "bulk" || tab.Rows[1][0] != "overlap" {
+		t.Fatalf("rows %v", tab.Rows)
 	}
-	if !rec.ChecksumsEqual || rec.HiddenSeconds <= 0 || rec.OverlapSeconds >= rec.BulkSeconds {
-		t.Errorf("overlap record %+v: want equal checksums, hidden > 0, overlap < bulk", *rec)
+	cell := func(row, col int) float64 {
+		v, ok := numericCell(tab.Rows[row][col])
+		if !ok {
+			t.Fatalf("row %d col %d: %q is not a number", row, col, tab.Rows[row][col])
+		}
+		return v
+	}
+	const tCol, hiddenCol = 1, 3
+	if !strings.Contains(tab.Notes[0], "dat checksums equal") || cell(1, hiddenCol) <= 0 || cell(1, tCol) >= cell(0, tCol) {
+		t.Errorf("overlap table %v, notes %q: want equal checksums, hidden > 0, overlap < bulk", tab.Rows, tab.Notes)
 	}
 }

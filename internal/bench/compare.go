@@ -44,8 +44,9 @@ func ParseThresholds(spec string) (Thresholds, error) {
 		val = strings.TrimSpace(val)
 		pct := strings.HasSuffix(val, "%")
 		f, err := strconv.ParseFloat(strings.TrimSuffix(val, "%"), 64)
-		if err != nil || f < 0 {
-			return th, fmt.Errorf("threshold %q: bad value %q", part, val)
+		// Not f < 0: NaN compares false there, and no delta exceeds a NaN tolerance.
+		if err != nil || !(f >= 0) || math.IsInf(f, 1) {
+			return th, fmt.Errorf("threshold %q: bad value %q (want a finite, non-negative fraction or percentage)", part, val)
 		}
 		if pct {
 			f /= 100

@@ -57,7 +57,8 @@ func TestParseThresholds(t *testing.T) {
 	if th, err = ParseThresholds(""); err != nil || th.Default != defaultTol {
 		t.Errorf("empty spec: %+v, %v", th, err)
 	}
-	for _, bad := range []string{"nonsense", "a=%", "a=-1", "a=x%"} {
+	// NaN would switch the gate off (no delta exceeds it), Inf likewise.
+	for _, bad := range []string{"nonsense", "a=%", "a=-1", "a=x%", "default=NaN", "a=nan%", "a=Inf", "a=+inf%"} {
 		if _, err := ParseThresholds(bad); err == nil {
 			t.Errorf("ParseThresholds(%q) accepted", bad)
 		}
@@ -191,5 +192,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("ReadSnapshot on a missing file succeeded")
+	}
+	// The committed baseline predates the removal of the snapshot's overlap
+	// object: the unknown key is ignored, everything the compare reads loads.
+	old, err := ReadSnapshot("../../BENCH_8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Faults == nil || len(old.Results) == 0 || len(old.Checksums) == 0 || len(old.Profiles) == 0 {
+		t.Errorf("BENCH_8.json loaded faults %v, %d tables, %d checksums, %d profiles",
+			old.Faults, len(old.Results), len(old.Checksums), len(old.Profiles))
 	}
 }

@@ -1,13 +1,11 @@
 package bench
 
-// overlap.go is the dedicated study of the overlap-capable task-graph chain
-// executor (runspec.Spec.Overlap): the same comm-bound MG-CFD
-// synthetic loop-chain configuration runs once bulk-synchronous and once
-// overlapped, and the experiment reports virtual time, receiver-observed
-// wait, hidden in-flight time and dat-checksum equality for both modes. The
-// machine-readable OverlapRecord backs the CI smoke assertions: checksums
-// must match bitwise, the overlapped run must hide a positive amount of
-// communication, and its makespan must not exceed the bulk run's.
+// overlap.go is the dedicated study of overlapped chain execution
+// (runspec.Spec.Overlap: the chain's exchange delivered as a pipeline under
+// netsim.Overlapped): the same comm-bound MG-CFD synthetic loop-chain
+// configuration runs once bulk-synchronous and once overlapped, and the
+// experiment reports virtual time, receiver-observed wait, hidden in-flight
+// time and dat-checksum equality for both modes.
 //
 // Like the ablations, this study pins its knobs: faults, autotuning and
 // checkpoint/resume are deliberately excluded so the two runs differ in the
@@ -20,35 +18,14 @@ import (
 	"op2ca/internal/runspec"
 )
 
-// OverlapRecord is the machine-readable result of the overlap experiment
-// (the -json document's overlap field).
-type OverlapRecord struct {
-	Ranks int `json:"ranks"`
-	Loops int `json:"loops"`
-	// BulkSeconds and OverlapSeconds are the measured makespans of the two
-	// modes over the same workload.
-	BulkSeconds    float64 `json:"bulk_seconds"`
-	OverlapSeconds float64 `json:"overlap_seconds"`
-	// HiddenSeconds is the overlapped run's total in-flight message time
-	// hidden behind computation; BulkHiddenSeconds the bulk run's.
-	HiddenSeconds     float64 `json:"hidden_seconds"`
-	BulkHiddenSeconds float64 `json:"bulk_hidden_seconds"`
-	// WaitSeconds and BulkWaitSeconds are the receiver-observed waits.
-	WaitSeconds     float64 `json:"wait_seconds"`
-	BulkWaitSeconds float64 `json:"bulk_wait_seconds"`
-	// ChecksumsEqual records the equivalence check: the two modes' final
-	// dat checksums are bitwise identical.
-	ChecksumsEqual bool `json:"checksums_equal"`
-}
-
 // overlapRun is one mode's measurement.
 type overlapRun struct {
 	clock, wait, hidden float64
 	checksum            string
 }
 
-// OverlapStudy measures the task-graph executor against the bulk-synchronous
-// exchange on a communication-bound configuration: the 8M-class mesh spread
+// OverlapStudy measures overlapped against bulk-synchronous chain exchange
+// on a communication-bound configuration: the 8M-class mesh spread
 // over the 64-paper-node ARCHER2 rank count (the strong-scaling regime where
 // the paper's communication dominates its computation), 8 chained loops.
 func OverlapStudy(c Config) *Table {
@@ -99,19 +76,8 @@ func OverlapStudy(c Config) *Table {
 	bulk := measure(false)
 	ov := measure(true)
 
-	rec := &OverlapRecord{
-		Ranks: ranks, Loops: 2 * nchains,
-		BulkSeconds: bulk.clock, OverlapSeconds: ov.clock,
-		HiddenSeconds: ov.hidden, BulkHiddenSeconds: bulk.hidden,
-		WaitSeconds: ov.wait, BulkWaitSeconds: bulk.wait,
-		ChecksumsEqual: bulk.checksum == ov.checksum,
-	}
-	if c.OverlapSink != nil {
-		c.OverlapSink(rec)
-	}
-
 	equal := "equal"
-	if !rec.ChecksumsEqual {
+	if bulk.checksum != ov.checksum {
 		equal = "DIFFER"
 	}
 	return &Table{

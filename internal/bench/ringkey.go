@@ -24,24 +24,16 @@ import (
 //   - crash clauses (and any fault plan reduced to injecting nothing once
 //     they are stripped): a supervised rerun adds or extends the crash
 //     schedule of the invocation it is recovering, and must adopt that
-//     invocation's ring — mirroring the cluster-level checkpoint
-//     fingerprint rule;
+//     invocation's ring — faults.Plan.MessageFaults, the rule the
+//     cluster-level checkpoint fingerprint applies too;
 //   - Parallel: host-side threading never changes results or virtual
 //     clocks (canonical-order execution is the repo-wide oracle);
 //   - checkpoint cadence and retention (Every/Keep): they shape when
 //     snapshots are taken, not what the workload computes.
 func (c Config) RingSpec(spec checkpoint.Spec) checkpoint.Spec {
-	fault := ""
-	if c.Faults != nil {
-		stripped := *c.Faults
-		stripped.Crashes = nil
-		if stripped.Enabled() {
-			fault = stripped.String()
-		}
-	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "v=%d;n8=%d;n24=%d;rs=%g;it=%d;at=%t;ov=%t;faults=%s",
-		checkpoint.Version, c.Nodes8M, c.Nodes24M, c.RankScale, c.Iters, c.AutoTune, c.Overlap, fault)
+		checkpoint.Version, c.Nodes8M, c.Nodes24M, c.RankScale, c.Iters, c.AutoTune, c.Overlap, c.Faults.MessageFaults())
 	spec.Path = fmt.Sprintf("%s.%016x", spec.Path, h.Sum64())
 	return spec
 }

@@ -18,46 +18,20 @@ import (
 // trajectory; CompareSnapshots diffs two of them with per-table thresholds
 // (see compare.go).
 type Snapshot struct {
-	Nodes8M   int               `json:"nodes8m"`
-	Nodes24M  int               `json:"nodes24m"`
-	RankScale float64           `json:"rankscale"`
-	Iters     int               `json:"iters"`
-	FaultSpec string            `json:"fault_spec,omitempty"`
-	Faults    *FaultTotals      `json:"faults,omitempty"`
-	Checksums map[string]string `json:"checksums,omitempty"`
-	AutoTune  []AutoTuneRun     `json:"autotune,omitempty"`
-	Profiles  []ProfileRecord   `json:"profiles,omitempty"`
-	Supervise *SuperviseRecord  `json:"supervise,omitempty"`
-	Overlap   *OverlapRecord    `json:"overlap,omitempty"`
-	Results   []Result          `json:"results"`
-}
-
-// SuperviseRecord is the committed summary of a supervised invocation's
-// recovery ledger (op2ca-bench -supervise): how many attempts ran, how many
-// restarts each failure class consumed, and what the checkpoint ring did.
-// All restarts resolved deterministically — the results in the same snapshot
-// are bitwise identical to an uninterrupted run's.
-type SuperviseRecord struct {
-	Attempts         int     `json:"attempts"`
-	Restarts         int     `json:"restarts"`
-	CrashRestarts    int     `json:"crash_restarts"`
-	ExchangeRestarts int     `json:"exchange_restarts"`
-	WatchdogTrips    int     `json:"watchdog_trips"`
-	GenerationsTried int     `json:"generations_tried"`
-	Quarantined      int     `json:"quarantined"`
-	ColdStarts       int     `json:"cold_starts"`
-	BackoffVirtual   float64 `json:"backoff_virtual_seconds"`
-}
-
-// NewSuperviseRecord flattens a supervisor's ledger into its snapshot form.
-func NewSuperviseRecord(s cluster.SuperviseStats) *SuperviseRecord {
-	return &SuperviseRecord{
-		Attempts: s.Attempts, Restarts: s.Restarts,
-		CrashRestarts: s.CrashRestarts, ExchangeRestarts: s.ExchangeRestarts,
-		WatchdogTrips: s.WatchdogTrips, GenerationsTried: s.GenerationsTried,
-		Quarantined: s.Quarantined, ColdStarts: s.ColdStarts,
-		BackoffVirtual: s.BackoffVirtual,
-	}
+	Nodes8M   int     `json:"nodes8m"`
+	Nodes24M  int     `json:"nodes24m"`
+	RankScale float64 `json:"rankscale"`
+	Iters     int     `json:"iters"`
+	FaultSpec string  `json:"fault_spec,omitempty"`
+	// Faults sums the fault ledgers of every backend the experiments built.
+	Faults    *cluster.FaultStats `json:"faults,omitempty"`
+	Checksums map[string]string   `json:"checksums,omitempty"`
+	AutoTune  []AutoTuneRun       `json:"autotune,omitempty"`
+	Profiles  []ProfileRecord     `json:"profiles,omitempty"`
+	// Supervise is a supervised invocation's recovery ledger (-supervise);
+	// the results beside it are bitwise an uninterrupted run's.
+	Supervise *cluster.SuperviseStats `json:"supervise,omitempty"`
+	Results   []Result                `json:"results"`
 }
 
 // Result is one experiment's table plus its wall time. Wall time is the
@@ -69,19 +43,6 @@ type Result struct {
 	Rows    [][]string `json:"rows"`
 	Notes   []string   `json:"notes,omitempty"`
 	Seconds float64    `json:"seconds"`
-}
-
-// FaultTotals mirrors cluster.FaultStats field for field (it converts) with
-// stable JSON names, summed over every backend the experiments construct.
-// All zeros on a fault-free run.
-type FaultTotals struct {
-	Drops             int64 `json:"drops"`
-	Corrupts          int64 `json:"corrupts"`
-	Delays            int64 `json:"delays"`
-	Retries           int64 `json:"retries"`
-	Giveups           int64 `json:"giveups"`
-	FallbackUngrouped int64 `json:"fallback_ungrouped"`
-	FallbackPerLoop   int64 `json:"fallback_perloop"`
 }
 
 // AutoTuneRun is one measured run's autotuner record: the calibrated

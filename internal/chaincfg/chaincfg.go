@@ -50,8 +50,8 @@ type Chain struct {
 	// budget for this chain's exchanges under fault injection; 0 means
 	// "use the back-end default".
 	MaxRetries int
-	// Overlap runs this chain's CA exchanges on the overlap-capable
-	// task-graph executor (pipelined post/complete delivery); results are
+	// Overlap delivers this chain's CA exchanges overlapped (pipelined
+	// post/complete delivery, cluster.Config.Overlap); results are
 	// bit-identical to bulk-synchronous execution, only virtual time moves.
 	Overlap bool
 	// Loops lists the constituent loops in chain order; may be empty when

@@ -183,8 +183,8 @@ func TestParseComments(t *testing.T) {
 	}
 }
 
-// TestParseOverlap: the "overlap" token opts a chain into the pipelined
-// task-graph executor and round-trips through String(). It composes with
+// TestParseOverlap: the "overlap" token opts a chain into overlapped
+// (pipelined) delivery and round-trips through String(). It composes with
 // auto (the tuner then enumerates both delivery modes) but not disable.
 func TestParseOverlap(t *testing.T) {
 	cfg, err := ParseString("chain a overlap\nloop x he=1\nchain b auto overlap\nchain c maxhe=2\n")

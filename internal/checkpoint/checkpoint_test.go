@@ -244,6 +244,9 @@ func TestParseSpec(t *testing.T) {
 	if spec, err = ParseSpec("path=x, every=1"); err != nil || spec.Every != 1 || spec.Path != "x" {
 		t.Fatalf("order/space variant = %+v, %v", spec, err)
 	}
+	if spec, err = ParseSpec("every=2,path=x,"); err != nil || spec != (Spec{Every: 2, Path: "x"}) {
+		t.Fatalf("trailing comma = %+v, %v; the other spec grammars skip it", spec, err)
+	}
 	for _, bad := range []string{
 		"", "every=5", "path=x", "every=0,path=x", "every=a,path=x", "bogus=1", "every",
 		"every=-2,path=x",              // negative period

@@ -30,12 +30,17 @@ func (s Spec) Enabled() bool { return s.Every > 0 && s.Path != "" }
 // ParseSpec parses "every=N,path=P[,keep=K]" (every and path required, any
 // order; keep defaults to 1). Each key may appear at most once — a
 // duplicate is almost always a copy-paste error, and silently letting the
-// last occurrence win would mask it.
+// last occurrence win would mask it. Empty fields (a trailing comma) are
+// skipped, as in the -faults and -supervise grammars.
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
 	seen := make(map[string]bool, 3)
 	for _, field := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(field), "=")
+		field = strings.TrimSpace(field)
+		if field == "" {
+			continue
+		}
+		key, val, ok := strings.Cut(field, "=")
 		if !ok {
 			return Spec{}, fmt.Errorf("checkpoint spec: %q is not key=value", field)
 		}

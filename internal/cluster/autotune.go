@@ -1,15 +1,15 @@
 package cluster
 
 // autotune.go wires the model-driven autotuner (package autotune) into the
-// chain execution path. A tuned chain first runs ProbeWindows windows
-// per-loop (the standard OP2 baseline) while the calibrator collects
+// chain execution path. The first window of a tuned chain is the probe: it
+// runs per-loop (the standard OP2 baseline) while the calibrator collects
 // measured exchange spans, pack volumes and per-loop execution parameters;
 // then the tuner fits the machine parameters, derives Equation (3) inputs
 // for every feasible CA policy from the halo layouts, scores all candidates
 // with the analytic model and commits to the winner. Every subsequent
 // window runs the chosen policy and compares its measured time against the
-// prediction; divergence beyond Tune.ReplanPct re-tunes at the next window
-// boundary.
+// prediction; divergence beyond autotune's re-plan threshold (25 %) re-tunes
+// at the next window boundary.
 //
 // Every candidate policy — per-loop OP2, CA at any feasible halo depth,
 // grouped or per-dat messages — produces bit-identical data (the
@@ -42,21 +42,19 @@ type tuneKey struct {
 
 // tunedLoop is one chain position's measured Equation (1) parameters from
 // the most recent complete per-loop window (G is filled from the
-// calibration at decision time).
+// calibration at decision time). Snapshots carry it as is.
 type tunedLoop struct {
-	kernel string
-	p      model.LoopParams
+	Kernel string           `json:"kernel"`
+	Params model.LoopParams `json:"params"`
 }
 
 // chainTune is the tuner state of one chain.
 type chainTune struct {
 	chain string
-	cfg   autotune.Config
 	cal   *autotune.Calibrator
 	// skip marks chains excluded from tuning (invariance guard); they run
 	// the static configuration unchanged.
-	skip   bool
-	probes int
+	skip bool
 	// dirty records the dat IDs observed dirty at window entry during
 	// per-loop windows: the runtime validity state decides which of a CA
 	// plan's required exchanges actually ship, so candidate message shapes
@@ -83,7 +81,7 @@ func (ct *chainTune) endWindow() {
 // sample (to solve for g) and the window's Equation (1) parameters.
 func (ct *chainTune) noteLoop(kernel string, p model.LoopParams, seconds float64) {
 	ct.cal.AddLoop(kernel, p, seconds)
-	ct.window = append(ct.window, tunedLoop{kernel: kernel, p: p})
+	ct.window = append(ct.window, tunedLoop{Kernel: kernel, Params: p})
 }
 
 // noteExchange records one per-loop exchange of the sampled chain: which
@@ -130,7 +128,6 @@ func (b *Backend) tuneFor(name string, loops []core.Loop, cfgChain *chaincfg.Cha
 	b.stats.AutoTune.Enabled = true
 	ct := &chainTune{
 		chain: name,
-		cfg:   b.cfg.Tune.WithDefaults(),
 		cal:   autotune.NewCalibrator(),
 		dirty: map[int]bool{},
 	}
@@ -162,11 +159,7 @@ func (b *Backend) tuneInvariant(name string, loops []core.Loop, cfgChain *chainc
 	if cfgChain == nil {
 		return ""
 	}
-	over, err := cfgChain.HEOverrides(len(loops))
-	if err != nil {
-		panic("cluster: " + err.Error())
-	}
-	base, errB := ca.Inspect(name, loops, over)
+	base, errB := ca.Inspect(name, loops, b.overridesFor(cfgChain, len(loops)))
 	safe, errS := ca.Inspect(name, loops, nil)
 	if errB != nil || errS != nil {
 		// Infeasible chains fall back to per-loop execution on every path;
@@ -182,9 +175,9 @@ func (b *Backend) tuneInvariant(name string, loops []core.Loop, cfgChain *chainc
 	return ""
 }
 
-// runTuned executes one window of a tuned chain: a per-loop probe window
-// while calibrating, the decided policy afterwards, re-tuning when the
-// measured window time diverges from the prediction.
+// runTuned executes one window of a tuned chain: the per-loop probe window
+// first, the decided policy afterwards, re-tuning when the measured window
+// time diverges from the prediction.
 func (b *Backend) runTuned(ct *chainTune, name string, loops []core.Loop, cfgChain *chaincfg.Chain, cs *ChainStats) {
 	t0 := b.maxClock()
 	ct.beginWindow()
@@ -199,16 +192,13 @@ func (b *Backend) runTuned(ct *chainTune, name string, loops []core.Loop, cfgCha
 	ct.endWindow()
 
 	if decided == nil {
-		ct.probes++
-		if ct.probes >= ct.cfg.ProbeWindows {
-			b.tuneDecide(ct, name, loops, cfgChain)
-		}
+		b.tuneDecide(ct, name, loops, cfgChain)
 		return
 	}
 	measured := b.maxClock() - t0
 	decided.Windows++
 	decided.Measured = measured
-	if autotune.ShouldReplan(decided.Predicted, measured, ct.cfg.ReplanPct) {
+	if autotune.ShouldReplan(decided.Predicted, measured) {
 		b.tuneDecide(ct, name, loops, cfgChain)
 	}
 }
@@ -235,9 +225,8 @@ func (b *Backend) tuneDecide(ct *chainTune, name string, loops []core.Loop, cfgC
 	in := autotune.ChainInputs{Chain: name}
 	in.Op2 = make([]model.LoopParams, len(ct.op2Params))
 	for i, tl := range ct.op2Params {
-		p := tl.p
-		p.G = cal.GFor(tl.kernel, m.IterTime(loops[i].Kernel))
-		in.Op2[i] = p
+		in.Op2[i] = tl.Params
+		in.Op2[i].G = cal.GFor(tl.Kernel, m.IterTime(loops[i].Kernel))
 	}
 	var reason string
 	in.CA, reason = b.caCandidates(name, loops, cfgChain, ct, cal)
@@ -259,8 +248,8 @@ func (b *Backend) tuneDecide(ct *chainTune, name string, loops []core.Loop, cfgC
 			// will not be replayed; drop it from the cache. A warm
 			// (checkpoint-restored, not yet rebuilt) entry counts the same
 			// invalidation the uninterrupted run would have.
-			key := planKey{chain: name, sig: ca.ChainSignature(loops, prev.ChosenPolicy.HE)}
-			if e, ok := b.plans[key.chain+"\x00"+key.sig]; ok {
+			key := planKey{Chain: name, Sig: ca.ChainSignature(loops, prev.ChosenPolicy.HE)}
+			if e, ok := b.plans[key.Chain+"\x00"+key.Sig]; ok {
 				b.invalidatePlan(e)
 			} else if b.warmPlans[key] {
 				delete(b.warmPlans, key)
@@ -285,14 +274,7 @@ func (b *Backend) caCandidates(name string, loops []core.Loop, cfgChain *chaincf
 	if len(loops) > b.cfg.MaxChainLen {
 		return nil, fmt.Sprintf("chain length %d exceeds MaxChainLen %d", len(loops), b.cfg.MaxChainLen)
 	}
-	var baseOver []int
-	if cfgChain != nil {
-		var err error
-		baseOver, err = cfgChain.HEOverrides(len(loops))
-		if err != nil {
-			panic("cluster: " + err.Error())
-		}
-	}
+	baseOver := b.overridesFor(cfgChain, len(loops))
 	base, err := ca.Inspect(name, loops, baseOver)
 	if err != nil {
 		return nil, fmt.Sprintf("CA infeasible: %v", err)
@@ -336,8 +318,8 @@ func (b *Backend) caCandidates(name string, loops []core.Loop, cfgChain *chaincf
 }
 
 // caCandidate prices one (plan, grouping) pair: Equation (3) parameters
-// from the halo layouts — per-loop core/halo iteration splits mirroring
-// runChainImpl's ranges exactly — and the message shape from the plan's
+// from the halo layouts — the per-loop core/halo iteration splits the
+// executor itself derives (splitLoop) — and the message shape from the plan's
 // required exchanges filtered to the dats observed dirty during probing.
 func (b *Backend) caCandidate(loops []core.Loop, p ca.Plan, over []int, grouped, overlap bool, ct *chainTune, cal autotune.Calib) autotune.CACandidate {
 	m := b.cfg.Machine
@@ -361,22 +343,9 @@ func (b *Backend) caCandidate(loops []core.Loop, p ca.Plan, over []int, grouped,
 	for r := 0; r < b.cfg.NParts; r++ {
 		lay := b.layouts[r]
 		for i, l := range loops {
-			sl := lay.SetL(l.Set)
-			e := sl.ExecEnd(p.HE[i])
-			c := e
-			if exchanging {
-				c = min(sl.CorePrefix(i), e)
-			}
-			halo := e - c
-			if p.HN[i] > 0 {
-				halo += int(sl.NonexecStart[p.HN[i]]) - int(sl.NonexecStart[0])
-			}
-			if f := float64(c); f > lp[i].CoreIters {
-				lp[i].CoreIters = f
-			}
-			if f := float64(halo); f > lp[i].HaloIters {
-				lp[i].HaloIters = f
-			}
+			sp := splitLoop(lay.SetL(l.Set), p.HE[i], p.HN[i], i, exchanging)
+			lp[i].CoreIters = max(lp[i].CoreIters, float64(sp.core))
+			lp[i].HaloIters = max(lp[i].HaloIters, float64(sp.halo()))
 		}
 	}
 	cand := autotune.CACandidate{

@@ -5,9 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"op2ca/internal/ca"
 	"op2ca/internal/chaincfg"
+	"op2ca/internal/faults"
 	"op2ca/internal/machine"
 	"op2ca/internal/mesh"
+	"op2ca/internal/model"
 	"op2ca/internal/obs"
 	"op2ca/internal/partition"
 )
@@ -136,20 +139,90 @@ func TestAutoTuneSelectsCAWhenModelFavoursIt(t *testing.T) {
 	}
 }
 
-// TestAutoTuneReplans: an unreachable accuracy bar forces a re-tune after
-// every decided window, still bit-identically.
+// TestTunerScoresWhatTheExecutorRuns: Equation (3)'s per-loop S^c and S^h
+// have one derivation (splitLoop), so the core and halo iteration counts the
+// chosen candidate was scored by are the ones runChainImpl hands to
+// model.TCAChain when that policy runs its next window.
+func TestTunerScoresWhatTheExecutorRuns(t *testing.T) {
+	m := mesh.Rotor(10, 8, 6)
+	slow := machine.ARCHER2()
+	slow.Latency = 200e-6 // latency-dominated: the tuner must choose CA
+	a := newMiniApp(m)
+	a.p.DeclDat(a.bedges, 1, makeBW(m.NBedges), "bw")
+	b, err := New(Config{
+		Prog: a.p, Primary: a.nodes, Assign: partition.KWay(m.NodeAdjacency(), 6),
+		NParts: 6, Depth: 2, MaxChainLen: 4, CA: true, AutoTune: true, Machine: slow,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An undemarcated step first, so the probe window meets dirty halos and
+	// the candidates are priced with the exchange steady-state windows make.
+	a.run(b, 1, false)
+	a.run(b, 1, true)
+	d := b.Stats().AutoTune.Decisions["synth"]
+	if d == nil || !d.ChosenPolicy.CA {
+		t.Fatalf("decision %+v, want a CA policy", d)
+	}
+	loops := b.recScratch.loops // the chain just executed
+	ct := b.tunes[tuneKey{chain: "synth", sig: ca.ChainSignature(loops, nil)}]
+	cands, _ := b.caCandidates("synth", loops, nil, ct, b.Stats().AutoTune.Calib)
+	var scored []model.LoopParams
+	for _, c := range cands {
+		if c.Policy.Equal(d.ChosenPolicy) {
+			scored = c.Params.Loops
+		}
+	}
+	if len(scored) != len(loops) {
+		t.Fatalf("chosen policy %s is not among the %d candidates", d.Chosen, len(cands))
+	}
+	a.run(b, 1, true)
+	if cs := b.Stats().Chains["synth"]; cs.CAExecutions != 1 {
+		t.Fatalf("the decided window did not run CA: %+v", cs)
+	}
+	halo := 0.0
+	for i, ran := range b.scr.lp[:len(loops)] {
+		if ran.CoreIters != scored[i].CoreIters || ran.HaloIters != scored[i].HaloIters {
+			t.Errorf("loop %d: scored core/halo %g/%g, executed %g/%g", i,
+				scored[i].CoreIters, scored[i].HaloIters, ran.CoreIters, ran.HaloIters)
+		}
+		halo += ran.HaloIters
+	}
+	if halo == 0 {
+		t.Error("the window exchanged nothing: every iteration was core, the split was not exercised")
+	}
+}
+
+// TestAutoTuneReplans: a decided window whose measured time diverges from
+// the prediction by more than the re-plan threshold forces a re-tune, still
+// bit-identically. The divergence is a rank that starts straggling after the
+// probe window, so the calibration the decision rests on never saw it (the
+// backend shares the plan pointer, as in TestPlanCacheInvalidationRepopulates).
 func TestAutoTuneReplans(t *testing.T) {
 	m := mesh.Rotor(8, 6, 5)
 	const steps = 6
-	want := seqResult(m, steps)
-	got, b := tunedResult(t, m, steps, 5, func(c *Config) { c.Tune.ReplanPct = 1e-12 })
-	compareExact(t, "replanning run vs seq", got, want)
-	d := b.Stats().AutoTune.Decisions["synth"]
-	if d == nil {
-		t.Fatal("no decision for synth")
+	plan := &faults.Plan{Seed: 1}
+	a := newMiniApp(m)
+	a.p.DeclDat(a.bedges, 1, makeBW(m.NBedges), "bw")
+	b, err := New(Config{
+		Prog: a.p, Primary: a.nodes, Assign: partition.KWay(m.NodeAdjacency(), 5),
+		NParts: 5, Depth: 2, MaxChainLen: 4, CA: true, AutoTune: true,
+		Machine: machine.ARCHER2(), Faults: plan,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d.Replans == 0 {
-		t.Fatal("a 1e-12% accuracy bar must force re-planning")
+	a.run(b, 1, true)
+	d := b.Stats().AutoTune.Decisions["synth"]
+	if d == nil || d.Replans != 0 {
+		t.Fatalf("after the probe window: decision %+v, want one and no re-plan yet", d)
+	}
+	plan.Stragglers = map[int32]float64{0: 50}
+	a.run(b, steps-1, true)
+	got := map[string][]float64{"res": b.GatherDat(a.res), "flux": b.GatherDat(a.flux)}
+	compareExact(t, "replanning run vs seq", got, seqResult(m, steps))
+	if d = b.Stats().AutoTune.Decisions["synth"]; d.Replans == 0 {
+		t.Fatalf("predicted %gs, measured %gs under a 50x straggler, yet no re-plan", d.Predicted, d.Measured)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"op2ca/internal/autotune"
 	"op2ca/internal/chaincfg"
 	"op2ca/internal/core"
 	"op2ca/internal/faults"
@@ -95,24 +94,14 @@ type Config struct {
 	// corruption, delays, stragglers) into every exchange. Lost and
 	// corrupt messages are retransmitted with timeout plus exponential
 	// backoff, charged in virtual time; a grouped CA exchange that
-	// exhausts MaxRetries degrades (grouped -> per-dat messages ->
-	// per-loop OP2 execution) instead of failing. Fault injection never
-	// touches the simulated data: results stay bit-identical to the
-	// fault-free run, only clocks, stats and fault counters differ.
+	// exhausts its retransmission budget degrades (grouped -> per-dat
+	// messages -> per-loop OP2 execution) instead of failing. The budget
+	// per message is the plan's maxretries clause when present, else 4; the
+	// chain configuration file's maxretries option overrides it per chain.
+	// Fault injection never touches the simulated data: results stay
+	// bit-identical to the fault-free run, only clocks, stats and fault
+	// counters differ.
 	Faults *faults.Plan
-	// MaxRetries bounds retransmissions per message. Zero selects the
-	// fault plan's maxretries clause when present, else 4; negative is
-	// rejected. Per-chain overrides come from the chain configuration
-	// file's maxretries option.
-	MaxRetries int
-	// RetryTimeout is the virtual-time delay before a lost or corrupt
-	// message is detected and retransmission scheduled. Zero defaults to
-	// 4x the machine latency.
-	RetryTimeout float64
-	// RetryBackoff is the base of the exponential retransmission backoff
-	// (attempt k waits RetryBackoff * 2^k beyond the timeout). Zero
-	// defaults to the machine latency.
-	RetryBackoff float64
 	// AutoTune hands every eligible chain's execution policy to the
 	// model-driven autotuner: calibrate Equations (1)-(4) from measured
 	// probe windows, score per-loop OP2 against CA at every feasible halo
@@ -122,9 +111,6 @@ type Config struct {
 	// Requires CA. Tuning never changes results — every candidate policy
 	// is bit-identical — only virtual time.
 	AutoTune bool
-	// Tune holds the autotuner knobs (probe window count, re-plan
-	// threshold); zero values select defaults.
-	Tune autotune.Config
 }
 
 // validity tracks how many halo shells of a dat currently hold owner-fresh
@@ -175,9 +161,11 @@ type Backend struct {
 	schedules  map[string]*exchangeSchedule
 	noExchange *exchangeSchedule
 
-	// Fault-recovery state: the per-message retransmission budget and the
-	// timeout/backoff charges, resolved from Config at construction, and
-	// the exchange sequence number keying deterministic fault decisions.
+	// Fault-recovery state: the per-message retransmission budget (see
+	// Config.Faults), the delay before a lost or corrupt message is detected
+	// (4L of the machine), the backoff base (L: attempt k waits
+	// retryBackoff * 2^k beyond the timeout), and the exchange sequence
+	// number keying deterministic fault decisions.
 	maxRetries   int
 	retryTimeout float64
 	retryBackoff float64
@@ -283,6 +271,8 @@ type execScratch struct {
 	chainPost     []float64
 	chainRecvLast []float64
 	chainLoops    []core.Loop
+	chainHE       []int // the executing plan's halo extensions, per loop
+	chainHN       []int
 	chainExch     bool
 	chainSend     []int64
 	// chainProg is the compiled program of the chain being executed (the
@@ -359,12 +349,6 @@ func New(cfg Config) (*Backend, error) {
 	if cfg.AutoTune && !cfg.CA {
 		return nil, fmt.Errorf("cluster: AutoTune requires CA (the tuner picks between per-loop and Algorithm 2 execution)")
 	}
-	if cfg.MaxRetries < 0 {
-		return nil, fmt.Errorf("cluster: MaxRetries %d < 0", cfg.MaxRetries)
-	}
-	if cfg.MaxRetries > maxRetryBudget {
-		return nil, fmt.Errorf("cluster: MaxRetries %d > %d (backoff would exceed any useful virtual time)", cfg.MaxRetries, maxRetryBudget)
-	}
 	if cfg.Faults != nil && cfg.Faults.MaxRetries > maxRetryBudget {
 		return nil, fmt.Errorf("cluster: fault plan maxretries %d > %d", cfg.Faults.MaxRetries, maxRetryBudget)
 	}
@@ -374,12 +358,6 @@ func New(cfg Config) (*Backend, error) {
 				return nil, fmt.Errorf("cluster: chain %s maxretries %d > %d", c.Name, c.MaxRetries, maxRetryBudget)
 			}
 		}
-	}
-	if cfg.RetryTimeout < 0 || math.IsNaN(cfg.RetryTimeout) || math.IsInf(cfg.RetryTimeout, 0) {
-		return nil, fmt.Errorf("cluster: RetryTimeout %g must be a non-negative, finite time", cfg.RetryTimeout)
-	}
-	if cfg.RetryBackoff < 0 || math.IsNaN(cfg.RetryBackoff) || math.IsInf(cfg.RetryBackoff, 0) {
-		return nil, fmt.Errorf("cluster: RetryBackoff %g must be a non-negative, finite time", cfg.RetryBackoff)
 	}
 	if cfg.Depth == 0 {
 		cfg.Depth = 1
@@ -411,6 +389,13 @@ func New(cfg Config) (*Backend, error) {
 		warmPlans:  map[planKey]bool{},
 		heCache:    map[*chaincfg.Chain]heOverrides{},
 		crashArmed: armAll(len(cfg.Faults.CrashSchedule())),
+
+		maxRetries:   4,
+		retryTimeout: 4 * cfg.Machine.Latency,
+		retryBackoff: cfg.Machine.Latency,
+	}
+	if cfg.Faults != nil && cfg.Faults.MaxRetries > 0 {
+		b.maxRetries = cfg.Faults.MaxRetries
 	}
 	b.initScratch()
 	workers := 1
@@ -424,22 +409,6 @@ func New(cfg Config) (*Backend, error) {
 		return nil, fmt.Errorf("cluster: machine %s: %v", cfg.Machine.Name, err)
 	}
 	b.installPool(workers)
-	b.maxRetries = cfg.MaxRetries
-	if b.maxRetries == 0 {
-		if cfg.Faults != nil && cfg.Faults.MaxRetries > 0 {
-			b.maxRetries = cfg.Faults.MaxRetries
-		} else {
-			b.maxRetries = 4
-		}
-	}
-	b.retryTimeout = cfg.RetryTimeout
-	if b.retryTimeout == 0 {
-		b.retryTimeout = 4 * cfg.Machine.Latency
-	}
-	b.retryBackoff = cfg.RetryBackoff
-	if b.retryBackoff == 0 {
-		b.retryBackoff = cfg.Machine.Latency
-	}
 	for r := range b.dats {
 		b.dats[r] = make([][]float64, len(cfg.Prog.Dats))
 		for _, d := range cfg.Prog.Dats {

@@ -56,25 +56,19 @@ func retryFixture() (m *mesh.FV3D, p *core.Program, nodes *core.Set, assign part
 	return
 }
 
-// TestMaxRetriesValidation: every way of configuring a retry budget —
-// Config, fault plan, per-chain override — is bounded, so an absurd budget
-// fails fast instead of exponentiating virtual time.
+// TestMaxRetriesValidation: both ways of configuring a retry budget — the
+// fault plan's clause and the per-chain override — are bounded, so an absurd
+// budget fails fast instead of exponentiating virtual time.
 func TestMaxRetriesValidation(t *testing.T) {
 	m, p, nodes, assign := retryFixture()
 	_ = m
 	base := Config{Prog: p, Primary: nodes, Assign: assign, NParts: 2, Depth: 1}
 
 	cfg := base
-	cfg.MaxRetries = maxRetryBudget
-	if _, err := New(cfg); err != nil {
-		t.Errorf("MaxRetries at the budget should be accepted: %v", err)
+	cfg.Faults = &faults.Plan{Drop: 0.1, MaxRetries: maxRetryBudget}
+	if b, err := New(cfg); err != nil || b.maxRetriesFor(nil) != maxRetryBudget {
+		t.Errorf("fault-plan maxretries at the budget should be accepted and used: %v", err)
 	}
-	cfg.MaxRetries = maxRetryBudget + 1
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "MaxRetries") {
-		t.Errorf("MaxRetries over the budget = %v, want validation error", err)
-	}
-
-	cfg = base
 	cfg.Faults = &faults.Plan{Drop: 0.1, MaxRetries: maxRetryBudget + 1}
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "maxretries") {
 		t.Errorf("fault-plan maxretries over the budget = %v, want validation error", err)

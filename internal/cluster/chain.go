@@ -172,6 +172,7 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	coreEnds, haloIters := sc.chainCores, sc.chainHalos
 	post := sc.chainPost
 	sc.chainLoops, sc.chainExch, sc.chainSend = loops, exchanging, res.sendBytes
+	sc.chainHE, sc.chainHN = plan.HE, plan.HN
 	b.forEachRank(b.fnChainPrep)
 
 	maxR := b.maxRetriesFor(cfgChain)
@@ -382,25 +383,16 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 }
 
 // chainPrepRank is the first fork of a CA chain execution: derive rank r's
-// per-loop core prefix and halo iteration counts from the compiled
-// program's ranges (execute end, non-execute refresh range) and its
-// send-post time. Parameters arrive via Backend scratch.
+// per-loop core and halo iteration counts (splitLoop, under the plan's halo
+// extensions) and its send-post time. Parameters arrive via Backend scratch.
 func (b *Backend) chainPrepRank(w, r int) {
 	sc := &b.scr
 	m := b.cfg.Machine
 	lay := b.layouts[r]
-	prog := sc.chainProg.ranks[r]
 	cores, halos := sc.chainCores[r], sc.chainHalos[r]
 	for i, l := range sc.chainLoops {
-		lp := &prog[i]
-		c := lp.end
-		if sc.chainExch {
-			c = min(lay.SetL(l.Set).CorePrefix(i), lp.end)
-		}
-		cores[i] = c
-		// Direct loops additionally refresh non-execute halo copies of
-		// their outputs by iterating them.
-		halos[i] = lp.end - c + lp.nx.hi - lp.nx.lo
+		sp := splitLoop(lay.SetL(l.Set), sc.chainHE[i], sc.chainHN[i], i, sc.chainExch)
+		cores[i], halos[i] = sp.core, sp.halo()
 	}
 	post := b.clock[r] + float64(sc.chainSend[r])/m.PackRate
 	if !b.cfg.GPUDirect {

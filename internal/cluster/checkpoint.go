@@ -42,10 +42,9 @@ package cluster
 //   - Plan-cache keys are restored as "warm" entries: the cached inspection
 //     is rebuilt on first use (inspection is deterministic) but accounted as
 //     a cache hit, so PlanCacheStats continue exactly.
-//   - The autotuner's calibrator samples, probe counts, dirty-dat
-//     observations, per-window parameters and committed decision are all
-//     restored, so the tuner's future decisions match the uninterrupted
-//     run's.
+//   - The autotuner's calibrator samples, dirty-dat observations,
+//     per-window parameters and committed decision are all restored, so the
+//     tuner's future decisions match the uninterrupted run's.
 //   - The crash fault is disarmed on restore: the resumed run replays the
 //     pre-crash exchange sequence numbers without dying again (the simulated
 //     analogue of restarting on a replacement node).
@@ -64,7 +63,6 @@ import (
 	"op2ca/internal/checkpoint"
 	"op2ca/internal/core"
 	"op2ca/internal/halo"
-	"op2ca/internal/model"
 	"op2ca/internal/obs"
 )
 
@@ -97,20 +95,16 @@ type configFingerprint struct {
 	EagerThreshold int64   `json:"eager_threshold"`
 	Handshake      float64 `json:"handshake,omitempty"`
 	GPU            bool    `json:"gpu"`
-	// Faults is the plan spec normalised to its message-fault content: the
-	// crash clause is stripped (a resume must not require re-specifying the
-	// crash that killed the original run), and a plan left injecting
-	// nothing renders as "".
+	// Faults is the plan's message-fault content (faults.Plan.MessageFaults):
+	// a crash-only plan fingerprints equal to no plan at all, the resume
+	// configuration.
 	Faults string `json:"faults"`
-	// Resolved retry knobs (defaults applied), not the raw Config values:
-	// a crash-only plan carrying maxretries would otherwise fingerprint
-	// equal to a no-fault resume config with a different effective budget.
-	MaxRetries   int     `json:"max_retries"`
-	RetryTimeout float64 `json:"retry_timeout"`
-	RetryBackoff float64 `json:"retry_backoff"`
-	Chains       string  `json:"chains"`
-	ProbeWindows int     `json:"probe_windows"`
-	ReplanPct    float64 `json:"replan_pct"`
+	// The resolved retransmission budget, not the plan's clause: a
+	// crash-only plan carrying maxretries would otherwise fingerprint equal
+	// to a no-fault resume config with a different effective budget. (The
+	// retry timeout and backoff are functions of Latency above.)
+	MaxRetries int    `json:"max_retries"`
+	Chains     string `json:"chains"`
 	// Mesh and data identity: sets, dats and the partition assignment.
 	Primary    string  `json:"primary"`
 	Sets       []fpSet `json:"sets"`
@@ -156,12 +150,8 @@ func (b *Backend) configFingerprint() ([]byte, error) {
 		EagerThreshold: cfg.Machine.EagerThreshold,
 		Handshake:      cfg.Machine.Handshake,
 		GPU:            cfg.Machine.GPU != nil,
-		Faults:         normalizedFaultSpec(cfg),
+		Faults:         cfg.Faults.MessageFaults(),
 		MaxRetries:     b.maxRetries,
-		RetryTimeout:   b.retryTimeout,
-		RetryBackoff:   b.retryBackoff,
-		ProbeWindows:   cfg.Tune.WithDefaults().ProbeWindows,
-		ReplanPct:      cfg.Tune.WithDefaults().ReplanPct,
 		Primary:        cfg.Primary.Name,
 	}
 	if cfg.Chains != nil {
@@ -185,35 +175,18 @@ func (b *Backend) configFingerprint() ([]byte, error) {
 	return b.ckptFingerprint, err
 }
 
-// normalizedFaultSpec renders the fault plan with the crash clauses
-// stripped; a plan left injecting no message faults renders as "", so a
-// crash-only plan fingerprints equal to no plan at all (the resume
-// configuration).
-func normalizedFaultSpec(cfg Config) string {
-	p := cfg.Faults
-	if p == nil {
-		return ""
-	}
-	stripped := *p
-	stripped.Crashes = nil
-	if !stripped.Enabled() {
-		return ""
-	}
-	return stripped.String()
-}
-
 // ckptMeta is the backend-defined continuation blob of a snapshot: stats,
 // plan-cache state and autotuner state, JSON-encoded (encoding/json sorts
 // map keys, so equal states produce equal bytes).
 type ckptMeta struct {
 	// Dats says, per declared dat, what the snapshot's dats section holds.
-	Dats              []ckptDat     `json:"dats"`
-	Stats             *Stats        `json:"stats"`
-	PlanHits          int64         `json:"plan_hits"`
-	PlanMisses        int64         `json:"plan_misses"`
-	PlanInvalidations int64         `json:"plan_invalidations"`
-	Plans             []ckptPlanKey `json:"plans,omitempty"`
-	Tunes             []ckptTune    `json:"tunes,omitempty"`
+	Dats              []ckptDat  `json:"dats"`
+	Stats             *Stats     `json:"stats"`
+	PlanHits          int64      `json:"plan_hits"`
+	PlanMisses        int64      `json:"plan_misses"`
+	PlanInvalidations int64      `json:"plan_invalidations"`
+	Plans             []planKey  `json:"plans,omitempty"`
+	Tunes             []ckptTune `json:"tunes,omitempty"`
 }
 
 // ckptDat describes one dat of a snapshot: Written dats have their owned
@@ -225,26 +198,15 @@ type ckptDat struct {
 	CRC     uint32 `json:"crc,omitempty"`
 }
 
-type ckptPlanKey struct {
-	Chain string `json:"chain"`
-	Sig   string `json:"sig"`
-}
-
 // ckptTune is one chain's serialised autotuner state.
 type ckptTune struct {
 	Chain     string                   `json:"chain"`
 	Sig       string                   `json:"sig"`
 	Skip      bool                     `json:"skip,omitempty"`
-	Probes    int                      `json:"probes"`
 	Dirty     []int                    `json:"dirty,omitempty"`
-	Op2Params []ckptTunedLoop          `json:"op2_params,omitempty"`
+	Op2Params []tunedLoop              `json:"op2_params,omitempty"`
 	Decision  *autotune.Decision       `json:"decision,omitempty"`
 	Cal       autotune.CalibratorState `json:"cal"`
-}
-
-type ckptTunedLoop struct {
-	Kernel string           `json:"kernel"`
-	Params model.LoopParams `json:"params"`
 }
 
 // owned returns rank r's owned values of d: the prefix of its local storage.
@@ -339,12 +301,12 @@ func (b *Backend) Checkpoint(w io.Writer, note string) error {
 		}
 	}
 	for _, e := range b.plans {
-		meta.Plans = append(meta.Plans, ckptPlanKey{Chain: e.key.chain, Sig: e.key.sig})
+		meta.Plans = append(meta.Plans, e.key)
 	}
 	for key := range b.warmPlans {
 		// Warm keys not yet rebuilt carry over: the uninterrupted run still
 		// holds their entries.
-		meta.Plans = append(meta.Plans, ckptPlanKey{Chain: key.chain, Sig: key.sig})
+		meta.Plans = append(meta.Plans, key)
 	}
 	sort.Slice(meta.Plans, func(i, j int) bool {
 		if meta.Plans[i].Chain != meta.Plans[j].Chain {
@@ -354,19 +316,16 @@ func (b *Backend) Checkpoint(w io.Writer, note string) error {
 	})
 	for key, ct := range b.tunes {
 		t := ckptTune{
-			Chain:  key.chain,
-			Sig:    key.sig,
-			Skip:   ct.skip,
-			Probes: ct.probes,
-			Cal:    ct.cal.State(),
+			Chain:     key.chain,
+			Sig:       key.sig,
+			Skip:      ct.skip,
+			Op2Params: ct.op2Params,
+			Cal:       ct.cal.State(),
 		}
 		for id := range ct.dirty {
 			t.Dirty = append(t.Dirty, id)
 		}
 		sort.Ints(t.Dirty)
-		for _, tl := range ct.op2Params {
-			t.Op2Params = append(t.Op2Params, ckptTunedLoop{Kernel: tl.kernel, Params: tl.p})
-		}
 		t.Decision = ct.decision
 		meta.Tunes = append(meta.Tunes, t)
 	}
@@ -575,22 +534,18 @@ func (b *Backend) restoreFrom(st *checkpoint.State) error {
 	b.planMisses = meta.PlanMisses
 	b.planInvalidations = meta.PlanInvalidations
 	for _, k := range meta.Plans {
-		b.warmPlans[planKey{chain: k.Chain, sig: k.Sig}] = true
+		b.warmPlans[k] = true
 	}
 	for _, t := range meta.Tunes {
 		ct := &chainTune{
-			chain:  t.Chain,
-			cfg:    b.cfg.Tune.WithDefaults(),
-			cal:    autotune.NewCalibratorFromState(t.Cal),
-			skip:   t.Skip,
-			probes: t.Probes,
-			dirty:  map[int]bool{},
+			chain:     t.Chain,
+			cal:       autotune.NewCalibratorFromState(t.Cal),
+			skip:      t.Skip,
+			dirty:     map[int]bool{},
+			op2Params: t.Op2Params,
 		}
 		for _, id := range t.Dirty {
 			ct.dirty[id] = true
-		}
-		for _, tl := range t.Op2Params {
-			ct.op2Params = append(ct.op2Params, tunedLoop{kernel: tl.Kernel, p: tl.Params})
 		}
 		ct.decision = t.Decision
 		if ct.decision != nil {

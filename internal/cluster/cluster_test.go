@@ -466,7 +466,7 @@ func TestFloatBitReproducible(t *testing.T) {
 		{"ca", true, true, false, false},
 		{"autotune", true, true, true, false},
 		// Overlapped delivery moves only virtual time; the bit-identity
-		// invariant must hold through the task-graph executor too, and
+		// invariant must hold under overlapped delivery too, and
 		// through the tuner's mid-run policy switches with overlapped
 		// candidates in the mix.
 		{"ca-overlap", true, true, false, true},

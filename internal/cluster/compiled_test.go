@@ -124,7 +124,7 @@ func TestCompiledChainDifferential(t *testing.T) {
 		{name: "parallel", shapes: []string{"inc", "dirw", "gblinc"},
 			tweak: func(c *Config) { c.Parallel = true }},
 		{name: "fault-degraded", shapes: []string{"inc", "incw", "inc"}, degrades: true,
-			tweak: func(c *Config) { c.Faults, c.MaxRetries = &faults.Plan{Seed: 9, Drop: 1}, 1 }},
+			tweak: func(c *Config) { c.Faults = &faults.Plan{Seed: 9, Drop: 1, MaxRetries: 1} }},
 	}
 	for seed, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 	"op2ca/internal/partition"
 )
 
-// TestOverlapReducesMakespanCommBound is the executor's raison d'être on a
-// communication-bound fixture: the overlapped run's makespan must land
+// TestOverlapReducesMakespanCommBound is what overlapped delivery is for, on
+// a communication-bound fixture: the overlapped run's makespan must land
 // strictly below the bulk-synchronous run's (each multi-message exchange
 // hides (k-1) latencies and rendezvous handshakes), while results remain
 // bit-identical — the pipeline moves virtual time only.
@@ -53,10 +53,10 @@ func TestOverlapDeterministic(t *testing.T) {
 }
 
 // TestOverlapProfile: the critical-path self-check must keep tiling the
-// makespan through the task-graph executor — hidden in-flight time is
+// makespan under overlapped delivery — hidden in-flight time is
 // charged to no wait cause, it simply never appears on the path — and the
 // analysis must report a positive WaitHidden for the chain (the quantity
-// the executor exists to grow).
+// overlap exists to grow).
 func TestOverlapProfile(t *testing.T) {
 	m := mesh.Rotor(8, 6, 5)
 	run := func(overlap bool) *Backend {

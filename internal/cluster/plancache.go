@@ -14,6 +14,7 @@ import (
 
 	"op2ca/internal/ca"
 	"op2ca/internal/core"
+	"op2ca/internal/halo"
 )
 
 // planKey identifies one chain plan: the chain name plus the structural
@@ -23,14 +24,14 @@ import (
 // bytes and allocate nothing; planKey survives as the decomposed form the
 // checkpoint container stores and warmPlans is keyed by.
 type planKey struct {
-	chain string
-	sig   string
+	Chain string `json:"chain"`
+	Sig   string `json:"sig"`
 }
 
 // planEntry is one cached inspection result.
 type planEntry struct {
 	key    planKey
-	mapKey string // key.chain + "\x00" + key.sig, the plans-map key
+	mapKey string // key.Chain + "\x00" + key.Sig, the plans-map key
 	plan   ca.Plan
 	err    error
 	// specs is plan.Required as exchange specs, precomputed once.
@@ -65,7 +66,7 @@ func (b *Backend) planEntry(name string, loops []core.Loop, overrides []int) *pl
 		b.planHits++
 		return e
 	}
-	key := planKey{chain: name, sig: string(b.scr.sigBuf)}
+	key := planKey{Chain: name, Sig: string(b.scr.sigBuf)}
 	if b.warmPlans[key] {
 		// Restored from a checkpoint: the uninterrupted run already held
 		// this entry, so the rebuild is accounted as a hit — plan-cache
@@ -80,7 +81,7 @@ func (b *Backend) planEntry(name string, loops []core.Loop, overrides []int) *pl
 
 // buildPlanEntry inspects the chain and caches the result under key.
 func (b *Backend) buildPlanEntry(key planKey, name string, loops []core.Loop, overrides []int) *planEntry {
-	e := &planEntry{key: key, mapKey: key.chain + "\x00" + key.sig}
+	e := &planEntry{key: key, mapKey: key.Chain + "\x00" + key.Sig}
 	e.plan, e.err = ca.Inspect(name, loops, overrides)
 	if e.err == nil {
 		e.specs = requiredSpecs(e.plan)
@@ -155,6 +156,36 @@ type viewSlot struct {
 // loops re-iterate non-execute halo copies of their outputs).
 type nxRange struct{ lo, hi int }
 
+// loopSplit is where one loop of a CA chain runs on one rank and Equation
+// (3)'s split of it: core iterations (S^c) run while the chain's messages are
+// in flight, halo iterations (S^h) after the wait.
+type loopSplit struct {
+	end  int     // ExecEnd(HE_i): the loop executes [0, end)
+	nx   nxRange // non-execute refresh range (HN_i > 0), iterated after [0, end)
+	core int     // leading iterations of [0, end) that do not wait
+}
+
+// halo is S^h: the rest of the executed range plus the non-execute refresh.
+func (s loopSplit) halo() int { return s.end - s.core + s.nx.hi - s.nx.lo }
+
+// splitLoop derives the split of the loop at chain position pos over set
+// layout sl under the plan's halo extensions (he, hn). It is the only
+// derivation — compileChain takes the program's ranges from it, chainPrepRank
+// the executor's clock arithmetic and Equation (3) parameters, caCandidate
+// the counts it scores a policy by — so the tuner prices what the executor
+// runs. A chain that exchanges nothing waits for nothing: all of it is core.
+func splitLoop(sl *halo.SetLayout, he, hn, pos int, exchanging bool) loopSplit {
+	s := loopSplit{end: sl.ExecEnd(he)}
+	s.core = s.end
+	if exchanging {
+		s.core = min(sl.CorePrefix(pos), s.end)
+	}
+	if hn > 0 {
+		s.nx = nxRange{int(sl.NonexecStart[0]), int(sl.NonexecStart[hn])}
+	}
+	return s
+}
+
 // loopProgram is one (loop, rank) of a compiled chain: the view-slot table
 // and the iteration ranges the plan's halo extensions select.
 type loopProgram struct {
@@ -227,12 +258,11 @@ func (b *Backend) compileChain(p *chainProgram, loops []core.Loop, plan ca.Plan)
 		for i, l := range loops {
 			sl := lay.SetL(l.Set)
 			lp := &p.ranks[r][i]
-			*lp = loopProgram{end: sl.ExecEnd(plan.HE[i])}
+			// A program holds ranges, not counts: exchanging or not is the same.
+			sp := splitLoop(sl, plan.HE[i], plan.HN[i], i, false)
+			*lp = loopProgram{end: sp.end, nx: sp.nx}
 			if l.HasIndirection() {
 				lp.order = sl.ExecOrder
-			}
-			if hn := plan.HN[i]; hn > 0 {
-				lp.nx = nxRange{int(sl.NonexecStart[0]), int(sl.NonexecStart[hn])}
 			}
 			nv := l.NumViews()
 			lp.slots, free = free[:nv:nv], free[nv:]

@@ -8,11 +8,11 @@ package cluster
 // the fault-free run by construction, exactly as a real fault-tolerant
 // transport hides losses from the application.
 //
-// A lost or corrupt attempt is detected one RetryTimeout after its
-// (non-)arrival and retransmitted after an exponential backoff
-// (RetryBackoff * 2^attempt); every retransmission occupies the sender's NIC
-// for another L + m/B. A message that exhausts its budget of MaxRetries
-// retransmissions is a giveup: per-loop exchanges treat it as delivered by a
+// A lost or corrupt attempt is detected one timeout (4L of the machine)
+// after its (non-)arrival and retransmitted after an exponential backoff
+// (L * 2^attempt); every retransmission occupies the sender's NIC for
+// another L + m/B. A message that exhausts its budget of retransmissions
+// (Config.Faults) is a giveup: per-loop exchanges treat it as delivered by a
 // reliable transport at the final attempt's arrival, while CA chains degrade
 // the whole window (see runChainImpl's degradation ladder).
 
@@ -184,8 +184,8 @@ func (b *Backend) exchangeGate(owner string) uint64 {
 	return seq
 }
 
-// maxRetryBudget bounds every user-settable retransmission budget (Config,
-// fault-plan and per-chain maxretries). Well before 1000 retries the
+// maxRetryBudget bounds every user-settable retransmission budget (the fault
+// plan's and the chain file's maxretries). Well before 1000 retries the
 // exponential backoff dwarfs any simulated runtime; rejecting larger values
 // in cluster.New keeps the backoff arithmetic far from its try>=63
 // saturation point (see backoffFactor).

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -182,12 +181,12 @@ func TestForcedDegradationCompletesPerLoop(t *testing.T) {
 // with the invalidation counted exactly once.
 func TestPlanCacheInvalidationRepopulates(t *testing.T) {
 	m := mesh.Rotor(6, 5, 4)
-	plan := &faults.Plan{Seed: 5, Drop: 1}
+	plan := &faults.Plan{Seed: 5, Drop: 1, MaxRetries: 1}
 	a := newMiniApp(m)
 	a.p.DeclDat(a.bedges, 1, makeBW(m.NBedges), "bw")
 	b, err := New(Config{
 		Prog: a.p, Primary: a.nodes, Assign: partition.Block(m.NNodes, 3), NParts: 3,
-		Depth: 2, MaxChainLen: 4, CA: true, MaxRetries: 1, Machine: machine.ARCHER2(),
+		Depth: 2, MaxChainLen: 4, CA: true, Machine: machine.ARCHER2(),
 		Faults: plan,
 	})
 	if err != nil {
@@ -253,34 +252,15 @@ func TestChainMaxRetriesOverride(t *testing.T) {
 	}
 }
 
-// TestNewRejectsInvalidNetworkAndRetryKnobs: construction-time validation of
-// the machine's network parameters and the retry configuration.
-func TestNewRejectsInvalidNetworkAndRetryKnobs(t *testing.T) {
-	mk := func() Config {
-		p := core.NewProgram()
-		nodes := p.DeclSet(4, "nodes")
-		return Config{Prog: p, Primary: nodes, Assign: []int32{0, 0, 0, 0}, NParts: 1}
-	}
+// TestNewRejectsInvalidNetwork: construction-time validation of the machine's
+// network parameters (TestMaxRetriesValidation has the retry budgets).
+func TestNewRejectsInvalidNetwork(t *testing.T) {
+	p := core.NewProgram()
+	nodes := p.DeclSet(4, "nodes")
 	bad := *machine.Laptop()
 	bad.Bandwidth = 0
-	cfg := mk()
-	cfg.Machine = &bad
+	cfg := Config{Prog: p, Primary: nodes, Assign: []int32{0, 0, 0, 0}, NParts: 1, Machine: &bad}
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Bandwidth") {
 		t.Errorf("zero-bandwidth machine accepted: %v", err)
-	}
-	cfg = mk()
-	cfg.MaxRetries = -1
-	if _, err := New(cfg); err == nil {
-		t.Error("negative MaxRetries accepted")
-	}
-	cfg = mk()
-	cfg.RetryTimeout = -1e-6
-	if _, err := New(cfg); err == nil {
-		t.Error("negative RetryTimeout accepted")
-	}
-	cfg = mk()
-	cfg.RetryBackoff = math.Inf(1)
-	if _, err := New(cfg); err == nil {
-		t.Error("infinite RetryBackoff accepted")
 	}
 }

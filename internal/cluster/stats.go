@@ -84,21 +84,22 @@ type ChainStats struct {
 }
 
 // FaultStats aggregates fault-injection and recovery events across a run.
-// All zeros on a fault-free run.
+// All zeros on a fault-free run. The JSON names are the wire format of the
+// "faults" object in op2ca-bench -json snapshots and served job results.
 type FaultStats struct {
 	// Drops, Corrupts and Delays count injected fault events per
 	// transmission attempt.
-	Drops    int64
-	Corrupts int64
-	Delays   int64
+	Drops    int64 `json:"drops"`
+	Corrupts int64 `json:"corrupts"`
+	Delays   int64 `json:"delays"`
 	// Retries counts retransmissions; Giveups counts messages that
 	// exhausted their retransmission budget.
-	Retries int64
-	Giveups int64
+	Retries int64 `json:"retries"`
+	Giveups int64 `json:"giveups"`
 	// FallbackUngrouped and FallbackPerLoop total the chain degradations
 	// (see ChainStats).
-	FallbackUngrouped int64
-	FallbackPerLoop   int64
+	FallbackUngrouped int64 `json:"fallback_ungrouped"`
+	FallbackPerLoop   int64 `json:"fallback_perloop"`
 }
 
 // Add accumulates o's counters into s, for aggregation across backends.
@@ -110,6 +111,12 @@ func (s *FaultStats) Add(o FaultStats) {
 	s.Giveups += o.Giveups
 	s.FallbackUngrouped += o.FallbackUngrouped
 	s.FallbackPerLoop += o.FallbackPerLoop
+}
+
+// String renders the counters as every report prints them.
+func (s FaultStats) String() string {
+	return fmt.Sprintf("drops %d corrupts %d delays %d retries %d giveups %d fallback_ungrouped %d fallback_perloop %d",
+		s.Drops, s.Corrupts, s.Delays, s.Retries, s.Giveups, s.FallbackUngrouped, s.FallbackPerLoop)
 }
 
 // CkptStats counts checkpoint/restart activity. Checkpoint writes and
@@ -130,46 +137,37 @@ type CkptStats struct {
 // counts by failure class, checkpoint-ring recovery work and the virtual
 // time charged to restart backoff. Like CkptStats these counters live off
 // the virtual-time critical path — a supervised run's simulated clocks and
-// results are bitwise identical to the uninterrupted run's.
+// results are bitwise identical to the uninterrupted run's. The JSON names
+// are the wire format of the "supervise" object in op2ca-bench -json
+// snapshots and served job results.
 type SuperviseStats struct {
-	// Enabled reports whether the run executed under a supervisor.
-	Enabled bool
+	// Enabled reports whether the run executed under a supervisor. Off the
+	// wire: a -json document or job result carries the ledger exactly when
+	// it is set, and a checkpoint never holds a set one — the supervisor
+	// publishes the ledger after the run.
+	Enabled bool `json:"-"`
 	// Attempts counts run attempts (1 on an undisturbed run); Restarts
 	// counts supervised recoveries, split by failure class below.
-	Attempts int
-	Restarts int
+	Attempts int `json:"attempts"`
+	Restarts int `json:"restarts"`
 	// CrashRestarts, ExchangeRestarts and WatchdogTrips split Restarts by
 	// the failure that triggered them: injected crash faults, exchange
 	// integrity violations after retry give-up, and no-progress watchdog
 	// trips.
-	CrashRestarts    int
-	ExchangeRestarts int
-	WatchdogTrips    int
+	CrashRestarts    int `json:"crash_restarts"`
+	ExchangeRestarts int `json:"exchange_restarts"`
+	WatchdogTrips    int `json:"watchdog_trips"`
 	// GenerationsTried and Quarantined count checkpoint-ring recovery work:
 	// snapshot generations examined and generations quarantined as corrupt.
-	GenerationsTried int
-	Quarantined      int
+	GenerationsTried int `json:"generations_tried"`
+	Quarantined      int `json:"quarantined"`
 	// ColdStarts counts attempts begun without a usable snapshot (the
 	// first attempt of a fresh run included).
-	ColdStarts int
+	ColdStarts int `json:"cold_starts"`
 	// BackoffVirtual is the total virtual time charged to restart backoff.
 	// It is a separate ledger, never added to rank clocks — restart policy
 	// must not perturb the simulated timeline.
-	BackoffVirtual float64
-}
-
-// Add accumulates o's counters into s, for aggregation across attempts.
-func (s *SuperviseStats) Add(o SuperviseStats) {
-	s.Enabled = s.Enabled || o.Enabled
-	s.Attempts += o.Attempts
-	s.Restarts += o.Restarts
-	s.CrashRestarts += o.CrashRestarts
-	s.ExchangeRestarts += o.ExchangeRestarts
-	s.WatchdogTrips += o.WatchdogTrips
-	s.GenerationsTried += o.GenerationsTried
-	s.Quarantined += o.Quarantined
-	s.ColdStarts += o.ColdStarts
-	s.BackoffVirtual += o.BackoffVirtual
+	BackoffVirtual float64 `json:"backoff_virtual_seconds"`
 }
 
 // AutoTuneStats records the model-driven autotuner's activity: the most
@@ -317,8 +315,7 @@ func (s *Stats) String() string {
 			c.MaxMsgBytes, c.MaxRankBytes, c.CoreIters, c.HaloIters, c.Time, c.HE)
 	}
 	if f := s.Faults; f != (FaultStats{}) {
-		fmt.Fprintf(&b, "faults drops %d corrupts %d delays %d retries %d giveups %d fallback_ungrouped %d fallback_perloop %d\n",
-			f.Drops, f.Corrupts, f.Delays, f.Retries, f.Giveups, f.FallbackUngrouped, f.FallbackPerLoop)
+		fmt.Fprintf(&b, "faults %s\n", f)
 	}
 	if c := s.Ckpt; c != (CkptStats{}) {
 		fmt.Fprintf(&b, "checkpoint writes %d bytes %d restores %d\n",

@@ -58,7 +58,7 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.AutoTune, "autotune", false,
 		"let the model-driven autotuner pick each chain's execution policy (requires -backend ca); results stay bit-identical to any static configuration")
 	fs.BoolVar(&f.Overlap, "overlap", false,
-		"run CA chains on the overlap-capable task-graph executor (results stay bit-identical; virtual time drops)")
+		"run CA chains with overlapped (pipelined post/complete) exchanges (results stay bit-identical; virtual time drops)")
 	fs.BoolVar(&f.Serial, "serial", false, "run simulated ranks on one host thread")
 	fs.StringVar(&f.Faults, "faults", "",
 		"deterministic fault-injection spec, e.g. drop=0.01,corrupt=0.002,seed=42 (see internal/faults); results stay bit-identical, virtual times include recovery")
@@ -161,10 +161,7 @@ func (r *Run) ReportCrash(stderr io.Writer, crash *faults.CrashError) {
 // (nothing when neither applies).
 func (r *Run) PrintRunSummary(w io.Writer, cb *cluster.Backend) {
 	if r.Plan != nil {
-		fs := cb.Stats().Faults
-		fmt.Fprintf(w, "faults: %s -> drops %d corrupts %d delays %d retries %d giveups %d fallback_ungrouped %d fallback_perloop %d\n",
-			r.Plan.String(), fs.Drops, fs.Corrupts, fs.Delays, fs.Retries, fs.Giveups,
-			fs.FallbackUngrouped, fs.FallbackPerLoop)
+		fmt.Fprintf(w, "faults: %s -> %s\n", r.Plan, cb.Stats().Faults)
 	}
 	if sv := cb.Stats().Supervise; sv.Enabled && sv.Restarts > 0 {
 		fmt.Fprintf(w, "supervise: recovered from %d failures (crash %d exchange %d watchdog %d), %d generations quarantined\n",

@@ -17,7 +17,7 @@
 //	                         repeatable: crash=rank0@120,crash=rank2@400 schedules
 //	                         an ordered multi-crash run, each clause firing once)
 //	seed=42                — decision seed (default 1)
-//	maxretries=6           — per-message retransmission budget hint for the runtime
+//	maxretries=6           — per-message retransmission budget (runtime default 4)
 //
 // Example: "drop=0.01,corrupt=0.002,delay=5x@0.01,straggler=rank3:10x,seed=42".
 //
@@ -78,8 +78,9 @@ type Plan struct {
 	// Stragglers maps rank -> slowdown factor applied to every attempt
 	// that rank sends.
 	Stragglers map[int32]float64
-	// MaxRetries, when positive, is the plan's suggested per-message
-	// retransmission budget; the runtime may override it.
+	// MaxRetries, when positive, is the per-message retransmission budget
+	// (the runtime's default otherwise; a chain configuration may override
+	// it for its chain).
 	MaxRetries int
 	// Crashes is the ordered multi-crash schedule: each clause kills the
 	// run when the named rank reaches the given exchange sequence number
@@ -172,19 +173,18 @@ func Parse(spec string) (*Plan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faults: delay: %v", err)
 			}
-			p.DelayFactor = f
 			if err := parseProb(prob, &p.DelayProb); err != nil {
 				return nil, fmt.Errorf("faults: delay: %v", err)
 			}
+			if p.DelayProb > 0 { // a delay that never happens is no delay: String omits it
+				p.DelayFactor = f
+			}
 		case "straggler":
 			// rankN:FACTORx, e.g. rank3:10x.
-			rankStr, fac, ok := strings.Cut(val, ":")
-			if !ok || !strings.HasPrefix(rankStr, "rank") {
+			rankStr, fac, _ := strings.Cut(val, ":")
+			rank, ok := parseRank(rankStr)
+			if !ok {
 				return nil, fmt.Errorf("faults: straggler %q is not rankN:FACTORx", val)
-			}
-			rank, err := strconv.Atoi(strings.TrimPrefix(rankStr, "rank"))
-			if err != nil || rank < 0 {
-				return nil, fmt.Errorf("faults: straggler rank %q", rankStr)
 			}
 			f, err := parseFactor(fac)
 			if err != nil {
@@ -193,19 +193,16 @@ func Parse(spec string) (*Plan, error) {
 			if p.Stragglers == nil {
 				p.Stragglers = map[int32]float64{}
 			}
-			if _, dup := p.Stragglers[int32(rank)]; dup {
+			if _, dup := p.Stragglers[rank]; dup {
 				return nil, fmt.Errorf("faults: two straggler clauses for rank %d", rank)
 			}
-			p.Stragglers[int32(rank)] = f
+			p.Stragglers[rank] = f
 		case "crash":
 			// rankN@E, e.g. rank0@120.
-			rankStr, exchStr, ok := strings.Cut(val, "@")
-			if !ok || !strings.HasPrefix(rankStr, "rank") {
+			rankStr, exchStr, _ := strings.Cut(val, "@")
+			rank, ok := parseRank(rankStr)
+			if !ok {
 				return nil, fmt.Errorf("faults: crash %q is not rankN@EXCHANGE", val)
-			}
-			rank, err := strconv.Atoi(strings.TrimPrefix(rankStr, "rank"))
-			if err != nil || rank < 0 {
-				return nil, fmt.Errorf("faults: crash rank %q", rankStr)
 			}
 			exch, err := strconv.ParseUint(exchStr, 10, 64)
 			if err != nil {
@@ -216,7 +213,7 @@ func Parse(spec string) (*Plan, error) {
 					return nil, fmt.Errorf("faults: two crash clauses at exchange %d (only the first could ever fire)", exch)
 				}
 			}
-			p.Crashes = append(p.Crashes, Crash{Rank: int32(rank), Exchange: exch})
+			p.Crashes = append(p.Crashes, Crash{Rank: rank, Exchange: exch})
 		case "seed":
 			s, err := strconv.ParseUint(val, 10, 64)
 			if err != nil {
@@ -243,6 +240,13 @@ func MustParse(spec string) *Plan {
 		panic(err)
 	}
 	return p
+}
+
+// parseRank parses "rankN", N a rank number that fits the plan's int32.
+func parseRank(s string) (int32, bool) {
+	digits, ok := strings.CutPrefix(s, "rank")
+	n, err := strconv.ParseInt(digits, 10, 32)
+	return int32(n), ok && err == nil && n >= 0
 }
 
 func parseProb(s string, out *float64) error {
@@ -297,6 +301,21 @@ func (p *Plan) String() string {
 		parts = append(parts, fmt.Sprintf("maxretries=%d", p.MaxRetries))
 	}
 	return strings.Join(parts, ",")
+}
+
+// MessageFaults renders the plan's message-fault content: the spec with the
+// crash clauses stripped, "" for a plan (or a nil plan) left injecting
+// nothing. It decides whether one run may continue another's snapshot (the
+// checkpoint fingerprint and op2ca-bench's ring key hold it): a resume need
+// not re-specify the crash that killed the original run, and a supervised
+// rerun extending the crash schedule adopts the ring it is recovering.
+func (p *Plan) MessageFaults() string {
+	if !p.Enabled() {
+		return ""
+	}
+	stripped := *p
+	stripped.Crashes = nil
+	return stripped.String()
 }
 
 // Judge decides the outcome of one transmission attempt. Pure: the verdict

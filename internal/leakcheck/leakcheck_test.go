@@ -2,6 +2,7 @@ package leakcheck
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -33,8 +34,15 @@ func TestCheckReportsLeak(t *testing.T) {
 	r := &recorder{TB: t}
 	done := Check(r)
 	stop := make(chan struct{})
-	defer close(stop)
-	go func() { <-stop }()
+	var exiting sync.WaitGroup
+	defer func() { close(stop); exiting.Wait() }()
+	// Several, so the report does not hinge on a goroutine an earlier test
+	// told to exit being descheduled for the last time only after the
+	// snapshot above (seen under -race and with -count > 1).
+	for i := 0; i < 8; i++ {
+		exiting.Add(1)
+		go func() { defer exiting.Done(); <-stop }()
+	}
 	done()
 	if !strings.Contains(r.msg, "goroutine leak") {
 		t.Fatalf("leaked goroutine not reported (message %q)", r.msg)

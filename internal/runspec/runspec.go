@@ -56,7 +56,7 @@ type Spec struct {
 	Ranks int
 	// Backend is "seq" (the sequential reference), "op2" or "ca".
 	Backend string
-	// Overlap runs CA chains on the overlap-capable task-graph executor.
+	// Overlap runs CA chains with overlapped exchanges (cluster.Config.Overlap).
 	Overlap bool
 	// AutoTune lets the model-driven autotuner pick each chain's policy.
 	AutoTune bool

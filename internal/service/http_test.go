@@ -315,8 +315,10 @@ func TestAdmissionControlOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(service.NewHandler(svc))
 	defer ts.Close()
 
-	// A long-enough job occupies the only worker...
-	busy := service.JobSpec{Tenant: "acme", App: "mgcfd", MeshNodes: 6000, Ranks: 3, Iters: 10, Machine: "laptop"}
+	// A job that outlasts every submission below at any scheduler width
+	// occupies the only worker (it is cancelled once the sheds are seen: at
+	// GOMAXPROCS=1 a job merely "long enough" finished between two POSTs)...
+	busy := service.JobSpec{Tenant: "acme", App: "mgcfd", MeshNodes: 6000, Ranks: 3, Iters: service.MaxIters, Machine: "laptop"}
 	busyID := submit(t, ts.URL, busy).ID
 	// ...so this one queues: tenant hog takes its whole quota (1).
 	hogID := submit(t, ts.URL, smallMGCFD("hog")).ID
@@ -345,8 +347,15 @@ func TestAdmissionControlOverHTTP(t *testing.T) {
 		t.Errorf("queue overload body: %s", body)
 	}
 
-	// The admitted jobs are unaffected: all three finish and validate.
-	for _, id := range []string{busyID, hogID, otherID} {
+	// The admitted jobs are unaffected: the running one is still there to
+	// cancel, and the two queued behind it finish and validate.
+	if _, err := svc.Cancel(busyID); err != nil {
+		t.Fatal(err)
+	}
+	if v := await(t, ts.URL, busyID); v.State != service.StateCancelled {
+		t.Fatalf("busy job %s: state %s (error %q), want it cancelled while running", busyID, v.State, v.Error)
+	}
+	for _, id := range []string{hogID, otherID} {
 		if v := await(t, ts.URL, id); v.State != service.StateDone {
 			t.Fatalf("admitted job %s: state %s (error %q)", id, v.State, v.Error)
 		}

@@ -1,7 +1,7 @@
 package service
 
 import (
-	"op2ca/internal/bench"
+	"op2ca/internal/cluster"
 	"op2ca/internal/runspec"
 	"op2ca/internal/supervise"
 )
@@ -23,9 +23,9 @@ type Result struct {
 	MaxClockSeconds float64 `json:"max_clock_seconds"`
 	Exchanges       uint64  `json:"exchanges"`
 
-	FaultSpec string                 `json:"fault_spec,omitempty"`
-	Faults    *bench.FaultTotals     `json:"faults,omitempty"`
-	Supervise *bench.SuperviseRecord `json:"supervise,omitempty"`
+	FaultSpec string                  `json:"fault_spec,omitempty"`
+	Faults    *cluster.FaultStats     `json:"faults,omitempty"`
+	Supervise *cluster.SuperviseStats `json:"supervise,omitempty"`
 
 	// Attempts counts attempt starts (preemptions and supervised
 	// restarts included); Workers lists every worker that started one,
@@ -50,9 +50,10 @@ func newResult(id string, w *workload, out runspec.Outcome, sup *supervise.Super
 		Restarts: sup.Restarts(), Workers: workers,
 	}
 	if plan := w.run.Plan; plan != nil {
-		ft := bench.FaultTotals(out.Stats.Faults)
+		ft := out.Stats.Faults
 		r.FaultSpec, r.Faults = plan.String(), &ft
 	}
-	r.Supervise = bench.NewSuperviseRecord(sup.Stats())
+	sv := sup.Stats()
+	r.Supervise = &sv
 	return r
 }

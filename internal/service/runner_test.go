@@ -43,6 +43,22 @@ func TestJobSpecWireFormat(t *testing.T) {
 	}
 }
 
+// TestResultWireFormat pins a finished job's record across the move of the
+// fault and supervise ledgers from internal/bench's mirror structs to the
+// cluster types themselves: the JSON of a job that ran under a fault plan and
+// survived a supervised restart is the string the service produced before.
+func TestResultWireFormat(t *testing.T) {
+	res, err := RunDirect(JobSpec{Tenant: "acme", App: "mgcfd", MeshNodes: 800, Ranks: 3, Iters: 4, Machine: "laptop",
+		Faults: "drop=0.05,delay=3x@0.1,crash=rank1@30,seed=4"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"job_id":"direct","tenant":"acme","spec":{"tenant":"acme","app":"mgcfd","mesh_nodes":800,"levels":2,"ranks":3,"backend":"ca","iters":4,"machine":"laptop","partitioner":"kway","faults":"drop=0.05,delay=3x@0.1,crash=rank1@30,seed=4","supervise":"on","checkpoint_every":1},"checksum":"d0ef3b6faaeb42f7","residual":1099.3689423012238,"max_clock_seconds":0.00024404959999999997,"exchanges":51,"fault_spec":"drop=0.05,delay=3x@0.1,crash=rank1@30,seed=4","faults":{"drops":8,"corrupts":0,"delays":11,"retries":8,"giveups":0,"fallback_ungrouped":0,"fallback_perloop":0},"supervise":{"attempts":2,"restarts":1,"crash_restarts":1,"exchange_restarts":0,"watchdog_trips":0,"generations_tried":1,"quarantined":0,"cold_starts":1,"backoff_virtual_seconds":1},"attempts":2,"preemptions":0,"restarts":1}`
+	if got, _ := json.Marshal(res); string(got) != want {
+		t.Errorf("result wire form\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestRingScrubbedOutsideTheLock: a settled job's generations are unlinked
 // after the service lock is released, not under it. The hook runs between
 // the two, on the worker: Get (which takes the lock — it would deadlock here

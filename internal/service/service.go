@@ -329,8 +329,10 @@ func (s *Service) Preempt(id string) (JobView, error) {
 }
 
 // Events returns the job's lifecycle events after index `after`,
-// blocking until new ones exist, the job is terminal, the service
-// closes, or ctx is done.  terminal=true means the stream is complete.
+// blocking until new ones exist, the job is terminal, or ctx is done.
+// terminal=true means the stream is complete. A closing service needs no
+// case of its own: Close settles every job, so a stream over one still ends
+// with the job's terminal event.
 func (s *Service) Events(ctx context.Context, id string, after int) (evs []Event, terminal bool, err error) {
 	stop := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
@@ -351,8 +353,8 @@ func (s *Service) Events(ctx context.Context, id string, after int) (evs []Event
 		if after > len(j.events) {
 			after = len(j.events)
 		}
-		if len(j.events) > after || j.state.Terminal() || s.closed {
-			return append([]Event(nil), j.events[after:]...), j.state.Terminal() || s.closed, nil
+		if len(j.events) > after || j.state.Terminal() {
+			return append([]Event(nil), j.events[after:]...), j.state.Terminal(), nil
 		}
 		s.cond.Wait()
 	}

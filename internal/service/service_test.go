@@ -138,7 +138,7 @@ func TestRunDirectMoreRanksThanNodes(t *testing.T) {
 }
 
 // TestRunDirectOverlap pins the overlap knob end to end through the job
-// grammar: the task-graph executor moves virtual time only, so a job
+// grammar: overlapped delivery moves virtual time only, so a job
 // served with overlap=true answers bitwise what the bulk run answers,
 // and never with a larger makespan.
 func TestRunDirectOverlap(t *testing.T) {

@@ -33,9 +33,9 @@ type JobSpec struct {
 	// Backend is "op2" or "ca" (default "ca"). The sequential reference
 	// is not served: it has no virtual clock and nothing to checkpoint.
 	Backend string `json:"backend,omitempty"`
-	// Overlap runs the job's CA chains on the overlap-capable task-graph
-	// executor (see cluster.Config.Overlap). Results stay bitwise
-	// identical to the bulk-synchronous run; only virtual time moves.
+	// Overlap runs the job's CA chains with overlapped exchanges (see
+	// cluster.Config.Overlap). Results stay bitwise identical to the
+	// bulk-synchronous run; only virtual time moves.
 	Overlap bool `json:"overlap,omitempty"`
 	// Iters is the main-loop iteration count. Default 5.
 	Iters int `json:"iters,omitempty"`

@@ -222,7 +222,8 @@ type Supervisor struct {
 // no crash schedule to track, restart-from-scratch recovery only, and no
 // trace emission, respectively.
 func NewSupervisor(spec Spec, plan *faults.Plan, ring *checkpoint.Ring, tracer *obs.Tracer) *Supervisor {
-	s := &Supervisor{spec: spec, plan: plan, ring: ring, tracer: tracer, wd: spec.Watchdog}
+	s := &Supervisor{spec: spec, plan: plan, ring: ring, tracer: tracer, wd: spec.Watchdog,
+		stats: cluster.SuperviseStats{Enabled: true}}
 	n := len(plan.CrashSchedule())
 	s.armed = make([]bool, n)
 	for i := range s.armed {
@@ -340,7 +341,6 @@ func pow2(k int) float64 {
 // write-verification quarantines the ring performed outside recovery
 // scans). Call once, after the final successful attempt.
 func (s *Supervisor) Finish(st *cluster.Stats) {
-	s.stats.Enabled = true
 	if s.ring != nil {
 		s.stats.Quarantined += s.ring.VerifyFailures
 	}
@@ -350,11 +350,7 @@ func (s *Supervisor) Finish(st *cluster.Stats) {
 }
 
 // Stats returns a copy of the supervisor's ledger (Enabled set).
-func (s *Supervisor) Stats() cluster.SuperviseStats {
-	out := s.stats
-	out.Enabled = true
-	return out
-}
+func (s *Supervisor) Stats() cluster.SuperviseStats { return s.stats }
 
 // Runner drives a supervised run to completion: recover, attempt, classify
 // the failure, charge the budget, repeat.
