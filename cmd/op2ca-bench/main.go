@@ -298,6 +298,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		r.ReportCrash(stderr, crash)
 		return cmdutil.ExitCrash
 	}
+	if r.Ring != nil {
+		// The last generation commits behind the run that wrote it: the
+		// invocation is not complete, nor its ring what it reports, before
+		// that commit is.
+		if err := r.Ring.Flush(); err != nil {
+			return fatal(err)
+		}
+	}
 	if restored != nil && restored.Adopted == 0 {
 		return fatal(fmt.Errorf("-restore %s: the snapshot belongs to run %q, which this invocation did not execute (another -experiment or scale?); nothing was restored",
 			shared.Restore, restored.Label()))

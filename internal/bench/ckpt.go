@@ -46,7 +46,11 @@ func (r *Resume) Label() string {
 
 // tick writes a periodic snapshot after a measured iteration completes.
 // done counts completed measured iterations; ctx is the run's measurement
-// baseline, restored verbatim on resume.
+// baseline, restored verbatim on resume. The ring stages the generation here
+// and commits it behind the iterations that follow, so the error of a commit
+// surfaces at the next tick, or where the ring's owner flushes it:
+// supervise.Runner after every attempt, op2ca-bench before it reports the
+// invocation complete.
 func (c Config) tick(b *cluster.Backend, label string, done int, ctx any) {
 	if c.Ring == nil {
 		return

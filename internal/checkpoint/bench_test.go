@@ -56,17 +56,53 @@ func benchRing(tb testing.TB) *Ring {
 	return r
 }
 
-// BenchmarkRingWrite is one generation through the ring: encode, fsync,
-// rename, directory sync, read-back verification, prune.
+// BenchmarkRingWrite is one generation through a ring in steady state: staged
+// over the file of the generation it displaces, committed (fsync, rename,
+// directory sync, read-back verification, retirement) behind the stage of the
+// next.
 func BenchmarkRingWrite(b *testing.B) {
 	s := bigState(3)
 	r := benchRing(b)
+	for i := 0; i <= r.Spec().Keep; i++ { // the first Keep+1 generations create their files
+		if _, err := r.Write(encodeTo(s)); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.SetBytes(int64(len(encoded(b, s))))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Write(encodeTo(s)); err != nil {
 			b.Fatal(err)
+		}
+	}
+	if err := r.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if st := r.Stats(); st.Recycled != b.N {
+		b.Errorf("%d of %d timed generations were written over a recycled file", st.Recycled, b.N)
+	}
+}
+
+// BenchmarkRingWriteCold is the first generation of a new ring, stage and
+// commit end to end: a created file, nothing to overlap with.
+func BenchmarkRingWriteCold(b *testing.B) {
+	s := bigState(3)
+	b.SetBytes(int64(len(encoded(b, s))))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := benchRing(b)
+		b.StartTimer()
+		if _, err := r.Write(encodeTo(s)); err != nil {
+			b.Fatal(err)
+		}
+		if err := r.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if st := r.Stats(); st.Committed != 1 || st.Recycled != 0 {
+			b.Fatalf("a new ring's first generation: %+v", st)
 		}
 	}
 }

@@ -180,10 +180,16 @@ func (e *encoder) floats(f []float64) {
 // ChecksumFloats folds f into crc: the CRC-32C of the bytes Encode writes for
 // the values (little-endian bit patterns), continued from crc (0 starts one).
 // The backend records it for the dats a snapshot omits, so a restore can tell
-// the restoring program declares the same values.
-func ChecksumFloats(crc uint32, f []float64) uint32 {
+// the restoring program declares the same values. The values are staged
+// through buf (at least 8 bytes, a few KB to batch the CRC's calls), which is
+// the caller's because hash/crc32 lets no buffer it is handed stay on the
+// stack: one buffer serves every dat of a backend, where a local array was a
+// heap allocation per call.
+func ChecksumFloats(crc uint32, f []float64, buf []byte) uint32 {
+	if len(buf) < 8 {
+		panic("checkpoint: ChecksumFloats needs a buffer of at least 8 bytes")
+	}
 	tab := castagnoli()
-	var buf [4096]byte
 	for len(f) > 0 {
 		n := min(len(f), len(buf)/8)
 		for i, v := range f[:n] {

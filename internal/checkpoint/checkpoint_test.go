@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -276,5 +277,35 @@ func TestAtomicWriteAndReadFile(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Error("file round trip diverged")
+	}
+}
+
+// TestChecksumFloats: the CRC a backend records for a dat its snapshots omit
+// is the CRC-32C of the bytes Encode would have written for the values —
+// whatever the staging buffer's size, however the values are split over
+// calls — and computing it allocates nothing.
+func TestChecksumFloats(t *testing.T) {
+	f := make([]float64, 1500)
+	for i := range f {
+		f[i] = 1 / float64(i+1)
+	}
+	f[7], f[8] = math.NaN(), math.Inf(-1)
+	raw := make([]byte, 0, 8*len(f))
+	for _, v := range f {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+	}
+	want := crc32.Checksum(raw, crc32.MakeTable(crc32.Castagnoli))
+	for _, size := range []int{8, 24, 4096, 4099, 1 << 16} {
+		buf := make([]byte, size)
+		if got := ChecksumFloats(0, f, buf); got != want {
+			t.Errorf("buffer of %d bytes: crc %#x, want %#x", size, got, want)
+		}
+		if got := ChecksumFloats(ChecksumFloats(0, f[:700], buf), f[700:], buf); got != want {
+			t.Errorf("buffer of %d bytes, two calls: crc %#x, want %#x", size, got, want)
+		}
+	}
+	buf := make([]byte, 4096)
+	if n := testing.AllocsPerRun(100, func() { ChecksumFloats(0, f, buf) }); n != 0 {
+		t.Errorf("ChecksumFloats allocates %v times per call", n)
 	}
 }

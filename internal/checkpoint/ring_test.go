@@ -23,6 +23,14 @@ func writeGen(t *testing.T, r *Ring, note string) string {
 	return path
 }
 
+// flush joins the ring's commit in flight, so the test may inspect the disk.
+func flush(t *testing.T, r *Ring) {
+	t.Helper()
+	if err := r.Flush(); err != nil {
+		t.Fatalf("ring flush: %v", err)
+	}
+}
+
 func TestRingRotationAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{Every: 1, Path: filepath.Join(dir, "ck.bin"), Keep: 3}
@@ -60,6 +68,7 @@ func TestRingRecoveryQuarantinesCorruptNewest(t *testing.T) {
 	}
 	writeGen(t, r, "gen=0")
 	newest := writeGen(t, r, "gen=1")
+	flush(t, r)
 	// Chop the checksum off the newest generation: valid header, bad tail.
 	info, err := os.Stat(newest)
 	if err != nil {
@@ -96,11 +105,14 @@ func TestRingWriteVerificationRejectsBadSnapshot(t *testing.T) {
 		_, err := w.Write([]byte("not a checkpoint"))
 		return err
 	})
+	if err == nil {
+		err = r.Flush()
+	}
 	if err == nil || !strings.Contains(err.Error(), "verification") {
 		t.Fatalf("garbage write accepted: %v", err)
 	}
-	if r.VerifyFailures != 1 {
-		t.Errorf("VerifyFailures = %d, want 1", r.VerifyFailures)
+	if r.VerifyFailures() != 1 {
+		t.Errorf("VerifyFailures = %d, want 1", r.VerifyFailures())
 	}
 	// The good generation is still the recovery point.
 	st, _, _, _ := r.RecoverNewest()
@@ -161,6 +173,7 @@ func TestRingResumesNumbering(t *testing.T) {
 	}
 	writeGen(t, r, "x")
 	writeGen(t, r, "y")
+	flush(t, r)
 	// A second ring over the same path (supervised restart) continues the
 	// numbering instead of overwriting the generations it would recover.
 	r2, err := NewRing(spec)
@@ -171,6 +184,7 @@ func TestRingResumesNumbering(t *testing.T) {
 	if !strings.HasSuffix(p, ".g000002") {
 		t.Errorf("resumed ring wrote %s, want seq 2", p)
 	}
+	flush(t, r2)
 }
 
 func TestParseSpecKeep(t *testing.T) {
@@ -248,6 +262,7 @@ func TestRingWriteFailuresLeaveRingIntact(t *testing.T) {
 			older := map[string][]byte{}
 			for _, note := range []string{"gen=0", "gen=1"} {
 				p := writeGen(t, r, note)
+				flush(t, r)
 				if older[p], err = os.ReadFile(p); err != nil {
 					t.Fatal(err)
 				}
@@ -258,6 +273,9 @@ func TestRingWriteFailuresLeaveRingIntact(t *testing.T) {
 				undo = tc.arrange(t, dir, next)
 			}
 			_, err = r.Write(tc.encode)
+			if err == nil {
+				err = r.Flush()
+			}
 			undo()
 			if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
 				t.Fatalf("Write = %v, want an error wrapping %v", err, tc.want)
@@ -273,6 +291,7 @@ func TestRingWriteFailuresLeaveRingIntact(t *testing.T) {
 			if p := writeGen(t, r, "gen=2"); p != next {
 				t.Errorf("write after the failure landed at %s, want %s", p, next)
 			}
+			flush(t, r)
 		})
 	}
 }
@@ -325,6 +344,7 @@ func TestRingPathWithGlobMetacharacters(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				writeGen(t, r, fmt.Sprintf("gen=%d", i))
 			}
+			flush(t, r)
 			want := []string{tc.file + ".g000002", tc.file + ".g000003"}
 			if got := onDisk(t, dir, tc.file); !slices.Equal(got, want) {
 				t.Fatalf("keep=2 after 4 writes: on disk %v, want %v", got, want)
@@ -349,6 +369,7 @@ func TestRingPathWithGlobMetacharacters(t *testing.T) {
 			if p := writeGen(t, r2, "gen=4"); p != r.genPath(4) {
 				t.Errorf("reopened ring wrote %s, want seq 4", p)
 			}
+			flush(t, r2)
 			want = []string{tc.file + ".g000003", tc.file + ".g000004"}
 			if got := onDisk(t, dir, tc.file); !slices.Equal(got, want) {
 				t.Errorf("after the reopened ring's write: on disk %v, want %v", got, want)
@@ -372,6 +393,7 @@ func TestRingKeepAcrossReopen(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		writeGen(t, r, fmt.Sprintf("gen=%d", i))
 	}
+	flush(t, r)
 	for _, bystander := range []string{"ck.bin.g000009.tmp", "ck.bin.g000008.quarantined", "ck.bin.gx", "ck.bin.g", "ck.binx.g000007", "other.g000001"} {
 		if err := os.WriteFile(filepath.Join(dir, bystander), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
@@ -404,6 +426,7 @@ func TestRingKeepAcrossReopen(t *testing.T) {
 	if p := writeGen(t, r2, "gen=5"); !strings.HasSuffix(p, ".g000005") {
 		t.Errorf("write after Clear landed at %s, want seq 5", p)
 	}
+	flush(t, r2)
 }
 
 // TestRingToleratesVanishedGenerations: a generation removed behind the
@@ -418,6 +441,7 @@ func TestRingToleratesVanishedGenerations(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		paths = append(paths, writeGen(t, r, fmt.Sprintf("gen=%d", i)))
 	}
+	flush(t, r)
 	if err := os.Remove(paths[2]); err != nil {
 		t.Fatal(err)
 	}

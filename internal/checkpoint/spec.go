@@ -76,37 +76,91 @@ func ParseSpec(s string) (Spec, error) {
 	return spec, nil
 }
 
-// AtomicWriteFile writes a snapshot produced by write to path via a
-// temporary file and rename. The temp file is fsynced before the rename and
-// the parent directory after it, so neither a process crash mid-write nor a
-// host crash shortly after the rename can leave a truncated or
-// empty-but-renamed file where a complete snapshot stood. The file is handed
-// to write unbuffered: Encode issues chunk-sized writes of its own.
-func AtomicWriteFile(path string, write func(w io.Writer) error) error {
+// A snapshot reaches its path in two halves. stage writes it to a temporary
+// file beside the path — the page cache is the staging area, nothing
+// snapshot-sized is buffered — and commit makes it durable under its name:
+// the temporary file is fsynced before the rename and the parent directory
+// after it, so neither a process crash mid-write nor a host crash shortly
+// after the rename can leave a truncated or empty-but-renamed file where a
+// complete snapshot stood. Only stage runs the caller's encoder; a Ring
+// commits on a goroutine of its own while the caller computes on.
+
+// staged is a snapshot written to its temporary file and not yet committed.
+type staged struct {
+	f    *os.File
+	path string // the name commit gives it; the file is at path + ".tmp"
+	// recycled: the file was taken from the spares, not created.
+	recycled bool
+}
+
+// stage writes the snapshot write produces to path's temporary file: over a
+// file taken from spares (may be nil) when there is one — opened without
+// truncation, so its blocks are overwritten in place, then cut to the encoded
+// length — and into a new file otherwise. The file is handed to write
+// unbuffered: Encode issues chunk-sized writes of its own. On an error
+// nothing is left behind.
+func stage(path string, spares *Spares, write func(w io.Writer) error) (*staged, error) {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	s := &staged{path: path}
+	var err error
+	if spares != nil && spares.take(tmp) {
+		if s.f, err = os.OpenFile(tmp, os.O_WRONLY, 0); err == nil {
+			s.recycled = true
+		} else {
+			os.Remove(tmp)
+		}
+	}
+	if !s.recycled {
+		if s.f, err = os.Create(tmp); err != nil {
+			return nil, err
+		}
+	}
+	if err = write(s.f); err == nil && s.recycled {
+		var n int64
+		if n, err = s.f.Seek(0, io.SeekCurrent); err == nil {
+			err = s.f.Truncate(n)
+		}
+	}
+	if err != nil {
+		s.abort()
+		return nil, err
+	}
+	return s, nil
+}
+
+// abort discards a staged snapshot.
+func (s *staged) abort() {
+	s.f.Close()
+	os.Remove(s.path + ".tmp")
+}
+
+// commit makes a staged snapshot durable at its path. On an error the
+// temporary file is gone and whatever stood at the path still stands.
+func (s *staged) commit() error {
+	if err := s.f.Sync(); err != nil {
+		s.abort()
+		return err
+	}
+	tmp := s.path + ".tmp"
+	if err := s.f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, s.path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(s.path))
+}
+
+// AtomicWriteFile writes a snapshot produced by write to path: stage and
+// commit, back to back.
+func AtomicWriteFile(path string, write func(w io.Writer) error) error {
+	s, err := stage(path, nil, write)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return s.commit()
 }
 
 // syncDir fsyncs a directory so a completed rename survives a host crash.

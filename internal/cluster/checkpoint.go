@@ -222,13 +222,14 @@ func (b *Backend) owned(r int, d *core.Dat) []float64 {
 func (b *Backend) constCRCs() []uint32 {
 	if b.ckptConstCRC == nil {
 		b.ckptConstCRC = make([]uint32, len(b.cfg.Prog.Dats))
+		buf := make([]byte, 4096)
 		for _, d := range b.cfg.Prog.Dats {
 			if b.written[d.ID] {
 				continue
 			}
 			var crc uint32
 			for r := range b.dats {
-				crc = checkpoint.ChecksumFloats(crc, b.owned(r, d))
+				crc = checkpoint.ChecksumFloats(crc, b.owned(r, d), buf)
 			}
 			b.ckptConstCRC[d.ID] = crc
 		}

@@ -145,8 +145,9 @@ func (f *RunFlags) Resolve(prog string, spec runspec.Spec, stderr io.Writer) (*R
 }
 
 // ReportCrash reports an injected crash that killed an unsupervised run and
-// prints the resume hint when a checkpoint generation survives. The caller
-// exits with ExitCrash.
+// prints the resume hint when a checkpoint generation survives — the newest
+// the ring committed, the one still committing when the crash fired included
+// (Generations joins it). The caller exits with ExitCrash.
 func (r *Run) ReportCrash(stderr io.Writer, crash *faults.CrashError) {
 	fmt.Fprintf(stderr, "%s: injected crash of rank %d at exchange %d\n", r.Prog, crash.Rank, crash.Exchange)
 	if r.Ring != nil {

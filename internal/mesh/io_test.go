@@ -2,7 +2,10 @@ package mesh
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -82,6 +85,48 @@ func TestMeshReadErrors(t *testing.T) {
 	for name, data := range cases {
 		if _, err := ReadFV3D(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+
+	// Headers that lie. relabel returns the good file with header word i
+	// (0 = version, 1-3 = NI NJ NK, 4-8 = the element counts) set to v.
+	relabel := func(i int, v int32) []byte {
+		data := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(data[8+4*i:], uint32(v))
+		return data
+	}
+	// The 48-byte file: a header claiming 2^29 edges, the matching length
+	// prefix, and not one byte of data. It must fail at the stream's end
+	// having allocated a chunk, not the 4 GB it claims.
+	lying := binary.LittleEndian.AppendUint32(relabel(5, 1<<29)[:8+36], 1<<30)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"claims 2^29 edges, holds none", lying, "unexpected EOF"},
+		{"4x3x3 relabelled NI=9", relabel(1, 9), "do not make"},
+		{"negative NI", relabel(1, -4), "negative"},
+		{"NI*NJ*NK wraps int64", func() []byte {
+			d := relabel(1, math.MaxInt32)
+			binary.LittleEndian.PutUint32(d[8+4*2:], math.MaxInt32)
+			binary.LittleEndian.PutUint32(d[8+4*3:], math.MaxInt32)
+			return d
+		}(), "do not make"},
+		{"2*NEdges overflows int32", relabel(5, 1<<30), "overflow"},
+		{"3*NNodes overflows int32", relabel(4, math.MaxInt32/3+1), "overflow"},
+		{"3*NBedges overflows int32", relabel(6, math.MaxInt32/3+1), "overflow"},
+		{"2*NPedges overflows int32", relabel(7, 1<<30), "overflow"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFV3D(bytes.NewReader(tc.data))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: rejecting a %d-byte file allocated %d bytes", tc.name, len(tc.data), got)
 		}
 	}
 

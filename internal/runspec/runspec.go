@@ -413,8 +413,20 @@ func (a *Attempt) Close() {
 // initialise on a fresh run, step, and write a ring generation — noted with
 // the completed-iteration count a resume parses back — whenever the cadence
 // says so. ring must be nil under seq and may be nil anywhere. Failures the
-// executor detects surface as its typed panics.
-func (a *Attempt) Drive(ring *checkpoint.Ring) error {
+// executor detects surface as its typed panics. A generation commits behind
+// the iteration that follows it (see checkpoint.Ring), so whichever way the
+// loop ends — done, a ring error, a typed panic — the ring is flushed on the
+// way out: whoever looks at it next (a supervised restart, a preempted job's
+// next attempt, the crash report) finds every generation written so far, and
+// a commit that failed fails the attempt.
+func (a *Attempt) Drive(ring *checkpoint.Ring) (err error) {
+	if ring != nil {
+		defer func() {
+			if ferr := ring.Flush(); err == nil {
+				err = ferr
+			}
+		}()
+	}
 	if a.Start == 0 {
 		a.Init()
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -290,6 +291,31 @@ func TestServiceE2EOverHTTP(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, metrics)
 		}
+	}
+	// The ring says what it did: every job's generations were committed, the
+	// later ones over files earlier ones retired, none failed.
+	ringCount := func(sample string) float64 {
+		t.Helper()
+		_, rest, ok := strings.Cut(metrics, "\n"+sample+" ")
+		if !ok {
+			t.Fatalf("metrics missing %q in:\n%s", sample, metrics)
+		}
+		line, _, _ := strings.Cut(rest, "\n")
+		v, err := strconv.ParseFloat(line, 64)
+		if err != nil {
+			t.Fatalf("metrics sample %s = %q", sample, line)
+		}
+		return v
+	}
+	if created, recycled := ringCount(`op2ca_service_ring_generations_total{file="created"}`),
+		ringCount(`op2ca_service_ring_generations_total{file="recycled"}`); created <= 0 || recycled <= 0 {
+		t.Errorf("ring generations: %v on created files, %v on recycled ones; want both > 0", created, recycled)
+	}
+	if n := ringCount("op2ca_service_ring_commit_errors_total"); n != 0 {
+		t.Errorf("ring commit errors = %v, want 0", n)
+	}
+	if v := ringCount("op2ca_service_ring_join_seconds_total"); v <= 0 {
+		t.Errorf("ring join seconds = %v: no job ever waited for a commit", v)
 	}
 	if !strings.Contains(metrics, "op2ca_service_restarts_total 1") &&
 		!strings.Contains(metrics, "op2ca_service_restarts_total 2") {

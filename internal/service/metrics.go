@@ -53,6 +53,19 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		"Supervised restarts across all jobs (crash faults, exchange giveups, watchdog trips).")
 	mw.Sample("op2ca_service_restarts_total", nil, float64(s.restarts))
 
+	mw.Declare("op2ca_service_ring_generations_total", "counter",
+		"Checkpoint generations committed by settled jobs, by whether the file was newly created or a recycled spare.")
+	mw.Sample("op2ca_service_ring_generations_total",
+		[]obs.Label{{Key: "file", Value: "created"}}, float64(s.ring.Committed-s.ring.Recycled))
+	mw.Sample("op2ca_service_ring_generations_total",
+		[]obs.Label{{Key: "file", Value: "recycled"}}, float64(s.ring.Recycled))
+	mw.Declare("op2ca_service_ring_commit_errors_total", "counter",
+		"Checkpoint generations of settled jobs that were staged and failed to commit.")
+	mw.Sample("op2ca_service_ring_commit_errors_total", nil, float64(s.ring.CommitErrors))
+	mw.Declare("op2ca_service_ring_join_seconds_total", "counter",
+		"Time settled jobs spent waiting for a generation's commit before staging the next or settling.")
+	mw.Sample("op2ca_service_ring_join_seconds_total", nil, s.ring.Join.Seconds())
+
 	mw.Declare("op2ca_service_queue_depth", "gauge",
 		"Jobs awaiting placement.")
 	mw.Sample("op2ca_service_queue_depth", nil, float64(len(s.queue)))

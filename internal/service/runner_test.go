@@ -2,10 +2,15 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"op2ca/internal/checkpoint"
 	"op2ca/internal/leakcheck"
+	"op2ca/internal/runspec"
+	"op2ca/internal/supervise"
 )
 
 // TestJobSpecWireFormat pins the wire format across the move of the run
@@ -162,5 +167,82 @@ func TestRestartsReuseTheProblem(t *testing.T) {
 	}
 	if held != nil {
 		t.Error("the settled job still holds its Problem")
+	}
+}
+
+// TestCrashResumesFromTheGenerationInFlight: a generation commits behind the
+// iteration after it, so a crash clause placed at that iteration's first
+// exchange — microseconds after generation k was staged, an fsync before its
+// commit can be over — fires with the commit in flight. The attempt flushes
+// the ring on the panic's way out and the recovery joins before it scans, so
+// the restart resumes from iteration k, not k - 1, and the job's Result is
+// RunDirect's byte for byte. The attempts run as a worker runs them
+// (runJob's Recover / runAttempt / OnFailure, a ring on a shared spares list),
+// with the attach hook reading where each began.
+func TestCrashResumesFromTheGenerationInFlight(t *testing.T) {
+	defer leakcheck.Check(t)()
+	spec := JobSpec{Tenant: "acme", App: "mgcfd", MeshNodes: 800, Ranks: 3, Iters: 5, NChains: 2, Machine: "laptop"}
+	w, err := spec.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The clean run's exchange count after each iteration: iteration k+1's
+	// first exchange carries the number that iteration k ended on.
+	p, err := w.run.NewProblem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := w.run.BuildFrom(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Init()
+	var after []uint64
+	for it := 0; it < spec.Iters; it++ {
+		a.Step()
+		after = append(after, a.CB.ExchangeSeq())
+	}
+	a.Close()
+
+	const k = 3
+	spec.Faults = fmt.Sprintf("crash=rank0@%d,seed=1", after[k-1])
+	want, err := RunDirect(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, err = spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	spares, err := checkpoint.OpenSpares(dir, defaultKeep+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spares.Close()
+	ring, err := spares.NewRing(checkpoint.Spec{Every: w.spec.CheckpointEvery, Path: filepath.Join(dir, "j.ck"), Keep: defaultKeep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := supervise.NewSupervisor(w.run.Supervise, w.run.Plan, ring, nil)
+	var starts []int
+	var out runspec.Outcome
+	for {
+		out, err = w.runAttempt(sup.Recover(), sup, ring, func(a *runspec.Attempt) { starts = append(starts, a.Start) })
+		if err == nil {
+			break
+		}
+		if err = sup.OnFailure(err); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(starts, []int{0, k}) {
+		t.Errorf("attempts began at iterations %v, want [0 %d]: the restart resumes from the generation in flight at the crash", starts, k)
+	}
+	sup.Finish(out.Stats)
+	got := newResult("direct", w, out, sup, sup.Stats().Attempts, 0, nil)
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(want)
+	if string(gotJSON) != string(wantJSON) {
+		t.Errorf("result differs from RunDirect's:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
 }

@@ -27,8 +27,9 @@ type Config struct {
 	QueueCap int
 	// TenantCap bounds one tenant's share of the queue. Default QueueCap.
 	TenantCap int
-	// DataDir holds the per-job checkpoint rings. Default: a fresh
-	// temporary directory, removed on Close.
+	// DataDir holds the per-job checkpoint rings and the spare files their
+	// generations are written over (at most Workers × (Keep + 1), removed on
+	// Close). Default: a fresh temporary directory, removed on Close.
 	DataDir string
 	// Keep is the ring generations retained per job. Default 3.
 	Keep int
@@ -95,7 +96,12 @@ type Service struct {
 	cfg     Config
 	dataDir string
 	ownsDir bool
-	wg      sync.WaitGroup
+	// spares is the free list every job's ring retires its generations into
+	// and stages new ones over: a settled job's files carry the next job's
+	// generations. Sized to what the pool can have in circulation — per
+	// worker one job's Keep generations and the file in flight.
+	spares *checkpoint.Spares
+	wg     sync.WaitGroup
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast on every job state change
@@ -120,6 +126,7 @@ type Service struct {
 	nCancelled int
 	preempts   int
 	restarts   int
+	ring       checkpoint.RingStats // summed over the rings of settled jobs
 }
 
 // New starts a Service: cfg defaults applied, data directory resolved,
@@ -151,6 +158,13 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.dataDir, s.ownsDir = dir, true
 	} else if err := os.MkdirAll(s.dataDir, 0o755); err != nil {
+		return nil, err
+	}
+	var err error
+	if s.spares, err = checkpoint.OpenSpares(s.dataDir, cfg.Workers*(cfg.Keep+1)); err != nil {
+		if s.ownsDir {
+			os.RemoveAll(s.dataDir)
+		}
 		return nil, err
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -192,7 +206,7 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 
 	s.nextID++
 	id := fmt.Sprintf("j%06d", s.nextID)
-	ring, err := checkpoint.NewRing(checkpoint.Spec{
+	ring, err := s.spares.NewRing(checkpoint.Spec{
 		Every: w.spec.CheckpointEvery, Path: filepath.Join(s.dataDir, id+".ck"), Keep: s.cfg.Keep,
 	})
 	if err != nil {
@@ -407,7 +421,7 @@ func (s *Service) Drain() {
 // Close stops the service: queued jobs are cancelled, running attempts
 // are cancelled cooperatively and their jobs marked cancelled, workers
 // exit once their current attempt unwinds. Blocks until the pool is
-// down. A service-owned data directory is removed.
+// down. The spare files and a service-owned data directory are removed.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -433,6 +447,7 @@ func (s *Service) Close() {
 	s.cond.Broadcast()
 	s.unlockAndScrub()
 	s.wg.Wait()
+	s.spares.Close()
 	if s.ownsDir {
 		os.RemoveAll(s.dataDir)
 	}
@@ -536,13 +551,20 @@ func (s *Service) finishLocked(j *job, st State, msg string) {
 	// A settled job restarts no more: let go of the mesh and partition its
 	// attempts shared (job records are retained).
 	j.w.problem = nil
+	// Its ring is idle — every attempt flushed it on the way out — so the
+	// counters are final.
+	s.ring.Add(j.ring.Stats())
 	if st != StateFailed {
 		// Scrub the ring: the job is settled, its generations are dead
-		// weight. Failed jobs keep theirs for post-mortems. Unlinking is
-		// disk work, so it waits for unlockAndScrub; nobody else touches a
-		// settled job's ring.
+		// weight — retired into the spares, where the next job's generations
+		// overwrite them. Failed jobs keep theirs for post-mortems. Renaming
+		// is disk work, so it waits for unlockAndScrub; nobody else touches
+		// a settled job's ring.
 		s.scrub = append(s.scrub, j.ring)
 	}
+	// Nor does it recover or checkpoint again: the record lets go of the
+	// ring and the supervisor holding it, as of the Problem above.
+	j.ring, j.sup = nil, nil
 }
 
 // unlockAndScrub releases the service lock and then clears the rings

@@ -342,7 +342,7 @@ func pow2(k int) float64 {
 // scans). Call once, after the final successful attempt.
 func (s *Supervisor) Finish(st *cluster.Stats) {
 	if s.ring != nil {
-		s.stats.Quarantined += s.ring.VerifyFailures
+		s.stats.Quarantined += s.ring.VerifyFailures()
 	}
 	if st != nil {
 		st.Supervise = s.stats
@@ -378,6 +378,15 @@ func (r *Runner) Run() (*Supervisor, error) {
 	for {
 		st := s.Recover()
 		err := Catch(func() error { return r.Body(st, s) })
+		if r.Ring != nil {
+			// A body that writes generations itself (the bench harness) may
+			// end, or fail, with one still committing: the recovery scan and
+			// BeforeRecover must find it on disk, and a commit that failed
+			// fails a run that would otherwise report success.
+			if ferr := r.Ring.Flush(); err == nil {
+				err = ferr
+			}
+		}
 		if err == nil {
 			return s, nil
 		}
