@@ -29,6 +29,7 @@ import (
 	"op2ca/internal/cluster"
 	"op2ca/internal/cmdutil"
 	"op2ca/internal/obs"
+	"op2ca/internal/runspec"
 	"op2ca/internal/supervise"
 )
 
@@ -85,6 +86,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
 		return cmdutil.ExitFatal
 	}
+	// Scale flags that do not make a problem (a point with more ranks than
+	// its scaled mesh has nodes) surface from inside an experiment as the
+	// harness's typed panic: a usage error, like the same sizes given to
+	// op2ca-run.
+	defer func() {
+		v := recover()
+		if size, ok := v.(*runspec.SizeError); ok {
+			fmt.Fprintf(stderr, "%s: %v\n", prog, size)
+			code = 2
+		} else if v != nil {
+			panic(v)
+		}
+	}()
 	stopProf, err := prof.Start()
 	if err != nil {
 		return fatal(err)

@@ -224,10 +224,16 @@ func TestUsageErrors(t *testing.T) {
 		{"-compare only-one.json", 2, "exactly two"},
 		{"-compare -thresholds default=NaN a.json b.json", 2, "bad value"},
 		{"-no-such-flag", 2, "flag provided but not defined"},
+		// Scale flags under which a point has more ranks than its mesh has
+		// nodes: one line and exit 2, as op2ca-run says it, not a stack.
+		{"-experiment table5 -nodes8m 10 -nodes24m 30 -iters 1", 2, "op2ca-bench: ranks 25 outside [1, 18]"},
+		{"-experiment table2 -nodes8m 300 -nodes24m 900 -iters 1 -rankscale 0.5", 2, "op2ca-bench: ranks 1024 outside [1, 315]"},
+		{"-experiment table2 -nodes8m 300 -nodes24m 900 -iters 1 -rankscale 0.5 -supervise on", 2, "op2ca-bench: ranks 1024 outside [1, 315]"},
 	} {
 		var o, e bytes.Buffer
-		if code := run(strings.Fields(tc.args), &o, &e); code != tc.code || !strings.Contains(e.String(), tc.want) {
-			t.Errorf("%s: exit %d, stderr %q; want %d mentioning %q", tc.args, code, e.String(), tc.code, tc.want)
+		if code := run(strings.Fields(tc.args), &o, &e); code != tc.code || !strings.Contains(e.String(), tc.want) ||
+			strings.Contains(e.String(), "goroutine") {
+			t.Errorf("%s: exit %d, stderr %q; want %d mentioning %q and no stack", tc.args, code, e.String(), tc.code, tc.want)
 		}
 	}
 }

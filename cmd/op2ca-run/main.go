@@ -74,8 +74,14 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 		}
 		return out, 2
 	}
+	// Sizes that do not make a problem are a usage error; everything else a
+	// run can fail with is fatal.
 	fatal := func(err error) (runspec.Outcome, int) {
 		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
+		var size *runspec.SizeError
+		if errors.As(err, &size) {
+			return out, 2
+		}
 		return out, cmdutil.ExitFatal
 	}
 	stopProf, err := prof.Start()
@@ -127,9 +133,7 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 	// restart rebuilds the app and the backend on it, nothing else.
 	p, err := r.NewProblem()
 	if err != nil {
-		// The sizes asked for do not make a problem: a usage error.
-		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-		return out, 2
+		return fatal(err)
 	}
 	// run owns the attempt's backend (its worker pool, under -serial=false);
 	// a failed supervised attempt has already closed its own.

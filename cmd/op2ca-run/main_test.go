@@ -226,6 +226,14 @@ func TestFlagValidation(t *testing.T) {
 		{"-app mgcfd -mesh-nodes 300 -ranks 400", 2, "ranks 400 outside [1, 315]"},
 		{"-app hydra -mesh-nodes 300 -ranks 400", 2, "ranks 400 outside [1, 315]"},
 		{"-app hydra -ranks 0", 2, "ranks 0 outside"},
+		// Sizes that are not sizes, likewise: nothing runs on a clamped mesh
+		// or for a negative number of iterations.
+		{"-app mgcfd -mesh-nodes 2000 -iters -1", 2, "iterations -1"},
+		{"-app mgcfd -mesh-nodes -5", 2, "mesh nodes -5"},
+		{"-app hydra -mesh-nodes 0", 2, "mesh nodes 0"},
+		{"-app mgcfd -nchains -1", 2, "nchains -1"},
+		{"-app mgcfd -levels -2", 2, "levels -2"},
+		{"-app mgcfd -backend seq -ranks 0 -mesh-nodes -1", 2, "mesh nodes -1"},
 	} {
 		_, code, stdout, stderr := cli(t, t.TempDir(), strings.Fields(tc.args)...)
 		if code != tc.exit || !strings.Contains(stderr, tc.want) || stdout != "" {

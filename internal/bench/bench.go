@@ -102,11 +102,15 @@ func (c Config) resolve(s runspec.Spec, mach *machine.Machine) *runspec.Run {
 	return r
 }
 
-// problem builds what the backends of one experiment point share.
+// problem builds what the backends of one experiment point share. The
+// description is the harness's own but its sizes are the invocation's: scale
+// flags under which a point has more ranks than its mesh has nodes raise the
+// *runspec.SizeError itself, for the command to report as the usage error it
+// is.
 func problem(r *runspec.Run) *runspec.Problem {
 	p, err := r.NewProblem()
 	if err != nil {
-		panic("bench: " + err.Error())
+		panic(err)
 	}
 	return p
 }

@@ -249,23 +249,20 @@ type heOverrides struct {
 }
 
 // execScratch holds every reusable buffer of the steady-state execution
-// paths. Fields are grouped by owner; "std" fields belong to runStandard,
-// "chain" fields to runChainImpl. All are sized once (NParts, MaxChainLen)
-// and reused, so cached-plan chain execution allocates nothing per
-// iteration (asserted by TestChainExecZeroAlloc).
+// paths. All are sized once (NParts, MaxChainLen) and reused, so cached-plan
+// chain execution allocates nothing per iteration (asserted by
+// TestChainExecZeroAlloc).
 type execScratch struct {
-	// runStandard per-rank phase arrays and fork parameters.
-	stdCoreEnd    []int
-	stdEnd        []int
-	stdPost       []float64
-	stdRecvLast   []float64
-	stdLoop       core.Loop
-	stdIndirect   bool
-	stdExchanging bool
-	stdSendBytes  []int64
-	stdGbl        [][][]float64
+	// runStandard's own fork parameters: the loop and its global-reduction
+	// buffers. Everything else a per-loop window publishes goes where a
+	// chain's does, below (a per-loop execution never overlaps a chain's).
+	stdLoop core.Loop
+	stdGbl  [][][]float64
 
-	// runChainImpl per-rank × per-loop matrices and fork parameters.
+	// The executing window's per-rank × per-loop split (S^c, S^h; a per-loop
+	// window is column 0), post and last-arrival times, and the prep forks'
+	// parameters: whether it exchanges and each rank's send volume, and for
+	// a chain its loops and the plan's halo extensions. See window.go.
 	chainCores    [][]int
 	chainHalos    [][]int
 	chainPost     []float64
@@ -549,7 +546,7 @@ func (b *Backend) ChainEnd() {
 		b.runTuned(ct, rec.name, rec.loops, chainCfg, cs)
 		return
 	}
-	b.runChain(rec.name, rec.loops, chainCfg, cs)
+	b.runChain(rec.name, rec.loops, chainCfg, cs, false)
 }
 
 // ParLoop implements core.Backend.
@@ -609,7 +606,7 @@ func (b *Backend) FlushLazy() {
 		b.runTuned(ct, "lazy", q, b.cfg.Chains.Get("lazy"), cs)
 		return
 	}
-	b.runChainAuto("lazy", q, cs)
+	b.runChain("lazy", q, b.cfg.Chains.Get("lazy"), cs, true)
 }
 
 // GatherDat assembles the global values of d from the owning ranks,
@@ -735,10 +732,6 @@ func (b *Backend) Close() {
 func (b *Backend) initScratch() {
 	n, cl := b.cfg.NParts, b.cfg.MaxChainLen
 	s := &b.scr
-	s.stdCoreEnd = make([]int, n)
-	s.stdEnd = make([]int, n)
-	s.stdPost = make([]float64, n)
-	s.stdRecvLast = make([]float64, n)
 	s.chainPost = make([]float64, n)
 	s.chainRecvLast = make([]float64, n)
 	s.chainCores = make([][]int, n)

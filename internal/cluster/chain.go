@@ -9,24 +9,17 @@ import (
 	"op2ca/internal/core"
 	"op2ca/internal/model"
 	"op2ca/internal/netsim"
-	"op2ca/internal/obs"
 )
 
 // runChain executes a loop-chain with the communication-avoiding scheme of
 // Algorithm 2: inspect (Algorithm 3 plus configuration overrides), exchange
 // one grouped message per neighbour covering all required halo shells, run
 // every loop's core region while messages are in flight, wait once, then run
-// every loop's halo regions up to its halo extension.
-func (b *Backend) runChain(name string, loops []core.Loop, cfgChain *chaincfg.Chain, cs *ChainStats) {
-	b.runChainImpl(name, loops, cfgChain, b.overridesFor(cfgChain, len(loops)), !b.cfg.NoGroupedMsgs, b.overlapFor(cfgChain), cs, false)
-}
-
-// runChainAuto is runChain for automatically detected (lazy) chains:
-// instead of treating an under-built halo depth as a configuration error,
-// it falls back to per-loop execution.
-func (b *Backend) runChainAuto(name string, loops []core.Loop, cs *ChainStats) {
-	cfgChain := b.cfg.Chains.Get(name)
-	b.runChainImpl(name, loops, cfgChain, b.overridesFor(cfgChain, len(loops)), !b.cfg.NoGroupedMsgs, b.overlapFor(cfgChain), cs, true)
+// every loop's halo regions up to its halo extension. auto marks an
+// automatically detected (lazy) chain: an under-built halo depth is then not
+// a configuration error but a reason to fall back to per-loop execution.
+func (b *Backend) runChain(name string, loops []core.Loop, cfgChain *chaincfg.Chain, cs *ChainStats, auto bool) {
+	b.runChainImpl(name, loops, cfgChain, b.overridesFor(cfgChain, len(loops)), !b.cfg.NoGroupedMsgs, b.overlapFor(cfgChain), cs, auto)
 }
 
 // overlapFor resolves whether a chain's exchange is delivered under
@@ -158,7 +151,6 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	for i, l := range loops {
 		g[i] = m.IterTime(l.Kernel)
 	}
-	launch := m.LaunchOverhead()
 
 	// Phase split: derive every rank's iteration ranges and post times
 	// first, deliver (and possibly degrade) second, run the loops last.
@@ -168,8 +160,6 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 	// double-apply). The per-rank × per-loop matrices and the fork
 	// parameters live in Backend scratch: prebuilt fork functions, no
 	// per-execution allocation.
-	nparts := b.cfg.NParts
-	coreEnds, haloIters := sc.chainCores, sc.chainHalos
 	post := sc.chainPost
 	sc.chainLoops, sc.chainExch, sc.chainSend = loops, exchanging, res.sendBytes
 	sc.chainHE, sc.chainHN = plan.HE, plan.HN
@@ -196,13 +186,9 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 			cs.FallbackUngrouped++
 			b.stats.Faults.FallbackUngrouped++
 			res2 := b.exchange(specs, false)
-			post2 := make([]float64, nparts)
+			post2 := make([]float64, len(post))
 			for r := range post2 {
-				t := max(restart, post[r]) + float64(res2.sendBytes[r])/m.PackRate
-				if !b.cfg.GPUDirect {
-					t += m.StageTime(res2.sendBytes[r])
-				}
-				post2[r] = t
+				post2[r] = b.postTime(max(restart, post[r]), res2.sendBytes[r])
 			}
 			d2 := b.deliver(post2, res2.msgs, name, maxR, proto)
 			if d2.giveups == 0 {
@@ -228,108 +214,9 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 			return
 		}
 	}
-	recs := d.recs
 
 	b.forEachRank(b.fnChainExec)
-	gpuDirect := b.cfg.GPUDirect && m.GPU != nil
-	recvLast := sc.chainRecvLast
-	clear(recvLast)
-	for i, msg := range res.msgs {
-		recvLast[msg.To] = max(recvLast[msg.To], recs[i].Arrival)
-	}
-	traced := b.tracer.Enabled()
-	var inbound [][]int
-	if traced && exchanging {
-		inbound = b.emitSendSpans(name, res, recs)
-	}
-	for r := 0; r < b.cfg.NParts; r++ {
-		var t float64
-		if gpuDirect {
-			// GPUDirect transfers do not overlap with compute kernels
-			// (the paper's observation on Cirrus): all computation waits
-			// for the exchange, then runs back to back.
-			t = post[r]
-			if recvLast[r] > t {
-				t = recvLast[r]
-			}
-			if traced && exchanging {
-				b.emitWaitSpans(name, r, post[r], inbound[r], res.msgs, recs, post)
-			}
-			if grouped {
-				if traced && res.recvBytes[r] > 0 {
-					b.tracer.Emit(int32(r), obs.TrackExec, obs.Unpack, name,
-						t, t+float64(res.recvBytes[r])/m.PackRate, res.recvBytes[r])
-				}
-				t += float64(res.recvBytes[r]) / m.PackRate
-			}
-			for i := range loops {
-				segStart := t
-				t += launch + g[i]*float64(coreEnds[r][i])
-				if traced && coreEnds[r][i] > 0 {
-					b.tracer.Emit(int32(r), obs.TrackExec, obs.Compute, loops[i].Kernel.Name, segStart, t, 0)
-				}
-				if halo := haloIters[r][i]; halo > 0 {
-					haloStart := t
-					if exchanging {
-						t += launch
-					}
-					t += g[i] * float64(halo)
-					if traced {
-						b.tracer.Emit(int32(r), obs.TrackExec, obs.Redundant, loops[i].Kernel.Name, haloStart, t, 0)
-					}
-				}
-			}
-			b.clock[r] = t
-			continue
-		}
-		afterCore := post[r]
-		for i := range loops {
-			segStart := afterCore
-			afterCore += launch + g[i]*float64(coreEnds[r][i])
-			if traced && coreEnds[r][i] > 0 {
-				b.tracer.Emit(int32(r), obs.TrackExec, obs.Compute, loops[i].Kernel.Name, segStart, afterCore, 0)
-			}
-		}
-		t = afterCore
-		if recvLast[r] > 0 {
-			if traced {
-				stageEnd := recvLast[r]
-				if m.GPU != nil {
-					stageEnd = m.GPU.TraceStage(b.tracer, int32(r), name+" h2d", recvLast[r], res.recvBytes[r])
-				}
-				if grouped && res.recvBytes[r] > 0 {
-					b.tracer.Emit(int32(r), obs.TrackExec, obs.Unpack, name,
-						stageEnd, stageEnd+float64(res.recvBytes[r])/m.PackRate, res.recvBytes[r])
-				}
-			}
-			ready := recvLast[r] + m.StageTime(res.recvBytes[r])
-			if grouped {
-				// Unpacking the grouped message into the per-dat arrays
-				// is the c term of Equation (3); per-dat messages land
-				// directly and pay nothing here.
-				ready += float64(res.recvBytes[r]) / m.PackRate
-			}
-			if ready > t {
-				t = ready
-			}
-		}
-		if traced && exchanging {
-			b.emitWaitSpans(name, r, afterCore, inbound[r], res.msgs, recs, post)
-		}
-		for i := range loops {
-			if halo := haloIters[r][i]; halo > 0 {
-				haloStart := t
-				if exchanging {
-					t += launch
-				}
-				t += g[i] * float64(halo)
-				if traced {
-					b.tracer.Emit(int32(r), obs.TrackExec, obs.Redundant, loops[i].Kernel.Name, haloStart, t, 0)
-				}
-			}
-		}
-		b.clock[r] = t
-	}
+	b.chargeWindow(name, loops, g, res, d.recs, post, grouped)
 
 	for _, l := range loops {
 		b.updateValidity(l)
@@ -350,21 +237,9 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 		cs.MaxRankBytes = max(cs.MaxRankBytes, sent)
 	}
 	lp := sc.lp[:n]
-	for i := 0; i < n; i++ {
-		lp[i] = model.LoopParams{G: g[i]}
-	}
-	for r := 0; r < b.cfg.NParts; r++ {
-		for i := 0; i < n; i++ {
-			cs.CoreIters += int64(coreEnds[r][i])
-			cs.HaloIters += int64(haloIters[r][i])
-			if c := float64(coreEnds[r][i]); c > lp[i].CoreIters {
-				lp[i].CoreIters = c
-			}
-			if h := float64(haloIters[r][i]); h > lp[i].HaloIters {
-				lp[i].HaloIters = h
-			}
-		}
-	}
+	coreIters, haloIters := b.windowIters(lp, g)
+	cs.CoreIters += coreIters
+	cs.HaloIters += haloIters
 	// Equation (3) prediction from this execution's measured parameters:
 	// per-loop max core/halo iterations across ranks, the grouped message
 	// size m^r, and the unpack cost c (zero when grouping is disabled).
@@ -387,18 +262,13 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 // extensions) and its send-post time. Parameters arrive via Backend scratch.
 func (b *Backend) chainPrepRank(w, r int) {
 	sc := &b.scr
-	m := b.cfg.Machine
 	lay := b.layouts[r]
 	cores, halos := sc.chainCores[r], sc.chainHalos[r]
 	for i, l := range sc.chainLoops {
 		sp := splitLoop(lay.SetL(l.Set), sc.chainHE[i], sc.chainHN[i], i, sc.chainExch)
 		cores[i], halos[i] = sp.core, sp.halo()
 	}
-	post := b.clock[r] + float64(sc.chainSend[r])/m.PackRate
-	if !b.cfg.GPUDirect {
-		post += m.StageTime(sc.chainSend[r])
-	}
-	sc.chainPost[r] = post
+	sc.chainPost[r] = b.postTime(b.clock[r], sc.chainSend[r])
 }
 
 // chainExecRank is the data pass of a CA chain execution on rank r, as

@@ -11,10 +11,11 @@ import (
 // into — seeded from the table tests above. Whatever the text, Resolve
 // returns: a malformed name or embedded chain file, fault plan or supervise
 // spec ends in its parser's error, never in a runtime abort. An accepted
-// spec resolves to at least the paper's two halo shells on a known machine,
-// and its normalised form is a fixed point: resolving r.Spec again gives an
-// identical Run, so a description echoed back by the service means the same
-// run when resubmitted.
+// spec resolves to at least the paper's two halo shells on a known machine
+// with every size in range — a mesh, no negative count, a rank to run on
+// unless the backend is seq — and its normalised form is a fixed point:
+// resolving r.Spec again gives an identical Run, so a description echoed
+// back by the service means the same run when resubmitted.
 func FuzzResolve(f *testing.F) {
 	seeds := []Spec{small("mgcfd"), small("hydra")}
 	for _, mut := range []func(*Spec){
@@ -33,6 +34,10 @@ func FuzzResolve(f *testing.F) {
 		func(s *Spec) { s.Faults, s.Supervise = "drop=0.01,crash=rank1@30,seed=3", "budget=2" },
 		func(s *Spec) { s.Supervise = "budget=-1" },
 		func(s *Spec) { s.Supervise, s.CheckpointEvery = "on,watchdog=50", 2 },
+		func(s *Spec) { s.MeshNodes = -5 },
+		func(s *Spec) { s.Iters, s.CheckpointEvery = -1, -1 },
+		func(s *Spec) { s.Ranks = 0 },
+		func(s *Spec) { s.Backend, s.Ranks = "seq", 0 },
 	} {
 		s := small("hydra")
 		mut(&s)
@@ -56,6 +61,10 @@ func FuzzResolve(f *testing.F) {
 		}
 		if r.Depth < 2 || r.Machine == nil {
 			t.Fatalf("%+v resolved to depth %d on machine %v", s, r.Depth, r.Machine)
+		}
+		if s.MeshNodes < 1 || s.Iters < 0 || s.Levels < 0 || s.NChains < 0 || s.CheckpointEvery < 0 ||
+			(s.Backend != "seq" && s.Ranks < 1) {
+			t.Fatalf("%+v resolved: a size out of range was accepted", s)
 		}
 		again, err := r.Spec.Resolve()
 		if err != nil {

@@ -111,9 +111,21 @@ type Run struct {
 	Demarcate bool
 }
 
+// SizeError reports sizes that do not make a problem: a mesh of no nodes, a
+// negative iteration count, more ranks than the generated mesh has nodes.
+// The grammar is fine and the request is not, so every front-end says so
+// its own way — a command exits 2 (a usage error), the service fails the
+// job, the harness raises it for op2ca-bench to report — and none reaches
+// the generator's or a partitioner's panic with it.
+type SizeError struct{ msg string }
+
+func (e *SizeError) Error() string { return e.msg }
+
+func sizeErrorf(format string, a ...any) error { return &SizeError{fmt.Sprintf(format, a...)} }
+
 // Resolve checks s against the run grammar — names, app-specific fields,
-// the embedded chaincfg/faults/supervise specs — fills the app's default
-// partitioner, and derives the halo depth.
+// the embedded chaincfg/faults/supervise specs, sizes that are sizes — fills
+// the app's default partitioner, and derives the halo depth.
 func (s Spec) Resolve() (*Run, error) {
 	r := &Run{Depth: 2}
 	var err error
@@ -169,6 +181,20 @@ func (s Spec) Resolve() (*Run, error) {
 	if r.Supervise, err = supervise.ParseSpec(s.Supervise); err != nil {
 		return nil, err
 	}
+	// The upper end of the rank range is known once the generator has rounded
+	// the mesh: see assignment.
+	switch {
+	case s.MeshNodes < 1:
+		return nil, sizeErrorf("mesh nodes %d: want at least 1", s.MeshNodes)
+	case s.Iters < 0:
+		return nil, sizeErrorf("iterations %d: want 0 or more", s.Iters)
+	case s.Levels < 0 || s.NChains < 0:
+		return nil, sizeErrorf("levels %d, nchains %d: want 0 or more", s.Levels, s.NChains)
+	case s.CheckpointEvery < 0:
+		return nil, sizeErrorf("checkpoint cadence %d: want 0 (never) or more", s.CheckpointEvery)
+	case s.Backend != "seq" && s.Ranks < 1:
+		return nil, sizeErrorf("ranks %d outside [1, the node count of the generated mesh]", s.Ranks)
+	}
 	r.Spec = s
 	return r, nil
 }
@@ -207,7 +233,7 @@ func machineByName(name string) (*machine.Machine, error) {
 // partitioners' panic.
 func assignment(m *mesh.FV3D, partitioner string, ranks int) (partition.Assignment, error) {
 	if ranks < 1 || ranks > m.NNodes {
-		return nil, fmt.Errorf("ranks %d outside [1, %d], the node count of the generated mesh", ranks, m.NNodes)
+		return nil, sizeErrorf("ranks %d outside [1, %d], the node count of the generated mesh", ranks, m.NNodes)
 	}
 	switch partitioner {
 	case "kway":

@@ -1,6 +1,7 @@
 package runspec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,9 +41,61 @@ func TestResolveRejects(t *testing.T) {
 	} {
 		s := small(tc.app)
 		tc.mut(&s)
-		if _, err := s.Resolve(); err == nil || !strings.Contains(err.Error(), tc.want) {
+		_, err := s.Resolve()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Resolve err = %v, want substring %q", tc.name, err, tc.want)
 		}
+		var size *SizeError
+		if errors.As(err, &size) {
+			t.Errorf("%s: a grammar error reported as a size error: %v", tc.name, err)
+		}
+	}
+}
+
+// TestResolveRejectsSizes: sizes that are not sizes end in a *SizeError (the
+// front-ends tell it from a grammar error), and the ones a run can do
+// without — zero iterations, no ranks under seq, no cadence — still resolve.
+func TestResolveRejectsSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		app  string
+		mut  func(*Spec)
+		want string // "" = accepted
+	}{
+		{"no-nodes", "mgcfd", func(s *Spec) { s.MeshNodes = 0 }, "mesh nodes 0"},
+		{"negative-nodes", "hydra", func(s *Spec) { s.MeshNodes = -5 }, "mesh nodes -5"},
+		{"negative-iters", "mgcfd", func(s *Spec) { s.Iters = -1 }, "iterations -1"},
+		{"negative-levels", "mgcfd", func(s *Spec) { s.Levels = -2 }, "levels -2"},
+		{"negative-nchains", "mgcfd", func(s *Spec) { s.NChains = -1 }, "nchains -1"},
+		{"negative-cadence", "hydra", func(s *Spec) { s.CheckpointEvery = -1 }, "cadence -1"},
+		{"no-ranks", "hydra", func(s *Spec) { s.Ranks = 0 }, "ranks 0 outside"},
+		{"negative-ranks", "mgcfd", func(s *Spec) { s.Ranks = -3 }, "ranks -3 outside"},
+		{"no-ranks-seq", "mgcfd", func(s *Spec) { s.Backend, s.Ranks = "seq", 0 }, ""},
+		{"no-iters", "hydra", func(s *Spec) { s.Iters = 0 }, ""},
+		{"no-chains", "mgcfd", func(s *Spec) { s.NChains = 0 }, ""},
+		{"one-node", "hydra", func(s *Spec) { s.MeshNodes, s.Ranks = 1, 1 }, ""},
+	} {
+		s := small(tc.app)
+		tc.mut(&s)
+		_, err := s.Resolve()
+		var size *SizeError
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Resolve err = %v, want accepted", tc.name, err)
+		case tc.want != "" && (!errors.As(err, &size) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Resolve err = %v, want a *SizeError mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	// The upper end of the rank range needs the generated mesh: NewProblem's.
+	s := small("mgcfd")
+	s.Ranks = 5000
+	r, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size *SizeError
+	if _, err := r.NewProblem(); !errors.As(err, &size) {
+		t.Errorf("5000 ranks on %d nodes: NewProblem err = %v, want a *SizeError", s.MeshNodes, err)
 	}
 }
 
