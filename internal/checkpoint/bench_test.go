@@ -5,6 +5,7 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -132,26 +133,59 @@ func BenchmarkVerify(b *testing.B) {
 }
 
 // TestRingWriteAllocatesConstantBytes: a ring write moves the state through
-// fixed-size buffers — what it allocates does not grow with the state.
+// fixed-size buffers, and in steady state through recycled ones — neither
+// half of a generation, the stage on the caller or the commit with its
+// read-back behind it, allocates as much as one staging chunk, whatever the
+// state's size. The commit is held at its first fault point until the stage
+// has been read off the allocation counter; the bound is on the mean of the
+// generations, so a stray allocation elsewhere in the process does not decide
+// it.
 func TestRingWriteAllocatesConstantBytes(t *testing.T) {
-	allocated := func(mb int) uint64 {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of what is put back")
+	}
+	// A collection between two generations would empty the pools.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const gens = 8
+	allocated := func(mb int) (stage, commit uint64) {
 		s := bigState(mb)
 		r := benchRing(t)
-		write := func() {
+		staged := make(chan struct{})
+		r.fault = func(step string) error {
+			if step == "abandon" {
+				<-staged
+			}
+			return nil
+		}
+		generation := func() (stage, commit uint64) {
+			var m0, m1, m2 runtime.MemStats
+			runtime.ReadMemStats(&m0)
 			if _, err := r.Write(encodeTo(s)); err != nil {
 				t.Fatal(err)
 			}
+			runtime.ReadMemStats(&m1)
+			staged <- struct{}{}
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m2)
+			return m1.TotalAlloc - m0.TotalAlloc, m2.TotalAlloc - m1.TotalAlloc
 		}
-		write() // first use of the directory and of the CRC tables
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		write()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		for i := 0; i <= r.Spec().Keep; i++ { // the first Keep+1 generations create their files and fill the pools
+			generation()
+		}
+		for i := 0; i < gens; i++ {
+			st, cm := generation()
+			stage, commit = stage+st, commit+cm
+		}
+		return stage / gens, commit / gens
 	}
-	small, large := allocated(3), allocated(12)
-	t.Logf("one ring write allocates %d B on a 3 MB state, %d B on a 12 MB state", small, large)
-	if diff := int64(large) - int64(small); diff > 64<<10 || diff < -(64<<10) {
-		t.Errorf("ring write allocation follows the state size: %d B at 3 MB, %d B at 12 MB", small, large)
+	for _, mb := range []int{3, 12} {
+		stage, commit := allocated(mb)
+		t.Logf("a steady-state generation of a %d MB state allocates %d B staging and %d B committing", mb, stage, commit)
+		if stage >= chunkLen || commit >= chunkLen {
+			t.Errorf("%d MB state: a generation allocates %d B staging and %d B committing, want each below one %d B chunk",
+				mb, stage, commit, chunkLen)
+		}
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 )
 
 const magic = "OP2CACKP"
@@ -67,6 +68,15 @@ const maxSectionLen = 1 << 38
 // L1/L2 cache between the conversion, the CRC and the copy out. A multiple
 // of 8, so float sections move in whole values.
 const chunkLen = 32 << 10
+
+// chunks recycles the staging buffers: a job writes a generation per cadence
+// and reads each one back, and a buffer per stream was the codec's whole
+// allocation. An encode and the read-back of the generation before it run at
+// the same time (see Ring.Write), so each takes a buffer of its own. A buffer
+// is handed out as it was put back: the encoder only appends to it and the
+// decoder fills what it is about to read (next), so neither sees the stream
+// the buffer last carried.
+var chunks = sync.Pool{New: func() any { return new([chunkLen]byte) }}
 
 // castagnoli returns the CRC-32C table. hash/crc32 builds it (about 9 KB of
 // heap) on first request, so it is asked for per encode or decode, not at
@@ -209,7 +219,9 @@ func Encode(w io.Writer, s *State) (int64, error) {
 		return 0, fmt.Errorf("checkpoint: validity slices disagree: %d exec vs %d nonexec",
 			len(s.ValidExec), len(s.ValidNonexec))
 	}
-	e := &encoder{w: w, buf: make([]byte, 0, chunkLen), tab: castagnoli()}
+	chunk := chunks.Get().(*[chunkLen]byte)
+	defer chunks.Put(chunk)
+	e := &encoder{w: w, buf: chunk[:0], tab: castagnoli()}
 	e.raw([]byte(magic))
 	e.u32(Version)
 	e.bytes(s.Fingerprint)
@@ -353,7 +365,9 @@ func (d *decoder) floats() []float64 {
 
 // walk is the one section walker behind Decode and Verify.
 func walk(r io.Reader, keep bool) (*State, error) {
-	d := &decoder{r: r, keep: keep, buf: make([]byte, chunkLen), tab: castagnoli()}
+	chunk := chunks.Get().(*[chunkLen]byte)
+	defer chunks.Put(chunk)
+	d := &decoder{r: r, keep: keep, buf: chunk[:], tab: castagnoli()}
 	if m := d.next(uint64(len(magic))); m != nil && string(m) != magic {
 		return nil, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint file)", m)
 	}

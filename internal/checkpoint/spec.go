@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Spec is the parsed form of the -checkpoint command-line flag:
@@ -179,6 +180,10 @@ func syncDir(dir string) error {
 // ReadFile decodes the snapshot stored at path.
 func ReadFile(path string) (*State, error) { return readFile(path, true) }
 
+// fileReaders recycles readFile's readers, as chunks does the codec's
+// staging buffers: one per generation read back.
+var fileReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
 // readFile walks the snapshot stored at path, as Decode (keep) or as Verify.
 // The small default bufio buffer batches the walker's 8-byte length reads
 // into one read call, while its chunk-sized section reads exceed the buffer
@@ -189,5 +194,11 @@ func readFile(path string, keep bool) (*State, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return walk(bufio.NewReader(f), keep)
+	br := fileReaders.Get().(*bufio.Reader)
+	br.Reset(f)
+	defer func() {
+		br.Reset(nil) // a pooled reader holds no file
+		fileReaders.Put(br)
+	}()
+	return walk(br, keep)
 }

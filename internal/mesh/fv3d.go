@@ -145,6 +145,19 @@ func generateFV3D(ni, nj, nk int, g geometry) *FV3D {
 	m := &FV3D{NI: ni, NJ: nj, NK: nk, NNodes: ni * nj * nk}
 	m.Coords = make([]float64, 3*m.NNodes)
 	m.Volumes = make([]float64, m.NNodes)
+	// Every count below is a closed form of the dimensions — the bounds of
+	// the loops that fill the arrays — so each array is made once, at the
+	// capacity it ends with.
+	nEdges := (ni-1)*nj*nk + ni*(nj-1)*nk + ni*nj*(nk-1)
+	nBedges := 2 * (nj*nk + ni*nk)
+	if !g.periodicK() {
+		nBedges += 2 * ni * nj
+	}
+	m.EdgeNodes = make([]int32, 0, 2*nEdges)
+	m.EdgeWeights = make([]float64, 0, 3*nEdges)
+	m.BedgeNodes = make([]int32, 0, nBedges)
+	m.BedgeWeights = make([]float64, 0, 3*nBedges)
+	m.BedgeGroups = make([]int32, 0, nBedges)
 
 	for i := 0; i < ni; i++ {
 		for j := 0; j < nj; j++ {
@@ -241,6 +254,7 @@ func generateFV3D(ni, nj, nk int, g geometry) *FV3D {
 		}
 	}
 	if g.periodicK() {
+		m.PedgeNodes = make([]int32, 0, 2*ni*nj)
 		for i := 0; i < ni; i++ {
 			for j := 0; j < nj; j++ {
 				m.PedgeNodes = append(m.PedgeNodes,
@@ -265,6 +279,7 @@ func generateFV3D(ni, nj, nk int, g geometry) *FV3D {
 	// Centreline boundary: the hub patch nearest the inflow (first eighth
 	// of the axial extent, at least one station).
 	ci := maxInt(1, ni/8)
+	m.CbndNodes = make([]int32, 0, ci*nk)
 	for i := 0; i < ci; i++ {
 		for k := 0; k < nk; k++ {
 			m.CbndNodes = append(m.CbndNodes, m.nodeIndex(i, 0, k))

@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -151,6 +153,60 @@ func TestRotorForNodes(t *testing.T) {
 	}
 	if m := RotorForNodes(0); m.NNodes < 8 {
 		t.Errorf("tiny request produced %d nodes", m.NNodes)
+	}
+}
+
+// TestGenerateExactCapacity: the generator makes each array once, at the
+// length it ends with, and what it generates has not moved — the hashes are
+// of the serialised meshes as the generator built them while it still grew
+// the arrays by append (before PR 23); every partition, layout and golden
+// output downstream is a function of these bytes.
+func TestGenerateExactCapacity(t *testing.T) {
+	for _, c := range []struct {
+		m    *FV3D
+		want string
+	}{
+		{RotorForNodes(100), "376ef18e16a2b6d2"},
+		{RotorForNodes(4200), "0a342fec3a12642b"},
+		{RotorForNodes(60000), "87a9306ec7ba53bc"},
+		{Box(4, 3, 5), "0991937569497f0f"},
+	} {
+		m := c.m
+		name := fmt.Sprintf("%dx%dx%d", m.NI, m.NJ, m.NK)
+		for _, a := range []struct {
+			array    string
+			len, cap int
+		}{
+			{"Coords", len(m.Coords), cap(m.Coords)},
+			{"Volumes", len(m.Volumes), cap(m.Volumes)},
+			{"EdgeNodes", len(m.EdgeNodes), cap(m.EdgeNodes)},
+			{"EdgeWeights", len(m.EdgeWeights), cap(m.EdgeWeights)},
+			{"BedgeNodes", len(m.BedgeNodes), cap(m.BedgeNodes)},
+			{"BedgeWeights", len(m.BedgeWeights), cap(m.BedgeWeights)},
+			{"BedgeGroups", len(m.BedgeGroups), cap(m.BedgeGroups)},
+			{"PedgeNodes", len(m.PedgeNodes), cap(m.PedgeNodes)},
+			{"CbndNodes", len(m.CbndNodes), cap(m.CbndNodes)},
+		} {
+			if a.len != a.cap {
+				t.Errorf("%s: %s has length %d in capacity %d", name, a.array, a.len, a.cap)
+			}
+		}
+		h := sha256.New()
+		if err := m.Write(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != c.want {
+			t.Errorf("%s: serialised mesh hashes to %s, want %s", name, got, c.want)
+		}
+	}
+}
+
+// BenchmarkRotorForNodes generates the served template's mesh (4 200 nodes
+// asked for, 22x17x11 built).
+func BenchmarkRotorForNodes(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		RotorForNodes(4200)
 	}
 }
 

@@ -83,8 +83,8 @@ type Spec struct {
 }
 
 // Run is a resolved Spec: the normalised description plus every parsed
-// artefact an attempt needs. Tracer and Parallel are the two host-side
-// knobs a front-end may set before Build; neither changes a result.
+// artefact an attempt needs. Tracer, Parallel and Assignments are the
+// host-side knobs a front-end may set before Build; none changes a result.
 //
 // The paper harness's ablations pin what no Spec field (and so no flag and
 // no served job) can say, by overwriting a resolved Run before building: a
@@ -100,6 +100,12 @@ type Run struct {
 
 	Tracer   *obs.Tracer
 	Parallel bool
+	// Assignments, when set, is where NewProblem looks for the run's
+	// partition before computing it, and where it leaves one it computed. A
+	// front-end that runs many descriptions sets it (the job service); one
+	// that runs a single description, or times the partitioners, leaves it
+	// nil.
+	Assignments Assignments
 
 	// NoGroupedMsgs and GPUDirect are cluster.Config's ablation knobs of the
 	// same names.
@@ -227,6 +233,25 @@ func machineByName(name string) (*machine.Machine, error) {
 	return nil, fmt.Errorf("unknown machine %q", name)
 }
 
+// AssignmentKey holds the fields of a run description that determine its
+// partition assignment: the mesh generator's input, the partitioner and the
+// rank count — not the app, the backend or anything after set-up. Equal keys
+// name byte-identical assignments.
+type AssignmentKey struct {
+	MeshNodes   int
+	Partitioner string
+	Ranks       int
+}
+
+// Assignments keeps partition assignments between runs. Both methods are
+// safe for concurrent use, and neither side holds on to the other's slice:
+// Load returns a slice that is the caller's alone (nil when it has none under
+// k), Store copies what it keeps.
+type Assignments interface {
+	Load(k AssignmentKey) partition.Assignment
+	Store(k AssignmentKey, a partition.Assignment)
+}
+
 // assignment partitions mesh m over ranks with the named partitioner. The
 // generator rounds the requested size, so this is where the node count is
 // first known: a rank count it cannot hold is the request's error, not the
@@ -273,18 +298,36 @@ type Problem struct {
 	Mesh      *mesh.FV3D
 	Hierarchy *mesh.Hierarchy
 	Assign    partition.Assignment
+	// AssignStored reports that Assign was taken from the run's Assignments,
+	// not computed: the one thing two builds of equal descriptions can differ
+	// in, and only in what they cost.
+	AssignStored bool
 }
 
-// NewProblem builds the mesh, hierarchy and partition r describes.
+// NewProblem builds the mesh, hierarchy and partition r describes. Assign is
+// the Problem's own slice wherever it came from.
 func (r *Run) NewProblem() (*Problem, error) {
 	p := &Problem{Mesh: mesh.RotorForNodes(r.Spec.MeshNodes)}
 	if r.Spec.App == "mgcfd" {
 		p.Hierarchy = mesh.NewHierarchy(p.Mesh, r.Spec.Levels, true)
 	}
-	if r.Spec.Backend != "seq" {
+	if r.Spec.Backend == "seq" {
+		return p, nil
+	}
+	key := AssignmentKey{MeshNodes: r.Spec.MeshNodes, Partitioner: r.Spec.Partitioner, Ranks: r.Spec.Ranks}
+	if r.Assignments != nil && key.Ranks <= p.Mesh.NNodes {
+		// A rank count the mesh cannot hold is not looked up: it goes to
+		// assignment's SizeError whatever is kept under its key.
+		p.Assign = r.Assignments.Load(key)
+		p.AssignStored = p.Assign != nil
+	}
+	if p.Assign == nil {
 		var err error
-		if p.Assign, err = assignment(p.Mesh, r.Spec.Partitioner, r.Spec.Ranks); err != nil {
+		if p.Assign, err = assignment(p.Mesh, key.Partitioner, key.Ranks); err != nil {
 			return nil, err
+		}
+		if r.Assignments != nil {
+			r.Assignments.Store(key, p.Assign)
 		}
 	}
 	return p, nil

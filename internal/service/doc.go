@@ -16,6 +16,11 @@
 // identical to a direct run of the same spec (RunDirect), which is the
 // package's test oracle.
 //
+// Jobs on one mesh, partitioner and rank count partition it once: the
+// service keeps the assignments its jobs computed in a byte-bounded store
+// of its own (partStore), which a later job's first attempt reads its
+// partition from.
+//
 // cmd/op2ca-server exposes a Service over HTTP; see NewHandler for the
 // route table.
 package service

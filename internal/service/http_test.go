@@ -294,7 +294,7 @@ func TestServiceE2EOverHTTP(t *testing.T) {
 	}
 	// The ring says what it did: every job's generations were committed, the
 	// later ones over files earlier ones retired, none failed.
-	ringCount := func(sample string) float64 {
+	metricValue := func(sample string) float64 {
 		t.Helper()
 		_, rest, ok := strings.Cut(metrics, "\n"+sample+" ")
 		if !ok {
@@ -307,15 +307,24 @@ func TestServiceE2EOverHTTP(t *testing.T) {
 		}
 		return v
 	}
-	if created, recycled := ringCount(`op2ca_service_ring_generations_total{file="created"}`),
-		ringCount(`op2ca_service_ring_generations_total{file="recycled"}`); created <= 0 || recycled <= 0 {
+	if created, recycled := metricValue(`op2ca_service_ring_generations_total{file="created"}`),
+		metricValue(`op2ca_service_ring_generations_total{file="recycled"}`); created <= 0 || recycled <= 0 {
 		t.Errorf("ring generations: %v on created files, %v on recycled ones; want both > 0", created, recycled)
 	}
-	if n := ringCount("op2ca_service_ring_commit_errors_total"); n != 0 {
+	if n := metricValue("op2ca_service_ring_commit_errors_total"); n != 0 {
 		t.Errorf("ring commit errors = %v, want 0", n)
 	}
-	if v := ringCount("op2ca_service_ring_join_seconds_total"); v <= 0 {
+	if v := metricValue("op2ca_service_ring_join_seconds_total"); v <= 0 {
 		t.Errorf("ring join seconds = %v: no job ever waited for a commit", v)
+	}
+	// The partition store says what it did: the crash job ran after a clean
+	// job of its mesh, partitioner and rank count had settled.
+	if hits, bytes := metricValue("op2ca_service_partition_store_hits_total"),
+		metricValue("op2ca_service_partition_store_bytes"); hits <= 0 || bytes <= 0 {
+		t.Errorf("partition store: %v hits, %v bytes; want both > 0", hits, bytes)
+	}
+	if n := metricValue("op2ca_service_partition_store_misses_total"); n < 2 {
+		t.Errorf("partition store misses = %v, want at least one per distinct (mesh_nodes, partitioner, ranks)", n)
 	}
 	if !strings.Contains(metrics, "op2ca_service_restarts_total 1") &&
 		!strings.Contains(metrics, "op2ca_service_restarts_total 2") {

@@ -66,6 +66,17 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		"Time settled jobs spent waiting for a generation's commit before staging the next or settling.")
 	mw.Sample("op2ca_service_ring_join_seconds_total", nil, s.ring.Join.Seconds())
 
+	hits, misses, bytes := s.parts.stats()
+	mw.Declare("op2ca_service_partition_store_hits_total", "counter",
+		"Jobs whose partition assignment an earlier job on the same mesh, partitioner and rank count had left in the store.")
+	mw.Sample("op2ca_service_partition_store_hits_total", nil, float64(hits))
+	mw.Declare("op2ca_service_partition_store_misses_total", "counter",
+		"Jobs that computed their partition assignment.")
+	mw.Sample("op2ca_service_partition_store_misses_total", nil, float64(misses))
+	mw.Declare("op2ca_service_partition_store_bytes", "gauge",
+		"Bytes the stored assignments are charged against the store's budget.")
+	mw.Sample("op2ca_service_partition_store_bytes", nil, float64(bytes))
+
 	mw.Declare("op2ca_service_queue_depth", "gauge",
 		"Jobs awaiting placement.")
 	mw.Sample("op2ca_service_queue_depth", nil, float64(len(s.queue)))

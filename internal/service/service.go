@@ -101,7 +101,10 @@ type Service struct {
 	// generations. Sized to what the pool can have in circulation — per
 	// worker one job's Keep generations and the file in flight.
 	spares *checkpoint.Spares
-	wg     sync.WaitGroup
+	// parts keeps the partition assignments jobs computed, for the jobs after
+	// them on the same mesh, partitioner and rank count (see partStore).
+	parts *partStore
+	wg    sync.WaitGroup
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast on every job state change
@@ -147,6 +150,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:       cfg,
 		dataDir:   cfg.DataDir,
+		parts:     newPartStore(partStoreBudget),
 		jobs:      make(map[string]*job),
 		submitted: make(map[string]int),
 	}
@@ -184,6 +188,7 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if err != nil {
 		return JobView{}, &ValidationError{Err: err}
 	}
+	w.run.Assignments = s.parts
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -421,7 +426,8 @@ func (s *Service) Drain() {
 // Close stops the service: queued jobs are cancelled, running attempts
 // are cancelled cooperatively and their jobs marked cancelled, workers
 // exit once their current attempt unwinds. Blocks until the pool is
-// down. The spare files and a service-owned data directory are removed.
+// down. The stored partition assignments are let go of; the spare files and
+// a service-owned data directory are removed.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -447,6 +453,7 @@ func (s *Service) Close() {
 	s.cond.Broadcast()
 	s.unlockAndScrub()
 	s.wg.Wait()
+	s.parts.reset()
 	s.spares.Close()
 	if s.ownsDir {
 		os.RemoveAll(s.dataDir)
@@ -549,8 +556,11 @@ func (s *Service) finishLocked(j *job, st State, msg string) {
 		s.nCancelled++
 	}
 	// A settled job restarts no more: let go of the mesh and partition its
-	// attempts shared (job records are retained).
-	j.w.problem = nil
+	// attempts shared, and of the resolved run description they were built
+	// from — parsed chain configuration, fault plan, supervise spec. The
+	// record keeps the spec it was resolved from, which is all a view reads
+	// and all a post-mortem of a failed job needs to resolve it again.
+	j.w.problem, j.w.run = nil, nil
 	// Its ring is idle — every attempt flushed it on the way out — so the
 	// counters are final.
 	s.ring.Add(j.ring.Stats())
@@ -626,9 +636,19 @@ func (s *Service) workerLoop(w *worker) {
 // exclusively ours between dispatch and settlement, so Recover/OnFailure
 // run without the service lock.
 func (s *Service) runJob(w *worker, j *job) {
+	first := j.w.problem == nil // this attempt builds the job's Problem
 	out, err := j.w.runAttempt(j.sup.Recover(), j.sup, j.ring, func(a *runspec.Attempt) {
 		s.mu.Lock()
 		j.backend = a.CB
+		if first {
+			// The one per-job record of why two equal jobs differ by a
+			// partitioner's run time.
+			msg := "partition computed"
+			if j.w.problem.AssignStored {
+				msg = "partition from store"
+			}
+			s.eventLocked(j, StateRunning, w.name, msg)
+		}
 		// An intent that landed before the backend existed takes
 		// effect at the attempt's first exchange boundary.
 		if j.cancelled || j.preempt {

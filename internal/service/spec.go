@@ -74,10 +74,11 @@ const (
 var tenantRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 
 // workload is a validated job: the normalized spec as echoed in views and
-// results, the resolved run description the worker drives, and — from the
-// first attempt until the job settles — the mesh, hierarchy and partition
-// every attempt of the job is built on. problem belongs to whoever is
-// running an attempt (one at a time, handed over under the service lock).
+// results, and — until the job settles — the resolved run description the
+// worker drives and, from the first attempt on, the mesh, hierarchy and
+// partition every attempt of the job is built on. run and problem belong to
+// whoever is running an attempt (one at a time, handed over under the service
+// lock).
 type workload struct {
 	spec    JobSpec
 	run     *runspec.Run
