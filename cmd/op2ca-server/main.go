@@ -28,6 +28,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -57,6 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		tenantCap = fs.Int("tenant-cap", 0, "per-tenant share of the queue (0 = queue-cap)")
 		dataDir   = fs.String("data-dir", "", "checkpoint ring directory (default: a temp dir, removed on exit)")
 		keep      = fs.Int("keep", 3, "checkpoint generations retained per job")
+		profiling = fs.Bool("pprof", false, "serve Go's runtime profiles under /debug/pprof/ on the listen address")
 		runSpec   = fs.String("run", "", "execute one job spec (JSON file, - for stdin) directly and print its result")
 		loadgen   = fs.String("loadgen", "", "flood the server at this base URL with synthetic jobs and print a report")
 		jobs      = fs.Int("jobs", 32, "loadgen: jobs to submit")
@@ -94,7 +96,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Workers: *workers, QueueCap: *queueCap, TenantCap: *tenantCap,
 			DataDir: *dataDir, Keep: *keep,
 		}
-		if err := serve(ctx, *addr, cfg, stdout, stderr); err != nil {
+		if err := serve(ctx, *addr, cfg, *profiling, stdout, stderr); err != nil {
 			return fatal(err)
 		}
 	}
@@ -104,7 +106,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // serve runs the HTTP service until ctx is done (SIGINT/SIGTERM), then shuts
 // down gracefully: stop accepting, cancel everything in flight, drain the
 // worker pool, and return once every response under way has been written.
-func serve(ctx context.Context, addr string, cfg service.Config, stdout, stderr io.Writer) error {
+func serve(ctx context.Context, addr string, cfg service.Config, profiling bool, stdout, stderr io.Writer) error {
 	svc, err := service.New(cfg)
 	if err != nil {
 		return err
@@ -115,7 +117,7 @@ func serve(ctx context.Context, addr string, cfg service.Config, stdout, stderr 
 		return err
 	}
 	fmt.Fprintf(stdout, "%s: listening on http://%s\n", prog, ln.Addr())
-	srv := &http.Server{Handler: service.NewHandler(svc)}
+	srv := &http.Server{Handler: handler(svc, profiling)}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
 	select {
@@ -133,6 +135,24 @@ func serve(ctx context.Context, addr string, cfg service.Config, stdout, stderr 
 	<-served
 	svc.Close()
 	return <-shut
+}
+
+// handler is the service's HTTP API, with net/http/pprof's endpoints beside
+// it when profiling is on (-pprof): they show the process to whoever can
+// reach the listen address, so an operator asks for them.
+func handler(svc *service.Service, profiling bool) http.Handler {
+	api := service.NewHandler(svc)
+	if !profiling {
+		return api
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", api)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // runDirect executes one spec inline and prints its Result as JSON —

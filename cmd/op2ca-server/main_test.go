@@ -86,6 +86,39 @@ func TestShutdownFinishesResponses(t *testing.T) {
 	}
 }
 
+// TestPprofIsOptIn: /debug/pprof/ is served beside the API only under -pprof.
+func TestPprofIsOptIn(t *testing.T) {
+	defer leakcheck.Check(t)()
+	svc, err := service.New(service.Config{Workers: 1, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, profiling := range []bool{false, true} {
+		ts := httptest.NewServer(handler(svc, profiling))
+		want := map[string]int{"/healthz": http.StatusOK, "/debug/pprof/": http.StatusNotFound,
+			"/debug/pprof/heap?debug=1": http.StatusNotFound}
+		if profiling {
+			want["/debug/pprof/"], want["/debug/pprof/heap?debug=1"] = http.StatusOK, http.StatusOK
+		}
+		for path, status := range want {
+			resp, err := ts.Client().Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != status {
+				t.Errorf("-pprof=%t: GET %s = %d, want %d", profiling, path, resp.StatusCode, status)
+			}
+			if profiling && path == "/debug/pprof/heap?debug=1" && !strings.Contains(string(body), "heap profile") {
+				t.Errorf("GET %s does not look like a heap profile: %.80q", path, body)
+			}
+		}
+		ts.Close()
+	}
+}
+
 // TestLoadgenShedsAndDrains floods a tightly provisioned service through
 // the real HTTP handler: part of the burst must be shed with 429s, and
 // every admitted job must still finish.

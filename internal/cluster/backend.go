@@ -45,6 +45,15 @@ type Config struct {
 	// identical; only host wall time changes. A Parallel backend owns
 	// worker goroutines: its constructor's caller must Close it.
 	Parallel bool
+	// Slabs, when non-nil, is where the backend borrows its flat storage —
+	// the dats' rank-local values (one slab, carved per rank and dat), the
+	// exchange payload slab and ChecksumDats' gather buffer — and where Close
+	// returns it, for the next backend built with the same lender. Host-side
+	// like Tracer and Parallel: borrowed memory is written before it is read,
+	// so no result, clock, stat or snapshot depends on it, and a snapshot of
+	// a lent backend restores into an unlent one and back. Nil makes every
+	// buffer fresh.
+	Slabs SlabLender
 	// NoGroupedMsgs makes CA chains exchange one message per dat and
 	// halo kind instead of one grouped message per neighbour (Figure 8
 	// disabled). An ablation knob: isolates the message-count reduction
@@ -123,9 +132,12 @@ type Backend struct {
 	net     netsim.Network
 	owners  [][]int32
 	layouts []*halo.Layout
-	// dats[rank][datID] is the rank-local storage of each dat.
-	dats  [][][]float64
-	valid []validity
+	// dats[rank][datID] is the rank-local storage of each dat; nil once the
+	// backend is closed. datSlab is what they are carved from when the
+	// storage is borrowed (Config.Slabs), nil otherwise.
+	dats    [][][]float64
+	datSlab []float64
+	valid   []validity
 	// written[datID] records that a loop or ScatterDat has written the dat
 	// since the backend was constructed: a snapshot holds the owned values of
 	// exactly these dats (see checkpoint.go). Set where the dat's halo copies
@@ -406,11 +418,30 @@ func New(cfg Config) (*Backend, error) {
 		return nil, fmt.Errorf("cluster: machine %s: %v", cfg.Machine.Name, err)
 	}
 	b.installPool(workers)
+	var slab []float64
+	if cfg.Slabs != nil {
+		// One borrowed slab for every (rank, dat): nothing below can fail, so
+		// whoever gets the backend gets the duty to Close it and return this.
+		total := 0
+		for r := range b.dats {
+			for _, d := range cfg.Prog.Dats {
+				total += b.layouts[r].SetL(d.Set).Total() * d.Dim
+			}
+		}
+		b.datSlab = cfg.Slabs.Get(total)
+		slab = b.datSlab
+	}
 	for r := range b.dats {
 		b.dats[r] = make([][]float64, len(cfg.Prog.Dats))
 		for _, d := range cfg.Prog.Dats {
 			sl := b.layouts[r].SetL(d.Set)
-			local := make([]float64, sl.Total()*d.Dim)
+			var local []float64
+			if n := sl.Total() * d.Dim; slab == nil {
+				local = make([]float64, n)
+			} else {
+				// Capacity ends with the slice: nothing grows into a neighbour.
+				local, slab = slab[:n:n], slab[n:]
+			}
 			for loc := 0; loc < sl.Total(); loc++ {
 				g := int(sl.L2G[loc])
 				copy(local[loc*d.Dim:(loc+1)*d.Dim], d.Data[g*d.Dim:(g+1)*d.Dim])
@@ -516,6 +547,7 @@ func (b *Backend) ChainBegin(name string) {
 	if b.rec != nil {
 		panic(fmt.Sprintf("cluster: nested loop-chain %q inside %q", name, b.rec.name))
 	}
+	b.mustBeOpen("ChainBegin")
 	b.FlushLazy()
 	b.recScratch.name = name
 	b.recScratch.loops = b.recScratch.loops[:0]
@@ -551,6 +583,7 @@ func (b *Backend) ChainEnd() {
 
 // ParLoop implements core.Backend.
 func (b *Backend) ParLoop(l core.Loop) {
+	b.mustBeOpen("ParLoop")
 	if err := l.Validate(); err != nil {
 		panic("cluster: " + err.Error())
 	}
@@ -588,6 +621,7 @@ func (b *Backend) FlushLazy() {
 	if len(q) == 0 {
 		return
 	}
+	b.mustBeOpen("FlushLazy")
 	b.lazyQ = nil
 	// Every flush counts as one execution of the "lazy" chain, single-loop
 	// flushes included, and the chain-length spread is tracked via
@@ -612,6 +646,7 @@ func (b *Backend) FlushLazy() {
 // GatherDat assembles the global values of d from the owning ranks,
 // flushing any lazily queued loops first (it observes their results).
 func (b *Backend) GatherDat(d *core.Dat) []float64 {
+	b.mustBeOpen("GatherDat")
 	b.FlushLazy()
 	return b.gatherInto(make([]float64, d.Set.Size*d.Dim), d)
 }
@@ -636,13 +671,14 @@ func (b *Backend) gatherInto(out []float64, d *core.Dat) []float64 {
 // shape virtual time, never data). Every dat is gathered into one buffer
 // the backend keeps, so a call allocates nothing proportional to the data.
 func (b *Backend) ChecksumDats() string {
+	b.mustBeOpen("ChecksumDats")
 	b.FlushLazy()
 	if b.scr.gather == nil {
 		n := 0
 		for _, d := range b.cfg.Prog.Dats {
 			n = max(n, d.Set.Size*d.Dim)
 		}
-		b.scr.gather = make([]float64, n)
+		b.scr.gather = b.regrow(nil, n)
 	}
 	h := fnv.New64a()
 	var block [4096]byte
@@ -665,6 +701,7 @@ func (b *Backend) ChecksumDats() string {
 // copies), marking the dat fully valid. Use it to (re)initialise data
 // between experiment phases.
 func (b *Backend) ScatterDat(d *core.Dat, global []float64) {
+	b.mustBeOpen("ScatterDat")
 	b.FlushLazy()
 	if len(global) != d.Set.Size*d.Dim {
 		panic(fmt.Sprintf("cluster: ScatterDat %s: %d values, want %d", d.Name, len(global), d.Set.Size*d.Dim))
@@ -701,7 +738,7 @@ func (b *Backend) forEachRank(f func(w, r int)) {
 // removes the pool: serial dispatch) and sizes the per-worker scratch to
 // match. Tests use it to force multi-worker pools on single-slot machines.
 func (b *Backend) installPool(workers int) {
-	b.Close()
+	b.stopPool()
 	if workers > 1 {
 		b.pool = newRankPool(workers)
 	}
@@ -714,16 +751,55 @@ func (b *Backend) installPool(workers int) {
 	}
 }
 
-// Close stops the worker pool's goroutines and returns once they have
-// exited; subsequent executions run serially (results are identical either
-// way). It is the only pool teardown: whoever constructs a Parallel backend
-// owns it and must Close it, or its workers outlive it. Idempotent, and a
-// no-op on a serial backend.
-func (b *Backend) Close() {
+// stopPool stops the worker pool's goroutines and returns once they have
+// exited.
+func (b *Backend) stopPool() {
 	if b.pool != nil {
 		b.pool.close()
 		b.pool = nil
 	}
+}
+
+// Close ends the backend: it stops the worker pool's goroutines, returning
+// once they have exited, gives what the backend borrowed back to
+// Config.Slabs, and lets go of the dats. It is the only teardown: whoever
+// constructs a backend owns it and must Close it, or a Parallel one's workers
+// outlive it and a lent one's slabs are never lent again. What a run leaves
+// behind stays readable — Stats, Clocks, MaxClock, ExchangeSeq and everything
+// they returned earlier — and anything that would touch the dats (ParLoop,
+// ScatterDat, GatherDat, ChecksumDats, Checkpoint) panics with a
+// *ClosedError. Idempotent: a slab goes back exactly once.
+func (b *Backend) Close() {
+	b.stopPool()
+	if b.dats == nil {
+		return
+	}
+	b.dats = nil
+	if l := b.cfg.Slabs; l != nil {
+		l.Put(b.datSlab)
+		l.Put(b.scr.slab)
+		l.Put(b.scr.gather)
+	}
+	b.datSlab, b.scr.slab, b.scr.gather = nil, nil, nil
+}
+
+// mustBeOpen panics with a *ClosedError when the backend has been closed.
+func (b *Backend) mustBeOpen(op string) {
+	if b.dats == nil {
+		panic(&ClosedError{Backend: b.Name(), NParts: b.cfg.NParts, Op: op})
+	}
+}
+
+// regrow returns storage for n values that the backend keeps until Close —
+// borrowed when it has a lender, made otherwise — in place of old, which goes
+// back to the lender. The contents are unspecified.
+func (b *Backend) regrow(old []float64, n int) []float64 {
+	if l := b.cfg.Slabs; l != nil {
+		l.Put(old)
+		s := l.Get(n)
+		return s[:cap(s)]
+	}
+	return make([]float64, n)
 }
 
 // initScratch sizes the per-Backend execution scratch from the

@@ -266,6 +266,7 @@ func (b *Backend) snapshotSlabs() [][][]float64 {
 // there is no mid-chain state a restore could resume into. note is
 // caller-defined resume context returned verbatim by Restore.
 func (b *Backend) Checkpoint(w io.Writer, note string) error {
+	b.mustBeOpen("Checkpoint")
 	if b.rec != nil {
 		return fmt.Errorf("cluster: cannot checkpoint inside open chain %q", b.rec.name)
 	}

@@ -48,6 +48,22 @@ func (e *HangError) Error() string {
 		e.Clock-e.Last, e.Last, e.Clock, e.Deadline, e.Exchange)
 }
 
+// ClosedError reports a use of a backend after Close: its dats are gone — back
+// with the lender they were borrowed from, possibly another backend's by now —
+// so the operation panics with a typed *ClosedError naming the backend,
+// before it indexes anything. Always the caller's bug.
+type ClosedError struct {
+	// Backend and NParts name the backend (Backend.Name, the rank count); Op
+	// is the method that was called.
+	Backend string
+	NParts  int
+	Op      string
+}
+
+func (e *ClosedError) Error() string {
+	return fmt.Sprintf("cluster: %s on closed backend %s x%d", e.Op, e.Backend, e.NParts)
+}
+
 // HaloDepthError reports a loop iteration whose map row reaches an element
 // the rank's halo does not hold: the backend was built with too shallow a
 // Depth for the iteration range it was asked to execute. The element loop

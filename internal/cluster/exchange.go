@@ -225,7 +225,7 @@ func (b *Backend) exchange(specs []exchangeSpec, grouped bool) *exchangeSchedule
 		return s
 	}
 	if need := int(s.slabLo[b.cfg.NParts]); need > len(sc.slab) {
-		sc.slab = make([]float64, need)
+		sc.slab = b.regrow(sc.slab, need)
 	}
 	sc.sched = s
 	b.forEachRank(b.fnPack)

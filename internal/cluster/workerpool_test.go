@@ -184,8 +184,15 @@ func TestCloseStopsPoolWorkers(t *testing.T) {
 		a.run(b, 1, true)
 	}
 	b.Close()
-	b.Close()         // idempotent
-	a.run(b, 1, true) // a closed backend keeps working, serially
+	b.Close() // idempotent
+	// A closed backend is finished: the next loop is refused by name.
+	defer func() {
+		var ce *ClosedError
+		if err, _ := recover().(error); !errors.As(err, &ce) || ce.Backend != b.Name() || ce.NParts != 6 {
+			t.Errorf("loop on a closed backend: recovered %v, want a *ClosedError naming %s x6", err, b.Name())
+		}
+	}()
+	a.run(b, 1, true)
 }
 
 // TestForcedPoolMatchesSerial: the forced multi-worker pool produces

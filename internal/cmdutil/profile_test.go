@@ -7,15 +7,15 @@ import (
 	"testing"
 )
 
-// TestProfileFlagsWriteFiles: -cpuprofile/-memprofile parse, and Start/stop
-// leave a non-empty file at each path.
+// TestProfileFlagsWriteFiles: -cpuprofile/-memprofile/-exectrace parse, and
+// Start/stop leave a non-empty file at each path.
 func TestProfileFlagsWriteFiles(t *testing.T) {
 	dir := t.TempDir()
-	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	cpu, mem, exec := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof"), filepath.Join(dir, "exec.trace")
 	var p ProfileFlags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	p.Register(fs)
-	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem, "-exectrace", exec}); err != nil {
 		t.Fatal(err)
 	}
 	stop, err := p.Start()
@@ -25,7 +25,7 @@ func TestProfileFlagsWriteFiles(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{cpu, mem} {
+	for _, path := range []string{cpu, mem, exec} {
 		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
 			t.Errorf("%s: missing or empty (err %v)", path, err)
 		}
@@ -35,7 +35,15 @@ func TestProfileFlagsWriteFiles(t *testing.T) {
 		t.Error("Start accepted an uncreatable -cpuprofile path")
 	}
 
-	// Neither flag set: nothing to start, nothing to write.
+	if _, err := (&ProfileFlags{CPU: cpu, Exec: filepath.Join(dir, "no-such-dir", "exec.trace")}).Start(); err == nil {
+		t.Error("Start accepted an uncreatable -exectrace path")
+	} else if stop, err := (&ProfileFlags{CPU: cpu}).Start(); err != nil {
+		t.Errorf("the refused Start left the CPU profile running: %v", err)
+	} else if err := stop(); err != nil {
+		t.Error(err)
+	}
+
+	// No flag set: nothing to start, nothing to write.
 	stop, err = (&ProfileFlags{}).Start()
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ type Spec struct {
 }
 
 // Run is a resolved Spec: the normalised description plus every parsed
-// artefact an attempt needs. Tracer, Parallel and Assignments are the
+// artefact an attempt needs. Tracer, Parallel, Assignments and Slabs are the
 // host-side knobs a front-end may set before Build; none changes a result.
 //
 // The paper harness's ablations pin what no Spec field (and so no flag and
@@ -106,6 +106,11 @@ type Run struct {
 	// that runs a single description, or times the partitioners, leaves it
 	// nil.
 	Assignments Assignments
+	// Slabs, when set, lends every backend built for the run its flat storage
+	// and takes it back on Close (cluster.Config.Slabs). The other half of
+	// Assignments: set by the front-end that builds backend after backend (the
+	// job service), nil for one that builds a few.
+	Slabs cluster.SlabLender
 
 	// NoGroupedMsgs and GPUDirect are cluster.Config's ablation knobs of the
 	// same names.
@@ -456,7 +461,7 @@ func (r *Run) Open(p *Problem, prog *core.Program, primary *core.Set, maxChain i
 		Depth: r.Depth, MaxChainLen: maxChain, CA: r.Spec.Backend == "ca",
 		Chains: r.Chains, Machine: r.Machine, Parallel: r.Parallel, Tracer: r.Tracer,
 		Faults: r.Plan, AutoTune: r.Spec.AutoTune, Overlap: r.Spec.Overlap,
-		NoGroupedMsgs: r.NoGroupedMsgs, GPUDirect: r.GPUDirect,
+		NoGroupedMsgs: r.NoGroupedMsgs, GPUDirect: r.GPUDirect, Slabs: r.Slabs,
 	}
 	if st == nil {
 		return cluster.New(cfg)
@@ -471,7 +476,8 @@ func (a *Attempt) Init() { a.init(a.B) }
 // Step runs one main-loop iteration.
 func (a *Attempt) Step() { a.step(a.B) }
 
-// Close releases the backend's worker pool.
+// Close closes the backend: its worker pool stops and what it borrowed goes
+// back. Read the Outcome first.
 func (a *Attempt) Close() {
 	if a.CB != nil {
 		a.CB.Close()

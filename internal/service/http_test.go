@@ -326,6 +326,15 @@ func TestServiceE2EOverHTTP(t *testing.T) {
 	if n := metricValue("op2ca_service_partition_store_misses_total"); n < 2 {
 		t.Errorf("partition store misses = %v, want at least one per distinct (mesh_nodes, partitioner, ranks)", n)
 	}
+	// The slab lender says what it did: jobs after the first ran on storage
+	// an earlier backend's Close had returned, and all of it is back.
+	if hits, misses := metricValue("op2ca_service_slab_hits_total"),
+		metricValue("op2ca_service_slab_misses_total"); hits <= 0 || misses <= 0 {
+		t.Errorf("slab lender: %v hits, %v misses; want both > 0", hits, misses)
+	}
+	if n := metricValue("op2ca_service_slab_lent_bytes"); n != 0 {
+		t.Errorf("slab lender: %v bytes lent with every job settled, want 0", n)
+	}
 	if !strings.Contains(metrics, "op2ca_service_restarts_total 1") &&
 		!strings.Contains(metrics, "op2ca_service_restarts_total 2") {
 		t.Errorf("metrics missing restarts in:\n%s", metrics)

@@ -77,6 +77,17 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		"Bytes the stored assignments are charged against the store's budget.")
 	mw.Sample("op2ca_service_partition_store_bytes", nil, float64(bytes))
 
+	slabs := s.slabs.Stats()
+	mw.Declare("op2ca_service_slab_hits_total", "counter",
+		"Storage requests of job backends (dats, exchange payload, gather buffer) served by a slab a closed backend had returned.")
+	mw.Sample("op2ca_service_slab_hits_total", nil, float64(slabs.Hits))
+	mw.Declare("op2ca_service_slab_misses_total", "counter",
+		"Storage requests of job backends that allocated a new slab.")
+	mw.Sample("op2ca_service_slab_misses_total", nil, float64(slabs.Misses))
+	mw.Declare("op2ca_service_slab_lent_bytes", "gauge",
+		"Bytes of slab storage running backends hold now.")
+	mw.Sample("op2ca_service_slab_lent_bytes", nil, float64(slabs.LentBytes))
+
 	mw.Declare("op2ca_service_queue_depth", "gauge",
 		"Jobs awaiting placement.")
 	mw.Sample("op2ca_service_queue_depth", nil, float64(len(s.queue)))

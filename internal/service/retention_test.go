@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"op2ca/internal/leakcheck"
 	"op2ca/internal/service"
 )
 
@@ -67,5 +68,43 @@ func TestSettledJobRetention(t *testing.T) {
 	t.Logf("the service retains %.0f B per settled job", perJob)
 	if perJob > 2000 {
 		t.Errorf("the service retains %.0f B per settled job, want at most 2000: what does a settled job still hold?", perJob)
+	}
+}
+
+// TestIdleServiceHoldsNoSlab: the slabs the service lends its jobs are the
+// collector's while nobody borrows them. After a warm-up on a 300-node mesh
+// (pools, spare files, the maps' first buckets), eight jobs of the served
+// size — their backends borrow and return a megabyte and more each, a gather
+// buffer of 200 KB at the least — and the idle service's live heap, read the
+// way the benchmark reads heap_live_mb, has grown by less than any one of
+// them.
+func TestIdleServiceHoldsNoSlab(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer leakcheck.Check(t)()
+	svc, err := service.New(service.Config{Workers: 2, QueueCap: 8, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	run := func(meshNodes int) {
+		t.Helper()
+		for i := 0; i < 8; i++ {
+			spec := service.JobSpec{Tenant: "acme", App: "hydra", MeshNodes: meshNodes, Ranks: 4 + 4*(i%2), Iters: 2}
+			if i%4 >= 2 {
+				spec.App, spec.NChains = "mgcfd", 2
+			}
+			if _, err := svc.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Drain()
+	}
+	run(300)
+	before := heapLive()
+	run(4200)
+	grew := float64(heapLive()) - float64(before)
+	t.Logf("the idle service's live heap grew by %.0f B over eight jobs", grew)
+	if grew > 64<<10 {
+		t.Errorf("the idle service's live heap grew by %.0f B over eight jobs, want less than 64 KB: is a slab still referenced?", grew)
 	}
 }

@@ -80,6 +80,14 @@ func (e *NotReadyError) Error() string {
 	return msg
 }
 
+// slabLender is cluster.Lender as the service uses it; tests put a lender
+// that poisons and counts in front of one.
+type slabLender interface {
+	cluster.SlabLender
+	Reset()
+	Stats() cluster.LenderStats
+}
+
 // worker is one executor slot. busy and load are guarded by the service
 // mutex; the channel carries at most the one job the dispatcher assigned
 // while the worker was idle.
@@ -104,6 +112,11 @@ type Service struct {
 	// parts keeps the partition assignments jobs computed, for the jobs after
 	// them on the same mesh, partitioner and rank count (see partStore).
 	parts *partStore
+	// slabs lends every job's backends their flat storage — dats, payload
+	// slab, gather buffer — and gets it back when the attempt's backend is
+	// closed, for the next job's (see cluster.Lender: what sits in it
+	// unborrowed is the garbage collector's to take).
+	slabs slabLender
 	wg    sync.WaitGroup
 
 	mu      sync.Mutex
@@ -151,6 +164,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:       cfg,
 		dataDir:   cfg.DataDir,
 		parts:     newPartStore(partStoreBudget),
+		slabs:     new(cluster.Lender),
 		jobs:      make(map[string]*job),
 		submitted: make(map[string]int),
 	}
@@ -188,7 +202,7 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if err != nil {
 		return JobView{}, &ValidationError{Err: err}
 	}
-	w.run.Assignments = s.parts
+	w.run.Assignments, w.run.Slabs = s.parts, s.slabs
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -426,8 +440,8 @@ func (s *Service) Drain() {
 // Close stops the service: queued jobs are cancelled, running attempts
 // are cancelled cooperatively and their jobs marked cancelled, workers
 // exit once their current attempt unwinds. Blocks until the pool is
-// down. The stored partition assignments are let go of; the spare files and
-// a service-owned data directory are removed.
+// down. The stored partition assignments and the free slabs are let go of;
+// the spare files and a service-owned data directory are removed.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -454,6 +468,7 @@ func (s *Service) Close() {
 	s.unlockAndScrub()
 	s.wg.Wait()
 	s.parts.reset()
+	s.slabs.Reset()
 	s.spares.Close()
 	if s.ownsDir {
 		os.RemoveAll(s.dataDir)
