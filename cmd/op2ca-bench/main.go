@@ -141,19 +141,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *iters > 0 {
 		cfg.Iters = *iters
 	}
-	cfg.Parallel, cfg.Tracer, cfg.Faults = r.Parallel, r.Tracer, r.Plan
+	// The ring lives at the path given: a generation another invocation left
+	// there is continued only by a run whose restore accepts it (its
+	// fingerprint and iteration count), which reproduces it bit for bit.
+	cfg.Parallel, cfg.Tracer, cfg.Faults, cfg.Ring = r.Parallel, r.Tracer, r.Plan, r.Ring
 	cfg.AutoTune, cfg.Overlap = shared.AutoTune, shared.Overlap
-	if r.Ring != nil {
-		// Key the ring path by the workload fingerprint: resume-by-default
-		// must never adopt a leftover ring from an invocation whose results
-		// would differ (same labels, different mesh sizes or iteration
-		// count). See Config.RingSpec.
-		if r.Ring, err = checkpoint.NewRing(cfg.RingSpec(r.Ring.Spec())); err != nil {
-			return fatal(err)
-		}
-		fmt.Fprintf(stderr, "%s: checkpoint ring %s\n", prog, r.Ring.Spec().Path)
-		cfg.Ring = r.Ring
-	}
 	var restored *bench.Resume // the snapshot -restore names: some run must adopt it
 	if shared.Restore != "" {
 		st, err := checkpoint.ReadFile(shared.Restore)
@@ -285,7 +277,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// One supervisor and one restart budget for the invocation: each
 		// attempt begins with a checkpoint-ring recovery scan (quarantining
 		// corrupt generations) and re-enters at the interrupted experiment.
-		// Runs whose label does not match the recovered snapshot re-execute
+		// Runs the recovered snapshot was not taken of re-execute
 		// deterministically, so the completed tables are bitwise identical
 		// to an uninterrupted invocation's.
 		runner := &supervise.Runner{
@@ -321,7 +313,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	if restored != nil && restored.Adopted == 0 {
-		return fatal(fmt.Errorf("-restore %s: the snapshot belongs to run %q, which this invocation did not execute (another -experiment or scale?); nothing was restored",
+		return fatal(fmt.Errorf("-restore %s: the snapshot belongs to run %q, which this invocation did not execute as it was taken (another -experiment, scale, -iters or fault plan?); nothing was restored",
 			shared.Restore, restored.Label()))
 	}
 

@@ -118,8 +118,8 @@ func TestEntryPoint(t *testing.T) {
 	same("autotune", snap, false)
 
 	// An injected crash ends the unsupervised invocation with exit 3 and a
-	// hint naming a generation of the keyed ring; resuming it by hand ends
-	// in the baseline.
+	// hint naming a generation of the ring at the path given; resuming it by
+	// hand ends in the baseline.
 	ring := "every=1,path=" + filepath.Join(dir, "ck.bin")
 	hint := regexp.MustCompile(`resume with -restore (\S+) `)
 	code, _, stderr = cli(t, "-faults", "crash=rank0@60,seed=1", "-checkpoint", ring)
@@ -128,7 +128,7 @@ func TestEntryPoint(t *testing.T) {
 		t.Fatalf("crash: exit %d, stderr %q; want 3 and a resume hint", code, stderr)
 	}
 	gen := m[1]
-	if _, err := os.Stat(gen); err != nil || !strings.HasPrefix(gen, filepath.Join(dir, "ck.bin.")) {
+	if _, err := os.Stat(gen); err != nil || !strings.HasPrefix(gen, filepath.Join(dir, "ck.bin.g")) {
 		t.Fatalf("crash: hinted generation %s: %v", gen, err)
 	}
 	code, snap, stderr = cli(t, "-restore", gen, "-json", "JSON")
@@ -138,8 +138,9 @@ func TestEntryPoint(t *testing.T) {
 	same("restore", snap, true)
 	// The snapshot belongs to an 8M-class Table 2 run: an invocation that
 	// never executes that run must not re-execute everything and report
-	// success.
-	for _, mismatch := range [][]string{{"-experiment", "table5"}, {"-nodes8m", "700"}} {
+	// success. (-nodes8m 700 would: RotorForNodes rounds 600 and 700 to the
+	// same 648-node mesh, so that invocation continues the snapshot.)
+	for _, mismatch := range [][]string{{"-experiment", "table5"}, {"-nodes8m", "1000"}} {
 		code, _, stderr = cli(t, append([]string{"-restore", gen}, mismatch...)...)
 		if code != 1 || !strings.Contains(stderr, `"mgcfd `) || !strings.Contains(stderr, "nothing was restored") {
 			t.Errorf("restore with %v: exit %d, stderr %q; want 1 naming the snapshot's run", mismatch, code, stderr)

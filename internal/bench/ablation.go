@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"op2ca/internal/chaincfg"
+	"op2ca/internal/checkpoint"
+	"op2ca/internal/cluster"
 	"op2ca/internal/halo"
 	"op2ca/internal/hydra"
 	"op2ca/internal/machine"
@@ -29,22 +31,24 @@ func (c Config) synthetic(backend string, nchains, ranks int) runspec.Spec {
 
 // runSyntheticOnce runs the MG-CFD synthetic chain alone — r's backend over
 // p, but stepping the chain without the multigrid cycle, a main loop no run
-// description has — and returns the per-iteration virtual time.
-func (c Config) runSyntheticOnce(r *runspec.Run, p *runspec.Problem) float64 {
+// description has — and returns the per-iteration virtual time. variant, when
+// not "", ends the run's label: what an ablation varies that the rest of the
+// label does not say.
+func (c Config) runSyntheticOnce(r *runspec.Run, p *runspec.Problem, variant string) float64 {
 	nchains, chained := r.Spec.NChains, r.Spec.Backend == "ca"
 	app := mgcfd.New(p.Hierarchy)
 	syn := mgcfd.NewSynthetic(app)
 	label := fmt.Sprintf("synthetic ca=%v depth=%d grouped=%v loops=%d ranks=%d",
 		chained, r.Depth, !r.NoGroupedMsgs, 2*nchains, r.Spec.Ranks)
-	var rctx synResumeCtx
-	st, start := c.resumeFor(label, &rctx)
-	b, err := r.Open(p, app.Prog, app.Primary, 2*nchains, st)
-	if err != nil {
-		panic("bench: " + err.Error())
+	if variant != "" {
+		label += " " + variant
 	}
+	var rctx synResumeCtx
+	b, start := c.open(&rctx, func(st *checkpoint.State) (*cluster.Backend, error) {
+		return r.Open(p, app.Prog, app.Primary, 2*nchains, st)
+	})
 	defer b.Close()
-	c.Sup.Adopt(b)
-	if st == nil {
+	if start == 0 {
 		app.Init(b)
 		syn.Run(b, nchains, chained) // warm-up
 		rctx.T0 = b.MaxClock()
@@ -73,7 +77,7 @@ func AblationDepth(c Config) *Table {
 	const nchains = 8
 	op2 := c.resolve(c.synthetic("op2", nchains, ranks), archer())
 	p := problem(op2)
-	op2Time := c.runSyntheticOnce(op2, p)
+	op2Time := c.runSyntheticOnce(op2, p, "")
 
 	for _, he := range []int{2, 3, 4} {
 		r := c.resolve(c.synthetic("ca", nchains, ranks), archer())
@@ -91,7 +95,7 @@ func AblationDepth(c Config) *Table {
 			}
 			r.Chains = chains
 		}
-		caTime := c.runSyntheticOnce(r, p)
+		caTime := c.runSyntheticOnce(r, p, "")
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(he), f6(caTime), f2(gain(op2Time, caTime)),
 		})
@@ -117,11 +121,11 @@ func AblationGrouping(c Config) *Table {
 		if p == nil {
 			p = problem(op2)
 		}
-		op2Time := c.runSyntheticOnce(op2, p)
+		op2Time := c.runSyntheticOnce(op2, p, "")
 		perDat := c.resolve(c.synthetic("ca", nchains, ranks), archer())
 		perDat.NoGroupedMsgs = true
-		perDatTime := c.runSyntheticOnce(perDat, p)
-		groupedTime := c.runSyntheticOnce(c.resolve(c.synthetic("ca", nchains, ranks), archer()), p)
+		perDatTime := c.runSyntheticOnce(perDat, p, "")
+		groupedTime := c.runSyntheticOnce(c.resolve(c.synthetic("ca", nchains, ranks), archer()), p, "")
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(2 * nchains), f6(op2Time), f6(perDatTime), f6(groupedTime),
 			f2(gain(perDatTime, groupedTime)),
@@ -159,9 +163,10 @@ func AblationPartitioner(c Config) *Table {
 			adj = p.Mesh.NodeAdjacency()
 		}
 		q := partition.Evaluate(adj, p.Assign, ranks)
-		op2Time := c.runSyntheticOnce(c.resolve(spec, archer()), p)
+		variant := "partitioner=" + name
+		op2Time := c.runSyntheticOnce(c.resolve(spec, archer()), p, variant)
 		spec.Backend = "ca"
-		caTime := c.runSyntheticOnce(c.resolve(spec, archer()), p)
+		caTime := c.runSyntheticOnce(c.resolve(spec, archer()), p, variant)
 		t.Rows = append(t.Rows, []string{
 			name, fmt.Sprint(q.EdgeCut), fmt.Sprint(q.MaxNeighbours),
 			f2(q.Imbalance), f6(op2Time), f6(caTime), f2(gain(op2Time, caTime)),
@@ -195,17 +200,10 @@ func AblationGPUDirect(c Config) *Table {
 			if p == nil {
 				p = problem(r)
 			}
-			// Not checkpointed: no snapshot carries this label.
-			a, _, _ := c.open(r, p, label, nil)
+			a, base := c.measureHydra(r, p, label)
 			defer a.Close()
-			a.Init()
-			a.Step() // warm-up
-			t0 := a.CB.MaxClock()
-			for it := 0; it < c.Iters; it++ {
-				a.Step()
-			}
 			c.observe(label, a.CB)
-			return (a.CB.MaxClock() - t0) / float64(c.Iters)
+			return (a.CB.MaxClock() - base.T0) / float64(c.Iters)
 		}
 		staged := run(false)
 		direct := run(true)
@@ -238,10 +236,11 @@ func AblationGPULaunch(c Config) *Table {
 		if p == nil {
 			p = problem(op2)
 		}
-		op2Time := c.runSyntheticOnce(op2, p)
-		caTime := c.runSyntheticOnce(c.resolve(c.synthetic("ca", nchains, ranks), mach), p)
+		launch := fmt.Sprintf("%.0fus", overhead*1e6)
+		op2Time := c.runSyntheticOnce(op2, p, "launch="+launch)
+		caTime := c.runSyntheticOnce(c.resolve(c.synthetic("ca", nchains, ranks), mach), p, "launch="+launch)
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0fus", overhead*1e6), f6(op2Time), f6(caTime),
+			launch, f6(op2Time), f6(caTime),
 			f2(gain(op2Time, caTime)),
 		})
 	}

@@ -75,9 +75,9 @@ type Config struct {
 	// complete snapshot.
 	Ring *checkpoint.Ring
 	// Resume, when non-nil, is a snapshot a previous (crashed) invocation
-	// wrote: the run whose label matches the snapshot's resume point
-	// restores mid-measurement, all other runs re-execute deterministically,
-	// and the invocation's final checksums equal an uninterrupted run's.
+	// wrote: every run whose restore accepts it continues mid-measurement
+	// (see open), all other runs re-execute deterministically, and the
+	// invocation's final checksums equal an uninterrupted run's.
 	Resume *Resume
 	// Sup, when non-nil, is the invocation's supervisor: it adopts every
 	// backend the checkpointable experiments construct or restore, arming

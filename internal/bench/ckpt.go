@@ -2,14 +2,15 @@ package bench
 
 // ckpt.go gives the experiments checkpoint/restart: with Ring set, every
 // measured run snapshots its backend periodically through the verified
-// generation ring, and with Resume set, the one run whose label matches the
-// snapshot's resume point restores mid-measurement while every other run
+// generation ring, and with Resume set, every run whose restore accepts the
+// pending snapshot continues from it mid-measurement while every other run
 // simply re-executes — the simulation is deterministic, so re-executed runs
 // reproduce their results bitwise and the resumed invocation's checksums
 // equal an uninterrupted run's.
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 
 	"op2ca/internal/checkpoint"
@@ -17,12 +18,15 @@ import (
 	"op2ca/internal/runspec"
 )
 
-// resumePoint is the JSON note a bench checkpoint carries: which measured
-// run the snapshot belongs to, how many measured iterations were complete,
-// and the run's measurement baseline (taken before the measured loop, so a
-// resumed run reports the same table values as an uninterrupted one).
+// resumePoint is the JSON note a bench checkpoint carries: the invocation's
+// measured iteration count and how many of them were complete, and the run's
+// measurement baseline (taken before the measured loop, so a resumed run
+// reports the same table values as an uninterrupted one). The label names the
+// run for the -restore error message only: which runs may continue the
+// snapshot is the restore's fingerprint check, not a name (see open).
 type resumePoint struct {
 	Label string          `json:"label"`
+	Iters int             `json:"iters"`
 	Done  int             `json:"done"`
 	Ctx   json.RawMessage `json:"ctx,omitempty"`
 }
@@ -62,7 +66,7 @@ func (c Config) tick(b *cluster.Backend, label string, done int, ctx any) {
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	note, err := json.Marshal(resumePoint{Label: label, Done: done, Ctx: raw})
+	note, err := json.Marshal(resumePoint{Label: label, Iters: c.Iters, Done: done, Ctx: raw})
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
@@ -73,42 +77,54 @@ func (c Config) tick(b *cluster.Backend, label string, done int, ctx any) {
 	}
 }
 
-// resumeFor returns the pending snapshot and its count of completed measured
-// iterations when it belongs to the run labelled label, unmarshalling the
-// snapshot's measurement baseline into ctx. Any other run gets (nil, 0) and
-// executes from scratch.
-func (c Config) resumeFor(label string, ctx any) (*checkpoint.State, int) {
-	if c.Resume == nil {
-		return nil, 0
-	}
+// open opens the backend a measured run executes on through build — restored
+// from st, fresh when st is nil — and returns it with the number of measured
+// iterations already complete. A pending snapshot whose note records this
+// invocation's Iters is offered to every run: the run continues it when the
+// restore accepts it (ctx then holds the snapshot's measurement baseline) and
+// builds fresh when the restore refuses it as another configuration's. Runs
+// that share a fingerprint must therefore share their loop and their
+// baseline: the synthetic chain's one-level hierarchy sets its runs apart
+// from the paper points' three levels, and every measured Hydra run goes
+// through measureHydra. Either way the invocation's supervisor adopts the
+// backend; the caller must Close it.
+func (c Config) open(ctx any, build func(st *checkpoint.State) (*cluster.Backend, error)) (*cluster.Backend, int) {
 	var rp resumePoint
-	if err := json.Unmarshal([]byte(c.Resume.State.Note), &rp); err != nil || rp.Label != label {
-		return nil, 0
-	}
-	if len(rp.Ctx) > 0 {
-		if err := json.Unmarshal(rp.Ctx, ctx); err != nil {
-			panic("bench: restore: " + err.Error())
+	if c.Resume != nil && json.Unmarshal([]byte(c.Resume.State.Note), &rp) == nil && rp.Iters == c.Iters {
+		b, err := build(c.Resume.State)
+		if err == nil {
+			if err := json.Unmarshal(rp.Ctx, ctx); err != nil {
+				panic("bench: restore: " + err.Error())
+			}
+			c.Resume.Adopted++
+			c.Sup.Adopt(b)
+			return b, rp.Done
 		}
+		var refused *cluster.SnapshotError
+		if !errors.As(err, &refused) || refused.Kind != cluster.ErrSnapshotConfig {
+			panic("bench: " + err.Error())
+		}
+		// Another configuration's snapshot: this run starts fresh.
 	}
-	c.Resume.Adopted++
-	return c.Resume.State, rp.Done
-}
-
-// open returns the attempt a measured run executes on — r's app over p —
-// and the number of measured iterations already complete: restored from the
-// pending snapshot when it belongs to the run labelled label (ctx then
-// holds the snapshot's measurement baseline), else freshly built — fresh is
-// true and the caller initialises and warms it up. Either way the
-// invocation's supervisor adopts the backend. The caller owns the attempt
-// and must Close it.
-func (c Config) open(r *runspec.Run, p *runspec.Problem, label string, ctx any) (a *runspec.Attempt, start int, fresh bool) {
-	st, start := c.resumeFor(label, ctx)
-	a, err := r.BuildOn(p, st)
+	b, err := build(nil)
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	c.Sup.Adopt(a.CB)
-	return a, start, st == nil
+	c.Sup.Adopt(b)
+	return b, 0
+}
+
+// openAttempt is open for a run the app its Spec names drives: the attempt
+// over p, restored or fresh, and the measured iterations already complete.
+func (c Config) openAttempt(r *runspec.Run, p *runspec.Problem, ctx any) (a *runspec.Attempt, start int) {
+	_, start = c.open(ctx, func(st *checkpoint.State) (*cluster.Backend, error) {
+		var err error
+		if a, err = r.BuildOn(p, st); err != nil {
+			return nil, err
+		}
+		return a.CB, nil
+	})
+	return a, start
 }
 
 // mgResumeCtx is runMGPoint's measurement baseline: the virtual-time and
@@ -118,9 +134,10 @@ type mgResumeCtx struct {
 	mgSnapshot
 }
 
-// hydraResumeCtx is runHydraPoint's baseline: per-chain cumulative counters
-// read after warm-up.
+// hydraResumeCtx is the baseline of a measured Hydra run (measureHydra):
+// the virtual time and per-chain cumulative counters read after warm-up.
 type hydraResumeCtx struct {
+	T0     float64              `json:"t0"`
 	Before map[string]hydraMeas `json:"before"`
 }
 

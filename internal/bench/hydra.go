@@ -40,27 +40,10 @@ func (c Config) runHydraPoint(meshNodes, paperNodes int, mach *machine.Machine) 
 			r.Spec.Backend, meshNodes, paperNodes, ranks, mach.Name)
 		// rawChain reads per-chain rows under both backends.
 		r.Demarcate = true
-		var rctx hydraResumeCtx
-		a, start, fresh := c.open(r, p, label, &rctx)
+		a, base := c.measureHydra(r, p, label)
 		defer a.Close()
 		b := a.CB
-		if fresh {
-			// Setup chains (weight, period) execute once; measure them
-			// cumulatively. Per-iteration chains are measured after a warm-up
-			// iteration, so first-execution clean halos do not skew the
-			// communication counters.
-			a.Init()
-			a.Step() // warm-up
-			rctx.Before = map[string]hydraMeas{}
-			for _, name := range hydra.ChainNames() {
-				rctx.Before[name] = rawChain(b, name)
-			}
-		}
-		before := rctx.Before
-		for it := start; it < c.Iters; it++ {
-			a.Step()
-			c.tick(b, label, it+1, rctx)
-		}
+		before := base.Before
 		dst := pt.op2
 		if caMode {
 			dst = pt.cab
@@ -84,6 +67,32 @@ func (c Config) runHydraPoint(meshNodes, paperNodes int, mach *machine.Machine) 
 		c.observe(label, b)
 	})
 	return pt
+}
+
+// measureHydra runs one measured Hydra run — r's app and backend over p —
+// and returns the attempt, still open, with its baseline. Setup chains
+// (weight, period) execute once and are measured cumulatively; per-iteration
+// chains are measured after a warm-up iteration, so first-execution clean
+// halos do not skew the communication counters. The paper points and the
+// GPUDirect ablation both measure through it: a run of each can share a
+// fingerprint, and then either continues the other's snapshot.
+func (c Config) measureHydra(r *runspec.Run, p *runspec.Problem, label string) (*runspec.Attempt, hydraResumeCtx) {
+	var rctx hydraResumeCtx
+	a, start := c.openAttempt(r, p, &rctx)
+	b := a.CB
+	if start == 0 {
+		a.Init()
+		a.Step() // warm-up
+		rctx = hydraResumeCtx{T0: b.MaxClock(), Before: map[string]hydraMeas{}}
+		for _, name := range hydra.ChainNames() {
+			rctx.Before[name] = rawChain(b, name)
+		}
+	}
+	for it := start; it < c.Iters; it++ {
+		a.Step()
+		c.tick(b, label, it+1, rctx)
+	}
+	return a, rctx
 }
 
 // rawChain reads one chain's cumulative counters (CA stats or, for per-loop

@@ -70,10 +70,10 @@ func (c Config) runMGPoint(meshNodes, paperNodes, nchains int, mach *machine.Mac
 		label := fmt.Sprintf("mgcfd %s mesh=%d paper-nodes=%d loops=%d ranks=%d",
 			r.Spec.Backend, meshNodes, paperNodes, 2*nchains, ranks)
 		var rctx mgResumeCtx
-		a, start, fresh := c.open(r, p, label, &rctx)
+		a, start := c.openAttempt(r, p, &rctx)
 		defer a.Close()
 		b := a.CB
-		if fresh {
+		if start == 0 {
 			a.Init()
 			// Warm-up (dirties halos, amortises nothing else); excluded from
 			// the measurement like the paper's inspection phase.

@@ -265,7 +265,11 @@ func TestParseSpec(t *testing.T) {
 func TestAtomicWriteAndReadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.bin")
 	s := sampleState()
-	if err := AtomicWriteFile(path, encodeTo(s)); err != nil {
+	staged, err := stage(path, nil, encodeTo(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := staged.commit(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {

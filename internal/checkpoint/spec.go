@@ -154,16 +154,6 @@ func (s *staged) commit() error {
 	return syncDir(filepath.Dir(s.path))
 }
 
-// AtomicWriteFile writes a snapshot produced by write to path: stage and
-// commit, back to back.
-func AtomicWriteFile(path string, write func(w io.Writer) error) error {
-	s, err := stage(path, nil, write)
-	if err != nil {
-		return err
-	}
-	return s.commit()
-}
-
 // syncDir fsyncs a directory so a completed rename survives a host crash.
 // Filesystems that cannot sync directories (some CI tmpfs setups) are not
 // an error: the rename itself is still atomic.

@@ -18,13 +18,16 @@ import (
 	"op2ca/internal/obs"
 )
 
-// Config configures a distributed back-end.
+// Config configures a distributed back-end. It is its own checkpoint
+// fingerprint (configFingerprint): a field is in it unless tagged `json:"-"`,
+// which marks the host-side fields no result depends on and the ones the
+// fingerprint renders its own way.
 type Config struct {
 	// Prog is the program (global mesh and data) to distribute.
-	Prog *core.Program
+	Prog *core.Program `json:"-"`
 	// Primary is the partitioned set; Assign maps its elements to ranks.
-	Primary *core.Set
-	Assign  []int32
+	Primary *core.Set `json:"-"`
+	Assign  []int32   `json:"-"`
 	// NParts is the number of ranks.
 	NParts int
 	// Depth is the number of halo shells to build; it must cover the
@@ -40,11 +43,11 @@ type Config struct {
 	CA bool
 	// Chains optionally configures per-chain halo extensions and
 	// disables (the paper's Section 3.4 configuration file).
-	Chains *chaincfg.Config
+	Chains *chaincfg.Config `json:"-"`
 	// Parallel executes ranks on multiple OS threads. Results are
 	// identical; only host wall time changes. A Parallel backend owns
 	// worker goroutines: its constructor's caller must Close it.
-	Parallel bool
+	Parallel bool `json:"-"`
 	// Slabs, when non-nil, is where the backend borrows its flat storage —
 	// the dats' rank-local values (one slab, carved per rank and dat), the
 	// exchange payload slab and ChecksumDats' gather buffer — and where Close
@@ -53,7 +56,7 @@ type Config struct {
 	// so no result, clock, stat or snapshot depends on it, and a snapshot of
 	// a lent backend restores into an unlent one and back. Nil makes every
 	// buffer fresh.
-	Slabs SlabLender
+	Slabs SlabLender `json:"-"`
 	// NoGroupedMsgs makes CA chains exchange one message per dat and
 	// halo kind instead of one grouped message per neighbour (Figure 8
 	// disabled). An ablation knob: isolates the message-count reduction
@@ -83,7 +86,7 @@ type Config struct {
 	// tracer disables tracing at near-zero cost, and tracing never feeds
 	// back into the virtual-time arithmetic: traced and untraced runs
 	// produce bit-identical clocks and results.
-	Tracer *obs.Tracer
+	Tracer *obs.Tracer `json:"-"`
 	// Lazy defers loop execution and auto-detects chains at runtime (the
 	// paper's stated future work: code-gen automation via lazy
 	// evaluation). Loops queue until a synchronisation point — a global
@@ -110,7 +113,7 @@ type Config struct {
 	// Fault injection never touches the simulated data: results stay
 	// bit-identical to the fault-free run, only clocks, stats and fault
 	// counters differ.
-	Faults *faults.Plan
+	Faults *faults.Plan `json:"-"`
 	// AutoTune hands every eligible chain's execution policy to the
 	// model-driven autotuner: calibrate Equations (1)-(4) from measured
 	// probe windows, score per-loop OP2 against CA at every feasible halo

@@ -67,45 +67,30 @@ import (
 )
 
 // configFingerprint is the canonical identity of a backend configuration:
-// everything that shapes partitioning, halo layouts, execution policy or the
-// virtual-time arithmetic. Restore refuses a snapshot whose fingerprint does
-// not match the restoring configuration — resuming into a different mesh,
-// machine or policy would silently break the restore invariant. Tracing,
-// checkpointing knobs and host threading (Parallel) are deliberately
-// excluded: they never feed back into results, clocks or stats, so a
-// snapshot taken with a worker pool resumes on one host thread and back.
+// the Config itself, by rule. Every field is in it unless its tag excludes it
+// (`json:"-"`), and the tags are the whole exclusion list:
+//   - Parallel, Slabs and Tracer are host-side: they never feed back into
+//     results, clocks or stats, so a snapshot taken with a worker pool
+//     resumes on one host thread and back, lent or not, traced or not;
+//   - Prog, Primary, Assign, Chains and Faults are rendered below instead:
+//     the program's sets and dats, the primary set's name, a hash of the
+//     assignment, the chain file's text and the plan's message faults
+//     (faults.Plan.MessageFaults: a crash-only plan fingerprints equal to no
+//     plan at all, the resume configuration).
+//
+// Restore refuses a snapshot whose fingerprint does not match the restoring
+// configuration: resuming into a different mesh, machine (all of it, GPU
+// device included) or policy would silently break the restore invariant.
 type configFingerprint struct {
-	Version     int    `json:"version"`
-	NParts      int    `json:"nparts"`
-	Depth       int    `json:"depth"`
-	MaxChainLen int    `json:"max_chain_len"`
-	CA          bool   `json:"ca"`
-	Lazy        bool   `json:"lazy"`
-	AutoTune    bool   `json:"autotune"`
-	GPUDirect   bool   `json:"gpudirect"`
-	NoGrouped   bool   `json:"no_grouped_msgs"`
-	NoPlanCache bool   `json:"no_plan_cache"`
-	Overlap     bool   `json:"overlap,omitempty"`
-	Machine     string `json:"machine"`
-	// The machine's cost-model scalars guard against two custom machines
-	// sharing a name.
-	Latency        float64 `json:"latency"`
-	Bandwidth      float64 `json:"bandwidth"`
-	PackRate       float64 `json:"pack_rate"`
-	EagerThreshold int64   `json:"eager_threshold"`
-	Handshake      float64 `json:"handshake,omitempty"`
-	GPU            bool    `json:"gpu"`
-	// Faults is the plan's message-fault content (faults.Plan.MessageFaults):
-	// a crash-only plan fingerprints equal to no plan at all, the resume
-	// configuration.
-	Faults string `json:"faults"`
+	Version int `json:"version"`
+	Config
 	// The resolved retransmission budget, not the plan's clause: a
 	// crash-only plan carrying maxretries would otherwise fingerprint equal
 	// to a no-fault resume config with a different effective budget. (The
-	// retry timeout and backoff are functions of Latency above.)
-	MaxRetries int    `json:"max_retries"`
-	Chains     string `json:"chains"`
-	// Mesh and data identity: sets, dats and the partition assignment.
+	// retry timeout and backoff are functions of the machine's latency.)
+	MaxRetries int     `json:"max_retries"`
+	Faults     string  `json:"faults"`
+	Chains     string  `json:"chains"`
 	Primary    string  `json:"primary"`
 	Sets       []fpSet `json:"sets"`
 	Dats       []fpDat `json:"dats"`
@@ -131,29 +116,8 @@ func (b *Backend) configFingerprint() ([]byte, error) {
 		return b.ckptFingerprint, nil
 	}
 	cfg := b.cfg
-	fp := configFingerprint{
-		Version:        checkpoint.Version,
-		NParts:         cfg.NParts,
-		Depth:          cfg.Depth,
-		MaxChainLen:    cfg.MaxChainLen,
-		CA:             cfg.CA,
-		Lazy:           cfg.Lazy,
-		AutoTune:       cfg.AutoTune,
-		GPUDirect:      cfg.GPUDirect,
-		NoGrouped:      cfg.NoGroupedMsgs,
-		NoPlanCache:    cfg.NoPlanCache,
-		Overlap:        cfg.Overlap,
-		Machine:        cfg.Machine.Name,
-		Latency:        cfg.Machine.Latency,
-		Bandwidth:      cfg.Machine.Bandwidth,
-		PackRate:       cfg.Machine.PackRate,
-		EagerThreshold: cfg.Machine.EagerThreshold,
-		Handshake:      cfg.Machine.Handshake,
-		GPU:            cfg.Machine.GPU != nil,
-		Faults:         cfg.Faults.MessageFaults(),
-		MaxRetries:     b.maxRetries,
-		Primary:        cfg.Primary.Name,
-	}
+	fp := configFingerprint{Version: checkpoint.Version, Config: cfg, MaxRetries: b.maxRetries,
+		Faults: cfg.Faults.MessageFaults(), Primary: cfg.Primary.Name}
 	if cfg.Chains != nil {
 		fp.Chains = cfg.Chains.String()
 	}

@@ -2,14 +2,21 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"op2ca/internal/chaincfg"
+	"op2ca/internal/checkpoint"
 	"op2ca/internal/core"
 	"op2ca/internal/faults"
+	"op2ca/internal/machine"
 	"op2ca/internal/mesh"
+	"op2ca/internal/obs"
 	"op2ca/internal/partition"
 )
 
@@ -349,5 +356,161 @@ func TestCheckpointInsideChainRefused(t *testing.T) {
 	var buf bytes.Buffer
 	if err := b.Checkpoint(&buf, ""); err == nil || !strings.Contains(err.Error(), "open chain") {
 		t.Fatalf("Checkpoint inside chain = %v, want open-chain error", err)
+	}
+}
+
+// TestFingerprintCoversConfig holds the fingerprint to its rule: every
+// Config field is in it unless tagged `json:"-"`, and of the tagged ones the
+// host-side three are not in it at all while the others are, through their
+// renderings. Each exported field — and each field of the machine it points
+// to, GPU device included — is perturbed on its own.
+func TestFingerprintCoversConfig(t *testing.T) {
+	m := mesh.Rotor(6, 5, 4)
+	w := newCkptWorkload(m, 1, 2)
+	other := newPropApp(mesh.Rotor(7, 5, 4))
+	chains, err := chaincfg.ParseString("chain prop\nloop l0 he=1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Prog: w.app.p, Primary: w.app.nodes, Assign: partition.Block(m.NNodes, 2), NParts: 2,
+		Depth: 3, MaxChainLen: 2, CA: true, Machine: machine.Cirrus()}
+	fingerprint := func() string {
+		t.Helper()
+		fp, err := (&Backend{cfg: cfg, maxRetries: 4}).configFingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(fp)
+	}
+	base := fingerprint()
+	covered := func(path string) {
+		if fingerprint() == base {
+			t.Errorf("%s: changing it leaves the fingerprint as it was", path)
+		}
+	}
+	v := reflect.ValueOf(&cfg).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, field := v.Type().Field(i), v.Field(i)
+		if f.Tag.Get("json") != "-" {
+			perturb(t, field, f.Name, covered)
+			continue
+		}
+		old := reflect.New(field.Type()).Elem()
+		old.Set(field)
+		host := false
+		switch f.Name {
+		case "Parallel":
+			cfg.Parallel, host = true, true
+		case "Slabs":
+			cfg.Slabs, host = &Lender{}, true
+		case "Tracer":
+			cfg.Tracer, host = obs.New(), true
+		case "Prog":
+			cfg.Prog = other.p
+		case "Primary":
+			cfg.Primary = w.app.edges
+		case "Assign":
+			cfg.Assign = slices.Clone(cfg.Assign)
+			cfg.Assign[0] = 1 - cfg.Assign[0]
+		case "Chains":
+			cfg.Chains = chains
+		case "Faults":
+			cfg.Faults = faults.MustParse("crash=rank0@5,seed=1")
+			if fingerprint() != base {
+				t.Error("Faults: a crash-only plan changes the fingerprint")
+			}
+			cfg.Faults = faults.MustParse("drop=0.01,seed=1")
+		default:
+			t.Errorf("%s is tagged out of the fingerprint but is neither host-side nor rendered", f.Name)
+			continue
+		}
+		if host && fingerprint() != base {
+			t.Errorf("%s is host-side, yet changing it changes the fingerprint", f.Name)
+		} else if !host {
+			covered(f.Name)
+		}
+		field.Set(old)
+	}
+	if fingerprint() != base {
+		t.Fatal("the perturbations were not undone")
+	}
+
+	// What the reflection walk perturbs holds for the restore: a snapshot is
+	// refused on a machine that prices anything differently.
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	w.run(b, 0, 2, false)
+	var snap bytes.Buffer
+	if err := b.Checkpoint(&snap, ""); err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.Decode(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mut := range map[string]func(*machine.Machine){
+		"same machine":       func(*machine.Machine) {},
+		"GPU.LaunchOverhead": func(m *machine.Machine) { m.GPU.LaunchOverhead *= 2 },
+		"FlopRate":           func(m *machine.Machine) { m.FlopRate *= 2 },
+	} {
+		rw := newCkptWorkload(m, 1, 2)
+		rc := cfg
+		rc.Prog, rc.Primary, rc.Machine = rw.app.p, rw.app.nodes, machine.Cirrus()
+		mut(rc.Machine)
+		r, err := RestoreState(st, rc)
+		var se *SnapshotError
+		switch {
+		case name == "same machine" && err != nil:
+			t.Errorf("restore on the snapshot's own machine: %v", err)
+		case name != "same machine" && (!errors.As(err, &se) || se.Kind != ErrSnapshotConfig):
+			t.Errorf("restore on a machine whose %s differs = %v, want ErrSnapshotConfig", name, err)
+		}
+		if r != nil {
+			r.Close()
+		}
+	}
+}
+
+// perturb calls f once per leaf of v — v itself, or the fields of the struct
+// it is or points to — with that leaf changed and the rest as it was; the
+// leaf is restored before the next.
+func perturb(t *testing.T, v reflect.Value, path string, f func(path string)) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+		f(path)
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+		f(path)
+		v.SetInt(v.Int() - 1)
+	case reflect.Float64:
+		old := v.Float()
+		v.SetFloat(2*old + 1)
+		f(path)
+		v.SetFloat(old)
+	case reflect.String:
+		old := v.String()
+		v.SetString(old + "'")
+		f(path)
+		v.SetString(old)
+	case reflect.Pointer:
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+			f(path)
+			v.SetZero()
+			return
+		}
+		perturb(t, v.Elem(), path, f)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			perturb(t, v.Field(i), path+"."+v.Type().Field(i).Name, f)
+		}
+	default:
+		t.Errorf("%s: no perturbation for a %s", path, v.Kind())
 	}
 }

@@ -305,10 +305,10 @@ func (p *Plan) String() string {
 
 // MessageFaults renders the plan's message-fault content: the spec with the
 // crash clauses stripped, "" for a plan (or a nil plan) left injecting
-// nothing. It decides whether one run may continue another's snapshot (the
-// checkpoint fingerprint and op2ca-bench's ring key hold it): a resume need
+// nothing. It is what the checkpoint fingerprint holds of a plan, so it
+// decides whether one run may continue another's snapshot: a resume need
 // not re-specify the crash that killed the original run, and a supervised
-// rerun extending the crash schedule adopts the ring it is recovering.
+// rerun extending the crash schedule continues the ring it is recovering.
 func (p *Plan) MessageFaults() string {
 	if !p.Enabled() {
 		return ""
