@@ -57,6 +57,15 @@ type Config struct {
 	// a lent backend restores into an unlent one and back. Nil makes every
 	// buffer fresh.
 	Slabs SlabLender `json:"-"`
+	// Layouts, when non-nil, is the partitioned view the backend is built on
+	// in place of deriving ownership and building halo layouts itself: made by
+	// NewLayouts for a configuration of the same program shape, assignment,
+	// rank count, depth and chain length, and checked against this one (a
+	// *LayoutsError when it does not fit). Host-side like Slabs: layouts are a
+	// function of fields the fingerprint covers, so none of a result, clock,
+	// stat or snapshot depends on where they came from. Backends only read
+	// them, so any number share one. Nil builds them.
+	Layouts *Layouts `json:"-"`
 	// NoGroupedMsgs makes CA chains exchange one message per dat and
 	// halo kind instead of one grouped message per neighbour (Figure 8
 	// disabled). An ablation knob: isolates the message-count reduction
@@ -131,9 +140,10 @@ type validity struct{ exec, nonexec int }
 
 // Backend is the distributed-memory OP2 back-end (standard and CA).
 type Backend struct {
-	cfg     Config
-	net     netsim.Network
-	owners  [][]int32
+	cfg Config
+	net netsim.Network
+	// layouts is cfg.Layouts' per-rank layouts; New sets cfg.Layouts to the
+	// ones it built when it was nil.
 	layouts []*halo.Layout
 	// dats[rank][datID] is the rank-local storage of each dat; nil once the
 	// backend is closed. datSlab is what they are carved from when the
@@ -331,29 +341,13 @@ type recording struct {
 	loops []core.Loop
 }
 
-// New builds the distributed back-end: derives per-set ownership, constructs
-// halo layouts, and scatters every dat into per-rank local storage.
+// New builds the distributed back-end: derives per-set ownership and
+// constructs halo layouts (or takes cfg.Layouts), and scatters every dat into
+// per-rank local storage.
 func New(cfg Config) (*Backend, error) {
-	if cfg.Prog == nil || cfg.Primary == nil {
-		return nil, fmt.Errorf("cluster: Prog and Primary are required")
-	}
-	if cfg.NParts < 1 {
-		return nil, fmt.Errorf("cluster: NParts %d < 1", cfg.NParts)
-	}
-	if cfg.Depth < 0 {
-		return nil, fmt.Errorf("cluster: Depth %d < 0", cfg.Depth)
-	}
-	if cfg.MaxChainLen < 0 {
-		return nil, fmt.Errorf("cluster: MaxChainLen %d < 0", cfg.MaxChainLen)
-	}
-	if len(cfg.Assign) != cfg.Primary.Size {
-		return nil, fmt.Errorf("cluster: %d assignments for primary set %s of size %d",
-			len(cfg.Assign), cfg.Primary.Name, cfg.Primary.Size)
-	}
-	for i, a := range cfg.Assign {
-		if a < 0 || int(a) >= cfg.NParts {
-			return nil, fmt.Errorf("cluster: Assign[%d] = %d outside [0, %d)", i, a, cfg.NParts)
-		}
+	cfg, err := cfg.shaped()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Lazy && !cfg.CA {
 		return nil, fmt.Errorf("cluster: Lazy requires CA (lazy chains execute with Algorithm 2)")
@@ -371,25 +365,21 @@ func New(cfg Config) (*Backend, error) {
 			}
 		}
 	}
-	if cfg.Depth == 0 {
-		cfg.Depth = 1
-	}
-	if cfg.MaxChainLen == 0 {
-		cfg.MaxChainLen = 8
-	}
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Laptop()
 	}
-	owners, err := halo.DeriveOwnership(cfg.Prog, cfg.Primary, cfg.Assign)
-	if err != nil {
+	if cfg.Layouts == nil {
+		if cfg.Layouts, err = buildLayouts(cfg); err != nil {
+			return nil, err
+		}
+	} else if err := cfg.Layouts.fit(cfg); err != nil {
 		return nil, err
 	}
 	b := &Backend{
 		cfg: cfg,
 		net: netsim.Network{Latency: cfg.Machine.Latency, Bandwidth: cfg.Machine.Bandwidth,
 			EagerThreshold: cfg.Machine.EagerThreshold, Handshake: cfg.Machine.Handshake},
-		owners:     owners,
-		layouts:    halo.Build(cfg.Prog, owners, cfg.NParts, cfg.Depth, cfg.MaxChainLen),
+		layouts:    cfg.Layouts.ranks,
 		dats:       make([][][]float64, cfg.NParts),
 		valid:      make([]validity, len(cfg.Prog.Dats)),
 		written:    make([]bool, len(cfg.Prog.Dats)),
@@ -461,6 +451,40 @@ func New(cfg Config) (*Backend, error) {
 	// not share a timeline.
 	b.epoch = b.tracer.NewEpoch(fmt.Sprintf("%s x%d (%s)", b.Name(), cfg.NParts, cfg.Machine.Name))
 	return b, nil
+}
+
+// shaped checks what the layouts are built from — program, primary set,
+// assignment, rank count, depth, chain length — and fills in the defaults of
+// the last two.
+func (cfg Config) shaped() (Config, error) {
+	if cfg.Prog == nil || cfg.Primary == nil {
+		return cfg, fmt.Errorf("cluster: Prog and Primary are required")
+	}
+	if cfg.NParts < 1 {
+		return cfg, fmt.Errorf("cluster: NParts %d < 1", cfg.NParts)
+	}
+	if cfg.Depth < 0 {
+		return cfg, fmt.Errorf("cluster: Depth %d < 0", cfg.Depth)
+	}
+	if cfg.MaxChainLen < 0 {
+		return cfg, fmt.Errorf("cluster: MaxChainLen %d < 0", cfg.MaxChainLen)
+	}
+	if len(cfg.Assign) != cfg.Primary.Size {
+		return cfg, fmt.Errorf("cluster: %d assignments for primary set %s of size %d",
+			len(cfg.Assign), cfg.Primary.Name, cfg.Primary.Size)
+	}
+	for i, a := range cfg.Assign {
+		if a < 0 || int(a) >= cfg.NParts {
+			return cfg, fmt.Errorf("cluster: Assign[%d] = %d outside [0, %d)", i, a, cfg.NParts)
+		}
+	}
+	if cfg.Depth == 0 {
+		cfg.Depth = 1
+	}
+	if cfg.MaxChainLen == 0 {
+		cfg.MaxChainLen = 8
+	}
+	return cfg, nil
 }
 
 // Name implements core.Backend.

@@ -51,10 +51,8 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"slices"
 	"sort"
@@ -69,9 +67,10 @@ import (
 // configFingerprint is the canonical identity of a backend configuration:
 // the Config itself, by rule. Every field is in it unless its tag excludes it
 // (`json:"-"`), and the tags are the whole exclusion list:
-//   - Parallel, Slabs and Tracer are host-side: they never feed back into
-//     results, clocks or stats, so a snapshot taken with a worker pool
-//     resumes on one host thread and back, lent or not, traced or not;
+//   - Parallel, Slabs, Layouts and Tracer are host-side: they never feed back
+//     into results, clocks or stats, so a snapshot taken with a worker pool
+//     resumes on one host thread and back, lent or not, on prebuilt layouts or
+//     not, traced or not;
 //   - Prog, Primary, Assign, Chains and Faults are rendered below instead:
 //     the program's sets and dats, the primary set's name, a hash of the
 //     assignment, the chain file's text and the plan's message faults
@@ -127,13 +126,7 @@ func (b *Backend) configFingerprint() ([]byte, error) {
 	for _, d := range cfg.Prog.Dats {
 		fp.Dats = append(fp.Dats, fpDat{Name: d.Name, Set: d.Set.Name, Dim: d.Dim})
 	}
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, a := range cfg.Assign {
-		binary.LittleEndian.PutUint32(buf[:], uint32(a))
-		h.Write(buf[:])
-	}
-	fp.AssignHash = fmt.Sprintf("%016x", h.Sum64())
+	fp.AssignHash = assignHash(cfg.Assign)
 	var err error
 	b.ckptFingerprint, err = checkpoint.MarshalFingerprint(fp)
 	return b.ckptFingerprint, err

@@ -361,7 +361,7 @@ func TestCheckpointInsideChainRefused(t *testing.T) {
 
 // TestFingerprintCoversConfig holds the fingerprint to its rule: every
 // Config field is in it unless tagged `json:"-"`, and of the tagged ones the
-// host-side three are not in it at all while the others are, through their
+// host-side four are not in it at all while the others are, through their
 // renderings. Each exported field — and each field of the machine it points
 // to, GPU device included — is perturbed on its own.
 func TestFingerprintCoversConfig(t *testing.T) {
@@ -403,6 +403,12 @@ func TestFingerprintCoversConfig(t *testing.T) {
 			cfg.Parallel, host = true, true
 		case "Slabs":
 			cfg.Slabs, host = &Lender{}, true
+		case "Layouts":
+			lay, err := NewLayouts(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Layouts, host = lay, true
 		case "Tracer":
 			cfg.Tracer, host = obs.New(), true
 		case "Prog":

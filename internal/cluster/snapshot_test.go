@@ -115,12 +115,12 @@ func (b *Backend) haloInside(r int, d *core.Dat, f func(lo, hi int)) {
 func checkHaloInvariant(t *testing.T, label string, b *Backend) {
 	t.Helper()
 	for _, d := range b.cfg.Prog.Dats {
-		// ownerLoc[g] is the local index g has on the rank owning it.
-		ownerLoc := make([]int, d.Set.Size)
+		// owner[g] is the rank owning g, ownerLoc[g] the local index g has there.
+		owner, ownerLoc := make([]int, d.Set.Size), make([]int, d.Set.Size)
 		for r := range b.dats {
 			sl := b.layouts[r].SetL(d.Set)
 			for loc, g := range sl.L2G[:sl.NOwned] {
-				ownerLoc[g] = loc
+				owner[g], ownerLoc[g] = r, loc
 			}
 		}
 		for r := range b.dats {
@@ -128,7 +128,7 @@ func checkHaloInvariant(t *testing.T, label string, b *Backend) {
 			b.haloInside(r, d, func(lo, hi int) {
 				for loc := lo / d.Dim; loc < hi/d.Dim; loc++ {
 					g := sl.L2G[loc]
-					o := int(b.owners[d.Set.ID][g])
+					o := owner[g]
 					oloc := ownerLoc[g]
 					got := b.dats[r][d.ID][loc*d.Dim : (loc+1)*d.Dim]
 					want := b.dats[o][d.ID][oloc*d.Dim : (oloc+1)*d.Dim]

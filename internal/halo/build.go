@@ -256,7 +256,7 @@ func (b *builder) number(rank int) *Layout {
 			total += len(b.exec[s][d]) + len(b.nonexec[s][d])
 		}
 		sl := &SetLayout{
-			Set: set, NOwned: len(own), L2G: make([]int32, total),
+			Name: set.Name, NOwned: len(own), L2G: make([]int32, total),
 			corePrefix: make([]int32, b.maxChainLen),
 			ExecStart:  make([]int32, depth+1), NonexecStart: make([]int32, depth+1),
 			ImportExec: make([][]ImportRange, depth), ImportNonexec: make([][]ImportRange, depth),
@@ -405,7 +405,7 @@ func fillExports(layouts []*Layout, ownerLocal [][]int32) {
 			locals := make([]int32, sl.Total()-sl.NOwned)
 			for i, g := range sl.L2G[sl.NOwned:] {
 				if locals[i] = ownerLocal[s][g]; locals[i] < 0 {
-					panic(fmt.Sprintf("halo: rank %d imports %s element %d, which no rank owns", l.Rank, sl.Set.Name, g))
+					panic(fmt.Sprintf("halo: rank %d imports %s element %d, which no rank owns", l.Rank, sl.Name, g))
 				}
 			}
 			export := func(r ImportRange, to *[]ExportList) {

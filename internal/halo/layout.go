@@ -25,9 +25,11 @@ type ExportList struct {
 // SetLayout is one rank's local view of one set: local numbering
 // [owned | exec shells 1..Depth | non-exec shells 1..Depth] with owned
 // elements sorted by decreasing interior level and shell elements grouped
-// by owner.
+// by owner. It refers to nothing of the program it was built from — the set
+// is named, not pointed to — so a kept layout keeps no program alive.
 type SetLayout struct {
-	Set *core.Set
+	// Name is the set's name, for messages.
+	Name string
 
 	// L2G maps local to global indices. Its inverse exists only inside
 	// Build, as scratch: nothing at run time asks for the local index of a

@@ -83,8 +83,9 @@ type Spec struct {
 }
 
 // Run is a resolved Spec: the normalised description plus every parsed
-// artefact an attempt needs. Tracer, Parallel, Assignments and Slabs are the
-// host-side knobs a front-end may set before Build; none changes a result.
+// artefact an attempt needs. Tracer, Parallel, Assignments, Slabs and Layouts
+// are the host-side knobs a front-end may set before Build; none changes a
+// result.
 //
 // The paper harness's ablations pin what no Spec field (and so no flag and
 // no served job) can say, by overwriting a resolved Run before building: a
@@ -111,6 +112,11 @@ type Run struct {
 	// Assignments: set by the front-end that builds backend after backend (the
 	// job service), nil for one that builds a few.
 	Slabs cluster.SlabLender
+	// Layouts, when set, is where Open looks for the halo layouts of every
+	// backend built for the run before building them, and where it leaves ones
+	// it built (cluster.Config.Layouts). The third of the service's stores, nil
+	// everywhere else.
+	Layouts Layouts
 
 	// NoGroupedMsgs and GPUDirect are cluster.Config's ablation knobs of the
 	// same names.
@@ -257,6 +263,33 @@ type Assignments interface {
 	Store(k AssignmentKey, a partition.Assignment)
 }
 
+// LayoutKey holds everything a run's halo layouts are a function of: the
+// mesh, partitioner and rank count (AssignmentKey: the mesh and its
+// partition), the app and multigrid depth (the program's sets and maps, the
+// hierarchy), the halo depth and the longest chain. Equal keys name
+// byte-identical layouts, whichever backend — op2 or ca — builds them.
+type LayoutKey struct {
+	AssignmentKey
+	App         string
+	Levels      int
+	Depth       int
+	MaxChainLen int
+}
+
+// Layouts keeps the halo layouts of backends between runs. Both methods are
+// safe for concurrent use. What is kept is shared, not copied: layouts are
+// read-only once built (cluster.Layouts), and a backend handed ones built
+// under another key refuses them (*cluster.LayoutsError).
+type Layouts interface {
+	Load(k LayoutKey) *cluster.Layouts
+	Store(k LayoutKey, l *cluster.Layouts)
+}
+
+// assignmentKey is the key of the run's partition assignment.
+func (r *Run) assignmentKey() AssignmentKey {
+	return AssignmentKey{MeshNodes: r.Spec.MeshNodes, Partitioner: r.Spec.Partitioner, Ranks: r.Spec.Ranks}
+}
+
 // assignment partitions mesh m over ranks with the named partitioner. The
 // generator rounds the requested size, so this is where the node count is
 // first known: a rank count it cannot hold is the request's error, not the
@@ -319,7 +352,7 @@ func (r *Run) NewProblem() (*Problem, error) {
 	if r.Spec.Backend == "seq" {
 		return p, nil
 	}
-	key := AssignmentKey{MeshNodes: r.Spec.MeshNodes, Partitioner: r.Spec.Partitioner, Ranks: r.Spec.Ranks}
+	key := r.assignmentKey()
 	if r.Assignments != nil && key.Ranks <= p.Mesh.NNodes {
 		// A rank count the mesh cannot hold is not looked up: it goes to
 		// assignment's SizeError whatever is kept under its key.
@@ -453,7 +486,9 @@ func (r *Run) BuildOn(p *Problem, st *checkpoint.State) (*Attempt, error) {
 // partitioned on primary, demarcating chains of at most maxChain loops — and
 // opens the backend, fresh or from st. BuildOn calls it with the app the
 // Spec names; the harness's chain-only ablations call it with the instance
-// they step themselves.
+// they step themselves. When the run has a Layouts store, the backend is
+// built on the layouts kept under the run's LayoutKey, or on ones built here
+// and left there.
 func (r *Run) Open(p *Problem, prog *core.Program, primary *core.Set, maxChain int,
 	st *checkpoint.State) (*cluster.Backend, error) {
 	cfg := cluster.Config{
@@ -462,6 +497,17 @@ func (r *Run) Open(p *Problem, prog *core.Program, primary *core.Set, maxChain i
 		Chains: r.Chains, Machine: r.Machine, Parallel: r.Parallel, Tracer: r.Tracer,
 		Faults: r.Plan, AutoTune: r.Spec.AutoTune, Overlap: r.Spec.Overlap,
 		NoGroupedMsgs: r.NoGroupedMsgs, GPUDirect: r.GPUDirect, Slabs: r.Slabs,
+	}
+	if r.Layouts != nil {
+		key := LayoutKey{AssignmentKey: r.assignmentKey(), App: r.Spec.App, Levels: r.Spec.Levels,
+			Depth: r.Depth, MaxChainLen: maxChain}
+		if cfg.Layouts = r.Layouts.Load(key); cfg.Layouts == nil {
+			var err error
+			if cfg.Layouts, err = cluster.NewLayouts(cfg); err != nil {
+				return nil, err
+			}
+			r.Layouts.Store(key, cfg.Layouts)
+		}
 	}
 	if st == nil {
 		return cluster.New(cfg)

@@ -335,6 +335,15 @@ func TestServiceE2EOverHTTP(t *testing.T) {
 	if n := metricValue("op2ca_service_slab_lent_bytes"); n != 0 {
 		t.Errorf("slab lender: %v bytes lent with every job settled, want 0", n)
 	}
+	// The layout store says what it did: every attempt and restart looked it
+	// up, and the first of a key built. How many lookups hit is the
+	// collector's and the scheduler's to decide (sync.Pool), so it is counted
+	// in TestLayoutStoreInvisibleInResults, on one P with no collection.
+	if hits, misses := metricValue("op2ca_service_layout_store_hits_total"),
+		metricValue("op2ca_service_layout_store_misses_total"); misses <= 0 || hits+misses <= float64(len(specs)) {
+		t.Errorf("layout store: %v hits, %v misses over %d jobs; want a miss, and more lookups than jobs",
+			hits, misses, len(specs))
+	}
 	if !strings.Contains(metrics, "op2ca_service_restarts_total 1") &&
 		!strings.Contains(metrics, "op2ca_service_restarts_total 2") {
 		t.Errorf("metrics missing restarts in:\n%s", metrics)

@@ -1,0 +1,233 @@
+package service
+
+import (
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+
+	"op2ca/internal/cluster"
+	"op2ca/internal/leakcheck"
+	"op2ca/internal/runspec"
+)
+
+// pinLayouts keeps what a layout store holds where the next lookup finds it:
+// one P, so that no layout sits in another P's pool slot, and no collection,
+// so that none is evicted between jobs. It returns the undo.
+func pinLayouts() func() {
+	procs := runtime.GOMAXPROCS(1)
+	gc := debug.SetGCPercent(-1)
+	return func() {
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(procs)
+	}
+}
+
+// held empties the store's pools and counts the layouts they held.
+func (s *layoutStore) held() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, p := range s.pools {
+		for p.Get() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLayoutStoreInvisibleInResults: the eight served templates warm the
+// store, then the served cycle — the templates again, CA jobs overlapped,
+// drop-plan jobs, a crash-clause job and its restart — runs on it without a
+// miss, and every job answers, field for field, what RunDirect answers, which
+// builds its own layouts.
+func TestLayoutStoreInvisibleInResults(t *testing.T) {
+	defer leakcheck.Check(t)()
+	svc, err := New(Config{Workers: 2, QueueCap: 16, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	submit := func(specs []JobSpec) []string {
+		t.Helper()
+		var ids []string
+		for _, spec := range specs {
+			v, err := svc.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, v.ID)
+		}
+		svc.Drain()
+		return ids
+	}
+	unpin := pinLayouts()
+	submit(servedTemplates())
+	hits, misses := svc.layouts.stats()
+	cycle := servedCycle()
+	ids := submit(cycle)
+	unpin()
+	attempts := 0
+	for _, id := range ids {
+		v, _ := svc.Get(id)
+		attempts += v.Attempts
+	}
+	if h, m := svc.layouts.stats(); !raceEnabled && (m != misses || h != hits+attempts) {
+		t.Errorf("warm store: %d hits, %d misses over %d attempts; want every attempt served (before: %d, %d)",
+			h-hits, m-misses, attempts, hits, misses)
+	}
+	for i, spec := range cycle {
+		direct, err := RunDirect(spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := svc.Result(ids[i])
+		if err != nil {
+			t.Fatalf("job %s (%s/%s/%d ranks, faults %q): %v", ids[i], spec.App, spec.Backend, spec.Ranks, spec.Faults, err)
+		}
+		if got, want := outcomeJSON(t, r), outcomeJSON(t, direct); got != want {
+			t.Errorf("job %s (%s/%s/%d ranks, overlap %v, faults %q):\n  warm %s\ndirect %s",
+				ids[i], spec.App, spec.Backend, spec.Ranks, spec.Overlap, spec.Faults, got, want)
+		}
+	}
+}
+
+// TestRestartServedFromTheStore: a crash-clause job builds its layouts once,
+// on its first attempt; the supervised restart, a restore from the job's
+// ring, is built on the stored ones.
+func TestRestartServedFromTheStore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops what is put back at random under -race")
+	}
+	defer pinLayouts()()
+	defer leakcheck.Check(t)()
+	svc, err := New(Config{Workers: 2, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	v, err := svc.Submit(JobSpec{Tenant: "acme", App: "mgcfd", MeshNodes: 800, Ranks: 3, Iters: 4, NChains: 2,
+		Machine: "laptop", Faults: "crash=rank0@40,seed=1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Drain()
+	if v, _ = svc.Get(v.ID); v.State != StateDone || v.Restarts < 1 {
+		t.Fatalf("crash job ended %s after %d restarts; want done after at least one", v.State, v.Restarts)
+	}
+	if hits, misses := svc.layouts.stats(); misses != 1 || hits != v.Attempts-1 {
+		t.Errorf("%d attempts made %d hits and %d misses; want the first attempt's miss and a hit for every restart",
+			v.Attempts, hits, misses)
+	}
+}
+
+// TestLayoutStoreConcurrentJobs (run under -race): eight jobs of one key
+// submitted at once to two workers run concurrently on layouts from the
+// store, every result RunDirect's; outside -race, one P and no collection,
+// all but the first build share the first's layouts.
+func TestLayoutStoreConcurrentJobs(t *testing.T) {
+	defer leakcheck.Check(t)()
+	svc, err := New(Config{Workers: 2, QueueCap: 8, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	spec := JobSpec{Tenant: "acme", App: "hydra", MeshNodes: 800, Ranks: 4, Iters: 2, Machine: "laptop"}
+	unpin := pinLayouts()
+	if _, err := svc.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	svc.Drain()
+	ids := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := svc.Submit(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = v.ID
+		}()
+	}
+	wg.Wait()
+	svc.Drain()
+	unpin()
+	if hits, misses := svc.layouts.stats(); !raceEnabled && (misses != 1 || hits != len(ids)) {
+		t.Errorf("%d hits, %d misses; want one miss and %d hits", hits, misses, len(ids))
+	}
+	direct, err := RunDirect(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := outcomeJSON(t, direct)
+	for _, id := range ids {
+		r, err := svc.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := outcomeJSON(t, r); got != want {
+			t.Errorf("job %s:\n   got %s\ndirect %s", id, got, want)
+		}
+	}
+}
+
+// TestIdleServiceHoldsNoLayout: the layouts the store keeps are the
+// collector's while nobody builds on them — after Drain and two collections
+// it holds none — and Close lets go of every key.
+func TestIdleServiceHoldsNoLayout(t *testing.T) {
+	defer leakcheck.Check(t)()
+	svc, err := New(Config{Workers: 2, QueueCap: 8, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range servedTemplates()[:4] {
+		spec.MeshNodes = 800
+		if _, err := svc.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.Drain()
+	if hits, misses := svc.layouts.stats(); hits+misses != 4 || misses == 0 {
+		t.Fatalf("%d hits, %d misses over four jobs", hits, misses)
+	}
+	runtime.GC()
+	runtime.GC()
+	if n := svc.layouts.held(); n != 0 {
+		t.Errorf("the idle service's store holds %d layouts after two collections", n)
+	}
+	svc.Close()
+	if n := len(svc.layouts.pools); n != 0 {
+		t.Errorf("a closed service's store still tracks %d keys", n)
+	}
+}
+
+// TestLayoutStoreKeyBound: the store tracks at most layoutStoreKeys keys; a
+// new one displaces the least recently used, with what it held.
+func TestLayoutStoreKeyBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops what is put back at random under -race")
+	}
+	defer pinLayouts()()
+	s := newLayoutStore()
+	key := func(ranks int) runspec.LayoutKey {
+		return runspec.LayoutKey{AssignmentKey: runspec.AssignmentKey{MeshNodes: 800, Partitioner: "rib", Ranks: ranks}, App: "hydra"}
+	}
+	lay := new(cluster.Layouts)
+	for r := 1; r <= layoutStoreKeys; r++ {
+		s.Store(key(r), lay)
+	}
+	if s.Load(key(1)) != lay { // 1 is now the most recent, 2 the least
+		t.Fatal("Load did not return what was stored")
+	}
+	s.Store(key(layoutStoreKeys+1), lay)
+	if len(s.pools) != layoutStoreKeys || s.pools[key(2)] != nil || s.pools[key(1)] == nil {
+		t.Errorf("after one key too many: %d keys, key 2 kept %v, key 1 kept %v; want the least recently used gone",
+			len(s.pools), s.pools[key(2)] != nil, s.pools[key(1)] != nil)
+	}
+	if s.Load(key(2)) != nil {
+		t.Error("a displaced key still answers")
+	}
+}

@@ -77,6 +77,14 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		"Bytes the stored assignments are charged against the store's budget.")
 	mw.Sample("op2ca_service_partition_store_bytes", nil, float64(bytes))
 
+	lhits, lmisses := s.layouts.stats()
+	mw.Declare("op2ca_service_layout_store_hits_total", "counter",
+		"Job backends built on halo layouts an earlier backend of the same mesh, partition, app, depth and chain length had left in the store.")
+	mw.Sample("op2ca_service_layout_store_hits_total", nil, float64(lhits))
+	mw.Declare("op2ca_service_layout_store_misses_total", "counter",
+		"Job backends that derived ownership and built their halo layouts.")
+	mw.Sample("op2ca_service_layout_store_misses_total", nil, float64(lmisses))
+
 	slabs := s.slabs.Stats()
 	mw.Declare("op2ca_service_slab_hits_total", "counter",
 		"Storage requests of job backends (dats, exchange payload, gather buffer) served by a slab a closed backend had returned.")

@@ -117,7 +117,11 @@ type Service struct {
 	// closed, for the next job's (see cluster.Lender: what sits in it
 	// unborrowed is the garbage collector's to take).
 	slabs slabLender
-	wg    sync.WaitGroup
+	// layouts keeps the halo layouts jobs built, for the jobs — and restarts,
+	// resumes and restores — after them on the same key (see layoutStore: like
+	// the slabs, the garbage collector's to take while nobody uses them).
+	layouts *layoutStore
+	wg      sync.WaitGroup
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast on every job state change
@@ -165,6 +169,7 @@ func New(cfg Config) (*Service, error) {
 		dataDir:   cfg.DataDir,
 		parts:     newPartStore(partStoreBudget),
 		slabs:     new(cluster.Lender),
+		layouts:   newLayoutStore(),
 		jobs:      make(map[string]*job),
 		submitted: make(map[string]int),
 	}
@@ -202,7 +207,7 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if err != nil {
 		return JobView{}, &ValidationError{Err: err}
 	}
-	w.run.Assignments, w.run.Slabs = s.parts, s.slabs
+	w.run.Assignments, w.run.Slabs, w.run.Layouts = s.parts, s.slabs, s.layouts
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -440,8 +445,8 @@ func (s *Service) Drain() {
 // Close stops the service: queued jobs are cancelled, running attempts
 // are cancelled cooperatively and their jobs marked cancelled, workers
 // exit once their current attempt unwinds. Blocks until the pool is
-// down. The stored partition assignments and the free slabs are let go of;
-// the spare files and a service-owned data directory are removed.
+// down. The stored partition assignments and layouts and the free slabs are
+// let go of; the spare files and a service-owned data directory are removed.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -468,6 +473,7 @@ func (s *Service) Close() {
 	s.unlockAndScrub()
 	s.wg.Wait()
 	s.parts.reset()
+	s.layouts.reset()
 	s.slabs.Reset()
 	s.spares.Close()
 	if s.ownsDir {

@@ -234,18 +234,21 @@ func TestCloseEmptiesTheLender(t *testing.T) {
 
 // BenchmarkJobBackend builds and closes the backend of the served Hydra
 // template (4 200 nodes, 8 ranks, CA) on the job's Problem, as every attempt
-// does: with its storage made fresh, and borrowed from a lender the previous
-// iteration's Close returned it to. B/op is what a served job stops
-// allocating.
+// does: with its storage made fresh; borrowed from a lender the previous
+// iteration's Close returned it to; and borrowed, on layouts from a store the
+// first build left them in. B/op is what a served job stops allocating.
 func BenchmarkJobBackend(b *testing.B) {
-	for _, mode := range []string{"fresh", "lent"} {
+	for _, mode := range []string{"fresh", "lent", "stored"} {
 		b.Run(mode, func(b *testing.B) {
 			w, err := JobSpec{Tenant: "acme", App: "hydra", MeshNodes: 4200, Ranks: 8}.Validate()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if mode == "lent" {
+			if mode != "fresh" {
 				w.run.Slabs = new(cluster.Lender)
+			}
+			if mode == "stored" {
+				w.run.Layouts = newLayoutStore()
 			}
 			p, err := w.run.NewProblem()
 			if err != nil {
