@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"op2ca/internal/leakcheck"
@@ -128,16 +129,27 @@ func TestLoadgenShedsAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	ts := httptest.NewServer(service.NewHandler(svc))
-	defer ts.Close()
 
-	// A long job pins the only worker, so the flood meets a full queue at
-	// any scheduler width: at GOMAXPROCS=1 the worker otherwise drains the
-	// loadgen's millisecond jobs between POSTs and nothing is shed.
-	pin := service.JobSpec{Tenant: "pin", App: "mgcfd", MeshNodes: 6000, Ranks: 2, Iters: 15, NChains: 1, Machine: "laptop"}
-	if _, err := svc.Submit(pin); err != nil {
+	// A job that would run for minutes pins the only worker, so the flood
+	// meets a full queue however fast jobs run: otherwise the worker drains the
+	// loadgen's millisecond jobs between POSTs and nothing is shed. The
+	// loadgen's first status poll comes after its last POST; that poll
+	// cancels the pin, and the admitted jobs run.
+	pin := service.JobSpec{Tenant: "pin", App: "mgcfd", MeshNodes: 6000, Ranks: 2, Iters: service.MaxIters,
+		NChains: 1, Machine: "laptop"}
+	v, err := svc.Submit(pin)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var unpin sync.Once
+	api := service.NewHandler(svc)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			unpin.Do(func() { svc.Cancel(v.ID) })
+		}
+		api.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
 	rep, err := runLoadgen(ts.URL, 16, []string{"acme", "zeta"})
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +165,10 @@ func TestLoadgenShedsAndDrains(t *testing.T) {
 	}
 	if rep.Done != rep.Accepted || rep.Accepted == 0 {
 		t.Errorf("done %d != accepted %d", rep.Done, rep.Accepted)
+	}
+	// The admitted jobs ran after the pin vacated the worker, so it is settled.
+	if pv, _ := svc.Get(v.ID); pv.State != service.StateCancelled {
+		t.Errorf("the pin job ended %s, want cancelled by the first poll", pv.State)
 	}
 }
 

@@ -23,7 +23,10 @@ import (
 // which marks the host-side fields no result depends on and the ones the
 // fingerprint renders its own way.
 type Config struct {
-	// Prog is the program (global mesh and data) to distribute.
+	// Prog is the program (global mesh and data) to distribute. A backend
+	// reads it and never writes it — New copies the dats' values out once —
+	// so one program may serve any number of backends, concurrent ones
+	// included (TestBackendLeavesProgramUntouched).
 	Prog *core.Program `json:"-"`
 	// Primary is the partitioned set; Assign maps its elements to ranks.
 	Primary *core.Set `json:"-"`

@@ -2,12 +2,17 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"slices"
 	"sync"
 	"testing"
 
+	"op2ca/internal/checkpoint"
 	"op2ca/internal/core"
+	"op2ca/internal/faults"
 	"op2ca/internal/leakcheck"
 	"op2ca/internal/mesh"
 	"op2ca/internal/partition"
@@ -86,6 +91,86 @@ func TestSharedLayoutsAreInvisible(t *testing.T) {
 			compareBackends(t, label+" restored", res, ref)
 			res.Close()
 			ref.Close()
+		}
+	}
+}
+
+// programHash hashes everything a program declares: every set's name and
+// size, every map's name, arity and values, every dat's name, dim and values.
+func programHash(p *core.Program) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, s := range p.Sets {
+		h.Write([]byte(s.Name))
+		word(uint64(s.Size))
+	}
+	for _, m := range p.Maps {
+		h.Write([]byte(m.Name))
+		word(uint64(m.Arity))
+		for _, v := range m.Values {
+			word(uint64(uint32(v)))
+		}
+	}
+	for _, d := range p.Dats {
+		h.Write([]byte(d.Name))
+		word(uint64(d.Dim))
+		for _, v := range d.Data {
+			word(math.Float64bits(v))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestBackendLeavesProgramUntouched: a backend reads Config.Prog and never
+// writes it, which is what lets one declared program serve any number of
+// backends at once (runspec's Instances). For both apps under every execution
+// policy and a drop plan, a Parallel backend initialised and stepped,
+// checkpointed, gathered and checksummed, and a backend restored from its
+// snapshot and stepped again, leave every set size, map value and dat value
+// of the program as declared.
+func TestBackendLeavesProgramUntouched(t *testing.T) {
+	defer leakcheck.Check(t)()
+	drop := snapMode{"drop", func(c *Config) { c.Faults = faults.MustParse("drop=0.2,seed=7") }, true}
+	for name, mk := range snapApps() {
+		for _, mode := range append(slices.Clone(snapModes), drop) {
+			label := name + "/" + mode.name
+			r := mk(mode)
+			r.cfg.Parallel = true
+			before := programHash(r.cfg.Prog)
+			b, err := New(r.cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			b.installPool(forcedWorkers)
+			r.init(b)
+			r.step(b)
+			var snap bytes.Buffer
+			if err := b.Checkpoint(&snap, "k"); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for _, d := range r.cfg.Prog.Dats {
+				b.GatherDat(d)
+			}
+			b.ChecksumDats()
+			b.Close()
+			st, err := checkpoint.Decode(&snap)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			res, err := RestoreState(st, r.cfg)
+			if err != nil {
+				t.Fatalf("%s: restore: %v", label, err)
+			}
+			r.step(res)
+			res.ChecksumDats()
+			res.Close()
+			if programHash(r.cfg.Prog) != before {
+				t.Errorf("%s: the program changed under its backends", label)
+			}
 		}
 	}
 }

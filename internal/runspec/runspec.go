@@ -3,12 +3,12 @@
 // chains, or the Hydra proxy with the Section 3.4 chain configuration), its
 // size, the back-end and every result-bearing knob; Resolve parses the
 // embedded spec grammars and derives the halo depth; NewProblem builds what
-// attempts share (mesh, multigrid hierarchy, partition); BuildOn constructs
-// one attempt over a Problem (app instance, cluster configuration, backend —
-// fresh or from a snapshot) and BuildFrom also reads the resume iteration
-// from the snapshot's note; Drive iterates it, writing a checkpoint-ring
-// generation at the cadence; VerifyAgainstSeq replays it on the sequential
-// reference.
+// attempts share (mesh, multigrid hierarchy, partition, and the declared app
+// when a store lends it); BuildOn constructs one attempt over a Problem (app
+// instance, cluster configuration, backend — fresh or from a snapshot) and
+// BuildFrom also reads the resume iteration from the snapshot's note; Drive
+// iterates it, writing a checkpoint-ring generation at the cadence;
+// VerifyAgainstSeq replays it on the sequential reference.
 //
 // Every front-end drives this package and adds only what is its own: the
 // job service (internal/service) adds the wire grammar's defaults and
@@ -83,9 +83,9 @@ type Spec struct {
 }
 
 // Run is a resolved Spec: the normalised description plus every parsed
-// artefact an attempt needs. Tracer, Parallel, Assignments, Slabs and Layouts
-// are the host-side knobs a front-end may set before Build; none changes a
-// result.
+// artefact an attempt needs. Tracer, Parallel, Assignments, Slabs, Layouts and
+// Instances are the host-side knobs a front-end may set before Build; none
+// changes a result.
 //
 // The paper harness's ablations pin what no Spec field (and so no flag and
 // no served job) can say, by overwriting a resolved Run before building: a
@@ -117,6 +117,12 @@ type Run struct {
 	// it built (cluster.Config.Layouts). The third of the service's stores, nil
 	// everywhere else.
 	Layouts Layouts
+	// Instances, when set, is where NewProblem looks for the run's declared app
+	// — mesh, hierarchy and program — before generating and declaring it, and
+	// where it leaves one it declared; every distributed attempt built on the
+	// Problem then shares that one instance. The fourth of the service's
+	// stores, nil everywhere else.
+	Instances Instances
 
 	// NoGroupedMsgs and GPUDirect are cluster.Config's ablation knobs of the
 	// same names.
@@ -285,9 +291,72 @@ type Layouts interface {
 	Store(k LayoutKey, l *cluster.Layouts)
 }
 
+// InstanceKey holds the fields of a run description that determine what the
+// app declares: the mesh generator's input, the app and its multigrid depth.
+// Not the synthetic chain count, hydra's safe mode or chain file, the
+// partitioner, ranks, backend or fault plan: they change how a declared
+// program is partitioned, demarcated and stepped, never what it declares.
+// Equal keys name byte-identical instances.
+type InstanceKey struct {
+	MeshNodes int
+	App       string
+	Levels    int
+}
+
+// Instance is a declared app: the mesh, the multigrid hierarchy (mgcfd only)
+// and the program the app declares over them — sets, maps, and dats holding
+// their initial values — with the app's handles on it. A distributed backend
+// reads its program and never writes it (cluster.Config.Prog), so one
+// Instance serves any number of attempts, concurrent ones included; the
+// sequential reference writes the dats it runs on and always gets its own.
+type Instance struct {
+	Mesh      *mesh.FV3D
+	Hierarchy *mesh.Hierarchy
+
+	mg  *mgcfd.App // mgcfd, with its synthetic chain
+	syn *mgcfd.Synthetic
+	hy  *hydra.App // hydra
+}
+
+// Instances keeps declared app instances between runs. Both methods are safe
+// for concurrent use. What is kept is shared, not copied: an Instance is
+// read-only once declared.
+type Instances interface {
+	Load(k InstanceKey) *Instance
+	Store(k InstanceKey, in *Instance)
+}
+
 // assignmentKey is the key of the run's partition assignment.
 func (r *Run) assignmentKey() AssignmentKey {
 	return AssignmentKey{MeshNodes: r.Spec.MeshNodes, Partitioner: r.Spec.Partitioner, Ranks: r.Spec.Ranks}
+}
+
+// instanceKey is the key of the run's declared app.
+func (r *Run) instanceKey() InstanceKey {
+	return InstanceKey{MeshNodes: r.Spec.MeshNodes, App: r.Spec.App, Levels: r.Spec.Levels}
+}
+
+// newMesh generates the mesh r describes and, for mgcfd, its multigrid
+// hierarchy.
+func (r *Run) newMesh() (*mesh.FV3D, *mesh.Hierarchy) {
+	m := mesh.RotorForNodes(r.Spec.MeshNodes)
+	if r.Spec.App == "mgcfd" {
+		return m, mesh.NewHierarchy(m, r.Spec.Levels, true)
+	}
+	return m, nil
+}
+
+// declare declares the app r names over m and h: fresh sets, maps and dats,
+// the dats in their initial state.
+func (r *Run) declare(m *mesh.FV3D, h *mesh.Hierarchy) *Instance {
+	in := &Instance{Mesh: m, Hierarchy: h}
+	if r.Spec.App == "mgcfd" {
+		in.mg = mgcfd.New(h)
+		in.syn = mgcfd.NewSynthetic(in.mg)
+	} else {
+		in.hy = hydra.New(m)
+	}
+	return in
 }
 
 // assignment partitions mesh m over ranks with the named partitioner. The
@@ -326,12 +395,13 @@ func ParseIterNote(note string) (int, error) {
 }
 
 // Problem is what the attempts of a run description share and never modify:
-// the mesh, the multigrid hierarchy (mgcfd only) and the partition
-// assignment (nil under seq). Its owner builds one per run — the service per
-// job, the command line per invocation, the harness per paper point for the
-// point's OP2 and CA backends — and every attempt, restarts included, is
-// built on it. An ablation whose partition no Spec names copies the Problem
-// and replaces Assign.
+// the mesh, the multigrid hierarchy (mgcfd only), the partition assignment
+// (nil under seq) and, when the run has an Instances store, the declared app
+// (nil otherwise: then every attempt declares its own). Its owner builds one
+// per run — the service per job, the command line per invocation, the harness
+// per paper point for the point's OP2 and CA backends — and every attempt,
+// restarts included, is built on it. An ablation whose partition no Spec
+// names copies the Problem and replaces Assign.
 type Problem struct {
 	Mesh      *mesh.FV3D
 	Hierarchy *mesh.Hierarchy
@@ -340,14 +410,27 @@ type Problem struct {
 	// not computed: the one thing two builds of equal descriptions can differ
 	// in, and only in what they cost.
 	AssignStored bool
+	// Instance is the declared app every distributed attempt on the Problem
+	// shares — possibly another run's, taken from the run's Instances — and
+	// Mesh and Hierarchy are then its own.
+	Instance *Instance
 }
 
-// NewProblem builds the mesh, hierarchy and partition r describes. Assign is
-// the Problem's own slice wherever it came from.
+// NewProblem builds the mesh, hierarchy and partition r describes, taking
+// the mesh and hierarchy from the declared instance its Instances keeps, or
+// leaving one there, when the run has that store and a distributed backend.
+// Assign is the Problem's own slice wherever it came from.
 func (r *Run) NewProblem() (*Problem, error) {
-	p := &Problem{Mesh: mesh.RotorForNodes(r.Spec.MeshNodes)}
-	if r.Spec.App == "mgcfd" {
-		p.Hierarchy = mesh.NewHierarchy(p.Mesh, r.Spec.Levels, true)
+	p := &Problem{}
+	if r.Instances != nil && r.Spec.Backend != "seq" {
+		key := r.instanceKey()
+		if p.Instance = r.Instances.Load(key); p.Instance == nil {
+			p.Instance = r.declare(r.newMesh())
+			r.Instances.Store(key, p.Instance)
+		}
+		p.Mesh, p.Hierarchy = p.Instance.Mesh, p.Instance.Hierarchy
+	} else {
+		p.Mesh, p.Hierarchy = r.newMesh()
 	}
 	if r.Spec.Backend == "seq" {
 		return p, nil
@@ -397,15 +480,14 @@ type Attempt struct {
 	tol      float64
 }
 
-// instantiate constructs the app's sets, maps, dats and loop bodies over an
-// already built mesh. The Dats are fresh, so a backend built on them starts
-// from the initial state.
-func (r *Run) instantiate(p *Problem) *Attempt {
+// attempt wraps the declared app in in the loop bodies one attempt over p
+// initialises and steps it with. A backend built on the instance starts from
+// its dats' initial state.
+func (r *Run) attempt(p *Problem, in *Instance) *Attempt {
 	chained := r.Spec.Backend == "ca" || r.Demarcate
 	m := p.Mesh
-	if r.Spec.App == "mgcfd" {
-		app := mgcfd.New(p.Hierarchy)
-		syn := mgcfd.NewSynthetic(app)
+	if app := in.mg; app != nil {
+		syn := in.syn
 		nchains := r.Spec.NChains
 		return &Attempt{
 			run: r, p: p, prog: app.Prog, primary: app.Primary, maxChain: 2 * max(nchains, 1),
@@ -422,7 +504,7 @@ func (r *Run) instantiate(p *Problem) *Attempt {
 			tol:      1e-9,
 		}
 	}
-	app := hydra.New(m)
+	app := in.hy
 	a := &Attempt{
 		run: r, p: p, prog: app.Prog, primary: app.Nodes, maxChain: 6,
 		Describe: fmt.Sprintf("mesh: %d nodes, %d edges, %d pedges, %d bnd, %d cbnd",
@@ -461,14 +543,19 @@ func (r *Run) BuildFrom(p *Problem, st *checkpoint.State) (*Attempt, error) {
 	return a, nil
 }
 
-// BuildOn constructs one attempt over p: a fresh instance of the app and the
-// backend — fresh when st is nil, restored from the snapshot otherwise. The
-// cluster configuration embeds the instance's freshly constructed Dats, so
-// app and backend are rebuilt per attempt; a restored attempt overwrites the
-// initial state with the snapshot's. The snapshot's note is the caller's:
-// BuildFrom reads an IterNote from it, the harness its own resume point.
+// BuildOn constructs one attempt over p: the app — the Problem's declared
+// instance, or a fresh one when it has none or the backend is seq, which
+// writes the dats — and the backend, fresh when st is nil, restored from the
+// snapshot otherwise. The backend copies the dats' initial state out of the
+// instance and never writes back, so a restored attempt overwrites its copy
+// with the snapshot's. The snapshot's note is the caller's: BuildFrom reads an
+// IterNote from it, the harness its own resume point.
 func (r *Run) BuildOn(p *Problem, st *checkpoint.State) (*Attempt, error) {
-	a := r.instantiate(p)
+	in := p.Instance
+	if in == nil || r.Spec.Backend == "seq" {
+		in = r.declare(p.Mesh, p.Hierarchy)
+	}
+	a := r.attempt(p, in)
 	if r.Spec.Backend == "seq" {
 		a.B = core.NewSeq()
 		return a, nil
@@ -622,11 +709,11 @@ func (r *Run) Execute(p *Problem, st *checkpoint.State, sup *supervise.Superviso
 	return a, nil
 }
 
-// VerifyAgainstSeq reruns the identical program on the sequential reference
-// and returns the worst relative difference of the app's primary state
-// against this attempt's, with the tolerance the app allows.
+// VerifyAgainstSeq reruns the identical program, freshly declared, on the
+// sequential reference and returns the worst relative difference of the app's
+// primary state against this attempt's, with the tolerance the app allows.
 func (a *Attempt) VerifyAgainstSeq() (worst, tol float64) {
-	ref := a.run.instantiate(a.p)
+	ref := a.run.attempt(a.p, a.run.declare(a.p.Mesh, a.p.Hierarchy))
 	ref.B = core.NewSeq()
 	if err := ref.Drive(nil); err != nil {
 		panic(err) // unreachable: only ring writes fail, and there is no ring

@@ -23,8 +23,8 @@ func pinLayouts() func() {
 	}
 }
 
-// held empties the store's pools and counts the layouts they held.
-func (s *layoutStore) held() int {
+// held empties the store's pools and counts the values they held.
+func (s *gcStore[K, V]) held() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
@@ -37,10 +37,10 @@ func (s *layoutStore) held() int {
 }
 
 // TestLayoutStoreInvisibleInResults: the eight served templates warm the
-// store, then the served cycle — the templates again, CA jobs overlapped,
-// drop-plan jobs, a crash-clause job and its restart — runs on it without a
-// miss, and every job answers, field for field, what RunDirect answers, which
-// builds its own layouts.
+// layout and instance stores, then the served cycle — the templates again, CA
+// jobs overlapped, drop-plan jobs, a crash-clause job and its restart — runs on
+// them without a miss, and every job answers, field for field, what RunDirect
+// answers, which builds its own layouts and declares its own app.
 func TestLayoutStoreInvisibleInResults(t *testing.T) {
 	defer leakcheck.Check(t)()
 	svc, err := New(Config{Workers: 2, QueueCap: 16, DataDir: t.TempDir()})
@@ -64,6 +64,7 @@ func TestLayoutStoreInvisibleInResults(t *testing.T) {
 	unpin := pinLayouts()
 	submit(servedTemplates())
 	hits, misses := svc.layouts.stats()
+	ihits, imisses := svc.instances.stats()
 	cycle := servedCycle()
 	ids := submit(cycle)
 	unpin()
@@ -75,6 +76,12 @@ func TestLayoutStoreInvisibleInResults(t *testing.T) {
 	if h, m := svc.layouts.stats(); !raceEnabled && (m != misses || h != hits+attempts) {
 		t.Errorf("warm store: %d hits, %d misses over %d attempts; want every attempt served (before: %d, %d)",
 			h-hits, m-misses, attempts, hits, misses)
+	}
+	// An instance is looked up once a job, by the attempt that builds its
+	// Problem; the restart is built on that Problem.
+	if h, m := svc.instances.stats(); !raceEnabled && (m != imisses || h != ihits+len(cycle)) {
+		t.Errorf("warm instance store: %d hits, %d misses over %d jobs; want every job served (before: %d, %d)",
+			h-ihits, m-imisses, len(cycle), ihits, imisses)
 	}
 	for i, spec := range cycle {
 		direct, err := RunDirect(spec, "")
@@ -94,7 +101,8 @@ func TestLayoutStoreInvisibleInResults(t *testing.T) {
 
 // TestRestartServedFromTheStore: a crash-clause job builds its layouts once,
 // on its first attempt; the supervised restart, a restore from the job's
-// ring, is built on the stored ones.
+// ring, is built on the stored ones — and on the job's Problem, so on the
+// instance its first attempt declared, without looking one up.
 func TestRestartServedFromTheStore(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops what is put back at random under -race")
@@ -119,12 +127,16 @@ func TestRestartServedFromTheStore(t *testing.T) {
 		t.Errorf("%d attempts made %d hits and %d misses; want the first attempt's miss and a hit for every restart",
 			v.Attempts, hits, misses)
 	}
+	if hits, misses := svc.instances.stats(); misses != 1 || hits != 0 {
+		t.Errorf("%d attempts made %d instance hits and %d misses; want the first attempt's miss alone", v.Attempts, hits, misses)
+	}
 }
 
 // TestLayoutStoreConcurrentJobs (run under -race): eight jobs of one key
-// submitted at once to two workers run concurrently on layouts from the
-// store, every result RunDirect's; outside -race, one P and no collection,
-// all but the first build share the first's layouts.
+// submitted at once to two workers run concurrently on layouts and an
+// instance from the stores, every result RunDirect's; outside -race, one P
+// and no collection, all but the first job share the first's layouts and
+// instance.
 func TestLayoutStoreConcurrentJobs(t *testing.T) {
 	defer leakcheck.Check(t)()
 	svc, err := New(Config{Workers: 2, QueueCap: 8, DataDir: t.TempDir()})
@@ -158,6 +170,9 @@ func TestLayoutStoreConcurrentJobs(t *testing.T) {
 	if hits, misses := svc.layouts.stats(); !raceEnabled && (misses != 1 || hits != len(ids)) {
 		t.Errorf("%d hits, %d misses; want one miss and %d hits", hits, misses, len(ids))
 	}
+	if hits, misses := svc.instances.stats(); !raceEnabled && (misses != 1 || hits != len(ids)) {
+		t.Errorf("instances: %d hits, %d misses; want one miss and %d hits", hits, misses, len(ids))
+	}
 	direct, err := RunDirect(spec, "")
 	if err != nil {
 		t.Fatal(err)
@@ -174,9 +189,9 @@ func TestLayoutStoreConcurrentJobs(t *testing.T) {
 	}
 }
 
-// TestIdleServiceHoldsNoLayout: the layouts the store keeps are the
-// collector's while nobody builds on them — after Drain and two collections
-// it holds none — and Close lets go of every key.
+// TestIdleServiceHoldsNoLayout: the layouts and instances the stores keep are
+// the collector's while nobody builds on them — after Drain and two
+// collections they hold none — and Close lets go of every key.
 func TestIdleServiceHoldsNoLayout(t *testing.T) {
 	defer leakcheck.Check(t)()
 	svc, err := New(Config{Workers: 2, QueueCap: 8, DataDir: t.TempDir()})
@@ -198,36 +213,121 @@ func TestIdleServiceHoldsNoLayout(t *testing.T) {
 	if n := svc.layouts.held(); n != 0 {
 		t.Errorf("the idle service's store holds %d layouts after two collections", n)
 	}
+	if hits, misses := svc.instances.stats(); hits+misses != 4 || misses == 0 {
+		t.Fatalf("%d instance hits, %d misses over four jobs", hits, misses)
+	}
+	if n := svc.instances.held(); n != 0 {
+		t.Errorf("the idle service's store holds %d instances after two collections", n)
+	}
 	svc.Close()
-	if n := len(svc.layouts.pools); n != 0 {
-		t.Errorf("a closed service's store still tracks %d keys", n)
+	if n, m := len(svc.layouts.pools), len(svc.instances.pools); n+m != 0 {
+		t.Errorf("a closed service's stores still track %d layout and %d instance keys", n, m)
 	}
 }
 
-// TestLayoutStoreKeyBound: the store tracks at most layoutStoreKeys keys; a
-// new one displaces the least recently used, with what it held.
+// TestLayoutStoreKeyBound: the store tracks at most gcStoreKeys keys; a new
+// one displaces the least recently used, with what it held.
 func TestLayoutStoreKeyBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops what is put back at random under -race")
 	}
 	defer pinLayouts()()
-	s := newLayoutStore()
+	s := new(layoutStore)
 	key := func(ranks int) runspec.LayoutKey {
 		return runspec.LayoutKey{AssignmentKey: runspec.AssignmentKey{MeshNodes: 800, Partitioner: "rib", Ranks: ranks}, App: "hydra"}
 	}
 	lay := new(cluster.Layouts)
-	for r := 1; r <= layoutStoreKeys; r++ {
+	for r := 1; r <= gcStoreKeys; r++ {
 		s.Store(key(r), lay)
 	}
 	if s.Load(key(1)) != lay { // 1 is now the most recent, 2 the least
 		t.Fatal("Load did not return what was stored")
 	}
-	s.Store(key(layoutStoreKeys+1), lay)
-	if len(s.pools) != layoutStoreKeys || s.pools[key(2)] != nil || s.pools[key(1)] == nil {
+	s.Store(key(gcStoreKeys+1), lay)
+	if len(s.pools) != gcStoreKeys || s.pools[key(2)] != nil || s.pools[key(1)] == nil {
 		t.Errorf("after one key too many: %d keys, key 2 kept %v, key 1 kept %v; want the least recently used gone",
 			len(s.pools), s.pools[key(2)] != nil, s.pools[key(1)] != nil)
 	}
 	if s.Load(key(2)) != nil {
 		t.Error("a displaced key still answers")
+	}
+}
+
+// keptInstances is runspec.Instances without a collector or per-P slots:
+// what is stored is what every later Load returns, under -race too.
+type keptInstances struct {
+	mu   sync.Mutex
+	kept map[runspec.InstanceKey]*runspec.Instance
+}
+
+func (k *keptInstances) Load(key runspec.InstanceKey) *runspec.Instance {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.kept[key]
+}
+
+func (k *keptInstances) Store(key runspec.InstanceKey, in *runspec.Instance) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.kept[key] = in
+}
+
+// TestConcurrentJobsShareOneInstance (run under -race): two jobs of one key,
+// each run as a worker runs it, build their Problems at once on the instance
+// an earlier job declared and step their backends concurrently over it; both
+// answer what RunDirect answers, which declares its own. A crash clause makes
+// one of them restart on the same instance.
+func TestConcurrentJobsShareOneInstance(t *testing.T) {
+	defer leakcheck.Check(t)()
+	store := &keptInstances{kept: map[runspec.InstanceKey]*runspec.Instance{}}
+	spec := JobSpec{Tenant: "acme", App: "mgcfd", MeshNodes: 800, Ranks: 3, Iters: 4, NChains: 2, Machine: "laptop"}
+	crash := spec
+	crash.Ranks, crash.Faults = 4, "crash=rank0@40,seed=1"
+	run := func(spec JobSpec) (*Result, *runspec.Problem) {
+		w, err := spec.Validate()
+		if err != nil {
+			t.Error(err)
+			return nil, nil
+		}
+		w.run.Instances = store
+		res, err := w.runDirect(t.TempDir())
+		if err != nil {
+			t.Error(err)
+		}
+		return res, w.problem
+	}
+	_, first := run(spec)
+	if first == nil || first.Instance == nil {
+		t.Fatal("the first job kept no instance")
+	}
+	specs := []JobSpec{spec, crash}
+	results := make([]*Result, len(specs))
+	problems := make([]*runspec.Problem, len(specs))
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], problems[i] = run(specs[i])
+		}()
+	}
+	wg.Wait()
+	for i, spec := range specs {
+		if results[i] == nil {
+			t.FailNow()
+		}
+		if problems[i].Instance != first.Instance {
+			t.Errorf("job %d declared its own app", i)
+		}
+		direct, err := RunDirect(spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := outcomeJSON(t, results[i]), outcomeJSON(t, direct); got != want {
+			t.Errorf("job %d on the shared instance:\n   got %s\ndirect %s", i, got, want)
+		}
+	}
+	if results[1].Restarts < 1 {
+		t.Errorf("the crash job did not restart: %+v", results[1])
 	}
 }

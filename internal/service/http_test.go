@@ -344,6 +344,14 @@ func TestServiceE2EOverHTTP(t *testing.T) {
 		t.Errorf("layout store: %v hits, %v misses over %d jobs; want a miss, and more lookups than jobs",
 			hits, misses, len(specs))
 	}
+	// The instance store says what it did: every job looked it up once, when
+	// its first attempt built the job's Problem, and the first of a key
+	// declared. Restarts and preempted resumes are built on that Problem.
+	if hits, misses := metricValue("op2ca_service_instance_store_hits_total"),
+		metricValue("op2ca_service_instance_store_misses_total"); misses <= 0 || hits+misses != float64(len(specs)) {
+		t.Errorf("instance store: %v hits, %v misses over %d jobs; want a miss, and one lookup a job",
+			hits, misses, len(specs))
+	}
 	if !strings.Contains(metrics, "op2ca_service_restarts_total 1") &&
 		!strings.Contains(metrics, "op2ca_service_restarts_total 2") {
 		t.Errorf("metrics missing restarts in:\n%s", metrics)

@@ -85,6 +85,14 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		"Job backends that derived ownership and built their halo layouts.")
 	mw.Sample("op2ca_service_layout_store_misses_total", nil, float64(lmisses))
 
+	ihits, imisses := s.instances.stats()
+	mw.Declare("op2ca_service_instance_store_hits_total", "counter",
+		"Jobs built on the mesh, hierarchy and declared app an earlier job of the same mesh size, app and multigrid depth had left in the store.")
+	mw.Sample("op2ca_service_instance_store_hits_total", nil, float64(ihits))
+	mw.Declare("op2ca_service_instance_store_misses_total", "counter",
+		"Jobs that generated their mesh and declared their app.")
+	mw.Sample("op2ca_service_instance_store_misses_total", nil, float64(imisses))
+
 	slabs := s.slabs.Stats()
 	mw.Declare("op2ca_service_slab_hits_total", "counter",
 		"Storage requests of job backends (dats, exchange payload, gather buffer) served by a slab a closed backend had returned.")

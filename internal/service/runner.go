@@ -48,6 +48,12 @@ func RunDirect(spec JobSpec, dir string) (*Result, error) {
 	if err != nil {
 		return nil, &ValidationError{Err: err}
 	}
+	return w.runDirect(dir)
+}
+
+// runDirect is RunDirect of an already validated job.
+func (w *workload) runDirect(dir string) (*Result, error) {
+	var err error
 	if dir == "" {
 		if dir, err = os.MkdirTemp("", "op2ca-direct-*"); err != nil {
 			return nil, err

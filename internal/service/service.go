@@ -118,10 +118,15 @@ type Service struct {
 	// unborrowed is the garbage collector's to take).
 	slabs slabLender
 	// layouts keeps the halo layouts jobs built, for the jobs — and restarts,
-	// resumes and restores — after them on the same key (see layoutStore: like
-	// the slabs, the garbage collector's to take while nobody uses them).
+	// resumes and restores — after them on the same key (see gcStore: like the
+	// slabs, the garbage collector's to take while nobody uses them).
 	layouts *layoutStore
-	wg      sync.WaitGroup
+	// instances keeps the apps jobs declared — mesh, hierarchy and program —
+	// for the jobs after them on the same key, shared read-only like the
+	// layouts; a job's restarts, resumes and restores are built on its Problem,
+	// which holds its instance.
+	instances *instanceStore
+	wg        sync.WaitGroup
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast on every job state change
@@ -169,7 +174,8 @@ func New(cfg Config) (*Service, error) {
 		dataDir:   cfg.DataDir,
 		parts:     newPartStore(partStoreBudget),
 		slabs:     new(cluster.Lender),
-		layouts:   newLayoutStore(),
+		layouts:   new(layoutStore),
+		instances: new(instanceStore),
 		jobs:      make(map[string]*job),
 		submitted: make(map[string]int),
 	}
@@ -207,7 +213,7 @@ func (s *Service) Submit(spec JobSpec) (JobView, error) {
 	if err != nil {
 		return JobView{}, &ValidationError{Err: err}
 	}
-	w.run.Assignments, w.run.Slabs, w.run.Layouts = s.parts, s.slabs, s.layouts
+	w.run.Assignments, w.run.Slabs, w.run.Layouts, w.run.Instances = s.parts, s.slabs, s.layouts, s.instances
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -445,8 +451,9 @@ func (s *Service) Drain() {
 // Close stops the service: queued jobs are cancelled, running attempts
 // are cancelled cooperatively and their jobs marked cancelled, workers
 // exit once their current attempt unwinds. Blocks until the pool is
-// down. The stored partition assignments and layouts and the free slabs are
-// let go of; the spare files and a service-owned data directory are removed.
+// down. The stored partition assignments, layouts and instances and the free
+// slabs are let go of; the spare files and a service-owned data directory are
+// removed.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -474,6 +481,7 @@ func (s *Service) Close() {
 	s.wg.Wait()
 	s.parts.reset()
 	s.layouts.reset()
+	s.instances.reset()
 	s.slabs.Reset()
 	s.spares.Close()
 	if s.ownsDir {

@@ -235,10 +235,12 @@ func TestCloseEmptiesTheLender(t *testing.T) {
 // BenchmarkJobBackend builds and closes the backend of the served Hydra
 // template (4 200 nodes, 8 ranks, CA) on the job's Problem, as every attempt
 // does: with its storage made fresh; borrowed from a lender the previous
-// iteration's Close returned it to; and borrowed, on layouts from a store the
-// first build left them in. B/op is what a served job stops allocating.
+// iteration's Close returned it to; borrowed, on layouts from a store the
+// first build left them in; and all that over the app the Problem took from
+// an instance store, declared once. B/op is what a served job stops
+// allocating.
 func BenchmarkJobBackend(b *testing.B) {
-	for _, mode := range []string{"fresh", "lent", "stored"} {
+	for _, mode := range []string{"fresh", "lent", "stored", "shared"} {
 		b.Run(mode, func(b *testing.B) {
 			w, err := JobSpec{Tenant: "acme", App: "hydra", MeshNodes: 4200, Ranks: 8}.Validate()
 			if err != nil {
@@ -247,8 +249,11 @@ func BenchmarkJobBackend(b *testing.B) {
 			if mode != "fresh" {
 				w.run.Slabs = new(cluster.Lender)
 			}
-			if mode == "stored" {
-				w.run.Layouts = newLayoutStore()
+			if mode == "stored" || mode == "shared" {
+				w.run.Layouts = new(layoutStore)
+			}
+			if mode == "shared" {
+				w.run.Instances = new(instanceStore)
 			}
 			p, err := w.run.NewProblem()
 			if err != nil {
