@@ -282,10 +282,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// to an uninterrupted invocation's.
 		runner := &supervise.Runner{
 			Spec: r.Supervise, Plan: r.Plan, Ring: r.Ring, Tracer: r.Tracer,
-			Body: func(st *checkpoint.State, s *supervise.Supervisor) error {
+			Body: func(st *checkpoint.State, s *supervise.Supervisor) (err error) {
 				cfg.Sup, cfg.Resume = s, nil
 				if st != nil {
-					cfg.Resume = &bench.Resume{State: st}
+					if cfg.Resume, err = bench.NewResume(st); err != nil {
+						return err
+					}
 				}
 				remaining()
 				return nil

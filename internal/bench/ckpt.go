@@ -40,6 +40,17 @@ type Resume struct {
 	Adopted int
 }
 
+// NewResume offers st to the runs of an invocation. A state a ring recovered
+// without its dats (the supervisor's recovery scan) has them read now: it is
+// offered to run after run while those runs write generations to the same
+// ring and retire older ones, its own among them.
+func NewResume(st *checkpoint.State) (*Resume, error) {
+	if err := st.Load(); err != nil {
+		return nil, err
+	}
+	return &Resume{State: st}, nil
+}
+
 // Label names the measured run the snapshot belongs to ("" when its note is
 // not a bench resume point).
 func (r *Resume) Label() string {

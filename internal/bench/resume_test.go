@@ -79,7 +79,10 @@ func TestSupervisedRerunResumesByFingerprint(t *testing.T) {
 			if st == nil {
 				t.Fatalf("attempt %d of the crashed invocation left no generation", attempt)
 			}
-			c.Resume = &Resume{State: st}
+			var err error
+			if c.Resume, err = NewResume(st); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if label := c.Resume.Label(); !strings.HasPrefix(label, "mgcfd ca") {
 			t.Fatalf("the crashed invocation's newest generation is of %q, want its CA leg", label)
@@ -114,10 +117,12 @@ func TestSupervisedRerunResumesByFingerprint(t *testing.T) {
 			var got outcome
 			runner := &supervise.Runner{
 				Spec: supervise.Spec{Enabled: true, Budget: 1}, Plan: c.Faults, Ring: c.Ring,
-				Body: func(st *checkpoint.State, s *supervise.Supervisor) error {
+				Body: func(st *checkpoint.State, s *supervise.Supervisor) (err error) {
 					c.Sup, c.Resume = s, nil
 					if st != nil {
-						c.Resume = &Resume{State: st}
+						if c.Resume, err = NewResume(st); err != nil {
+							return err
+						}
 					}
 					got = run(c)
 					return nil

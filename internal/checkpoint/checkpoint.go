@@ -43,9 +43,11 @@ package checkpoint
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"slices"
 	"sync"
@@ -114,7 +116,30 @@ type State struct {
 	// Meta is a backend-defined JSON continuation blob (stats, plan-cache
 	// keys, autotuner state), opaque to this package.
 	Meta []byte
+
+	// gen and crc are set on a state Ring.RecoverNewest returns, which holds
+	// everything but Dats: the generation file ReadDats reads them from, and
+	// the trailer CRC of the bytes recovery verified there.
+	gen string
+	crc uint32
 }
+
+// DatSink is where a snapshot's dats section goes when it is streamed
+// (DecodeInto, State.ReadDats) instead of built into State.Dats: a restore
+// hands it the storage the values belong in, so nothing snapshot-sized is
+// allocated on the way.
+type DatSink interface {
+	// Count is told the section's rank count (rank -1), then each rank's dat
+	// count before that rank's values; an error refuses the snapshot.
+	Count(rank int, n uint64) error
+	// Slab returns where the n values of dat d on rank r go — a slice of
+	// length n — or nil to drop them; an error refuses the snapshot.
+	Slab(rank, d int, n uint64) ([]float64, error)
+}
+
+// refusal carries a DatSink's error out of the decoder, so that it reaches
+// the caller as the sink returned it and is not taken for damage.
+type refusal struct{ error }
 
 // encoder stages every output byte in one chunk buffer and hands the chunk
 // to w (folding it into the CRC) when it fills: w sees chunkLen-sized writes
@@ -258,16 +283,30 @@ func Encode(w io.Writer, s *State) (int64, error) {
 // folding every byte it reads into the CRC and the first read error into
 // err. With keep unset it checks everything Decode checks — magic, version,
 // every length bound, the trailer — and materialises nothing: sections are
-// read through the chunk and dropped. It reads exactly one snapshot from r,
-// never past the trailer.
+// read through the chunk and dropped. With a sink the dats section goes
+// there instead (see walk). It reads exactly one snapshot from r, never past
+// the trailer.
 type decoder struct {
 	r    io.Reader
 	keep bool
+	sink DatSink
 	buf  []byte // len chunkLen
 	tab  *crc32.Table
 	crc  uint32
 	n    int64
 	err  error
+	// refused is the first error of the sink's (or of walk's open): the
+	// stream is read on to the trailer all the same, the rest of the dats
+	// dropped, so that damage is still reported as damage.
+	refused error
+}
+
+// refuse records a sink's error and drops the dats that follow it.
+func (d *decoder) refuse(err error) {
+	if err != nil && d.refused == nil {
+		d.refused = err
+		d.sink = skipDats{}
+	}
 }
 
 // next reads the next min(rem, chunkLen) bytes of the stream into the chunk
@@ -341,38 +380,107 @@ func (d *decoder) bytes() []byte {
 // floats reads one length-prefixed float64 section.
 func (d *decoder) floats() []float64 {
 	n := d.len()
-	var out []float64
-	if d.keep {
-		out = make([]float64, 0, min(n, allocChunk/8))
+	if !d.keep {
+		d.values(n, nil)
+		return nil
 	}
+	out := make([]float64, 0, min(n, allocChunk/8))
 	for rem := n; rem > 0; {
 		p := d.next(8 * rem)
 		if p == nil {
 			return nil
 		}
 		c := len(p) / 8
-		if d.keep {
-			at := len(out)
-			out = slices.Grow(out, c)[:at+c]
-			for i, dst := 0, out[at:]; i < c; i++ {
-				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-			}
-		}
+		at := len(out)
+		out = slices.Grow(out, c)[:at+c]
+		decodeFloats(out[at:], p)
 		rem -= uint64(c)
 	}
 	return out
 }
 
-// walk is the one section walker behind Decode and Verify.
-func walk(r io.Reader, keep bool) (*State, error) {
+// values reads the next n float64 values into dst (length n), or drops them
+// when dst is nil.
+func (d *decoder) values(n uint64, dst []float64) {
+	for rem := n; rem > 0; {
+		p := d.next(8 * rem)
+		if p == nil {
+			return
+		}
+		c := len(p) / 8
+		if dst != nil {
+			decodeFloats(dst[:c], p)
+			dst = dst[c:]
+		}
+		rem -= uint64(c)
+	}
+}
+
+// decodeFloats converts the little-endian bit patterns in p into dst.
+func decodeFloats(dst []float64, p []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+}
+
+// dats reads the dats section: into State.Dats when keeping without a sink,
+// through the sink when there is one, nowhere otherwise.
+func (d *decoder) dats(s *State) {
+	nRanks := d.len()
+	if d.sink != nil && d.err == nil {
+		d.refuse(d.sink.Count(-1, nRanks))
+	}
+	for r := uint64(0); r < nRanks && d.err == nil; r++ {
+		nDats := d.len()
+		if d.sink != nil {
+			if d.err == nil {
+				d.refuse(d.sink.Count(int(r), nDats))
+			}
+			for i := uint64(0); i < nDats && d.err == nil; i++ {
+				n := d.len()
+				if d.err != nil {
+					break
+				}
+				dst, err := d.sink.Slab(int(r), int(i), n)
+				if d.refuse(err); err != nil {
+					dst = nil
+				}
+				d.values(n, dst)
+			}
+			continue
+		}
+		var rank [][]float64
+		if d.keep {
+			rank = make([][]float64, 0, min(nDats, 1024))
+		}
+		for i := uint64(0); i < nDats && d.err == nil; i++ {
+			if f := d.floats(); d.keep {
+				rank = append(rank, f)
+			}
+		}
+		if d.keep {
+			s.Dats = append(s.Dats, rank)
+		}
+	}
+}
+
+// walk is the one section walker behind Decode, Verify, DecodeInto, recovery
+// and State.ReadDats. keep materialises every section but the dats; open,
+// when given, is called once the sections before the dats are read and
+// returns the sink they stream to, and without it the dats are kept in
+// State.Dats when keep is set. It returns the trailer's CRC beside the state.
+// An error of open's or the sink's comes back as a refusal, with the CRC,
+// once the stream has passed every check — damage is reported first, as
+// Decode reports it.
+func walk(r io.Reader, keep bool, open func(*State) (DatSink, error)) (*State, uint32, error) {
 	chunk := chunks.Get().(*[chunkLen]byte)
 	defer chunks.Put(chunk)
 	d := &decoder{r: r, keep: keep, buf: chunk[:], tab: castagnoli()}
 	if m := d.next(uint64(len(magic))); m != nil && string(m) != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint file)", m)
+		return nil, 0, fmt.Errorf("checkpoint: bad magic %q (not a checkpoint file)", m)
 	}
 	if v := d.u32(); d.err == nil && v != Version {
-		return nil, fmt.Errorf("checkpoint: format version %d, this build reads %d", v, Version)
+		return nil, 0, fmt.Errorf("checkpoint: format version %d, this build reads %d", v, Version)
 	}
 	s := &State{}
 	s.Fingerprint = d.bytes()
@@ -391,53 +499,178 @@ func walk(r io.Reader, keep bool) (*State, error) {
 			s.ValidNonexec = append(s.ValidNonexec, nonexec)
 		}
 	}
-	nRanks := d.len()
-	for r := uint64(0); r < nRanks && d.err == nil; r++ {
-		nDats := d.len()
-		var rank [][]float64
-		if keep {
-			rank = make([][]float64, 0, min(nDats, 1024))
-		}
-		for i := uint64(0); i < nDats && d.err == nil; i++ {
-			if f := d.floats(); keep {
-				rank = append(rank, f)
-			}
-		}
-		if keep {
-			s.Dats = append(s.Dats, rank)
-		}
+	if open != nil && d.err == nil {
+		sink, err := open(s)
+		d.sink = sink
+		d.refuse(err)
 	}
+	d.dats(s)
 	s.Meta = d.bytes()
 	if d.err != nil {
-		return nil, fmt.Errorf("checkpoint: decode: %w", d.err)
+		return nil, 0, fmt.Errorf("checkpoint: decode: %w", d.err)
 	}
 	// The trailer is read outside the CRC it carries.
 	crc, payload := d.crc, uint32(d.n)
 	t := d.next(8)
 	if t == nil {
-		return nil, fmt.Errorf("checkpoint: decode trailer: %w", d.err)
+		return nil, 0, fmt.Errorf("checkpoint: decode trailer: %w", d.err)
 	}
 	if got := binary.LittleEndian.Uint32(t); got != crc {
-		return nil, fmt.Errorf("checkpoint: checksum mismatch: file %#x, content %#x (truncated or corrupt)", got, crc)
+		return nil, 0, fmt.Errorf("checkpoint: checksum mismatch: file %#x, content %#x (truncated or corrupt)", got, crc)
 	}
 	if got := binary.LittleEndian.Uint32(t[4:]); got != payload {
-		return nil, fmt.Errorf("checkpoint: length mismatch: file says %d bytes, content has %d (truncated or corrupt)", got, payload)
+		return nil, 0, fmt.Errorf("checkpoint: length mismatch: file says %d bytes, content has %d (truncated or corrupt)", got, payload)
 	}
-	return s, nil
+	if d.refused != nil {
+		return nil, crc, refusal{d.refused}
+	}
+	return s, crc, nil
 }
 
 // Decode reads one snapshot, verifying magic, version, every length bound
 // and the trailer.
-func Decode(r io.Reader) (*State, error) { return walk(r, true) }
+func Decode(r io.Reader) (*State, error) {
+	s, _, err := walk(r, true, nil)
+	return s, err
+}
 
 // Verify checks one snapshot exactly as Decode does — it accepts a stream
 // if and only if Decode would — without building the State: memory use is
 // one chunk buffer whatever the snapshot's size. It is the read-back check
 // behind every ring write.
 func Verify(r io.Reader) error {
-	_, err := walk(r, false)
+	_, _, err := walk(r, false, nil)
 	return err
 }
+
+// DecodeInto reads one snapshot as Decode does, except that its dats section
+// streams into the sink open returns instead of into State.Dats: open is
+// called with the sections before the dats (fingerprint, note, fault
+// sequence, clocks, validity) already in h, and the State returned is h with
+// the meta section added and no Dats. So the sink has seen the values before
+// the trailer is checked: a caller whose storage they reached must treat an
+// error as leaving it undefined. Once open or the sink returns an error the
+// rest of the dats is dropped and the stream checked on to its trailer: a
+// damaged stream is reported as Decode reports it, and otherwise the error
+// of open's or the sink's is returned as it is.
+func DecodeInto(r io.Reader, open func(h *State) (DatSink, error)) (*State, error) {
+	s, _, err := walk(r, true, open)
+	if r, ok := err.(refusal); ok {
+		return nil, r.error
+	}
+	return s, err
+}
+
+// ReadDats hands the state's dats section to sink as DecodeInto would: from
+// Dats, or — for a state Ring.RecoverNewest returned, which recovery read
+// without them — from its generation, streamed through one chunk, which must
+// still be the bytes recovery verified (the whole file is checked again, and
+// its trailer must carry the CRC recovery saw). A sink's error on those bytes
+// is returned as it is; a generation that no longer reads back — damaged,
+// changed or gone — is quarantined and reported as a *GenerationError, as
+// recovery treats one that fails to decode.
+func (s *State) ReadDats(sink DatSink) error {
+	if s.gen == "" {
+		return feed(s.Dats, sink)
+	}
+	_, err := s.reread(false, func(*State) (DatSink, error) { return sink, nil })
+	return err
+}
+
+// Load reads the dats of a state Ring.RecoverNewest returned into Dats, so
+// that it no longer depends on its generation: for a caller that keeps the
+// state while its ring goes on writing and retiring generations. A state
+// that holds its dats is left as it is; a generation that no longer reads
+// back is a *GenerationError, as in ReadDats.
+func (s *State) Load() error {
+	if s.gen == "" {
+		return nil
+	}
+	whole, err := s.reread(true, nil)
+	if err != nil {
+		return err
+	}
+	s.Dats, s.gen, s.crc = whole.Dats, "", 0
+	return nil
+}
+
+// reread walks the state's generation again (walk's keep and open) and
+// checks that it is still the bytes recovery verified. A refusal of those
+// bytes by open or its sink is returned as it is; any other failure
+// quarantines the generation and is a *GenerationError.
+func (s *State) reread(keep bool, open func(*State) (DatSink, error)) (*State, error) {
+	var again *State
+	var crc uint32
+	err := withFile(s.gen, func(r io.Reader) (err error) {
+		again, crc, err = walk(r, keep, open)
+		return err
+	})
+	r, refused := err.(refusal)
+	switch {
+	case (err == nil || refused) && crc != s.crc:
+		err = fmt.Errorf("checkpoint: content CRC %#x, recovery verified %#x", crc, s.crc)
+	case refused:
+		return nil, r.error
+	case err == nil:
+		return again, nil
+	}
+	ge := &GenerationError{Path: s.gen, Err: err}
+	if !errors.Is(err, fs.ErrNotExist) {
+		if _, qerr := Quarantine(s.gen); qerr != nil {
+			return nil, fmt.Errorf("checkpoint: %s no longer reads back (%v) and quarantine failed: %v", s.gen, err, qerr)
+		}
+		ge.Quarantined = true
+	}
+	return nil, ge
+}
+
+// skipDats is the sink recovery reads a generation through: it drops the
+// dats section, which ReadDats reads again when a restore asks for it.
+type skipDats struct{}
+
+func (skipDats) Count(int, uint64) error                  { return nil }
+func (skipDats) Slab(int, int, uint64) ([]float64, error) { return nil, nil }
+
+// feed hands materialised dats to sink.
+func feed(dats [][][]float64, sink DatSink) error {
+	if err := sink.Count(-1, uint64(len(dats))); err != nil {
+		return err
+	}
+	for r, rank := range dats {
+		if err := sink.Count(r, uint64(len(rank))); err != nil {
+			return err
+		}
+		for d, vals := range rank {
+			dst, err := sink.Slab(r, d, uint64(len(vals)))
+			if err != nil {
+				return err
+			}
+			copy(dst, vals)
+		}
+	}
+	return nil
+}
+
+// GenerationError reports a recovered generation (see State.ReadDats) that
+// no longer read back as recovery verified it: changed, truncated or gone
+// between the two reads. It is out of the ring's way — quarantined, or
+// already gone — so the next recovery scan passes over it to the one before.
+type GenerationError struct {
+	Path string
+	// Quarantined says the file was renamed aside (false: it had vanished).
+	Quarantined bool
+	Err         error
+}
+
+func (e *GenerationError) Error() string {
+	what := "vanished"
+	if e.Quarantined {
+		what = "quarantined"
+	}
+	return fmt.Sprintf("checkpoint: generation %s no longer reads back as recovered, %s: %v", e.Path, what, e.Err)
+}
+
+func (e *GenerationError) Unwrap() error { return e.Err }
 
 // MarshalFingerprint renders any JSON-encodable fingerprint value in
 // canonical form (encoding/json sorts map keys, so equal values produce

@@ -181,14 +181,51 @@ func mutants(raw []byte) map[string][]byte {
 	return out
 }
 
-// agree fails the test unless Verify and Decode give data the same verdict,
-// and returns it.
+// collector is a DatSink that keeps what it is handed in the shape of
+// State.Dats, refusing a slab longer than limit values (no section of a
+// stream can hold more values than the stream has bytes over eight).
+type collector struct {
+	limit uint64
+	dats  [][][]float64
+}
+
+func (c *collector) Count(rank int, n uint64) error {
+	if rank >= 0 {
+		c.dats = append(c.dats, make([][]float64, 0, min(n, c.limit)))
+	}
+	return nil
+}
+
+func (c *collector) Slab(rank, d int, n uint64) ([]float64, error) {
+	if n > c.limit {
+		return nil, fmt.Errorf("slab of %d values in a stream of %d bytes", n, 8*c.limit)
+	}
+	v := make([]float64, n)
+	c.dats[rank] = append(c.dats[rank], v)
+	return v, nil
+}
+
+// agree fails the test unless Verify, Decode and DecodeInto give data the
+// same verdict, and DecodeInto streams the dats Decode builds; it returns the
+// verdict.
 func agree(t *testing.T, label string, data []byte) error {
 	t.Helper()
-	_, derr := Decode(bytes.NewReader(data))
+	ds, derr := Decode(bytes.NewReader(data))
 	verr := Verify(bytes.NewReader(data))
 	if fmt.Sprint(derr) != fmt.Sprint(verr) {
 		t.Errorf("%s: Decode says %v, Verify says %v", label, derr, verr)
+	}
+	sink := &collector{limit: uint64(len(data) / 8)}
+	is, ierr := DecodeInto(bytes.NewReader(data), func(*State) (DatSink, error) { return sink, nil })
+	if fmt.Sprint(derr) != fmt.Sprint(ierr) {
+		t.Errorf("%s: Decode says %v, DecodeInto says %v", label, derr, ierr)
+	}
+	if derr == nil && ierr == nil {
+		dats := ds.Dats
+		ds.Dats = nil
+		if !reflect.DeepEqual(is, ds) || !reflect.DeepEqual(sink.dats, dats) {
+			t.Errorf("%s: DecodeInto read %+v and streamed %v, Decode %+v with %v", label, is, sink.dats, ds, dats)
+		}
 	}
 	return derr
 }
@@ -225,8 +262,9 @@ func TestLyingLengthAllocatesBoundedly(t *testing.T) {
 		if err == nil {
 			t.Errorf("claim of %d clocks accepted", claim)
 		}
-		// Decode's one section plus the two walks' chunk buffers.
-		if got := after.TotalAlloc - before.TotalAlloc; got > allocChunk+4*chunkLen {
+		// Decode's and DecodeInto's one section each, plus the walks' chunk
+		// buffers.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*allocChunk+4*chunkLen {
 			t.Errorf("claim of %d clocks allocated %d bytes", claim, got)
 		}
 	}

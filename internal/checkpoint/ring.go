@@ -250,7 +250,7 @@ func (r *Ring) commit(s *staged, seq int) error {
 	path := s.path
 	err := r.faultAt("verify")
 	if err == nil {
-		_, err = readFile(path, false)
+		err = withFile(path, Verify)
 	}
 	if err != nil {
 		r.verifyFailures++
@@ -313,14 +313,17 @@ func Quarantine(path string) (string, error) {
 // RecoverNewest joins the commit in flight, then scans the ring
 // newest-to-oldest for a generation that decodes cleanly, quarantining every
 // corrupt generation it passes over and forgetting any that is no longer on
-// disk. It returns the decoded state and its generation, how many generations
-// were tried and how many quarantined; a nil state means the ring holds no
-// usable snapshot (cold start).
+// disk. It returns the recovered state and its generation, how many
+// generations were tried and how many quarantined; a nil state means the ring
+// holds no usable snapshot (cold start). The scan checks a generation
+// exactly as Verify does and keeps every section but the dats: the state has
+// no Dats, and a restore streams them from the generation into its own
+// storage (State.ReadDats) instead.
 func (r *Ring) RecoverNewest() (st *State, gen Generation, tried, quarantined int) {
 	r.join()
 	for i := 0; i < len(r.live); {
 		g := r.live[i]
-		st, err := ReadFile(g.Path)
+		st, err := readRecovered(g.Path)
 		if err == nil {
 			return st, g, tried + 1, quarantined
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -461,3 +462,80 @@ func TestRingToleratesVanishedGenerations(t *testing.T) {
 		t.Errorf("after pruning past a vanished generation: %+v, want seq 4, 3, 1", gens)
 	}
 }
+
+// TestRecoveredStateReadsItsDats: recovery keeps every section of the newest
+// generation but the dats, and ReadDats streams them from the file — what
+// Decode reads there. A generation that changes before a restore reads it
+// back — rewritten with another valid snapshot, damaged or removed — is a
+// *GenerationError and out of the ring's way (quarantined, or gone), so the
+// next recovery returns the generation before it; a state Loaded before the
+// change holds its dats and no longer needs the file. A sink that refuses the
+// unchanged bytes gets its own error back, and the generation stays.
+func TestRecoveredStateReadsItsDats(t *testing.T) {
+	other := sampleState()
+	other.Note = "gen=1"
+	other.Dats[0][0][0] = 7
+	for _, tc := range []struct {
+		name        string
+		change      func(path string) error
+		quarantined bool
+	}{
+		{"rewritten", func(p string) error { return os.WriteFile(p, encoded(t, other), 0o644) }, true},
+		{"damaged", func(p string) error {
+			raw, err := os.ReadFile(p)
+			if err == nil {
+				raw[len(raw)/2] ^= 1
+				err = os.WriteFile(p, raw, 0o644)
+			}
+			return err
+		}, true},
+		{"removed", os.Remove, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewRing(Spec{Every: 1, Path: filepath.Join(t.TempDir(), "ck.bin"), Keep: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeGen(t, r, "gen=0")
+			newest := writeGen(t, r, "gen=1")
+			st, gen, _, _ := r.RecoverNewest()
+			if st == nil || gen.Path != newest || st.Dats != nil || st.Note != "gen=1" {
+				t.Fatalf("recovered %+v from %+v, want gen=1 without its dats", st, gen)
+			}
+			refuse := errors.New("refused")
+			if err := st.ReadDats(refusing{refuse}); err != refuse {
+				t.Fatalf("a refusing sink got %v back, want its own error", err)
+			}
+			sink := &collector{limit: 1 << 10}
+			if err := st.ReadDats(sink); err != nil || !reflect.DeepEqual(sink.dats, sampleState().Dats) {
+				t.Fatalf("ReadDats streamed %v (%v), want the generation's %v", sink.dats, err, sampleState().Dats)
+			}
+			loaded := *st
+			if err := loaded.Load(); err != nil || !reflect.DeepEqual(loaded.Dats, sampleState().Dats) {
+				t.Fatalf("Load read %v (%v), want the generation's %v", loaded.Dats, err, sampleState().Dats)
+			}
+			if err := tc.change(newest); err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.ReadDats(&collector{limit: 1 << 10}); err != nil {
+				t.Errorf("a loaded state depends on its generation still: %v", err)
+			}
+			var ge *GenerationError
+			if err := st.ReadDats(&collector{limit: 1 << 10}); !errors.As(err, &ge) || ge.Path != newest || ge.Quarantined != tc.quarantined {
+				t.Fatalf("ReadDats of a changed generation = %v, want a *GenerationError (quarantined %v)", err, tc.quarantined)
+			}
+			if _, err := os.Stat(newest + quarantineSuffix); (err == nil) != tc.quarantined {
+				t.Errorf("quarantined file: %v, want one %v", err, tc.quarantined)
+			}
+			if st, _, _, _ := r.RecoverNewest(); st == nil || st.Note != "gen=0" {
+				t.Errorf("the next recovery returned %+v, want gen=0", st)
+			}
+		})
+	}
+}
+
+// refusing is a DatSink that refuses every snapshot.
+type refusing struct{ err error }
+
+func (s refusing) Count(int, uint64) error                  { return s.err }
+func (s refusing) Slab(int, int, uint64) ([]float64, error) { return nil, s.err }

@@ -168,20 +168,44 @@ func syncDir(dir string) error {
 }
 
 // ReadFile decodes the snapshot stored at path.
-func ReadFile(path string) (*State, error) { return readFile(path, true) }
+func ReadFile(path string) (*State, error) {
+	var s *State
+	err := withFile(path, func(r io.Reader) (err error) {
+		s, err = Decode(r)
+		return err
+	})
+	return s, err
+}
 
-// fileReaders recycles readFile's readers, as chunks does the codec's
+// readRecovered reads the generation at path as Verify does, keeping every
+// section but the dats: the state recovery hands on, whose ReadDats reads
+// them from the file when a restore asks, checked against the CRC seen here.
+func readRecovered(path string) (*State, error) {
+	var s *State
+	var crc uint32
+	err := withFile(path, func(r io.Reader) (err error) {
+		s, crc, err = walk(r, true, func(*State) (DatSink, error) { return skipDats{}, nil })
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.gen, s.crc = path, crc
+	return s, nil
+}
+
+// fileReaders recycles withFile's readers, as chunks does the codec's
 // staging buffers: one per generation read back.
 var fileReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
-// readFile walks the snapshot stored at path, as Decode (keep) or as Verify.
-// The small default bufio buffer batches the walker's 8-byte length reads
-// into one read call, while its chunk-sized section reads exceed the buffer
-// and go straight to the file, uncopied.
-func readFile(path string, keep bool) (*State, error) {
+// withFile runs read over the file at path. The small default bufio buffer
+// batches the walker's 8-byte length reads into one read call, while its
+// chunk-sized section reads exceed the buffer and go straight to the file,
+// uncopied.
+func withFile(path string, read func(io.Reader) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	br := fileReaders.Get().(*bufio.Reader)
@@ -190,5 +214,5 @@ func readFile(path string, keep bool) (*State, error) {
 		br.Reset(nil) // a pooled reader holds no file
 		fileReaders.Put(br)
 	}()
-	return walk(br, keep)
+	return read(br)
 }

@@ -329,9 +329,10 @@ func (b *Backend) caCandidate(loops []core.Loop, p ca.Plan, over []int, grouped,
 			specs = append(specs, sp)
 		}
 	}
-	// The message shape is read off the schedule the exchange would run:
-	// built, not memoised (most candidates never execute) and not replayed.
-	shape := b.buildSchedule(specs, grouped)
+	// The message shape is read off the schedule the exchange would run, from
+	// the layouts' table every backend on them shares, and not replayed.
+	b.scr.fpBuf = appendSpecFingerprint(b.scr.fpBuf[:0], specs, grouped)
+	shape := b.sharedSchedule(b.scr.fpBuf, specs, grouped)
 	maxMsg, maxNeigh := shape.maxMsgBytes, shape.maxNeigh
 	exchanging := len(shape.msgs) > 0
 

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -225,12 +227,15 @@ type Backend struct {
 	warmPlans map[planKey]bool
 	// Snapshot state that outlives one Checkpoint call (see checkpoint.go):
 	// the configuration fingerprint, the CRCs of the dats no loop had written
-	// when they were first needed, and the slab table handed to the encoder.
-	// All three are built on first use, so a backend that never checkpoints
-	// pays for none of them.
+	// when they were first needed, the slab table handed to the encoder, and
+	// the buffer the continuation blob is rendered into with its encoder. All
+	// are built on first use, so a backend that never checkpoints pays for
+	// none of them.
 	ckptFingerprint []byte
 	ckptConstCRC    []uint32
 	ckptSlabs       [][][]float64
+	ckptMeta        bytes.Buffer
+	ckptEnc         *json.Encoder
 
 	// pool is the persistent fork/join executor behind forEachRank, nil
 	// in serial mode (or on a single-slot machine); see workerpool.go.

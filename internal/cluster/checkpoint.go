@@ -294,10 +294,16 @@ func (b *Backend) Checkpoint(w io.Writer, note string) error {
 		}
 		return meta.Tunes[i].Sig < meta.Tunes[j].Sig
 	})
-	st.Meta, err = checkpoint.MarshalFingerprint(meta)
-	if err != nil {
-		return err
+	// The blob is rendered into a buffer the backend keeps: Encoder.Encode is
+	// json.Marshal's canonical form plus a newline, without the copy out.
+	b.ckptMeta.Reset()
+	if b.ckptEnc == nil {
+		b.ckptEnc = json.NewEncoder(&b.ckptMeta)
 	}
+	if err := b.ckptEnc.Encode(meta); err != nil {
+		return fmt.Errorf("cluster: checkpoint meta: %w", err)
+	}
+	st.Meta = bytes.TrimSuffix(b.ckptMeta.Bytes(), []byte("\n"))
 	n, err := checkpoint.Encode(w, st)
 	if err != nil {
 		return err
@@ -311,49 +317,100 @@ func (b *Backend) Checkpoint(w io.Writer, note string) error {
 	return nil
 }
 
-// Restore decodes one snapshot from r and rebuilds a backend from it under
-// cfg, returning the backend and the snapshot's note. cfg must be
+// Restore reads one snapshot from r and rebuilds a backend from it under cfg,
+// returning the backend and the snapshot's note. cfg must be
 // process-equivalent to the checkpointing configuration (same mesh,
 // partition, machine, policies and retry knobs — verified against the
 // snapshot's fingerprint); the fault plan may differ only by the crash
-// clause, which a resumed run drops.
+// clause, which a resumed run drops. The snapshot is read in one pass: the
+// backend is built once the sections before the dats are in, and the dats
+// stream straight into its storage (checkpoint.DecodeInto), so nothing the
+// size of the snapshot is allocated. A snapshot that fails anywhere — the
+// container's checks, the fingerprint, a slab's length, the trailer at the
+// end — closes the half-restored backend and returns the error.
 func Restore(r io.Reader, cfg Config) (*Backend, string, error) {
-	st, err := checkpoint.Decode(r)
-	if err != nil {
-		return nil, "", err
+	var b *Backend
+	var sink *datSink
+	st, err := checkpoint.DecodeInto(r, func(h *checkpoint.State) (checkpoint.DatSink, error) {
+		var err error
+		if b, err = New(cfg); err != nil {
+			return nil, err
+		}
+		if err := b.restoreHeader(h); err != nil {
+			return nil, err
+		}
+		sink = b.datSink()
+		return sink, nil
+	})
+	if err == nil {
+		err = b.restoreFrom(st, sink)
 	}
-	b, err := RestoreState(st, cfg)
 	if err != nil {
+		if b != nil {
+			b.Close()
+		}
 		return nil, "", err
 	}
 	return b, st.Note, nil
 }
 
-// restoreDats is the data half of restoreFrom: slabs is the snapshot's dats
-// section, dats the continuation blob's account of it.
-func (b *Backend) restoreDats(slabs [][][]float64, dats []ckptDat) error {
+// datSink receives a snapshot's dats section into the backend's owned
+// storage, checking every count and length against the configuration before
+// a value lands; got records which slabs held values, for restoreDats to
+// check against the snapshot's own account of them.
+type datSink struct {
+	b   *Backend
+	got []bool // [rank*len(decl) + dat]
+}
+
+func (b *Backend) datSink() *datSink {
+	return &datSink{b: b, got: make([]bool, b.cfg.NParts*len(b.cfg.Prog.Dats))}
+}
+
+func (s *datSink) Count(rank int, n uint64) error {
+	if rank < 0 {
+		if n != uint64(s.b.cfg.NParts) {
+			return snapshotErrorf(ErrSnapshotShape, "%d ranks of data, config builds %d", n, s.b.cfg.NParts)
+		}
+		return nil
+	}
+	if nd := len(s.b.cfg.Prog.Dats); n != uint64(nd) {
+		return snapshotErrorf(ErrSnapshotShape, "rank %d has %d dats, config declares %d", rank, n, nd)
+	}
+	return nil
+}
+
+func (s *datSink) Slab(rank, id int, n uint64) ([]float64, error) {
+	d := s.b.cfg.Prog.Dats[id]
+	own := s.b.owned(rank, d)
+	if n == 0 {
+		return nil, nil
+	}
+	if n != uint64(len(own)) {
+		return nil, snapshotErrorf(ErrSnapshotShape, "rank %d dat %s has %d values, want 0 or the %d owned",
+			rank, d.Name, n, len(own))
+	}
+	s.got[rank*len(s.b.cfg.Prog.Dats)+id] = true
+	return own, nil
+}
+
+// restoreDats is the data half of restoreFrom, after the dats section went
+// through got's sink: dats is the continuation blob's account of it.
+func (b *Backend) restoreDats(got *datSink, dats []ckptDat) error {
 	decl := b.cfg.Prog.Dats
 	if len(dats) != len(decl) {
 		return snapshotErrorf(ErrSnapshotShape, "meta describes %d dats, config declares %d", len(dats), len(decl))
 	}
-	if len(slabs) != len(b.dats) {
-		return snapshotErrorf(ErrSnapshotShape, "%d ranks of data, config builds %d", len(slabs), len(b.dats))
-	}
 	for r := range b.dats {
-		if len(slabs[r]) != len(decl) {
-			return snapshotErrorf(ErrSnapshotShape, "rank %d has %d dats, config declares %d", r, len(slabs[r]), len(decl))
-		}
 		for _, d := range decl {
-			own, got := b.owned(r, d), slabs[r][d.ID]
-			if len(got) != 0 && len(got) != len(own) {
-				return snapshotErrorf(ErrSnapshotShape, "rank %d dat %s has %d values, want 0 or the %d owned",
-					r, d.Name, len(got), len(own))
-			}
-			if w := dats[d.ID].Written; len(own) != 0 && w != (len(got) != 0) {
+			n := len(b.owned(r, d))
+			if w, held := dats[d.ID].Written, got.got[r*len(decl)+d.ID]; n != 0 && w != held {
+				if !held {
+					n = 0
+				}
 				return snapshotErrorf(ErrSnapshotShape, "rank %d dat %s has %d values but meta says written=%t",
-					r, d.Name, len(got), w)
+					r, d.Name, n, w)
 			}
-			copy(own, got)
 		}
 	}
 	for id, d := range dats {
@@ -422,26 +479,35 @@ func (b *Backend) refillRange(d *core.Dat, r int, rg halo.ImportRange, exports [
 	}
 }
 
-// RestoreState rebuilds a backend from an already-decoded snapshot.
+// RestoreState rebuilds a backend from a snapshot already read: decoded
+// whole, or recovered from a ring generation without its dats
+// (checkpoint.Ring.RecoverNewest), which then stream from the generation
+// into the backend's storage as Restore's do. Any failure closes the backend;
+// a generation that no longer reads back as recovery verified it is a
+// *checkpoint.GenerationError, and out of the ring's way.
 func RestoreState(st *checkpoint.State, cfg Config) (*Backend, error) {
 	b, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := b.restoreFrom(st); err != nil {
+	err = b.restoreHeader(st)
+	if err == nil {
+		sink := b.datSink()
+		if err = st.ReadDats(sink); err == nil {
+			err = b.restoreFrom(st, sink)
+		}
+	}
+	if err != nil {
 		b.Close()
 		return nil, err
 	}
 	return b, nil
 }
 
-// restoreFrom overwrites a freshly constructed backend's state with the
-// snapshot's, after checking the snapshot was taken under the same
-// configuration: owned values of the written dats from the dats section,
-// their halo copies from the owners just restored, never-written dats left as
-// New copied them from Config.Prog once their CRCs agree. A snapshot that
-// does not fit is refused with a *SnapshotError.
-func (b *Backend) restoreFrom(st *checkpoint.State) error {
+// restoreHeader overwrites a freshly constructed backend's clocks, validity
+// and fault sequence with the snapshot's, after checking the snapshot was
+// taken under the same configuration: the sections before the dats.
+func (b *Backend) restoreHeader(st *checkpoint.State) error {
 	fp, err := b.configFingerprint()
 	if err != nil {
 		return err
@@ -467,11 +533,20 @@ func (b *Backend) restoreFrom(st *checkpoint.State) error {
 		b.valid[i] = validity{exec: int(e), nonexec: int(n)}
 	}
 	b.faultSeq = st.FaultSeq
+	return nil
+}
+
+// restoreFrom finishes a restore once the dats section went through sink into
+// the owned storage: their halo copies from the owners just restored,
+// never-written dats left as New copied them from Config.Prog once their CRCs
+// agree, and the continuation blob. A snapshot that does not fit is refused
+// with a *SnapshotError.
+func (b *Backend) restoreFrom(st *checkpoint.State, sink *datSink) error {
 	var meta ckptMeta
 	if err := json.Unmarshal(st.Meta, &meta); err != nil {
 		return snapshotErrorf(ErrSnapshotShape, "meta: %v", err)
 	}
-	if err := b.restoreDats(st.Dats, meta.Dats); err != nil {
+	if err := b.restoreDats(sink, meta.Dats); err != nil {
 		return err
 	}
 	if meta.Stats != nil {

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -518,5 +522,95 @@ func perturb(t *testing.T, v reflect.Value, path string, f func(path string)) {
 		}
 	default:
 		t.Errorf("%s: no perturbation for a %s", path, v.Kind())
+	}
+}
+
+// TestRestoreAllocatesNoSnapshot: a restore streams the dats section into the
+// storage of the backend it builds, so what it allocates does not grow with
+// the snapshot — read in one pass from bytes (Restore), or, as a service's
+// restart reads it, from a ring generation recovered without its dats
+// (RecoverNewest, then RestoreState). On a warm lender and shared layouts,
+// which make the build itself independent of the mesh, a restore on a mesh
+// eight times larger allocates less than a sixteenth of the snapshot's growth
+// more; decoding the snapshot first would add all of it.
+func TestRestoreAllocatesNoSnapshot(t *testing.T) {
+	type cost struct{ snap, oneShot, ring float64 }
+	measure := func(m *mesh.FV3D) cost {
+		w := newCkptWorkload(m, 5, 2)
+		cfg := Config{Prog: w.app.p, Primary: w.app.nodes, Assign: partition.Block(m.NNodes, 4), NParts: 4,
+			Depth: 3, MaxChainLen: 2, CA: true, Slabs: new(Lender)}
+		var err error
+		if cfg.Layouts, err = NewLayouts(cfg); err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.run(b, 0, 2, false)
+		var snap bytes.Buffer
+		err = b.Checkpoint(&snap, "k")
+		b.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring, err := checkpoint.NewRing(checkpoint.Spec{Every: 1, Path: filepath.Join(t.TempDir(), "ck"), Keep: 1})
+		if err == nil {
+			_, err = ring.Write(func(w io.Writer) error { _, err := w.Write(snap.Bytes()); return err })
+		}
+		if err == nil {
+			err = ring.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fewest bytes of eight restores after one that warms the lender:
+		// under the race detector the codec's buffer pool drops a quarter of
+		// what is put back, which a mean would count.
+		perRestore := func(restore func() (*Backend, error)) float64 {
+			t.Helper()
+			least := math.Inf(1)
+			for i := -1; i < 8; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b, err := restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Close()
+				runtime.ReadMemStats(&after)
+				if i >= 0 {
+					least = min(least, float64(after.TotalAlloc-before.TotalAlloc))
+				}
+			}
+			return least
+		}
+		return cost{
+			snap: float64(snap.Len()),
+			oneShot: perRestore(func() (*Backend, error) {
+				b, _, err := Restore(bytes.NewReader(snap.Bytes()), cfg)
+				return b, err
+			}),
+			ring: perRestore(func() (*Backend, error) {
+				st, _, _, _ := ring.RecoverNewest()
+				if st == nil {
+					return nil, errors.New("the ring lost its generation")
+				}
+				return RestoreState(st, cfg)
+			}),
+		}
+	}
+	small, large := measure(mesh.Rotor(10, 8, 6)), measure(mesh.Rotor(20, 16, 12))
+	t.Logf("snapshot %.0f -> %.0f B; per restore, in one pass %.0f -> %.0f B, from the ring %.0f -> %.0f B",
+		small.snap, large.snap, small.oneShot, large.oneShot, small.ring, large.ring)
+	limit := (large.snap - small.snap) / 16
+	if large.snap < 4*small.snap {
+		t.Fatalf("the snapshot grew from %.0f to %.0f B only: nothing to tell apart", small.snap, large.snap)
+	}
+	if g := large.oneShot - small.oneShot; g > limit {
+		t.Errorf("a restore in one pass allocates %.0f B more on the larger mesh, want under %.0f", g, limit)
+	}
+	if g := large.ring - small.ring; g > limit {
+		t.Errorf("a restore from the ring allocates %.0f B more on the larger mesh, want under %.0f", g, limit)
 	}
 }

@@ -17,19 +17,20 @@ type exchangeSpec struct {
 }
 
 // maxSchedules bounds how many distinct (spec set, grouping) exchanges one
-// backend memoises schedules for. The runtime dirty state decides which
-// shells an execution actually exchanges, so a loop or a chain normally sees
-// one or two spec sets (the first execution after a scatter, then the steady
-// state) and a program a few dozen; anything beyond the bound is exchanged
-// through a schedule built for the occasion and dropped.
+// backend, and one Layouts, memoises schedules for. The runtime dirty state
+// decides which shells an execution actually exchanges, so a loop or a chain
+// normally sees one or two spec sets (the first execution after a scatter,
+// then the steady state) and a program a few dozen; anything beyond the bound
+// is exchanged through a schedule built for the occasion and dropped.
 const maxSchedules = 256
 
 // appendSpecFingerprint appends a comparable key for a filtered spec set to
-// dst: which dats exchange which shell depths, under which message grouping.
-// The grouping joins the key because the autotuner can run the same plan
-// grouped one window and ungrouped the next; their schedules differ. Callers
-// pass reusable scratch so the steady-state schedule lookup allocates
-// nothing.
+// dst: which dats — by ID, set and dimension, all a schedule reads of one, so
+// that the key means the same schedule whichever program on the layouts asks
+// — exchange which shell depths, under which message grouping. The grouping
+// joins the key because the autotuner can run the same plan grouped one
+// window and ungrouped the next; their schedules differ. Callers pass
+// reusable scratch so the steady-state schedule lookup allocates nothing.
 func appendSpecFingerprint(dst []byte, specs []exchangeSpec, grouped bool) []byte {
 	if grouped {
 		dst = append(dst, "g;"...)
@@ -38,6 +39,10 @@ func appendSpecFingerprint(dst []byte, specs []exchangeSpec, grouped bool) []byt
 	}
 	for _, sp := range specs {
 		dst = strconv.AppendInt(dst, int64(sp.dat.ID), 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(sp.dat.Set.ID), 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(sp.dat.Dim), 10)
 		dst = append(dst, ':')
 		dst = strconv.AppendInt(dst, int64(sp.execDepth), 10)
 		dst = append(dst, ':')
@@ -48,17 +53,20 @@ func appendSpecFingerprint(dst []byte, specs []exchangeSpec, grouped bool) []byt
 }
 
 // packSeg is one contiguous run of a sender's pack work: the elements of
-// one dat exported to one neighbour, in the receiver's storage order.
+// one dat (by ID, of dimension dim) exported to one neighbour, in the
+// receiver's storage order. Segments name dats by ID, not *core.Dat: a
+// schedule belongs to the layouts (Layouts.schedule), and the backends built
+// on them may each have a program of their own.
 type packSeg struct {
-	dat    *core.Dat
-	locals []int32
+	dat, dim int32
+	locals   []int32
 }
 
 // unpackSeg is one contiguous run of a receiver's unpack work: the nvals
-// values at slab offset off land at value offset start of the dat's local
+// values at slab offset off land at value offset start of dat's local
 // storage.
 type unpackSeg struct {
-	dat   *core.Dat
+	dat   int32
 	start int32
 	nvals int32
 	off   int32
@@ -69,8 +77,8 @@ type unpackSeg struct {
 // neighbour; grouped: everything for one neighbour in a single message, the
 // paper's Figure 8) and where every value is gathered from and lands. It
 // depends only on the halo layouts, the spec set and the grouping, so it is
-// built once and replayed; replays walk flat index lists and allocate
-// nothing.
+// built once per layouts and replayed by every backend on them; replays walk
+// flat index lists, write nothing in the schedule and allocate nothing.
 type exchangeSchedule struct {
 	// msgs are the virtual-network messages in per-sender serialisation
 	// order; sendBytes and recvBytes total them per rank.
@@ -113,8 +121,8 @@ type slabSeg struct{ off, nvals int32 }
 // leave none unclaimed. Layouts are consistent by construction, so a
 // mismatch is a runtime bug: it panics with a typed *ExchangeError before
 // any value moves.
-func (b *Backend) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSchedule {
-	n := b.cfg.NParts
+func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSchedule {
+	n := len(l.ranks)
 	s := &exchangeSchedule{
 		sendBytes: make([]int64, n),
 		recvBytes: make([]int64, n),
@@ -132,7 +140,7 @@ func (b *Backend) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 		s.slabLo[r] = off
 		clear(byDest)
 		for si, sp := range specs {
-			sl := b.layouts[r].SetL(sp.dat.Set)
+			sl := l.ranks[r].SetL(sp.dat.Set)
 			add := func(exports [][]halo.ExportList, depth int, kind int8) {
 				for d := 0; d < depth; d++ {
 					for _, ex := range exports[d] {
@@ -150,7 +158,7 @@ func (b *Backend) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 						s.msgs[mi].Bytes += bytes
 						s.sendBytes[r] += bytes
 						s.recvBytes[ex.Rank] += bytes
-						s.pack[r] = append(s.pack[r], packSeg{dat: sp.dat, locals: ex.Locals})
+						s.pack[r] = append(s.pack[r], packSeg{dat: int32(sp.dat.ID), dim: int32(sp.dat.Dim), locals: ex.Locals})
 						segs[segKey{int32(r), ex.Rank, int32(si), kind, int8(d)}] = slabSeg{off: off, nvals: nvals}
 						off += nvals
 					}
@@ -168,7 +176,7 @@ func (b *Backend) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 	}
 	for r := 0; r < n; r++ {
 		for si, sp := range specs {
-			sl := b.layouts[r].SetL(sp.dat.Set)
+			sl := l.ranks[r].SetL(sp.dat.Set)
 			dim := int32(sp.dat.Dim)
 			add := func(ranges [][]halo.ImportRange, depth int, kind int8) {
 				for d := 0; d < depth; d++ {
@@ -187,7 +195,7 @@ func (b *Backend) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 						}
 						delete(segs, key)
 						s.unpack[r] = append(s.unpack[r], unpackSeg{
-							dat: sp.dat, start: rg.Start * dim, nvals: seg.nvals, off: seg.off})
+							dat: int32(sp.dat.ID), start: rg.Start * dim, nvals: seg.nvals, off: seg.off})
 					}
 				}
 			}
@@ -205,9 +213,10 @@ func (b *Backend) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 // The data movement is real (receivers' halo copies are overwritten with
 // owners' current values); the returned schedule carries what the virtual
 // network needs to charge time. Schedules are memoised per backend by spec
-// fingerprint; with the plan cache disabled, or beyond the memoisation
-// bound, the exchange runs through a schedule built for this call — the
-// same walk, never a second code path.
+// fingerprint, and behind that map, on a local miss, per layouts
+// (Layouts.schedule), which every backend built on them shares; with the
+// plan cache disabled the exchange runs through a schedule built for this
+// call — the same walk, never a second code path.
 func (b *Backend) exchange(specs []exchangeSpec, grouped bool) *exchangeSchedule {
 	if len(specs) == 0 {
 		return b.noExchange
@@ -216,7 +225,7 @@ func (b *Backend) exchange(specs []exchangeSpec, grouped bool) *exchangeSchedule
 	sc.fpBuf = appendSpecFingerprint(sc.fpBuf[:0], specs, grouped)
 	s, ok := b.schedules[string(sc.fpBuf)]
 	if !ok {
-		s = b.buildSchedule(specs, grouped)
+		s = b.sharedSchedule(sc.fpBuf, specs, grouped)
 		if !b.cfg.NoPlanCache && len(b.schedules) < maxSchedules {
 			b.schedules[string(sc.fpBuf)] = s
 		}
@@ -238,8 +247,8 @@ func (b *Backend) packRank(w, r int) {
 	s, slab := b.scr.sched, b.scr.slab
 	at := int(s.slabLo[r])
 	for _, seg := range s.pack[r] {
-		local := b.dats[r][seg.dat.ID]
-		dim := seg.dat.Dim
+		local := b.dats[r][seg.dat]
+		dim := int(seg.dim)
 		for _, loc := range seg.locals {
 			at += copy(slab[at:], local[int(loc)*dim:(int(loc)+1)*dim])
 		}
@@ -250,7 +259,7 @@ func (b *Backend) packRank(w, r int) {
 func (b *Backend) unpackRank(w, r int) {
 	s, slab := b.scr.sched, b.scr.slab
 	for _, seg := range s.unpack[r] {
-		copy(b.dats[r][seg.dat.ID][seg.start:seg.start+seg.nvals], slab[seg.off:seg.off+seg.nvals])
+		copy(b.dats[r][seg.dat][seg.start:seg.start+seg.nvals], slab[seg.off:seg.off+seg.nvals])
 	}
 }
 

@@ -4,21 +4,69 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"op2ca/internal/halo"
 )
 
 // Layouts is the partitioned view a backend is built on: every rank's halo
 // layout (halo.DeriveOwnership, then halo.Build) and the hash of the
-// assignment it was derived from. It is immutable once built — nothing in
-// this package writes to a layout — so any number of backends, concurrent
+// assignment it was derived from, and the exchange schedules built over them.
+// The layouts are immutable once built — nothing in this package writes to a
+// layout — and so is every schedule, so any number of backends, concurrent
 // ones included, share one (Config.Layouts). It holds pointer-free slices and
 // the slices that hold them, nothing of the program or the assignment it was
-// built from: whoever keeps it keeps no job's data alive. Per-set ownership is
-// not kept either; each rank's layout names what it owns (L2G[:NOwned]).
+// built from (a schedule names dats by ID): whoever keeps it keeps no job's
+// data alive. Per-set ownership is not kept either; each rank's layout names
+// what it owns (L2G[:NOwned]).
 type Layouts struct {
 	ranks  []*halo.Layout
 	assign string // assignHash of the assignment
+
+	// schedules memoises the exchange schedules built over these layouts for
+	// every backend built on them, by spec fingerprint, up to maxSchedules: a
+	// schedule is a function of the layouts, the spec set and the grouping
+	// only (see buildSchedule), and read-only once built. Each backend keeps
+	// its own map in front of this one and looks here on a miss, so the mutex
+	// is taken once per spec set and backend.
+	mu        sync.Mutex
+	schedules map[string]*exchangeSchedule
+}
+
+// schedule returns the exchange schedule of specs under grouping, whose
+// fingerprint is fp: the one memoised here, or one built now and memoised
+// while there is room. Two backends that miss on one fingerprint at once both
+// build it, and both get the first one memoised.
+func (l *Layouts) schedule(fp []byte, specs []exchangeSpec, grouped bool) *exchangeSchedule {
+	l.mu.Lock()
+	s := l.schedules[string(fp)]
+	l.mu.Unlock()
+	if s != nil {
+		return s
+	}
+	s = l.buildSchedule(specs, grouped)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if prev := l.schedules[string(fp)]; prev != nil {
+		return prev
+	}
+	if len(l.schedules) < maxSchedules {
+		if l.schedules == nil {
+			l.schedules = make(map[string]*exchangeSchedule)
+		}
+		l.schedules[string(fp)] = s
+	}
+	return s
+}
+
+// sharedSchedule is the schedule of specs under grouping, fingerprinted fp,
+// from the backend's layouts (Layouts.schedule) — or, with the plan cache
+// off, built for the occasion.
+func (b *Backend) sharedSchedule(fp []byte, specs []exchangeSpec, grouped bool) *exchangeSchedule {
+	if b.cfg.NoPlanCache {
+		return b.cfg.Layouts.buildSchedule(specs, grouped)
+	}
+	return b.cfg.Layouts.schedule(fp, specs, grouped)
 }
 
 // NewLayouts builds the layouts cfg describes — what New builds when

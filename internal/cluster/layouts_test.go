@@ -95,6 +95,80 @@ func TestSharedLayoutsAreInvisible(t *testing.T) {
 	}
 }
 
+// TestSharedSchedulesAreInvisible (run under -race): the exchange schedules
+// a backend builds live on its Layouts, and every backend built on them
+// replays them. For both apps under every execution policy, two Parallel
+// backends stepping at once on one Layouts — each with a program of its own —
+// end in the state and checksum of a backend on layouts of its own, and every
+// schedule either one memoised is the one the layouts hold; a backend with
+// the plan cache off builds its own and leaves the table alone.
+func TestSharedSchedulesAreInvisible(t *testing.T) {
+	defer leakcheck.Check(t)()
+	for name, mk := range snapApps() {
+		for _, mode := range snapModes {
+			label := name + "/" + mode.name
+			shared, err := NewLayouts(mk(mode).cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(lay *Layouts, noCache bool) *Backend {
+				r := mk(mode)
+				r.cfg.Layouts, r.cfg.Parallel, r.cfg.NoPlanCache = lay, true, noCache
+				b, err := New(r.cfg)
+				if err != nil {
+					t.Error(err)
+					return nil
+				}
+				b.installPool(forcedWorkers)
+				r.init(b)
+				r.step(b)
+				r.step(b)
+				return b
+			}
+			ref := run(nil, false)
+			got := make([]*Backend, 2)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = run(shared, false)
+				}()
+			}
+			wg.Wait()
+			if len(shared.schedules) == 0 {
+				t.Fatalf("%s: no schedule reached the shared layouts", label)
+			}
+			for _, b := range got {
+				if b == nil {
+					t.FailNow()
+				}
+				compareBackends(t, label+" shared", b, ref)
+				if g, w := b.ChecksumDats(), ref.ChecksumDats(); g != w {
+					t.Errorf("%s: checksum %s on shared schedules, %s on its own", label, g, w)
+				}
+				for fp, s := range b.schedules {
+					if shared.schedules[fp] != s {
+						t.Errorf("%s: a backend replays schedule %q that is not the layouts'", label, fp)
+					}
+				}
+				b.Close()
+			}
+			held := len(shared.schedules)
+			uncached := run(shared, true)
+			if g, w := uncached.ChecksumDats(), ref.ChecksumDats(); g != w || uncached.MaxClock() != ref.MaxClock() {
+				t.Errorf("%s: without the plan cache, checksum %s at %v; with it %s at %v", label, g, uncached.MaxClock(), w, ref.MaxClock())
+			}
+			if len(uncached.schedules) != 0 || len(shared.schedules) != held {
+				t.Errorf("%s: a backend without the plan cache memoised %d schedules and left %d on the layouts",
+					label, len(uncached.schedules), len(shared.schedules)-held)
+			}
+			uncached.Close()
+			ref.Close()
+		}
+	}
+}
+
 // programHash hashes everything a program declares: every set's name and
 // size, every map's name, arity and values, every dat's name, dim and values.
 func programHash(p *core.Program) uint64 {
@@ -125,13 +199,14 @@ func programHash(p *core.Program) uint64 {
 	return h.Sum64()
 }
 
-// TestBackendLeavesProgramUntouched: a backend reads Config.Prog and never
-// writes it, which is what lets one declared program serve any number of
-// backends at once (runspec's Instances). For both apps under every execution
+// TestBackendLeavesProgramUntouched: a backend reads Config.Prog and
+// Config.Assign and never writes them, which is what lets one declared
+// program and one partition assignment serve any number of backends at once
+// (runspec's Instances and Assignments). For both apps under every execution
 // policy and a drop plan, a Parallel backend initialised and stepped,
 // checkpointed, gathered and checksummed, and a backend restored from its
 // snapshot and stepped again, leave every set size, map value and dat value
-// of the program as declared.
+// of the program as declared, and every element's rank as assigned.
 func TestBackendLeavesProgramUntouched(t *testing.T) {
 	defer leakcheck.Check(t)()
 	drop := snapMode{"drop", func(c *Config) { c.Faults = faults.MustParse("drop=0.2,seed=7") }, true}
@@ -140,7 +215,7 @@ func TestBackendLeavesProgramUntouched(t *testing.T) {
 			label := name + "/" + mode.name
 			r := mk(mode)
 			r.cfg.Parallel = true
-			before := programHash(r.cfg.Prog)
+			before, assign := programHash(r.cfg.Prog), assignHash(r.cfg.Assign)
 			b, err := New(r.cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -170,6 +245,9 @@ func TestBackendLeavesProgramUntouched(t *testing.T) {
 			res.Close()
 			if programHash(r.cfg.Prog) != before {
 				t.Errorf("%s: the program changed under its backends", label)
+			}
+			if assignHash(r.cfg.Assign) != assign {
+				t.Errorf("%s: the assignment changed under its backends", label)
 			}
 		}
 	}

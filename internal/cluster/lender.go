@@ -3,6 +3,7 @@ package cluster
 import (
 	"slices"
 	"sync"
+	"weak"
 )
 
 // SlabLender is where a backend built with Config.Slabs borrows its flat
@@ -15,31 +16,46 @@ type SlabLender interface {
 	Put(s []float64)
 }
 
-// lenderSlabs bounds the free slabs a Lender holds: what two jobs borrow
-// (storage, payload, gather buffer each) and two to spare.
-const lenderSlabs = 8
-
 // Lender is the SlabLender a front-end that builds many backends owns (the
 // job service: one per Service): a free list of the slabs closed backends
 // returned, lent again best fit — the smallest free slab of capacity at
 // least n, since the backends of one service differ in size. Nothing is
 // zeroed on the way through.
 //
-// The free slabs are referenced from a sync.Pool and from nowhere else, so
-// the garbage collector is the eviction policy: every Get and Put takes the
-// pool's content out and puts it back, which counts as a use, and a Lender
-// nobody borrows from for two collections holds nothing — an idle owner
-// retains no slab, and none outlives the Lender. Slabs are pointer-free, so
-// while they are held a collection marks them in no time. A slab parked in
-// the per-P slot of a P other than the caller's is not handed over by the
-// pool: it is a miss now and a hit later, never lent twice. The zero value is
-// an empty Lender.
+// The free list is sized by the traffic: it keeps at most as many slabs as
+// were ever lent at once, the largest first. A Get makes a slab only when
+// every free one at least that large is out, so a Lender never has more
+// slabs than it once had out together, and the bound matters only for slabs
+// it did not lend.
+//
+// The free slabs are strongly referenced from a sync.Pool and from nowhere
+// else, so the garbage collector is the eviction policy: every Get and Put
+// takes the pool's content out and puts it back, which counts as a use, and
+// a Lender nobody borrows from for two collections holds nothing — an idle
+// owner retains no slab, and none outlives the Lender. Slabs are
+// pointer-free, so while they are held a collection marks them in no time.
+// The pool does not hand over what sits in another P's private slot, so the
+// Lender also keeps a weak pointer to every free slab and finds those through
+// it; a slab carries whether it is free, so the stale copy a slot still holds
+// of one lent since is dropped, never lent twice. The zero value is an empty
+// Lender.
 type Lender struct {
 	mu   sync.Mutex
-	free sync.Pool // of *[]float64, no New: an empty pool hands over nil
+	pool sync.Pool // of *slab, no New: an empty pool hands over nil
+	// index reaches every free slab, in whichever P's slot it is parked.
+	index []weak.Pointer[slab]
 	// buf is take's result, kept between calls for its storage only.
-	buf   []*[]float64
-	stats LenderStats
+	buf []*slab
+	// out counts the slabs lent now; peak is the most ever lent at once.
+	out, peak int
+	stats     LenderStats
+}
+
+// slab is one free-list entry: the storage, and whether it is free — set by
+// Put, cleared when it is lent or let go. Guarded by the Lender's mu.
+type slab struct {
+	s    []float64
+	free bool
 }
 
 // LenderStats are a Lender's counters: Gets served by a returned slab, Gets
@@ -49,29 +65,46 @@ type LenderStats struct {
 	LentBytes    int64
 }
 
-// take empties the pool. Callers hold mu and end with give.
-func (l *Lender) take() []*[]float64 {
+// take returns every free slab: what the pool hands over and what the index
+// reaches, each once. Callers hold mu and end with give.
+func (l *Lender) take() []*slab {
 	free := l.buf[:0]
-	for {
-		p, _ := l.free.Get().(*[]float64)
-		if p == nil {
-			return free
+	add := func(p *slab) {
+		if p != nil && p.free && !slices.Contains(free, p) {
+			free = append(free, p)
 		}
-		free = append(free, p)
 	}
+	for {
+		p, _ := l.pool.Get().(*slab)
+		if p == nil {
+			break
+		}
+		add(p)
+	}
+	for _, w := range l.index {
+		add(w.Value())
+	}
+	return free
 }
 
-// give puts free back in the pool — the largest lenderSlabs of it — and lets
-// go of the rest.
-func (l *Lender) give(free []*[]float64) {
-	if len(free) > lenderSlabs {
-		slices.SortFunc(free, func(a, b *[]float64) int { return cap(*b) - cap(*a) })
+// give puts free back in the pool and the index — the largest peak of it —
+// and lets go of the rest.
+func (l *Lender) give(free []*slab) {
+	kept := free
+	if len(kept) > l.peak {
+		slices.SortFunc(kept, func(a, b *slab) int { return cap(b.s) - cap(a.s) })
+		for _, p := range kept[l.peak:] {
+			p.free = false
+		}
+		kept = kept[:l.peak]
 	}
-	for _, p := range free[:min(len(free), lenderSlabs)] {
-		l.free.Put(p)
+	l.index = l.index[:0]
+	for _, p := range kept {
+		l.pool.Put(p)
+		l.index = append(l.index, weak.Make(p))
 	}
 	clear(free) // buf keeps the storage, not the slabs
-	l.buf = free
+	l.buf = free[:0]
 }
 
 // Get implements SlabLender.
@@ -80,13 +113,14 @@ func (l *Lender) Get(n int) []float64 {
 	free := l.take()
 	best := -1
 	for i, p := range free {
-		if cap(*p) >= n && (best < 0 || cap(*p) < cap(*free[best])) {
+		if cap(p.s) >= n && (best < 0 || cap(p.s) < cap(free[best].s)) {
 			best = i
 		}
 	}
 	var s []float64
 	if best >= 0 {
-		s = (*free[best])[:n]
+		free[best].free = false
+		s = free[best].s[:n]
 		free = slices.Delete(free, best, best+1)
 		l.stats.Hits++
 		l.stats.LentBytes += 8 * int64(cap(s))
@@ -94,6 +128,8 @@ func (l *Lender) Get(n int) []float64 {
 		l.stats.Misses++
 		l.stats.LentBytes += 8 * int64(n)
 	}
+	l.out++
+	l.peak = max(l.peak, l.out)
 	l.give(free)
 	l.mu.Unlock()
 	if best < 0 {
@@ -113,13 +149,14 @@ func (l *Lender) Put(s []float64) {
 	defer l.mu.Unlock()
 	free := l.take()
 	for _, p := range free {
-		if &(*p)[0] == &s[0] {
+		if &p.s[0] == &s[0] {
 			l.give(free)
 			panic("cluster: slab returned to its Lender twice")
 		}
 	}
+	l.out = max(l.out-1, 0)
 	l.stats.LentBytes -= 8 * int64(cap(s))
-	l.give(append(free, &s))
+	l.give(append(free, &slab{s: s, free: true}))
 }
 
 // Reset lets go of every free slab; the counters stand, and slabs still lent
@@ -127,7 +164,13 @@ func (l *Lender) Put(s []float64) {
 func (l *Lender) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	clear(l.take())
+	free := l.take()
+	for _, p := range free {
+		p.free = false
+	}
+	clear(free)
+	clear(l.index)
+	l.index = l.index[:0]
 }
 
 // Stats reads the counters.

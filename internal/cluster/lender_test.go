@@ -53,22 +53,22 @@ func (p *poisonLender) Put(s []float64) {
 	p.Lender.Put(s)
 }
 
-// pinLender makes a Lender's free list exact for the length of a test: one P
-// (the pool keeps a slot per P), no collection (the pool ages by them). Under
-// the race detector the pool also drops a quarter of what is put back, so
-// exact expectations are skipped there.
+// pinLender makes a Lender's free list exact for the length of a test: no
+// collection, so nothing ages out of the pool and every free slab stays
+// reachable through the index — whichever P's slot holds it, and under the
+// race detector too, where the pool drops a quarter of what is put back.
 func pinLender(t *testing.T) {
-	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
-	t.Cleanup(func() { runtime.GOMAXPROCS(procs); debug.SetGCPercent(gc) })
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gc) })
 }
 
 func base(s []float64) *float64 { return &s[:1][0] }
 
 // TestLenderProperty drives a Lender alone through a seeded schedule of Gets
 // and Puts against a model of its free list: Get(n) returns n values, never a
-// slab still lent, and — where the free list is exact — the smallest free
-// slab that holds n, a new one only when none does; more returns than the
-// bound keep the largest.
+// slab still lent, the smallest free slab that holds n, and a new one only
+// when none does; more free slabs than were ever out at once keep the
+// largest.
 func TestLenderProperty(t *testing.T) {
 	pinLender(t)
 	for seed := int64(1); seed <= 4; seed++ {
@@ -77,6 +77,7 @@ func TestLenderProperty(t *testing.T) {
 		lent, free, used := map[*float64]int{}, map[*float64]int{}, map[int]bool{}
 		var out [][]float64
 		var gets int64
+		peak := 0
 		for step := 0; step < 1500; step++ {
 			if len(out) > 0 && rng.Intn(5) < 2 {
 				i := rng.Intn(len(out))
@@ -86,7 +87,7 @@ func TestLenderProperty(t *testing.T) {
 				delete(lent, base(s))
 				free[base(s)] = cap(s)
 				l.Put(s[:rng.Intn(len(s)+1)]) // whatever length the borrower left it at
-				if len(free) > lenderSlabs && !raceEnabled {
+				if len(free) > peak {
 					var least *float64
 					for p, c := range free {
 						if least == nil || c < free[least] {
@@ -120,10 +121,10 @@ func TestLenderProperty(t *testing.T) {
 			switch {
 			case recycled && (c != cap(s) || c < n):
 				t.Fatalf("seed %d step %d: Get(%d) returned a free slab of capacity %d as %d", seed, step, n, c, cap(s))
-			case !raceEnabled && want != nil && base(s) != want:
+			case want != nil && base(s) != want:
 				t.Fatalf("seed %d step %d: Get(%d) returned capacity %d (recycled %t), best fit is the free slab of %d",
 					seed, step, n, cap(s), recycled, free[want])
-			case !raceEnabled && want == nil && recycled:
+			case want == nil && recycled:
 				t.Fatalf("seed %d step %d: Get(%d) found a slab the model says is gone", seed, step, n)
 			}
 			if !recycled {
@@ -132,12 +133,13 @@ func TestLenderProperty(t *testing.T) {
 			delete(free, base(s))
 			lent[base(s)] = cap(s)
 			out = append(out, s)
+			peak = max(peak, len(out))
 		}
 		var bytes int64
 		for _, c := range lent {
 			bytes += 8 * int64(c)
 		}
-		if st := l.Stats(); st.Hits+st.Misses != gets || st.LentBytes != bytes || (!raceEnabled && st.Hits == 0) {
+		if st := l.Stats(); st.Hits+st.Misses != gets || st.LentBytes != bytes || st.Hits == 0 {
 			t.Errorf("seed %d: stats %+v after %d Gets with %d bytes out", seed, st, gets, bytes)
 		}
 	}
@@ -177,29 +179,37 @@ func TestLenderConcurrent(t *testing.T) {
 	}
 }
 
-// TestLenderBoundAndLifetime: a Lender keeps the largest lenderSlabs of what
-// is returned to it, Reset lets go of them, and so do two collections — the
-// pool's ageing is the Lender's: nothing it holds outlives an idle spell.
+// TestLenderBoundAndLifetime: a Lender keeps as many free slabs as it ever
+// lent at once, the largest of what is returned; Reset lets go of them, and
+// so do two collections — the pool's ageing is the Lender's: nothing it holds
+// outlives an idle spell.
 func TestLenderBoundAndLifetime(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under -race sync.Pool drops a quarter of what is put back")
-	}
 	pinLender(t)
 	var l Lender
-	fill := func() {
-		for n := 1; n <= lenderSlabs+3; n++ {
-			l.Put(make([]float64, n))
-		}
+	const peak = 4
+	var out [][]float64
+	for n := 1; n <= peak; n++ {
+		out = append(out, l.Get(10*n))
 	}
-	fill()
-	for want := 4; want <= lenderSlabs+3; want++ {
+	for _, s := range out {
+		l.Put(s)
+	}
+	// Two slabs it never lent, one larger than any it did.
+	l.Put(make([]float64, 25))
+	l.Put(make([]float64, 45))
+	for _, want := range []int{25, 30, 40, 45} {
 		if s := l.Get(1); cap(s) != want {
-			t.Fatalf("Get(1) has capacity %d, want %d: the %d largest are kept and lent smallest first", cap(s), want, lenderSlabs)
+			t.Fatalf("Get(1) has capacity %d, want %d: the %d largest are kept and lent smallest first", cap(s), want, peak)
 		}
 	}
 	misses := l.Stats().Misses
 	if s := l.Get(1); cap(s) != 1 || l.Stats().Misses != misses+1 {
 		t.Fatalf("a Lender lent out holds nothing: Get(1) has capacity %d", cap(s))
+	}
+	fill := func() {
+		for n := 1; n <= 3; n++ {
+			l.Put(make([]float64, n))
+		}
 	}
 	for name, empty := range map[string]func(){"Reset": l.Reset, "two collections": func() { runtime.GC(); runtime.GC() }} {
 		fill()
@@ -217,6 +227,32 @@ func TestLenderBoundAndLifetime(t *testing.T) {
 		}
 	}()
 	l.Put(s)
+}
+
+// TestLenderHitsAcrossPs: eight goroutines borrow and return one size at
+// once, on whatever Ps they are scheduled, and the Lender makes no more slabs
+// than were ever out together — a Get makes one only when every free slab
+// that fits is out — so a slab returned on one P is lent on another, where
+// the pool alone hands it to no one.
+func TestLenderHitsAcrossPs(t *testing.T) {
+	pinLender(t)
+	var l Lender
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				s := l.Get(256)
+				runtime.Gosched()
+				l.Put(s)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := l.Stats(); st.Misses > int64(l.peak) || st.Hits+st.Misses != 8*500 {
+		t.Errorf("%+v with at most %d slabs out at once: a free slab was missed", st, l.peak)
+	}
 }
 
 // TestLentBackendIsInvisible: a backend that borrows its storage from a
@@ -291,7 +327,7 @@ func TestLentBackendIsInvisible(t *testing.T) {
 	if g, p := lender.gets.Load(), lender.puts.Load(); g != p || g == 0 {
 		t.Errorf("%d slabs borrowed, %d returned", g, p)
 	}
-	if st := lender.Stats(); st.LentBytes != 0 || (!raceEnabled && st.Hits == 0) {
+	if st := lender.Stats(); st.LentBytes != 0 || st.Hits == 0 {
 		t.Errorf("lender after every Close: %+v", st)
 	}
 }

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -669,6 +672,90 @@ func FuzzRestore(f *testing.F) {
 		defer res.Close()
 		if err := res.Checkpoint(io.Discard, ""); err != nil {
 			t.Fatalf("accepted snapshot cannot be snapshotted again: %v", err)
+		}
+	})
+}
+
+// FuzzRestoreInPlaceAgrees: for any bytes, the restores that stream the dats
+// section into the backend — Restore, in one pass from a reader, and the
+// path a service's restart takes, a ring generation recovered without its
+// dats (RecoverNewest) and restored from its file (RestoreState) — accept
+// exactly what Decode followed by RestoreState accepts, and when they accept,
+// the backends agree on ChecksumDats, owned values, clocks, validity, stats
+// and plan-cache counters. The bytes are a good snapshot with patch XORed in
+// at offset at (and appended past its end) and cut bytes cut off the end, so
+// the fuzzer works on a small patch while any byte string stays reachable;
+// reseal rewrites the trailer to match, so that a patch reaches the
+// decoder's structure and the restore's checks instead of the CRC.
+func FuzzRestoreInPlaceAgrees(f *testing.F) {
+	fx := newRestoreFixture(f)
+	n := len(fx.good)
+	f.Add(uint16(0), []byte(nil), uint16(0), false)
+	f.Add(uint16(0), []byte(nil), uint16(n/2), false)
+	f.Add(uint16(n/3), []byte{0x40}, uint16(0), false)
+	f.Add(uint16(n/3), []byte{0x40}, uint16(0), true)
+	f.Add(uint16(n-40), []byte{'x'}, uint16(0), true) // the meta section's JSON
+	f.Add(uint16(0), []byte(nil), uint16(8), true)    // no trailer left to reseal
+	cfg, _ := fx.fresh()
+	dir := f.TempDir()
+	spec := checkpoint.Spec{Every: 1, Path: filepath.Join(dir, "ck"), Keep: 1}
+	f.Fuzz(func(t *testing.T, at uint16, patch []byte, cut uint16, reseal bool) {
+		data := bytes.Clone(fx.good)
+		for k, p := range patch {
+			if i := int(at)%(n+1) + k; i < len(data) {
+				data[i] ^= p
+			} else {
+				data = append(data, p)
+			}
+		}
+		data = data[:len(data)-int(cut)%(len(data)+1)]
+		if m := len(data) - 8; reseal && m >= 0 {
+			binary.LittleEndian.PutUint32(data[m:], crc32.Checksum(data[:m], crc32.MakeTable(crc32.Castagnoli)))
+			binary.LittleEndian.PutUint32(data[m+4:], uint32(m))
+		}
+		var ref *Backend
+		st, refErr := checkpoint.Decode(bytes.NewReader(data))
+		if refErr == nil {
+			ref, refErr = RestoreState(st, cfg)
+		}
+		oneShot, _, oneErr := Restore(bytes.NewReader(data), cfg)
+		// The ring path: data as the ring's only generation.
+		gen := filepath.Join(dir, "ck.g000000")
+		os.Remove(gen + ".quarantined")
+		if err := os.WriteFile(gen, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ringed *Backend
+		ringErr := errors.New("recovery found no generation")
+		if ring, err := checkpoint.NewRing(spec); err != nil {
+			t.Fatal(err)
+		} else if st, _, _, _ := ring.RecoverNewest(); st != nil {
+			ringed, ringErr = RestoreState(st, cfg)
+		}
+		for _, b := range []*Backend{ref, oneShot, ringed} {
+			if b != nil {
+				defer b.Close()
+			}
+		}
+		if (refErr == nil) != (oneErr == nil) || (refErr == nil) != (ringErr == nil) {
+			t.Fatalf("Decode + RestoreState says %v, Restore says %v, the ring's recovery and restore %v", refErr, oneErr, ringErr)
+		}
+		if refErr != nil {
+			return
+		}
+		for _, got := range []struct {
+			label string
+			b     *Backend
+		}{{"in one pass", oneShot}, {"from the ring", ringed}} {
+			compareBackends(t, got.label, got.b, ref)
+			if g, w := got.b.ChecksumDats(), ref.ChecksumDats(); g != w {
+				t.Errorf("%s: checksum %s, decoded %s", got.label, g, w)
+			}
+			gh, gm, gi := got.b.PlanCacheStats()
+			wh, wm, wi := ref.PlanCacheStats()
+			if gh != wh || gm != wm || gi != wi {
+				t.Errorf("%s: plan cache %d/%d/%d, decoded %d/%d/%d", got.label, gh, gm, gi, wh, wm, wi)
+			}
 		}
 	})
 }

@@ -261,9 +261,10 @@ type AssignmentKey struct {
 }
 
 // Assignments keeps partition assignments between runs. Both methods are
-// safe for concurrent use, and neither side holds on to the other's slice:
-// Load returns a slice that is the caller's alone (nil when it has none under
-// k), Store copies what it keeps.
+// safe for concurrent use. What is kept is shared, not copied, both ways:
+// Load may return a slice other runs hold too (nil when it has none under k),
+// and Store may keep the slice it is handed. An assignment is read-only once
+// computed, like everything a Problem holds.
 type Assignments interface {
 	Load(k AssignmentKey) partition.Assignment
 	Store(k AssignmentKey, a partition.Assignment)
@@ -396,8 +397,9 @@ func ParseIterNote(note string) (int, error) {
 
 // Problem is what the attempts of a run description share and never modify:
 // the mesh, the multigrid hierarchy (mgcfd only), the partition assignment
-// (nil under seq) and, when the run has an Instances store, the declared app
-// (nil otherwise: then every attempt declares its own). Its owner builds one
+// (nil under seq; possibly other runs' too, through the run's Assignments)
+// and, when the run has an Instances store, the declared app (nil otherwise:
+// then every attempt declares its own). Its owner builds one
 // per run — the service per job, the command line per invocation, the harness
 // per paper point for the point's OP2 and CA backends — and every attempt,
 // restarts included, is built on it. An ablation whose partition no Spec
@@ -418,8 +420,8 @@ type Problem struct {
 
 // NewProblem builds the mesh, hierarchy and partition r describes, taking
 // the mesh and hierarchy from the declared instance its Instances keeps, or
-// leaving one there, when the run has that store and a distributed backend.
-// Assign is the Problem's own slice wherever it came from.
+// leaving one there, when the run has that store and a distributed backend,
+// and the partition from its Assignments, or leaving it there.
 func (r *Run) NewProblem() (*Problem, error) {
 	p := &Problem{}
 	if r.Instances != nil && r.Spec.Backend != "seq" {

@@ -2,7 +2,9 @@ package service
 
 import (
 	"math"
+	"slices"
 	"sync"
+	"weak"
 
 	"op2ca/internal/cluster"
 	"op2ca/internal/runspec"
@@ -19,55 +21,74 @@ const gcStoreKeys = 64
 // and restores — borrows the artefact instead of building it. A hit is shared,
 // not lent: concurrent jobs use one copy, which none of them writes.
 //
-// Unlike the partition store it is not bounded in bytes but evicted by the
-// garbage collector, as cluster.Lender's slabs are: each key's values are
-// referenced from a sync.Pool and from nowhere else, every Load takes one out
-// and puts it back, which counts as a use, and a key unused for two
-// collections holds nothing — so an idle service keeps none, and
+// Unlike the partition store's bytes it is not bounded in bytes but evicted
+// by the garbage collector, as cluster.Lender's slabs are: each key's values
+// are strongly referenced from a sync.Pool and from nowhere else, every Load
+// takes one out and puts it back, which counts as a use, and a key unused for
+// two collections holds nothing — so an idle service keeps none, and
 // heap_live_mb does not see the store. (DESIGN §5k has why retaining set-up
-// artefacts by byte budget did not pay.) A value parked in the per-P slot of a
-// P other than the caller's is a miss now: two workers can each build and
-// store one of a key. The zero value is an empty store.
-type gcStore[K comparable, V any] struct {
+// artefacts by byte budget did not pay.) Beside the pool each key keeps a weak
+// pointer to every value it was given: a value parked in the per-P slot of a
+// P other than the caller's, or held only by the jobs running on it, is still
+// a hit, and is put back in the pool for the caller's P. The zero value is an
+// empty store.
+type gcStore[K comparable, T any] struct {
 	mu           sync.Mutex
-	pools        map[K]*gcPool
+	pools        map[K]*gcPool[T]
 	tick         uint64
 	hits, misses int
 }
 
-// gcPool holds one key's values (no New: an empty pool hands over nil) and
-// when the key was last used.
-type gcPool struct {
+// gcPool holds one key's values (no New: an empty pool hands over nil), weak
+// pointers to every one of them still alive, and when the key was last used.
+type gcPool[T any] struct {
 	sync.Pool
-	used uint64
+	alive []weak.Pointer[T]
+	used  uint64
+}
+
+// find returns a value of the key that is still alive anywhere in the
+// process, forgetting the ones that are not; nil when there is none.
+func (p *gcPool[T]) find() *T {
+	var v *T
+	p.alive = slices.DeleteFunc(p.alive, func(w weak.Pointer[T]) bool {
+		if v == nil {
+			v = w.Value()
+			return v == nil
+		}
+		return w.Value() == nil
+	})
+	return v
 }
 
 // layoutStore is a Service's store of halo layouts (runspec.Layouts), keyed by
 // what they are built from (runspec.LayoutKey). A wrong one would be refused
 // (*cluster.LayoutsError).
-type layoutStore = gcStore[runspec.LayoutKey, *cluster.Layouts]
+type layoutStore = gcStore[runspec.LayoutKey, cluster.Layouts]
 
 // instanceStore is a Service's store of declared apps — mesh, hierarchy and
 // program (runspec.Instances) — keyed by what they are declared from
 // (runspec.InstanceKey). Backends only read a program (cluster.Config.Prog),
 // and the service runs no seq job, the one backend that writes it.
-type instanceStore = gcStore[runspec.InstanceKey, *runspec.Instance]
+type instanceStore = gcStore[runspec.InstanceKey, runspec.Instance]
 
 // Load implements runspec.Layouts and runspec.Instances: the value kept under
-// k, or V's zero value.
-func (s *gcStore[K, V]) Load(k K) V {
+// k, or nil.
+func (s *gcStore[K, T]) Load(k K) *T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var v V
-	ok := false
+	var v *T
 	if p := s.pools[k]; p != nil {
-		if v, ok = p.Get().(V); ok {
+		if v, _ = p.Get().(*T); v == nil {
+			v = p.find()
+		}
+		if v != nil {
 			p.Put(v)
 			s.tick++
 			p.used = s.tick
 		}
 	}
-	if ok {
+	if v != nil {
 		s.hits++
 	} else {
 		s.misses++
@@ -76,13 +97,13 @@ func (s *gcStore[K, V]) Load(k K) V {
 }
 
 // Store implements runspec.Layouts and runspec.Instances.
-func (s *gcStore[K, V]) Store(k K, v V) {
+func (s *gcStore[K, T]) Store(k K, v *T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.pools[k]
 	if p == nil {
 		if s.pools == nil {
-			s.pools = make(map[K]*gcPool)
+			s.pools = make(map[K]*gcPool[T])
 		}
 		if len(s.pools) >= gcStoreKeys {
 			var oldest K
@@ -94,23 +115,27 @@ func (s *gcStore[K, V]) Store(k K, v V) {
 			}
 			delete(s.pools, oldest)
 		}
-		p = new(gcPool)
+		p = new(gcPool[T])
 		s.pools[k] = p
 	}
 	s.tick++
 	p.used = s.tick
 	p.Put(v)
+	p.find() // forget the dead
+	if w := weak.Make(v); !slices.Contains(p.alive, w) {
+		p.alive = append(p.alive, w)
+	}
 }
 
 // reset lets go of every key and its values; the counters stand.
-func (s *gcStore[K, V]) reset() {
+func (s *gcStore[K, T]) reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	clear(s.pools)
 }
 
 // stats reads the counters for /metrics.
-func (s *gcStore[K, V]) stats() (hits, misses int) {
+func (s *gcStore[K, T]) stats() (hits, misses int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.hits, s.misses

@@ -336,20 +336,22 @@ func TestServiceE2EOverHTTP(t *testing.T) {
 		t.Errorf("slab lender: %v bytes lent with every job settled, want 0", n)
 	}
 	// The layout store says what it did: every attempt and restart looked it
-	// up, and the first of a key built. How many lookups hit is the
-	// collector's and the scheduler's to decide (sync.Pool), so it is counted
-	// in TestLayoutStoreInvisibleInResults, on one P with no collection.
+	// up, the first of a key built, and later ones — the restarts and resumes
+	// among them, on whichever worker's P — found what it built. (Exactly how
+	// many hit is counted in TestLayoutStoreInvisibleInResults, with no
+	// collection.)
 	if hits, misses := metricValue("op2ca_service_layout_store_hits_total"),
-		metricValue("op2ca_service_layout_store_misses_total"); misses <= 0 || hits+misses <= float64(len(specs)) {
-		t.Errorf("layout store: %v hits, %v misses over %d jobs; want a miss, and more lookups than jobs",
+		metricValue("op2ca_service_layout_store_misses_total"); hits <= 0 || misses <= 0 || hits+misses <= float64(len(specs)) {
+		t.Errorf("layout store: %v hits, %v misses over %d jobs; want both, and more lookups than jobs",
 			hits, misses, len(specs))
 	}
 	// The instance store says what it did: every job looked it up once, when
-	// its first attempt built the job's Problem, and the first of a key
-	// declared. Restarts and preempted resumes are built on that Problem.
+	// its first attempt built the job's Problem, the first of a key declared,
+	// and a later job of the key found it. Restarts and preempted resumes are
+	// built on that Problem.
 	if hits, misses := metricValue("op2ca_service_instance_store_hits_total"),
-		metricValue("op2ca_service_instance_store_misses_total"); misses <= 0 || hits+misses != float64(len(specs)) {
-		t.Errorf("instance store: %v hits, %v misses over %d jobs; want a miss, and one lookup a job",
+		metricValue("op2ca_service_instance_store_misses_total"); hits <= 0 || misses <= 0 || hits+misses != float64(len(specs)) {
+		t.Errorf("instance store: %v hits, %v misses over %d jobs; want both, and one lookup a job",
 			hits, misses, len(specs))
 	}
 	if !strings.Contains(metrics, "op2ca_service_restarts_total 1") &&

@@ -33,11 +33,15 @@ const _ = uint8(MaxRanks - 1)
 // the budget is not kept. Two workers that miss on one key both compute —
 // the bytes are the same, and the second Store keeps the first's.
 //
-// Nothing is shared with a job: Load expands the bytes into a slice of the
-// job's own and Store packs a copy, so no code downstream of a Problem has
-// to promise it leaves Assign alone.
+// What a job gets is shared and read-only, like everything a Problem holds:
+// a hit's bytes are expanded into a []int32 once and kept in expanded — a
+// gcStore, so the expansion lives while jobs use it and goes two collections
+// after the last — in front of the packed copy, which the budget bounds and
+// which stays the store's record of what it holds. Store packs a copy and
+// keeps the job's slice itself as the expansion.
 type partStore struct {
-	budget int
+	budget   int
+	expanded gcStore[runspec.AssignmentKey, partition.Assignment]
 
 	mu      sync.Mutex
 	entries map[runspec.AssignmentKey]*list.Element // of *partEntry
@@ -69,10 +73,14 @@ func (s *partStore) Load(k runspec.AssignmentKey) partition.Assignment {
 	s.lru.MoveToFront(el)
 	ranks := el.Value.(*partEntry).ranks
 	s.mu.Unlock()
+	if a := s.expanded.Load(k); a != nil {
+		return *a
+	}
 	a := make(partition.Assignment, len(ranks))
 	for v, r := range ranks {
 		a[v] = int32(r)
 	}
+	s.expanded.Store(k, &a)
 	return a
 }
 
@@ -86,6 +94,7 @@ func (s *partStore) Store(k runspec.AssignmentKey, a partition.Assignment) {
 	for v, r := range a {
 		ranks[v] = uint8(r)
 	}
+	s.expanded.Store(k, &a)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el := s.entries[k]; el != nil {
@@ -103,6 +112,7 @@ func (s *partStore) Store(k runspec.AssignmentKey, a partition.Assignment) {
 
 // reset lets go of every assignment; the counters stand.
 func (s *partStore) reset() {
+	s.expanded.reset()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	clear(s.entries)

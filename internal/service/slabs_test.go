@@ -1,13 +1,15 @@
 package service
 
 import (
+	"io"
 	"math"
-	"runtime"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"op2ca/internal/checkpoint"
 	"op2ca/internal/cluster"
 	"op2ca/internal/leakcheck"
 	"op2ca/internal/runspec"
@@ -206,10 +208,9 @@ func TestSlabsReturnedOnEveryExit(t *testing.T) {
 	}
 }
 
-// TestCloseEmptiesTheLender: Close lets go of the free slabs. One P, so that
-// the pool has no slot the closing goroutine cannot reach.
+// TestCloseEmptiesTheLender: Close lets go of the free slabs, whichever P's
+// pool slot holds them.
 func TestCloseEmptiesTheLender(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer leakcheck.Check(t)()
 	svc, err := New(Config{Workers: 2, DataDir: t.TempDir()})
 	if err != nil {
@@ -271,6 +272,66 @@ func BenchmarkJobBackend(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				build().Close()
+			}
+		})
+	}
+}
+
+// BenchmarkRestore restores the served Hydra template's backend (4 200 nodes,
+// 8 ranks, CA) from its ring's generation on the job's Problem, as a served
+// restart does — lent slabs, stored layouts, a stored instance — with the
+// snapshot decoded whole first (checkpoint.ReadFile) and recovered without
+// its dats, which then stream into the backend (Ring.RecoverNewest): B/op is
+// what a restart stops allocating.
+func BenchmarkRestore(b *testing.B) {
+	w, err := JobSpec{Tenant: "acme", App: "hydra", MeshNodes: 4200, Ranks: 8}.Validate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.run.Slabs, w.run.Layouts, w.run.Instances = new(cluster.Lender), new(layoutStore), new(instanceStore)
+	p, err := w.run.NewProblem()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ring, err := checkpoint.NewRing(checkpoint.Spec{Every: 1, Path: filepath.Join(b.TempDir(), "ck"), Keep: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := w.run.BuildOn(p, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a.Init()
+	a.Step()
+	_, err = ring.Write(func(w io.Writer) error { return a.CB.Checkpoint(w, runspec.IterNote(1)) })
+	a.Close()
+	if err == nil {
+		err = ring.Flush()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []string{"decoded", "in-place"} {
+		b.Run(mode, func(b *testing.B) {
+			restore := func() {
+				st, gen, _, _ := ring.RecoverNewest()
+				if mode == "decoded" && st != nil {
+					st, err = checkpoint.ReadFile(gen.Path)
+				}
+				if st == nil || err != nil {
+					b.Fatalf("no snapshot to restore: %v", err)
+				}
+				a, err := w.run.BuildOn(p, st)
+				if err != nil {
+					b.Fatal(err)
+				}
+				a.Close()
+			}
+			restore()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				restore()
 			}
 		})
 	}

@@ -256,7 +256,12 @@ func (s *Supervisor) Adopt(b *cluster.Backend) {
 // Recover begins one attempt: it scans the checkpoint ring newest-to-oldest
 // for a valid snapshot, quarantining corrupt generations, and returns the
 // state to resume from (nil = cold start). With no ring every attempt is a
-// cold start.
+// cold start. The state is the generation's header and continuation blob,
+// without its dats: the attempt's restore (cluster.RestoreState) streams them
+// from the generation into the backend it builds, and if the generation no
+// longer reads back by then, that restore's *checkpoint.GenerationError is a
+// failure OnFailure retries without charge, so the next Recover goes on to
+// the generation before it.
 func (s *Supervisor) Recover() *checkpoint.State {
 	s.stats.Attempts++
 	var st *checkpoint.State
@@ -289,8 +294,18 @@ func (s *Supervisor) Recover() *checkpoint.State {
 // OnFailure charges one supervised failure against the restart budget. A
 // nil return means the run should recover and retry; a non-nil return is
 // the run's final error — the failure itself when it is not supervisable,
-// or a *BudgetError when the budget is exhausted.
+// or a *BudgetError when the budget is exhausted. A restore whose recovered
+// generation no longer read back (*checkpoint.GenerationError) is counted as
+// recovery counts a generation that fails to decode, and retried free.
 func (s *Supervisor) OnFailure(err error) error {
+	var ge *checkpoint.GenerationError
+	if errors.As(err, &ge) && s.ring != nil {
+		if ge.Quarantined {
+			s.stats.Quarantined++
+		}
+		s.lastFailure = err
+		return nil
+	}
 	if !Supervisable(err) {
 		return err
 	}

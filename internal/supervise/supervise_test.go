@@ -408,3 +408,104 @@ func TestCatchCrash(t *testing.T) {
 	}()
 	supervise.CatchCrash(func() { panic("boom") })
 }
+
+// TestGenerationChangedBeforeRestore: recovery hands an attempt the newest
+// generation without its dats, and the restore streams them from the file. A
+// generation damaged in between fails that restore with a quarantining
+// *checkpoint.GenerationError, which costs no restart: the next recovery
+// takes the generation before it, and the run still ends in the
+// uninterrupted run's checksums and clock.
+func TestGenerationChangedBeforeRestore(t *testing.T) {
+	const iters = 4
+	h, assign := newHier()
+	refApp := mgcfd.New(h)
+	ref, err := cluster.New(mkCfg(refApp, assign, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	refApp.Init(ref)
+	e0 := faultSeqOf(t, ref)
+	for it := 0; it < iters; it++ {
+		refApp.Cycle(ref)
+	}
+	perIter := (faultSeqOf(t, ref) - e0) / iters
+	plan := faults.MustParse(fmt.Sprintf("crash=rank0@%d,seed=2", e0+2*perIter+2)) // mid iteration 3
+
+	ring, err := checkpoint.NewRing(checkpoint.Spec{Every: 1, Path: filepath.Join(t.TempDir(), "ck.bin"), Keep: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var final *cluster.Backend
+	var refused error
+	r := &supervise.Runner{
+		Spec: supervise.Spec{Enabled: true, Budget: 1},
+		Plan: plan,
+		Ring: ring,
+		Body: func(st *checkpoint.State, sup *supervise.Supervisor) error {
+			app := mgcfd.New(h)
+			cfg := mkCfg(app, assign, plan, nil)
+			var b *cluster.Backend
+			start := 0
+			if st == nil {
+				var err error
+				if b, err = cluster.New(cfg); err != nil {
+					return err
+				}
+				app.Init(b)
+			} else {
+				if refused == nil {
+					// The newest generation, which recovery just verified,
+					// loses a byte before the restore reads its dats.
+					newest := ring.Generations()[0].Path
+					info, err := os.Stat(newest)
+					if err == nil {
+						err = os.Truncate(newest, info.Size()-1)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				var err error
+				if b, err = cluster.RestoreState(st, cfg); err != nil {
+					refused = err
+					return err
+				}
+				if _, err := fmt.Sscanf(st.Note, "iter=%d", &start); err != nil {
+					return fmt.Errorf("note %q: %w", st.Note, err)
+				}
+			}
+			sup.Adopt(b)
+			final = b
+			for it := start; it < iters; it++ {
+				app.Cycle(b)
+				if _, err := ring.Write(func(w io.Writer) error {
+					return b.Checkpoint(w, fmt.Sprintf("iter=%d", it+1))
+				}); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	sup, err := r.Run()
+	if err != nil {
+		t.Fatalf("supervised run failed: %v", err)
+	}
+	defer final.Close()
+	var ge *checkpoint.GenerationError
+	if !errors.As(refused, &ge) || !ge.Quarantined {
+		t.Fatalf("the restore from the damaged generation said %v, want a quarantining *checkpoint.GenerationError", refused)
+	}
+	if got, want := final.ChecksumDats(), ref.ChecksumDats(); got != want {
+		t.Errorf("checksums diverge: supervised %s, uninterrupted %s", got, want)
+	}
+	if got, want := final.MaxClock(), ref.MaxClock(); got != want {
+		t.Errorf("virtual clock diverges: supervised %v, uninterrupted %v", got, want)
+	}
+	sup.Finish(final.Stats())
+	sv := final.Stats().Supervise
+	if sv.Attempts != 3 || sv.Restarts != 1 || sv.Quarantined != 1 || sv.GenerationsTried != 2 || sv.ColdStarts != 1 {
+		t.Errorf("SuperviseStats = %+v, want 3 attempts, 1 restart, 1 quarantined, 2 tried, 1 cold start", sv)
+	}
+}
