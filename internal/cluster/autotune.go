@@ -33,8 +33,8 @@ import (
 )
 
 // tuneKey identifies one tuned chain: name plus structural signature, so a
-// lazy chain whose auto-detected composition varies between flushes gets
-// one tuner state per distinct structure.
+// name an application reuses for chains of different loops gets one tuner
+// state per distinct structure.
 type tuneKey struct {
 	chain string
 	sig   string
@@ -179,12 +179,12 @@ func (b *Backend) tuneInvariant(name string, loops []core.Loop, cfgChain *chainc
 // first, the decided policy afterwards, re-tuning when the measured window
 // time diverges from the prediction.
 func (b *Backend) runTuned(ct *chainTune, name string, loops []core.Loop, cfgChain *chaincfg.Chain, cs *ChainStats) {
-	t0 := b.maxClock()
+	t0 := b.MaxClock()
 	ct.beginWindow()
 	b.tuneSampling = ct
 	decided := ct.decision
 	if decided != nil && decided.ChosenPolicy.CA {
-		b.runChainImpl(name, loops, cfgChain, decided.ChosenPolicy.HE, decided.ChosenPolicy.Grouped, decided.ChosenPolicy.Overlap, cs, true)
+		b.runChainImpl(name, loops, cfgChain, decided.ChosenPolicy.HE, decided.ChosenPolicy.Grouped, decided.ChosenPolicy.Overlap, cs)
 	} else {
 		b.runPerLoop(name, loops, cs, t0)
 	}
@@ -195,7 +195,7 @@ func (b *Backend) runTuned(ct *chainTune, name string, loops []core.Loop, cfgCha
 		b.tuneDecide(ct, name, loops, cfgChain)
 		return
 	}
-	measured := b.maxClock() - t0
+	measured := b.MaxClock() - t0
 	decided.Windows++
 	decided.Measured = measured
 	if autotune.ShouldReplan(decided.Predicted, measured) {
@@ -260,7 +260,7 @@ func (b *Backend) tuneDecide(ct *chainTune, name string, loops []core.Loop, cfgC
 	ct.decision = &d
 	b.stats.AutoTune.note(&d, cal)
 	if b.tracer.Enabled() {
-		t := b.maxClock()
+		t := b.MaxClock()
 		b.tracer.Emit(0, obs.TrackExec, obs.Tune, name+" -> "+d.Chosen, t, t, 0)
 	}
 }

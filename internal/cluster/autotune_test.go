@@ -278,30 +278,6 @@ func TestChainAutoFlagEnablesTuning(t *testing.T) {
 	}
 }
 
-// TestAutoTuneLazyChains: lazily detected chains tune too, keyed by their
-// structural signature, and stay bit-identical to the eager static run.
-func TestAutoTuneLazyChains(t *testing.T) {
-	m := mesh.Rotor(8, 6, 5)
-	const steps = 6
-	want := seqResult(m, steps)
-	a := newMiniApp(m)
-	a.p.DeclDat(a.bedges, 1, makeBW(m.NBedges), "bw")
-	b, err := New(Config{
-		Prog: a.p, Primary: a.nodes, Assign: partition.KWay(m.NodeAdjacency(), 5),
-		NParts: 5, Depth: 2, MaxChainLen: 4, CA: true, Lazy: true, AutoTune: true,
-		Machine: machine.ARCHER2(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.run(b, steps, false) // no explicit chain demarcation
-	got := map[string][]float64{"res": b.GatherDat(a.res), "flux": b.GatherDat(a.flux)}
-	compareExact(t, "lazy autotune vs seq", got, want)
-	if !b.Stats().AutoTune.Enabled {
-		t.Fatal("lazy chains never engaged the tuner")
-	}
-}
-
 // TestAutoTuneObservability: decisions surface through the stats report,
 // the Prometheus export and a zero-length tune trace span.
 func TestAutoTuneObservability(t *testing.T) {

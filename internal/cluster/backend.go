@@ -101,14 +101,6 @@ type Config struct {
 	// back into the virtual-time arithmetic: traced and untraced runs
 	// produce bit-identical clocks and results.
 	Tracer *obs.Tracer `json:"-"`
-	// Lazy defers loop execution and auto-detects chains at runtime (the
-	// paper's stated future work: code-gen automation via lazy
-	// evaluation). Loops queue until a synchronisation point — a global
-	// reduction, an observation (GatherDat, MaxClock, Stats), an explicit
-	// chain boundary, or MaxChainLen loops — then execute as a CA chain
-	// when feasible, falling back to per-loop execution otherwise.
-	// Requires CA.
-	Lazy bool
 	// NoPlanCache disables the inspect-once/execute-many memoisation:
 	// every chain execution re-runs ca.Inspect, and every exchange — chain
 	// or per-loop — builds its pack/unpack schedule from the halo layouts
@@ -156,10 +148,10 @@ type Backend struct {
 	dats    [][][]float64
 	datSlab []float64
 	valid   []validity
-	// written[datID] records that a loop or ScatterDat has written the dat
-	// since the backend was constructed: a snapshot holds the owned values of
-	// exactly these dats (see checkpoint.go). Set where the dat's halo copies
-	// are invalidated; never cleared.
+	// written[datID] records that a loop has written the dat since the
+	// backend was constructed: a snapshot holds the owned values of exactly
+	// these dats (see checkpoint.go). Set where the dat's halo copies are
+	// invalidated; never cleared.
 	written []bool
 	clock   []float64
 	stats   *Stats
@@ -168,8 +160,7 @@ type Backend struct {
 	// Profile analyses exactly this epoch when a sweep shares one tracer.
 	epoch int32
 
-	rec   *recording
-	lazyQ []core.Loop
+	rec *recording
 
 	// tunes holds per-chain autotuner state; tuneSampling points at the
 	// chain whose window is currently executing with calibration sampling
@@ -357,9 +348,6 @@ func New(cfg Config) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Lazy && !cfg.CA {
-		return nil, fmt.Errorf("cluster: Lazy requires CA (lazy chains execute with Algorithm 2)")
-	}
 	if cfg.AutoTune && !cfg.CA {
 		return nil, fmt.Errorf("cluster: AutoTune requires CA (the tuner picks between per-loop and Algorithm 2 execution)")
 	}
@@ -503,26 +491,12 @@ func (b *Backend) Name() string {
 	return "cluster-op2"
 }
 
-// Stats returns the instrumentation counters, flushing any lazily queued
-// loops first.
-func (b *Backend) Stats() *Stats {
-	b.FlushLazy()
-	return b.stats
-}
+// Stats returns the instrumentation counters.
+func (b *Backend) Stats() *Stats { return b.stats }
 
-// Clocks returns the per-rank virtual clocks, flushing any lazily queued
-// loops first.
-func (b *Backend) Clocks() []float64 {
-	b.FlushLazy()
-	return b.clock
-}
+// Clocks returns the per-rank virtual clocks.
+func (b *Backend) Clocks() []float64 { return b.clock }
 
-// MaxClock returns the virtual time of the slowest rank, flushing any
-// lazily queued loops first.
-func (b *Backend) MaxClock() float64 {
-	b.FlushLazy()
-	return b.maxClock()
-}
 
 // armAll builds the initial all-armed crash mask for n schedule clauses.
 func armAll(n int) []bool {
@@ -557,11 +531,11 @@ func (b *Backend) ArmCrashes(mask []bool) {
 // watchdog on a restored backend does not trip it retroactively.
 func (b *Backend) SetWatchdog(deadline float64) {
 	b.watchdog = deadline
-	b.lastProgress = b.maxClock()
+	b.lastProgress = b.MaxClock()
 }
 
-// maxClock is MaxClock without the lazy flush, for internal accounting.
-func (b *Backend) maxClock() float64 {
+// MaxClock returns the virtual time of the slowest rank.
+func (b *Backend) MaxClock() float64 {
 	m := 0.0
 	for _, t := range b.clock {
 		if t > m {
@@ -574,8 +548,7 @@ func (b *Backend) maxClock() float64 {
 // NParts returns the rank count.
 func (b *Backend) NParts() int { return b.cfg.NParts }
 
-// ChainBegin implements core.Backend: start recording a loop-chain. An
-// explicit chain boundary flushes any lazily queued loops first. The
+// ChainBegin implements core.Backend: start recording a loop-chain. The
 // recording reuses one Backend-owned buffer, so steady-state chain
 // re-execution records without allocating.
 func (b *Backend) ChainBegin(name string) {
@@ -583,7 +556,6 @@ func (b *Backend) ChainBegin(name string) {
 		panic(fmt.Sprintf("cluster: nested loop-chain %q inside %q", name, b.rec.name))
 	}
 	b.mustBeOpen("ChainBegin")
-	b.FlushLazy()
 	b.recScratch.name = name
 	b.recScratch.loops = b.recScratch.loops[:0]
 	b.rec = &b.recScratch
@@ -601,19 +573,19 @@ func (b *Backend) ChainEnd() {
 
 	cs := b.stats.chain(rec.name)
 	cs.Executions++
-	cs.noteLen(len(rec.loops))
+	cs.NLoop = len(rec.loops)
 
 	chainCfg := b.cfg.Chains.Get(rec.name)
 	useCA := b.cfg.CA && len(rec.loops) > 1 && (chainCfg == nil || !chainCfg.Disabled)
 	if !useCA {
-		b.runPerLoop(rec.name, rec.loops, cs, b.maxClock())
+		b.runPerLoop(rec.name, rec.loops, cs, b.MaxClock())
 		return
 	}
 	if ct := b.tuneFor(rec.name, rec.loops, chainCfg); ct != nil {
 		b.runTuned(ct, rec.name, rec.loops, chainCfg, cs)
 		return
 	}
-	b.runChain(rec.name, rec.loops, chainCfg, cs, false)
+	b.runChain(rec.name, rec.loops, chainCfg, cs)
 }
 
 // ParLoop implements core.Backend.
@@ -630,59 +602,12 @@ func (b *Backend) ParLoop(l core.Loop) {
 		b.rec.loops = append(b.rec.loops, l)
 		return
 	}
-	if b.cfg.Lazy {
-		if l.HasGlobalReduction() {
-			// A global reduction is a synchronisation point: it ends any
-			// implicit chain.
-			b.FlushLazy()
-			b.runStandard(l, "")
-			return
-		}
-		b.lazyQ = append(b.lazyQ, l)
-		if len(b.lazyQ) >= b.cfg.MaxChainLen {
-			b.FlushLazy()
-		}
-		return
-	}
 	b.runStandard(l, "")
 }
 
-// FlushLazy executes any lazily queued loops: as an automatically detected
-// CA chain when two or more loops are queued and their dependencies allow,
-// else as ordinary per-loop code. It is a no-op outside lazy mode or when
-// the queue is empty.
-func (b *Backend) FlushLazy() {
-	q := b.lazyQ
-	if len(q) == 0 {
-		return
-	}
-	b.mustBeOpen("FlushLazy")
-	b.lazyQ = nil
-	// Every flush counts as one execution of the "lazy" chain, single-loop
-	// flushes included, and the chain-length spread is tracked via
-	// noteLen: auto-detected chain lengths vary from flush to flush, so a
-	// single last-writer NLoop would misreport the row.
-	cs := b.stats.chain("lazy")
-	cs.Executions++
-	cs.noteLen(len(q))
-	if len(q) == 1 {
-		// One queued loop: no chain to build. Run it per-loop, attributed
-		// to the lazy chain exactly like a chain fallback.
-		b.runPerLoop("lazy", q, cs, b.maxClock())
-		return
-	}
-	if ct := b.tuneFor("lazy", q, b.cfg.Chains.Get("lazy")); ct != nil {
-		b.runTuned(ct, "lazy", q, b.cfg.Chains.Get("lazy"), cs)
-		return
-	}
-	b.runChain("lazy", q, b.cfg.Chains.Get("lazy"), cs, true)
-}
-
-// GatherDat assembles the global values of d from the owning ranks,
-// flushing any lazily queued loops first (it observes their results).
+// GatherDat assembles the global values of d from the owning ranks.
 func (b *Backend) GatherDat(d *core.Dat) []float64 {
 	b.mustBeOpen("GatherDat")
-	b.FlushLazy()
 	return b.gatherInto(make([]float64, d.Set.Size*d.Dim), d)
 }
 
@@ -707,7 +632,6 @@ func (b *Backend) gatherInto(out []float64, d *core.Dat) []float64 {
 // the backend keeps, so a call allocates nothing proportional to the data.
 func (b *Backend) ChecksumDats() string {
 	b.mustBeOpen("ChecksumDats")
-	b.FlushLazy()
 	if b.scr.gather == nil {
 		n := 0
 		for _, d := range b.cfg.Prog.Dats {
@@ -730,27 +654,6 @@ func (b *Backend) ChecksumDats() string {
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// ScatterDat pushes fresh global values of d to every rank (owned and halo
-// copies), marking the dat fully valid. Use it to (re)initialise data
-// between experiment phases.
-func (b *Backend) ScatterDat(d *core.Dat, global []float64) {
-	b.mustBeOpen("ScatterDat")
-	b.FlushLazy()
-	if len(global) != d.Set.Size*d.Dim {
-		panic(fmt.Sprintf("cluster: ScatterDat %s: %d values, want %d", d.Name, len(global), d.Set.Size*d.Dim))
-	}
-	for r := 0; r < b.cfg.NParts; r++ {
-		sl := b.layouts[r].SetL(d.Set)
-		local := b.dats[r][d.ID]
-		for loc := 0; loc < sl.Total(); loc++ {
-			g := int(sl.L2G[loc])
-			copy(local[loc*d.Dim:(loc+1)*d.Dim], global[g*d.Dim:(g+1)*d.Dim])
-		}
-	}
-	b.valid[d.ID] = validity{exec: b.cfg.Depth, nonexec: b.cfg.Depth}
-	b.written[d.ID] = true
 }
 
 // forEachRank runs f(w, r) for every rank r, through the persistent worker
@@ -802,7 +705,7 @@ func (b *Backend) stopPool() {
 // outlive it and a lent one's slabs are never lent again. What a run leaves
 // behind stays readable — Stats, Clocks, MaxClock, ExchangeSeq and everything
 // they returned earlier — and anything that would touch the dats (ParLoop,
-// ScatterDat, GatherDat, ChecksumDats, Checkpoint) panics with a
+// ChainBegin, GatherDat, ChecksumDats, Checkpoint) panics with a
 // *ClosedError. Idempotent: a slab goes back exactly once.
 func (b *Backend) Close() {
 	b.stopPool()

@@ -35,9 +35,6 @@ func (e *CancelledError) Error() string {
 // fresh Backend restored from a checkpoint.
 func (b *Backend) Cancel() { b.cancelled.Store(true) }
 
-// CancelRequested reports whether Cancel has been called on this Backend.
-func (b *Backend) CancelRequested() bool { return b.cancelled.Load() }
-
 // ExchangeSeq returns the current exchange sequence number — the count of
 // exchange boundaries this run has passed. It keys deterministic fault
 // decisions (crash=rankN@E clauses fire when the sequence hits E), so

@@ -40,7 +40,7 @@ func TestCancelLeavesRestorableGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanW.run(clean, 0, iters, false)
+	cleanW.run(clean, 0, iters)
 	wantSum := clean.ChecksumDats()
 	wantClock := clean.MaxClock()
 
@@ -59,7 +59,7 @@ func TestCancelLeavesRestorableGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for it := 0; it < cut; it++ {
-		firstW.run(first, it, it+1, false)
+		firstW.run(first, it, it+1)
 		note := fmt.Sprintf("iter=%d", it+1)
 		if _, err := ring.Write(func(w io.Writer) error {
 			return first.Checkpoint(w, note)
@@ -67,13 +67,7 @@ func TestCancelLeavesRestorableGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if first.CancelRequested() {
-		t.Fatal("CancelRequested before Cancel")
-	}
 	first.Cancel()
-	if !first.CancelRequested() {
-		t.Fatal("CancelRequested false after Cancel")
-	}
 	cerr := func() (cerr *CancelledError) {
 		defer func() {
 			r := recover()
@@ -85,7 +79,7 @@ func TestCancelLeavesRestorableGeneration(t *testing.T) {
 				panic(r)
 			}
 		}()
-		firstW.run(first, cut, iters, false)
+		firstW.run(first, cut, iters)
 		return nil
 	}()
 	if cerr.Exchange == 0 {
@@ -122,7 +116,7 @@ func TestCancelLeavesRestorableGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secondW.run(second, doneIters, iters, false)
+	secondW.run(second, doneIters, iters)
 	if got := second.ChecksumDats(); got != wantSum {
 		t.Fatalf("resumed checksum %q != clean %q", got, wantSum)
 	}
@@ -151,7 +145,7 @@ func TestCancelObservedMidChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One full repetition establishes a nonzero exchange sequence.
-	w.run(b, 0, 1, false)
+	w.run(b, 0, 1)
 	seqBefore := b.ExchangeSeq()
 	if seqBefore == 0 {
 		t.Fatal("ExchangeSeq = 0 after a full repetition")
@@ -167,6 +161,6 @@ func TestCancelObservedMidChain(t *testing.T) {
 			t.Fatalf("cancelled at exchange %d, want next boundary %d", ce.Exchange, seqBefore)
 		}
 	}()
-	w.run(b, 1, 2, false)
+	w.run(b, 1, 2)
 	t.Fatal("run survived cancellation")
 }

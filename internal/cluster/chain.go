@@ -15,11 +15,11 @@ import (
 // Algorithm 2: inspect (Algorithm 3 plus configuration overrides), exchange
 // one grouped message per neighbour covering all required halo shells, run
 // every loop's core region while messages are in flight, wait once, then run
-// every loop's halo regions up to its halo extension. auto marks an
-// automatically detected (lazy) chain: an under-built halo depth is then not
-// a configuration error but a reason to fall back to per-loop execution.
-func (b *Backend) runChain(name string, loops []core.Loop, cfgChain *chaincfg.Chain, cs *ChainStats, auto bool) {
-	b.runChainImpl(name, loops, cfgChain, b.overridesFor(cfgChain, len(loops)), !b.cfg.NoGroupedMsgs, b.overlapFor(cfgChain), cs, auto)
+// every loop's halo regions up to its halo extension. A chain that needs more
+// halo shells or loops than the backend was built for is a configuration
+// error and panics.
+func (b *Backend) runChain(name string, loops []core.Loop, cfgChain *chaincfg.Chain, cs *ChainStats) {
+	b.runChainImpl(name, loops, cfgChain, b.overridesFor(cfgChain, len(loops)), !b.cfg.NoGroupedMsgs, b.overlapFor(cfgChain), cs)
 }
 
 // overlapFor resolves whether a chain's exchange is delivered under
@@ -71,7 +71,7 @@ func (b *Backend) runPerLoop(name string, loops []core.Loop, cs *ChainStats, t0 
 		b.runStandard(l, name)
 		cs.Predicted += ls.Predicted - before
 	}
-	cs.Time += b.maxClock() - t0
+	cs.Time += b.MaxClock() - t0
 }
 
 // runChainImpl is the CA chain executor. overrides, grouped and overlap are
@@ -81,8 +81,8 @@ func (b *Backend) runPerLoop(name string, loops []core.Loop, cs *ChainStats, t0 
 // overlapFor); the degradation ladder's ungrouped rung keeps the chain's
 // overlap mode, while the per-loop rung is bulk by construction.
 func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincfg.Chain,
-	overrides []int, grouped, overlap bool, cs *ChainStats, auto bool) {
-	t0 := b.maxClock()
+	overrides []int, grouped, overlap bool, cs *ChainStats) {
+	t0 := b.MaxClock()
 	m := b.cfg.Machine
 
 	fallback := func() {
@@ -109,18 +109,10 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 		panic("cluster: " + err.Error())
 	}
 	if plan.MaxDepth > b.cfg.Depth {
-		if auto {
-			fallback()
-			return
-		}
 		panic(fmt.Sprintf("cluster: chain %q needs halo depth %d but the back-end was built with Depth %d; raise Config.Depth",
 			name, plan.MaxDepth, b.cfg.Depth))
 	}
 	if len(loops) > b.cfg.MaxChainLen {
-		if auto {
-			fallback()
-			return
-		}
 		panic(fmt.Sprintf("cluster: chain %q has %d loops but the back-end was built with MaxChainLen %d; raise Config.MaxChainLen",
 			name, len(loops), b.cfg.MaxChainLen))
 	}
@@ -254,7 +246,7 @@ func (b *Backend) runChainImpl(name string, loops []core.Loop, cfgChain *chaincf
 		Neighbours:   float64(res.maxNeigh),
 		GroupedBytes: float64(res.maxMsgBytes),
 	}, net)
-	cs.Time += b.maxClock() - t0
+	cs.Time += b.MaxClock() - t0
 }
 
 // chainPrepRank is the first fork of a CA chain execution: derive rank r's

@@ -8,8 +8,9 @@ package cluster
 // process-equivalent backend that continues exactly where the snapshot left
 // off. The restore invariant: crash -> restore-from-last-checkpoint ->
 // completion yields dat checksums bitwise identical to the uninterrupted
-// run, under every execution policy (per-loop OP2, CA at any depth, grouped
-// or ungrouped messages, lazy chains, parallel ranks, autotune mid-switch).
+// run, clocks and counters included, under every execution policy (per-loop
+// OP2, CA at any depth, grouped or ungrouped messages, overlapped delivery,
+// parallel ranks, autotune mid-switch).
 //
 // What a snapshot leaves out, and why a restore does not need it:
 //   - Halo copies. OP2's dirty-bit rule, generalised here to a validity
@@ -26,7 +27,7 @@ package cluster
 //     such a chain under-reaches it reads the pre-chain owner value its own
 //     exchange delivered in place of an in-chain update — a deviation, but a
 //     function of owned values and validity like everything else.
-//   - Dats no loop or ScatterDat has written (mesh constants: volumes, edge
+//   - Dats no loop has written (mesh constants: volumes, edge
 //     weights, coordinates). New copies them from Config.Prog, so the
 //     restoring backend already holds them — provided the restoring program
 //     declares the same values, which the fingerprint (names, sets, dims)
@@ -95,6 +96,13 @@ type configFingerprint struct {
 	Dats       []fpDat `json:"dats"`
 	AssignHash string  `json:"assign_hash"`
 }
+
+// retiredLazy is how a snapshot written while Config still had its Lazy field
+// (automatic chain detection, since retired) fingerprints a run without it:
+// restoreHeader drops it before comparing, so those snapshots still restore.
+// Inside a JSON string the quotes would be escaped, so it can only match the
+// field itself; a run that had it true is refused.
+var retiredLazy = []byte(`,"Lazy":false`)
 
 type fpSet struct {
 	Name string `json:"name"`
@@ -218,16 +226,14 @@ func (b *Backend) snapshotSlabs() [][][]float64 {
 
 // Checkpoint writes a snapshot of the backend's state to w: everything a
 // restore into a process-equivalent configuration cannot rebuild (see the
-// file comment). Lazily queued loops are flushed first (the snapshot captures
-// a well-defined synchronisation point); an open explicit chain is an error —
-// there is no mid-chain state a restore could resume into. note is
-// caller-defined resume context returned verbatim by Restore.
+// file comment). An open chain is an error — there is no mid-chain state a
+// restore could resume into. note is caller-defined resume context returned
+// verbatim by Restore.
 func (b *Backend) Checkpoint(w io.Writer, note string) error {
 	b.mustBeOpen("Checkpoint")
 	if b.rec != nil {
 		return fmt.Errorf("cluster: cannot checkpoint inside open chain %q", b.rec.name)
 	}
-	b.FlushLazy()
 	fp, err := b.configFingerprint()
 	if err != nil {
 		return err
@@ -311,7 +317,7 @@ func (b *Backend) Checkpoint(w io.Writer, note string) error {
 	b.stats.Ckpt.Checkpoints++
 	b.stats.Ckpt.CheckpointBytes += n
 	if b.tracer.Enabled() {
-		t := b.maxClock()
+		t := b.MaxClock()
 		b.tracer.Emit(0, obs.TrackExec, obs.Checkpoint, note, t, t, n)
 	}
 	return nil
@@ -512,7 +518,7 @@ func (b *Backend) restoreHeader(st *checkpoint.State) error {
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(fp, st.Fingerprint) {
+	if !bytes.Equal(fp, st.Fingerprint) && !bytes.Equal(fp, bytes.Replace(st.Fingerprint, retiredLazy, nil, 1)) {
 		return snapshotErrorf(ErrSnapshotConfig, "fingerprint mismatch:\n  snapshot: %s\n  config:   %s",
 			st.Fingerprint, fp)
 	}
@@ -597,7 +603,7 @@ func (b *Backend) restoreFrom(st *checkpoint.State, sink *datSink) error {
 	b.crashArmed = nil
 	b.stats.Ckpt.Restores++
 	if b.tracer.Enabled() {
-		t := b.maxClock()
+		t := b.MaxClock()
 		b.tracer.Emit(0, obs.TrackExec, obs.Restore, st.Note, t, t, 0)
 	}
 	return nil

@@ -42,16 +42,9 @@ func newCkptWorkload(m *mesh.FV3D, seed int64, nloops int) ckptWorkload {
 	return ckptWorkload{app: app, loops: loops}
 }
 
-// run executes chain repetitions [from, to). Lazy mode queues the loops
-// without explicit chain markers, exercising the lazy fuser instead.
-func (w ckptWorkload) run(b *Backend, from, to int, lazy bool) {
+// run executes chain repetitions [from, to).
+func (w ckptWorkload) run(b *Backend, from, to int) {
 	for it := from; it < to; it++ {
-		if lazy {
-			for _, l := range w.loops {
-				b.ParLoop(l)
-			}
-			continue
-		}
 		b.ChainBegin("prop")
 		for _, l := range w.loops {
 			b.ParLoop(l)
@@ -63,10 +56,8 @@ func (w ckptWorkload) run(b *Backend, from, to int, lazy bool) {
 // TestCheckpointRoundTrip is the restore-invariant property test: snapshot
 // mid-run under every backend mode, restore into a fresh process-equivalent
 // backend, and the completed run must be bitwise identical to the
-// uninterrupted one — dat checksums always, virtual clocks and
-// fault/plan-cache counters in every mode with deterministic chain
-// boundaries (lazy flushing at the snapshot is a sync point the clean run
-// does not have, so only its data values are required to match).
+// uninterrupted one — dat checksums, virtual clocks and fault/plan-cache
+// counters, in every mode.
 func TestCheckpointRoundTrip(t *testing.T) {
 	const (
 		seed   = 42
@@ -78,18 +69,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	m := mesh.Rotor(6, 5, 4)
 	assign := partition.KWay(m.NodeAdjacency(), nparts)
 	modes := []struct {
-		name       string
-		mut        func(*Config)
-		lazy       bool
-		statsExact bool
+		name string
+		mut  func(*Config)
 	}{
-		{"op2", func(c *Config) { c.CA = false }, false, true},
-		{"ca", func(c *Config) {}, false, true},
-		{"ca-parallel", func(c *Config) { c.Parallel = true }, false, true},
-		{"ca-ungrouped", func(c *Config) { c.NoGroupedMsgs = true }, false, true},
-		{"ca-lazy", func(c *Config) { c.Lazy = true }, true, false},
-		{"ca-autotune", func(c *Config) { c.AutoTune = true }, false, true},
-		{"ca-overlap", func(c *Config) { c.Overlap = true }, false, true},
+		{"op2", func(c *Config) { c.CA = false }},
+		{"ca", func(c *Config) {}},
+		{"ca-parallel", func(c *Config) { c.Parallel = true }},
+		{"ca-ungrouped", func(c *Config) { c.NoGroupedMsgs = true }},
+		{"ca-autotune", func(c *Config) { c.AutoTune = true }},
+		{"ca-overlap", func(c *Config) { c.Overlap = true }},
 	}
 	plans := []struct {
 		name string
@@ -117,7 +105,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(clean.Close)
-				cleanW.run(clean, 0, iters, mode.lazy)
+				cleanW.run(clean, 0, iters)
 				wantSum := clean.ChecksumDats()
 				wantClock := clean.MaxClock()
 				wantFaults := clean.Stats().Faults
@@ -131,7 +119,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(first.Close)
-				firstW.run(first, 0, cut, mode.lazy)
+				firstW.run(first, 0, cut)
 				var snap bytes.Buffer
 				if err := first.Checkpoint(&snap, "cut"); err != nil {
 					t.Fatalf("checkpoint: %v", err)
@@ -150,16 +138,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				if note != "cut" {
 					t.Errorf("note = %q, want %q", note, "cut")
 				}
-				resumedW.run(resumed, cut, iters, mode.lazy)
+				resumedW.run(resumed, cut, iters)
 
 				if got := resumed.ChecksumDats(); got != wantSum {
 					t.Errorf("checksums diverge: resumed %s, uninterrupted %s", got, wantSum)
 				}
 				if resumed.Stats().Ckpt.Restores != 1 {
 					t.Errorf("Restores = %d, want 1", resumed.Stats().Ckpt.Restores)
-				}
-				if !mode.statsExact {
-					return
 				}
 				if got := resumed.MaxClock(); got != wantClock {
 					t.Errorf("virtual clock diverges: resumed %v, uninterrupted %v", got, wantClock)
@@ -202,7 +187,7 @@ func TestCrashDeterministicAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanW.run(clean, 0, iters, false)
+	cleanW.run(clean, 0, iters)
 	wantSum := clean.ChecksumDats()
 
 	plan := faults.MustParse("crash=rank1@3,seed=3")
@@ -223,7 +208,7 @@ func TestCrashDeterministicAndResume(t *testing.T) {
 				}
 			}()
 			for it := 0; it < iters; it++ {
-				w.run(b, it, it+1, false)
+				w.run(b, it, it+1)
 				var buf bytes.Buffer
 				if err := b.Checkpoint(&buf, fmt.Sprintf("%d", it+1)); err != nil {
 					t.Fatal(err)
@@ -268,7 +253,7 @@ func TestCrashDeterministicAndResume(t *testing.T) {
 	if _, err := fmt.Sscanf(note, "%d", &resumeFrom); err != nil || resumeFrom != done1 {
 		t.Fatalf("note %q, want %d", note, done1)
 	}
-	resumedW.run(resumed, resumeFrom, iters, false)
+	resumedW.run(resumed, resumeFrom, iters)
 	if got := resumed.ChecksumDats(); got != wantSum {
 		t.Errorf("crash/restore checksums %s, uninterrupted %s", got, wantSum)
 	}
@@ -281,7 +266,7 @@ func TestCrashDeterministicAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore with crash plan: %v", err)
 	}
-	armedW.run(armed, resumeFrom, iters, false)
+	armedW.run(armed, resumeFrom, iters)
 	if got := armed.ChecksumDats(); got != wantSum {
 		t.Errorf("disarmed resume checksums %s, uninterrupted %s", got, wantSum)
 	}
@@ -300,7 +285,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.run(b, 0, 2, false)
+	w.run(b, 0, 2)
 	var snap bytes.Buffer
 	if err := b.Checkpoint(&snap, ""); err != nil {
 		t.Fatal(err)
@@ -328,7 +313,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 	// Host threading is not: a snapshot taken on one host thread resumes
 	// under a worker pool and finishes where the uninterrupted run does.
-	w.run(b, 2, 4, false)
+	w.run(b, 2, 4)
 	parW := newCkptWorkload(m, 1, nloops)
 	parCfg := cfg
 	parCfg.Prog = parW.app.p
@@ -339,7 +324,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 		t.Fatalf("restore of a serial snapshot under Parallel: %v", err)
 	}
 	defer par.Close()
-	parW.run(par, 2, 4, false)
+	parW.run(par, 2, 4)
 	if got, want := par.ChecksumDats(), b.ChecksumDats(); got != want || par.MaxClock() != b.MaxClock() {
 		t.Errorf("serial snapshot resumed under Parallel: checksum %s clock %g, uninterrupted %s %g",
 			got, par.MaxClock(), want, b.MaxClock())
@@ -452,7 +437,7 @@ func TestFingerprintCoversConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	w.run(b, 0, 2, false)
+	w.run(b, 0, 2)
 	var snap bytes.Buffer
 	if err := b.Checkpoint(&snap, ""); err != nil {
 		t.Fatal(err)
@@ -547,7 +532,7 @@ func TestRestoreAllocatesNoSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.run(b, 0, 2, false)
+		w.run(b, 0, 2)
 		var snap bytes.Buffer
 		err = b.Checkpoint(&snap, "k")
 		b.Close()

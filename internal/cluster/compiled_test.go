@@ -117,8 +117,6 @@ func TestCompiledChainDifferential(t *testing.T) {
 			tweak: func(c *Config) { c.GPUDirect, c.Machine = true, machine.Cirrus() }},
 		{name: "ungrouped-overlap", shapes: []string{"inc", "vec", "bnd"},
 			tweak: func(c *Config) { c.NoGroupedMsgs, c.Overlap = true, true }},
-		{name: "lazy", shapes: []string{"inc", "gbldir", "incw"},
-			tweak: func(c *Config) { c.Lazy = true }},
 		{name: "no-plan-cache", shapes: []string{"dirw", "inc", "vec"},
 			tweak: func(c *Config) { c.NoPlanCache = true }},
 		{name: "parallel", shapes: []string{"inc", "dirw", "gblinc"},
@@ -140,7 +138,6 @@ func TestCompiledChainDifferential(t *testing.T) {
 				}
 				var be core.Backend = core.NewSeq()
 				var cb *Backend
-				lazy := false
 				if cluster {
 					cfg := Config{
 						Prog: a.p, Primary: a.nodes, NParts: nparts,
@@ -153,10 +150,6 @@ func TestCompiledChainDifferential(t *testing.T) {
 					if row.tweak != nil {
 						row.tweak(&cfg)
 					}
-					if !useCA {
-						cfg.Lazy = false // Lazy requires CA; the reference runs loop by loop anyway
-					}
-					lazy = cfg.Lazy
 					var err error
 					if cb, err = New(cfg); err != nil {
 						t.Fatal(err)
@@ -171,15 +164,11 @@ func TestCompiledChainDifferential(t *testing.T) {
 					if rep == 2 && cb != nil && cb.cfg.Faults != nil {
 						cb.cfg.Faults.Drop = 0 // the backend shares the plan pointer
 					}
-					if !lazy {
-						be.ChainBegin("shape")
-					}
+					be.ChainBegin("shape")
 					for _, l := range loops {
 						be.ParLoop(l)
 					}
-					if !lazy {
-						be.ChainEnd()
-					}
+					be.ChainEnd()
 				}
 				return a.gather(cb), cb
 			}
@@ -189,13 +178,9 @@ func TestCompiledChainDifferential(t *testing.T) {
 			compareExact(t, "per-loop vs seq", perLoop, want)
 			compareExact(t, "compiled vs seq", compiled, want)
 
-			name := "shape"
-			if cb.cfg.Lazy {
-				name = "lazy"
-			}
-			cs := cb.Stats().Chains[name]
+			cs := cb.Stats().Chains["shape"]
 			if cs == nil || cs.CAExecutions == 0 {
-				t.Fatalf("chain %q never ran the compiled executor: %+v", name, cs)
+				t.Fatalf("chain shape never ran the compiled executor: %+v", cs)
 			}
 			// Repetition 0 exchanges nothing and runs compiled; 1 loses its
 			// exchange, degrades to per-loop and evicts the plan; 2 and 3 run

@@ -89,70 +89,3 @@ func TestInterleavedChainsAndLoops(t *testing.T) {
 		t.Error("standalone loop not recorded outside chains")
 	}
 }
-
-// TestScatterDatRestoresValidity: after ScatterDat, halos are fresh and the
-// next reading loop must not exchange.
-func TestScatterDatRestoresValidity(t *testing.T) {
-	m := mesh.Rotor(6, 5, 4)
-	p := core.NewProgram()
-	nodes := p.DeclSet(m.NNodes, "nodes")
-	edges := p.DeclSet(m.NEdges, "edges")
-	e2n := p.DeclMap(edges, nodes, 2, m.EdgeNodes, "e2n")
-	x := p.DeclDat(nodes, 1, nil, "x")
-	y := p.DeclDat(nodes, 1, nil, "y")
-	b, err := New(Config{Prog: p, Primary: nodes,
-		Assign: partition.Block(m.NNodes, 4), NParts: 4, Depth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := core.NewLoop(&core.Kernel{Name: "sv_dirty", Fn: func(v [][]float64) {
-		v[0][0] += 1
-	}}, nodes, core.ArgDatDirect(x, core.ReadWrite))
-	read := core.NewLoop(&core.Kernel{Name: "sv_read", Fn: func(v [][]float64) {
-		v[0][0] += v[1][0]
-	}}, edges, core.ArgDat(y, 0, e2n, core.Inc), core.ArgDat(x, 1, e2n, core.Read))
-
-	b.ParLoop(dirty)
-	fresh := make([]float64, m.NNodes)
-	for i := range fresh {
-		fresh[i] = float64(i)
-	}
-	b.ScatterDat(x, fresh)
-	b.ParLoop(read)
-	if msgs := b.Stats().Loops["sv_read"].Msgs; msgs != 0 {
-		t.Fatalf("read after ScatterDat sent %d messages, want 0 (halos fresh)", msgs)
-	}
-	// And the data the loop consumed is the scattered data.
-	want := make([]float64, m.NNodes)
-	for e := 0; e < m.NEdges; e++ {
-		want[m.EdgeNodes[2*e]] += fresh[m.EdgeNodes[2*e+1]]
-	}
-	got := b.GatherDat(y)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("y[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
-// TestLazyParallelComposition: lazy chain detection composed with parallel
-// rank execution must equal the serial eager result.
-func TestLazyParallelComposition(t *testing.T) {
-	m := mesh.Rotor(8, 6, 5)
-	want := seqResult(m, 2)
-	a := newMiniApp(m)
-	a.p.DeclDat(a.bedges, 1, makeBW(m.NBedges), "bw")
-	b, err := New(Config{
-		Prog: a.p, Primary: a.nodes,
-		Assign: partition.KWay(m.NodeAdjacency(), 6), NParts: 6,
-		Depth: 3, MaxChainLen: 5, CA: true, Lazy: true, Parallel: true,
-		Machine: machine.Cirrus(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a.run(b, 2, false)
-	got := map[string][]float64{"res": b.GatherDat(a.res), "flux": b.GatherDat(a.flux)}
-	compareExact(t, "lazy-parallel", got, want)
-}

@@ -380,7 +380,6 @@ func TestClosedBackend(t *testing.T) {
 			"ParLoop":      func() { a.run(b, 1, false) },
 			"ChainBegin":   func() { a.run(b, 1, true) },
 			"GatherDat":    func() { b.GatherDat(a.res) },
-			"ScatterDat":   func() { b.ScatterDat(a.res, a.res.Data) },
 			"ChecksumDats": func() { b.ChecksumDats() },
 			"Checkpoint":   func() { b.Checkpoint(&bytes.Buffer{}, "") },
 		} {

@@ -13,7 +13,7 @@ import (
 // window of one loop, ungrouped and bulk (see window.go for what that shares
 // with the chain executor and what it does not).
 func (b *Backend) runStandard(l core.Loop, chainName string) {
-	t0 := b.maxClock()
+	t0 := b.MaxClock()
 	m := b.cfg.Machine
 
 	specs := b.filterNeeds(standardNeeds(l))
@@ -52,7 +52,7 @@ func (b *Backend) runStandard(l core.Loop, chainName string) {
 	var reduceTime float64
 	if bytes := b.reduceGlobals(l, gbl); bytes > 0 {
 		reduceTime = b.net.ReduceTime(b.cfg.NParts, bytes)
-		t := b.maxClock() + reduceTime
+		t := b.MaxClock() + reduceTime
 		if b.tracer.Enabled() {
 			// The last rank to enter the allreduce binds everyone: emit a
 			// reduce edge from the straggler to each other rank so the
@@ -98,7 +98,7 @@ func (b *Backend) recordLoopStats(l core.Loop, chainName, key string, res *excha
 	coreIters, haloIters := b.windowIters(lp[:], g)
 	ls.CoreIters += coreIters
 	ls.HaloIters += haloIters
-	ls.Time += b.maxClock() - t0
+	ls.Time += b.MaxClock() - t0
 	// Equation (1) prediction from this execution's measured parameters:
 	// the per-execution building block of the model-vs-measured report.
 	p := lp[0]
@@ -106,7 +106,7 @@ func (b *Backend) recordLoopStats(l core.Loop, chainName, key string, res *excha
 	ls.Predicted += reduceTime + model.TOp2Loop(p, b.modelNet(0))
 	if ct := b.tuneSampling; ct != nil && chainName == ct.chain {
 		p.G = 0 // the calibration solves for g
-		ct.noteLoop(l.Kernel.Name, p, b.maxClock()-t0-reduceTime)
+		ct.noteLoop(l.Kernel.Name, p, b.MaxClock()-t0-reduceTime)
 	}
 }
 

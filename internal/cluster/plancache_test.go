@@ -59,13 +59,11 @@ func TestPlanCacheEquivalence(t *testing.T) {
 	assign := partition.KWay(m.NodeAdjacency(), 5)
 	cases := []struct {
 		name  string
-		chain bool // explicit chain demarcation vs lazy auto-detection
 		tweak func(*Config)
 	}{
-		{"ca-grouped", true, func(c *Config) {}},
-		{"ca-nogroupedmsgs", true, func(c *Config) { c.NoGroupedMsgs = true }},
-		{"ca-gpudirect", true, func(c *Config) { c.GPUDirect = true; c.Machine = machine.Cirrus() }},
-		{"lazy", false, func(c *Config) { c.Lazy = true }},
+		{"ca-grouped", func(c *Config) {}},
+		{"ca-nogroupedmsgs", func(c *Config) { c.NoGroupedMsgs = true }},
+		{"ca-gpudirect", func(c *Config) { c.GPUDirect = true; c.Machine = machine.Cirrus() }},
 	}
 	type result struct {
 		clocks []float64
@@ -79,8 +77,6 @@ func TestPlanCacheEquivalence(t *testing.T) {
 				tr := obs.New()
 				a := newMiniApp(m)
 				a.p.DeclDat(a.bedges, 1, makeBW(m.NBedges), "bw")
-				// MaxChainLen 5 makes lazy capacity flushes carry exactly one
-				// step's loops, so auto-detected chains repeat and hit the cache.
 				cfg := Config{
 					Prog: a.p, Primary: a.nodes, Assign: assign, NParts: 5,
 					Depth: 3, MaxChainLen: 5, CA: true, Machine: machine.ARCHER2(),
@@ -91,7 +87,7 @@ func TestPlanCacheEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				a.run(b, 4, tc.chain)
+				a.run(b, 4, true)
 				var buf bytes.Buffer
 				res := result{
 					clocks: append([]float64(nil), b.Clocks()...),

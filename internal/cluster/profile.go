@@ -12,7 +12,6 @@ func (b *Backend) Profile() *analysis.Profile {
 	if !b.tracer.Enabled() {
 		return nil
 	}
-	b.FlushLazy()
 	p := analysis.Analyze(b.tracer, b.epoch)
 	b.stats.Profile = p
 	return p

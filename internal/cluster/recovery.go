@@ -172,7 +172,7 @@ func (b *Backend) exchangeGate(owner string) uint64 {
 	// deadline since the last completed exchange — the virtual-time
 	// signature of a stall (e.g. a giveup storm inflating retry backoff).
 	if b.watchdog > 0 {
-		now := b.maxClock()
+		now := b.MaxClock()
 		if now-b.lastProgress > b.watchdog {
 			if b.tracer.Enabled() {
 				b.tracer.Emit(0, obs.TrackExec, obs.Watchdog, owner, b.lastProgress, now, 0)

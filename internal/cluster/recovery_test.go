@@ -32,14 +32,10 @@ func faultyResult(t *testing.T, m *mesh.FV3D, steps int, plan *faults.Plan, mode
 		cfg.CA, cfg.Parallel, chain = true, true, true
 	case "ca-ungrouped":
 		cfg.CA, cfg.NoGroupedMsgs, chain = true, true, true
-	case "lazy":
-		cfg.CA, cfg.Lazy = true, true
 	case "ca-overlap":
 		cfg.CA, cfg.Overlap, chain = true, true, true
 	case "ca-ungrouped-overlap":
 		cfg.CA, cfg.NoGroupedMsgs, cfg.Overlap, chain = true, true, true, true
-	case "lazy-overlap":
-		cfg.CA, cfg.Lazy, cfg.Overlap = true, true, true
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}
@@ -62,8 +58,8 @@ func TestFaultsPreserveResultsBitIdentical(t *testing.T) {
 	m := mesh.Rotor(8, 6, 5)
 	want := seqResult(m, 2)
 	plan := faults.MustParse("drop=0.2,corrupt=0.1,delay=3x@0.2,straggler=rank1:2x,seed=7")
-	for _, mode := range []string{"op2", "ca", "ca-parallel", "ca-ungrouped", "lazy",
-		"ca-overlap", "ca-ungrouped-overlap", "lazy-overlap"} {
+	for _, mode := range []string{"op2", "ca", "ca-parallel", "ca-ungrouped",
+		"ca-overlap", "ca-ungrouped-overlap"} {
 		clean, cb := faultyResult(t, m, 2, nil, mode)
 		faulty, fb := faultyResult(t, m, 2, plan, mode)
 		compareExact(t, mode+"/faulty-vs-seq", faulty, want)

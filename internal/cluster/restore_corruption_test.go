@@ -40,7 +40,7 @@ func TestRestoreCorruptionSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.run(b, 0, 2, false)
+	w.run(b, 0, 2)
 	var snap bytes.Buffer
 	if err := b.Checkpoint(&snap, "sweep"); err != nil {
 		t.Fatal(err)

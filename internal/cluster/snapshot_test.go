@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -35,7 +36,7 @@ type snapRun struct {
 }
 
 // snapMode is an execution policy; chained says whether the app demarcates
-// its chains (lazy mode queues bare loops instead).
+// its chains (op2 runs them as bare loops).
 type snapMode struct {
 	name    string
 	mut     func(*Config)
@@ -45,7 +46,6 @@ type snapMode struct {
 var snapModes = []snapMode{
 	{"op2", func(c *Config) { c.CA = false }, false},
 	{"ca", func(c *Config) {}, true},
-	{"lazy", func(c *Config) { c.Lazy = true }, false},
 	{"overlap", func(c *Config) { c.Overlap = true }, true},
 	// The snapshot carries the tuner's calibration and committed decisions:
 	// the resumed run must run, measure and re-plan them exactly as the
@@ -414,7 +414,7 @@ func newRestoreFixture(tb testing.TB) *restoreFixture {
 		tb.Fatal(err)
 	}
 	defer b.Close()
-	w.run(b, 0, 2, false)
+	w.run(b, 0, 2)
 	var snap bytes.Buffer
 	if err := b.Checkpoint(&snap, "fixture"); err != nil {
 		tb.Fatal(err)
@@ -576,6 +576,33 @@ func TestRestoreRefusals(t *testing.T) {
 			t.Fatalf("Restore(v2) = %v, want the version error", err)
 		}
 	})
+
+	// A snapshot written while Config had a Lazy field fingerprints it after
+	// GPUDirect: false restores, true ran a policy that no longer exists.
+	for _, lazy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("retired Lazy %t", lazy), func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			st := fx.state(t)
+			at := []byte(`"GPUDirect":false`)
+			if !bytes.Contains(st.Fingerprint, at) {
+				t.Fatalf("no %s in the fingerprint %s", at, st.Fingerprint)
+			}
+			st.Fingerprint = bytes.Replace(st.Fingerprint, at, fmt.Appendf(at, `,"Lazy":%t`, lazy), 1)
+			var raw bytes.Buffer
+			if _, err := checkpoint.Encode(&raw, st); err != nil {
+				t.Fatal(err)
+			}
+			cfg, _ := fx.fresh()
+			b, _, err := Restore(&raw, cfg)
+			if b != nil {
+				b.Close()
+			}
+			var se *SnapshotError
+			if refused := errors.As(err, &se) && se.Kind == ErrSnapshotConfig; refused != lazy || (!lazy && err != nil) {
+				t.Fatalf("Restore = %v, want refused = %t", err, lazy)
+			}
+		})
+	}
 
 	// The unperturbed snapshot restores, also when the omitted constant was
 	// rewritten with the same values.

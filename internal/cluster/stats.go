@@ -41,12 +41,8 @@ type LoopStats struct {
 // ChainStats aggregates the executions of one named loop-chain.
 type ChainStats struct {
 	Name string
-	// NLoop is the loop count of the most recent execution; NLoopMin and
-	// NLoopMax track the spread across executions (auto-detected lazy
-	// chains vary in length from flush to flush).
-	NLoop    int
-	NLoopMin int
-	NLoopMax int
+	// NLoop is the loop count of the most recent execution.
+	NLoop int
 	// Executions counts ChainEnd calls; CAExecutions counts those that
 	// ran with Algorithm 2 rather than falling back to per-loop code.
 	Executions   int
@@ -267,17 +263,6 @@ func (s *Stats) loop(name string) *LoopStats {
 		s.Loops[name] = ls
 	}
 	return ls
-}
-
-// noteLen records the loop count of one chain execution.
-func (cs *ChainStats) noteLen(n int) {
-	cs.NLoop = n
-	if cs.NLoopMin == 0 || n < cs.NLoopMin {
-		cs.NLoopMin = n
-	}
-	if n > cs.NLoopMax {
-		cs.NLoopMax = n
-	}
 }
 
 func (s *Stats) chain(name string) *ChainStats {

@@ -197,7 +197,7 @@ func TestCloseStopsPoolWorkers(t *testing.T) {
 
 // TestForcedPoolMatchesSerial: the forced multi-worker pool produces
 // bit-identical results, clocks and stats to serial dispatch across the
-// execution modes (grouped CA, ungrouped CA, lazy chaining), with and
+// execution modes (grouped and ungrouped CA, bulk and overlapped), with and
 // without drop+straggler fault injection. This is the -race matrix entry:
 // under `go test -race` it exercises every fork point — loop bodies, pack,
 // unpack, schedule replay — with real worker concurrency.
@@ -207,8 +207,7 @@ func TestForcedPoolMatchesSerial(t *testing.T) {
 		"clean":  nil,
 		"faulty": faults.MustParse("drop=0.2,straggler=rank1:3x,seed=7"),
 	}
-	for _, mode := range []string{"ca", "ca-ungrouped", "lazy",
-		"ca-overlap", "ca-ungrouped-overlap", "lazy-overlap"} {
+	for _, mode := range []string{"ca", "ca-ungrouped", "ca-overlap", "ca-ungrouped-overlap"} {
 		for pname, plan := range plans {
 			serialRes, serialB := faultyResult(t, m, 2, plan, mode)
 			parRes, parB := pooledResult(t, m, 2, plan, mode)
@@ -237,20 +236,14 @@ func pooledResult(t *testing.T, m *mesh.FV3D, steps int, plan *faults.Plan, mode
 		Depth: 2, MaxChainLen: 4, Machine: machine.ARCHER2(), Faults: plan,
 		CA: true, Parallel: true,
 	}
-	chain := false
 	switch mode {
 	case "ca":
-		chain = true
 	case "ca-ungrouped":
-		cfg.NoGroupedMsgs, chain = true, true
-	case "lazy":
-		cfg.Lazy = true
+		cfg.NoGroupedMsgs = true
 	case "ca-overlap":
-		cfg.Overlap, chain = true, true
+		cfg.Overlap = true
 	case "ca-ungrouped-overlap":
-		cfg.NoGroupedMsgs, cfg.Overlap, chain = true, true, true
-	case "lazy-overlap":
-		cfg.Lazy, cfg.Overlap = true, true
+		cfg.NoGroupedMsgs, cfg.Overlap = true, true
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}
@@ -260,7 +253,7 @@ func pooledResult(t *testing.T, m *mesh.FV3D, steps int, plan *faults.Plan, mode
 	}
 	t.Cleanup(b.Close)
 	b.installPool(forcedWorkers)
-	a.run(b, steps, chain)
+	a.run(b, steps, true)
 	return map[string][]float64{
 		"res": b.GatherDat(a.res), "flux": b.GatherDat(a.flux),
 	}, b

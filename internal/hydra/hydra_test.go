@@ -207,33 +207,6 @@ func TestCAPaperConfigBoundedDeviation(t *testing.T) {
 	}
 }
 
-// TestLazyModeMatchesSeq: the Hydra proxy with NO chain annotations under
-// lazy mode (automatic chain detection) must match the sequential reference.
-func TestLazyModeMatchesSeq(t *testing.T) {
-	m := testMesh()
-	ref := New(m)
-	runApp(core.NewSeq(), ref, 2, false)
-
-	a := New(m)
-	b, err := cluster.New(cluster.Config{
-		Prog: a.Prog, Primary: a.Nodes, Assign: partition.RIB(m.Coords, 3, 4), NParts: 4,
-		Depth: 5, MaxChainLen: 6, CA: true, Lazy: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runApp(b, a, 2, false) // chained=false: lazy mode finds the chains
-	for _, pair := range [][2]*core.Dat{{a.Qp, ref.Qp}, {a.Qo, ref.Qo}, {a.Res, ref.Res}} {
-		if rel := maxRelDiff(b.GatherDat(pair[0]), pair[1].Data); rel > 1e-9 {
-			t.Fatalf("%s: max rel diff %g under lazy mode", pair[0].Name, rel)
-		}
-	}
-	cs := b.Stats().Chains["lazy"]
-	if cs == nil || cs.CAExecutions == 0 {
-		t.Fatalf("lazy mode detected no CA chains: %+v", cs)
-	}
-}
-
 // TestChainMessageReduction: the period and jacob chains (highest
 // communication reduction in the paper) must send fewer messages under CA.
 func TestChainMessageReduction(t *testing.T) {

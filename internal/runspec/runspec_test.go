@@ -3,10 +3,12 @@ package runspec
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"op2ca/internal/checkpoint"
+	"op2ca/internal/cluster"
 	"op2ca/internal/leakcheck"
 	"op2ca/internal/mesh"
 )
@@ -279,5 +281,55 @@ func TestSeqBackend(t *testing.T) {
 	}
 	if !strings.HasPrefix(a.Describe, "mesh: ") {
 		t.Errorf("Describe() = %q", a.Describe)
+	}
+}
+
+// TestEveryConfigFieldIsReached: every cluster.Config field is set by a
+// front-end — through a Spec field (so a flag, a served job's JSON and
+// TestEntryPointsAgree cover it), a Run field a named front-end fills, or a
+// front-end's own code. A field no entry sets is code no run can reach: give
+// it a way in and an entry here, or delete it.
+func TestEveryConfigFieldIsReached(t *testing.T) {
+	reachedBy := map[string]string{
+		"Prog":          "Spec.App",
+		"Primary":       "Spec.App",
+		"Assign":        "Spec.Partitioner",
+		"NParts":        "Spec.Ranks",
+		"Depth":         "Run.Depth (from Spec.Chains and Spec.Safe; internal/bench's ablation-depth)",
+		"MaxChainLen":   "Spec.App",
+		"Machine":       "Spec.Machine",
+		"CA":            "Spec.Backend",
+		"Chains":        "Spec.Chains",
+		"Parallel":      "Run.Parallel (internal/cmdutil's -serial)",
+		"Slabs":         "Run.Slabs (internal/service)",
+		"Layouts":       "Run.Layouts (internal/service)",
+		"NoGroupedMsgs": "Run.NoGroupedMsgs (internal/bench's ablation-group)",
+		"Overlap":       "Spec.Overlap",
+		"GPUDirect":     "Run.GPUDirect (internal/bench's ablation-gpudirect)",
+		"Tracer":        "Run.Tracer (internal/cmdutil's -trace and -profile)",
+		"NoPlanCache":   "benchmark/ledger.go (cluster.uncached_ratio_x)",
+		"Faults":        "Spec.Faults",
+		"AutoTune":      "Spec.AutoTune",
+	}
+	cfg := reflect.TypeOf(cluster.Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		if name := cfg.Field(i).Name; reachedBy[name] == "" {
+			t.Errorf("cluster.Config.%s: no front-end sets it", name)
+		}
+	}
+	for field, by := range reachedBy {
+		if _, ok := cfg.FieldByName(field); !ok {
+			t.Errorf("%s: no such cluster.Config field", field)
+		}
+		via, _, _ := strings.Cut(by, " ")
+		typ, name, _ := strings.Cut(via, ".")
+		for _, s := range []struct {
+			typ string
+			of  reflect.Type
+		}{{"Spec", reflect.TypeOf(Spec{})}, {"Run", reflect.TypeOf(Run{})}} {
+			if _, ok := s.of.FieldByName(name); typ == s.typ && !ok {
+				t.Errorf("%s: reached by %s, which is no runspec.%s field", field, via, typ)
+			}
+		}
 	}
 }
