@@ -238,3 +238,42 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestDocumentedFlags checks every flag a `go run ./cmd/op2ca-bench` line of
+// README.md or DESIGN.md passes, continuation lines included, against the
+// command's own -h usage, so a documented command cannot drift from the
+// binary it documents.
+func TestDocumentedFlags(t *testing.T) {
+	var usage bytes.Buffer
+	run([]string{"-h"}, &usage, &usage)
+	for _, flag := range documentedFlags(t, "op2ca-bench") {
+		if !regexp.MustCompile(`(?m)^\s+-` + regexp.QuoteMeta(flag) + `(\s|$)`).Match(usage.Bytes()) {
+			t.Errorf("README.md or DESIGN.md passes -%s, which op2ca-bench -h does not list", flag)
+		}
+	}
+}
+
+// documentedFlags returns the flags passed on every `go run ./cmd/<bin>` line
+// of the repository's README.md and DESIGN.md, up to a shell comment.
+func documentedFlags(t *testing.T, bin string) []string {
+	t.Helper()
+	command := regexp.MustCompile(`go run \./cmd/` + regexp.QuoteMeta(bin) + "\\b([^`\n]*)")
+	flag := regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
+	var flags []string
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range command.FindAllStringSubmatch(strings.ReplaceAll(string(b), "\\\n", " "), -1) {
+			args, _, _ := strings.Cut(m[1], " #")
+			for _, f := range flag.FindAllStringSubmatch(args, -1) {
+				flags = append(flags, f[1])
+			}
+		}
+	}
+	if len(flags) == 0 {
+		t.Fatalf("README.md and DESIGN.md pass %s no flag", bin)
+	}
+	return flags
+}

@@ -497,7 +497,6 @@ func (b *Backend) Stats() *Stats { return b.stats }
 // Clocks returns the per-rank virtual clocks.
 func (b *Backend) Clocks() []float64 { return b.clock }
 
-
 // armAll builds the initial all-armed crash mask for n schedule clauses.
 func armAll(n int) []bool {
 	if n == 0 {

@@ -22,7 +22,7 @@ package cluster
 //     future result bit, snapshot byte, clock and counter, and restoreFrom
 //     refills every halo copy of the written dats from its owner
 //     (refillHalos). A chain configured shallower than ca.SafeAnalysis allows
-//     (DESIGN 5b.3) is no exception: ca.Inspect still requires every dat a
+//     (DESIGN §5b.3) is no exception: ca.Inspect still requires every dat a
 //     loop reads to be valid to that loop's configured extension, so where
 //     such a chain under-reaches it reads the pre-chain owner value its own
 //     exchange delivered in place of an in-chain update — a deviation, but a

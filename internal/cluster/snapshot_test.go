@@ -57,7 +57,7 @@ var snapModes = []snapMode{
 // multigrid levels plus the synthetic chain) and the Hydra proxy under the
 // paper's chain configuration — once as the paper runs it, and once re-running
 // the set-up chains (weight, period) every iteration: their configured
-// extensions are shallower than ca.SafeAnalysis allows (DESIGN 5b.3), so the
+// extensions are shallower than ca.SafeAnalysis allows (DESIGN §5b.3), so the
 // resumed run executes under-reaching chains too.
 func snapApps() map[string]func(snapMode) snapRun {
 	const nparts = 3

@@ -155,7 +155,7 @@ func traceHash(tr *obs.Tracer) uint64 {
 // show the clocks of the untraced one; its spans and edges are pinned too.
 // The archer2 and laptop rows are the ones recorded at that PR's parent; the
 // cirrus rows were re-pinned once, by that PR, when the shared walk took one
-// association of the kernel-launch overhead (DESIGN.md 5).
+// association of the kernel-launch overhead (DESIGN §5d "One window").
 func TestRankClockGolden(t *testing.T) {
 	rows := goldenRows()
 	problems := map[string]*Problem{}

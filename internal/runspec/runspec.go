@@ -515,7 +515,7 @@ func (r *Run) attempt(p *Problem, in *Instance) *Attempt {
 		step:  func(b core.Backend) { app.RunIteration(b, chained) },
 		state: []*core.Dat{app.Qp, app.Qo, app.Res},
 		// The published extensions perturb boundary values slightly
-		// (DESIGN.md 5b); safe mode must match to rounding.
+		// (DESIGN §5b.3); safe mode must match to rounding.
 		tol: 0.02,
 	}
 	if r.Spec.Safe {

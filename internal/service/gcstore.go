@@ -26,12 +26,12 @@ const gcStoreKeys = 64
 // are strongly referenced from a sync.Pool and from nowhere else, every Load
 // takes one out and puts it back, which counts as a use, and a key unused for
 // two collections holds nothing — so an idle service keeps none, and
-// heap_live_mb does not see the store. (DESIGN §5k has why retaining set-up
-// artefacts by byte budget did not pay.) Beside the pool each key keeps a weak
-// pointer to every value it was given: a value parked in the per-P slot of a
-// P other than the caller's, or held only by the jobs running on it, is still
-// a hit, and is put back in the pool for the caller's P. The zero value is an
-// empty store.
+// heap_live_mb does not see the store. (DESIGN §5k "Set-up artefacts" has why
+// set-up artefacts other than assignments are not kept by byte budget.)
+// Beside the pool each key keeps a weak pointer to every value it was given:
+// a value parked in the per-P slot of a P other than the caller's, or held
+// only by the jobs running on it, is still a hit, and is put back in the pool
+// for the caller's P. The zero value is an empty store.
 type gcStore[K comparable, T any] struct {
 	mu           sync.Mutex
 	pools        map[K]*gcPool[T]

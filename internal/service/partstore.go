@@ -25,12 +25,12 @@ const _ = uint8(MaxRanks - 1)
 // job's set-up derives from its description, the one artefact that is
 // expensive per retained byte — milliseconds of partitioner for a few KB —
 // where a mesh or a halo layout costs about as much to rebuild as to trace
-// through every collection a served job triggers (DESIGN §5k has the
-// measurements). It is keyed by what determines an assignment
-// (runspec.AssignmentKey), so the OP2 and the CA job of one comparison, and
-// every later job on the same mesh and rank count, partition once. Bounded
-// in bytes, least recently used out first; an assignment that alone exceeds
-// the budget is not kept. Two workers that miss on one key both compute —
+// through every collection a served job triggers
+// (DESIGN §5k "Set-up artefacts" has the measurements). It is keyed by what
+// determines an assignment (runspec.AssignmentKey), so the OP2 and the CA job
+// of one comparison, and every later job on the same mesh and rank count,
+// partition once. Bounded in bytes, least recently used out first; an
+// assignment that alone exceeds the budget is not kept. Two workers that miss on one key both compute —
 // the bytes are the same, and the second Store keeps the first's.
 //
 // What a job gets is shared and read-only, like everything a Problem holds:
