@@ -129,8 +129,8 @@ func run(args []string, stdout, stderr io.Writer) (out runspec.Outcome, code int
 		return out, 0
 	}
 
-	// One mesh, hierarchy and partition for the invocation: a supervised
-	// restart rebuilds the app and the backend on it, nothing else.
+	// One mesh, hierarchy, declared app and partition for the invocation: a
+	// supervised restart builds a backend on them, nothing else.
 	p, err := r.NewProblem()
 	if err != nil {
 		return fatal(err)

@@ -10,7 +10,6 @@ import (
 	"op2ca/internal/hydra"
 	"op2ca/internal/machine"
 	"op2ca/internal/mesh"
-	"op2ca/internal/mgcfd"
 	"op2ca/internal/partition"
 	"op2ca/internal/runspec"
 )
@@ -30,14 +29,13 @@ func (c Config) synthetic(backend string, nchains, ranks int) runspec.Spec {
 }
 
 // runSyntheticOnce runs the MG-CFD synthetic chain alone — r's backend over
-// p, but stepping the chain without the multigrid cycle, a main loop no run
-// description has — and returns the per-iteration virtual time. variant, when
-// not "", ends the run's label: what an ablation varies that the rest of the
-// label does not say.
+// p's declared app, but stepping the chain without the multigrid cycle, a
+// main loop no run description has — and returns the per-iteration virtual
+// time. variant, when not "", ends the run's label: what an ablation varies
+// that the rest of the label does not say.
 func (c Config) runSyntheticOnce(r *runspec.Run, p *runspec.Problem, variant string) float64 {
 	nchains, chained := r.Spec.NChains, r.Spec.Backend == "ca"
-	app := mgcfd.New(p.Hierarchy)
-	syn := mgcfd.NewSynthetic(app)
+	app, syn := p.Instance.MGCFD()
 	label := fmt.Sprintf("synthetic ca=%v depth=%d grouped=%v loops=%d ranks=%d",
 		chained, r.Depth, !r.NoGroupedMsgs, 2*nchains, r.Spec.Ranks)
 	if variant != "" {

@@ -85,28 +85,36 @@ type Config struct {
 	// watchdog deadline (see internal/supervise). Without one, fresh
 	// backends are fully armed and restored backends disarmed.
 	Sup *supervise.Supervisor
+
+	// slabs lends every backend of the experiment its flat storage and takes
+	// it back on Close (runspec.Run.Slabs). Experiments sets one per
+	// experiment run, so a point's CA backend borrows what its OP2 twin
+	// returned and later points what earlier ones did; the lender is garbage
+	// once the experiment returns.
+	slabs cluster.SlabLender
 }
 
 // resolve turns the description of one backend of an experiment into a
 // run on mach — named in the description by its preset, handed over as
 // built, since the launch-overhead ablation modifies one — under the
-// invocation's host-side knobs and fault plan. The description is the
-// harness's own, so a Resolve error is a bug.
+// invocation's host-side knobs and fault plan, borrowing from the
+// experiment's lender. The description is the harness's own, so a Resolve
+// error is a bug.
 func (c Config) resolve(s runspec.Spec, mach *machine.Machine) *runspec.Run {
 	s.Machine = strings.ToLower(mach.Name)
 	r, err := s.Resolve()
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	r.Machine, r.Parallel, r.Tracer, r.Plan = mach, c.Parallel, c.Tracer, c.Faults
+	r.Machine, r.Parallel, r.Tracer, r.Plan, r.Slabs = mach, c.Parallel, c.Tracer, c.Faults, c.slabs
 	return r
 }
 
-// problem builds what the backends of one experiment point share. The
-// description is the harness's own but its sizes are the invocation's: scale
-// flags under which a point has more ranks than its mesh has nodes raise the
-// *runspec.SizeError itself, for the command to report as the usage error it
-// is.
+// problem builds what the backends of one experiment point share: mesh,
+// hierarchy, partition and the declared app. The description is the
+// harness's own but its sizes are the invocation's: scale flags under which a
+// point has more ranks than its mesh has nodes raise the *runspec.SizeError
+// itself, for the command to report as the usage error it is.
 func problem(r *runspec.Run) *runspec.Problem {
 	p, err := r.NewProblem()
 	if err != nil {
@@ -118,7 +126,8 @@ func problem(r *runspec.Run) *runspec.Problem {
 // point measures one paper point: body runs on the OP2 and then the CA
 // backend that spec — the point's description but for the backend — gives on
 // mach, after one warm-up iteration. The autotuner and the overlapped
-// executor apply to CA only. Both backends are built over one Problem:
+// executor apply to CA only. Both backends are built over one Problem, so
+// they share the point's mesh, partition and one read-only declared app:
 // rebuilding mesh and partition per backend would cost paper-sweep about 5%
 // of its throughput and most of its allocation bound.
 func (c Config) point(spec runspec.Spec, mach *machine.Machine, body func(r *runspec.Run, p *runspec.Problem)) {

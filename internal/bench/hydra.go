@@ -260,9 +260,10 @@ func Table3and4(c Config) *Table {
 }
 
 // Experiments maps experiment names to their runners, for the CLI and
-// benchmarks.
+// benchmarks. Each runner lends the backends of its experiment their storage
+// from one cluster.Lender of its own.
 func Experiments() map[string]func(Config) *Table {
-	return map[string]func(Config) *Table{
+	runners := map[string]func(Config) *Table{
 		"table2":              Table2,
 		"fig10":               Fig10,
 		"fig11":               Fig11,
@@ -278,6 +279,15 @@ func Experiments() map[string]func(Config) *Table {
 		"halo-profile":        HaloProfile,
 		"overlap":             OverlapStudy,
 	}
+	for name, run := range runners {
+		runners[name] = func(c Config) *Table {
+			if c.slabs == nil {
+				c.slabs = new(cluster.Lender)
+			}
+			return run(c)
+		}
+	}
+	return runners
 }
 
 // ExperimentOrder lists experiment names in paper order, ablations last.

@@ -2,6 +2,7 @@ package runspec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"sync"
@@ -130,55 +131,112 @@ func TestInstanceKeyCoversDeclarations(t *testing.T) {
 	}
 }
 
-// TestAttemptsShareTheInstance (run under -race): with an Instances store, a
-// Problem's attempts are built on its one declared app — two attempts
-// stepping at once, a restore from one's ring, and the attempts of a second
-// Problem of the same key — and each ends where an attempt declaring its own
-// app ends. The shared program is as declared afterwards.
+// TestAttemptsShareTheInstance (run under -race): every distributed Problem
+// holds one declared app, and every attempt on it is built on that one. With
+// no store the Problem declares its own: a fresh attempt, a restore from one
+// of its ring's generations and a second fresh attempt share it. With an
+// Instances store the Problems of one key share one: two attempts stepping at
+// once, a restore from one's ring, and the attempts of later Problems. Every
+// attempt ends bitwise where the first did, and each shared program is as
+// declared afterwards.
 func TestAttemptsShareTheInstance(t *testing.T) {
 	defer leakcheck.Check(t)()
 	for _, app := range []string{"mgcfd", "hydra"} {
 		s := small(app)
 		s.CheckpointEvery = 1
-		outcome := func(store Instances, ring *checkpoint.Ring, st *checkpoint.State) (Outcome, *Problem, *core.Program) {
+		// problem resolves s under store and builds its Problem.
+		problem := func(store Instances) (*Run, *Problem) {
 			t.Helper()
 			r, err := s.Resolve()
 			if err != nil {
 				t.Error(err)
-				return Outcome{}, nil, nil
+				return nil, nil
 			}
 			r.Instances = store
 			p, err := r.NewProblem()
 			if err != nil {
 				t.Error(err)
-				return Outcome{}, nil, nil
+				return nil, nil
+			}
+			return r, p
+		}
+		// drive builds one attempt of r over p from st, drives it, writing
+		// generations to ring when one is given, and reads its outcome.
+		drive := func(r *Run, p *Problem, ring *checkpoint.Ring, st *checkpoint.State) (Outcome, *core.Program) {
+			t.Helper()
+			if p == nil {
+				return Outcome{}, nil
 			}
 			a, err := r.BuildFrom(p, st)
 			if err != nil {
 				t.Error(err)
-				return Outcome{}, nil, nil
+				return Outcome{}, nil
 			}
 			defer a.Close()
 			if err := a.Drive(ring); err != nil {
 				t.Error(err)
 			}
-			return a.Outcome(), p, a.prog
+			return a.Outcome(), a.prog
 		}
-		want, p, _ := outcome(nil, nil, nil)
-		if p.Instance != nil {
-			t.Fatalf("%s: a run without a store kept an instance", app)
+		same := func(leg string, out, want Outcome) {
+			if out.Checksum != want.Checksum || out.Residual != want.Residual || out.MaxClock != want.MaxClock {
+				t.Errorf("%s: %s ends at (%s, %g, %g), the first attempt at (%s, %g, %g)", app, leg,
+					out.Checksum, out.Residual, out.MaxClock, want.Checksum, want.Residual, want.MaxClock)
+			}
 		}
-		kept := &mapInstances{kept: map[InstanceKey]*Instance{}}
-		ring, err := checkpoint.NewRing(checkpoint.Spec{Every: 1, Path: t.TempDir() + "/ck.bin", Keep: 2})
+		newRing := func(keep int) *checkpoint.Ring {
+			t.Helper()
+			ring, err := checkpoint.NewRing(checkpoint.Spec{Every: 1, Path: t.TempDir() + "/ck.bin", Keep: keep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ring
+		}
+
+		r, own := problem(nil)
+		if own == nil || own.Instance == nil {
+			t.Fatalf("%s: a run without a store kept no instance in its Problem", app)
+		}
+		ownHash := programHash(own.Instance.prog())
+		ring := newRing(s.Iters)
+		want, prog := drive(r, own, ring, nil)
+		gens := ring.Generations()
+		if len(gens) != s.Iters {
+			t.Fatalf("%s: %d generations, want %d", app, len(gens), s.Iters)
+		}
+		// The oldest generation: the restored attempt still has iterations to
+		// step on the instance.
+		st, err := checkpoint.ReadFile(gens[len(gens)-1].Path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, first, _ := outcome(kept, ring, nil)
+		restored, restoredProg := drive(r, own, nil, st)
+		again, againProg := drive(r, own, nil, nil)
+		for i, got := range []struct {
+			leg  string
+			out  Outcome
+			prog *core.Program
+		}{{"the fresh attempt", want, prog}, {"the restored attempt", restored, restoredProg}, {"the second attempt", again, againProg}} {
+			if got.prog != own.Instance.prog() {
+				t.Errorf("%s: %s was not built on its Problem's instance", app, got.leg)
+			}
+			if i > 0 {
+				same(got.leg+" without a store", got.out, want)
+			}
+		}
+		if programHash(own.Instance.prog()) != ownHash {
+			t.Errorf("%s: the Problem's program changed under its attempts", app)
+		}
+
+		kept := &mapInstances{kept: map[InstanceKey]*Instance{}}
+		ring = newRing(2)
+		r, first := problem(kept)
 		if first == nil || first.Instance == nil {
 			t.Fatalf("%s: a run with a store kept no instance", app)
 		}
+		drive(r, first, ring, nil)
 		before := programHash(first.Instance.prog())
-		st, _, _, _ := ring.RecoverNewest()
+		st, _, _, _ = ring.RecoverNewest()
 		if st == nil {
 			t.Fatalf("%s: no generation to restore", app)
 		}
@@ -189,10 +247,11 @@ func TestAttemptsShareTheInstance(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				r, p := problem(kept)
 				if i == 2 {
-					got[i], _, progs[i] = outcome(kept, nil, st)
+					got[i], progs[i] = drive(r, p, nil, st)
 				} else {
-					got[i], _, progs[i] = outcome(kept, nil, nil)
+					got[i], progs[i] = drive(r, p, nil, nil)
 				}
 			}()
 		}
@@ -201,10 +260,7 @@ func TestAttemptsShareTheInstance(t *testing.T) {
 			if progs[i] != first.Instance.prog() {
 				t.Errorf("%s: attempt %d declared its own app", app, i)
 			}
-			if out.Checksum != want.Checksum || out.Residual != want.Residual || out.MaxClock != want.MaxClock {
-				t.Errorf("%s: attempt %d on the shared instance (%s, %g, %g), declaring its own (%s, %g, %g)", app, i,
-					out.Checksum, out.Residual, out.MaxClock, want.Checksum, want.Residual, want.MaxClock)
-			}
+			same(fmt.Sprintf("attempt %d on the stored instance", i), out, want)
 		}
 		if kept.loads != 4 || kept.stores != 1 {
 			t.Errorf("%s: %d loads and %d stores over four Problems of one key, want 4 and 1", app, kept.loads, kept.stores)

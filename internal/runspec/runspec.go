@@ -3,12 +3,12 @@
 // chains, or the Hydra proxy with the Section 3.4 chain configuration), its
 // size, the back-end and every result-bearing knob; Resolve parses the
 // embedded spec grammars and derives the halo depth; NewProblem builds what
-// attempts share (mesh, multigrid hierarchy, partition, and the declared app
-// when a store lends it); BuildOn constructs one attempt over a Problem (app
-// instance, cluster configuration, backend — fresh or from a snapshot) and
-// BuildFrom also reads the resume iteration from the snapshot's note; Drive
-// iterates it, writing a checkpoint-ring generation at the cadence;
-// VerifyAgainstSeq replays it on the sequential reference.
+// attempts share (mesh, multigrid hierarchy, partition, and for a distributed
+// run the declared app); BuildOn constructs one attempt over a Problem (the
+// app's loop bodies, cluster configuration, backend — fresh or from a
+// snapshot) and BuildFrom also reads the resume iteration from the snapshot's
+// note; Drive iterates it, writing a checkpoint-ring generation at the
+// cadence; VerifyAgainstSeq replays it on the sequential reference.
 //
 // Every front-end drives this package and adds only what is its own: the
 // job service (internal/service) adds the wire grammar's defaults and
@@ -108,9 +108,10 @@ type Run struct {
 	// nil.
 	Assignments Assignments
 	// Slabs, when set, lends every backend built for the run its flat storage
-	// and takes it back on Close (cluster.Config.Slabs). The other half of
-	// Assignments: set by the front-end that builds backend after backend (the
-	// job service), nil for one that builds a few.
+	// and takes it back on Close (cluster.Config.Slabs). Set by the front-ends
+	// that build backend after backend: the job service (one lender per
+	// Service) and the paper harness (one per experiment); nil for one that
+	// builds a few.
 	Slabs cluster.SlabLender
 	// Layouts, when set, is where Open looks for the halo layouts of every
 	// backend built for the run before building them, and where it leaves ones
@@ -119,9 +120,9 @@ type Run struct {
 	Layouts Layouts
 	// Instances, when set, is where NewProblem looks for the run's declared app
 	// — mesh, hierarchy and program — before generating and declaring it, and
-	// where it leaves one it declared; every distributed attempt built on the
-	// Problem then shares that one instance. The fourth of the service's
-	// stores, nil everywhere else.
+	// where it leaves one it declared, so the Problems of many runs share one
+	// instance. The fourth of the service's stores, nil everywhere else: there
+	// each Problem declares its own, which its attempts share all the same.
 	Instances Instances
 
 	// NoGroupedMsgs and GPUDirect are cluster.Config's ablation knobs of the
@@ -319,6 +320,10 @@ type Instance struct {
 	hy  *hydra.App // hydra
 }
 
+// MGCFD returns the declared MG-CFD app and its synthetic chain (nil for
+// hydra), for a driver that steps them in a main loop no Spec describes.
+func (in *Instance) MGCFD() (*mgcfd.App, *mgcfd.Synthetic) { return in.mg, in.syn }
+
 // Instances keeps declared app instances between runs. Both methods are safe
 // for concurrent use. What is kept is shared, not copied: an Instance is
 // read-only once declared.
@@ -396,14 +401,13 @@ func ParseIterNote(note string) (int, error) {
 }
 
 // Problem is what the attempts of a run description share and never modify:
-// the mesh, the multigrid hierarchy (mgcfd only), the partition assignment
-// (nil under seq; possibly other runs' too, through the run's Assignments)
-// and, when the run has an Instances store, the declared app (nil otherwise:
-// then every attempt declares its own). Its owner builds one
-// per run — the service per job, the command line per invocation, the harness
-// per paper point for the point's OP2 and CA backends — and every attempt,
-// restarts included, is built on it. An ablation whose partition no Spec
-// names copies the Problem and replaces Assign.
+// the mesh, the multigrid hierarchy (mgcfd only), and under a distributed
+// backend the partition assignment and the declared app (possibly other runs'
+// too, through the run's Assignments and Instances; both nil under seq). Its
+// owner builds one per run — the service per job, the command line per
+// invocation, the harness per paper point for the point's OP2 and CA backends
+// — and every attempt, restarts included, is built on it. An ablation whose
+// partition no Spec names copies the Problem and replaces Assign.
 type Problem struct {
 	Mesh      *mesh.FV3D
 	Hierarchy *mesh.Hierarchy
@@ -414,29 +418,31 @@ type Problem struct {
 	AssignStored bool
 	// Instance is the declared app every distributed attempt on the Problem
 	// shares — possibly another run's, taken from the run's Instances — and
-	// Mesh and Hierarchy are then its own.
+	// Mesh and Hierarchy are its own.
 	Instance *Instance
 }
 
-// NewProblem builds the mesh, hierarchy and partition r describes, taking
-// the mesh and hierarchy from the declared instance its Instances keeps, or
-// leaving one there, when the run has that store and a distributed backend,
-// and the partition from its Assignments, or leaving it there.
+// NewProblem builds the mesh and hierarchy r describes and, under a
+// distributed backend, the declared app over them and the partition: the
+// instance taken from the run's Instances, or declared and left there, and
+// the partition likewise through its Assignments.
 func (r *Run) NewProblem() (*Problem, error) {
 	p := &Problem{}
-	if r.Instances != nil && r.Spec.Backend != "seq" {
-		key := r.instanceKey()
-		if p.Instance = r.Instances.Load(key); p.Instance == nil {
-			p.Instance = r.declare(r.newMesh())
-			r.Instances.Store(key, p.Instance)
-		}
-		p.Mesh, p.Hierarchy = p.Instance.Mesh, p.Instance.Hierarchy
-	} else {
-		p.Mesh, p.Hierarchy = r.newMesh()
-	}
 	if r.Spec.Backend == "seq" {
+		p.Mesh, p.Hierarchy = r.newMesh()
 		return p, nil
 	}
+	ikey := r.instanceKey()
+	if r.Instances != nil {
+		p.Instance = r.Instances.Load(ikey)
+	}
+	if p.Instance == nil {
+		p.Instance = r.declare(r.newMesh())
+		if r.Instances != nil {
+			r.Instances.Store(ikey, p.Instance)
+		}
+	}
+	p.Mesh, p.Hierarchy = p.Instance.Mesh, p.Instance.Hierarchy
 	key := r.assignmentKey()
 	if r.Assignments != nil && key.Ranks <= p.Mesh.NNodes {
 		// A rank count the mesh cannot hold is not looked up: it goes to
@@ -546,22 +552,19 @@ func (r *Run) BuildFrom(p *Problem, st *checkpoint.State) (*Attempt, error) {
 }
 
 // BuildOn constructs one attempt over p: the app — the Problem's declared
-// instance, or a fresh one when it has none or the backend is seq, which
-// writes the dats — and the backend, fresh when st is nil, restored from the
-// snapshot otherwise. The backend copies the dats' initial state out of the
-// instance and never writes back, so a restored attempt overwrites its copy
-// with the snapshot's. The snapshot's note is the caller's: BuildFrom reads an
-// IterNote from it, the harness its own resume point.
+// instance, or under seq, which writes the dats, a fresh one — and the
+// backend, fresh when st is nil, restored from the snapshot otherwise. The
+// backend copies the dats' initial state out of the instance and never writes
+// back, so a restored attempt overwrites its copy with the snapshot's. The
+// snapshot's note is the caller's: BuildFrom reads an IterNote from it, the
+// harness its own resume point.
 func (r *Run) BuildOn(p *Problem, st *checkpoint.State) (*Attempt, error) {
-	in := p.Instance
-	if in == nil || r.Spec.Backend == "seq" {
-		in = r.declare(p.Mesh, p.Hierarchy)
-	}
-	a := r.attempt(p, in)
 	if r.Spec.Backend == "seq" {
+		a := r.attempt(p, r.declare(p.Mesh, p.Hierarchy))
 		a.B = core.NewSeq()
 		return a, nil
 	}
+	a := r.attempt(p, p.Instance)
 	var err error
 	if a.CB, err = r.Open(p, a.prog, a.primary, a.maxChain, st); err != nil {
 		return nil, err
