@@ -176,10 +176,8 @@ type Backend struct {
 	planHits          int64
 	planMisses        int64
 	planInvalidations int64
-	// schedules memoises exchange schedules by spec fingerprint, for chain
-	// and per-loop exchanges alike; noExchange is the schedule of an
-	// exchange with nothing to send. See exchange.go.
-	schedules  map[string]*exchangeSchedule
+	// noExchange is the schedule of an exchange with nothing to send; every
+	// other schedule is memoised on the layouts. See exchange.go.
 	noExchange *exchangeSchedule
 
 	// Fault-recovery state: the per-message retransmission budget (see
@@ -382,7 +380,6 @@ func New(cfg Config) (*Backend, error) {
 		clock:      make([]float64, cfg.NParts),
 		stats:      newStats(),
 		plans:      map[string]*planEntry{},
-		schedules:  map[string]*exchangeSchedule{},
 		tunes:      map[tuneKey]*chainTune{},
 		warmPlans:  map[planKey]bool{},
 		heCache:    map[*chaincfg.Chain]heOverrides{},

@@ -20,13 +20,14 @@ package cluster
 //     raises it), and a copy outside it is never read before an exchange
 //     overwrites it. So owned values plus validity depths determine every
 //     future result bit, snapshot byte, clock and counter, and restoreFrom
-//     refills every halo copy of the written dats from its owner
-//     (refillHalos). A chain configured shallower than ca.SafeAnalysis allows
-//     (DESIGN §5b.3) is no exception: ca.Inspect still requires every dat a
-//     loop reads to be valid to that loop's configured extension, so where
-//     such a chain under-reaches it reads the pre-chain owner value its own
-//     exchange delivered in place of an in-chain update — a deviation, but a
-//     function of owned values and validity like everything else.
+//     refills every halo copy of the written dats from its owner through one
+//     unpriced exchange (restoreDats). A chain configured shallower than
+//     ca.SafeAnalysis allows (DESIGN §5b.3) is no exception: ca.Inspect still
+//     requires every dat a loop reads to be valid to that loop's configured
+//     extension, so where such a chain under-reaches it reads the pre-chain
+//     owner value its own exchange delivered in place of an in-chain update —
+//     a deviation, but a function of owned values and validity like
+//     everything else.
 //   - Dats no loop has written (mesh constants: volumes, edge
 //     weights, coordinates). New copies them from Config.Prog, so the
 //     restoring backend already holds them — provided the restoring program
@@ -55,13 +56,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"op2ca/internal/autotune"
 	"op2ca/internal/checkpoint"
 	"op2ca/internal/core"
-	"op2ca/internal/halo"
 	"op2ca/internal/obs"
 )
 
@@ -432,57 +431,21 @@ func (b *Backend) restoreDats(got *datSink, dats []ckptDat) error {
 				decl[id].Name, crc, dats[id].CRC)
 		}
 	}
-	b.refillHalos()
+	// Every halo copy of a written dat is what the snapshot leaves out and an
+	// uninterrupted run holds inside the validity depths (outside them the two
+	// may differ, and nothing reads there before an exchange): refill them all
+	// from their owners with one exchange of every shell built, through the
+	// memoised schedule like any loop's. Nothing prices it, so no clock or
+	// counter moves.
+	specs := b.scr.filtered[:0]
+	for _, d := range decl {
+		if b.written[d.ID] {
+			specs = append(specs, exchangeSpec{dat: d, execDepth: b.cfg.Depth, nonexecDepth: b.cfg.Depth})
+		}
+	}
+	b.scr.filtered = specs
+	b.exchange(specs, true)
 	return nil
-}
-
-// refillHalos overwrites every halo copy of every written dat with its
-// owner's value — what the snapshot leaves out and an uninterrupted run holds
-// inside the validity depths (outside them the two may differ, and nothing
-// reads there before an exchange). It walks each set's import ranges against
-// the owner's export lists of the same shell, which name the same elements
-// in the same order by construction (halo.Build derives the one from the
-// other), so a range is refilled by one gather; no clock, counter or
-// allocation is involved. A range without its export list is the layout
-// inconsistency buildSchedule panics on, with the same typed error.
-func (b *Backend) refillHalos() {
-	for _, d := range b.cfg.Prog.Dats {
-		if !b.written[d.ID] {
-			continue
-		}
-		for r, l := range b.layouts {
-			sl := l.SetL(d.Set)
-			for k := 0; k < l.Depth; k++ {
-				for _, rg := range sl.ImportExec[k] {
-					b.refillRange(d, r, rg, b.layouts[rg.Rank].SetL(d.Set).ExportExec[k])
-				}
-				for _, rg := range sl.ImportNonexec[k] {
-					b.refillRange(d, r, rg, b.layouts[rg.Rank].SetL(d.Set).ExportNonexec[k])
-				}
-			}
-		}
-	}
-}
-
-// refillRange copies rank r's import range rg of d from its owner, whose
-// export lists for the range's shell are exports.
-func (b *Backend) refillRange(d *core.Dat, r int, rg halo.ImportRange, exports []halo.ExportList) {
-	i, ok := slices.BinarySearchFunc(exports, int32(r), func(ex halo.ExportList, to int32) int {
-		return int(ex.Rank - to)
-	})
-	if !ok {
-		panic(&ExchangeError{Kind: ErrMissing, Rank: r, From: rg.Rank, Dat: d.Name})
-	}
-	locals := exports[i].Locals
-	if len(locals) != int(rg.Count) {
-		panic(&ExchangeError{Kind: ErrSizeMismatch, Rank: r, From: rg.Rank, Dat: d.Name,
-			Want: int(rg.Count) * d.Dim, Got: len(locals) * d.Dim})
-	}
-	dim := d.Dim
-	src, dst := b.dats[rg.Rank][d.ID], b.dats[r][d.ID][int(rg.Start)*dim:]
-	for j, loc := range locals {
-		copy(dst[j*dim:(j+1)*dim], src[int(loc)*dim:(int(loc)+1)*dim])
-	}
 }
 
 // RestoreState rebuilds a backend from a snapshot already read: decoded

@@ -17,11 +17,11 @@ type exchangeSpec struct {
 }
 
 // maxSchedules bounds how many distinct (spec set, grouping) exchanges one
-// backend, and one Layouts, memoises schedules for. The runtime dirty state
-// decides which shells an execution actually exchanges, so a loop or a chain
-// normally sees one or two spec sets (the first execution after a scatter,
-// then the steady state) and a program a few dozen; anything beyond the bound
-// is exchanged through a schedule built for the occasion and dropped.
+// Layouts memoises schedules for. The runtime dirty state decides which
+// shells an execution actually exchanges, so a loop or a chain normally sees
+// one or two spec sets (the first execution after a scatter, then the steady
+// state) and a program a few dozen; anything beyond the bound is exchanged
+// through a schedule built for the occasion and dropped.
 const maxSchedules = 256
 
 // appendSpecFingerprint appends a comparable key for a filtered spec set to
@@ -212,24 +212,18 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 // exchange packs, "transfers" and unpacks halo data for the given specs.
 // The data movement is real (receivers' halo copies are overwritten with
 // owners' current values); the returned schedule carries what the virtual
-// network needs to charge time. Schedules are memoised per backend by spec
-// fingerprint, and behind that map, on a local miss, per layouts
-// (Layouts.schedule), which every backend built on them shares; with the
-// plan cache disabled the exchange runs through a schedule built for this
-// call — the same walk, never a second code path.
+// network needs to charge time, and nothing here charges it. Schedules are
+// memoised once, by spec fingerprint on the layouts (Layouts.schedule), which
+// every backend built on them shares; with the plan cache disabled the
+// exchange runs through a schedule built for this call — the same walk,
+// never a second code path.
 func (b *Backend) exchange(specs []exchangeSpec, grouped bool) *exchangeSchedule {
 	if len(specs) == 0 {
 		return b.noExchange
 	}
 	sc := &b.scr
 	sc.fpBuf = appendSpecFingerprint(sc.fpBuf[:0], specs, grouped)
-	s, ok := b.schedules[string(sc.fpBuf)]
-	if !ok {
-		s = b.sharedSchedule(sc.fpBuf, specs, grouped)
-		if !b.cfg.NoPlanCache && len(b.schedules) < maxSchedules {
-			b.schedules[string(sc.fpBuf)] = s
-		}
-	}
+	s := b.sharedSchedule(sc.fpBuf, specs, grouped)
 	if len(s.msgs) == 0 {
 		return s
 	}

@@ -26,9 +26,9 @@ type Layouts struct {
 	// schedules memoises the exchange schedules built over these layouts for
 	// every backend built on them, by spec fingerprint, up to maxSchedules: a
 	// schedule is a function of the layouts, the spec set and the grouping
-	// only (see buildSchedule), and read-only once built. Each backend keeps
-	// its own map in front of this one and looks here on a miss, so the mutex
-	// is taken once per spec set and backend.
+	// only (see buildSchedule), and read-only once built. It is the only
+	// schedule memo: every exchange of every backend on the layouts, a
+	// restore's halo refill included, looks here.
 	mu        sync.Mutex
 	schedules map[string]*exchangeSchedule
 }

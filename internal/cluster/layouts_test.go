@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"io"
 	"math"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -99,9 +101,9 @@ func TestSharedLayoutsAreInvisible(t *testing.T) {
 // a backend builds live on its Layouts, and every backend built on them
 // replays them. For both apps under every execution policy, two Parallel
 // backends stepping at once on one Layouts — each with a program of its own —
-// end in the state and checksum of a backend on layouts of its own, and every
-// schedule either one memoised is the one the layouts hold; a backend with
-// the plan cache off builds its own and leaves the table alone.
+// end in the state and checksum of a backend on layouts of its own, and leave
+// their schedules on the layouts; a backend with the plan cache off builds
+// its own and leaves the table alone.
 func TestSharedSchedulesAreInvisible(t *testing.T) {
 	defer leakcheck.Check(t)()
 	for name, mk := range snapApps() {
@@ -147,11 +149,6 @@ func TestSharedSchedulesAreInvisible(t *testing.T) {
 				if g, w := b.ChecksumDats(), ref.ChecksumDats(); g != w {
 					t.Errorf("%s: checksum %s on shared schedules, %s on its own", label, g, w)
 				}
-				for fp, s := range b.schedules {
-					if shared.schedules[fp] != s {
-						t.Errorf("%s: a backend replays schedule %q that is not the layouts'", label, fp)
-					}
-				}
 				b.Close()
 			}
 			held := len(shared.schedules)
@@ -159,12 +156,153 @@ func TestSharedSchedulesAreInvisible(t *testing.T) {
 			if g, w := uncached.ChecksumDats(), ref.ChecksumDats(); g != w || uncached.MaxClock() != ref.MaxClock() {
 				t.Errorf("%s: without the plan cache, checksum %s at %v; with it %s at %v", label, g, uncached.MaxClock(), w, ref.MaxClock())
 			}
-			if len(uncached.schedules) != 0 || len(shared.schedules) != held {
-				t.Errorf("%s: a backend without the plan cache memoised %d schedules and left %d on the layouts",
-					label, len(uncached.schedules), len(shared.schedules)-held)
+			if len(shared.schedules) != held {
+				t.Errorf("%s: a backend without the plan cache left %d schedules on the layouts",
+					label, len(shared.schedules)-held)
 			}
 			uncached.Close()
 			ref.Close()
+		}
+	}
+}
+
+// TestRestoreRefillsThroughTheSchedule (run under -race): a restore refills
+// the halo copies a snapshot leaves out through an exchange schedule
+// memoised on the layouts, like any loop's. For both apps, two restores at
+// once onto one shared Layouts — one from a ring generation recovered without
+// its dats, one from the snapshot's bytes — leave on the layouts exactly one
+// schedule, the refill's; a third restore adds none, nor does one with the
+// plan cache off. Every restored backend is in its uninterrupted run's state,
+// holds its owners' values in every halo copy of a written dat, in every
+// shell built, and steps on as the uninterrupted run does.
+func TestRestoreRefillsThroughTheSchedule(t *testing.T) {
+	defer leakcheck.Check(t)()
+	var open []*Backend
+	defer func() {
+		for _, b := range open {
+			b.Close()
+		}
+	}()
+	ca := snapModes[1]
+	for _, name := range []string{"mgcfd", "hydra"} {
+		mk := snapApps()[name]
+		// run steps u's instance on layouts of its own twice and snapshots it:
+		// the uninterrupted run.
+		run := func(u snapRun) (*Backend, []byte) {
+			ref, err := New(u.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			open = append(open, ref)
+			u.init(ref)
+			u.step(ref)
+			u.step(ref)
+			var snap bytes.Buffer
+			if err := ref.Checkpoint(&snap, "k"); err != nil {
+				t.Fatal(err)
+			}
+			return ref, snap.Bytes()
+		}
+		u, nc := mk(ca), mk(ca)
+		nc.cfg.NoPlanCache = true
+		ref, snap := run(u)
+		refNC, snapNC := run(nc)
+		ring, err := checkpoint.NewRing(checkpoint.Spec{Every: 1, Path: filepath.Join(t.TempDir(), "ck"), Keep: 1})
+		if err == nil {
+			_, err = ring.Write(func(w io.Writer) error { _, err := w.Write(snap); return err })
+		}
+		if err == nil {
+			err = ring.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := NewLayouts(u.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refill []exchangeSpec
+		for _, d := range u.cfg.Prog.Dats {
+			if ref.written[d.ID] {
+				refill = append(refill, exchangeSpec{dat: d, execDepth: u.cfg.Depth, nonexecDepth: u.cfg.Depth})
+			}
+		}
+		refillFp := string(appendSpecFingerprint(nil, refill, true))
+		held := func(after string) {
+			t.Helper()
+			if _, ok := shared.schedules[refillFp]; !ok || len(shared.schedules) != 1 {
+				t.Errorf("%s, after %s: the layouts hold %d schedules, the refill's among them %t; want it alone",
+					name, after, len(shared.schedules), ok)
+			}
+		}
+		// restore restores onto the shared layouts a fresh instance of the
+		// uninterrupted run want, from the ring or from bytes.
+		type restored struct {
+			label string
+			r     snapRun
+			b     *Backend
+			want  *Backend
+		}
+		restore := func(label string, want *Backend, snap []byte, ringed bool) *restored {
+			r := mk(ca)
+			r.cfg.Layouts, r.cfg.Parallel, r.cfg.NoPlanCache = shared, true, want.cfg.NoPlanCache
+			var b *Backend
+			var err error
+			if !ringed {
+				b, _, err = Restore(bytes.NewReader(snap), r.cfg)
+			} else if st, _, _, _ := ring.RecoverNewest(); st == nil {
+				err = errors.New("the ring lost its generation")
+			} else {
+				b, err = RestoreState(st, r.cfg)
+			}
+			if err != nil {
+				t.Errorf("%s %s: %v", name, label, err)
+				return nil
+			}
+			return &restored{label: name + " " + label, r: r, b: b, want: want}
+		}
+		all := make([]*restored, 2)
+		var wg sync.WaitGroup
+		for i := range all {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				all[i] = restore([]string{"from the ring", "from bytes"}[i], ref, snap, i == 0)
+			}()
+		}
+		wg.Wait()
+		held("two restores at once")
+		all = append(all, restore("third", ref, snap, false))
+		held("a third restore")
+		all = append(all, restore("without the plan cache", refNC, snapNC, false))
+		held("a restore without the plan cache")
+		for _, g := range all {
+			if g != nil {
+				open = append(open, g.b)
+			}
+		}
+		if slices.Contains(all, nil) {
+			t.FailNow()
+		}
+
+		for _, g := range all {
+			compareBackends(t, g.label, g.b, g.want)
+			// Every shell built, not only those inside validity: the refill
+			// is an exchange of them all.
+			valid := slices.Clone(g.b.valid)
+			for id := range g.b.valid {
+				if g.b.written[id] {
+					g.b.valid[id] = validity{exec: g.b.cfg.Depth, nonexec: g.b.cfg.Depth}
+				}
+			}
+			checkHaloInvariant(t, g.label+", every shell", g.b)
+			copy(g.b.valid, valid)
+		}
+		u.step(ref)
+		nc.step(refNC)
+		for _, g := range all {
+			g.r.step(g.b)
+			compareBackends(t, g.label+", a step on", g.b, g.want)
 		}
 	}
 }

@@ -6,8 +6,9 @@ package cluster
 // index — is paid once per distinct chain and amortised over the many
 // executions of that chain (MG-CFD and Hydra re-execute the same handful of
 // chains every multigrid cycle). The exchange schedules a plan's executions
-// replay are memoised separately, per backend (see exchange.go): a schedule
-// depends on the spec set and the layouts, not on the plan that asked.
+// replay are memoised separately, on the layouts (see exchange.go): a
+// schedule depends on the spec set and the layouts, not on the plan that
+// asked.
 
 import (
 	"slices"

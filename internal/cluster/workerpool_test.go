@@ -376,8 +376,8 @@ func TestPerLoopExchangeZeroAlloc(t *testing.T) {
 				t.Errorf("%s, %d workers: steady-state per-loop exchange allocates %v per run, want 0", pname, workers, n)
 			}
 		}
-		if len(b.schedules) != 1 {
-			t.Errorf("%s: %d schedules memoised, want the one replayed", pname, len(b.schedules))
+		if n := len(b.cfg.Layouts.schedules); n != 1 {
+			t.Errorf("%s: %d schedules memoised on the layouts, want the one replayed", pname, n)
 		}
 		if plan != nil && retries == 0 {
 			t.Errorf("%s: no retransmission happened; the faulted case measured the clean path", pname)
