@@ -92,26 +92,32 @@ type Config struct {
 	// returned and later points what earlier ones did; the lender is garbage
 	// once the experiment returns.
 	slabs cluster.SlabLender
+	// instances keeps the apps the experiment's points declared
+	// (runspec.Run.Instances). Experiments sets a runspec.GCStore of its own
+	// beside the lender, so every point on one mesh shares one declared app.
+	instances runspec.Instances
 }
 
 // resolve turns the description of one backend of an experiment into a
 // run on mach — named in the description by its preset, handed over as
 // built, since the launch-overhead ablation modifies one — under the
 // invocation's host-side knobs and fault plan, borrowing from the
-// experiment's lender. The description is the harness's own, so a Resolve
-// error is a bug.
+// experiment's lender and declaring through its instance store. The
+// description is the harness's own, so a Resolve error is a bug.
 func (c Config) resolve(s runspec.Spec, mach *machine.Machine) *runspec.Run {
 	s.Machine = strings.ToLower(mach.Name)
 	r, err := s.Resolve()
 	if err != nil {
 		panic("bench: " + err.Error())
 	}
-	r.Machine, r.Parallel, r.Tracer, r.Plan, r.Slabs = mach, c.Parallel, c.Tracer, c.Faults, c.slabs
+	r.Machine, r.Parallel, r.Tracer, r.Plan = mach, c.Parallel, c.Tracer, c.Faults
+	r.Slabs, r.Instances = c.slabs, c.instances
 	return r
 }
 
 // problem builds what the backends of one experiment point share: mesh,
-// hierarchy, partition and the declared app. The description is the
+// hierarchy, partition, the declared app — the experiment's, when an earlier
+// point declared it — and the halo layouts. The description is the
 // harness's own but its sizes are the invocation's: scale flags under which a
 // point has more ranks than its mesh has nodes raise the *runspec.SizeError
 // itself, for the command to report as the usage error it is.
@@ -127,9 +133,10 @@ func problem(r *runspec.Run) *runspec.Problem {
 // backend that spec — the point's description but for the backend — gives on
 // mach, after one warm-up iteration. The autotuner and the overlapped
 // executor apply to CA only. Both backends are built over one Problem, so
-// they share the point's mesh, partition and one read-only declared app:
-// rebuilding mesh and partition per backend would cost paper-sweep about 5%
-// of its throughput and most of its allocation bound.
+// they share the point's mesh, partition, one read-only declared app and one
+// set of halo layouts with their exchange schedules: rebuilding mesh and
+// partition per backend would cost paper-sweep about 5% of its throughput and
+// most of its allocation bound.
 func (c Config) point(spec runspec.Spec, mach *machine.Machine, body func(r *runspec.Run, p *runspec.Problem)) {
 	var p *runspec.Problem
 	for _, backend := range []string{"op2", "ca"} {

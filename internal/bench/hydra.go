@@ -261,7 +261,8 @@ func Table3and4(c Config) *Table {
 
 // Experiments maps experiment names to their runners, for the CLI and
 // benchmarks. Each runner lends the backends of its experiment their storage
-// from one cluster.Lender of its own.
+// from one cluster.Lender of its own, and shares one declared app among the
+// experiment's points on each mesh through one runspec.GCStore of its own.
 func Experiments() map[string]func(Config) *Table {
 	runners := map[string]func(Config) *Table{
 		"table2":              Table2,
@@ -283,6 +284,9 @@ func Experiments() map[string]func(Config) *Table {
 		runners[name] = func(c Config) *Table {
 			if c.slabs == nil {
 				c.slabs = new(cluster.Lender)
+			}
+			if c.instances == nil {
+				c.instances = new(runspec.GCStore[runspec.InstanceKey, runspec.Instance])
 			}
 			return run(c)
 		}

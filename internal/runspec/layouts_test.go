@@ -1,7 +1,9 @@
 package runspec
 
 import (
+	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,21 +11,27 @@ import (
 	"op2ca/internal/cluster"
 	"op2ca/internal/core"
 	"op2ca/internal/leakcheck"
+	"op2ca/internal/partition"
 )
 
 // mapLayouts is the Layouts contract at its plainest: what is stored is what
 // every later Load of the key returns.
 type mapLayouts struct {
+	mu            sync.Mutex
 	kept          map[LayoutKey]*cluster.Layouts
 	loads, stores int
 }
 
 func (m *mapLayouts) Load(k LayoutKey) *cluster.Layouts {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.loads++
 	return m.kept[k]
 }
 
 func (m *mapLayouts) Store(k LayoutKey, l *cluster.Layouts) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.stores++
 	m.kept[k] = l
 }
@@ -134,5 +142,155 @@ func TestStoredLayoutsPinNoProgram(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("a closed attempt's program stays reachable while its layouts are stored")
 		}
+	}
+}
+
+// TestProblemKeepsItsLayouts: a Problem keeps the halo layouts its backends
+// were built on. An OP2 attempt, a CA attempt and a restore from the CA
+// attempt's ring on one Problem are built on one Layouts, looked up once in
+// the run's store; attempts opened at once on a new Problem build it once; a
+// copy of the Problem with a replaced Assign builds layouts of its own. Every
+// attempt ends, and snapshots, bitwise as one on a Problem of its own does.
+func TestProblemKeepsItsLayouts(t *testing.T) {
+	defer leakcheck.Check(t)()
+	for _, app := range []string{"mgcfd", "hydra"} {
+		kept := &mapLayouts{kept: map[LayoutKey]*cluster.Layouts{}}
+		var store Layouts = kept
+		resolve := func(backend string) *Run {
+			t.Helper()
+			s := small(app)
+			s.Backend, s.CheckpointEvery = backend, 1
+			r, err := s.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Layouts = store
+			return r
+		}
+		problem := func() *Problem {
+			t.Helper()
+			r := resolve("ca")
+			r.Layouts = nil
+			p, err := r.NewProblem()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		// run builds one attempt of backend over p from st, drives it, writing
+		// generations to ring when one is given, and returns its outcome and a
+		// snapshot of where it ended.
+		type ended struct {
+			out  Outcome
+			snap []byte
+		}
+		run := func(backend string, p *Problem, ring *checkpoint.Ring, st *checkpoint.State) ended {
+			t.Helper()
+			r := resolve(backend)
+			if p == nil {
+				r.Layouts = nil
+				var err error
+				if p, err = r.NewProblem(); err != nil {
+					t.Error(err)
+					return ended{}
+				}
+			}
+			a, err := r.BuildFrom(p, st)
+			if err != nil {
+				t.Error(err)
+				return ended{}
+			}
+			defer a.Close()
+			if err := a.Drive(ring); err != nil {
+				t.Error(err)
+			}
+			var e ended
+			e.out = a.Outcome()
+			var buf bytes.Buffer
+			if err := a.CB.Checkpoint(&buf, "end"); err != nil {
+				t.Error(err)
+			}
+			e.snap = buf.Bytes()
+			return e
+		}
+		same := func(leg string, got, want ended) {
+			t.Helper()
+			if got.out.Checksum != want.out.Checksum || got.out.Residual != want.out.Residual ||
+				got.out.MaxClock != want.out.MaxClock || got.out.Exchanges != want.out.Exchanges {
+				t.Errorf("%s %s: (%s, %g, %g, %d) on kept layouts, (%s, %g, %g, %d) on its own", app, leg,
+					got.out.Checksum, got.out.Residual, got.out.MaxClock, got.out.Exchanges,
+					want.out.Checksum, want.out.Residual, want.out.MaxClock, want.out.Exchanges)
+			}
+			if got.snap != nil && !bytes.Equal(got.snap, want.snap) {
+				t.Errorf("%s %s: its snapshot differs from one of a backend on layouts of its own", app, leg)
+			}
+		}
+		// only returns the one Layouts p keeps.
+		only := func(leg string, p *Problem) *cluster.Layouts {
+			t.Helper()
+			if n := len(p.layouts.kept); n != 1 {
+				t.Fatalf("%s %s: the Problem keeps %d layouts, want one", app, leg, n)
+			}
+			return p.layouts.kept[0].l
+		}
+		fresh := map[string]ended{"op2": run("op2", nil, nil, nil), "ca": run("ca", nil, nil, nil)}
+
+		p := problem()
+		same("op2", run("op2", p, nil, nil), fresh["op2"])
+		lay := only("op2", p)
+		newRing := func() *checkpoint.Ring {
+			t.Helper()
+			ring, err := checkpoint.NewRing(checkpoint.Spec{Every: 1, Path: t.TempDir() + "/ck.bin", Keep: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ring
+		}
+		ring := newRing()
+		same("ca", run("ca", p, ring, nil), run("ca", nil, newRing(), nil)) // both count their ring's writes
+		gens := ring.Generations()
+		st, err := checkpoint.ReadFile(gens[len(gens)-1].Path) // the oldest: iterations left to step
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := run("ca", p, nil, st)
+		restored.snap = nil // it counts a restore
+		same("restored", restored, fresh["ca"])
+		if only("restored", p) != lay || kept.loads != 1 || kept.stores != 1 {
+			t.Errorf("%s: the CA attempt and the restore made %d loads and %d stores, or built layouts of their own",
+				app, kept.loads, kept.stores)
+		}
+
+		p = problem()
+		got := make([]ended, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = run([]string{"op2", "ca"}[i%2], p, nil, nil)
+			}()
+		}
+		wg.Wait()
+		for i, e := range got {
+			same("concurrent attempt "+[]string{"op2", "ca"}[i%2], e, fresh[[]string{"op2", "ca"}[i%2]])
+		}
+		if only("concurrent", p) != lay || kept.loads != 2 || kept.stores != 1 {
+			t.Errorf("%s: four attempts at once on a new Problem made %d loads and %d stores in all, want 2 and 1",
+				app, kept.loads, kept.stores)
+		}
+
+		// The partitioner ablation's copy: the Problem under an assignment no
+		// LayoutKey names, so, as in the harness, on runs without a store.
+		store = nil
+		random := *p
+		random.Assign = partition.Random(p.Mesh.NNodes, small(app).Ranks, 7)
+		own := problem()
+		own.Assign = random.Assign
+		same("copy with a replaced Assign", run("ca", &random, nil, nil), run("ca", own, nil, nil))
+		if len(p.layouts.kept) != 2 || p.layouts.kept[0].l != lay || p.layouts.kept[1].l == lay {
+			t.Errorf("%s: the copy did not build layouts of its own beside the original's", app)
+		}
+		same("original after the copy", run("ca", p, nil, nil), fresh["ca"])
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 
 	"op2ca/internal/ca"
 	"op2ca/internal/chaincfg"
@@ -113,16 +114,20 @@ type Run struct {
 	// Service) and the paper harness (one per experiment); nil for one that
 	// builds a few.
 	Slabs cluster.SlabLender
-	// Layouts, when set, is where Open looks for the halo layouts of every
-	// backend built for the run before building them, and where it leaves ones
-	// it built (cluster.Config.Layouts). The third of the service's stores, nil
-	// everywhere else.
+	// Layouts, when set, is where Open looks for the halo layouts of a
+	// backend whose Problem keeps none of its shape before building them, and
+	// where it leaves ones it built (cluster.Config.Layouts), so the Problems
+	// of many runs share them. The third of the service's stores; nil in every
+	// other front-end, where each Problem builds its own, which its attempts
+	// share all the same.
 	Layouts Layouts
 	// Instances, when set, is where NewProblem looks for the run's declared app
 	// — mesh, hierarchy and program — before generating and declaring it, and
 	// where it leaves one it declared, so the Problems of many runs share one
-	// instance. The fourth of the service's stores, nil everywhere else: there
-	// each Problem declares its own, which its attempts share all the same.
+	// instance. Set by the front-ends that run many descriptions: the job
+	// service (one store per Service) and the paper harness (one per
+	// experiment). Nil for one that runs a single description: there the
+	// Problem declares its own, which its attempts share all the same.
 	Instances Instances
 
 	// NoGroupedMsgs and GPUDirect are cluster.Config's ablation knobs of the
@@ -400,14 +405,18 @@ func ParseIterNote(note string) (int, error) {
 	return n, nil
 }
 
-// Problem is what the attempts of a run description share and never modify:
-// the mesh, the multigrid hierarchy (mgcfd only), and under a distributed
-// backend the partition assignment and the declared app (possibly other runs'
-// too, through the run's Assignments and Instances; both nil under seq). Its
-// owner builds one per run — the service per job, the command line per
-// invocation, the harness per paper point for the point's OP2 and CA backends
-// — and every attempt, restarts included, is built on it. An ablation whose
-// partition no Spec names copies the Problem and replaces Assign.
+// Problem is what the attempts of a run description share: the mesh, the
+// multigrid hierarchy (mgcfd only), and under a distributed backend the
+// partition assignment and the declared app (possibly other runs' too, through
+// the run's Assignments and Instances; both nil under seq), all read-only once
+// built, and the halo layouts its backends were built on, which Open adds to
+// as it builds them and which are read-only too. Its owner builds one per run —
+// the service per job, the command line per invocation, the harness per paper
+// point for the point's OP2 and CA backends — and every attempt, restarts
+// included, is built on it, so none builds layouts an earlier one built. An
+// ablation whose partition no Spec names copies the Problem and replaces
+// Assign: the layouts are kept by the assignment they were built on, so the
+// copy builds its own again, and never gets the original's.
 type Problem struct {
 	Mesh      *mesh.FV3D
 	Hierarchy *mesh.Hierarchy
@@ -420,6 +429,64 @@ type Problem struct {
 	// shares — possibly another run's, taken from the run's Instances — and
 	// Mesh and Hierarchy are its own.
 	Instance *Instance
+
+	// layouts are the halo layouts Open built the Problem's backends on.
+	layouts *keptLayouts
+}
+
+// keptLayouts are a Problem's halo layouts, one per assignment and halo
+// shape, shared with its copies. Open looks them up and builds under mu, so
+// concurrent attempts on one Problem build each once.
+type keptLayouts struct {
+	mu   sync.Mutex
+	kept []keptLayout
+}
+
+// keptLayout is one entry of keptLayouts: layouts and what they were built on
+// besides the Problem's program — the assignment, by identity, the rank
+// count, depth and chain length.
+type keptLayout struct {
+	assign                    partition.Assignment
+	ranks, depth, maxChainLen int
+	l                         *cluster.Layouts
+}
+
+// layouts returns the halo layouts a backend of cfg is built on: the ones p
+// keeps for cfg's assignment and shape; else the ones the run's Layouts
+// store keeps under its LayoutKey; else ones built here, and left in the
+// store when the run has one. p keeps them either way.
+func (r *Run) layouts(p *Problem, cfg cluster.Config) (*cluster.Layouts, error) {
+	kl := p.layouts
+	kl.mu.Lock()
+	defer kl.mu.Unlock()
+	k := keptLayout{assign: cfg.Assign, ranks: cfg.NParts, depth: cfg.Depth, maxChainLen: cfg.MaxChainLen}
+	for _, e := range kl.kept {
+		if sameAssignment(e.assign, k.assign) && e.ranks == k.ranks && e.depth == k.depth && e.maxChainLen == k.maxChainLen {
+			return e.l, nil
+		}
+	}
+	key := LayoutKey{AssignmentKey: r.assignmentKey(), App: r.Spec.App, Levels: r.Spec.Levels,
+		Depth: cfg.Depth, MaxChainLen: cfg.MaxChainLen}
+	if r.Layouts != nil {
+		k.l = r.Layouts.Load(key)
+	}
+	if k.l == nil {
+		var err error
+		if k.l, err = cluster.NewLayouts(cfg); err != nil {
+			return nil, err
+		}
+		if r.Layouts != nil {
+			r.Layouts.Store(key, k.l)
+		}
+	}
+	kl.kept = append(kl.kept, k)
+	return k.l, nil
+}
+
+// sameAssignment reports whether a and b are one slice: an assignment is
+// read-only once computed, so the same slice is the same partition.
+func sameAssignment(a, b partition.Assignment) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // NewProblem builds the mesh and hierarchy r describes and, under a
@@ -427,7 +494,7 @@ type Problem struct {
 // instance taken from the run's Instances, or declared and left there, and
 // the partition likewise through its Assignments.
 func (r *Run) NewProblem() (*Problem, error) {
-	p := &Problem{}
+	p := &Problem{layouts: new(keptLayouts)}
 	if r.Spec.Backend == "seq" {
 		p.Mesh, p.Hierarchy = r.newMesh()
 		return p, nil
@@ -578,9 +645,9 @@ func (r *Run) BuildOn(p *Problem, st *checkpoint.State) (*Attempt, error) {
 // partitioned on primary, demarcating chains of at most maxChain loops — and
 // opens the backend, fresh or from st. BuildOn calls it with the app the
 // Spec names; the harness's chain-only ablations call it with the instance
-// they step themselves. When the run has a Layouts store, the backend is
-// built on the layouts kept under the run's LayoutKey, or on ones built here
-// and left there.
+// they step themselves. prog must be p's declared program. The backend is
+// built on the layouts p keeps for the run's depth and maxChain, or on ones
+// taken from the run's Layouts store or built here, which p then keeps.
 func (r *Run) Open(p *Problem, prog *core.Program, primary *core.Set, maxChain int,
 	st *checkpoint.State) (*cluster.Backend, error) {
 	cfg := cluster.Config{
@@ -590,16 +657,9 @@ func (r *Run) Open(p *Problem, prog *core.Program, primary *core.Set, maxChain i
 		Faults: r.Plan, AutoTune: r.Spec.AutoTune, Overlap: r.Spec.Overlap,
 		NoGroupedMsgs: r.NoGroupedMsgs, GPUDirect: r.GPUDirect, Slabs: r.Slabs,
 	}
-	if r.Layouts != nil {
-		key := LayoutKey{AssignmentKey: r.assignmentKey(), App: r.Spec.App, Levels: r.Spec.Levels,
-			Depth: r.Depth, MaxChainLen: maxChain}
-		if cfg.Layouts = r.Layouts.Load(key); cfg.Layouts == nil {
-			var err error
-			if cfg.Layouts, err = cluster.NewLayouts(cfg); err != nil {
-				return nil, err
-			}
-			r.Layouts.Store(key, cfg.Layouts)
-		}
+	var err error
+	if cfg.Layouts, err = r.layouts(p, cfg); err != nil {
+		return nil, err
 	}
 	if st == nil {
 		return cluster.New(cfg)

@@ -77,15 +77,15 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		"Bytes the stored assignments are charged against the store's budget.")
 	mw.Sample("op2ca_service_partition_store_bytes", nil, float64(bytes))
 
-	lhits, lmisses := s.layouts.stats()
+	lhits, lmisses := s.layouts.Stats()
 	mw.Declare("op2ca_service_layout_store_hits_total", "counter",
-		"Job backends built on halo layouts an earlier backend of the same mesh, partition, app, depth and chain length had left in the store.")
+		"Jobs built on halo layouts an earlier job of the same mesh, partition, app, depth and chain length had left in the store; a job's restarts reuse its first attempt's.")
 	mw.Sample("op2ca_service_layout_store_hits_total", nil, float64(lhits))
 	mw.Declare("op2ca_service_layout_store_misses_total", "counter",
-		"Job backends that derived ownership and built their halo layouts.")
+		"Jobs that derived ownership and built their halo layouts.")
 	mw.Sample("op2ca_service_layout_store_misses_total", nil, float64(lmisses))
 
-	ihits, imisses := s.instances.stats()
+	ihits, imisses := s.instances.Stats()
 	mw.Declare("op2ca_service_instance_store_hits_total", "counter",
 		"Jobs built on the mesh, hierarchy and declared app an earlier job of the same mesh size, app and multigrid depth had left in the store.")
 	mw.Sample("op2ca_service_instance_store_hits_total", nil, float64(ihits))

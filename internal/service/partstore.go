@@ -35,13 +35,13 @@ const _ = uint8(MaxRanks - 1)
 //
 // What a job gets is shared and read-only, like everything a Problem holds:
 // a hit's bytes are expanded into a []int32 once and kept in expanded — a
-// gcStore, so the expansion lives while jobs use it and goes two collections
-// after the last — in front of the packed copy, which the budget bounds and
-// which stays the store's record of what it holds. Store packs a copy and
-// keeps the job's slice itself as the expansion.
+// runspec.GCStore, so the expansion lives while jobs use it and goes two
+// collections after the last — in front of the packed copy, which the budget
+// bounds and which stays the store's record of what it holds. Store packs a
+// copy and keeps the job's slice itself as the expansion.
 type partStore struct {
 	budget   int
-	expanded gcStore[runspec.AssignmentKey, partition.Assignment]
+	expanded runspec.GCStore[runspec.AssignmentKey, partition.Assignment]
 
 	mu      sync.Mutex
 	entries map[runspec.AssignmentKey]*list.Element // of *partEntry
@@ -112,7 +112,7 @@ func (s *partStore) Store(k runspec.AssignmentKey, a partition.Assignment) {
 
 // reset lets go of every assignment; the counters stand.
 func (s *partStore) reset() {
-	s.expanded.reset()
+	s.expanded.Reset()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	clear(s.entries)

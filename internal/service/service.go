@@ -88,6 +88,17 @@ type slabLender interface {
 	Stats() cluster.LenderStats
 }
 
+// layoutStore is a Service's store of halo layouts (runspec.Layouts), keyed by
+// what they are built from (runspec.LayoutKey). A wrong one would be refused
+// (*cluster.LayoutsError).
+type layoutStore = runspec.GCStore[runspec.LayoutKey, cluster.Layouts]
+
+// instanceStore is a Service's store of declared apps — mesh, hierarchy and
+// program (runspec.Instances) — keyed by what they are declared from
+// (runspec.InstanceKey). Backends only read a program (cluster.Config.Prog),
+// and the service runs no seq job, the one backend that writes it.
+type instanceStore = runspec.GCStore[runspec.InstanceKey, runspec.Instance]
+
 // worker is one executor slot. busy and load are guarded by the service
 // mutex; the channel carries at most the one job the dispatcher assigned
 // while the worker was idle.
@@ -117,9 +128,11 @@ type Service struct {
 	// closed, for the next job's (see cluster.Lender: what sits in it
 	// unborrowed is the garbage collector's to take).
 	slabs slabLender
-	// layouts keeps the halo layouts jobs built, for the jobs — and restarts,
-	// resumes and restores — after them on the same key (see gcStore: like the
-	// slabs, the garbage collector's to take while nobody uses them).
+	// layouts keeps the halo layouts jobs built, for the jobs after them on
+	// the same key (see runspec.GCStore: like the slabs, the garbage
+	// collector's to take while nobody uses them); a job's restarts, resumes
+	// and restores are built on its Problem, which keeps the layouts its first
+	// attempt was built on.
 	layouts *layoutStore
 	// instances keeps the apps jobs declared — mesh, hierarchy and program —
 	// for the jobs after them on the same key, shared read-only like the
@@ -480,8 +493,8 @@ func (s *Service) Close() {
 	s.unlockAndScrub()
 	s.wg.Wait()
 	s.parts.reset()
-	s.layouts.reset()
-	s.instances.reset()
+	s.layouts.Reset()
+	s.instances.Reset()
 	s.slabs.Reset()
 	s.spares.Close()
 	if s.ownsDir {
