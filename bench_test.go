@@ -1,7 +1,11 @@
 package op2ca
 
 import (
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
+	"time"
 
 	"op2ca/internal/bench"
 	"op2ca/internal/halo"
@@ -99,6 +103,7 @@ func benchHaloBuild(b *testing.B, depth int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		halo.Build(app.Prog, owners, 16, depth, 6)
@@ -115,6 +120,7 @@ func BenchmarkHaloBuildRanks64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		halo.Build(app.Prog, owners, 64, 2, 2)
@@ -284,3 +290,89 @@ func BenchmarkHydraIterationCA(b *testing.B) {
 		app.RunIteration(cb, true)
 	}
 }
+
+// BenchmarkFramePlacement is ROADMAP item 15's reproducer, a measurement
+// that gates nothing: Hydra's RunIteration (4 200 nodes, RIB x 8, serial),
+// CA on and off, timed under a caller frame padded from 0 to 4 KiB in
+// 16-byte steps, visited in shuffled order, keeping the least of two runs
+// per offset and pass (-benchtime Nx makes N passes). spread_x is the slowest
+// offset's time over the fastest's: 1 when a job's speed does not depend on
+// where its frames sit.
+//
+//	go test -run '^$' -bench '^BenchmarkFramePlacement$' -benchtime 1x .
+func BenchmarkFramePlacement(b *testing.B) {
+	const step, span, runs = 16, 4096, 2
+	m := mesh.RotorForNodes(4200)
+	assign := partition.RIB(m.Coords, 3, 8)
+	for _, ca := range []bool{true, false} {
+		name := "op2"
+		if ca {
+			name = "ca"
+		}
+		b.Run(name, func(b *testing.B) {
+			app := hydra.New(m)
+			cb, err := NewCluster(ClusterConfig{
+				Prog: app.Prog, Primary: app.Nodes, Assign: assign, NParts: 8,
+				Depth: 2, MaxChainLen: 6, CA: ca, Chains: hydra.MustPaperConfig(),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cb.Close()
+			app.RunSetup(cb, ca)
+			work := func() { app.RunIteration(cb, ca) }
+			work() // warm: inspection and schedules
+			least := make([]time.Duration, span/step)
+			for i := range least {
+				least[i] = time.Duration(math.MaxInt64)
+			}
+			rng := rand.New(rand.NewPCG(15, 16))
+			b.ResetTimer()
+			for range b.N {
+				for _, i := range rng.Perm(len(least)) {
+					for range runs {
+						t0 := time.Now()
+						padded(i*step, work)
+						least[i] = min(least[i], time.Since(t0))
+					}
+				}
+			}
+			b.ReportMetric(float64(slices.Max(least))/float64(slices.Min(least)), "spread_x")
+		})
+	}
+}
+
+// padded calls work under off more bytes of stack, off a multiple of 16: a
+// descend level is 32 bytes of frame on amd64, and descend16's pad adds 16.
+func padded(off int, work func()) {
+	if off%32 != 0 {
+		descend16(off/32, work)
+		return
+	}
+	descend(off/32, work)
+}
+
+//go:noinline
+func descend(n int, work func()) {
+	if n > 0 {
+		descend(n-1, work)
+		return
+	}
+	work()
+}
+
+// descend16 is descend with a frame 16 bytes larger, once.
+//
+//go:noinline
+func descend16(n int, work func()) {
+	var pad [16]byte
+	if n > 0 {
+		descend(n-1, work)
+		return
+	}
+	work()
+	padSink = pad[n&15]
+}
+
+// padSink keeps descend16's pad a live local.
+var padSink byte

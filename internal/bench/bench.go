@@ -87,14 +87,15 @@ type Config struct {
 	Sup *supervise.Supervisor
 
 	// slabs lends every backend of the experiment its flat storage and takes
-	// it back on Close (runspec.Run.Slabs). Experiments sets one per
-	// experiment run, so a point's CA backend borrows what its OP2 twin
-	// returned and later points what earlier ones did; the lender is garbage
-	// once the experiment returns.
+	// it back on Close (runspec.Run.Slabs). Experiments sets its registry's
+	// one, so a point's CA backend borrows what its OP2 twin returned, and
+	// later points and experiments what earlier ones did; the lender is
+	// garbage once the registry is.
 	slabs cluster.SlabLender
 	// instances keeps the apps the experiment's points declared
-	// (runspec.Run.Instances). Experiments sets a runspec.GCStore of its own
-	// beside the lender, so every point on one mesh shares one declared app.
+	// (runspec.Run.Instances). Experiments sets its registry's
+	// runspec.GCStore beside the lender, so every point on one mesh, in any
+	// experiment of the registry, shares one declared app.
 	instances runspec.Instances
 }
 
@@ -102,7 +103,7 @@ type Config struct {
 // run on mach — named in the description by its preset, handed over as
 // built, since the launch-overhead ablation modifies one — under the
 // invocation's host-side knobs and fault plan, borrowing from the
-// experiment's lender and declaring through its instance store. The
+// registry's lender and declaring through its instance store. The
 // description is the harness's own, so a Resolve error is a bug.
 func (c Config) resolve(s runspec.Spec, mach *machine.Machine) *runspec.Run {
 	s.Machine = strings.ToLower(mach.Name)
@@ -116,7 +117,7 @@ func (c Config) resolve(s runspec.Spec, mach *machine.Machine) *runspec.Run {
 }
 
 // problem builds what the backends of one experiment point share: mesh,
-// hierarchy, partition, the declared app — the experiment's, when an earlier
+// hierarchy, partition, the declared app — the registry's, when an earlier
 // point declared it — and the halo layouts. The description is the
 // harness's own but its sizes are the invocation's: scale flags under which a
 // point has more ranks than its mesh has nodes raise the *runspec.SizeError

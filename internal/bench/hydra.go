@@ -260,10 +260,17 @@ func Table3and4(c Config) *Table {
 }
 
 // Experiments maps experiment names to their runners, for the CLI and
-// benchmarks. Each runner lends the backends of its experiment their storage
-// from one cluster.Lender of its own, and shares one declared app among the
-// experiment's points on each mesh through one runspec.GCStore of its own.
+// benchmarks. The runners of one registry lend their backends storage from
+// one cluster.Lender and share declared apps through one runspec.GCStore,
+// so an experiment borrows the slabs and the instances earlier ones of the
+// registry left behind; a runner handed a Config with a lender or a store of
+// its own uses that one instead.
 func Experiments() map[string]func(Config) *Table {
+	return registry(new(cluster.Lender), new(runspec.GCStore[runspec.InstanceKey, runspec.Instance]))
+}
+
+// registry is Experiments over one given lender and instance store.
+func registry(slabs cluster.SlabLender, instances runspec.Instances) map[string]func(Config) *Table {
 	runners := map[string]func(Config) *Table{
 		"table2":              Table2,
 		"fig10":               Fig10,
@@ -283,10 +290,10 @@ func Experiments() map[string]func(Config) *Table {
 	for name, run := range runners {
 		runners[name] = func(c Config) *Table {
 			if c.slabs == nil {
-				c.slabs = new(cluster.Lender)
+				c.slabs = slabs
 			}
 			if c.instances == nil {
-				c.instances = new(runspec.GCStore[runspec.InstanceKey, runspec.Instance])
+				c.instances = instances
 			}
 			return run(c)
 		}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
 	"strconv"
 
 	"op2ca/internal/core"
@@ -101,26 +103,63 @@ type exchangeSchedule struct {
 	unpack [][]unpackSeg
 }
 
-// segKey identifies one exported shell slice during schedule construction:
-// the sender's export list and the receiver's import range for the same
-// (spec, halo kind, shell) must pair up.
-type segKey struct {
-	from, to int32
-	spec     int32
-	kind     int8 // 0 execute, 1 non-execute
-	depth    int8 // shell index, 0-based
+// eachExport calls f with every non-empty export list rank r sends of specs,
+// in spec, halo kind (0 execute, 1 non-execute), shell order.
+func (l *Layouts) eachExport(r int, specs []exchangeSpec, f func(si int, kind, d int8, ex halo.ExportList)) {
+	for si, sp := range specs {
+		sl := l.ranks[r].SetL(sp.dat.Set)
+		for kind, exports := range [2][][]halo.ExportList{sl.ExportExec[:sp.execDepth], sl.ExportNonexec[:sp.nonexecDepth]} {
+			for d, shell := range exports {
+				for _, ex := range shell {
+					if len(ex.Locals) > 0 {
+						f(si, int8(kind), int8(d), ex)
+					}
+				}
+			}
+		}
+	}
 }
 
-// slabSeg is where in the payload slab a sender packs one shell slice.
-type slabSeg struct{ off, nvals int32 }
+// eachImport calls f with every non-empty import range rank r receives of
+// specs, in the order eachExport walks the senders' lists.
+func (l *Layouts) eachImport(r int, specs []exchangeSpec, f func(si int, kind, d int8, rg halo.ImportRange)) {
+	for si, sp := range specs {
+		sl := l.ranks[r].SetL(sp.dat.Set)
+		for kind, imports := range [2][][]halo.ImportRange{sl.ImportExec[:sp.execDepth], sl.ImportNonexec[:sp.nonexecDepth]} {
+			for d, shell := range imports {
+				for _, rg := range shell {
+					if rg.Count > 0 {
+						f(si, int8(kind), int8(d), rg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sentSeg is one shell slice a sender packs, as its receiver looks it up:
+// key orders the sender, the spec, the halo kind and the shell, the order in
+// which one receiver's sent slices are laid out and its imports claim them.
+type sentSeg struct {
+	key        uint64
+	off, nvals int32
+	claimed    bool
+}
+
+// segKey is a sentSeg's key.
+func segKey(from int32, si int, kind, d int8) uint64 {
+	return uint64(from)<<32 | uint64(si)<<9 | uint64(kind)<<8 | uint64(uint8(d))
+}
 
 // buildSchedule derives the exchange schedule of one filtered spec set: the
 // one place messages are formed and pack/unpack indices derived. Senders
 // walk their export lists in spec, kind, shell order; receivers walk their
 // import ranges the same way and claim the matching slab windows, which must
-// leave none unclaimed. Layouts are consistent by construction, so a
-// mismatch is a runtime bug: it panics with a typed *ExchangeError before
-// any value moves.
+// leave none unclaimed. It counts first and fills second, so messages and
+// every rank's pack and unpack lists are made at their exact size, the lists
+// of all ranks from one array per kind. Layouts are consistent by
+// construction, so a mismatch is a runtime bug: it panics with a typed
+// *ExchangeError before any value moves.
 func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSchedule {
 	n := len(l.ranks)
 	s := &exchangeSchedule{
@@ -131,80 +170,99 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 		slabLo:    make([]int32, n+1),
 		unpack:    make([][]unpackSeg, n),
 	}
-	segs := map[segKey]slabSeg{}
-	// byDest maps a sender's neighbours to their grouped messages;
-	// ungrouped, it only counts distinct neighbours.
-	byDest := map[int32]int{}
+	// Count. inLo[to+1] counts the slices sent to rank to, then becomes the
+	// start of its run in sent; msgTo[to] is the sender that last sent to
+	// it, +1, then — grouped — the index of that sender's message to it.
+	inLo, msgTo := make([]int32, n+1), make([]int32, n)
+	nPack, nUnpack, nMsgs := 0, 0, 0
+	for r := 0; r < n; r++ {
+		neigh := 0
+		l.eachExport(r, specs, func(_ int, _, _ int8, ex halo.ExportList) {
+			nPack++
+			inLo[ex.Rank+1]++
+			if msgTo[ex.Rank] != int32(r+1) {
+				msgTo[ex.Rank] = int32(r + 1)
+				neigh++
+			}
+		})
+		s.maxNeigh = max(s.maxNeigh, neigh)
+		if grouped {
+			nMsgs += neigh
+		}
+		l.eachImport(r, specs, func(int, int8, int8, halo.ImportRange) { nUnpack++ })
+	}
+	if !grouped {
+		nMsgs = nPack
+	}
+	for to := 0; to < n; to++ {
+		inLo[to+1] += inLo[to]
+	}
+
+	// Send: messages, pack lists and the slab windows, each also filed under
+	// its receiver.
+	s.msgs = make([]netsim.Message, 0, nMsgs)
+	packs := make([]packSeg, 0, nPack)
+	sent, fill := make([]sentSeg, nPack), slices.Clone(inLo[:n])
+	clear(msgTo)
 	off := int32(0)
 	for r := 0; r < n; r++ {
 		s.slabLo[r] = off
-		clear(byDest)
-		for si, sp := range specs {
-			sl := l.ranks[r].SetL(sp.dat.Set)
-			add := func(exports [][]halo.ExportList, depth int, kind int8) {
-				for d := 0; d < depth; d++ {
-					for _, ex := range exports[d] {
-						if len(ex.Locals) == 0 {
-							continue
-						}
-						nvals := int32(len(ex.Locals) * sp.dat.Dim)
-						bytes := int64(nvals) * 8
-						mi, known := byDest[ex.Rank]
-						if !known || !grouped {
-							mi = len(s.msgs)
-							byDest[ex.Rank] = mi
-							s.msgs = append(s.msgs, netsim.Message{From: int32(r), To: ex.Rank})
-						}
-						s.msgs[mi].Bytes += bytes
-						s.sendBytes[r] += bytes
-						s.recvBytes[ex.Rank] += bytes
-						s.pack[r] = append(s.pack[r], packSeg{dat: int32(sp.dat.ID), dim: int32(sp.dat.Dim), locals: ex.Locals})
-						segs[segKey{int32(r), ex.Rank, int32(si), kind, int8(d)}] = slabSeg{off: off, nvals: nvals}
-						off += nvals
-					}
-				}
+		lo := len(packs)
+		l.eachExport(r, specs, func(si int, kind, d int8, ex halo.ExportList) {
+			sp := specs[si]
+			nvals := int32(len(ex.Locals) * sp.dat.Dim)
+			bytes := int64(nvals) * 8
+			if mi := msgTo[ex.Rank] - 1; grouped && mi >= 0 && s.msgs[mi].From == int32(r) {
+				s.msgs[mi].Bytes += bytes
+			} else {
+				msgTo[ex.Rank] = int32(len(s.msgs) + 1)
+				s.msgs = append(s.msgs, netsim.Message{From: int32(r), To: ex.Rank, Bytes: bytes})
 			}
-			add(sl.ExportExec, sp.execDepth, 0)
-			add(sl.ExportNonexec, sp.nonexecDepth, 1)
-		}
-		s.maxNeigh = max(s.maxNeigh, len(byDest))
+			s.sendBytes[r] += bytes
+			s.recvBytes[ex.Rank] += bytes
+			packs = append(packs, packSeg{dat: int32(sp.dat.ID), dim: int32(sp.dat.Dim), locals: ex.Locals})
+			sent[fill[ex.Rank]] = sentSeg{key: segKey(int32(r), si, kind, d), off: off, nvals: nvals}
+			fill[ex.Rank]++
+			off += nvals
+		})
+		s.pack[r] = packs[lo:len(packs):len(packs)]
 	}
 	s.slabLo[n] = off
 	for _, m := range s.msgs {
 		s.bytes += m.Bytes
 		s.maxMsgBytes = max(s.maxMsgBytes, m.Bytes)
 	}
+
+	// Receive: every import claims the slice its owner sent, found by key in
+	// the receiver's run of sent, which is ordered by it.
+	unpacks := make([]unpackSeg, 0, nUnpack)
 	for r := 0; r < n; r++ {
-		for si, sp := range specs {
-			sl := l.ranks[r].SetL(sp.dat.Set)
-			dim := int32(sp.dat.Dim)
-			add := func(ranges [][]halo.ImportRange, depth int, kind int8) {
-				for d := 0; d < depth; d++ {
-					for _, rg := range ranges[d] {
-						if rg.Count == 0 {
-							continue
-						}
-						key := segKey{rg.Rank, int32(r), int32(si), kind, int8(d)}
-						seg, sent := segs[key]
-						if !sent {
-							panic(&ExchangeError{Kind: ErrMissing, Rank: r, From: rg.Rank, Dat: sp.dat.Name})
-						}
-						if want := rg.Count * dim; seg.nvals != want {
-							panic(&ExchangeError{Kind: ErrSizeMismatch, Rank: r, From: rg.Rank,
-								Dat: sp.dat.Name, Want: int(want), Got: int(seg.nvals)})
-						}
-						delete(segs, key)
-						s.unpack[r] = append(s.unpack[r], unpackSeg{
-							dat: int32(sp.dat.ID), start: rg.Start * dim, nvals: seg.nvals, off: seg.off})
-					}
-				}
+		in, lo := sent[inLo[r]:inLo[r+1]], len(unpacks)
+		l.eachImport(r, specs, func(si int, kind, d int8, rg halo.ImportRange) {
+			sp := specs[si]
+			key := segKey(rg.Rank, si, kind, d)
+			i, found := slices.BinarySearchFunc(in, key, func(e sentSeg, k uint64) int { return cmp.Compare(e.key, k) })
+			if !found || in[i].claimed {
+				panic(&ExchangeError{Kind: ErrMissing, Rank: r, From: rg.Rank, Dat: sp.dat.Name})
 			}
-			add(sl.ImportExec, sp.execDepth, 0)
-			add(sl.ImportNonexec, sp.nonexecDepth, 1)
-		}
+			seg := &in[i]
+			if want := rg.Count * int32(sp.dat.Dim); seg.nvals != want {
+				panic(&ExchangeError{Kind: ErrSizeMismatch, Rank: r, From: rg.Rank,
+					Dat: sp.dat.Name, Want: int(want), Got: int(seg.nvals)})
+			}
+			seg.claimed = true
+			unpacks = append(unpacks, unpackSeg{
+				dat: int32(sp.dat.ID), start: rg.Start * int32(sp.dat.Dim), nvals: seg.nvals, off: seg.off})
+		})
+		s.unpack[r] = unpacks[lo:len(unpacks):len(unpacks)]
 	}
-	for k := range segs {
-		panic(&ExchangeError{Kind: ErrUnexpected, Rank: int(k.to), From: k.from, Dat: specs[k.spec].dat.Name})
+	for to := 0; to < n; to++ {
+		for _, seg := range sent[inLo[to]:inLo[to+1]] {
+			if !seg.claimed {
+				from, si := int32(seg.key>>32), int(seg.key>>9&(1<<23-1))
+				panic(&ExchangeError{Kind: ErrUnexpected, Rank: to, From: from, Dat: specs[si].dat.Name})
+			}
+		}
 	}
 	return s
 }

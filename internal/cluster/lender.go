@@ -17,10 +17,11 @@ type SlabLender interface {
 }
 
 // Lender is the SlabLender a front-end that builds many backends owns (the
-// job service: one per Service): a free list of the slabs closed backends
-// returned, lent again best fit — the smallest free slab of capacity at
-// least n, since the backends of one service differ in size. Nothing is
-// zeroed on the way through.
+// job service: one per Service; the paper harness: one per registry of
+// experiments): a free list of the slabs closed backends returned, lent again
+// best fit — the smallest free slab of capacity at least n, since the
+// backends of one service differ in size. Nothing is zeroed on the way
+// through.
 //
 // The free list is sized by the traffic: it keeps at most as many slabs as
 // were ever lent at once, the largest first. A Get makes a slab only when

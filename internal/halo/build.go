@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"op2ca/internal/core"
 )
@@ -19,14 +20,6 @@ type selem struct {
 // depth and core prefixes supporting chains of up to maxChainLen loops.
 // The package comment describes the passes and their cost.
 func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) []*Layout {
-	layouts, ownerLocal := buildLayouts(prog, owners, nparts, depth, maxChainLen)
-	fillExports(layouts, ownerLocal)
-	return layouts
-}
-
-// buildLayouts is Build up to (not including) the export and neighbour lists.
-// ownerLocal[s][g] is the local index element g of set s has on its owner.
-func buildLayouts(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) ([]*Layout, [][]int32) {
 	if depth < 1 {
 		panic(fmt.Sprintf("halo: depth %d < 1", depth))
 	}
@@ -37,20 +30,36 @@ func buildLayouts(prog *core.Program, owners [][]int32, nparts, depth, maxChainL
 		panic(fmt.Sprintf("halo: ownership for %d sets, program has %d", len(owners), len(prog.Sets)))
 	}
 	b := newBuilder(prog, owners, nparts, depth, maxChainLen)
-	layouts := make([]*Layout, nparts)
+	layouts := b.layouts()
+	b.fillExports(layouts)
+	b.release()
+	return layouts
+}
+
+// builders keeps the scratch of finished Builds for later ones, so a process
+// that builds many layouts sizes its scratch once. A kept builder refers to
+// nothing of the program it served, and two collections empty the pool, so
+// an idle process holds none.
+var builders sync.Pool // of *builder, no New: an empty pool hands over nil
+
+// layouts is Build up to (not including) the export and neighbour lists.
+func (b *builder) layouts() []*Layout {
+	layouts := make([]*Layout, b.nparts)
 	for rank := range layouts {
 		nb := b.interiorLevels(rank)
 		b.shells(nb)
 		layouts[rank] = b.number(rank)
 		b.reset(layouts[rank])
 	}
-	return layouts, b.ownerLocal
+	return layouts
 }
 
-// builder is the scratch of one Build call. Everything indexed by global
-// element id is sized once and, where it is per rank, restored by reset
-// through the rank's own L2G; every list is truncated and refilled, never
-// reallocated per rank. Nothing here outlives the call.
+// builder is the scratch of one Build call, taken from builders and put back
+// when the call is done, so concurrent builds each hold their own. Everything
+// indexed by global element id is re-initialised at the start of every call
+// and, where it is per rank, restored by reset through the rank's own L2G;
+// every list is truncated and refilled. An array is reallocated only for a
+// set or map larger than any it has held, and no layout refers to any of it.
 type builder struct {
 	prog                       *core.Program
 	owners                     [][]int32
@@ -59,6 +68,7 @@ type builder struct {
 
 	rev              []reverseMap
 	mapsFrom, mapsTo [][]*core.Map // by set id
+	owned            [][]int32     // [set]: ownedBy's slab
 	ownedBy          [][][]int32   // [set][rank] owned globals, ascending
 	boundary         [][]bool      // [set][g]: a map entry joins g to another owner's element
 	ownerLocal       [][]int32     // [set][g]: g's local index on its owner, -1 until numbered
@@ -73,53 +83,80 @@ type builder struct {
 	levelStart            []int32     // counting sort of owned elements by level
 	perRank, ranks        []int32     // counting sort of a shell by owner: counts/cursors, distinct owners
 	heads                 []int       // execOrder's cursor into each shell
+	exports               []int32     // fillExports' count of export lists per (rank, set, kind, shell)
 }
 
-func newBuilder(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) *builder {
-	nsets := len(prog.Sets)
-	b := &builder{
-		prog: prog, owners: owners, nparts: nparts, depth: depth, maxChainLen: maxChainLen,
-		maxLevel: int32(2*maxChainLen + 2),
-		rev:      make([]reverseMap, len(prog.Maps)),
-		mapsFrom: make([][]*core.Map, nsets), mapsTo: make([][]*core.Map, nsets),
-		ownedBy: make([][][]int32, nsets), boundary: make([][]bool, nsets), ownerLocal: make([][]int32, nsets),
-		status: make([][]int8, nsets), level: make([][]int32, nsets), g2l: make([][]int32, nsets),
-		exec: make([][][]int32, nsets), nonexec: make([][][]int32, nsets),
-		levelStart: make([]int32, 2*maxChainLen+3), perRank: make([]int32, nparts), heads: make([]int, depth),
+// resize returns s with length n, keeping its elements and reallocating only
+// when n exceeds its capacity.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	for i, m := range prog.Maps {
-		b.rev[i] = buildReverse(m)
-		b.mapsFrom[m.From.ID] = append(b.mapsFrom[m.From.ID], m)
-		b.mapsTo[m.To.ID] = append(b.mapsTo[m.To.ID], m)
-	}
-	for s, set := range prog.Sets {
-		b.boundary[s] = make([]bool, set.Size)
-		b.status[s] = make([]int8, set.Size)
-		b.level[s] = make([]int32, set.Size)
-		b.ownerLocal[s] = make([]int32, set.Size)
-		b.g2l[s] = make([]int32, set.Size)
-		for g := range b.g2l[s] {
-			b.ownerLocal[s][g], b.g2l[s][g] = -1, -1
-		}
-		b.exec[s] = make([][]int32, depth)
-		b.nonexec[s] = make([][]int32, depth)
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
 
-		// Ownership buckets: one counting pass, one slab per set.
-		first := make([]int32, nparts+1)
+// filled returns s with length n and every element v, reallocating only when
+// n exceeds its capacity.
+func filled[T any](s []T, n int, v T) []T {
+	if n > cap(s) {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// newBuilder takes a builder from the pool, or makes one, and sets it up for
+// one call: the dense arrays, the reverse maps, the ownership buckets and the
+// boundary marks.
+func newBuilder(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) *builder {
+	b, _ := builders.Get().(*builder)
+	if b == nil {
+		b = new(builder)
+	}
+	nsets := len(prog.Sets)
+	b.prog, b.owners, b.nparts, b.depth, b.maxChainLen = prog, owners, nparts, depth, maxChainLen
+	b.maxLevel = int32(2*maxChainLen + 2)
+	b.levelStart = resize(b.levelStart, 2*maxChainLen+3)
+	b.perRank = filled(b.perRank, nparts, 0)
+	b.heads = resize(b.heads, depth)
+	b.rev = resize(b.rev, len(prog.Maps))
+	b.mapsFrom, b.mapsTo = resize(b.mapsFrom, nsets), resize(b.mapsTo, nsets)
+	b.owned, b.ownedBy, b.exec, b.nonexec = resize(b.owned, nsets), resize(b.ownedBy, nsets), resize(b.exec, nsets), resize(b.nonexec, nsets)
+	b.boundary, b.status, b.level = resize(b.boundary, nsets), resize(b.status, nsets), resize(b.level, nsets)
+	b.g2l, b.ownerLocal = resize(b.g2l, nsets), resize(b.ownerLocal, nsets)
+	for s, set := range prog.Sets {
+		b.mapsFrom[s], b.mapsTo[s] = b.mapsFrom[s][:0], b.mapsTo[s][:0]
+		b.boundary[s] = filled(b.boundary[s], set.Size, false)
+		b.status[s] = filled(b.status[s], set.Size, 0)
+		b.level[s] = filled(b.level[s], set.Size, 0)
+		b.g2l[s] = filled(b.g2l[s], set.Size, -1)
+		b.ownerLocal[s] = filled(b.ownerLocal[s], set.Size, -1)
+		b.exec[s], b.nonexec[s] = resize(b.exec[s], depth), resize(b.nonexec[s], depth)
+
+		// Ownership buckets: one counting pass (perRank counts, cleared
+		// after), one fill of the set's slab.
+		slab, count := resize(b.owned[s], set.Size), b.perRank
 		for _, r := range owners[s] {
-			first[r+1]++
+			count[r]++
 		}
-		for r := 0; r < nparts; r++ {
-			first[r+1] += first[r]
-		}
-		slab := make([]int32, set.Size)
-		b.ownedBy[s] = make([][]int32, nparts)
-		for r := range b.ownedBy[s] {
-			b.ownedBy[s][r] = slab[first[r]:first[r]:first[r+1]]
+		b.owned[s], b.ownedBy[s] = slab, resize(b.ownedBy[s], nparts)
+		lo := int32(0)
+		for r, n := range count {
+			b.ownedBy[s][r] = slab[lo : lo : lo+n]
+			lo += n
 		}
 		for g, r := range owners[s] {
 			b.ownedBy[s][r] = append(b.ownedBy[s][r], int32(g))
 		}
+		clear(count)
+	}
+	for i, m := range prog.Maps {
+		b.rev[i] = buildReverse(m, resize(b.rev[i].offsets, m.To.Size+1), resize(b.rev[i].sources, len(m.Values)))
+		b.mapsFrom[m.From.ID] = append(b.mapsFrom[m.From.ID], m)
+		b.mapsTo[m.To.ID] = append(b.mapsTo[m.To.ID], m)
 	}
 	// Boundary marks.
 	for _, m := range prog.Maps {
@@ -134,6 +171,17 @@ func newBuilder(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen
 		}
 	}
 	return b
+}
+
+// release lets go of what the call was given — the program, through its
+// maps, and the ownership — and puts the scratch back in the pool.
+func (b *builder) release() {
+	b.prog, b.owners = nil, nil
+	for s := range b.mapsFrom {
+		clear(b.mapsFrom[s])
+		clear(b.mapsTo[s])
+	}
+	builders.Put(b)
 }
 
 // interiorLevels marks rank's owned elements and levels them by union-graph
@@ -396,22 +444,59 @@ func (b *builder) reset(l *Layout) {
 // import ranges, preserving the importer's storage order, and the neighbour
 // lists from both. Importers are visited in rank order and import at most
 // one range per (shell, owner), so every export list comes out sorted by
-// destination rank.
-func fillExports(layouts []*Layout, ownerLocal [][]int32) {
+// destination rank. The lists are counted first, so each rank's come from
+// one array of the exact size.
+func (b *builder) fillExports(layouts []*Layout) {
+	nsets, depth := len(b.prog.Sets), b.depth
+	// cell is where the export lists rank r sends of set s, halo kind (0
+	// execute, 1 non-execute) and shell d are counted.
+	cell := func(r int32, s, kind, d int) int { return ((int(r)*nsets+s)*2+kind)*depth + d }
+	count := resize(b.exports, len(layouts)*nsets*2*depth)
+	b.exports = count
+	clear(count)
+	for _, l := range layouts {
+		for s, sl := range l.Sets {
+			for d := 0; d < depth; d++ {
+				for _, r := range sl.ImportExec[d] {
+					count[cell(r.Rank, s, 0, d)]++
+				}
+				for _, r := range sl.ImportNonexec[d] {
+					count[cell(r.Rank, s, 1, d)]++
+				}
+			}
+		}
+	}
+	for r, l := range layouts {
+		total := int32(0)
+		for _, n := range count[cell(int32(r), 0, 0, 0):cell(int32(r+1), 0, 0, 0)] {
+			total += n
+		}
+		if total == 0 {
+			continue
+		}
+		lists, at := make([]ExportList, total), int32(0)
+		for s, sl := range l.Sets {
+			for d := 0; d < depth; d++ {
+				for kind, to := range [2][][]ExportList{sl.ExportExec, sl.ExportNonexec} {
+					if n := count[cell(int32(r), s, kind, d)]; n > 0 {
+						to[d], at = lists[at:at:at+n], at+n
+					}
+				}
+			}
+		}
+	}
 	for _, l := range layouts {
 		for s, sl := range l.Sets {
 			// One slab per importing (rank, set): every halo element is
 			// exported by exactly one owner.
 			locals := make([]int32, sl.Total()-sl.NOwned)
 			for i, g := range sl.L2G[sl.NOwned:] {
-				if locals[i] = ownerLocal[s][g]; locals[i] < 0 {
+				if locals[i] = b.ownerLocal[s][g]; locals[i] < 0 {
 					panic(fmt.Sprintf("halo: rank %d imports %s element %d, which no rank owns", l.Rank, sl.Name, g))
 				}
 			}
 			export := func(r ImportRange, to *[]ExportList) {
 				*to = append(*to, ExportList{Rank: int32(l.Rank), Locals: locals[r.Start-int32(sl.NOwned):][:r.Count:r.Count]})
-				src := layouts[r.Rank]
-				l.Neighbours, src.Neighbours = append(l.Neighbours, r.Rank), append(src.Neighbours, int32(l.Rank))
 			}
 			for d := 0; d < l.Depth; d++ {
 				for _, r := range sl.ImportExec[d] {
@@ -423,8 +508,38 @@ func fillExports(layouts []*Layout, ownerLocal [][]int32) {
 			}
 		}
 	}
+	// A rank's neighbours are the owners it imports from and the ranks its
+	// export lists go to, each marked once in perRank.
 	for _, l := range layouts {
-		slices.Sort(l.Neighbours)
-		l.Neighbours = slices.Clone(slices.Compact(l.Neighbours))
+		b.ranks = b.ranks[:0]
+		mark := func(r int32) {
+			if b.perRank[r] == 0 {
+				b.perRank[r] = 1
+				b.ranks = append(b.ranks, r)
+			}
+		}
+		for _, sl := range l.Sets {
+			for d := 0; d < depth; d++ {
+				for _, r := range sl.ImportExec[d] {
+					mark(r.Rank)
+				}
+				for _, r := range sl.ImportNonexec[d] {
+					mark(r.Rank)
+				}
+				for _, ex := range sl.ExportExec[d] {
+					mark(ex.Rank)
+				}
+				for _, ex := range sl.ExportNonexec[d] {
+					mark(ex.Rank)
+				}
+			}
+		}
+		if len(b.ranks) > 0 {
+			slices.Sort(b.ranks)
+			l.Neighbours = slices.Clone(b.ranks)
+		}
+		for _, r := range b.ranks {
+			b.perRank[r] = 0
+		}
 	}
 }

@@ -39,14 +39,17 @@
 // # Build
 //
 // Build is a sequence of linear passes over scratch arrays indexed by global
-// element id, sized once per call: ownership buckets and boundary marks for
-// the whole program, then per rank interior levels (a capped BFS), shells,
-// numbering (counting sorts by level and by owner; only a shell's globals
-// are comparison-sorted, once), the canonical ExecOrder (a merge of runs
-// already ascending) and the localized maps, then export lists for all
-// ranks. A rank's passes visit only its local elements and reset what they
+// element id: ownership buckets and boundary marks for the whole program,
+// then per rank interior levels (a capped BFS), shells, numbering (counting
+// sorts by level and by owner; only a shell's globals are comparison-sorted,
+// once), the canonical ExecOrder (a merge of runs already ascending) and the
+// localized maps, then export lists for all ranks. A rank's passes visit only its local elements and reset what they
 // marked through its L2G, so the call costs O(program + sum of local sizes)
 // whatever the rank count. The global-to-local inverse of L2G exists only
 // here, as scratch: a Layout keeps no hash map and nothing per global
-// element.
+// element. The scratch comes from a pool, one builder per call, so a call
+// reallocates an array only when it needs more than the builder ever held,
+// and concurrent calls share nothing; every array is re-initialised at the
+// start of a call, the builder forgets the program when the call returns,
+// and two garbage collections empty the pool.
 package halo

@@ -89,7 +89,7 @@ func TestReverseMap(t *testing.T) {
 	nodes := p.DeclSet(3, "nodes")
 	edges := p.DeclSet(3, "edges")
 	m := p.DeclMap(edges, nodes, 2, []int32{0, 1, 1, 2, 2, 0}, "e2n")
-	rm := buildReverse(m)
+	rm := buildReverse(m, make([]int32, nodes.Size+1), make([]int32, len(m.Values)))
 	for n := 0; n < nodes.Size; n++ {
 		src := rm.sourcesOf(int32(n))
 		if len(src) != 2 {
@@ -213,7 +213,9 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 
 	// The owner-local table fillExports reads agrees with a brute-force
 	// inverse of every owner's L2G.
-	_, ownerLocal := buildLayouts(p, owners, nparts, depth, chain)
+	b := newBuilder(p, owners, nparts, depth, chain)
+	b.layouts()
+	ownerLocal := b.ownerLocal
 	for s, set := range p.Sets {
 		for g := 0; g < set.Size; g++ {
 			sl := layouts[owners[s][g]].Sets[s]

@@ -83,26 +83,26 @@ type reverseMap struct {
 	sources []int32 // len From.Size*Arity
 }
 
-func buildReverse(m *core.Map) reverseMap {
-	rm := reverseMap{
-		offsets: make([]int32, m.To.Size+1),
-		sources: make([]int32, len(m.Values)),
-	}
+// buildReverse transposes m into offsets (len To.Size+1) and sources (len
+// From.Size*Arity), whatever they held: the sources of a target ascend.
+func buildReverse(m *core.Map, offsets, sources []int32) reverseMap {
+	clear(offsets)
 	for _, t := range m.Values {
-		rm.offsets[t+1]++
+		offsets[t+1]++
 	}
 	for i := 1; i <= m.To.Size; i++ {
-		rm.offsets[i] += rm.offsets[i-1]
+		offsets[i] += offsets[i-1]
 	}
-	cursor := make([]int32, m.To.Size)
+	// offsets[t] is t's fill cursor, and ends at t+1's start: shift it back.
 	for e := 0; e < m.From.Size; e++ {
-		for a := 0; a < m.Arity; a++ {
-			t := m.Values[e*m.Arity+a]
-			rm.sources[rm.offsets[t]+cursor[t]] = int32(e)
-			cursor[t]++
+		for _, t := range m.Targets(e) {
+			sources[offsets[t]] = int32(e)
+			offsets[t]++
 		}
 	}
-	return rm
+	copy(offsets[1:], offsets[:m.To.Size])
+	offsets[0] = 0
+	return reverseMap{offsets: offsets, sources: sources}
 }
 
 // sourcesOf returns the source elements referencing target t.

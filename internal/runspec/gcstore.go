@@ -18,8 +18,8 @@ const gcStoreKeys = 64
 // building it. A hit is shared, not lent: concurrent runs use one copy, which
 // none of them writes. It is the program's one implementation of Layouts and
 // Instances: the job service keeps its layouts, instances and expanded
-// assignments in three, and the paper harness each experiment's declared apps
-// in one.
+// assignments in three, and the paper harness the declared apps of each
+// registry of experiments in one.
 //
 // It is not bounded in bytes but evicted by the garbage collector, as
 // cluster.Lender's slabs are: each key's values are strongly referenced from a

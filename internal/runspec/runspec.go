@@ -111,7 +111,7 @@ type Run struct {
 	// Slabs, when set, lends every backend built for the run its flat storage
 	// and takes it back on Close (cluster.Config.Slabs). Set by the front-ends
 	// that build backend after backend: the job service (one lender per
-	// Service) and the paper harness (one per experiment); nil for one that
+	// Service) and the paper harness (one per registry); nil for one that
 	// builds a few.
 	Slabs cluster.SlabLender
 	// Layouts, when set, is where Open looks for the halo layouts of a
@@ -126,7 +126,7 @@ type Run struct {
 	// where it leaves one it declared, so the Problems of many runs share one
 	// instance. Set by the front-ends that run many descriptions: the job
 	// service (one store per Service) and the paper harness (one per
-	// experiment). Nil for one that runs a single description: there the
+	// registry). Nil for one that runs a single description: there the
 	// Problem declares its own, which its attempts share all the same.
 	Instances Instances
 
