@@ -297,7 +297,10 @@ func BenchmarkHydraIterationCA(b *testing.B) {
 // 16-byte steps, visited in shuffled order, keeping the least of two runs
 // per offset and pass (-benchtime Nx makes N passes). spread_x is the slowest
 // offset's time over the fastest's: 1 when a job's speed does not depend on
-// where its frames sit.
+// where its frames sit. A control series times offset 0 the same way after
+// every 16th offset of the scan, and control_spread_x is its slowest over its
+// fastest: what drift over time alone spreads. A window read off the scan is
+// placement evidence only where spread_x clearly exceeds control_spread_x.
 //
 //	go test -run '^$' -bench '^BenchmarkFramePlacement$' -benchtime 1x .
 func BenchmarkFramePlacement(b *testing.B) {
@@ -326,18 +329,29 @@ func BenchmarkFramePlacement(b *testing.B) {
 			for i := range least {
 				least[i] = time.Duration(math.MaxInt64)
 			}
+			// at times work under off bytes of padding, the least of runs.
+			at := func(off int) time.Duration {
+				best := time.Duration(math.MaxInt64)
+				for range runs {
+					t0 := time.Now()
+					padded(off, work)
+					best = min(best, time.Since(t0))
+				}
+				return best
+			}
+			var control []time.Duration
 			rng := rand.New(rand.NewPCG(15, 16))
 			b.ResetTimer()
 			for range b.N {
-				for _, i := range rng.Perm(len(least)) {
-					for range runs {
-						t0 := time.Now()
-						padded(i*step, work)
-						least[i] = min(least[i], time.Since(t0))
+				for k, i := range rng.Perm(len(least)) {
+					least[i] = min(least[i], at(i*step))
+					if k%16 == 15 {
+						control = append(control, at(0))
 					}
 				}
 			}
 			b.ReportMetric(float64(slices.Max(least))/float64(slices.Min(least)), "spread_x")
+			b.ReportMetric(float64(slices.Max(control))/float64(slices.Min(control)), "control_spread_x")
 		})
 	}
 }

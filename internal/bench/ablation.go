@@ -75,6 +75,7 @@ func AblationDepth(c Config) *Table {
 	const nchains = 8
 	op2 := c.resolve(c.synthetic("op2", nchains, ranks), archer())
 	p := problem(op2)
+	defer p.Release()
 	op2Time := c.runSyntheticOnce(op2, p, "")
 
 	for _, he := range []int{2, 3, 4} {
@@ -118,6 +119,7 @@ func AblationGrouping(c Config) *Table {
 		op2 := c.resolve(c.synthetic("op2", nchains, ranks), archer())
 		if p == nil {
 			p = problem(op2)
+			defer p.Release()
 		}
 		op2Time := c.runSyntheticOnce(op2, p, "")
 		perDat := c.resolve(c.synthetic("ca", nchains, ranks), archer())
@@ -165,6 +167,7 @@ func AblationPartitioner(c Config) *Table {
 		op2Time := c.runSyntheticOnce(c.resolve(spec, archer()), p, variant)
 		spec.Backend = "ca"
 		caTime := c.runSyntheticOnce(c.resolve(spec, archer()), p, variant)
+		p.Release()
 		t.Rows = append(t.Rows, []string{
 			name, fmt.Sprint(q.EdgeCut), fmt.Sprint(q.MaxNeighbours),
 			f2(q.Imbalance), f6(op2Time), f6(caTime), f2(gain(op2Time, caTime)),
@@ -205,6 +208,7 @@ func AblationGPUDirect(c Config) *Table {
 		}
 		staged := run(false)
 		direct := run(true)
+		p.Release()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(ranks), f6(staged), f6(direct), f2(gain(direct, staged)),
 		})
@@ -233,6 +237,7 @@ func AblationGPULaunch(c Config) *Table {
 		op2 := c.resolve(c.synthetic("op2", nchains, ranks), mach)
 		if p == nil {
 			p = problem(op2)
+			defer p.Release()
 		}
 		launch := fmt.Sprintf("%.0fus", overhead*1e6)
 		op2Time := c.runSyntheticOnce(op2, p, "launch="+launch)

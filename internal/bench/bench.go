@@ -87,10 +87,12 @@ type Config struct {
 	Sup *supervise.Supervisor
 
 	// slabs lends every backend of the experiment its flat storage and takes
-	// it back on Close (runspec.Run.Slabs). Experiments sets its registry's
-	// one, so a point's CA backend borrows what its OP2 twin returned, and
-	// later points and experiments what earlier ones did; the lender is
-	// garbage once the registry is.
+	// it back on Close, and every Problem its halo layouts and exchange
+	// schedules, which come back when the Problem is Released
+	// (runspec.Run.Slabs). Experiments sets its registry's one, so a point's
+	// CA backend borrows what its OP2 twin returned, and later points and
+	// experiments what earlier ones did; the lender is garbage once the
+	// registry is.
 	slabs cluster.SlabLender
 	// instances keeps the apps the experiment's points declared
 	// (runspec.Run.Instances). Experiments sets its registry's
@@ -118,10 +120,12 @@ func (c Config) resolve(s runspec.Spec, mach *machine.Machine) *runspec.Run {
 
 // problem builds what the backends of one experiment point share: mesh,
 // hierarchy, partition, the declared app — the registry's, when an earlier
-// point declared it — and the halo layouts. The description is the
-// harness's own but its sizes are the invocation's: scale flags under which a
-// point has more ranks than its mesh has nodes raise the *runspec.SizeError
-// itself, for the command to report as the usage error it is.
+// point declared it — and the halo layouts, borrowed from the registry's
+// lender: whoever builds a Problem Releases it once its backends are closed.
+// The description is the harness's own but its sizes are the invocation's:
+// scale flags under which a point has more ranks than its mesh has nodes
+// raise the *runspec.SizeError itself, for the command to report as the
+// usage error it is.
 func problem(r *runspec.Run) *runspec.Problem {
 	p, err := r.NewProblem()
 	if err != nil {
@@ -137,7 +141,9 @@ func problem(r *runspec.Run) *runspec.Problem {
 // they share the point's mesh, partition, one read-only declared app and one
 // set of halo layouts with their exchange schedules: rebuilding mesh and
 // partition per backend would cost paper-sweep about 5% of its throughput and
-// most of its allocation bound.
+// most of its allocation bound. body closes what it builds; once both
+// backends are closed the point gives the layouts' storage back to the
+// registry's lender, for the next point to borrow.
 func (c Config) point(spec runspec.Spec, mach *machine.Machine, body func(r *runspec.Run, p *runspec.Problem)) {
 	var p *runspec.Problem
 	for _, backend := range []string{"op2", "ca"} {
@@ -149,6 +155,7 @@ func (c Config) point(spec runspec.Spec, mach *machine.Machine, body func(r *run
 		}
 		body(r, p)
 	}
+	p.Release()
 }
 
 // observe invokes the Observe hook if one is configured.

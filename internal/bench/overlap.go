@@ -75,6 +75,7 @@ func OverlapStudy(c Config) *Table {
 	}
 	bulk := measure(false)
 	ov := measure(true)
+	p.Release()
 
 	equal := "equal"
 	if bulk.checksum != ov.checksum {

@@ -58,10 +58,15 @@ func (s *recordingStore) Load(k runspec.InstanceKey) *runspec.Instance {
 // fig12, table2, fig13 in order, at its warm-up scale — on one registry,
 // serial and with parallel ranks, the collector off. The registry's instance
 // store misses once for every distinct (app, mesh) of the whole pass, not
-// once an experiment; after the pass's first point its lender makes a slab
-// only for a point that needs more than every earlier point did, one each,
-// and it has none out at the end; and the rows and every Observe label and checksum equal those of the
-// pass whose experiments each get a registry of their own.
+// once an experiment. A point borrows its dat slabs, its halo layouts and
+// their exchange schedules from the registry's lender and gives all of them
+// back, so after the pass's first point the lender makes a slab only where a
+// point needs more than an earlier one did: no more new slabs than the
+// point's Gets, largest first, outgrow the earlier point's, size rank by size
+// rank — none for a point no larger than an earlier one. It has nothing out
+// at the end; and the rows and every Observe label and checksum equal those
+// of the pass whose experiments each get a registry of their own, and of the
+// pass that lends nothing.
 func TestRegistrySharesItsSetUp(t *testing.T) {
 	defer leakcheck.Check(t)()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -87,6 +92,10 @@ func TestRegistrySharesItsSetUp(t *testing.T) {
 			return rows, sums
 		}
 		wantRows, wantSums := pass(Experiments, func() {})
+		unlentRows, unlentSums := pass(func() map[string]func(Config) *Table { return registry(nil, nil) }, func() {})
+		if !reflect.DeepEqual(unlentRows, wantRows) || !reflect.DeepEqual(unlentSums, wantSums) {
+			t.Errorf("%s: the pass that lends nothing reads\n%v\n%v\nwant\n%v\n%v", name, unlentRows, unlentSums, wantRows, wantSums)
+		}
 
 		lender := &recordingLender{gets: make([][]int, 1)}
 		store := &recordingStore{keys: map[runspec.InstanceKey]bool{}}
@@ -111,17 +120,28 @@ func TestRegistrySharesItsSetUp(t *testing.T) {
 		if st.Hits+st.Misses != int64(gets) || gets == 0 {
 			t.Fatalf("%s: the lender served %d of %d Gets", name, st.Hits+st.Misses, gets)
 		}
-		// The first point fills the lender. After it, a slab is made only for
-		// a point whose largest slab exceeds every earlier point's, one each.
-		records, largest := 0, slices.Max(lender.gets[0])
-		for p := 1; p < points; p++ {
-			if n := slices.Max(lender.gets[p]); n > largest {
-				records, largest = records+1, n
-			}
+		// The first point fills the lender. After it, each point makes at most
+		// as many slabs as outgrow an earlier point's.
+		byPoint := make([][]int, len(lender.gets))
+		for p, gets := range lender.gets {
+			byPoint[p] = slices.Clone(gets)
+			slices.SortFunc(byPoint[p], func(a, b int) int { return b - a })
 		}
-		if later := st.Misses - lender.misses[0]; later > int64(records) {
-			t.Errorf("%s: %d lender misses after the first of %d points, %d of which outgrow every earlier one",
-				name, later, points, records)
+		for p := 1; p < points; p++ {
+			made, least := lender.misses[p]-lender.misses[p-1], len(byPoint[p])
+			for q := range p {
+				outgrown := 0
+				for i, n := range byPoint[p] {
+					if i >= len(byPoint[q]) || n > byPoint[q][i] {
+						outgrown++
+					}
+				}
+				least = min(least, outgrown)
+			}
+			if made > int64(least) {
+				t.Errorf("%s: point %d makes %d slabs, but at most %d of its %d outgrow an earlier point's",
+					name, p, made, least, len(byPoint[p]))
+			}
 		}
 		if st.LentBytes != 0 {
 			t.Errorf("%s: %d bytes still lent after the pass", name, st.LentBytes)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -8,14 +9,40 @@ import (
 	"op2ca/internal/checkpoint"
 	"op2ca/internal/cluster"
 	"op2ca/internal/leakcheck"
+	"op2ca/internal/runspec"
 )
 
+// poisonLender is a cluster.Lender that fills every slab with NaN on its way
+// out and on its way back: a borrower that reads what it did not write, or
+// holds on to what it gave back — dats, halo layouts or exchange schedules,
+// whose integers NaN turns to nonsense — computes something else.
+type poisonLender struct{ cluster.Lender }
+
+func poison(s []float64) {
+	for i := range s[:cap(s)] {
+		s[:cap(s)][i] = math.NaN()
+	}
+}
+
+func (p *poisonLender) Get(n int) []float64 {
+	s := p.Lender.Get(n)
+	poison(s)
+	return s
+}
+
+func (p *poisonLender) Put(s []float64) {
+	poison(s)
+	p.Lender.Put(s)
+}
+
 // TestExperimentsLendTheirSlabs (run under -race): table5 and table2 at
-// paper-sweep's warm-up scale, each handed a cluster.Lender of its own,
-// serial and with parallel ranks. A point's CA backend borrows what its OP2
-// twin returned, so the lender hits at least once a point; every backend gives
-// back what it borrowed, the restores a -restore resume refuses included; and
-// the rows and every Observe checksum equal the experiment's without a lender.
+// paper-sweep's warm-up scale, each handed a poisoning cluster.Lender of its
+// own, serial and with parallel ranks. A point's CA backend borrows what its
+// OP2 twin returned, so the lender hits at least once a point; every backend
+// gives back what it borrowed, the restores a -restore resume refuses
+// included, and every point its halo layouts and their schedules; and the
+// rows and every Observe checksum equal the experiment's without a lender.
+// A Problem's layouts do not go back while a backend on them is open.
 func TestExperimentsLendTheirSlabs(t *testing.T) {
 	defer leakcheck.Check(t)()
 	for _, parallel := range []bool{false, true} {
@@ -75,7 +102,7 @@ func TestExperimentsLendTheirSlabs(t *testing.T) {
 				t.Fatalf("%s: %d backends observed, want %d", name, len(wantSums), 2*exp.points)
 			}
 			for _, resume := range []bool{false, true} {
-				lender := new(cluster.Lender)
+				lender := new(poisonLender)
 				rows, sums, adopted := run(lender, resume)
 				leg := name
 				if resume {
@@ -99,5 +126,27 @@ func TestExperimentsLendTheirSlabs(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	lender := new(cluster.Lender)
+	c := Config{Iters: 1, slabs: lender}
+	r := c.resolve(runspec.Spec{App: "hydra", MeshNodes: 300, Ranks: 2, Backend: "ca", Iters: 1}, archer())
+	p := problem(r)
+	a, err := r.BuildOn(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if e, ok := recover().(*cluster.ReleaseError); !ok || e.Open != 1 {
+				t.Errorf("Release with a backend open: recovered %v, want a *cluster.ReleaseError naming 1 open", e)
+			}
+		}()
+		p.Release()
+	}()
+	a.Close()
+	p.Release()
+	if st := lender.Stats(); st.LentBytes != 0 {
+		t.Errorf("%d bytes still lent after the Problem's Release", st.LentBytes)
 	}
 }

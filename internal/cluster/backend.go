@@ -60,7 +60,7 @@ type Config struct {
 	// like Tracer and Parallel: borrowed memory is written before it is read,
 	// so no result, clock, stat or snapshot depends on it, and a snapshot of
 	// a lent backend restores into an unlent one and back. Nil makes every
-	// buffer fresh.
+	// buffer fresh. NewLayouts builds layouts in it too.
 	Slabs SlabLender `json:"-"`
 	// Layouts, when non-nil, is the partitioned view the backend is built on
 	// in place of deriving ownership and building halo layouts itself: made by
@@ -363,10 +363,16 @@ func New(cfg Config) (*Backend, error) {
 		cfg.Machine = machine.Laptop()
 	}
 	if cfg.Layouts == nil {
-		if cfg.Layouts, err = buildLayouts(cfg); err != nil {
+		if cfg.Layouts, err = buildLayouts(cfg, nil); err != nil {
 			return nil, err
 		}
-	} else if err := cfg.Layouts.fit(cfg); err != nil {
+	}
+	// Counted open from here: every later failure leaves the layouts.
+	if err := cfg.Layouts.acquire(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Layouts.fit(cfg); err != nil {
+		cfg.Layouts.leave()
 		return nil, err
 	}
 	b := &Backend{
@@ -401,6 +407,7 @@ func New(cfg Config) (*Backend, error) {
 		}
 	}
 	if err := b.net.Validate(); err != nil {
+		cfg.Layouts.leave()
 		return nil, fmt.Errorf("cluster: machine %s: %v", cfg.Machine.Name, err)
 	}
 	b.installPool(workers)
@@ -429,7 +436,7 @@ func New(cfg Config) (*Backend, error) {
 				local, slab = slab[:n:n], slab[n:]
 			}
 			for loc := 0; loc < sl.Total(); loc++ {
-				g := int(sl.L2G[loc])
+				g := int(sl.L2G()[loc])
 				copy(local[loc*d.Dim:(loc+1)*d.Dim], d.Data[g*d.Dim:(g+1)*d.Dim])
 			}
 			b.dats[r][d.ID] = local
@@ -612,8 +619,8 @@ func (b *Backend) gatherInto(out []float64, d *core.Dat) []float64 {
 	for r := 0; r < b.cfg.NParts; r++ {
 		sl := b.layouts[r].SetL(d.Set)
 		local := b.dats[r][d.ID]
-		for loc := 0; loc < sl.NOwned; loc++ {
-			g := int(sl.L2G[loc])
+		for loc, g := range sl.L2G()[:sl.NOwned] {
+			g := int(g)
 			copy(out[g*d.Dim:(g+1)*d.Dim], local[loc*d.Dim:(loc+1)*d.Dim])
 		}
 	}
@@ -702,13 +709,15 @@ func (b *Backend) stopPool() {
 // behind stays readable — Stats, Clocks, MaxClock, ExchangeSeq and everything
 // they returned earlier — and anything that would touch the dats (ParLoop,
 // ChainBegin, GatherDat, ChecksumDats, Checkpoint) panics with a
-// *ClosedError. Idempotent: a slab goes back exactly once.
+// *ClosedError. It also counts the backend out of its Layouts, which their
+// owner may then Release. Idempotent: a slab goes back exactly once.
 func (b *Backend) Close() {
 	b.stopPool()
 	if b.dats == nil {
 		return
 	}
 	b.dats = nil
+	b.cfg.Layouts.leave()
 	if l := b.cfg.Slabs; l != nil {
 		l.Put(b.datSlab)
 		l.Put(b.scr.slab)
@@ -831,7 +840,7 @@ func (b *Backend) runLoopOnRank(w, r int, l core.Loop, lo, hi int, gblScratch []
 		}
 		l.Kernel.Fn(views)
 	}
-	if order := b.layouts[r].SetL(l.Set).ExecOrder; hi <= len(order) {
+	if order := b.layouts[r].SetL(l.Set).ExecOrder(); hi <= len(order) {
 		for _, iter := range order {
 			if it := int(iter); it >= lo && it < hi {
 				run(it)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"strconv"
+	"sync"
 
 	"op2ca/internal/core"
 	"op2ca/internal/halo"
@@ -56,12 +57,14 @@ func appendSpecFingerprint(dst []byte, specs []exchangeSpec, grouped bool) []byt
 
 // packSeg is one contiguous run of a sender's pack work: the elements of
 // one dat (by ID, of dimension dim) exported to one neighbour, in the
-// receiver's storage order. Segments name dats by ID, not *core.Dat: a
-// schedule belongs to the layouts (Layouts.schedule), and the backends built
-// on them may each have a program of their own.
+// receiver's storage order — the n local indices from lo on in the sender's
+// halo.Layout.ExportLocals. Segments name dats by ID, not *core.Dat, and
+// hold no pointers: a schedule belongs to the layouts (Layouts.schedule), the
+// backends built on them may each have a program of their own, and its
+// segment arrays may be borrowed (see lendable).
 type packSeg struct {
 	dat, dim int32
-	locals   []int32
+	lo, n    int32
 }
 
 // unpackSeg is one contiguous run of a receiver's unpack work: the nvals
@@ -94,25 +97,28 @@ type exchangeSchedule struct {
 	bytes       int64
 	maxMsgBytes int64
 	maxNeigh    int
-	// pack[r] is rank r's gather list, written consecutively into the
-	// payload slab from slabLo[r]; unpack[r] its scatter list. An exchange
-	// packs and unpacks synchronously, so all schedules of a backend share
-	// one slab (execScratch.slab) of at least slabLo[NParts] values.
-	pack   [][]packSeg
-	slabLo []int32
-	unpack [][]unpackSeg
+	// pack[packAt[r]:packAt[r+1]] is rank r's gather list, written
+	// consecutively into the payload slab from slabLo[r]; unpack's windows
+	// by unpackAt are the ranks' scatter lists. An exchange packs and
+	// unpacks synchronously, so all schedules of a backend share one slab
+	// (execScratch.slab) of at least slabLo[NParts] values.
+	pack             []packSeg
+	unpack           []unpackSeg
+	packAt, unpackAt []int32
+	slabLo           []int32
 }
 
 // eachExport calls f with every non-empty export list rank r sends of specs,
-// in spec, halo kind (0 execute, 1 non-execute), shell order.
-func (l *Layouts) eachExport(r int, specs []exchangeSpec, f func(si int, kind, d int8, ex halo.ExportList)) {
+// in spec, halo kind (0 execute, 1 non-execute), shell order; d counts
+// shells from 0.
+func (l *Layouts) eachExport(r int, specs []exchangeSpec, f func(si int, kind, d int8, ex halo.Range)) {
 	for si, sp := range specs {
 		sl := l.ranks[r].SetL(sp.dat.Set)
-		for kind, exports := range [2][][]halo.ExportList{sl.ExportExec[:sp.execDepth], sl.ExportNonexec[:sp.nonexecDepth]} {
-			for d, shell := range exports {
-				for _, ex := range shell {
-					if len(ex.Locals) > 0 {
-						f(si, int8(kind), int8(d), ex)
+		for kind, depth := range [2]int{sp.execDepth, sp.nonexecDepth} {
+			for d := 1; d <= depth; d++ {
+				for _, ex := range sl.Exports(halo.Kind(kind), d) {
+					if ex.Count > 0 {
+						f(si, int8(kind), int8(d-1), ex)
 					}
 				}
 			}
@@ -122,14 +128,14 @@ func (l *Layouts) eachExport(r int, specs []exchangeSpec, f func(si int, kind, d
 
 // eachImport calls f with every non-empty import range rank r receives of
 // specs, in the order eachExport walks the senders' lists.
-func (l *Layouts) eachImport(r int, specs []exchangeSpec, f func(si int, kind, d int8, rg halo.ImportRange)) {
+func (l *Layouts) eachImport(r int, specs []exchangeSpec, f func(si int, kind, d int8, rg halo.Range)) {
 	for si, sp := range specs {
 		sl := l.ranks[r].SetL(sp.dat.Set)
-		for kind, imports := range [2][][]halo.ImportRange{sl.ImportExec[:sp.execDepth], sl.ImportNonexec[:sp.nonexecDepth]} {
-			for d, shell := range imports {
-				for _, rg := range shell {
+		for kind, depth := range [2]int{sp.execDepth, sp.nonexecDepth} {
+			for d := 1; d <= depth; d++ {
+				for _, rg := range sl.Imports(halo.Kind(kind), d) {
 					if rg.Count > 0 {
-						f(si, int8(kind), int8(d), rg)
+						f(si, int8(kind), int8(d-1), rg)
 					}
 				}
 			}
@@ -151,33 +157,60 @@ func segKey(from int32, si int, kind, d int8) uint64 {
 	return uint64(from)<<32 | uint64(si)<<9 | uint64(kind)<<8 | uint64(uint8(d))
 }
 
+// scheduleScratch is what buildSchedule works in and keeps nothing of: the
+// per-receiver counts and cursors and every slice sent, filed by receiver.
+// Builds take one from schedulePool and put it back, so a process that builds
+// many schedules sizes it once; two collections empty the pool.
+type scheduleScratch struct {
+	inLo, msgTo, fill []int32
+	sent              []sentSeg
+}
+
+var schedulePool sync.Pool // of *scheduleScratch, no New: an empty pool hands over nil
+
+// zeroed returns s with length n and every element 0, reallocating only when
+// n exceeds its capacity.
+func zeroed[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // buildSchedule derives the exchange schedule of one filtered spec set: the
 // one place messages are formed and pack/unpack indices derived. Senders
 // walk their export lists in spec, kind, shell order; receivers walk their
 // import ranges the same way and claim the matching slab windows, which must
 // leave none unclaimed. It counts first and fills second, so messages and
-// every rank's pack and unpack lists are made at their exact size, the lists
-// of all ranks from one array per kind. Layouts are consistent by
+// the pack and unpack lists — all ranks' in one array each — are taken from
+// a at their exact size, all three from one slab. Layouts are consistent by
 // construction, so a mismatch is a runtime bug: it panics with a typed
 // *ExchangeError before any value moves.
-func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSchedule {
+func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool, a *arena) *exchangeSchedule {
 	n := len(l.ranks)
 	s := &exchangeSchedule{
 		sendBytes: make([]int64, n),
 		recvBytes: make([]int64, n),
 		nDats:     len(specs),
-		pack:      make([][]packSeg, n),
-		slabLo:    make([]int32, n+1),
-		unpack:    make([][]unpackSeg, n),
 	}
+	at := make([]int32, 3*(n+1)) // packAt, unpackAt and slabLo
+	s.packAt, s.unpackAt, s.slabLo = at[:n+1:n+1], at[n+1:2*(n+1):2*(n+1)], at[2*(n+1):]
+	sc, _ := schedulePool.Get().(*scheduleScratch)
+	if sc == nil {
+		sc = new(scheduleScratch)
+	}
+	defer schedulePool.Put(sc)
 	// Count. inLo[to+1] counts the slices sent to rank to, then becomes the
 	// start of its run in sent; msgTo[to] is the sender that last sent to
 	// it, +1, then — grouped — the index of that sender's message to it.
-	inLo, msgTo := make([]int32, n+1), make([]int32, n)
+	inLo, msgTo := zeroed(sc.inLo, n+1), zeroed(sc.msgTo, n)
+	sc.inLo, sc.msgTo = inLo, msgTo
 	nPack, nUnpack, nMsgs := 0, 0, 0
 	for r := 0; r < n; r++ {
 		neigh := 0
-		l.eachExport(r, specs, func(_ int, _, _ int8, ex halo.ExportList) {
+		l.eachExport(r, specs, func(_ int, _, _ int8, ex halo.Range) {
 			nPack++
 			inLo[ex.Rank+1]++
 			if msgTo[ex.Rank] != int32(r+1) {
@@ -189,7 +222,7 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 		if grouped {
 			nMsgs += neigh
 		}
-		l.eachImport(r, specs, func(int, int8, int8, halo.ImportRange) { nUnpack++ })
+		l.eachImport(r, specs, func(int, int8, int8, halo.Range) { nUnpack++ })
 	}
 	if !grouped {
 		nMsgs = nPack
@@ -200,17 +233,19 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 
 	// Send: messages, pack lists and the slab windows, each also filed under
 	// its receiver.
-	s.msgs = make([]netsim.Message, 0, nMsgs)
-	packs := make([]packSeg, 0, nPack)
-	sent, fill := make([]sentSeg, nPack), slices.Clone(inLo[:n])
+	w := a.words(words[netsim.Message](nMsgs) + words[packSeg](nPack) + words[unpackSeg](nUnpack))
+	s.msgs = view[netsim.Message](&w, nMsgs)[:0]
+	s.pack = view[packSeg](&w, nPack)[:0]
+	s.unpack = view[unpackSeg](&w, nUnpack)[:0]
+	sent, fill := zeroed(sc.sent, nPack), append(sc.fill[:0], inLo[:n]...)
+	sc.sent, sc.fill = sent, fill
 	clear(msgTo)
 	off := int32(0)
 	for r := 0; r < n; r++ {
-		s.slabLo[r] = off
-		lo := len(packs)
-		l.eachExport(r, specs, func(si int, kind, d int8, ex halo.ExportList) {
+		s.slabLo[r], s.packAt[r] = off, int32(len(s.pack))
+		l.eachExport(r, specs, func(si int, kind, d int8, ex halo.Range) {
 			sp := specs[si]
-			nvals := int32(len(ex.Locals) * sp.dat.Dim)
+			nvals := ex.Count * int32(sp.dat.Dim)
 			bytes := int64(nvals) * 8
 			if mi := msgTo[ex.Rank] - 1; grouped && mi >= 0 && s.msgs[mi].From == int32(r) {
 				s.msgs[mi].Bytes += bytes
@@ -220,14 +255,13 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 			}
 			s.sendBytes[r] += bytes
 			s.recvBytes[ex.Rank] += bytes
-			packs = append(packs, packSeg{dat: int32(sp.dat.ID), dim: int32(sp.dat.Dim), locals: ex.Locals})
+			s.pack = append(s.pack, packSeg{dat: int32(sp.dat.ID), dim: int32(sp.dat.Dim), lo: ex.Start, n: ex.Count})
 			sent[fill[ex.Rank]] = sentSeg{key: segKey(int32(r), si, kind, d), off: off, nvals: nvals}
 			fill[ex.Rank]++
 			off += nvals
 		})
-		s.pack[r] = packs[lo:len(packs):len(packs)]
 	}
-	s.slabLo[n] = off
+	s.slabLo[n], s.packAt[n] = off, int32(len(s.pack))
 	for _, m := range s.msgs {
 		s.bytes += m.Bytes
 		s.maxMsgBytes = max(s.maxMsgBytes, m.Bytes)
@@ -235,10 +269,10 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 
 	// Receive: every import claims the slice its owner sent, found by key in
 	// the receiver's run of sent, which is ordered by it.
-	unpacks := make([]unpackSeg, 0, nUnpack)
 	for r := 0; r < n; r++ {
-		in, lo := sent[inLo[r]:inLo[r+1]], len(unpacks)
-		l.eachImport(r, specs, func(si int, kind, d int8, rg halo.ImportRange) {
+		in := sent[inLo[r]:inLo[r+1]]
+		s.unpackAt[r] = int32(len(s.unpack))
+		l.eachImport(r, specs, func(si int, kind, d int8, rg halo.Range) {
 			sp := specs[si]
 			key := segKey(rg.Rank, si, kind, d)
 			i, found := slices.BinarySearchFunc(in, key, func(e sentSeg, k uint64) int { return cmp.Compare(e.key, k) })
@@ -251,11 +285,11 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool) *exchangeSch
 					Dat: sp.dat.Name, Want: int(want), Got: int(seg.nvals)})
 			}
 			seg.claimed = true
-			unpacks = append(unpacks, unpackSeg{
+			s.unpack = append(s.unpack, unpackSeg{
 				dat: int32(sp.dat.ID), start: rg.Start * int32(sp.dat.Dim), nvals: seg.nvals, off: seg.off})
 		})
-		s.unpack[r] = unpacks[lo:len(unpacks):len(unpacks)]
 	}
+	s.unpackAt[n] = int32(len(s.unpack))
 	for to := 0; to < n; to++ {
 		for _, seg := range sent[inLo[to]:inLo[to+1]] {
 			if !seg.claimed {
@@ -297,11 +331,12 @@ func (b *Backend) exchange(specs []exchangeSpec, grouped bool) *exchangeSchedule
 // packRank gathers rank r's exported values into its slab window.
 func (b *Backend) packRank(w, r int) {
 	s, slab := b.scr.sched, b.scr.slab
+	locals := b.layouts[r].ExportLocals()
 	at := int(s.slabLo[r])
-	for _, seg := range s.pack[r] {
+	for _, seg := range s.pack[s.packAt[r]:s.packAt[r+1]] {
 		local := b.dats[r][seg.dat]
 		dim := int(seg.dim)
-		for _, loc := range seg.locals {
+		for _, loc := range locals[seg.lo : seg.lo+seg.n] {
 			at += copy(slab[at:], local[int(loc)*dim:(int(loc)+1)*dim])
 		}
 	}
@@ -310,7 +345,7 @@ func (b *Backend) packRank(w, r int) {
 // unpackRank scatters rank r's imported slab windows into its halo copies.
 func (b *Backend) unpackRank(w, r int) {
 	s, slab := b.scr.sched, b.scr.slab
-	for _, seg := range s.unpack[r] {
+	for _, seg := range s.unpack[s.unpackAt[r]:s.unpackAt[r+1]] {
 		copy(b.dats[r][seg.dat][seg.start:seg.start+seg.nvals], slab[seg.off:seg.off+seg.nvals])
 	}
 }

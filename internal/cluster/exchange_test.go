@@ -14,8 +14,8 @@ import (
 // TestSchedulesAreExactSize: on two of halo's golden layout shapes — MG-CFD
 // on 64 KWay ranks and Hydra on 8 RIB ranks, both at depth 2 — every schedule
 // the apps' runs memoise, and one per dat and one for all dats at full depth,
-// grouped and not, is made at its exact size: msgs and every rank's pack and
-// unpack lists have len == cap. And the slices pair up: a rank packs exactly
+// grouped and not, is made at its exact size: msgs and the pack and unpack
+// lists of all ranks have len == cap. And the slices pair up: a rank packs exactly
 // its slab window, and the receivers' unpacks tile the slab, every value
 // claimed once.
 func TestSchedulesAreExactSize(t *testing.T) {
@@ -59,11 +59,11 @@ func TestSchedulesAreExactSize(t *testing.T) {
 		for _, d := range cfg.Prog.Dats {
 			sp := exchangeSpec{dat: d, execDepth: cfg.Depth, nonexecDepth: cfg.Depth}
 			all = append(all, sp)
-			scheds["grouped "+d.Name] = lay.buildSchedule([]exchangeSpec{sp}, true)
-			scheds["per-dat "+d.Name] = lay.buildSchedule([]exchangeSpec{sp}, false)
+			scheds["grouped "+d.Name] = lay.buildSchedule([]exchangeSpec{sp}, true, nil)
+			scheds["per-dat "+d.Name] = lay.buildSchedule([]exchangeSpec{sp}, false, nil)
 		}
-		scheds["grouped all"] = lay.buildSchedule(all, true)
-		scheds["per-dat all"] = lay.buildSchedule(all, false)
+		scheds["grouped all"] = lay.buildSchedule(all, true, nil)
+		scheds["per-dat all"] = lay.buildSchedule(all, false, nil)
 		for name, s := range scheds {
 			checkExactSchedule(t, tc.name+" "+name, s)
 		}
@@ -77,21 +77,22 @@ func checkExactSchedule(t *testing.T, label string, s *exchangeSchedule) {
 	if len(s.msgs) != cap(s.msgs) {
 		t.Errorf("%s: %d messages in room for %d", label, len(s.msgs), cap(s.msgs))
 	}
+	if len(s.pack) != cap(s.pack) || len(s.unpack) != cap(s.unpack) {
+		t.Errorf("%s: %d pack segments in room for %d, %d unpack segments in room for %d", label,
+			len(s.pack), cap(s.pack), len(s.unpack), cap(s.unpack))
+	}
 	type window struct{ off, nvals int32 }
 	var windows []window
-	for r := range s.pack {
-		if len(s.pack[r]) != cap(s.pack[r]) || len(s.unpack[r]) != cap(s.unpack[r]) {
-			t.Errorf("%s: rank %d packs %d of %d and unpacks %d of %d", label, r,
-				len(s.pack[r]), cap(s.pack[r]), len(s.unpack[r]), cap(s.unpack[r]))
-		}
+	nranks := len(s.packAt) - 1
+	for r := range nranks {
 		packed := 0
-		for _, seg := range s.pack[r] {
-			packed += len(seg.locals) * int(seg.dim)
+		for _, seg := range s.pack[s.packAt[r]:s.packAt[r+1]] {
+			packed += int(seg.n) * int(seg.dim)
 		}
 		if want := int(s.slabLo[r+1] - s.slabLo[r]); packed != want {
 			t.Errorf("%s: rank %d packs %d values into a window of %d", label, r, packed, want)
 		}
-		for _, seg := range s.unpack[r] {
+		for _, seg := range s.unpack[s.unpackAt[r]:s.unpackAt[r+1]] {
 			windows = append(windows, window{seg.off, seg.nvals})
 		}
 	}
@@ -103,7 +104,7 @@ func checkExactSchedule(t *testing.T, label string, s *exchangeSchedule) {
 		}
 		at += w.nvals
 	}
-	if want := s.slabLo[len(s.pack)]; at != want {
+	if want := s.slabLo[nranks]; at != want {
 		t.Errorf("%s: unpacks claim %d slab values, senders pack %d", label, at, want)
 	}
 }

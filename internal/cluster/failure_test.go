@@ -61,10 +61,10 @@ func expectExchangeError(t *testing.T, kind ExchangeErrorKind, f func(), check f
 // (a node set has no execute halo of its own), and returns it with that
 // first import range — a pointer into the layout, so tests corrupt it in
 // place.
-func importer(t *testing.T, b *Backend, specs []exchangeSpec) (int, *halo.ImportRange) {
+func importer(t *testing.T, b *Backend, specs []exchangeSpec) (int, *halo.Range) {
 	t.Helper()
 	for r := range b.layouts {
-		if ranges := b.layouts[r].SetL(specs[0].dat.Set).ImportNonexec[0]; len(ranges) > 0 {
+		if ranges := b.layouts[r].SetL(specs[0].dat.Set).Imports(halo.Nonexec, 1); len(ranges) > 0 {
 			return r, &ranges[0]
 		}
 	}
@@ -147,8 +147,7 @@ func TestForeignSource(t *testing.T) {
 		b, specs := failureFixture(t)
 		r, rg := importer(t, b, specs)
 		from := rg.Rank
-		sl := b.layouts[r].SetL(specs[0].dat.Set)
-		sl.ImportNonexec[0] = sl.ImportNonexec[0][1:] // forget the import; the export remains
+		rg.Count = 0 // forget the import; the export remains
 		expectExchangeError(t, ErrUnexpected, func() { b.exchange(specs, grouped) }, func(e *ExchangeError) {
 			if e.Rank != r || e.From != from {
 				t.Errorf("rank pair = (%d <- %d), want (%d <- %d)", e.Rank, e.From, r, from)
@@ -216,7 +215,7 @@ func TestBeyondHaloDereferencePanics(t *testing.T) {
 	// whose row holds the layout's "absent" marker.
 	for r := 0; r < 3; r++ {
 		sl, rows := b.layouts[r].SetL(nodes), b.layouts[r].MapL(far)
-		for it := int(sl.NonexecStart[0]); it < sl.Total(); it++ {
+		for it := sl.NonexecEnd(0); it < sl.Total(); it++ {
 			if rows[it] >= 0 {
 				continue
 			}

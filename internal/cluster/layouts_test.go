@@ -166,6 +166,84 @@ func TestSharedSchedulesAreInvisible(t *testing.T) {
 	}
 }
 
+// TestLentLayoutsAreInvisible (run under -race): layouts NewLayouts builds
+// with a lender borrow their storage, and so do the schedules memoised on
+// them. For both apps under every execution policy, a poisoning lender lends
+// one Layouts and its backends' dats; two Parallel backends stepping at once
+// on it end in the state and checksum of a backend that lends nothing. Release
+// refuses while either is open, and once both are closed gives back all the
+// lender has out, so the backends' last reads of the layouts would have met
+// NaN had they come after it.
+func TestLentLayoutsAreInvisible(t *testing.T) {
+	defer leakcheck.Check(t)()
+	for name, mk := range snapApps() {
+		for _, mode := range snapModes {
+			label := name + "/" + mode.name
+			lender := new(poisonLender)
+			cfg := mk(mode).cfg
+			cfg.Slabs = lender
+			shared, err := NewLayouts(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lender.gets.Load() == 0 {
+				t.Fatalf("%s: the layouts borrowed nothing", label)
+			}
+			run := func(lay *Layouts, slabs SlabLender) *Backend {
+				r := mk(mode)
+				r.cfg.Layouts, r.cfg.Slabs, r.cfg.Parallel = lay, slabs, true
+				b, err := New(r.cfg)
+				if err != nil {
+					t.Error(err)
+					return nil
+				}
+				b.installPool(forcedWorkers)
+				r.init(b)
+				r.step(b)
+				r.step(b)
+				return b
+			}
+			ref := run(nil, nil)
+			got := make([]*Backend, 2)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = run(shared, lender)
+				}()
+			}
+			wg.Wait()
+			for _, b := range got {
+				if b == nil {
+					t.FailNow()
+				}
+				compareBackends(t, label+" lent", b, ref)
+				if g, w := b.ChecksumDats(), ref.ChecksumDats(); g != w {
+					t.Errorf("%s: checksum %s on lent layouts, %s on made ones", label, g, w)
+				}
+			}
+			func() {
+				defer func() {
+					if e, ok := recover().(*ReleaseError); !ok || e.Open != 2 {
+						t.Errorf("%s: Release with two backends open: recovered %v", label, e)
+					}
+				}()
+				shared.Release()
+			}()
+			for _, b := range got {
+				b.Close()
+			}
+			shared.Release()
+			if st := lender.Stats(); st.LentBytes != 0 || lender.gets.Load() != lender.puts.Load() {
+				t.Errorf("%s: %d bytes still lent after Release (%d slabs lent, %d back)",
+					label, st.LentBytes, lender.gets.Load(), lender.puts.Load())
+			}
+			ref.Close()
+		}
+	}
+}
+
 // TestRestoreRefillsThroughTheSchedule (run under -race): a restore refills
 // the halo copies a snapshot leaves out through an exchange schedule
 // memoised on the layouts, like any loop's. For both apps, two restores at

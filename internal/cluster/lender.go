@@ -3,14 +3,20 @@ package cluster
 import (
 	"slices"
 	"sync"
+	"unsafe"
 	"weak"
+
+	"op2ca/internal/halo"
+	"op2ca/internal/netsim"
 )
 
 // SlabLender is where a backend built with Config.Slabs borrows its flat
-// []float64 storage and where its Close returns it. Get returns a slice of
-// length n whose contents are unspecified — the borrower writes before it
-// reads — and whose capacity may exceed n; Put takes back exactly what Get
-// handed out, once. Both are safe for concurrent use.
+// []float64 storage and where its Close returns it — and where layouts
+// NewLayouts builds with it borrow theirs, viewed as other pointer-free types
+// (lendable), until their Release. Get returns a slice of length n whose
+// contents are unspecified — the borrower writes before it reads — and whose
+// capacity may exceed n; Put takes back exactly what Get handed out, once.
+// Both are safe for concurrent use.
 type SlabLender interface {
 	Get(n int) []float64
 	Put(s []float64)
@@ -53,10 +59,13 @@ type Lender struct {
 }
 
 // slab is one free-list entry: the storage, and whether it is free — set by
-// Put, cleared when it is lent or let go. Guarded by the Lender's mu.
+// Put, cleared when it is lent or let go — and whether take has it already,
+// guarded by the Lender's mu; and the weak pointer the index reaches it by,
+// made once.
 type slab struct {
-	s    []float64
-	free bool
+	s           []float64
+	free, taken bool
+	weak        weak.Pointer[slab]
 }
 
 // LenderStats are a Lender's counters: Gets served by a returned slab, Gets
@@ -71,7 +80,8 @@ type LenderStats struct {
 func (l *Lender) take() []*slab {
 	free := l.buf[:0]
 	add := func(p *slab) {
-		if p != nil && p.free && !slices.Contains(free, p) {
+		if p != nil && p.free && !p.taken {
+			p.taken = true
 			free = append(free, p)
 		}
 	}
@@ -91,6 +101,9 @@ func (l *Lender) take() []*slab {
 // give puts free back in the pool and the index — the largest peak of it —
 // and lets go of the rest.
 func (l *Lender) give(free []*slab) {
+	for _, p := range free {
+		p.taken = false
+	}
 	kept := free
 	if len(kept) > l.peak {
 		slices.SortFunc(kept, func(a, b *slab) int { return cap(b.s) - cap(a.s) })
@@ -102,7 +115,7 @@ func (l *Lender) give(free []*slab) {
 	l.index = l.index[:0]
 	for _, p := range kept {
 		l.pool.Put(p)
-		l.index = append(l.index, weak.Make(p))
+		l.index = append(l.index, p.weak)
 	}
 	clear(free) // buf keeps the storage, not the slabs
 	l.buf = free[:0]
@@ -157,7 +170,9 @@ func (l *Lender) Put(s []float64) {
 	}
 	l.out = max(l.out-1, 0)
 	l.stats.LentBytes -= 8 * int64(cap(s))
-	l.give(append(free, &slab{s: s, free: true}))
+	p := &slab{s: s, free: true}
+	p.weak = weak.Make(p)
+	l.give(append(free, p))
 }
 
 // Reset lets go of every free slab; the counters stand, and slabs still lent
@@ -179,4 +194,25 @@ func (l *Lender) Stats() LenderStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats
+}
+
+// lendable are the element types a SlabLender's storage is lent as, besides
+// float64: pointer-free, and aligned to at most 8 bytes, so a []float64 slab
+// holds them and the collector need not look inside.
+type lendable interface {
+	int32 | halo.Range | packSeg | unpackSeg | netsim.Message
+}
+
+// words is how many float64 words n values of T take.
+func words[T lendable](n int) int { return (n*int(unsafe.Sizeof(*new(T))) + 7) / 8 }
+
+// view returns n values of T laid over the words at the front of *w, and
+// moves *w past them. The values are whatever the words hold.
+func view[T lendable](w *[]float64, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	v := unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(*w))), n)
+	*w = (*w)[words[T](n):]
+	return v
 }

@@ -182,7 +182,7 @@ func splitLoop(sl *halo.SetLayout, he, hn, pos int, exchanging bool) loopSplit {
 		s.core = min(sl.CorePrefix(pos), s.end)
 	}
 	if hn > 0 {
-		s.nx = nxRange{int(sl.NonexecStart[0]), int(sl.NonexecStart[hn])}
+		s.nx = nxRange{sl.NonexecEnd(0), sl.NonexecEnd(hn)}
 	}
 	return s
 }
@@ -263,7 +263,7 @@ func (b *Backend) compileChain(p *chainProgram, loops []core.Loop, plan ca.Plan)
 			sp := splitLoop(sl, plan.HE[i], plan.HN[i], i, false)
 			*lp = loopProgram{end: sp.end, nx: sp.nx}
 			if l.HasIndirection() {
-				lp.order = sl.ExecOrder
+				lp.order = sl.ExecOrder()
 			}
 			nv := l.NumViews()
 			lp.slots, free = free[:nv:nv], free[nv:]

@@ -108,8 +108,8 @@ func sameBits(a, b []float64) bool {
 // the dat's validity depth, as value offsets into the rank's local storage.
 func (b *Backend) haloInside(r int, d *core.Dat, f func(lo, hi int)) {
 	sl, v := b.layouts[r].SetL(d.Set), b.valid[d.ID]
-	f(int(sl.ExecStart[0])*d.Dim, int(sl.ExecStart[v.exec])*d.Dim)
-	f(int(sl.NonexecStart[0])*d.Dim, int(sl.NonexecStart[v.nonexec])*d.Dim)
+	f(sl.ExecEnd(0)*d.Dim, sl.ExecEnd(v.exec)*d.Dim)
+	f(sl.NonexecEnd(0)*d.Dim, sl.NonexecEnd(v.nonexec)*d.Dim)
 }
 
 // checkHaloInvariant asserts what a snapshot without halo copies rests on:
@@ -122,7 +122,7 @@ func checkHaloInvariant(t *testing.T, label string, b *Backend) {
 		owner, ownerLoc := make([]int, d.Set.Size), make([]int, d.Set.Size)
 		for r := range b.dats {
 			sl := b.layouts[r].SetL(d.Set)
-			for loc, g := range sl.L2G[:sl.NOwned] {
+			for loc, g := range sl.L2G()[:sl.NOwned] {
 				owner[g], ownerLoc[g] = r, loc
 			}
 		}
@@ -130,7 +130,7 @@ func checkHaloInvariant(t *testing.T, label string, b *Backend) {
 			sl := b.layouts[r].SetL(d.Set)
 			b.haloInside(r, d, func(lo, hi int) {
 				for loc := lo / d.Dim; loc < hi/d.Dim; loc++ {
-					g := sl.L2G[loc]
+					g := sl.L2G()[loc]
 					o := owner[g]
 					oloc := ownerLoc[g]
 					got := b.dats[r][d.ID][loc*d.Dim : (loc+1)*d.Dim]

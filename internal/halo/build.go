@@ -17,9 +17,34 @@ type selem struct {
 
 // Build constructs the per-rank local layouts of prog for the given
 // per-set ownership (from DeriveOwnership), with halo shells of the given
-// depth and core prefixes supporting chains of up to maxChainLen loops.
-// The package comment describes the passes and their cost.
+// depth and core prefixes supporting chains of up to maxChainLen loops, in
+// arrays made for them. The package comment describes the passes and their
+// cost.
 func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) []*Layout {
+	return BuildIn(made{}, prog, owners, nparts, depth, maxChainLen)
+}
+
+// Storage is where BuildIn takes the flat arrays a build's layouts are
+// carved from. Each call returns n elements whose content is unspecified:
+// the build writes every element it reads. A build asks for one []int32
+// slab per rank and, once every rank is numbered, one []Range and one
+// []int32 slab for all ranks' import and export lists; nothing else in the
+// layouts is an array.
+type Storage interface {
+	Int32s(n int) []int32
+	Ranges(n int) []Range
+}
+
+// made is Build's Storage: fresh arrays.
+type made struct{}
+
+func (made) Int32s(n int) []int32 { return make([]int32, n) }
+func (made) Ranges(n int) []Range { return make([]Range, n) }
+
+// BuildIn is Build with the layouts' arrays taken from st, so a caller that
+// builds layout after layout can lend them the storage of ones it is done
+// with.
+func BuildIn(st Storage, prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) []*Layout {
 	if depth < 1 {
 		panic(fmt.Sprintf("halo: depth %d < 1", depth))
 	}
@@ -30,6 +55,7 @@ func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int)
 		panic(fmt.Sprintf("halo: ownership for %d sets, program has %d", len(owners), len(prog.Sets)))
 	}
 	b := newBuilder(prog, owners, nparts, depth, maxChainLen)
+	b.st = st
 	layouts := b.layouts()
 	b.fillExports(layouts)
 	b.release()
@@ -45,6 +71,7 @@ var builders sync.Pool // of *builder, no New: an empty pool hands over nil
 // layouts is Build up to (not including) the export and neighbour lists.
 func (b *builder) layouts() []*Layout {
 	layouts := make([]*Layout, b.nparts)
+	b.imports, b.importAt = b.imports[:0], append(b.importAt[:0], 0)
 	for rank := range layouts {
 		nb := b.interiorLevels(rank)
 		b.shells(nb)
@@ -63,6 +90,7 @@ func (b *builder) layouts() []*Layout {
 type builder struct {
 	prog                       *core.Program
 	owners                     [][]int32
+	st                         Storage
 	nparts, depth, maxChainLen int
 	maxLevel                   int32 // levels are capped at 2*maxChainLen+1; deeper is maxLevel
 
@@ -83,7 +111,22 @@ type builder struct {
 	levelStart            []int32     // counting sort of owned elements by level
 	perRank, ranks        []int32     // counting sort of a shell by owner: counts/cursors, distinct owners
 	heads                 []int       // execOrder's cursor into each shell
-	exports               []int32     // fillExports' count of export lists per (rank, set, kind, shell)
+
+	// Every rank's import ranges, kept for fillExports: cell c's — rank,
+	// set, kind, shell; see fillExports — are imports[importAt[c]:importAt[c+1]].
+	imports  []Range
+	importAt []int32
+	// fillExports' count, then cursor, of the export lists and of their
+	// elements, per cell.
+	lists, listed []int32
+}
+
+// cut returns the next n elements of *slab, its capacity ending with them,
+// and moves *slab past them.
+func cut[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // resize returns s with length n, keeping its elements and reallocating only
@@ -176,7 +219,7 @@ func newBuilder(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen
 // release lets go of what the call was given — the program, through its
 // maps, and the ownership — and puts the scratch back in the pool.
 func (b *builder) release() {
-	b.prog, b.owners = nil, nil
+	b.prog, b.owners, b.st = nil, nil, nil
 	for s := range b.mapsFrom {
 		clear(b.mapsFrom[s])
 		clear(b.mapsTo[s])
@@ -286,30 +329,49 @@ func (b *builder) unseenTargets(cur selem, d int, next []selem) []selem {
 	return next
 }
 
+// sizes returns the local size of set s on rank and the end of its
+// executable region, from the shells just grown.
+func (b *builder) sizes(s, rank int) (total, execEnd int) {
+	execEnd = len(b.ownedBy[s][rank])
+	for _, sh := range b.exec[s] {
+		execEnd += len(sh)
+	}
+	total = execEnd
+	for _, sh := range b.nonexec[s] {
+		total += len(sh)
+	}
+	return total, execEnd
+}
+
 // number assigns rank's local numbering — owned elements by decreasing
 // interior level then ascending global id, then each shell grouped by owner
 // and ascending within an owner — and from it the canonical ExecOrder and
-// the localized maps.
+// the localized maps, all in one slab from the Storage. The rank's import
+// ranges go to b.imports.
 func (b *builder) number(rank int) *Layout {
 	depth := b.depth
 	l := &Layout{
 		Rank: rank, NParts: b.nparts, Depth: depth, MaxChainLen: b.maxChainLen,
-		Sets: make([]*SetLayout, len(b.prog.Sets)),
-		Maps: make([][]int32, len(b.prog.Maps)),
+		Sets: make([]SetLayout, len(b.prog.Sets)),
 	}
+	n := len(b.prog.Maps) + 1
+	for s := range b.prog.Sets {
+		total, execEnd := b.sizes(s, rank)
+		n += total + execEnd + 2*(depth+1) + b.maxChainLen
+	}
+	for _, m := range b.prog.Maps {
+		total, _ := b.sizes(m.From.ID, rank)
+		n += total * m.Arity
+	}
+	slab := b.st.Int32s(n)
 	for s, set := range b.prog.Sets {
 		own, level, g2l := b.ownedBy[s][rank], b.level[s], b.g2l[s]
-		total := len(own)
-		for d := 0; d < depth; d++ {
-			total += len(b.exec[s][d]) + len(b.nonexec[s][d])
-		}
-		sl := &SetLayout{
-			Name: set.Name, NOwned: len(own), L2G: make([]int32, total),
-			corePrefix: make([]int32, b.maxChainLen),
-			ExecStart:  make([]int32, depth+1), NonexecStart: make([]int32, depth+1),
-			ImportExec: make([][]ImportRange, depth), ImportNonexec: make([][]ImportRange, depth),
-			ExportExec: make([][]ExportList, depth), ExportNonexec: make([][]ExportList, depth),
-		}
+		total, execEnd := b.sizes(s, rank)
+		sl := &l.Sets[s]
+		sl.Name, sl.NOwned = set.Name, len(own)
+		sl.l2g, sl.execOrder = cut(&slab, total), cut(&slab, execEnd)
+		sl.execStart, sl.nonexecStart = cut(&slab, depth+1), cut(&slab, depth+1)
+		sl.corePrefix = cut(&slab, b.maxChainLen)
 		// Owned: stable counting sort of the ascending owned list by
 		// decreasing level. start[v] counts the elements of level > v.
 		start := b.levelStart
@@ -329,29 +391,32 @@ func (b *builder) number(rank int) *Layout {
 		for _, e := range own {
 			loc := start[level[e]]
 			start[level[e]]++
-			sl.L2G[loc], g2l[e], b.ownerLocal[s][e] = e, loc, loc
+			sl.l2g[loc], g2l[e], b.ownerLocal[s][e] = e, loc, loc
 		}
 		at := int32(len(own))
-		sl.ExecStart[0] = at
+		sl.execStart[0] = at
 		for d := 0; d < depth; d++ {
-			sl.ImportExec[d], at = b.appendShell(sl, s, b.exec[s][d], at)
-			sl.ExecStart[d+1] = at
+			at = b.appendShell(sl, s, b.exec[s][d], at)
+			sl.execStart[d+1] = at
 		}
-		sl.NonexecStart[0] = at
+		sl.nonexecStart[0] = at
 		for d := 0; d < depth; d++ {
-			sl.ImportNonexec[d], at = b.appendShell(sl, s, b.nonexec[s][d], at)
-			sl.NonexecStart[d+1] = at
+			at = b.appendShell(sl, s, b.nonexec[s][d], at)
+			sl.nonexecStart[d+1] = at
 		}
-		sl.ExecOrder = b.execOrder(own, b.exec[s], g2l)
-		l.Sets[s] = sl
+		b.execOrder(sl.execOrder[:0], own, b.exec[s], g2l)
 	}
 
 	// Localized maps: rows for the executable region, -1 elsewhere.
+	l.mapAt = cut(&slab, len(b.prog.Maps)+1)
+	l.maps = slab
+	at := 0
 	for mi, m := range b.prog.Maps {
-		from, g2l := l.Sets[m.From.ID], b.g2l[m.To.ID]
-		vals := make([]int32, from.Total()*m.Arity)
+		from, g2l := &l.Sets[m.From.ID], b.g2l[m.To.ID]
+		vals := l.maps[at : at+from.Total()*m.Arity]
+		l.mapAt[mi], at = int32(at), at+len(vals)
 		n := 0
-		for _, g := range from.L2G[:from.ExecEnd(depth)] {
+		for _, g := range from.l2g[:from.ExecEnd(depth)] {
 			for _, tg := range m.Targets(int(g)) {
 				vals[n] = g2l[tg]
 				n++
@@ -360,21 +425,17 @@ func (b *builder) number(rank int) *Layout {
 		for i := n; i < len(vals); i++ {
 			vals[i] = -1
 		}
-		l.Maps[mi] = vals
 	}
+	l.mapAt[len(b.prog.Maps)] = int32(at)
 	return l
 }
 
 // execOrder lists the local indices of the executable region by ascending
 // global id: a merge of the owned list and the execute shells, each ascending
 // already. The owned run is copied in a tight loop between halo elements, so
-// the cost is its length plus (halo elements x shells).
-func (b *builder) execOrder(own []int32, shells [][]int32, g2l []int32) []int32 {
-	n := len(own)
-	for _, sh := range shells {
-		n += len(sh)
-	}
-	order := make([]int32, 0, n)
+// the cost is its length plus (halo elements x shells). order has the
+// capacity for all of them.
+func (b *builder) execOrder(order, own []int32, shells [][]int32, g2l []int32) {
 	heads := b.heads[:len(shells)]
 	clear(heads)
 	for {
@@ -391,7 +452,7 @@ func (b *builder) execOrder(own []int32, shells [][]int32, g2l []int32) []int32 
 		}
 		own = own[i:]
 		if best < 0 {
-			return order
+			return
 		}
 		order = append(order, g2l[halo])
 		heads[best]++
@@ -401,8 +462,9 @@ func (b *builder) execOrder(own []int32, shells [][]int32, g2l []int32) []int32 
 // appendShell numbers one shell of set s from local index at: the globals
 // are sorted once, then bucketed stably by owner (a counting sort over the
 // shell's distinct owners), so every owner's run is contiguous and ascending.
-// els is left sorted ascending for the ExecOrder merge.
-func (b *builder) appendShell(sl *SetLayout, s int, els []int32, at int32) ([]ImportRange, int32) {
+// The shell's import ranges go to b.imports, and els is left sorted
+// ascending for the ExecOrder merge.
+func (b *builder) appendShell(sl *SetLayout, s int, els []int32, at int32) int32 {
 	slices.Sort(els)
 	owner, g2l := b.owners[s], b.g2l[s]
 	b.ranks = b.ranks[:0]
@@ -413,28 +475,28 @@ func (b *builder) appendShell(sl *SetLayout, s int, els []int32, at int32) ([]Im
 		b.perRank[owner[e]]++
 	}
 	slices.Sort(b.ranks)
-	ranges := make([]ImportRange, len(b.ranks))
-	for i, r := range b.ranks {
-		ranges[i] = ImportRange{Rank: r, Start: at, Count: b.perRank[r]}
+	for _, r := range b.ranks {
+		b.imports = append(b.imports, Range{Rank: r, Start: at, Count: b.perRank[r]})
 		b.perRank[r] = at // now the owner's cursor
-		at += ranges[i].Count
+		at += b.imports[len(b.imports)-1].Count
 	}
+	b.importAt = append(b.importAt, int32(len(b.imports)))
 	for _, e := range els {
 		loc := b.perRank[owner[e]]
 		b.perRank[owner[e]]++
-		sl.L2G[loc], g2l[e] = e, loc
+		sl.l2g[loc], g2l[e] = e, loc
 	}
 	for _, r := range b.ranks {
 		b.perRank[r] = 0
 	}
-	return ranges, at
+	return at
 }
 
 // reset restores the per-rank scratch l's passes marked.
 func (b *builder) reset(l *Layout) {
-	for s, sl := range l.Sets {
+	for s := range l.Sets {
 		status, level, g2l := b.status[s], b.level[s], b.g2l[s]
-		for _, g := range sl.L2G {
+		for _, g := range l.Sets[s].l2g {
 			status[g], level[g], g2l[g] = 0, 0, -1
 		}
 	}
@@ -442,104 +504,94 @@ func (b *builder) reset(l *Layout) {
 
 // fillExports derives each rank's export lists from every other rank's
 // import ranges, preserving the importer's storage order, and the neighbour
-// lists from both. Importers are visited in rank order and import at most
-// one range per (shell, owner), so every export list comes out sorted by
-// destination rank. The lists are counted first, so each rank's come from
-// one array of the exact size.
+// lists from both. A cell is one (rank, set, kind, shell), numbered in that
+// order, as number filed the imports. Importers are visited in rank order and
+// import at most one range per (shell, owner), so every export list comes out
+// sorted by destination rank. The lists and their elements are counted
+// first, so all ranks' come from two slabs of the exact size: one of ranges,
+// one of int32s for the run offsets, the exported locals and the neighbours.
 func (b *builder) fillExports(layouts []*Layout) {
 	nsets, depth := len(b.prog.Sets), b.depth
-	// cell is where the export lists rank r sends of set s, halo kind (0
-	// execute, 1 non-execute) and shell d are counted.
-	cell := func(r int32, s, kind, d int) int { return ((int(r)*nsets+s)*2+kind)*depth + d }
-	count := resize(b.exports, len(layouts)*nsets*2*depth)
-	b.exports = count
-	clear(count)
-	for _, l := range layouts {
-		for s, sl := range l.Sets {
-			for d := 0; d < depth; d++ {
-				for _, r := range sl.ImportExec[d] {
-					count[cell(r.Rank, s, 0, d)]++
-				}
-				for _, r := range sl.ImportNonexec[d] {
-					count[cell(r.Rank, s, 1, d)]++
-				}
-			}
+	stride := nsets * 2 * depth // cells a rank
+	imports := func(c int) []Range { return b.imports[b.importAt[c]:b.importAt[c+1]] }
+	lists := filled(b.lists, len(layouts)*stride, 0)
+	listed := filled(b.listed, len(layouts)*stride, 0)
+	b.lists, b.listed = lists, listed
+	nlocals := 0
+	for c := range lists {
+		for _, rg := range imports(c) {
+			e := int(rg.Rank)*stride + c%stride // the owner's cell
+			lists[e]++
+			listed[e] += rg.Count
+			nlocals += int(rg.Count)
 		}
 	}
+
+	// Carve: per (rank, set), its imports then its export lists; per rank,
+	// its exported locals. lists and listed become the cells' cursors.
+	runs := b.st.Ranges(2 * len(b.imports))
+	link := b.st.Int32s(len(layouts)*nsets*(4*depth+1) + nlocals + 2*len(b.imports))
 	for r, l := range layouts {
-		total := int32(0)
-		for _, n := range count[cell(int32(r), 0, 0, 0):cell(int32(r+1), 0, 0, 0)] {
-			total += n
+		local := int32(0)
+		for s := range l.Sets {
+			sl, base := &l.Sets[s], r*stride+s*2*depth
+			sl.runAt = cut(&link, 4*depth+1)
+			n := int32(0)
+			for i := 0; i < 2*depth; i++ {
+				sl.runAt[i] = n
+				n += b.importAt[base+i+1] - b.importAt[base+i]
+			}
+			for i := 0; i < 2*depth; i++ {
+				c := base + i
+				sl.runAt[2*depth+i] = n
+				n, lists[c] = n+lists[c], n
+				local, listed[c] = local+listed[c], local
+			}
+			sl.runAt[4*depth] = n
+			sl.runs = cut(&runs, int(n))
+			copy(sl.runs, b.imports[b.importAt[base]:b.importAt[base+2*depth]])
 		}
-		if total == 0 {
-			continue
-		}
-		lists, at := make([]ExportList, total), int32(0)
-		for s, sl := range l.Sets {
-			for d := 0; d < depth; d++ {
-				for kind, to := range [2][][]ExportList{sl.ExportExec, sl.ExportNonexec} {
-					if n := count[cell(int32(r), s, kind, d)]; n > 0 {
-						to[d], at = lists[at:at:at+n], at+n
-					}
+		l.locals = cut(&link, int(local))
+	}
+
+	// Fill: every import range of importer i is one export list of its owner.
+	for c := range lists {
+		i, s := c/stride, c%stride/(2*depth)
+		sl := &layouts[i].Sets[s]
+		for _, rg := range imports(c) {
+			e, owner := int(rg.Rank)*stride+c%stride, layouts[rg.Rank]
+			owner.Sets[s].runs[lists[e]] = Range{Rank: int32(i), Start: listed[e], Count: rg.Count}
+			dst := owner.locals[listed[e]:][:rg.Count]
+			lists[e]++
+			listed[e] += rg.Count
+			for k, g := range sl.l2g[rg.Start:][:rg.Count] {
+				if dst[k] = b.ownerLocal[s][g]; dst[k] < 0 {
+					panic(fmt.Sprintf("halo: rank %d imports %s element %d, which no rank owns", i, sl.Name, g))
 				}
 			}
 		}
 	}
+
+	// A rank's neighbours are the ranks its imports and export lists name,
+	// each marked once in perRank; there are at most as many as runs.
 	for _, l := range layouts {
-		for s, sl := range l.Sets {
-			// One slab per importing (rank, set): every halo element is
-			// exported by exactly one owner.
-			locals := make([]int32, sl.Total()-sl.NOwned)
-			for i, g := range sl.L2G[sl.NOwned:] {
-				if locals[i] = b.ownerLocal[s][g]; locals[i] < 0 {
-					panic(fmt.Sprintf("halo: rank %d imports %s element %d, which no rank owns", l.Rank, sl.Name, g))
-				}
-			}
-			export := func(r ImportRange, to *[]ExportList) {
-				*to = append(*to, ExportList{Rank: int32(l.Rank), Locals: locals[r.Start-int32(sl.NOwned):][:r.Count:r.Count]})
-			}
-			for d := 0; d < l.Depth; d++ {
-				for _, r := range sl.ImportExec[d] {
-					export(r, &layouts[r.Rank].Sets[s].ExportExec[d])
-				}
-				for _, r := range sl.ImportNonexec[d] {
-					export(r, &layouts[r.Rank].Sets[s].ExportNonexec[d])
+		bound := 0
+		for s := range l.Sets {
+			bound += len(l.Sets[s].runs)
+		}
+		nb := cut(&link, bound)[:0]
+		for s := range l.Sets {
+			for _, rg := range l.Sets[s].runs {
+				if b.perRank[rg.Rank] == 0 {
+					b.perRank[rg.Rank] = 1
+					nb = append(nb, rg.Rank)
 				}
 			}
 		}
-	}
-	// A rank's neighbours are the owners it imports from and the ranks its
-	// export lists go to, each marked once in perRank.
-	for _, l := range layouts {
-		b.ranks = b.ranks[:0]
-		mark := func(r int32) {
-			if b.perRank[r] == 0 {
-				b.perRank[r] = 1
-				b.ranks = append(b.ranks, r)
-			}
-		}
-		for _, sl := range l.Sets {
-			for d := 0; d < depth; d++ {
-				for _, r := range sl.ImportExec[d] {
-					mark(r.Rank)
-				}
-				for _, r := range sl.ImportNonexec[d] {
-					mark(r.Rank)
-				}
-				for _, ex := range sl.ExportExec[d] {
-					mark(ex.Rank)
-				}
-				for _, ex := range sl.ExportNonexec[d] {
-					mark(ex.Rank)
-				}
-			}
-		}
-		if len(b.ranks) > 0 {
-			slices.Sort(b.ranks)
-			l.Neighbours = slices.Clone(b.ranks)
-		}
-		for _, r := range b.ranks {
+		slices.Sort(nb)
+		for _, r := range nb {
 			b.perRank[r] = 0
 		}
+		l.neighbours = nb[:len(nb):len(nb)]
 	}
 }

@@ -52,4 +52,14 @@
 // and concurrent calls share nothing; every array is re-initialised at the
 // start of a call, the builder forgets the program when the call returns,
 // and two garbage collections empty the pool.
+//
+// # Flat layouts
+//
+// The output holds no scratch and no tree of slices: each rank's layout is
+// carved from one []int32 slab (every set's L2G, ExecOrder, shell bounds and
+// core prefixes, then the localized maps) and, for all ranks together, one
+// []Range slab of import ranges and export lists and one []int32 slab of
+// their offsets, the exported locals and the neighbour lists; accessors
+// return subslices. BuildIn takes the slabs from a Storage, so a caller can
+// lend a build the storage of layouts it is done with; Build makes them.
 package halo

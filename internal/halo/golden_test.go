@@ -16,7 +16,7 @@ import (
 // layoutHash folds everything Build's sorts decide into one FNV-1a value:
 // local numbering (L2G), the canonical ExecOrder, core prefixes, shell
 // boundaries, import ranges, export lists, neighbour lists and the localized
-// maps, for every rank and set.
+// maps, for every rank and set, read through the accessors.
 func layoutHash(layouts []*Layout) string {
 	h := fnv.New64a()
 	put := func(vs ...int32) {
@@ -28,32 +28,39 @@ func layoutHash(layouts []*Layout) string {
 	}
 	for _, l := range layouts {
 		put(int32(l.Rank))
-		put(l.Neighbours...)
-		for _, sl := range l.Sets {
+		put(l.Neighbours()...)
+		for s := range l.Sets {
+			sl := &l.Sets[s]
 			put(int32(sl.NOwned))
-			put(sl.L2G...)
-			put(sl.ExecOrder...)
-			put(sl.corePrefix...)
-			put(sl.ExecStart...)
-			put(sl.NonexecStart...)
-			for _, imports := range [][][]ImportRange{sl.ImportExec, sl.ImportNonexec} {
-				for _, shell := range imports {
-					for _, r := range shell {
+			put(sl.L2G()...)
+			put(sl.ExecOrder()...)
+			for c := 0; c < l.MaxChainLen; c++ {
+				put(int32(sl.CorePrefix(c)))
+			}
+			for d := 0; d <= l.Depth; d++ {
+				put(int32(sl.ExecEnd(d)))
+			}
+			for d := 0; d <= l.Depth; d++ {
+				put(int32(sl.NonexecEnd(d)))
+			}
+			for _, k := range []Kind{Exec, Nonexec} {
+				for d := 1; d <= l.Depth; d++ {
+					for _, r := range sl.Imports(k, d) {
 						put(r.Rank, r.Start, r.Count)
 					}
 				}
 			}
-			for _, exports := range [][][]ExportList{sl.ExportExec, sl.ExportNonexec} {
-				for _, shell := range exports {
-					for _, e := range shell {
+			for _, k := range []Kind{Exec, Nonexec} {
+				for d := 1; d <= l.Depth; d++ {
+					for _, e := range sl.Exports(k, d) {
 						put(e.Rank)
-						put(e.Locals...)
+						put(l.ExportLocals()[e.Start:][:e.Count]...)
 					}
 				}
 			}
 		}
-		for _, m := range l.Maps {
-			put(m...)
+		for m := range len(l.mapAt) - 1 {
+			put(l.maps[l.mapAt[m]:l.mapAt[m+1]]...)
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

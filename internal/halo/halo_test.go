@@ -199,9 +199,9 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 	for s, set := range p.Sets {
 		seen := make([]int, set.Size)
 		for _, l := range layouts {
-			sl := l.Sets[s]
+			sl := &l.Sets[s]
 			for loc := 0; loc < sl.NOwned; loc++ {
-				seen[sl.L2G[loc]]++
+				seen[sl.L2G()[loc]]++
 			}
 		}
 		for e, c := range seen {
@@ -214,12 +214,13 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 	// The owner-local table fillExports reads agrees with a brute-force
 	// inverse of every owner's L2G.
 	b := newBuilder(p, owners, nparts, depth, chain)
+	b.st = made{}
 	b.layouts()
 	ownerLocal := b.ownerLocal
 	for s, set := range p.Sets {
 		for g := 0; g < set.Size; g++ {
-			sl := layouts[owners[s][g]].Sets[s]
-			if loc := slices.Index(sl.L2G[:sl.NOwned], int32(g)); loc < 0 || ownerLocal[s][g] != int32(loc) {
+			sl := &layouts[owners[s][g]].Sets[s]
+			if loc := slices.Index(sl.L2G()[:sl.NOwned], int32(g)); loc < 0 || ownerLocal[s][g] != int32(loc) {
 				t.Fatalf("set %s element %d: owner-local table says %d, rank %d stores it at %d",
 					set.Name, g, ownerLocal[s][g], owners[s][g], loc)
 			}
@@ -229,13 +230,14 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 	for _, l := range layouts {
 		exRef, neRef := bruteShells(p, owners, int32(l.Rank), depth)
 		for s, set := range p.Sets {
-			sl := l.Sets[s]
-			if len(sl.L2G) != sl.Total() {
-				t.Fatalf("rank %d set %s: L2G len %d != Total %d", l.Rank, set.Name, len(sl.L2G), sl.Total())
+			sl := &l.Sets[s]
+			l2g, order := sl.L2G(), sl.ExecOrder()
+			if len(l2g) != sl.Total() {
+				t.Fatalf("rank %d set %s: L2G len %d != Total %d", l.Rank, set.Name, len(l2g), sl.Total())
 			}
 			// Injectivity: no global element appears twice in a local view.
 			g2l := map[int32]int{}
-			for loc, g := range sl.L2G {
+			for loc, g := range l2g {
 				if first, dup := g2l[g]; dup {
 					t.Fatalf("rank %d set %s: element %d at locals %d and %d", l.Rank, set.Name, g, first, loc)
 				}
@@ -243,31 +245,31 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 			}
 			// ExecOrder: the executable region, each local once, by
 			// strictly ascending global id.
-			if len(sl.ExecOrder) != sl.ExecEnd(depth) {
+			if len(order) != sl.ExecEnd(depth) {
 				t.Fatalf("rank %d set %s: ExecOrder lists %d locals, executable region has %d",
-					l.Rank, set.Name, len(sl.ExecOrder), sl.ExecEnd(depth))
+					l.Rank, set.Name, len(order), sl.ExecEnd(depth))
 			}
-			for i, loc := range sl.ExecOrder {
-				if int(loc) >= sl.ExecEnd(depth) || i > 0 && sl.L2G[loc] <= sl.L2G[sl.ExecOrder[i-1]] {
+			for i, loc := range order {
+				if int(loc) >= sl.ExecEnd(depth) || i > 0 && l2g[loc] <= l2g[order[i-1]] {
 					t.Fatalf("rank %d set %s: ExecOrder[%d] = local %d breaks ascending global order", l.Rank, set.Name, i, loc)
 				}
 			}
 			// Owned prefix really owned; shells match brute force.
 			for loc := 0; loc < sl.NOwned; loc++ {
-				if owners[s][sl.L2G[loc]] != int32(l.Rank) {
+				if owners[s][l2g[loc]] != int32(l.Rank) {
 					t.Fatalf("rank %d set %s: local %d not owned", l.Rank, set.Name, loc)
 				}
 			}
 			gotExec := map[selem]int{}
 			for d := 1; d <= depth; d++ {
 				for loc := sl.ExecEnd(d - 1); loc < sl.ExecEnd(d); loc++ {
-					gotExec[selem{int32(s), sl.L2G[loc]}] = d
+					gotExec[selem{int32(s), l2g[loc]}] = d
 				}
 			}
 			gotNonexec := map[selem]int{}
 			for d := 1; d <= depth; d++ {
-				for loc := sl.NonexecStart[d-1]; loc < sl.NonexecStart[d]; loc++ {
-					gotNonexec[selem{int32(s), sl.L2G[loc]}] = d
+				for loc := sl.NonexecEnd(d - 1); loc < sl.NonexecEnd(d); loc++ {
+					gotNonexec[selem{int32(s), l2g[loc]}] = d
 				}
 			}
 			for k, d := range exRef[0] {
@@ -304,7 +306,7 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 					continue
 				}
 				for loc := 0; loc < sl.CorePrefix(0); loc++ {
-					g := sl.L2G[loc]
+					g := l2g[loc]
 					for _, tg := range m.Targets(int(g)) {
 						if owners[m.To.ID][tg] != int32(l.Rank) {
 							t.Fatalf("rank %d: core element %d of %s has foreign target", l.Rank, g, set.Name)
@@ -321,10 +323,9 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 		}
 
 		// Localized maps: executable rows fully resolved.
-		for mi, m := range p.Maps {
-			from := l.Sets[m.From.ID]
-			to := l.Sets[m.To.ID]
-			vals := l.Maps[mi]
+		for _, m := range p.Maps {
+			from, to := l.SetL(m.From), l.SetL(m.To)
+			vals := l.MapL(m)
 			for loc := 0; loc < from.ExecEnd(depth); loc++ {
 				for a := 0; a < m.Arity; a++ {
 					tl := vals[loc*m.Arity+a]
@@ -333,7 +334,7 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 							l.Rank, m.Name, loc, a)
 					}
 					// Localized value must agree with the global map.
-					if to.L2G[tl] != m.Values[int(from.L2G[loc])*m.Arity+a] {
+					if to.L2G()[tl] != m.Values[int(from.L2G()[loc])*m.Arity+a] {
 						t.Fatalf("rank %d map %s: wrong localization at row %d", l.Rank, m.Name, loc)
 					}
 				}
@@ -344,35 +345,38 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 	// Import/export mirror consistency.
 	for _, l := range layouts {
 		for s := range p.Sets {
-			sl := l.Sets[s]
-			for d := 0; d < depth; d++ {
-				checkMirror(t, layouts, s, l.Rank, sl.ImportExec[d], func(x *SetLayout) []ExportList { return x.ExportExec[d] }, sl)
-				checkMirror(t, layouts, s, l.Rank, sl.ImportNonexec[d], func(x *SetLayout) []ExportList { return x.ExportNonexec[d] }, sl)
+			for d := 1; d <= depth; d++ {
+				for _, k := range []Kind{Exec, Nonexec} {
+					checkMirror(t, layouts, s, l.Rank, k, d)
+				}
 			}
 		}
 	}
 }
 
-func checkMirror(t *testing.T, layouts []*Layout, s, rank int, imports []ImportRange,
-	exports func(*SetLayout) []ExportList, sl *SetLayout) {
+// checkMirror checks that every import range of rank's set s, kind k,
+// shell d is one export list of its owner, element for element.
+func checkMirror(t *testing.T, layouts []*Layout, s, rank int, k Kind, d int) {
 	t.Helper()
-	for _, r := range imports {
-		src := layouts[r.Rank].Sets[s]
-		var match *ExportList
-		for i := range exports(src) {
-			if exports(src)[i].Rank == int32(rank) {
-				match = &exports(src)[i]
+	sl := &layouts[rank].Sets[s]
+	for _, r := range sl.Imports(k, d) {
+		src := layouts[r.Rank]
+		var match *Range
+		for _, ex := range src.Sets[s].Exports(k, d) {
+			if ex.Rank == int32(rank) {
+				match = &ex
 				break
 			}
 		}
 		if match == nil {
 			t.Fatalf("rank %d imports from %d but %d has no matching export", rank, r.Rank, r.Rank)
 		}
-		if len(match.Locals) != int(r.Count) {
-			t.Fatalf("export count %d != import count %d", len(match.Locals), r.Count)
+		if match.Count != r.Count {
+			t.Fatalf("export count %d != import count %d", match.Count, r.Count)
 		}
+		locals := src.ExportLocals()[match.Start:][:match.Count]
 		for i := int32(0); i < r.Count; i++ {
-			if src.L2G[match.Locals[i]] != sl.L2G[r.Start+i] {
+			if src.Sets[s].L2G()[locals[i]] != sl.L2G()[r.Start+i] {
 				t.Fatalf("export order mismatch between ranks %d and %d", rank, r.Rank)
 			}
 		}
@@ -431,7 +435,7 @@ func TestBuildSingleRank(t *testing.T) {
 	layouts := Build(p, owners, 1, 2, 4)
 	l := layouts[0]
 	for s, set := range p.Sets {
-		sl := l.Sets[s]
+		sl := &l.Sets[s]
 		if sl.NOwned != set.Size || sl.Total() != set.Size {
 			t.Fatalf("single rank set %s: owned %d total %d, want %d", set.Name, sl.NOwned, sl.Total(), set.Size)
 		}
@@ -439,8 +443,8 @@ func TestBuildSingleRank(t *testing.T) {
 			t.Fatalf("single rank: core prefix %d, want %d", sl.CorePrefix(0), set.Size)
 		}
 	}
-	if len(l.Neighbours) != 0 {
-		t.Fatalf("single rank has neighbours %v", l.Neighbours)
+	if len(l.Neighbours()) != 0 {
+		t.Fatalf("single rank has neighbours %v", l.Neighbours())
 	}
 }
 

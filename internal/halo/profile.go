@@ -41,7 +41,7 @@ func Profile(prog *core.Program, layouts []*Layout) []SetProfile {
 			MaxExec:    make([]int, depth),
 		}
 		for _, l := range layouts {
-			sl := l.Sets[set.ID]
+			sl := l.SetL(set)
 			p.AvgOwned += float64(sl.NOwned)
 			p.AvgCore += float64(sl.CorePrefix(0))
 			for d := 1; d <= depth; d++ {

@@ -149,28 +149,86 @@ func allocated[T any](n int) uint64 {
 	return uint64(cap(slices.Grow([]T(nil), n))) * uint64(reflect.TypeFor[T]().Size())
 }
 
-// outputBytes is what Build's output holds: every layout, set layout and
-// slice it made for them.
+// outputBytes is what Build's output holds: every layout and set layout, a
+// slab a rank, and the two slabs of all ranks' import and export lists.
 func outputBytes(layouts []*Layout) uint64 {
 	total := allocated[*Layout](len(layouts))
+	runs, link := 0, 0
 	for _, l := range layouts {
-		total += allocated[Layout](1) + allocated[*SetLayout](len(l.Sets)) + allocated[[]int32](len(l.Maps))
-		total += allocated[int32](cap(l.Neighbours))
-		for _, m := range l.Maps {
-			total += allocated[int32](cap(m))
+		slab := len(l.mapAt) + len(l.maps)
+		for s := range l.Sets {
+			sl := &l.Sets[s]
+			slab += len(sl.l2g) + len(sl.execOrder) + len(sl.execStart) + len(sl.nonexecStart) + len(sl.corePrefix)
+			runs += len(sl.runs)
+			link += len(sl.runAt) + len(sl.runs) // the offsets, and room for as many neighbours as runs
 		}
-		exports := 0 // one array a rank
-		for _, sl := range l.Sets {
-			total += allocated[SetLayout](1) + allocated[int32](cap(sl.L2G)) + allocated[int32](cap(sl.ExecOrder))
-			total += allocated[int32](cap(sl.corePrefix)) + allocated[int32](cap(sl.ExecStart)) + allocated[int32](cap(sl.NonexecStart))
-			total += allocated[int32](sl.Total() - sl.NOwned) // the export lists' locals
-			total += 2*allocated[[]ImportRange](l.Depth) + 2*allocated[[]ExportList](l.Depth)
-			for d := 0; d < l.Depth; d++ {
-				total += allocated[ImportRange](cap(sl.ImportExec[d])) + allocated[ImportRange](cap(sl.ImportNonexec[d]))
-				exports += cap(sl.ExportExec[d]) + cap(sl.ExportNonexec[d])
+		link += len(l.locals)
+		total += allocated[Layout](1) + allocated[SetLayout](len(l.Sets)) + allocated[int32](slab)
+	}
+	return total + allocated[Range](runs) + allocated[int32](link)
+}
+
+// warmStorage is a Storage that hands out again, in order, the slabs it made
+// for the build before: what a lender does for the layouts of one shape.
+type warmStorage struct {
+	int32s [][]int32
+	ranges [][]Range
+	ni, nr int
+}
+
+func (w *warmStorage) Int32s(n int) []int32 {
+	if w.ni == len(w.int32s) {
+		w.int32s = append(w.int32s, make([]int32, n))
+	}
+	w.ni++
+	return w.int32s[w.ni-1][:n]
+}
+
+func (w *warmStorage) Ranges(n int) []Range {
+	if w.nr == len(w.ranges) {
+		w.ranges = append(w.ranges, make([]Range, n))
+	}
+	w.nr++
+	return w.ranges[w.nr-1][:n]
+}
+
+// TestLayoutIsFlat: built into warm storage, a rank's layout is a constant
+// number of objects — the Layout and its Sets — whatever the program's depth,
+// shells and neighbours; every array it holds is a window of the Storage's
+// pointer-free slabs. And the storage's content does not matter: a build
+// into slabs that hold another shape's layouts hashes to the golden value.
+func TestLayoutIsFlat(t *testing.T) {
+	builds := goldenBuilds(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i, g := range builds {
+		st := new(warmStorage)
+		build := func() []*Layout {
+			st.ni, st.nr = 0, 0
+			return BuildIn(st, g.prog, g.owners, g.nparts, g.depth, g.maxChain)
+		}
+		build()
+		least := ^uint64(0)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			build()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		if bound := uint64(3*g.nparts + 8); least > bound {
+			t.Errorf("%s: a warm build makes %d objects, want at most %d for %d ranks", g.name, least, bound, g.nparts)
+		}
+		// Dirty storage: the slabs of the previous case, overwritten.
+		other := builds[(i+1)%len(builds)]
+		BuildIn(st, other.prog, other.owners, other.nparts, other.depth, other.maxChain)
+		for _, s := range st.int32s {
+			for k := range s[:cap(s)] {
+				s[:cap(s)][k] = -7
 			}
 		}
-		total += allocated[ExportList](exports)
+		if h := layoutHash(build()); h != g.want {
+			t.Errorf("%s: built into used storage, hashes to %s, want %s", g.name, h, g.want)
+		}
 	}
-	return total
 }

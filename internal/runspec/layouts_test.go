@@ -294,3 +294,94 @@ func TestProblemKeepsItsLayouts(t *testing.T) {
 		same("original after the copy", run("ca", p, nil, nil), fresh["ca"])
 	}
 }
+
+// TestProblemReleasesItsLayouts: a run with a lender and no Layouts store
+// builds its Problem's layouts, and the schedules its exchanges memoise, in
+// borrowed storage. Release refuses while a backend on them is open; once the
+// backend is closed it gives all of it back, so the lender has nothing out,
+// and the released layouts refuse a second Release and any backend. The
+// Problem then builds its layouts again, and its outcome is the one of a run
+// that lends nothing. Layouts kept in a store are never lent.
+func TestProblemReleasesItsLayouts(t *testing.T) {
+	defer leakcheck.Check(t)()
+	mustPanic := func(label string, f func(), check func(*cluster.ReleaseError) bool) {
+		t.Helper()
+		defer func() {
+			if e, ok := recover().(*cluster.ReleaseError); !ok || !check(e) {
+				t.Errorf("%s: recovered %v, want a fitting *cluster.ReleaseError", label, e)
+			}
+		}()
+		f()
+	}
+	for _, app := range []string{"mgcfd", "hydra"} {
+		s := small(app)
+		s.Backend = "ca"
+		r, err := s.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// run drives an attempt on p and reads what a result is made of.
+		run := func(p *Problem) (*Attempt, [3]any) {
+			t.Helper()
+			a, err := r.BuildOn(p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Drive(nil); err != nil {
+				t.Fatal(err)
+			}
+			o := a.Outcome()
+			return a, [3]any{o.Checksum, o.Residual, o.MaxClock}
+		}
+		p, err := r.NewProblem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, want := run(p)
+		a.Close()
+
+		lender := new(cluster.Lender)
+		r.Slabs = lender
+		if p, err = r.NewProblem(); err != nil {
+			t.Fatal(err)
+		}
+		a, got := run(p)
+		if got != want {
+			t.Errorf("%s: lent outcome %v, want %v", app, got, want)
+		}
+		lay := p.layouts.kept[0].l
+		mustPanic(app+": Release with a backend open", p.Release, func(e *cluster.ReleaseError) bool { return e.Open == 1 })
+		a.Close()
+		p.Release()
+		if st := lender.Stats(); st.LentBytes != 0 {
+			t.Errorf("%s: %d bytes still lent after Release", app, st.LentBytes)
+		}
+		mustPanic(app+": a second Release", lay.Release, func(e *cluster.ReleaseError) bool { return e.Released })
+		cfg := cluster.Config{Prog: a.prog, Primary: a.primary, Assign: p.Assign, NParts: s.Ranks,
+			Depth: r.Depth, MaxChainLen: a.maxChain, Layouts: lay}
+		if b, err := cluster.New(cfg); err == nil {
+			b.Close()
+			t.Errorf("%s: a backend was built on released layouts", app)
+		}
+		p.Release() // nothing kept: does nothing
+
+		again, got := run(p)
+		if got != want {
+			t.Errorf("%s: outcome after Release %v, want %v", app, got, want)
+		}
+		again.Close()
+		p.Release()
+
+		r.Layouts = &mapLayouts{kept: map[LayoutKey]*cluster.Layouts{}}
+		p, err = r.NewProblem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, _ := run(p)
+		before := lender.Stats().LentBytes
+		stored.Close()
+		if st := lender.Stats(); st.LentBytes != 0 || before == 0 {
+			t.Errorf("%s: stored layouts: %d bytes lent with the backend open, %d after its Close; want only its dats lent", app, before, st.LentBytes)
+		}
+	}
+}

@@ -109,10 +109,12 @@ type Run struct {
 	// nil.
 	Assignments Assignments
 	// Slabs, when set, lends every backend built for the run its flat storage
-	// and takes it back on Close (cluster.Config.Slabs). Set by the front-ends
-	// that build backend after backend: the job service (one lender per
-	// Service) and the paper harness (one per registry); nil for one that
-	// builds a few.
+	// and takes it back on Close (cluster.Config.Slabs) — and, when the run
+	// has no Layouts store, the halo layouts its Problem builds and their
+	// exchange schedules, which Problem.Release gives back. Set by the
+	// front-ends that build backend after backend: the job service (one
+	// lender per Service) and the paper harness (one per registry); nil for
+	// one that builds a few.
 	Slabs cluster.SlabLender
 	// Layouts, when set, is where Open looks for the halo layouts of a
 	// backend whose Problem keeps none of its shape before building them, and
@@ -444,17 +446,21 @@ type keptLayouts struct {
 
 // keptLayout is one entry of keptLayouts: layouts and what they were built on
 // besides the Problem's program — the assignment, by identity, the rank
-// count, depth and chain length.
+// count, depth and chain length — and whether they borrowed their storage.
 type keptLayout struct {
 	assign                    partition.Assignment
 	ranks, depth, maxChainLen int
 	l                         *cluster.Layouts
+	lent                      bool
 }
 
 // layouts returns the halo layouts a backend of cfg is built on: the ones p
 // keeps for cfg's assignment and shape; else the ones the run's Layouts
 // store keeps under its LayoutKey; else ones built here, and left in the
-// store when the run has one. p keeps them either way.
+// store when the run has one. p keeps them either way. Layouts built for a
+// run with a lender and no store borrow their storage (cluster.NewLayouts),
+// which p's owner gives back with p.Release; stored ones live as long as
+// the store keeps them, so they are made.
 func (r *Run) layouts(p *Problem, cfg cluster.Config) (*cluster.Layouts, error) {
 	kl := p.layouts
 	kl.mu.Lock()
@@ -471,6 +477,10 @@ func (r *Run) layouts(p *Problem, cfg cluster.Config) (*cluster.Layouts, error) 
 		k.l = r.Layouts.Load(key)
 	}
 	if k.l == nil {
+		k.lent = r.Layouts == nil && cfg.Slabs != nil
+		if !k.lent {
+			cfg.Slabs = nil
+		}
 		var err error
 		if k.l, err = cluster.NewLayouts(cfg); err != nil {
 			return nil, err
@@ -481,6 +491,25 @@ func (r *Run) layouts(p *Problem, cfg cluster.Config) (*cluster.Layouts, error) 
 	}
 	kl.kept = append(kl.kept, k)
 	return k.l, nil
+}
+
+// Release gives back the storage of the halo layouts p's backends borrowed —
+// a run with a lender and no Layouts store lends it (see Run.Slabs) — once
+// every backend built on p is closed: with one still open it panics with a
+// *cluster.ReleaseError. p then keeps no layouts, and a later backend on it
+// builds them again. Calling it again, or on a Problem that borrowed nothing,
+// does nothing.
+func (p *Problem) Release() {
+	kl := p.layouts
+	kl.mu.Lock()
+	defer kl.mu.Unlock()
+	for n := len(kl.kept); n > 0; n = len(kl.kept) {
+		if k := kl.kept[n-1]; k.lent {
+			k.l.Release()
+		}
+		kl.kept[n-1] = keptLayout{}
+		kl.kept = kl.kept[:n-1]
+	}
 }
 
 // sameAssignment reports whether a and b are one slice: an assignment is
