@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -54,13 +52,12 @@ type Config struct {
 	// worker goroutines: its constructor's caller must Close it.
 	Parallel bool `json:"-"`
 	// Slabs, when non-nil, is where the backend borrows its flat storage —
-	// the dats' rank-local values (one slab, carved per rank and dat), the
-	// exchange payload slab and ChecksumDats' gather buffer — and where Close
-	// returns it, for the next backend built with the same lender. Host-side
-	// like Tracer and Parallel: borrowed memory is written before it is read,
-	// so no result, clock, stat or snapshot depends on it, and a snapshot of
-	// a lent backend restores into an unlent one and back. Nil makes every
-	// buffer fresh. NewLayouts builds layouts in it too.
+	// the dats' rank-local values, one slab carved per rank and dat — and
+	// where Close returns it, for the next backend built with the same
+	// lender. Host-side like Tracer and Parallel: borrowed memory is written
+	// before it is read, so no result, clock, stat or snapshot depends on it,
+	// and a snapshot of a lent backend restores into an unlent one and back.
+	// Nil makes the storage fresh. NewLayouts builds layouts in it too.
 	Slabs SlabLender `json:"-"`
 	// Layouts, when non-nil, is the partitioned view the backend is built on
 	// in place of deriving ownership and building halo layouts itself: made by
@@ -103,7 +100,7 @@ type Config struct {
 	Tracer *obs.Tracer `json:"-"`
 	// NoPlanCache disables the inspect-once/execute-many memoisation:
 	// every chain execution re-runs ca.Inspect, and every exchange — chain
-	// or per-loop — builds its pack/unpack schedule from the halo layouts
+	// or per-loop — builds its exchange schedule from the halo layouts
 	// for that one use instead of replaying a memoised one. The executor is
 	// the same either way (there is one exchange path), so cached and
 	// uncached execution are bit-identical; an ablation and debugging knob.
@@ -247,8 +244,7 @@ type Backend struct {
 	fnStdRank   func(w, r int)
 	fnChainPrep func(w, r int)
 	fnChainExec func(w, r int)
-	fnPack      func(w, r int)
-	fnUnpack    func(w, r int)
+	fnCopy      func(w, r int)
 }
 
 // workerScratch is the per-worker reusable state of runLoopOnRank: the
@@ -311,9 +307,9 @@ type execScratch struct {
 	keyBuf []byte
 	fpBuf  []byte
 
-	// gather is where ChecksumDats assembles one dat at a time: sized to
-	// the largest dat by the first call.
-	gather []float64
+	// merge is ChecksumDats' per-rank merge state (ownedMerge): each rank's
+	// position in its ExecOrder and next owned global.
+	merge []int32
 
 	// Delivery scratch: the per-sender NIC-free times and per-message
 	// timeline records of the exchange being priced, and the fault-tolerant
@@ -325,11 +321,8 @@ type execScratch struct {
 	// filterNeeds output, aliased by the execution that requested it.
 	filtered []exchangeSpec
 
-	// The schedule being replayed (the pack/unpack forks' parameter) and
-	// the payload slab all schedules share, sized to the largest exchange
-	// so far: an exchange packs and unpacks before anything else runs.
+	// The schedule being replayed: the copy fork's parameter.
 	sched *exchangeSchedule
-	slab  []float64
 }
 
 // recording buffers the loops of an open chain.
@@ -611,11 +604,7 @@ func (b *Backend) ParLoop(l core.Loop) {
 // GatherDat assembles the global values of d from the owning ranks.
 func (b *Backend) GatherDat(d *core.Dat) []float64 {
 	b.mustBeOpen("GatherDat")
-	return b.gatherInto(make([]float64, d.Set.Size*d.Dim), d)
-}
-
-// gatherInto writes the owners' values of d into out, in global order.
-func (b *Backend) gatherInto(out []float64, d *core.Dat) []float64 {
+	out := make([]float64, d.Set.Size*d.Dim)
 	for r := 0; r < b.cfg.NParts; r++ {
 		sl := b.layouts[r].SetL(d.Set)
 		local := b.dats[r][d.ID]
@@ -628,41 +617,121 @@ func (b *Backend) gatherInto(out []float64, d *core.Dat) []float64 {
 }
 
 // ChecksumDats returns an FNV-1a hash over the gathered global values of
-// every declared dat, in declaration order. Two backends that executed the
-// same program produce the same checksum iff their final states are
-// bit-identical — the check behind the fault-injection invariant (faults
-// shape virtual time, never data). Every dat is gathered into one buffer
-// the backend keeps, so a call allocates nothing proportional to the data.
+// every declared dat, in declaration order: each dat's name, then its values
+// as little-endian bytes. Two backends that executed the same program produce
+// the same checksum iff their final states are bit-identical — the check
+// behind the fault-injection invariant (faults shape virtual time, never
+// data). Each dat streams from its owners in global order (ownedMerge) and is
+// hashed value by value, so a call allocates nothing proportional to the data,
+// the backend keeps no buffer for it, and the merge's work overlaps the
+// hash's multiply chain.
 func (b *Backend) ChecksumDats() string {
 	b.mustBeOpen("ChecksumDats")
-	if b.scr.gather == nil {
-		n := 0
-		for _, d := range b.cfg.Prog.Dats {
-			n = max(n, d.Set.Size*d.Dim)
-		}
-		b.scr.gather = b.regrow(nil, n)
-	}
-	h := fnv.New64a()
-	var block [4096]byte
+	h := uint64(fnvOffset)
+	var m ownedMerge
 	for _, d := range b.cfg.Prog.Dats {
-		h.Write([]byte(d.Name))
-		vals := b.gatherInto(b.scr.gather[:d.Set.Size*d.Dim], d)
-		for len(vals) > 0 {
-			n := min(len(vals), len(block)/8)
-			for i, v := range vals[:n] {
-				binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
+		for i := range len(d.Name) {
+			h = (h ^ uint64(d.Name[i])) * fnvPrime
+		}
+		m.start(b, d)
+		want, dim := int32(0), d.Dim
+		for r := m.owner(want); r >= 0; r = m.owner(want) {
+			sl, local := b.layouts[r].SetL(d.Set), b.dats[r][d.ID]
+			order, l2g, nOwned := sl.ExecOrder(), sl.L2G(), int32(sl.NOwned)
+			p, g := m.pos[r], m.glob[r]
+			for want = g; g == want; p, g = ownedFrom(order, l2g, nOwned, p+1) {
+				loc := int(order[p])
+				for _, v := range local[loc*dim : (loc+1)*dim] {
+					x := math.Float64bits(v) // its eight bytes, low first, unrolled
+					h = (h ^ x&0xff) * fnvPrime
+					h = (h ^ x>>8&0xff) * fnvPrime
+					h = (h ^ x>>16&0xff) * fnvPrime
+					h = (h ^ x>>24&0xff) * fnvPrime
+					h = (h ^ x>>32&0xff) * fnvPrime
+					h = (h ^ x>>40&0xff) * fnvPrime
+					h = (h ^ x>>48&0xff) * fnvPrime
+					h = (h ^ x>>56) * fnvPrime
+				}
+				want++
 			}
-			h.Write(block[:8*n])
-			vals = vals[n:]
+			m.moved(r, p, g)
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", h)
+}
+
+// fnvOffset and fnvPrime are 64-bit FNV-1a's parameters (hash/fnv's New64a).
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// ownedMerge merges the ranks' owned elements of one set into global order.
+// A rank's owned elements are the run of its ExecOrder below NOwned,
+// ascending by global index: pos is where each rank is in its order and glob
+// the global index there (MaxInt32 past its last). The caller walks the rank
+// owner names for as long as the globals it meets follow on one another, and
+// says where it stopped (moved).
+type ownedMerge struct {
+	pos, glob []int32
+	// slot files each rank under the low bits of its glob, so the owner of
+	// the next global is found in one look unless another rank's glob with
+	// the same low bits came after it.
+	slot [1024]int32
+}
+
+// start begins a merge of d's set in the backend's merge scratch.
+func (m *ownedMerge) start(b *Backend, d *core.Dat) {
+	n := b.cfg.NParts
+	m.pos, m.glob = b.scr.merge[:n], b.scr.merge[n:2*n]
+	for r := range n {
+		sl := b.layouts[r].SetL(d.Set)
+		p, g := ownedFrom(sl.ExecOrder(), sl.L2G(), int32(sl.NOwned), 0)
+		m.moved(r, p, g)
+	}
+}
+
+// moved records that rank r is at position p of its order, global g.
+func (m *ownedMerge) moved(r int, p, g int32) {
+	m.pos[r], m.glob[r] = p, g
+	m.slot[g%int32(len(m.slot))] = int32(r)
+}
+
+// owner returns the rank with the least glob — the one filed under want
+// when its glob is want, as no global below want is left, or else the least
+// a scan finds — or -1 once every rank is past its last owned element.
+func (m *ownedMerge) owner(want int32) int {
+	if r := m.slot[want%int32(len(m.slot))]; m.glob[r] == want {
+		return int(r)
+	}
+	best := 0
+	for r, g := range m.glob {
+		if g < m.glob[best] {
+			best = r
+		}
+	}
+	if m.glob[best] == math.MaxInt32 {
+		return -1
+	}
+	return best
+}
+
+// ownedFrom returns the position of the first owned element — local index
+// below nOwned — in a set layout's ExecOrder from p on, and its global index
+// by l2g; or the order's end and MaxInt32 when there is none.
+func ownedFrom(order, l2g []int32, nOwned, p int32) (int32, int32) {
+	for ; int(p) < len(order); p++ {
+		if loc := order[p]; loc < nOwned {
+			return p, l2g[loc]
+		}
+	}
+	return p, math.MaxInt32
 }
 
 // forEachRank runs f(w, r) for every rank r, through the persistent worker
 // pool when one is installed (Parallel mode on a multi-slot machine), else
-// serially on the caller's goroutine as worker 0. f must only touch state
-// owned by rank r, plus per-worker scratch indexed by w. Worker panics are
+// serially on the caller's goroutine as worker 0. f must only write state
+// owned by rank r, plus per-worker scratch indexed by w; it may read state
+// that no call of f in the same fork writes — the layouts, and in an
+// exchange's copy pass the owners' owned values, which no rank writes while
+// each fills its own halo copies. Worker panics are
 // re-raised on the caller's goroutine (see rankPool.forEach), so panic
 // semantics are identical in serial and parallel modes.
 func (b *Backend) forEachRank(f func(w, r int)) {
@@ -720,10 +789,8 @@ func (b *Backend) Close() {
 	b.cfg.Layouts.leave()
 	if l := b.cfg.Slabs; l != nil {
 		l.Put(b.datSlab)
-		l.Put(b.scr.slab)
-		l.Put(b.scr.gather)
 	}
-	b.datSlab, b.scr.slab, b.scr.gather = nil, nil, nil
+	b.datSlab = nil
 }
 
 // mustBeOpen panics with a *ClosedError when the backend has been closed.
@@ -731,18 +798,6 @@ func (b *Backend) mustBeOpen(op string) {
 	if b.dats == nil {
 		panic(&ClosedError{Backend: b.Name(), NParts: b.cfg.NParts, Op: op})
 	}
-}
-
-// regrow returns storage for n values that the backend keeps until Close —
-// borrowed when it has a lender, made otherwise — in place of old, which goes
-// back to the lender. The contents are unspecified.
-func (b *Backend) regrow(old []float64, n int) []float64 {
-	if l := b.cfg.Slabs; l != nil {
-		l.Put(old)
-		s := l.Get(n)
-		return s[:cap(s)]
-	}
-	return make([]float64, n)
 }
 
 // initScratch sizes the per-Backend execution scratch from the
@@ -763,6 +818,7 @@ func (b *Backend) initScratch() {
 	s.g = make([]float64, cl)
 	s.lp = make([]model.LoopParams, cl)
 	s.busy = make([]float64, n)
+	s.merge = make([]int32, 2*n)
 	// Exchanges with nothing to send share one schedule whose per-rank byte
 	// counts stay all-zero (callers only read them), so dirty-state-clean
 	// loops allocate nothing.
@@ -771,8 +827,7 @@ func (b *Backend) initScratch() {
 	b.fnStdRank = func(w, r int) { b.stdRank(w, r) }
 	b.fnChainPrep = func(w, r int) { b.chainPrepRank(w, r) }
 	b.fnChainExec = func(w, r int) { b.chainExecRank(w, r) }
-	b.fnPack = func(w, r int) { b.packRank(w, r) }
-	b.fnUnpack = func(w, r int) { b.unpackRank(w, r) }
+	b.fnCopy = func(w, r int) { b.copyRank(w, r) }
 }
 
 // runLoopOnRank executes iterations [lo, hi) of loop l on rank r, as

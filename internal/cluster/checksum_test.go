@@ -7,6 +7,10 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"op2ca/internal/mesh"
+	"op2ca/internal/mgcfd"
+	"op2ca/internal/partition"
 )
 
 // TestChecksumDats pins ChecksumDats three ways: against strings captured
@@ -60,5 +64,54 @@ func TestChecksumDats(t *testing.T) {
 				name, n, bytes)
 		}
 		b.Close()
+	}
+}
+
+// BenchmarkChecksumDats times one ChecksumDats of an initialised MG-CFD
+// backend, on 8 ranks of 24 000 nodes and on 64 ranks of 6 000, the shapes
+// of the mgcfd-compute and mgcfd-ranks workloads.
+func BenchmarkChecksumDats(b *testing.B) {
+	for _, tc := range []struct{ nodes, ranks int }{{24000, 8}, {6000, 64}} {
+		b.Run(fmt.Sprintf("ranks=%d", tc.ranks), func(b *testing.B) {
+			m := mesh.RotorForNodes(tc.nodes)
+			app := mgcfd.New(mesh.NewHierarchy(m, 2, true))
+			be, err := New(Config{Prog: app.Prog, Primary: app.Primary,
+				Assign: partition.KWay(m.NodeAdjacency(), tc.ranks), NParts: tc.ranks, Depth: 2, CA: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer be.Close()
+			app.Init(be)
+			for b.Loop() {
+				be.ChecksumDats()
+			}
+		})
+	}
+}
+
+// TestChecksumBorrowsNothing: ChecksumDats streams from the dats, so a lent
+// backend that checksummed borrowed one slab, its storage, and Close gives
+// back exactly that one.
+func TestChecksumBorrowsNothing(t *testing.T) {
+	run := snapApps()["hydra"](snapModes[1])
+	lender := &poisonLender{}
+	run.cfg.Slabs = lender
+	b, err := New(run.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.init(b)
+	run.step(b)
+	want := b.ChecksumDats()
+	if got := b.ChecksumDats(); got != want {
+		t.Errorf("a second checksum %s, the first %s", got, want)
+	}
+	if g := lender.gets.Load(); g != 1 {
+		t.Errorf("a lent backend that stepped and checksummed borrowed %d slabs, want its storage alone", g)
+	}
+	b.Close()
+	if g, p := lender.gets.Load(), lender.puts.Load(); g != 1 || p != 1 || lender.Stats().LentBytes != 0 {
+		t.Errorf("after Close: %d slabs borrowed, %d returned, %d bytes out; want the one back",
+			g, p, lender.Stats().LentBytes)
 	}
 }

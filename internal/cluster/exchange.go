@@ -55,35 +55,27 @@ func appendSpecFingerprint(dst []byte, specs []exchangeSpec, grouped bool) []byt
 	return dst
 }
 
-// packSeg is one contiguous run of a sender's pack work: the elements of
-// one dat (by ID, of dimension dim) exported to one neighbour, in the
-// receiver's storage order — the n local indices from lo on in the sender's
-// halo.Layout.ExportLocals. Segments name dats by ID, not *core.Dat, and
-// hold no pointers: a schedule belongs to the layouts (Layouts.schedule), the
-// backends built on them may each have a program of their own, and its
-// segment arrays may be borrowed (see lendable).
-type packSeg struct {
-	dat, dim int32
-	lo, n    int32
-}
-
-// unpackSeg is one contiguous run of a receiver's unpack work: the nvals
-// values at slab offset off land at value offset start of dat's local
-// storage.
-type unpackSeg struct {
-	dat   int32
-	start int32
-	nvals int32
-	off   int32
+// copySeg is one contiguous run of a receiver's import work: the n elements
+// of one dat (by ID, of dimension dim) that rank from exports to it, named by
+// the n local indices from exportLo on in from's halo.Layout.ExportLocals,
+// land in the receiver's storage of the dat from value offset dstStart on.
+// Segments name dats by ID, not *core.Dat, and hold no pointers: a schedule
+// belongs to the layouts (Layouts.schedule), the backends built on them may
+// each have a program of their own, and its copy list may be borrowed (see
+// lendable).
+type copySeg struct {
+	from, dat, dim int32
+	exportLo, n    int32
+	dstStart       int32
 }
 
 // exchangeSchedule is the executor state of one halo exchange — which
 // messages it sends (standard OP2: one per dat, halo kind, shell and
 // neighbour; grouped: everything for one neighbour in a single message, the
-// paper's Figure 8) and where every value is gathered from and lands. It
-// depends only on the halo layouts, the spec set and the grouping, so it is
-// built once per layouts and replayed by every backend on them; replays walk
-// flat index lists, write nothing in the schedule and allocate nothing.
+// paper's Figure 8) and where every value comes from and lands. It depends
+// only on the halo layouts, the spec set and the grouping, so it is built
+// once per layouts and replayed by every backend on them; replays walk flat
+// index lists, write nothing in the schedule and allocate nothing.
 type exchangeSchedule struct {
 	// msgs are the virtual-network messages in per-sender serialisation
 	// order; sendBytes and recvBytes total them per rank.
@@ -97,43 +89,27 @@ type exchangeSchedule struct {
 	bytes       int64
 	maxMsgBytes int64
 	maxNeigh    int
-	// pack[packAt[r]:packAt[r+1]] is rank r's gather list, written
-	// consecutively into the payload slab from slabLo[r]; unpack's windows
-	// by unpackAt are the ranks' scatter lists. An exchange packs and
-	// unpacks synchronously, so all schedules of a backend share one slab
-	// (execScratch.slab) of at least slabLo[NParts] values.
-	pack             []packSeg
-	unpack           []unpackSeg
-	packAt, unpackAt []int32
-	slabLo           []int32
+	// copies[copyAt[r]:copyAt[r+1]] is rank r's copy list: its imports, each
+	// read straight from the owner's storage. Ranks share one address space
+	// and virtual time is priced from msgs, so no value is staged between
+	// owner and receiver.
+	copies []copySeg
+	copyAt []int32
 }
 
-// eachExport calls f with every non-empty export list rank r sends of specs,
-// in spec, halo kind (0 execute, 1 non-execute), shell order; d counts
-// shells from 0.
-func (l *Layouts) eachExport(r int, specs []exchangeSpec, f func(si int, kind, d int8, ex halo.Range)) {
+// eachRun calls f with every non-empty export list (exports) or import range
+// rank r has of specs, in spec, halo kind (0 execute, 1 non-execute), shell
+// order — the same order for senders and receivers; d counts shells from 0.
+func (l *Layouts) eachRun(r int, specs []exchangeSpec, exports bool, f func(si int, kind, d int8, rg halo.Range)) {
 	for si, sp := range specs {
 		sl := l.ranks[r].SetL(sp.dat.Set)
-		for kind, depth := range [2]int{sp.execDepth, sp.nonexecDepth} {
-			for d := 1; d <= depth; d++ {
-				for _, ex := range sl.Exports(halo.Kind(kind), d) {
-					if ex.Count > 0 {
-						f(si, int8(kind), int8(d-1), ex)
-					}
-				}
-			}
+		runs := sl.Imports
+		if exports {
+			runs = sl.Exports
 		}
-	}
-}
-
-// eachImport calls f with every non-empty import range rank r receives of
-// specs, in the order eachExport walks the senders' lists.
-func (l *Layouts) eachImport(r int, specs []exchangeSpec, f func(si int, kind, d int8, rg halo.Range)) {
-	for si, sp := range specs {
-		sl := l.ranks[r].SetL(sp.dat.Set)
 		for kind, depth := range [2]int{sp.execDepth, sp.nonexecDepth} {
 			for d := 1; d <= depth; d++ {
-				for _, rg := range sl.Imports(halo.Kind(kind), d) {
+				for _, rg := range runs(halo.Kind(kind), d) {
 					if rg.Count > 0 {
 						f(si, int8(kind), int8(d-1), rg)
 					}
@@ -143,13 +119,14 @@ func (l *Layouts) eachImport(r int, specs []exchangeSpec, f func(si int, kind, d
 	}
 }
 
-// sentSeg is one shell slice a sender packs, as its receiver looks it up:
+// sentSeg is one shell slice a sender exports, as its receiver looks it up:
 // key orders the sender, the spec, the halo kind and the shell, the order in
-// which one receiver's sent slices are laid out and its imports claim them.
+// which one receiver's sent slices are laid out and its imports claim them;
+// lo and n are the slice's run of the sender's ExportLocals.
 type sentSeg struct {
-	key        uint64
-	off, nvals int32
-	claimed    bool
+	key     uint64
+	lo, n   int32
+	claimed bool
 }
 
 // segKey is a sentSeg's key.
@@ -180,23 +157,21 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 // buildSchedule derives the exchange schedule of one filtered spec set: the
-// one place messages are formed and pack/unpack indices derived. Senders
-// walk their export lists in spec, kind, shell order; receivers walk their
-// import ranges the same way and claim the matching slab windows, which must
-// leave none unclaimed. It counts first and fills second, so messages and
-// the pack and unpack lists — all ranks' in one array each — are taken from
-// a at their exact size, all three from one slab. Layouts are consistent by
-// construction, so a mismatch is a runtime bug: it panics with a typed
-// *ExchangeError before any value moves.
+// one place messages are formed and copy lists derived. Senders walk their
+// export lists in spec, kind, shell order; receivers walk their import ranges
+// the same way and claim the matching sent slices, which must leave none
+// unclaimed. It counts first and fills second, so the messages and the copy
+// list — all ranks' in one array — are taken from a at their exact size, both
+// from one slab. Layouts are consistent by construction, so a mismatch is a
+// runtime bug: it panics with a typed *ExchangeError before any value moves.
 func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool, a *arena) *exchangeSchedule {
 	n := len(l.ranks)
 	s := &exchangeSchedule{
 		sendBytes: make([]int64, n),
 		recvBytes: make([]int64, n),
 		nDats:     len(specs),
+		copyAt:    make([]int32, n+1),
 	}
-	at := make([]int32, 3*(n+1)) // packAt, unpackAt and slabLo
-	s.packAt, s.unpackAt, s.slabLo = at[:n+1:n+1], at[n+1:2*(n+1):2*(n+1)], at[2*(n+1):]
 	sc, _ := schedulePool.Get().(*scheduleScratch)
 	if sc == nil {
 		sc = new(scheduleScratch)
@@ -207,11 +182,11 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool, a *arena) *e
 	// it, +1, then — grouped — the index of that sender's message to it.
 	inLo, msgTo := zeroed(sc.inLo, n+1), zeroed(sc.msgTo, n)
 	sc.inLo, sc.msgTo = inLo, msgTo
-	nPack, nUnpack, nMsgs := 0, 0, 0
+	nSent, nCopies, nMsgs := 0, 0, 0
 	for r := 0; r < n; r++ {
 		neigh := 0
-		l.eachExport(r, specs, func(_ int, _, _ int8, ex halo.Range) {
-			nPack++
+		l.eachRun(r, specs, true, func(_ int, _, _ int8, ex halo.Range) {
+			nSent++
 			inLo[ex.Rank+1]++
 			if msgTo[ex.Rank] != int32(r+1) {
 				msgTo[ex.Rank] = int32(r + 1)
@@ -222,31 +197,25 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool, a *arena) *e
 		if grouped {
 			nMsgs += neigh
 		}
-		l.eachImport(r, specs, func(int, int8, int8, halo.Range) { nUnpack++ })
+		l.eachRun(r, specs, false, func(int, int8, int8, halo.Range) { nCopies++ })
 	}
 	if !grouped {
-		nMsgs = nPack
+		nMsgs = nSent
 	}
 	for to := 0; to < n; to++ {
 		inLo[to+1] += inLo[to]
 	}
 
-	// Send: messages, pack lists and the slab windows, each also filed under
-	// its receiver.
-	w := a.words(words[netsim.Message](nMsgs) + words[packSeg](nPack) + words[unpackSeg](nUnpack))
+	// Send: messages, and each slice filed under its receiver.
+	w := a.words(words[netsim.Message](nMsgs) + words[copySeg](nCopies))
 	s.msgs = view[netsim.Message](&w, nMsgs)[:0]
-	s.pack = view[packSeg](&w, nPack)[:0]
-	s.unpack = view[unpackSeg](&w, nUnpack)[:0]
-	sent, fill := zeroed(sc.sent, nPack), append(sc.fill[:0], inLo[:n]...)
+	s.copies = view[copySeg](&w, nCopies)[:0]
+	sent, fill := zeroed(sc.sent, nSent), append(sc.fill[:0], inLo[:n]...)
 	sc.sent, sc.fill = sent, fill
 	clear(msgTo)
-	off := int32(0)
 	for r := 0; r < n; r++ {
-		s.slabLo[r], s.packAt[r] = off, int32(len(s.pack))
-		l.eachExport(r, specs, func(si int, kind, d int8, ex halo.Range) {
-			sp := specs[si]
-			nvals := ex.Count * int32(sp.dat.Dim)
-			bytes := int64(nvals) * 8
+		l.eachRun(r, specs, true, func(si int, kind, d int8, ex halo.Range) {
+			bytes := int64(ex.Count) * int64(specs[si].dat.Dim) * 8
 			if mi := msgTo[ex.Rank] - 1; grouped && mi >= 0 && s.msgs[mi].From == int32(r) {
 				s.msgs[mi].Bytes += bytes
 			} else {
@@ -255,13 +224,10 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool, a *arena) *e
 			}
 			s.sendBytes[r] += bytes
 			s.recvBytes[ex.Rank] += bytes
-			s.pack = append(s.pack, packSeg{dat: int32(sp.dat.ID), dim: int32(sp.dat.Dim), lo: ex.Start, n: ex.Count})
-			sent[fill[ex.Rank]] = sentSeg{key: segKey(int32(r), si, kind, d), off: off, nvals: nvals}
+			sent[fill[ex.Rank]] = sentSeg{key: segKey(int32(r), si, kind, d), lo: ex.Start, n: ex.Count}
 			fill[ex.Rank]++
-			off += nvals
 		})
 	}
-	s.slabLo[n], s.packAt[n] = off, int32(len(s.pack))
 	for _, m := range s.msgs {
 		s.bytes += m.Bytes
 		s.maxMsgBytes = max(s.maxMsgBytes, m.Bytes)
@@ -271,25 +237,25 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool, a *arena) *e
 	// the receiver's run of sent, which is ordered by it.
 	for r := 0; r < n; r++ {
 		in := sent[inLo[r]:inLo[r+1]]
-		s.unpackAt[r] = int32(len(s.unpack))
-		l.eachImport(r, specs, func(si int, kind, d int8, rg halo.Range) {
+		s.copyAt[r] = int32(len(s.copies))
+		l.eachRun(r, specs, false, func(si int, kind, d int8, rg halo.Range) {
 			sp := specs[si]
 			key := segKey(rg.Rank, si, kind, d)
 			i, found := slices.BinarySearchFunc(in, key, func(e sentSeg, k uint64) int { return cmp.Compare(e.key, k) })
 			if !found || in[i].claimed {
 				panic(&ExchangeError{Kind: ErrMissing, Rank: r, From: rg.Rank, Dat: sp.dat.Name})
 			}
-			seg := &in[i]
-			if want := rg.Count * int32(sp.dat.Dim); seg.nvals != want {
+			seg, dim := &in[i], int32(sp.dat.Dim)
+			if seg.n != rg.Count {
 				panic(&ExchangeError{Kind: ErrSizeMismatch, Rank: r, From: rg.Rank,
-					Dat: sp.dat.Name, Want: int(want), Got: int(seg.nvals)})
+					Dat: sp.dat.Name, Want: int(rg.Count * dim), Got: int(seg.n * dim)})
 			}
 			seg.claimed = true
-			s.unpack = append(s.unpack, unpackSeg{
-				dat: int32(sp.dat.ID), start: rg.Start * int32(sp.dat.Dim), nvals: seg.nvals, off: seg.off})
+			s.copies = append(s.copies, copySeg{from: rg.Rank, dat: int32(sp.dat.ID), dim: dim,
+				exportLo: seg.lo, n: seg.n, dstStart: rg.Start * dim})
 		})
 	}
-	s.unpackAt[n] = int32(len(s.unpack))
+	s.copyAt[n] = int32(len(s.copies))
 	for to := 0; to < n; to++ {
 		for _, seg := range sent[inLo[to]:inLo[to+1]] {
 			if !seg.claimed {
@@ -301,14 +267,15 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool, a *arena) *e
 	return s
 }
 
-// exchange packs, "transfers" and unpacks halo data for the given specs.
-// The data movement is real (receivers' halo copies are overwritten with
-// owners' current values); the returned schedule carries what the virtual
-// network needs to charge time, and nothing here charges it. Schedules are
-// memoised once, by spec fingerprint on the layouts (Layouts.schedule), which
-// every backend built on them shares; with the plan cache disabled the
-// exchange runs through a schedule built for this call — the same walk,
-// never a second code path.
+// exchange "transfers" halo data for the given specs: every rank copies its
+// imports straight from their owners' storage, in one fork. The data movement
+// is real (receivers' halo copies are overwritten with owners' current
+// values); the returned schedule carries what the virtual network needs to
+// charge time — pack and unpack included, priced from its bytes — and nothing
+// here charges it. Schedules are memoised once, by spec fingerprint on the
+// layouts (Layouts.schedule), which every backend built on them shares; with
+// the plan cache disabled the exchange runs through a schedule built for this
+// call — the same walk, never a second code path.
 func (b *Backend) exchange(specs []exchangeSpec, grouped bool) *exchangeSchedule {
 	if len(specs) == 0 {
 		return b.noExchange
@@ -319,34 +286,22 @@ func (b *Backend) exchange(specs []exchangeSpec, grouped bool) *exchangeSchedule
 	if len(s.msgs) == 0 {
 		return s
 	}
-	if need := int(s.slabLo[b.cfg.NParts]); need > len(sc.slab) {
-		sc.slab = b.regrow(sc.slab, need)
-	}
 	sc.sched = s
-	b.forEachRank(b.fnPack)
-	b.forEachRank(b.fnUnpack)
+	b.forEachRank(b.fnCopy)
 	return s
 }
 
-// packRank gathers rank r's exported values into its slab window.
-func (b *Backend) packRank(w, r int) {
-	s, slab := b.scr.sched, b.scr.slab
-	locals := b.layouts[r].ExportLocals()
-	at := int(s.slabLo[r])
-	for _, seg := range s.pack[s.packAt[r]:s.packAt[r+1]] {
-		local := b.dats[r][seg.dat]
-		dim := int(seg.dim)
-		for _, loc := range locals[seg.lo : seg.lo+seg.n] {
-			at += copy(slab[at:], local[int(loc)*dim:(int(loc)+1)*dim])
+// copyRank fills rank r's imported halo copies from their owners. It writes
+// only rank r's halo copies and reads only owned values, which no rank writes
+// during an exchange, so the ranks' copies may run at once.
+func (b *Backend) copyRank(w, r int) {
+	s, dst := b.scr.sched, b.dats[r]
+	for _, c := range s.copies[s.copyAt[r]:s.copyAt[r+1]] {
+		src, dim := b.dats[c.from][c.dat], int(c.dim)
+		out := dst[c.dat][c.dstStart:]
+		for i, loc := range b.layouts[c.from].ExportLocals()[c.exportLo : c.exportLo+c.n] {
+			copy(out[i*dim:(i+1)*dim], src[int(loc)*dim:(int(loc)+1)*dim])
 		}
-	}
-}
-
-// unpackRank scatters rank r's imported slab windows into its halo copies.
-func (b *Backend) unpackRank(w, r int) {
-	s, slab := b.scr.sched, b.scr.slab
-	for _, seg := range s.unpack[s.unpackAt[r]:s.unpackAt[r+1]] {
-		copy(b.dats[r][seg.dat][seg.start:seg.start+seg.nvals], slab[seg.off:seg.off+seg.nvals])
 	}
 }
 

@@ -35,37 +35,34 @@ type SlabLender interface {
 // slabs than it once had out together, and the bound matters only for slabs
 // it did not lend.
 //
-// The free slabs are strongly referenced from a sync.Pool and from nowhere
-// else, so the garbage collector is the eviction policy: every Get and Put
-// takes the pool's content out and puts it back, which counts as a use, and
+// The free list is one object, strongly referenced from a sync.Pool and from
+// nowhere else, so the garbage collector is the eviction policy: every Get
+// and Put takes it from the pool and puts it back, which counts as a use, and
 // a Lender nobody borrows from for two collections holds nothing — an idle
 // owner retains no slab, and none outlives the Lender. Slabs are
 // pointer-free, so while they are held a collection marks them in no time.
 // The pool does not hand over what sits in another P's private slot, so the
-// Lender also keeps a weak pointer to every free slab and finds those through
-// it; a slab carries whether it is free, so the stale copy a slot still holds
-// of one lent since is dropped, never lent twice. The zero value is an empty
-// Lender.
+// Lender keeps one weak pointer to the list, made with it, and finds it
+// through that when the pool hands over nothing: a call takes the list once,
+// whatever it holds. The zero value is an empty Lender.
 type Lender struct {
 	mu   sync.Mutex
-	pool sync.Pool // of *slab, no New: an empty pool hands over nil
-	// index reaches every free slab, in whichever P's slot it is parked.
-	index []weak.Pointer[slab]
-	// buf is take's result, kept between calls for its storage only.
-	buf []*slab
+	pool sync.Pool // of *freeList, no New: an empty pool hands over nil
+	// handle reaches the free list, in whichever P's slot it is parked.
+	handle weak.Pointer[freeList]
 	// out counts the slabs lent now; peak is the most ever lent at once.
 	out, peak int
 	stats     LenderStats
 }
 
-// slab is one free-list entry: the storage, and whether it is free — set by
-// Put, cleared when it is lent or let go — and whether take has it already,
-// guarded by the Lender's mu; and the weak pointer the index reaches it by,
-// made once.
-type slab struct {
-	s           []float64
-	free, taken bool
-	weak        weak.Pointer[slab]
+// freeList is a Lender's free slabs by capacity, ascending. A slab lent
+// leaves a hole — a nil entry that keeps its capacity — which the next slab
+// of that capacity to come back fills, so a slab lent and returned moves
+// nothing; holes are swept out once they are half the list.
+type freeList struct {
+	caps  []int
+	slabs [][]float64
+	holes int
 }
 
 // LenderStats are a Lender's counters: Gets served by a returned slab, Gets
@@ -75,78 +72,42 @@ type LenderStats struct {
 	LentBytes    int64
 }
 
-// take returns every free slab: what the pool hands over and what the index
-// reaches, each once. Callers hold mu and end with give.
-func (l *Lender) take() []*slab {
-	free := l.buf[:0]
-	add := func(p *slab) {
-		if p != nil && p.free && !p.taken {
-			p.taken = true
-			free = append(free, p)
-		}
+// list returns the free list: the pool's, else the one the handle reaches,
+// else a new one with its handle. Callers hold mu and put it back in the pool.
+func (l *Lender) list() *freeList {
+	f, _ := l.pool.Get().(*freeList)
+	if f == nil {
+		f = l.handle.Value()
 	}
-	for {
-		p, _ := l.pool.Get().(*slab)
-		if p == nil {
-			break
-		}
-		add(p)
+	if f == nil {
+		f = new(freeList)
+		l.handle = weak.Make(f)
 	}
-	for _, w := range l.index {
-		add(w.Value())
-	}
-	return free
-}
-
-// give puts free back in the pool and the index — the largest peak of it —
-// and lets go of the rest.
-func (l *Lender) give(free []*slab) {
-	for _, p := range free {
-		p.taken = false
-	}
-	kept := free
-	if len(kept) > l.peak {
-		slices.SortFunc(kept, func(a, b *slab) int { return cap(b.s) - cap(a.s) })
-		for _, p := range kept[l.peak:] {
-			p.free = false
-		}
-		kept = kept[:l.peak]
-	}
-	l.index = l.index[:0]
-	for _, p := range kept {
-		l.pool.Put(p)
-		l.index = append(l.index, p.weak)
-	}
-	clear(free) // buf keeps the storage, not the slabs
-	l.buf = free[:0]
+	return f
 }
 
 // Get implements SlabLender.
 func (l *Lender) Get(n int) []float64 {
 	l.mu.Lock()
-	free := l.take()
-	best := -1
-	for i, p := range free {
-		if cap(p.s) >= n && (best < 0 || cap(p.s) < cap(free[best].s)) {
-			best = i
-		}
+	f := l.list()
+	i, _ := slices.BinarySearch(f.caps, n)
+	for i < len(f.slabs) && f.slabs[i] == nil {
+		i++
 	}
-	var s []float64
-	if best >= 0 {
-		free[best].free = false
-		s = free[best].s[:n]
-		free = slices.Delete(free, best, best+1)
+	var s []float64 // nil on a miss: a hit's slab is not
+	if i < len(f.slabs) {
+		s, f.slabs[i] = f.slabs[i][:n], nil
+		f.holes++
 		l.stats.Hits++
-		l.stats.LentBytes += 8 * int64(cap(s))
 	} else {
 		l.stats.Misses++
-		l.stats.LentBytes += 8 * int64(n)
 	}
+	l.stats.LentBytes += 8 * int64(max(cap(s), n))
 	l.out++
 	l.peak = max(l.peak, l.out)
-	l.give(free)
+	l.pool.Put(f)
 	l.mu.Unlock()
-	if best < 0 {
+	if s == nil {
 		s = make([]float64, n) // outside the lock: clearing megabytes takes a while
 	}
 	return s
@@ -161,18 +122,49 @@ func (l *Lender) Put(s []float64) {
 	s = s[:cap(s)]
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	free := l.take()
-	for _, p := range free {
-		if &p.s[0] == &s[0] {
-			l.give(free)
+	f := l.list()
+	defer l.pool.Put(f)
+	i, _ := slices.BinarySearch(f.caps, cap(s))
+	hole := -1
+	for j := i; j < len(f.caps) && f.caps[j] == cap(s); j++ {
+		switch {
+		case f.slabs[j] == nil:
+			hole = max(hole, j)
+		case &f.slabs[j][0] == &s[0]:
 			panic("cluster: slab returned to its Lender twice")
 		}
 	}
 	l.out = max(l.out-1, 0)
 	l.stats.LentBytes -= 8 * int64(cap(s))
-	p := &slab{s: s, free: true}
-	p.weak = weak.Make(p)
-	l.give(append(free, p))
+	if hole >= 0 {
+		f.slabs[hole] = s
+		f.holes--
+	} else {
+		f.caps, f.slabs = slices.Insert(f.caps, i, cap(s)), slices.Insert(f.slabs, i, s)
+	}
+	// More free than were ever lent at once: let the smallest go.
+	for j := 0; len(f.slabs)-f.holes > l.peak; j++ {
+		if f.slabs[j] != nil {
+			f.slabs[j] = nil
+			f.holes++
+		}
+	}
+	if 2*f.holes > len(f.slabs) {
+		f.sweep()
+	}
+}
+
+// sweep drops the holes.
+func (f *freeList) sweep() {
+	k := 0
+	for j, s := range f.slabs {
+		if s != nil {
+			f.caps[k], f.slabs[k] = f.caps[j], s
+			k++
+		}
+	}
+	clear(f.slabs[k:])
+	f.caps, f.slabs, f.holes = f.caps[:k], f.slabs[:k], 0
 }
 
 // Reset lets go of every free slab; the counters stand, and slabs still lent
@@ -180,13 +172,10 @@ func (l *Lender) Put(s []float64) {
 func (l *Lender) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	free := l.take()
-	for _, p := range free {
-		p.free = false
-	}
-	clear(free)
-	clear(l.index)
-	l.index = l.index[:0]
+	f := l.list()
+	clear(f.slabs)
+	f.sweep()
+	l.pool.Put(f)
 }
 
 // Stats reads the counters.
@@ -200,7 +189,7 @@ func (l *Lender) Stats() LenderStats {
 // float64: pointer-free, and aligned to at most 8 bytes, so a []float64 slab
 // holds them and the collector need not look inside.
 type lendable interface {
-	int32 | halo.Range | packSeg | unpackSeg | netsim.Message
+	int32 | halo.Range | copySeg | netsim.Message
 }
 
 // words is how many float64 words n values of T take.

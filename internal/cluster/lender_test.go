@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -448,10 +449,72 @@ func TestLentSteadyStateZeroAlloc(t *testing.T) {
 			t.Errorf("%d workers: a repeated ChecksumDats on a lent backend makes %v allocations, want a handful", workers, n)
 		}
 	}
-	if g, p := lender.gets.Load(), lender.puts.Load(); g-p != 3 {
-		t.Errorf("the backend borrowed %d slabs and returned %d, want three out: its storage, the payload slab and the gather buffer", g, p)
+	if g, p := lender.gets.Load(), lender.puts.Load(); g-p != 1 {
+		t.Errorf("the backend borrowed %d slabs and returned %d, want one out: its storage", g, p)
 	}
 	if sum == "" || lender.Stats().LentBytes == 0 {
 		t.Errorf("checksum %q with %d bytes borrowed", sum, lender.Stats().LentBytes)
+	}
+}
+
+// TestLenderKeepsOneHandle: a Lender's one weak handle is made with its free
+// list, and nothing after makes another — neither a slab lent and returned
+// nor a returned slab of a capacity the list has not held. Making a handle
+// for a new object allocates it, so a Get and Put that allocate nothing made
+// none; and the handle is still the one that reaches the list.
+func TestLenderKeepsOneHandle(t *testing.T) {
+	pinLender(t)
+	var l Lender
+	var out [][]float64
+	for n := 1; n <= 64; n++ {
+		out = append(out, l.Get(n))
+	}
+	for _, s := range out {
+		l.Put(s)
+	}
+	handle := l.handle
+	list := handle.Value()
+	if list == nil {
+		t.Fatal("a Lender with free slabs reaches no list through its handle")
+	}
+	if n := testing.AllocsPerRun(100, func() { l.Put(l.Get(32)) }); n != 0 {
+		t.Errorf("a slab lent and returned makes %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range out {
+			out[i] = l.Get(i + 1)
+		}
+		for _, s := range out {
+			l.Put(s)
+		}
+	}); n != 0 {
+		t.Errorf("all 64 slabs lent and returned make %v allocations, want 0", n)
+	}
+	if l.handle != handle || l.handle.Value() != list {
+		t.Error("the Lender made its free list or its handle again")
+	}
+}
+
+// BenchmarkLenderGetPut times a slab lent and returned from a Lender holding
+// 1, 64 and 1 024 free slabs of distinct capacities, best fit taking the
+// middle one: the cost does not grow with the free list.
+func BenchmarkLenderGetPut(b *testing.B) {
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+	for _, free := range []int{1, 64, 1024} {
+		b.Run(fmt.Sprintf("free=%d", free), func(b *testing.B) {
+			var l Lender
+			out := make([][]float64, free)
+			for i := range out {
+				out[i] = l.Get(i + 1)
+			}
+			for _, s := range out {
+				l.Put(s)
+			}
+			n := free/2 + 1
+			for b.Loop() {
+				l.Put(l.Get(n))
+			}
+		})
 	}
 }

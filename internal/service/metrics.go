@@ -95,7 +95,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 
 	slabs := s.slabs.Stats()
 	mw.Declare("op2ca_service_slab_hits_total", "counter",
-		"Storage requests of job backends (dats, exchange payload, gather buffer) served by a slab a closed backend had returned.")
+		"Storage requests of job backends (their dats) served by a slab a closed backend had returned.")
 	mw.Sample("op2ca_service_slab_hits_total", nil, float64(slabs.Hits))
 	mw.Declare("op2ca_service_slab_misses_total", "counter",
 		"Storage requests of job backends that allocated a new slab.")

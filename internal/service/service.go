@@ -123,9 +123,9 @@ type Service struct {
 	// parts keeps the partition assignments jobs computed, for the jobs after
 	// them on the same mesh, partitioner and rank count (see partStore).
 	parts *partStore
-	// slabs lends every job's backends their flat storage — dats, payload
-	// slab, gather buffer — and gets it back when the attempt's backend is
-	// closed, for the next job's (see cluster.Lender: what sits in it
+	// slabs lends every job's backends their flat storage — one slab for
+	// the dats — and gets it back when the attempt's backend is closed, for
+	// the next job's (see cluster.Lender: what sits in it
 	// unborrowed is the garbage collector's to take).
 	slabs slabLender
 	// layouts keeps the halo layouts jobs built, for the jobs after them on

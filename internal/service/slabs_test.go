@@ -118,8 +118,8 @@ func TestSlabsInvisibleInResults(t *testing.T) {
 		}
 	}
 	st := lender.Stats()
-	if g, p := lender.gets.Load(), lender.puts.Load(); g != p || st.LentBytes != 0 || st.Hits+st.Misses < int64(3*len(ids)) {
-		t.Errorf("%d slabs lent, %d returned, %d bytes still out (%+v); want every job's three back", g, p, st.LentBytes, st)
+	if g, p := lender.gets.Load(), lender.puts.Load(); g != p || st.LentBytes != 0 || st.Hits+st.Misses < int64(len(ids)) {
+		t.Errorf("%d slabs lent, %d returned, %d bytes still out (%+v); want every job's one back", g, p, st.LentBytes, st)
 	}
 	if !raceEnabled && st.Hits < st.Misses {
 		t.Errorf("%d hits, %d misses: most jobs of a busy service run on recycled slabs", st.Hits, st.Misses)
