@@ -158,21 +158,18 @@ func handler(svc *service.Service, profiling bool) http.Handler {
 // runDirect executes one spec inline and prints its Result as JSON —
 // the serving path's oracle.
 func runDirect(path string, w io.Writer) error {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
+	in := os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		in = f
 	}
+	spec, err := service.DecodeJobSpec(in)
 	if err != nil {
 		return err
-	}
-	var spec service.JobSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return fmt.Errorf("decoding job spec: %w", err)
 	}
 	res, err := service.RunDirect(spec, "")
 	if err != nil {

@@ -211,6 +211,19 @@ func TestRunDirectMode(t *testing.T) {
 	}
 }
 
+// TestRunDirectRefusesTrailingData: -run reads one spec, and data after it
+// is an error, not ignored.
+func TestRunDirectRefusesTrailingData(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spec.json")
+	spec := `{"tenant":"a","app":"mgcfd"} {"app":"hydra"} garbage`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runDirect(path, io.Discard); err == nil || !strings.Contains(err.Error(), "after the first JSON value") {
+		t.Errorf("trailing data: err = %v", err)
+	}
+}
+
 // TestDocumentedFlags checks every flag a `go run ./cmd/op2ca-server` line of
 // README.md or DESIGN.md passes, continuation lines included, against the
 // command's own -h usage, so a documented command cannot drift from the

@@ -43,44 +43,49 @@ import (
 
 // Spec describes a run. Sizes carry no defaults here: each front-end has
 // its own (a served job is small, a command-line run is not) and fills them
-// in before Resolve.
+// in before Resolve. The JSON names are the job service's wire form
+// (service.JobSpec is this struct).
 type Spec struct {
+	// Tenant is who the run is for: the job service's admission and
+	// accounting key. Resolve ignores it and no result depends on it.
+	Tenant string `json:"tenant"`
 	// App is "mgcfd" or "hydra".
-	App string
+	App string `json:"app"`
 	// MeshNodes is the approximate node count of the synthetic rotor mesh
 	// (finest level for mgcfd).
-	MeshNodes int
+	MeshNodes int `json:"mesh_nodes,omitempty"`
 	// Levels (multigrid depth) and NChains (synthetic chain pairs per
 	// iteration, 0 disables) are mgcfd-only.
-	Levels, NChains int
+	Levels  int `json:"levels,omitempty"`
+	NChains int `json:"nchains,omitempty"`
 	// Ranks is the simulated MPI rank count; ignored by the seq backend.
-	Ranks int
+	Ranks int `json:"ranks,omitempty"`
 	// Backend is "seq" (the sequential reference), "op2" or "ca".
-	Backend string
+	Backend string `json:"backend,omitempty"`
 	// Overlap runs CA chains with overlapped exchanges (cluster.Config.Overlap).
-	Overlap bool
+	Overlap bool `json:"overlap,omitempty"`
 	// AutoTune lets the model-driven autotuner pick each chain's policy.
-	AutoTune bool
+	AutoTune bool `json:"autotune,omitempty"`
 	// Safe (hydra only) drops the configured halo extensions and lets the
 	// inspector's conservative analysis choose.
-	Safe bool
+	Safe bool `json:"safe,omitempty"`
 	// Iters is the main-loop iteration count.
-	Iters int
+	Iters int `json:"iters,omitempty"`
 	// Machine is archer2, cirrus or laptop.
-	Machine string
+	Machine string `json:"machine,omitempty"`
 	// Partitioner is kway, rib, rcb or block; "" picks the app's default
 	// (kway for mgcfd, rib for hydra).
-	Partitioner string
+	Partitioner string `json:"partitioner,omitempty"`
 	// Chains (hydra only) is the text of a chaincfg file replacing the
 	// built-in paper configuration.
-	Chains string
+	Chains string `json:"chains,omitempty"`
 	// Faults is a fault-injection plan in the -faults grammar.
-	Faults string
+	Faults string `json:"faults,omitempty"`
 	// Supervise is a -supervise spec; "" means unsupervised.
-	Supervise string
+	Supervise string `json:"supervise,omitempty"`
 	// CheckpointEvery is the ring snapshot cadence in iterations; 0 never
 	// snapshots.
-	CheckpointEvery int
+	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
 // Run is a resolved Spec: the normalised description plus every parsed

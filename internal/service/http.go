@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 )
@@ -27,11 +26,9 @@ func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, &ValidationError{Err: fmt.Errorf("decoding job spec: %w", err)})
+		spec, err := DecodeJobSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+		if err != nil {
+			writeError(w, &ValidationError{Err: err})
 			return
 		}
 		v, err := s.Submit(spec)

@@ -501,6 +501,8 @@ func TestCancelAndErrorsOverHTTP(t *testing.T) {
 		`{"tenant":"acme","app":"nekbone"}`,         // unknown app
 		`{"tenant":"acme","app":"mgcfd","faults":"drop=2"}`,
 		`not json`,
+		`{"tenant":"a","app":"mgcfd"} {"app":"hydra"} garbage`, // data after the spec
+		`{"tenant":"a","app":"hydra","safe":true}`,             // not served
 	} {
 		if resp, _ := postJSON(t, ts.URL+"/v1/jobs", bad); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad spec %q: status %d, want 400", bad, resp.StatusCode)
