@@ -74,12 +74,28 @@ func BenchmarkMeshRotor(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionKWay times a warm k-way partition from adjacency lists:
+// the pooled scratch is sized by the first call, so B/op is the assignment.
 func BenchmarkPartitionKWay(b *testing.B) {
 	m := mesh.RotorForNodes(20000)
 	adj := m.NodeAdjacency()
+	benchWarm(b, func() { partition.KWay(adj, 16) })
+}
+
+// BenchmarkPartitionKWayEdges is the same partition from the mesh's edge-pair
+// lists, as a run description's "kway" partitioner takes it.
+func BenchmarkPartitionKWayEdges(b *testing.B) {
+	m := mesh.RotorForNodes(20000)
+	benchWarm(b, func() { partition.KWayEdges(m.NNodes, 16, m.EdgeNodes, m.PedgeNodes) })
+}
+
+// benchWarm times f after one untimed call, reporting allocations.
+func benchWarm(b *testing.B, f func()) {
+	f()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		partition.KWay(adj, 16)
+		f()
 	}
 }
 

@@ -318,8 +318,9 @@ type execScratch struct {
 	recs  []netsim.Record
 	retry retrier
 
-	// filterNeeds output, aliased by the execution that requested it.
-	filtered []exchangeSpec
+	// standardNeeds output, read by filterNeeds; filterNeeds output,
+	// aliased by the execution that requested it.
+	needs, filtered []exchangeSpec
 
 	// The schedule being replayed: the copy fork's parameter.
 	sched *exchangeSchedule

@@ -338,41 +338,38 @@ func (b *Backend) filterNeeds(specs []exchangeSpec) []exchangeSpec {
 // standardNeeds lists the depth-1 halo requirements of one standalone loop,
 // OP2's per-loop dirty-bit rule: indirectly read dats need both halo kinds;
 // directly read dats in indirect loops need the execute halo (their values
-// are consumed by redundant halo iterations).
-func standardNeeds(l core.Loop) []exchangeSpec {
+// are consumed by redundant halo iterations). A dat named by several
+// arguments is listed once, where it is first named, with the deepest
+// requirement. The returned slice aliases Backend scratch, valid until the
+// next standardNeeds call; filterNeeds copies what it keeps.
+func (b *Backend) standardNeeds(l core.Loop) []exchangeSpec {
 	if !l.HasIndirection() {
 		return nil
 	}
-	need := map[*core.Dat]*exchangeSpec{}
-	var order []*core.Dat
-	add := func(d *core.Dat, e, n int) {
-		sp, ok := need[d]
-		if !ok {
-			sp = &exchangeSpec{dat: d}
-			need[d] = sp
-			order = append(order, d)
-		}
-		if e > sp.execDepth {
-			sp.execDepth = e
-		}
-		if n > sp.nonexecDepth {
-			sp.nonexecDepth = n
-		}
-	}
+	need := b.scr.needs[:0]
 	for _, a := range l.Args {
 		if a.IsGlobal() {
 			continue
 		}
+		var e, n int
 		switch {
 		case a.Indirect() && (a.Mode == core.Read || a.Mode == core.ReadWrite):
-			add(a.Dat, 1, 1)
+			e, n = 1, 1
 		case !a.Indirect() && a.Mode.Reads():
-			add(a.Dat, 1, 0)
+			e = 1
+		default:
+			continue
 		}
+		i := 0
+		for i < len(need) && need[i].dat != a.Dat {
+			i++
+		}
+		if i == len(need) {
+			need = append(need, exchangeSpec{dat: a.Dat})
+		}
+		need[i].execDepth = max(need[i].execDepth, e)
+		need[i].nonexecDepth = max(need[i].nonexecDepth, n)
 	}
-	out := make([]exchangeSpec, 0, len(order))
-	for _, d := range order {
-		out = append(out, *need[d])
-	}
-	return out
+	b.scr.needs = need
+	return need
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Layouts is the partitioned view a backend is built on: every rank's halo
-// layout (halo.DeriveOwnership, then halo.Build) and the hash of the
+// layout (halo.BuildIn: the ownership derived, then built) and the hash of the
 // assignment it was derived from, and the exchange schedules built over them.
 // The layouts are immutable once built — nothing in this package writes to a
 // layout — and so is every schedule, so any number of backends, concurrent
@@ -192,12 +192,12 @@ func NewLayouts(cfg Config) (*Layouts, error) {
 // buildLayouts derives ownership and builds every rank's layout for a shaped
 // configuration, borrowing from slabs when it is not nil.
 func buildLayouts(cfg Config, slabs SlabLender) (*Layouts, error) {
-	owners, err := halo.DeriveOwnership(cfg.Prog, cfg.Primary, cfg.Assign)
+	l := &Layouts{assign: assignHash(cfg.Assign), store: arena{slabs: slabs}}
+	ranks, err := halo.BuildIn(&l.store, cfg.Prog, cfg.Primary, cfg.Assign, cfg.NParts, cfg.Depth, cfg.MaxChainLen)
 	if err != nil {
 		return nil, err
 	}
-	l := &Layouts{assign: assignHash(cfg.Assign), store: arena{slabs: slabs}}
-	l.ranks = halo.BuildIn(&l.store, cfg.Prog, owners, cfg.NParts, cfg.Depth, cfg.MaxChainLen)
+	l.ranks = ranks
 	return l, nil
 }
 

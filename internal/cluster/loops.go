@@ -16,7 +16,7 @@ func (b *Backend) runStandard(l core.Loop, chainName string) {
 	t0 := b.MaxClock()
 	m := b.cfg.Machine
 
-	specs := b.filterNeeds(standardNeeds(l))
+	specs := b.filterNeeds(b.standardNeeds(l))
 	res := b.exchange(specs, false)
 	if ct := b.tuneSampling; ct != nil && chainName == ct.chain {
 		ct.noteExchange(specs, res.sendBytes, m.PackRate)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"op2ca/internal/core"
+	"op2ca/internal/reuse"
 )
 
 // selem addresses one element of one set during mixed-set graph traversals.
@@ -21,7 +22,7 @@ type selem struct {
 // arrays made for them. The package comment describes the passes and their
 // cost.
 func Build(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) []*Layout {
-	return BuildIn(made{}, prog, owners, nparts, depth, maxChainLen)
+	return getBuilder().build(made{}, prog, owners, nparts, depth, maxChainLen)
 }
 
 // Storage is where BuildIn takes the flat arrays a build's layouts are
@@ -41,10 +42,23 @@ type made struct{}
 func (made) Int32s(n int) []int32 { return make([]int32, n) }
 func (made) Ranges(n int) []Range { return make([]Range, n) }
 
-// BuildIn is Build with the layouts' arrays taken from st, so a caller that
+// BuildIn is Build on the ownership DeriveOwnership derives from the primary
+// set's assignment, with the layouts' arrays taken from st, so a caller that
 // builds layout after layout can lend them the storage of ones it is done
-// with.
-func BuildIn(st Storage, prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) []*Layout {
+// with. The ownership is derived into the build's pooled scratch: the
+// per-set owner arrays are not made again for every build.
+func BuildIn(st Storage, prog *core.Program, primary *core.Set, assign []int32, nparts, depth, maxChainLen int) ([]*Layout, error) {
+	b := getBuilder()
+	owners, err := b.derived.derive(prog, primary, assign)
+	if err != nil {
+		b.release()
+		return nil, err
+	}
+	return b.build(st, prog, owners, nparts, depth, maxChainLen), nil
+}
+
+// build builds the layouts in b, which it puts back in the pool.
+func (b *builder) build(st Storage, prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) []*Layout {
 	if depth < 1 {
 		panic(fmt.Sprintf("halo: depth %d < 1", depth))
 	}
@@ -54,7 +68,7 @@ func BuildIn(st Storage, prog *core.Program, owners [][]int32, nparts, depth, ma
 	if len(owners) != len(prog.Sets) {
 		panic(fmt.Sprintf("halo: ownership for %d sets, program has %d", len(owners), len(prog.Sets)))
 	}
-	b := newBuilder(prog, owners, nparts, depth, maxChainLen)
+	b.setUp(prog, owners, nparts, depth, maxChainLen)
 	b.st = st
 	layouts := b.layouts()
 	b.fillExports(layouts)
@@ -90,6 +104,7 @@ func (b *builder) layouts() []*Layout {
 type builder struct {
 	prog                       *core.Program
 	owners                     [][]int32
+	derived                    derivation // BuildIn's ownership
 	st                         Storage
 	nparts, depth, maxChainLen int
 	maxLevel                   int32 // levels are capped at 2*maxChainLen+1; deeper is maxLevel
@@ -129,63 +144,45 @@ func cut[T any](slab *[]T, n int) []T {
 	return s
 }
 
-// resize returns s with length n, keeping its elements and reallocating only
-// when n exceeds its capacity.
-func resize[T any](s []T, n int) []T {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	return append(s[:cap(s)], make([]T, n-cap(s))...)
-}
-
-// filled returns s with length n and every element v, reallocating only when
-// n exceeds its capacity.
-func filled[T any](s []T, n int, v T) []T {
-	if n > cap(s) {
-		s = make([]T, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = v
-	}
-	return s
-}
-
-// newBuilder takes a builder from the pool, or makes one, and sets it up for
-// one call: the dense arrays, the reverse maps, the ownership buckets and the
-// boundary marks.
-func newBuilder(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) *builder {
+// getBuilder takes a builder from the pool, or makes one.
+func getBuilder() *builder {
 	b, _ := builders.Get().(*builder)
 	if b == nil {
 		b = new(builder)
 	}
+	return b
+}
+
+// setUp readies b for one call: the dense arrays, the reverse maps, the
+// ownership buckets and the boundary marks.
+func (b *builder) setUp(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen int) {
 	nsets := len(prog.Sets)
 	b.prog, b.owners, b.nparts, b.depth, b.maxChainLen = prog, owners, nparts, depth, maxChainLen
 	b.maxLevel = int32(2*maxChainLen + 2)
-	b.levelStart = resize(b.levelStart, 2*maxChainLen+3)
-	b.perRank = filled(b.perRank, nparts, 0)
-	b.heads = resize(b.heads, depth)
-	b.rev = resize(b.rev, len(prog.Maps))
-	b.mapsFrom, b.mapsTo = resize(b.mapsFrom, nsets), resize(b.mapsTo, nsets)
-	b.owned, b.ownedBy, b.exec, b.nonexec = resize(b.owned, nsets), resize(b.ownedBy, nsets), resize(b.exec, nsets), resize(b.nonexec, nsets)
-	b.boundary, b.status, b.level = resize(b.boundary, nsets), resize(b.status, nsets), resize(b.level, nsets)
-	b.g2l, b.ownerLocal = resize(b.g2l, nsets), resize(b.ownerLocal, nsets)
+	b.levelStart = reuse.Resize(b.levelStart, 2*maxChainLen+3)
+	b.perRank = reuse.Filled(b.perRank, nparts, 0)
+	b.heads = reuse.Resize(b.heads, depth)
+	b.rev = reuse.Resize(b.rev, len(prog.Maps))
+	b.mapsFrom, b.mapsTo = reuse.Resize(b.mapsFrom, nsets), reuse.Resize(b.mapsTo, nsets)
+	b.owned, b.ownedBy, b.exec, b.nonexec = reuse.Resize(b.owned, nsets), reuse.Resize(b.ownedBy, nsets), reuse.Resize(b.exec, nsets), reuse.Resize(b.nonexec, nsets)
+	b.boundary, b.status, b.level = reuse.Resize(b.boundary, nsets), reuse.Resize(b.status, nsets), reuse.Resize(b.level, nsets)
+	b.g2l, b.ownerLocal = reuse.Resize(b.g2l, nsets), reuse.Resize(b.ownerLocal, nsets)
 	for s, set := range prog.Sets {
 		b.mapsFrom[s], b.mapsTo[s] = b.mapsFrom[s][:0], b.mapsTo[s][:0]
-		b.boundary[s] = filled(b.boundary[s], set.Size, false)
-		b.status[s] = filled(b.status[s], set.Size, 0)
-		b.level[s] = filled(b.level[s], set.Size, 0)
-		b.g2l[s] = filled(b.g2l[s], set.Size, -1)
-		b.ownerLocal[s] = filled(b.ownerLocal[s], set.Size, -1)
-		b.exec[s], b.nonexec[s] = resize(b.exec[s], depth), resize(b.nonexec[s], depth)
+		b.boundary[s] = reuse.Filled(b.boundary[s], set.Size, false)
+		b.status[s] = reuse.Filled(b.status[s], set.Size, 0)
+		b.level[s] = reuse.Filled(b.level[s], set.Size, 0)
+		b.g2l[s] = reuse.Filled(b.g2l[s], set.Size, -1)
+		b.ownerLocal[s] = reuse.Filled(b.ownerLocal[s], set.Size, -1)
+		b.exec[s], b.nonexec[s] = reuse.Resize(b.exec[s], depth), reuse.Resize(b.nonexec[s], depth)
 
 		// Ownership buckets: one counting pass (perRank counts, cleared
 		// after), one fill of the set's slab.
-		slab, count := resize(b.owned[s], set.Size), b.perRank
+		slab, count := reuse.Resize(b.owned[s], set.Size), b.perRank
 		for _, r := range owners[s] {
 			count[r]++
 		}
-		b.owned[s], b.ownedBy[s] = slab, resize(b.ownedBy[s], nparts)
+		b.owned[s], b.ownedBy[s] = slab, reuse.Resize(b.ownedBy[s], nparts)
 		lo := int32(0)
 		for r, n := range count {
 			b.ownedBy[s][r] = slab[lo : lo : lo+n]
@@ -197,7 +194,7 @@ func newBuilder(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen
 		clear(count)
 	}
 	for i, m := range prog.Maps {
-		b.rev[i] = buildReverse(m, resize(b.rev[i].offsets, m.To.Size+1), resize(b.rev[i].sources, len(m.Values)))
+		b.rev[i] = buildReverse(m, reuse.Resize(b.rev[i].offsets, m.To.Size+1), reuse.Resize(b.rev[i].sources, len(m.Values)))
 		b.mapsFrom[m.From.ID] = append(b.mapsFrom[m.From.ID], m)
 		b.mapsTo[m.To.ID] = append(b.mapsTo[m.To.ID], m)
 	}
@@ -213,13 +210,13 @@ func newBuilder(prog *core.Program, owners [][]int32, nparts, depth, maxChainLen
 			}
 		}
 	}
-	return b
 }
 
 // release lets go of what the call was given — the program, through its
 // maps, and the ownership — and puts the scratch back in the pool.
 func (b *builder) release() {
 	b.prog, b.owners, b.st = nil, nil, nil
+	clear(b.derived.owners)
 	for s := range b.mapsFrom {
 		clear(b.mapsFrom[s])
 		clear(b.mapsTo[s])
@@ -514,8 +511,8 @@ func (b *builder) fillExports(layouts []*Layout) {
 	nsets, depth := len(b.prog.Sets), b.depth
 	stride := nsets * 2 * depth // cells a rank
 	imports := func(c int) []Range { return b.imports[b.importAt[c]:b.importAt[c+1]] }
-	lists := filled(b.lists, len(layouts)*stride, 0)
-	listed := filled(b.listed, len(layouts)*stride, 0)
+	lists := reuse.Filled(b.lists, len(layouts)*stride, 0)
+	listed := reuse.Filled(b.listed, len(layouts)*stride, 0)
 	b.lists, b.listed = lists, listed
 	nlocals := 0
 	for c := range lists {

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"op2ca/internal/core"
 	"op2ca/internal/mesh"
@@ -81,6 +82,57 @@ func TestDeriveOwnershipTransitive(t *testing.T) {
 		if o != want[b] {
 			t.Errorf("bedge %d owner %d, want %d", b, o, want[b])
 		}
+	}
+}
+
+// TestDeriveOwnershipEmptySets: empty sets linked by maps — a non-periodic
+// mesh's pedges, mapped to nodes, and a set reached only from them — get
+// empty owner arrays, forward and reverse, whether the ownership is derived
+// fresh (DeriveOwnership) or in a build's scratch (BuildIn), and
+// both builds agree.
+func TestDeriveOwnershipEmptySets(t *testing.T) {
+	m := mesh.Box(5, 4, 3)
+	if m.NPedges != 0 {
+		t.Fatalf("box mesh has %d pedges, want none", m.NPedges)
+	}
+	p := core.NewProgram()
+	nodes := p.DeclSet(m.NNodes, "nodes")
+	edges := p.DeclSet(m.NEdges, "edges")
+	pedges := p.DeclSet(m.NPedges, "pedges")
+	ghosts := p.DeclSet(0, "ghosts")
+	p.DeclMap(edges, nodes, 2, m.EdgeNodes, "e2n")
+	p.DeclMap(pedges, nodes, 2, m.PedgeNodes, "p2n")
+	p.DeclMap(pedges, ghosts, 1, nil, "p2g")
+	p.DeclDat(nodes, 2, nil, "q")
+	assign := partition.Block(nodes.Size, 3)
+
+	done := make(chan struct{})
+	var owners [][]int32
+	var fresh, assigned []*Layout
+	var errOwn, errBuild error
+	go func() {
+		defer close(done)
+		owners, errOwn = DeriveOwnership(p, nodes, assign)
+		if errOwn == nil {
+			fresh = Build(p, owners, 3, 2, 2)
+		}
+		assigned, errBuild = BuildIn(made{}, p, nodes, assign, 3, 2, 2)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("deriving the ownership of empty sets does not return")
+	}
+	if errOwn != nil || errBuild != nil {
+		t.Fatal(errOwn, errBuild)
+	}
+	for _, s := range []*core.Set{pedges, ghosts} {
+		if owners[s.ID] == nil || len(owners[s.ID]) != 0 {
+			t.Errorf("set %s: owners %v, want empty and not nil", s.Name, owners[s.ID])
+		}
+	}
+	if layoutHash(assigned) != layoutHash(fresh) {
+		t.Error("BuildIn's layouts differ from Build's on the derived ownership")
 	}
 }
 
@@ -213,7 +265,8 @@ func checkLayouts(t *testing.T, p *core.Program, primary *core.Set, assign []int
 
 	// The owner-local table fillExports reads agrees with a brute-force
 	// inverse of every owner's L2G.
-	b := newBuilder(p, owners, nparts, depth, chain)
+	b := getBuilder()
+	b.setUp(p, owners, nparts, depth, chain)
 	b.st = made{}
 	b.layouts()
 	ownerLocal := b.ownerLocal

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"op2ca/internal/core"
+	"op2ca/internal/reuse"
 )
 
 // DeriveOwnership assigns an owner rank to every element of every set of the
@@ -14,11 +15,29 @@ import (
 // owner of the first element referencing it. Sets unreachable from the
 // primary set through any chain of maps cause an error.
 func DeriveOwnership(prog *core.Program, primary *core.Set, primaryOwners []int32) ([][]int32, error) {
+	var d derivation
+	return d.derive(prog, primary, primaryOwners)
+}
+
+// derivation is where ownership is derived: DeriveOwnership's, fresh, makes
+// every derived set's owner array; a pooled builder's reuses the arrays of
+// the builds before (BuildIn's).
+type derivation struct {
+	owners  [][]int32 // by set id; the primary set's is the caller's assignment
+	slabs   [][]int32 // by set id: the storage a derived set's owners are written to
+	claimed []bool    // reverse inheritance: a To element already has its owner
+}
+
+// derive is DeriveOwnership into d. The result lives in d (but for the
+// primary set's owners) until d derives again.
+func (d *derivation) derive(prog *core.Program, primary *core.Set, primaryOwners []int32) ([][]int32, error) {
 	if len(primaryOwners) != primary.Size {
 		return nil, fmt.Errorf("halo: %d owners for primary set %s of size %d",
 			len(primaryOwners), primary.Name, primary.Size)
 	}
-	owners := make([][]int32, len(prog.Sets))
+	d.owners, d.slabs = reuse.Resize(d.owners, len(prog.Sets)), reuse.Resize(d.slabs, len(prog.Sets))
+	owners := d.owners
+	clear(owners)
 	owners[primary.ID] = primaryOwners
 
 	for changed := true; changed; {
@@ -29,7 +48,7 @@ func DeriveOwnership(prog *core.Program, primary *core.Set, primaryOwners []int3
 				continue
 			}
 			to := owners[m.To.ID]
-			own := make([]int32, m.From.Size)
+			own := d.slab(m.From)
 			for e := 0; e < m.From.Size; e++ {
 				own[e] = to[m.Values[e*m.Arity]]
 			}
@@ -43,8 +62,9 @@ func DeriveOwnership(prog *core.Program, primary *core.Set, primaryOwners []int3
 				continue
 			}
 			from := owners[m.From.ID]
-			own := make([]int32, m.To.Size)
-			claimed := make([]bool, m.To.Size)
+			own := d.slab(m.To)
+			claimed := reuse.Filled(d.claimed, m.To.Size, false)
+			d.claimed = claimed
 			for e := 0; e < m.From.Size; e++ {
 				for _, t := range m.Targets(e) {
 					if !claimed[t] {
@@ -74,6 +94,17 @@ func DeriveOwnership(prog *core.Program, primary *core.Set, primaryOwners []int3
 		}
 	}
 	return owners, nil
+}
+
+// slab returns the storage set s's derived owners are written to. It is
+// never nil, even for an empty set: a nil owner array marks a set not yet
+// derived.
+func (d *derivation) slab(s *core.Set) []int32 {
+	if s.Size == 0 {
+		return []int32{}
+	}
+	d.slabs[s.ID] = reuse.Resize(d.slabs[s.ID], s.Size)
+	return d.slabs[s.ID]
 }
 
 // reverseMap is the CSR transpose of a core.Map: for every target element,

@@ -19,6 +19,8 @@ import (
 type goldenBuild struct {
 	name                    string
 	prog                    *core.Program
+	primary                 *core.Set
+	assign                  []int32
 	owners                  [][]int32
 	nparts, depth, maxChain int
 	want                    string
@@ -26,6 +28,16 @@ type goldenBuild struct {
 
 func (g goldenBuild) build() []*Layout {
 	return Build(g.prog, g.owners, g.nparts, g.depth, g.maxChain)
+}
+
+// buildIn builds from the assignment into st, deriving the ownership in the
+// build's scratch.
+func (g goldenBuild) buildIn(st Storage) []*Layout {
+	layouts, err := BuildIn(st, g.prog, g.primary, g.assign, g.nparts, g.depth, g.maxChain)
+	if err != nil {
+		panic(err)
+	}
+	return layouts
 }
 
 // goldenBuilds are TestBuildGolden's cases and the hashes it pins.
@@ -65,7 +77,7 @@ func goldenBuilds(t *testing.T) []goldenBuild {
 		if err != nil {
 			t.Fatal(err)
 		}
-		builds = append(builds, goldenBuild{tc.name, tc.prog, owners, tc.nparts, tc.depth, tc.maxChain, tc.want})
+		builds = append(builds, goldenBuild{tc.name, tc.prog, tc.primary, tc.assign, owners, tc.nparts, tc.depth, tc.maxChain, tc.want})
 	}
 	return builds
 }
@@ -75,8 +87,10 @@ func goldenBuilds(t *testing.T) []goldenBuild {
 // in reverse, interleaved and from two goroutines at once, and every build
 // hashes to its golden value — hashed only after all the builds of its order,
 // so a layout that kept a view of the scratch a later build refilled fails.
-// And a warm build allocates its output and a small constant more: the
-// scratch is not made again.
+// Builds from the assignment (BuildIn), which derive the ownership in
+// the scratch, alternate with builds from a derived one. And a warm build of
+// either kind allocates its output and a small constant more: the scratch is
+// not made again.
 func TestBuildReusesScratch(t *testing.T) {
 	builds := goldenBuilds(t)
 	n := len(builds)
@@ -95,7 +109,11 @@ func TestBuildReusesScratch(t *testing.T) {
 	check := func(label string, order []int) {
 		got := make([][]*Layout, len(order))
 		for k, i := range order {
-			got[k] = builds[i].build()
+			if k%2 == 0 {
+				got[k] = builds[i].build()
+			} else {
+				got[k] = builds[i].buildIn(made{})
+			}
 		}
 		for k, i := range order {
 			if h := layoutHash(got[k]); h != builds[i].want {
@@ -125,17 +143,19 @@ func TestBuildReusesScratch(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const slack = 16 << 10
 	for _, g := range builds {
-		out := outputBytes(g.build())
-		least := ^uint64(0)
-		for range 5 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			g.build()
-			runtime.ReadMemStats(&after)
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
-		}
-		if least > out+slack {
-			t.Errorf("%s: a warm build allocates %d bytes, its output is %d", g.name, least, out)
+		for kind, build := range map[string]func() []*Layout{"owners": g.build, "assignment": func() []*Layout { return g.buildIn(made{}) }} {
+			out := outputBytes(build())
+			least := ^uint64(0)
+			for range 5 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				build()
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if least > out+slack {
+				t.Errorf("%s from %s: a warm build allocates %d bytes, its output is %d", g.name, kind, least, out)
+			}
 		}
 	}
 }
@@ -205,7 +225,7 @@ func TestLayoutIsFlat(t *testing.T) {
 		st := new(warmStorage)
 		build := func() []*Layout {
 			st.ni, st.nr = 0, 0
-			return BuildIn(st, g.prog, g.owners, g.nparts, g.depth, g.maxChain)
+			return g.buildIn(st)
 		}
 		build()
 		least := ^uint64(0)
@@ -221,7 +241,7 @@ func TestLayoutIsFlat(t *testing.T) {
 		}
 		// Dirty storage: the slabs of the previous case, overwritten.
 		other := builds[(i+1)%len(builds)]
-		BuildIn(st, other.prog, other.owners, other.nparts, other.depth, other.maxChain)
+		other.buildIn(st)
 		for _, s := range st.int32s {
 			for k := range s[:cap(s)] {
 				s[:cap(s)][k] = -7

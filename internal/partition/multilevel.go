@@ -11,86 +11,104 @@ package partition
 // assignment. Downstream consumers (halo construction, the virtual-time
 // simulator, the tracer) rely on this for reproducible runs.
 
-import "slices"
+import (
+	"math"
+	"slices"
+
+	"op2ca/internal/reuse"
+)
 
 // wgraph is a weighted graph in CSR form.
 type wgraph struct {
-	xadj   []int32 // len nv+1
-	adjncy []int32
+	csr
 	adjwgt []int32
 	vwgt   []int32 // vertex weights (fine-vertex counts)
 }
 
-func (g *wgraph) nv() int { return len(g.vwgt) }
-
 // rowMerger accumulates the weighted neighbours of one vertex at a time in
 // arrays indexed by vertex id: wsum[u] is live while stamp[u] names the
-// current row, so starting the next row clears nothing.
+// current row, so starting the next row clears nothing. One merger serves
+// every graph a scratch merges: each graph's rows are stamped above every
+// earlier graph's (base), so a stamp left by an earlier graph, of this call or
+// another, is never taken for the current row's.
 type rowMerger struct {
-	stamp []int32 // row+1 of the last row that touched u; 0 = never
+	stamp []int32 // base+row+1 of the last row that touched u; at most base before the current graph
 	wsum  []int32
 	tos   []int32 // distinct neighbours of the current row, in first-seen order
+	base  int32   // rows of the graphs merged since the stamps were last cleared
+
+	// The merged rows of the graph being built, before end copies them to
+	// the graph at their exact size.
+	to, wt []int32
 }
 
-func newRowMerger(n int) *rowMerger {
-	return &rowMerger{stamp: make([]int32, n), wsum: make([]int32, n)}
+// begin readies m for a graph of n vertices with at most nent entries.
+func (m *rowMerger) begin(n, nent int) {
+	if int64(m.base)+int64(n) >= math.MaxInt32 {
+		clear(m.stamp[:cap(m.stamp)])
+		m.base = 0
+	}
+	m.stamp, m.wsum = reuse.Resize(m.stamp, n), reuse.Resize(m.wsum, n)
+	m.to, m.wt = reuse.Resize(m.to, nent)[:0], reuse.Resize(m.wt, nent)[:0]
 }
 
 func (m *rowMerger) add(row, to, w int32) {
-	if m.stamp[to] != row+1 {
-		m.stamp[to], m.wsum[to] = row+1, 0
+	if st := m.base + row + 1; m.stamp[to] != st {
+		m.stamp[to], m.wsum[to] = st, 0
 		m.tos = append(m.tos, to)
 	}
 	m.wsum[to] += w
 }
 
-// emit appends the current row to g in ascending neighbour order — the
-// canonical order every later tie-break (matching, refinement) depends on —
-// and closes it.
+// emit appends the current row in ascending neighbour order — the canonical
+// order every later tie-break (matching, refinement) depends on — closes it
+// as g's row, and starts the next.
 func (m *rowMerger) emit(g *wgraph, row int) {
 	slices.Sort(m.tos)
 	for _, to := range m.tos {
-		g.adjncy = append(g.adjncy, to)
-		g.adjwgt = append(g.adjwgt, m.wsum[to])
+		m.to = append(m.to, to)
+		m.wt = append(m.wt, m.wsum[to])
 	}
-	g.xadj[row+1] = int32(len(g.adjncy))
+	g.xadj[row+1] = int32(len(m.to))
 	m.tos = m.tos[:0]
 }
 
-// toCSR converts adjacency lists (possibly with duplicate entries) to a
-// unit-weight CSR graph, merging duplicates into edge weights and dropping
-// self-loops.
-func toCSR(adj [][]int32) *wgraph {
-	n, nent := len(adj), 0
-	for _, row := range adj {
-		nent += len(row)
-	}
-	g := &wgraph{
-		xadj: make([]int32, n+1), vwgt: make([]int32, n),
-		adjncy: make([]int32, 0, nent), adjwgt: make([]int32, 0, nent),
-	}
-	m := newRowMerger(n)
-	for v, row := range adj {
-		g.vwgt[v] = 1
-		for _, w := range row {
+// end gives g the rows emitted, at their exact size, and moves the stamps'
+// base past g's rows.
+func (m *rowMerger) end(g *wgraph) {
+	g.adjncy, g.adjwgt = reuse.Resize(g.adjncy, len(m.to)), reuse.Resize(g.adjwgt, len(m.wt))
+	copy(g.adjncy, m.to)
+	copy(g.adjwgt, m.wt)
+	m.base += int32(g.nv())
+}
+
+// toCSR merges the loaded graph into g as a unit-weight CSR graph, merging
+// duplicate entries into edge weights and dropping self-loops.
+func (s *scratch) toCSR(g *wgraph) {
+	in, m := &s.in, &s.merger
+	n := in.nv()
+	g.xadj, g.vwgt = reuse.Resize(g.xadj, n+1), reuse.Filled(g.vwgt, n, 1)
+	g.xadj[0] = 0
+	m.begin(n, len(in.adjncy))
+	for v := range n {
+		for _, w := range in.row(v) {
 			if w != int32(v) {
 				m.add(int32(v), w, 1)
 			}
 		}
 		m.emit(g, v)
 	}
-	return g
+	m.end(g)
 }
 
-// matchHeavyEdge computes a maximal matching preferring heavy edges,
-// returning the coarse vertex id of every fine vertex and the coarse count.
-func matchHeavyEdge(g *wgraph) ([]int32, int) {
+// matchHeavyEdge computes a maximal matching of g preferring heavy edges,
+// writing the coarse vertex id of every fine vertex to cmap (resized to g's
+// vertex count) and returning it with the coarse count.
+func (s *scratch) matchHeavyEdge(g *wgraph, cmap []int32) ([]int32, int) {
 	n := g.nv()
-	match := make([]int32, n)
-	for i := range match {
-		match[i] = -1
-	}
-	cmap := make([]int32, n)
+	match := reuse.Filled(s.match, n, -1)
+	s.match = match
+	cmap = reuse.Resize(cmap, n)
 	nc := int32(0)
 	for v := 0; v < n; v++ {
 		if match[v] != -1 {
@@ -118,28 +136,30 @@ func matchHeavyEdge(g *wgraph) ([]int32, int) {
 	return cmap, int(nc)
 }
 
-// coarsen builds the coarse graph induced by cmap.
-func coarsen(g *wgraph, cmap []int32, nc int) *wgraph {
-	c := &wgraph{
-		xadj: make([]int32, nc+1), vwgt: make([]int32, nc),
-		adjncy: make([]int32, 0, len(g.adjncy)), adjwgt: make([]int32, 0, len(g.adjncy)),
-	}
-	// Fine members of every coarse vertex, laid out by one counting pass.
-	first := make([]int32, nc+1)
+// coarsen builds into c the coarse graph of g induced by cmap.
+func (s *scratch) coarsen(g *wgraph, cmap []int32, nc int, c *wgraph) {
+	c.xadj, c.vwgt = reuse.Resize(c.xadj, nc+1), reuse.Filled(c.vwgt, nc, 0)
+	c.xadj[0] = 0
+	// Fine members of every coarse vertex, laid out by one counting pass:
+	// first[cv] is cv's fill cursor, and ends at cv+1's start, so it is
+	// shifted back after.
+	first, members := reuse.Filled(s.first, nc+1, 0), reuse.Resize(s.members, len(cmap))
+	s.first, s.members = first, members
 	for _, cv := range cmap {
 		first[cv+1]++
 	}
 	for cv := 0; cv < nc; cv++ {
 		first[cv+1] += first[cv]
 	}
-	members := make([]int32, len(cmap))
-	fill := slices.Clone(first[:nc])
 	for v, cv := range cmap {
 		c.vwgt[cv] += g.vwgt[v]
-		members[fill[cv]] = int32(v)
-		fill[cv]++
+		members[first[cv]] = int32(v)
+		first[cv]++
 	}
-	m := newRowMerger(nc)
+	copy(first[1:], first[:nc])
+	first[0] = 0
+	m := &s.merger
+	m.begin(nc, len(g.adjncy))
 	for cv := 0; cv < nc; cv++ {
 		for _, v := range members[first[cv]:first[cv+1]] {
 			for e := g.xadj[v]; e < g.xadj[v+1]; e++ {
@@ -150,7 +170,7 @@ func coarsen(g *wgraph, cmap []int32, nc int) *wgraph {
 		}
 		m.emit(c, cv)
 	}
-	return c
+	m.end(c)
 }
 
 // cutWeight returns the weighted edge cut of an assignment.
@@ -169,9 +189,8 @@ func cutWeight(g *wgraph, a Assignment) int64 {
 // growWeightedBest partitions the (small) coarsest graph several times from
 // different seed vertices and keeps the best score: weighted cut plus a
 // stiff penalty for imbalance (an imbalanced coarse partition is expensive
-// to drain during uncoarsening).
-func growWeightedBest(g *wgraph, nparts int) Assignment {
-	var best Assignment
+// to drain during uncoarsening). The best is left in s.asg[0].
+func (s *scratch) growWeightedBest(g *wgraph, nparts int) Assignment {
 	var bestScore int64
 	n := g.nv()
 	totalW := int64(0)
@@ -179,9 +198,11 @@ func growWeightedBest(g *wgraph, nparts int) Assignment {
 		totalW += int64(w)
 	}
 	target := (totalW + int64(nparts) - 1) / int64(nparts)
+	weights := reuse.Resize(s.scores, nparts)
+	s.scores = weights
 	for attempt := 0; attempt < 4; attempt++ {
-		a := growWeighted(g, nparts, (attempt*n)/4)
-		weights := make([]int64, nparts)
+		a := s.growWeighted(g, nparts, (attempt*n)/4, s.asg[1])
+		clear(weights)
 		for v, p := range a {
 			weights[p] += int64(g.vwgt[v])
 		}
@@ -192,41 +213,37 @@ func growWeightedBest(g *wgraph, nparts int) Assignment {
 			}
 		}
 		score := cutWeight(g, a) + 8*over
-		if best == nil || score < bestScore {
-			best, bestScore = a, score
+		if attempt == 0 || score < bestScore {
+			s.asg[0], s.asg[1], bestScore = a, s.asg[0], score
+		} else {
+			s.asg[1] = a
 		}
 	}
-	return best
+	return s.asg[0]
 }
 
 // growWeighted partitions a weighted graph by multi-seed frontier growth,
-// with seed spreading started from the given vertex.
-func growWeighted(g *wgraph, nparts, seedStart int) Assignment {
+// with seed spreading started from the given vertex, into a (resized).
+func (s *scratch) growWeighted(g *wgraph, nparts, seedStart int, a Assignment) Assignment {
 	n := g.nv()
-	a := make(Assignment, n)
-	for i := range a {
-		a[i] = -1
-	}
+	a = reuse.Filled(a, n, -1)
 	totalW := int32(0)
 	for _, w := range g.vwgt {
 		totalW += w
 	}
 	target := (totalW + int32(nparts) - 1) / int32(nparts)
 
-	adj := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		adj[v] = g.adjncy[g.xadj[v]:g.xadj[v+1]]
-	}
-	seeds := spreadSeedsFrom(adj, nparts, int32(seedStart%n))
-	weights := make([]int32, nparts)
-	frontiers := make([][]int32, nparts)
-	for p, s := range seeds {
-		if a[s] != -1 {
+	seeds := s.spreadSeeds(&g.csr, nparts, int32(seedStart%n))
+	weights := reuse.Filled(s.weights, nparts, 0)
+	s.weights = weights
+	frontiers := s.startFrontiers(nparts)
+	for p, sd := range seeds {
+		if a[sd] != -1 {
 			continue // duplicate seed on tiny graphs
 		}
-		a[s] = int32(p)
-		weights[p] = g.vwgt[s]
-		frontiers[p] = append(frontiers[p], s)
+		a[sd] = int32(p)
+		weights[p] = g.vwgt[sd]
+		frontiers[p] = append(frontiers[p], sd)
 	}
 	for active := nparts; active > 0; {
 		active = 0
@@ -234,9 +251,9 @@ func growWeighted(g *wgraph, nparts, seedStart int) Assignment {
 			if weights[p] >= target || len(frontiers[p]) == 0 {
 				continue
 			}
-			var next []int32
+			next := s.next[p][:0]
 			for _, v := range frontiers[p] {
-				for _, w := range adj[v] {
+				for _, w := range g.row(int(v)) {
 					if a[w] == -1 && weights[p] < target {
 						a[w] = int32(p)
 						weights[p] += g.vwgt[w]
@@ -247,7 +264,7 @@ func growWeighted(g *wgraph, nparts, seedStart int) Assignment {
 					break
 				}
 			}
-			frontiers[p] = next
+			frontiers[p], s.next[p] = next, frontiers[p]
 			if weights[p] < target && len(next) > 0 {
 				active++
 			}
@@ -258,7 +275,7 @@ func growWeighted(g *wgraph, nparts, seedStart int) Assignment {
 			continue
 		}
 		best := -1
-		for _, w := range adj[v] {
+		for _, w := range g.row(v) {
 			if a[w] >= 0 && (best == -1 || weights[a[w]] < weights[best]) {
 				best = int(a[w])
 			}
@@ -274,7 +291,7 @@ func growWeighted(g *wgraph, nparts, seedStart int) Assignment {
 		a[v] = int32(best)
 		weights[best] += g.vwgt[v]
 	}
-	refineWeighted(g, a, weights, target, 4)
+	s.refineWeighted(g, a, weights, target, 4)
 	return a
 }
 
@@ -282,15 +299,15 @@ func growWeighted(g *wgraph, nparts, seedStart int) Assignment {
 // vertices to the neighbouring part with the highest edge-weight gain,
 // subject to a balance cap. Vertices in overweight parts may move at a
 // loss, draining the part toward balance.
-func refineWeighted(g *wgraph, a Assignment, weights []int32, target int32, passes int) {
+func (s *scratch) refineWeighted(g *wgraph, a Assignment, weights []int32, target int32, passes int) {
 	nparts := len(weights)
 	maxW := target + target/20 + 1
 	// conn[p] is v's edge weight into part p; only the few parts in touch —
 	// v's neighbours' — are non-zero, visited (in ascending order, which the
 	// tie-breaks below depend on) and cleared, so a vertex costs its degree,
 	// not the part count.
-	conn := make([]int64, nparts)
-	var touch []int32
+	conn := reuse.Filled(s.conn, nparts, 0)
+	touch := s.touch[:0]
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for v := 0; v < g.nv(); v++ {
@@ -349,53 +366,63 @@ func refineWeighted(g *wgraph, a Assignment, weights []int32, target int32, pass
 			break
 		}
 	}
+	s.conn, s.touch = conn, touch
 }
 
-// multilevelKWay is the full pipeline. The graph must have at least nparts
-// vertices.
-func multilevelKWay(adj [][]int32, nparts int) Assignment {
-	g := toCSR(adj)
-	var levels []*wgraph
-	var cmaps [][]int32
-	levels = append(levels, g)
+// multilevel is the full pipeline on the loaded graph, which must have at
+// least nparts vertices. The assignment it returns lives in s.
+func (s *scratch) multilevel(nparts int) Assignment {
+	g := s.level(0)
+	s.toCSR(g)
+	// The two assignment buffers take turns holding the projections, so
+	// which one ends with the finest level depends on the level count: size
+	// both for it, so that one call warms them.
+	for i := range s.asg {
+		s.asg[i] = reuse.Resize(s.asg[i], g.nv())
+	}
+	nl := 1
 	coarsestTarget := max(128, 8*nparts)
-	for levels[len(levels)-1].nv() > coarsestTarget {
-		cur := levels[len(levels)-1]
-		cmap, nc := matchHeavyEdge(cur)
+	for cur := g; cur.nv() > coarsestTarget; {
+		cmap, nc := s.matchHeavyEdge(cur, s.cmaps[nl-1])
+		s.cmaps[nl-1] = cmap
 		if nc >= cur.nv()*95/100 {
 			break // matching stalled (star graphs etc.)
 		}
-		cmaps = append(cmaps, cmap)
-		levels = append(levels, coarsen(cur, cmap, nc))
+		cur = s.level(nl)
+		s.coarsen(s.levels[nl-1], cmap, nc, cur)
+		nl++
 	}
 
-	a := growWeightedBest(levels[len(levels)-1], nparts)
+	a := s.growWeightedBest(s.levels[nl-1], nparts)
 	// Project back up, refining at each level.
-	for li := len(levels) - 2; li >= 0; li-- {
-		cmap := cmaps[li]
-		fine := levels[li]
-		fa := make(Assignment, fine.nv())
+	for li := nl - 2; li >= 0; li-- {
+		cmap := s.cmaps[li]
+		fine := s.levels[li]
+		fa := reuse.Resize(s.asg[1], fine.nv())
 		for v := range fa {
 			fa[v] = a[cmap[v]]
 		}
-		weights := make([]int32, nparts)
+		weights := reuse.Filled(s.weights, nparts, 0)
+		s.weights = weights
 		totalW := int32(0)
 		for v := 0; v < fine.nv(); v++ {
 			weights[fa[v]] += fine.vwgt[v]
 			totalW += fine.vwgt[v]
 		}
 		target := (totalW + int32(nparts) - 1) / int32(nparts)
-		refineWeighted(fine, fa, weights, target, 6)
+		s.refineWeighted(fine, fa, weights, target, 6)
+		s.asg[0], s.asg[1] = fa, a
 		a = fa
 	}
 	// Guarantee no empty part (possible on degenerate coarse graphs):
 	// steal the lightest boundary vertex repeatedly.
-	fixEmptyParts(g, a, nparts)
+	s.fixEmptyParts(a, nparts)
 	return a
 }
 
-func fixEmptyParts(g *wgraph, a Assignment, nparts int) {
-	sizes := make([]int, nparts)
+func (s *scratch) fixEmptyParts(a Assignment, nparts int) {
+	sizes := reuse.Filled(s.sizes, nparts, 0)
+	s.sizes = sizes
 	for _, p := range a {
 		sizes[p]++
 	}

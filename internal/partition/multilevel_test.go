@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"slices"
 	"testing"
 
 	"op2ca/internal/mesh"
@@ -12,7 +14,7 @@ import (
 func TestCSRConversion(t *testing.T) {
 	// Duplicate edges (0-1 twice) must merge into edge weight 2.
 	adj := [][]int32{{1, 1, 2}, {0, 0}, {0}}
-	g := toCSR(adj)
+	g := csrOf(adj)
 	if g.nv() != 3 {
 		t.Fatalf("nv = %d", g.nv())
 	}
@@ -29,21 +31,57 @@ func TestCSRConversion(t *testing.T) {
 		t.Fatal("duplicate edge not merged into weight 2")
 	}
 	// Self-loops are dropped.
-	g2 := toCSR([][]int32{{0, 1}, {0}})
+	g2 := csrOf([][]int32{{0, 1}, {0}})
 	if g2.xadj[1]-g2.xadj[0] != 1 {
 		t.Fatal("self-loop not dropped")
+	}
+}
+
+// TestRowMergerForgetsEarlierGraphs: one merger serves graph after graph,
+// and a row never takes a neighbour's stamp or weight sum from an earlier
+// graph — whether the stamps' base moved past that graph's rows or, the
+// count about to overflow, the stamps were cleared.
+func TestRowMergerForgetsEarlierGraphs(t *testing.T) {
+	// The path 0-1-2, every entry of weight w.
+	merge := func(m *rowMerger, w int32) *wgraph {
+		g := new(wgraph)
+		g.xadj = make([]int32, 4)
+		m.begin(3, 4)
+		for r, row := range [][]int32{{1}, {0, 2}, {1}} {
+			for _, to := range row {
+				m.add(int32(r), to, w)
+			}
+			m.emit(g, r)
+		}
+		m.end(g)
+		return g
+	}
+	for _, base := range []int32{0, math.MaxInt32 - 1} {
+		var m rowMerger
+		merge(&m, 2)
+		if base != 0 {
+			m.base = base
+		}
+		g := merge(&m, 3)
+		if !slices.Equal(g.xadj, []int32{0, 1, 3, 4}) || !slices.Equal(g.adjncy, []int32{1, 0, 2, 1}) ||
+			!slices.Equal(g.adjwgt, []int32{3, 3, 3, 3}) {
+			t.Errorf("second graph merged after base %d: xadj %v adjncy %v adjwgt %v", base, g.xadj, g.adjncy, g.adjwgt)
+		}
 	}
 }
 
 func TestMatchingAndCoarsening(t *testing.T) {
 	// A path 0-1-2-3: matching pairs vertices, coarse graph keeps the
 	// total vertex weight and stays connected.
-	g := toCSR([][]int32{{1}, {0, 2}, {1, 3}, {2}})
-	cmap, nc := matchHeavyEdge(g)
+	var s scratch
+	s.fromLists([][]int32{{1}, {0, 2}, {1, 3}, {2}})
+	g, c := s.level(0), s.level(1)
+	s.toCSR(g)
+	cmap, nc := s.matchHeavyEdge(g, nil)
 	if nc >= g.nv() {
 		t.Fatalf("matching did not shrink: %d -> %d", g.nv(), nc)
 	}
-	c := coarsen(g, cmap, nc)
+	s.coarsen(g, cmap, nc, c)
 	var wFine, wCoarse int32
 	for _, w := range g.vwgt {
 		wFine += w
@@ -90,7 +128,7 @@ func TestMultilevelCoversAllParts(t *testing.T) {
 }
 
 func TestCutWeight(t *testing.T) {
-	g := toCSR([][]int32{{1}, {0, 2}, {1, 3}, {2}})
+	g := csrOf([][]int32{{1}, {0, 2}, {1, 3}, {2}})
 	if c := cutWeight(g, Assignment{0, 0, 1, 1}); c != 1 {
 		t.Errorf("cut = %d, want 1", c)
 	}

@@ -12,6 +12,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"op2ca/internal/reuse"
 )
 
 // Assignment maps each element of the partitioned (primary) set to a rank.
@@ -73,32 +75,45 @@ func checkArgs(n, nparts int) {
 // nparts balanced parts, minimising edge cut. Large graphs go through the
 // multilevel pipeline (heavy-edge-matching coarsening, coarse partitioning,
 // projected FM refinement — the METIS recipe); small graphs are partitioned
-// directly by greedy growing.
+// directly by greedy growing. The work is done in pooled scratch: a call on
+// a graph no larger than an earlier one's allocates its result alone.
 func KWay(adj [][]int32, nparts int) Assignment {
 	checkArgs(len(adj), nparts)
-	if len(adj) > max(256, 16*nparts) {
-		return multilevelKWay(adj, nparts)
-	}
-	return greedyKWay(adj, nparts)
+	s := getScratch()
+	s.fromLists(adj)
+	return s.done(s.kway(nparts))
 }
 
-// greedyKWay is the direct partitioner: multi-seed greedy graph growing
-// followed by refinement passes.
-func greedyKWay(adj [][]int32, nparts int) Assignment {
-	n := len(adj)
-	a := make(Assignment, n)
-	for i := range a {
-		a[i] = -1
-	}
+// KWayEdges is KWay on the graph of n vertices whose edges are the pairs of
+// the given lists, two vertex ids an edge — a mesh's EdgeNodes and
+// PedgeNodes, say — without building its adjacency lists: the result is
+// KWay's on the lists that append, for each pair a-b in order, b to a's list
+// and a to b's (mesh.FV3D.NodeAdjacency's rule).
+func KWayEdges(n, nparts int, pairs ...[]int32) Assignment {
+	checkArgs(n, nparts)
+	s := getScratch()
+	s.fromPairs(n, pairs)
+	return s.done(s.kway(nparts))
+}
+
+// greedy is the direct partitioner of the loaded graph: multi-seed greedy
+// graph growing followed by refinement passes. The assignment it returns
+// lives in s.
+func (s *scratch) greedy(nparts int) Assignment {
+	g := &s.in
+	n := g.nv()
+	a := reuse.Filled(s.asg[0], n, -1)
+	s.asg[0] = a
 	target := (n + nparts - 1) / nparts
 
-	seeds := spreadSeeds(adj, nparts)
-	sizes := make([]int, nparts)
-	frontiers := make([][]int32, nparts)
-	for p, s := range seeds {
-		a[s] = int32(p)
+	seeds := s.spreadSeeds(g, nparts, 0)
+	sizes := reuse.Filled(s.sizes, nparts, 0)
+	s.sizes = sizes
+	frontiers := s.startFrontiers(nparts)
+	for p, sd := range seeds {
+		a[sd] = int32(p)
 		sizes[p] = 1
-		frontiers[p] = append(frontiers[p], s)
+		frontiers[p] = append(frontiers[p], sd)
 	}
 	// Round-robin frontier growth: each part claims one layer step at a
 	// time until it reaches its target size or its frontier empties.
@@ -109,9 +124,9 @@ func greedyKWay(adj [][]int32, nparts int) Assignment {
 			if sizes[p] >= target || len(frontiers[p]) == 0 {
 				continue
 			}
-			var next []int32
+			next := s.next[p][:0]
 			for _, v := range frontiers[p] {
-				for _, w := range adj[v] {
+				for _, w := range g.row(int(v)) {
 					if a[w] == -1 && sizes[p] < target {
 						a[w] = int32(p)
 						sizes[p]++
@@ -122,7 +137,7 @@ func greedyKWay(adj [][]int32, nparts int) Assignment {
 					break
 				}
 			}
-			frontiers[p] = next
+			frontiers[p], s.next[p] = next, frontiers[p]
 			if sizes[p] < target && len(next) > 0 {
 				active++
 			}
@@ -136,7 +151,7 @@ func greedyKWay(adj [][]int32, nparts int) Assignment {
 			continue
 		}
 		best := -1
-		for _, w := range adj[v] {
+		for _, w := range g.row(v) {
 			if a[w] >= 0 && (best == -1 || sizes[a[w]] < sizes[best]) {
 				best = int(a[w])
 			}
@@ -152,31 +167,33 @@ func greedyKWay(adj [][]int32, nparts int) Assignment {
 		a[v] = int32(best)
 		sizes[best]++
 	}
-	refine(adj, a, sizes, target, 4)
+	s.refine(a, sizes, target, 4)
 	return a
 }
 
-// refine runs FM-style boundary passes: move a vertex to the neighbouring
-// part with the highest connectivity gain, while keeping every part within
-// maxSize. Moves with zero gain are allowed only when they improve balance.
-func refine(adj [][]int32, a Assignment, sizes []int, target, passes int) {
+// refine runs FM-style boundary passes over the loaded graph: move a vertex
+// to the neighbouring part with the highest connectivity gain, while keeping
+// every part within maxSize. Moves with zero gain are allowed only when they
+// improve balance.
+func (s *scratch) refine(a Assignment, sizes []int, target, passes int) {
+	g := &s.in
 	nparts := len(sizes)
 	maxSize := target + target/20 + 1
-	counts := make([]int, nparts)
+	counts := reuse.Resize(s.counts, nparts)
+	s.counts = counts
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
-		for v := range adj {
-			if len(adj[v]) == 0 {
+		for v := range g.nv() {
+			row := g.row(v)
+			if len(row) == 0 {
 				continue
 			}
 			own := a[v]
 			if sizes[own] <= 1 {
 				continue
 			}
-			for i := range counts {
-				counts[i] = 0
-			}
-			for _, w := range adj[v] {
+			clear(counts)
+			for _, w := range row {
 				counts[a[w]]++
 			}
 			best, bestGain := own, 0
@@ -204,31 +221,28 @@ func refine(adj [][]int32, a Assignment, sizes []int, target, passes int) {
 	}
 }
 
-// spreadSeeds picks nparts mutually distant vertices by repeated
-// farthest-point BFS from the previous seed set.
-func spreadSeeds(adj [][]int32, nparts int) []int32 {
-	return spreadSeedsFrom(adj, nparts, 0)
-}
-
-// spreadSeedsFrom is spreadSeeds with a chosen starting vertex, letting
-// multi-start partitioners explore different seed placements.
-func spreadSeedsFrom(adj [][]int32, nparts int, start int32) []int32 {
-	n := len(adj)
-	seeds := make([]int32, 0, nparts)
-	dist := make([]int32, n)
-	queue := make([]int32, 0, n)
+// spreadSeeds picks nparts mutually distant vertices of g by repeated
+// farthest-point BFS from the previous seed set, the first from the given
+// start vertex, so multi-start partitioners can explore different seed
+// placements.
+func (s *scratch) spreadSeeds(g *csr, nparts int, start int32) []int32 {
+	n := g.nv()
+	s.dist, s.queue = reuse.Resize(s.dist, n), reuse.Resize(s.queue, n)
 	// Seed with the BFS-farthest vertex from start: a stable boundary seed.
-	seeds = append(seeds, bfsFarthest(adj, []int32{start}, dist, queue))
+	seeds := append(s.seeds[:0], start)
+	seeds[0] = bfsFarthest(g, seeds, s.dist, s.queue)
 	for len(seeds) < nparts {
-		far := bfsFarthest(adj, seeds, dist, queue)
+		far := bfsFarthest(g, seeds, s.dist, s.queue)
 		seeds = append(seeds, far)
 	}
+	s.seeds = seeds
 	return seeds
 }
 
 // bfsFarthest returns a vertex at maximum BFS distance from the source set.
 // Unreachable vertices are preferred (they seed disconnected components).
-func bfsFarthest(adj [][]int32, sources []int32, dist []int32, queue []int32) int32 {
+// queue must have room for every vertex.
+func bfsFarthest(g *csr, sources []int32, dist []int32, queue []int32) int32 {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -240,7 +254,7 @@ func bfsFarthest(adj [][]int32, sources []int32, dist []int32, queue []int32) in
 	last := sources[0]
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, w := range adj[v] {
+		for _, w := range g.row(int(v)) {
 			if dist[w] == -1 {
 				dist[w] = dist[v] + 1
 				queue = append(queue, w)

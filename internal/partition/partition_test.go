@@ -62,6 +62,7 @@ func TestArgChecks(t *testing.T) {
 		"zero parts":     func() { Block(5, 0) },
 		"too many parts": func() { Block(5, 6) },
 		"bad coords":     func() { RIB([]float64{1, 2, 3}, 2, 1) },
+		"odd edge list":  func() { KWayEdges(4, 2, []int32{0, 1, 2}) },
 	} {
 		func() {
 			defer func() {

@@ -1,0 +1,256 @@
+package partition
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sync"
+	"testing"
+
+	"op2ca/internal/mesh"
+)
+
+// multilevelKWay is KWay forced through the multilevel pipeline, whatever
+// the graph's size.
+func multilevelKWay(adj [][]int32, nparts int) Assignment {
+	s := getScratch()
+	s.fromLists(adj)
+	return s.done(s.multilevel(nparts))
+}
+
+// greedyKWay is KWay forced through the direct partitioner.
+func greedyKWay(adj [][]int32, nparts int) Assignment {
+	s := getScratch()
+	s.fromLists(adj)
+	return s.done(s.greedy(nparts))
+}
+
+// csrOf is the merged graph of adj, in a scratch of its own.
+func csrOf(adj [][]int32) *wgraph {
+	var s scratch
+	s.fromLists(adj)
+	g := s.level(0)
+	s.toCSR(g)
+	return g
+}
+
+// goldenKWay is one of TestKWayGolden's cases: a graph, a part count, the
+// pipeline forced (multilevel) or chosen by size, and the pinned hash.
+type goldenKWay struct {
+	name       string
+	adj        [][]int32
+	nparts     int
+	multilevel bool
+	want       string
+}
+
+// run partitions g through the pool, as KWay does.
+func (g goldenKWay) run() Assignment {
+	if g.multilevel {
+		return multilevelKWay(g.adj, g.nparts)
+	}
+	return KWay(g.adj, g.nparts)
+}
+
+// hashIn partitions g in s and hashes the result before s is used again.
+func (g goldenKWay) hashIn(s *scratch) string {
+	s.fromLists(g.adj)
+	if g.multilevel {
+		return assignHash(s.multilevel(g.nparts))
+	}
+	return assignHash(s.kway(g.nparts))
+}
+
+// goldenKWays are TestKWayGolden's cases and the hashes it pins.
+func goldenKWays() []goldenKWay {
+	var cases []goldenKWay
+	for _, tc := range []struct {
+		nodes int
+		want  [3]string // 4, 16, 64 parts
+	}{
+		{4200, [3]string{"144977b7ca3b6725", "9f53a6dd9bf4ae4f", "aae411197eaf7488"}},
+		{6175, [3]string{"b2d531c64eeb6a35", "326576976657e572", "cbaeeba07b034364"}},
+		{20000, [3]string{"a2c235caf5bf3f25", "840629204fd87d3b", "ae81375d15837c45"}},
+	} {
+		adj := mesh.RotorForNodes(tc.nodes).NodeAdjacency()
+		for i, nparts := range []int{4, 16, 64} {
+			cases = append(cases, goldenKWay{fmt.Sprintf("rotor%d/%d", tc.nodes, nparts), adj, nparts, false, tc.want[i]})
+		}
+	}
+	adj := mesh.Rotor(8, 6, 5).NodeAdjacency()
+	return append(cases,
+		goldenKWay{"rotor240/4-greedy", adj, 4, false, "b46e66f1f0f0b2b6"},
+		goldenKWay{"rotor240/4-multilevel", adj, 4, true, "93809474cef0c0a7"})
+}
+
+// TestKWayReusesScratch (run under -race): KWay hands its scratch from one
+// call to the next, across shapes. TestKWayGolden's cases are partitioned
+// forward, in reverse, interleaved, after a larger graph and from two
+// goroutines at once, and every result hashes to its golden value — hashed
+// only after all the calls of its order, so a result that kept a view of the
+// scratch a later call refilled fails. A scratch whose merge stamps are about
+// to overflow gives the golden values too. And, without -race, a warm call
+// allocates its result and a small constant more: the scratch is not made
+// again.
+func TestKWayReusesScratch(t *testing.T) {
+	cases := goldenKWays()
+	n := len(cases)
+	forward := make([]int, n)
+	reverse := make([]int, n)
+	interleaved := make([]int, 0, n)
+	for i := range cases {
+		forward[i], reverse[i] = i, n-1-i
+		if i%2 == 0 {
+			interleaved = append(interleaved, i/2)
+		} else {
+			interleaved = append(interleaved, n-1-i/2)
+		}
+	}
+	check := func(label string, order []int) {
+		got := make([]Assignment, len(order))
+		for k, i := range order {
+			got[k] = cases[i].run()
+		}
+		for k, i := range order {
+			if h := assignHash(got[k]); h != cases[i].want {
+				t.Errorf("%s: %s hashes to %s, want %s", label, cases[i].name, h, cases[i].want)
+			}
+		}
+	}
+	check("forward", forward)
+	check("reverse", reverse)
+	check("interleaved", interleaved)
+	var wg sync.WaitGroup
+	for _, order := range [][]int{forward, reverse} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				check("concurrent", order)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// One scratch, held outside the pool: dirtied by a larger graph with
+	// duplicate edges at more parts, then by each case in turn; and with
+	// its merge stamps one graph short of overflow.
+	big := mesh.RotorForNodes(30000)
+	dirty := new(scratch)
+	dirty.fromPairs(big.NNodes, [][]int32{big.EdgeNodes, big.PedgeNodes, big.EdgeNodes[:600]})
+	dirty.kway(96)
+	for _, order := range [][]int{forward, reverse, interleaved} {
+		for _, i := range order {
+			if h := cases[i].hashIn(dirty); h != cases[i].want {
+				t.Errorf("dirty scratch: %s hashes to %s, want %s", cases[i].name, h, cases[i].want)
+			}
+		}
+	}
+	for _, c := range cases {
+		s := new(scratch)
+		s.merger.base = math.MaxInt32 - int32(len(c.adj)) - 3
+		if h := c.hashIn(s); h != c.want {
+			t.Errorf("stamps near overflow: %s hashes to %s, want %s", c.name, h, c.want)
+		}
+	}
+
+	// Allocation, at one P and with the collector off, so that the pool
+	// hands back what the warm-up put in; the least of a few calls, so that a
+	// stray allocation elsewhere in the process does not decide it. Under
+	// -race sync.Pool drops a share of what is put back, often enough that
+	// every one of a few calls can start from a fresh scratch.
+	if raceEnabled {
+		return
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const slack = 512
+	rotor := mesh.RotorForNodes(6175)
+	type call struct {
+		name string
+		run  func() Assignment
+	}
+	calls := []call{{"edges rotor6175/16", func() Assignment {
+		return KWayEdges(rotor.NNodes, 16, rotor.EdgeNodes, rotor.PedgeNodes)
+	}}}
+	for _, c := range cases {
+		calls = append(calls, call{c.name, c.run})
+	}
+	for _, c := range calls {
+		out := allocated[int32](len(c.run()))
+		least := ^uint64(0)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c.run()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > out+slack {
+			t.Errorf("%s: a warm call allocates %d bytes, its result is %d", c.name, least, out)
+		}
+	}
+}
+
+// allocated is what the allocator hands out for n values of T: the request
+// rounded up to its size class, as append's growth rounds it.
+func allocated[T any](n int) uint64 {
+	if n == 0 {
+		return 0
+	}
+	return uint64(cap(slices.Grow([]T(nil), n))) * uint64(reflect.TypeFor[T]().Size())
+}
+
+// withExtraEdges returns a copy of m whose edge list also holds a duplicate
+// of every 7th edge, one reversed, and a self-loop.
+func withExtraEdges(m *mesh.FV3D) *mesh.FV3D {
+	c := *m
+	c.EdgeNodes = slices.Clone(m.EdgeNodes)
+	for e := 0; e < m.NEdges; e += 7 {
+		c.EdgeNodes = append(c.EdgeNodes, m.EdgeNodes[2*e], m.EdgeNodes[2*e+1])
+	}
+	c.EdgeNodes = append(c.EdgeNodes, m.EdgeNodes[1], m.EdgeNodes[0], 5, 5)
+	c.NEdges = len(c.EdgeNodes) / 2
+	return &c
+}
+
+// TestKWayEdgesMatchesLists: loaded from a mesh's edge-pair lists, the graph
+// is the one NodeAdjacency's lists give — the same rows in the same order,
+// and the same merged CSR — on periodic (rotor) and non-periodic (box)
+// meshes with duplicate edges and a self-loop; so KWayEdges and KWay agree at
+// every part count.
+func TestKWayEdgesMatchesLists(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *mesh.FV3D
+	}{
+		{"rotor", mesh.RotorForNodes(6000)},
+		{"rotor+dup", withExtraEdges(mesh.RotorForNodes(6000))},
+		{"box", mesh.Box(16, 16, 16)},
+		{"box+dup", withExtraEdges(mesh.Box(16, 16, 16))},
+	} {
+		m := tc.m
+		adj := m.NodeAdjacency()
+		var lists, pairs scratch
+		lists.fromLists(adj)
+		pairs.fromPairs(m.NNodes, [][]int32{m.EdgeNodes, m.PedgeNodes})
+		if !reflect.DeepEqual(lists.in, pairs.in) {
+			t.Fatalf("%s: edge-pair rows differ from NodeAdjacency's", tc.name)
+		}
+		gl, gp := lists.level(0), pairs.level(0)
+		lists.toCSR(gl)
+		pairs.toCSR(gp)
+		if !reflect.DeepEqual(gl, gp) {
+			t.Fatalf("%s: edge-pair merged CSR differs from NodeAdjacency's", tc.name)
+		}
+		for _, nparts := range []int{4, 16, 64} {
+			want := KWay(adj, nparts)
+			if got := KWayEdges(m.NNodes, nparts, m.EdgeNodes, m.PedgeNodes); !slices.Equal(got, want) {
+				t.Errorf("%s, %d parts: KWayEdges differs from KWay", tc.name, nparts)
+			}
+		}
+	}
+}

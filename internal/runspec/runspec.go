@@ -387,7 +387,7 @@ func assignment(m *mesh.FV3D, partitioner string, ranks int) (partition.Assignme
 	}
 	switch partitioner {
 	case "kway":
-		return partition.KWay(m.NodeAdjacency(), ranks), nil
+		return partition.KWayEdges(m.NNodes, ranks, m.EdgeNodes, m.PedgeNodes), nil
 	case "rib":
 		return partition.RIB(m.Coords, 3, ranks), nil
 	case "rcb":
