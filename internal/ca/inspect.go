@@ -7,7 +7,7 @@
 // Two halo-extension analyses are provided. CalcHaloLayers is the paper's
 // Algorithm 3, transcribed literally; it reproduces the published extensions
 // for the MG-CFD synthetic chain and the gradl/vflux/iflux/jacob chains of
-// Tables 3-4. SafeHaloLayers is a conservative demand-propagation analysis
+// Tables 3-4. SafeAnalysis is a conservative demand-propagation analysis
 // that is provably sufficient for exact results under redundant computation;
 // it is used to validate configured extensions. The paper's configuration
 // file supplies per-loop maximum halo extensions (Section 3.4); package
@@ -70,14 +70,6 @@ func CalcHaloLayers(loops []core.Loop) []int {
 			}
 		}
 	}
-	return he
-}
-
-// SafeHaloLayers returns the execute-shell depths of SafeAnalysis; see
-// there for semantics. Chains that SafeAnalysis rejects still get depths
-// (the infeasibility concerns non-execute refreshes, not execute depths).
-func SafeHaloLayers(loops []core.Loop) []int {
-	he, _, _ := SafeAnalysis(loops)
 	return he
 }
 

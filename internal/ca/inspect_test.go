@@ -158,7 +158,7 @@ func TestSafeHaloLayersSynthetic(t *testing.T) {
 	flux := f.loop(f.edges,
 		core.ArgDat(f.fl, 0, f.e2n, core.Inc),
 		core.ArgDat(res, 0, f.e2n, core.Read))
-	got := SafeHaloLayers([]core.Loop{update, flux})
+	got, _, _ := SafeAnalysis([]core.Loop{update, flux})
 	if !intsEqual(got, []int{2, 1}) {
 		t.Errorf("safe HE = %v, want [2 1]", got)
 	}
@@ -166,7 +166,7 @@ func TestSafeHaloLayersSynthetic(t *testing.T) {
 	l0 := f.loop(f.edges, core.ArgDat(f.qp, 0, f.e2n, core.Inc), core.ArgDat(f.vol, 0, f.e2n, core.Read))
 	l1 := f.loop(f.edges, core.ArgDat(f.ql, 0, f.e2n, core.Inc), core.ArgDat(f.qp, 0, f.e2n, core.Read))
 	l2 := f.loop(f.edges, core.ArgDat(f.fl, 0, f.e2n, core.Inc), core.ArgDat(f.ql, 0, f.e2n, core.Read))
-	got = SafeHaloLayers([]core.Loop{l0, l1, l2})
+	got, _, _ = SafeAnalysis([]core.Loop{l0, l1, l2})
 	if !intsEqual(got, []int{3, 2, 1}) {
 		t.Errorf("safe HE for 3-chain = %v, want [3 2 1]", got)
 	}
@@ -186,7 +186,7 @@ func TestSafeAtLeastAsDeepOnTables(t *testing.T) {
 	}
 	for i, loops := range chains {
 		a3 := CalcHaloLayers(loops)
-		safe := SafeHaloLayers(loops)
+		safe, _, _ := SafeAnalysis(loops)
 		for l := range loops {
 			if safe[l] < a3[l] {
 				t.Errorf("chain %d loop %d: safe HE %d < Algorithm 3 HE %d", i, l, safe[l], a3[l])

@@ -9,6 +9,7 @@ import (
 	"op2ca/internal/core"
 	"op2ca/internal/halo"
 	"op2ca/internal/netsim"
+	"op2ca/internal/reuse"
 )
 
 // exchangeSpec asks for halo shells of one dat: execute shells 1..execDepth
@@ -145,17 +146,6 @@ type scheduleScratch struct {
 
 var schedulePool sync.Pool // of *scheduleScratch, no New: an empty pool hands over nil
 
-// zeroed returns s with length n and every element 0, reallocating only when
-// n exceeds its capacity.
-func zeroed[T any](s []T, n int) []T {
-	if n > cap(s) {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
 // buildSchedule derives the exchange schedule of one filtered spec set: the
 // one place messages are formed and copy lists derived. Senders walk their
 // export lists in spec, kind, shell order; receivers walk their import ranges
@@ -180,7 +170,7 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool, a *arena) *e
 	// Count. inLo[to+1] counts the slices sent to rank to, then becomes the
 	// start of its run in sent; msgTo[to] is the sender that last sent to
 	// it, +1, then — grouped — the index of that sender's message to it.
-	inLo, msgTo := zeroed(sc.inLo, n+1), zeroed(sc.msgTo, n)
+	inLo, msgTo := reuse.Filled(sc.inLo, n+1, 0), reuse.Filled(sc.msgTo, n, 0)
 	sc.inLo, sc.msgTo = inLo, msgTo
 	nSent, nCopies, nMsgs := 0, 0, 0
 	for r := 0; r < n; r++ {
@@ -210,7 +200,7 @@ func (l *Layouts) buildSchedule(specs []exchangeSpec, grouped bool, a *arena) *e
 	w := a.words(words[netsim.Message](nMsgs) + words[copySeg](nCopies))
 	s.msgs = view[netsim.Message](&w, nMsgs)[:0]
 	s.copies = view[copySeg](&w, nCopies)[:0]
-	sent, fill := zeroed(sc.sent, nSent), append(sc.fill[:0], inLo[:n]...)
+	sent, fill := reuse.Filled(sc.sent, nSent, sentSeg{}), append(sc.fill[:0], inLo[:n]...)
 	sc.sent, sc.fill = sent, fill
 	clear(msgTo)
 	for r := 0; r < n; r++ {

@@ -54,8 +54,8 @@ func TestMsgTimeMatchesNetsim(t *testing.T) {
 
 // TestCommTimeMatchesNetsimDelivery prices a k-message single-sender
 // exchange both ways in both delivery modes: model.Net.CommTime must
-// equal the last netsim arrival (relative to the post time) under Deliver
-// for bulk and DeliverOverlapped for overlapped.
+// equal the last netsim arrival (relative to the post time) under DeliverInto
+// for bulk and DeliverOverlappedInto for overlapped.
 func TestCommTimeMatchesNetsimDelivery(t *testing.T) {
 	const k = 4
 	for _, m := range []*machine.Machine{machine.ARCHER2(), machine.Cirrus(), machine.Laptop()} {
@@ -71,9 +71,9 @@ func TestCommTimeMatchesNetsimDelivery(t *testing.T) {
 			}
 			post := []float64{0, 0}
 			for _, overlap := range []bool{false, true} {
-				arr := nw.Deliver(post, msgs)
+				arr := nw.DeliverInto(nil, make([]float64, len(post)), post, msgs)
 				if overlap {
-					arr = nw.DeliverOverlapped(post, msgs)
+					arr = nw.DeliverOverlappedInto(nil, make([]float64, len(post)), post, msgs)
 				}
 				mo := mn
 				mo.Overlap = overlap

@@ -72,7 +72,7 @@ type Net struct {
 	// when L itself is the staged-GPU Λ).
 	Handshake float64
 	// Overlap switches CommTime to the pipelined (post/complete) delivery
-	// of netsim.Network.DeliverOverlapped: rendezvous handshakes are
+	// of netsim.Network.DeliverOverlappedInto: rendezvous handshakes are
 	// initiated at post time and proceed concurrently, and only the m/B
 	// injection term serialises on the sender's NIC, so a k-message
 	// exchange hides (k-1) latencies and handshakes behind the pipeline.
@@ -96,7 +96,7 @@ func (n Net) MsgTime(m float64) float64 {
 // from the sends being posted to the last arrival. Bulk-synchronous
 // delivery serialises the complete per-message cost on the NIC, k times
 // MsgTime; overlapped delivery (Overlap set, mirroring
-// netsim.Network.DeliverOverlapped) serialises only the injection term, so
+// netsim.Network.DeliverOverlappedInto) serialises only the injection term, so
 // latency and the rendezvous handshake are paid once: k*m/B + L
 // (+ Handshake above the eager threshold). The two agree at k = 1.
 func (n Net) CommTime(k, m float64) float64 {

@@ -55,7 +55,7 @@ func (n *Network) HandshakeTime(bytes int64) float64 {
 // meaningless times: a zero or negative Bandwidth yields Inf or negative
 // MessageTime, and negative Latency or EagerThreshold invert the cost
 // model. Callers constructing a Network from user-supplied machine
-// parameters should validate before first use; Deliver also checks, so a
+// parameters should validate before first use; delivery also checks, so a
 // bad network fails loudly at its first exchange instead of corrupting
 // every downstream clock.
 func (n *Network) Validate() error {
@@ -181,23 +181,13 @@ func (n *Network) Timeline(p Protocol, src Attempts, recs []Record, busy, post [
 	return recs
 }
 
-// Deliver returns the fault-free Bulk arrival time of every message of one
-// exchange, parallel to msgs.
-func (n *Network) Deliver(post []float64, msgs []Message) []float64 {
-	return n.DeliverInto(make([]float64, 0, len(msgs)), make([]float64, len(post)), post, msgs)
-}
-
-// DeliverInto is Deliver with caller-supplied storage: arrivals are appended
-// to arrival (pass a reusable slice truncated to length 0) and busy, which
-// must have len(post) elements, is scratch for the NIC-free times. With
-// enough capacity in arrival nothing is allocated.
+// DeliverInto appends to arrival the fault-free Bulk arrival time of every
+// message of one exchange, parallel to msgs, and returns it (pass a reusable
+// slice truncated to length 0). busy, which must have len(post) elements, is
+// scratch for the NIC-free times. With enough capacity in arrival nothing is
+// allocated.
 func (n *Network) DeliverInto(arrival, busy, post []float64, msgs []Message) []float64 {
 	return n.arrivals(Bulk, arrival, busy, post, msgs)
-}
-
-// DeliverOverlapped is Deliver under the Overlapped protocol.
-func (n *Network) DeliverOverlapped(post []float64, msgs []Message) []float64 {
-	return n.DeliverOverlappedInto(make([]float64, 0, len(msgs)), make([]float64, len(post)), post, msgs)
 }
 
 // DeliverOverlappedInto is DeliverInto under the Overlapped protocol.

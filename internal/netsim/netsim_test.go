@@ -27,7 +27,7 @@ func TestDeliverSerialisesPerSender(t *testing.T) {
 		{From: 0, To: 1, Bytes: 3}, // 13 + (1+3) = 17
 		{From: 1, To: 0, Bytes: 1}, // 20 + (1+1) = 22
 	}
-	arr := n.Deliver(post, msgs)
+	arr := n.DeliverInto(nil, make([]float64, len(post)), post, msgs)
 	want := []float64{13, 17, 22}
 	for i := range want {
 		if !almost(arr[i], want[i]) {
@@ -98,8 +98,8 @@ func TestDeliverOverlappedSingleMatchesBulk(t *testing.T) {
 	post := []float64{1.5, 2.25, 0.125}
 	for _, bytes := range []int64{0, 100, 512, 513, 1 << 16} {
 		msgs := []Message{{From: 0, To: 1, Bytes: bytes}, {From: 1, To: 2, Bytes: bytes}, {From: 2, To: 0, Bytes: bytes}}
-		bulk := n.Deliver(post, msgs)
-		ov := n.DeliverOverlapped(post, msgs)
+		bulk := n.DeliverInto(nil, make([]float64, len(post)), post, msgs)
+		ov := n.DeliverOverlappedInto(nil, make([]float64, len(post)), post, msgs)
 		for i := range bulk {
 			if !almost(bulk[i], ov[i]) {
 				t.Errorf("bytes=%d msg %d: bulk %v != overlapped %v", bytes, i, bulk[i], ov[i])
@@ -122,8 +122,8 @@ func TestDeliverOverlappedPipelines(t *testing.T) {
 	// Bulk: each message costs L + m/B + 2L = 2+8+4 = 14; arrivals 24, 38, 52.
 	// Overlapped: handshake (start 10, done 14) then 8s injections back to
 	// back — ends 22, 30, 38 — plus L: arrivals 24, 32, 40.
-	bulk := n.Deliver(post, msgs)
-	ov := n.DeliverOverlapped(post, msgs)
+	bulk := n.DeliverInto(nil, make([]float64, len(post)), post, msgs)
+	ov := n.DeliverOverlappedInto(nil, make([]float64, len(post)), post, msgs)
 	wantBulk := []float64{24, 38, 52}
 	wantOv := []float64{24, 32, 40}
 	for i := range msgs {
@@ -152,8 +152,8 @@ func TestDeliverOverlappedProperty(t *testing.T) {
 		for i, s := range sizes {
 			msgs[i] = Message{From: 0, To: 0, Bytes: int64(s)}
 		}
-		bulk := n.Deliver(post, msgs)
-		ov := n.DeliverOverlapped(post, msgs)
+		bulk := n.DeliverInto(nil, make([]float64, len(post)), post, msgs)
+		ov := n.DeliverOverlappedInto(nil, make([]float64, len(post)), post, msgs)
 		prev := 0.0
 		for i, a := range ov {
 			floor := post[0] + n.HandshakeTime(msgs[i].Bytes) + float64(msgs[i].Bytes)/n.Bandwidth + n.Latency
@@ -177,7 +177,7 @@ func TestDeliverOverlappedPanicsOnBadRank(t *testing.T) {
 			t.Error("expected panic for invalid sender")
 		}
 	}()
-	n.DeliverOverlapped([]float64{0}, []Message{{From: 5, To: 0, Bytes: 1}})
+	n.DeliverOverlappedInto(nil, make([]float64, 1), []float64{0}, []Message{{From: 5, To: 0, Bytes: 1}})
 }
 
 // TestValidate: zero/negative Bandwidth used to yield Inf/negative
@@ -231,7 +231,7 @@ func TestDeliverRejectsInvalidNetwork(t *testing.T) {
 			t.Fatalf("panic %v does not name Bandwidth", r)
 		}
 	}()
-	n.Deliver([]float64{0}, []Message{{From: 0, To: 0, Bytes: 8}})
+	n.DeliverInto(nil, make([]float64, 1), []float64{0}, []Message{{From: 0, To: 0, Bytes: 8}})
 }
 
 func TestDeliverPanicsOnBadRank(t *testing.T) {
@@ -241,7 +241,7 @@ func TestDeliverPanicsOnBadRank(t *testing.T) {
 			t.Error("expected panic for invalid sender")
 		}
 	}()
-	n.Deliver([]float64{0}, []Message{{From: 5, To: 0, Bytes: 1}})
+	n.DeliverInto(nil, make([]float64, 1), []float64{0}, []Message{{From: 5, To: 0, Bytes: 1}})
 }
 
 func TestReduceTime(t *testing.T) {
@@ -273,7 +273,7 @@ func TestDeliverProperty(t *testing.T) {
 		for i, s := range sizes {
 			msgs[i] = Message{From: 0, To: 0, Bytes: int64(s)}
 		}
-		arr := n.Deliver(post, msgs)
+		arr := n.DeliverInto(nil, make([]float64, len(post)), post, msgs)
 		prev := post[0]
 		for i, a := range arr {
 			if a < post[0]+n.Latency || a <= prev {

@@ -201,7 +201,7 @@ func (s *scratch) growWeightedBest(g *wgraph, nparts int) Assignment {
 	weights := reuse.Resize(s.scores, nparts)
 	s.scores = weights
 	for attempt := 0; attempt < 4; attempt++ {
-		a := s.growWeighted(g, nparts, (attempt*n)/4, s.asg[1])
+		a := s.growWeighted(g, nparts, (attempt*n)/4, s.asg[1], true)
 		clear(weights)
 		for v, p := range a {
 			weights[p] += int64(g.vwgt[v])
@@ -223,8 +223,9 @@ func (s *scratch) growWeightedBest(g *wgraph, nparts int) Assignment {
 }
 
 // growWeighted partitions a weighted graph by multi-seed frontier growth,
-// with seed spreading started from the given vertex, into a (resized).
-func (s *scratch) growWeighted(g *wgraph, nparts, seedStart int, a Assignment) Assignment {
+// with seed spreading started from the given vertex, into a (resized), then
+// refines it, draining overweight parts if drain is set.
+func (s *scratch) growWeighted(g *wgraph, nparts, seedStart int, a Assignment, drain bool) Assignment {
 	n := g.nv()
 	a = reuse.Filled(a, n, -1)
 	totalW := int32(0)
@@ -245,6 +246,8 @@ func (s *scratch) growWeighted(g *wgraph, nparts, seedStart int, a Assignment) A
 		weights[p] = g.vwgt[sd]
 		frontiers[p] = append(frontiers[p], sd)
 	}
+	// Round-robin frontier growth: each part claims one layer step at a time
+	// until it reaches its target weight or its frontier empties.
 	for active := nparts; active > 0; {
 		active = 0
 		for p := 0; p < nparts; p++ {
@@ -270,6 +273,8 @@ func (s *scratch) growWeighted(g *wgraph, nparts, seedStart int, a Assignment) A
 			}
 		}
 	}
+	// Unclaimed vertices (disconnected or squeezed out) join the lightest
+	// part among their neighbours' parts, else the lightest part.
 	for v := range a {
 		if a[v] != -1 {
 			continue
@@ -291,15 +296,15 @@ func (s *scratch) growWeighted(g *wgraph, nparts, seedStart int, a Assignment) A
 		a[v] = int32(best)
 		weights[best] += g.vwgt[v]
 	}
-	s.refineWeighted(g, a, weights, target, 4)
+	s.refineWeighted(g, a, weights, target, 4, drain)
 	return a
 }
 
 // refineWeighted runs FM-style passes on a weighted graph: move boundary
 // vertices to the neighbouring part with the highest edge-weight gain,
-// subject to a balance cap. Vertices in overweight parts may move at a
-// loss, draining the part toward balance.
-func (s *scratch) refineWeighted(g *wgraph, a Assignment, weights []int32, target int32, passes int) {
+// subject to a balance cap. With drain set, vertices in overweight parts
+// may move at a loss, draining the part toward balance.
+func (s *scratch) refineWeighted(g *wgraph, a Assignment, weights []int32, target int32, passes int, drain bool) {
 	nparts := len(weights)
 	maxW := target + target/20 + 1
 	// conn[p] is v's edge weight into part p; only the few parts in touch —
@@ -330,7 +335,7 @@ func (s *scratch) refineWeighted(g *wgraph, a Assignment, weights []int32, targe
 				conn[p] += int64(g.adjwgt[e])
 			}
 			slices.Sort(touch)
-			overweight := weights[own] > maxW
+			overweight := drain && weights[own] > maxW
 			best := own
 			bestGain := int64(0)
 			haveBest := false
@@ -410,7 +415,7 @@ func (s *scratch) multilevel(nparts int) Assignment {
 			totalW += fine.vwgt[v]
 		}
 		target := (totalW + int32(nparts) - 1) / int32(nparts)
-		s.refineWeighted(fine, fa, weights, target, 6)
+		s.refineWeighted(fine, fa, weights, target, 6, true)
 		s.asg[0], s.asg[1] = fa, a
 		a = fa
 	}

@@ -19,17 +19,6 @@ import (
 // Assignment maps each element of the partitioned (primary) set to a rank.
 type Assignment []int32
 
-// NumParts returns the number of parts (max rank + 1, or 0 when empty).
-func (a Assignment) NumParts() int {
-	n := int32(-1)
-	for _, p := range a {
-		if p > n {
-			n = p
-		}
-	}
-	return int(n + 1)
-}
-
 // PartSizes returns the element count of each of nparts parts.
 func (a Assignment) PartSizes(nparts int) []int {
 	sizes := make([]int, nparts)
@@ -96,129 +85,17 @@ func KWayEdges(n, nparts int, pairs ...[]int32) Assignment {
 	return s.done(s.kway(nparts))
 }
 
-// greedy is the direct partitioner of the loaded graph: multi-seed greedy
-// graph growing followed by refinement passes. The assignment it returns
-// lives in s.
+// greedy is the direct partitioner of the loaded graph: the multilevel
+// pipeline's grower, growWeighted, run once from vertex 0 on s.in as given —
+// duplicates and self-loops kept, every vertex and entry of weight 1 — with
+// no refinement move that drains an overweight part at a loss. The
+// assignment it returns lives in s.
 func (s *scratch) greedy(nparts int) Assignment {
-	g := &s.in
-	n := g.nv()
-	a := reuse.Filled(s.asg[0], n, -1)
-	s.asg[0] = a
-	target := (n + nparts - 1) / nparts
-
-	seeds := s.spreadSeeds(g, nparts, 0)
-	sizes := reuse.Filled(s.sizes, nparts, 0)
-	s.sizes = sizes
-	frontiers := s.startFrontiers(nparts)
-	for p, sd := range seeds {
-		a[sd] = int32(p)
-		sizes[p] = 1
-		frontiers[p] = append(frontiers[p], sd)
-	}
-	// Round-robin frontier growth: each part claims one layer step at a
-	// time until it reaches its target size or its frontier empties.
-	active := nparts
-	for active > 0 {
-		active = 0
-		for p := 0; p < nparts; p++ {
-			if sizes[p] >= target || len(frontiers[p]) == 0 {
-				continue
-			}
-			next := s.next[p][:0]
-			for _, v := range frontiers[p] {
-				for _, w := range g.row(int(v)) {
-					if a[w] == -1 && sizes[p] < target {
-						a[w] = int32(p)
-						sizes[p]++
-						next = append(next, w)
-					}
-				}
-				if sizes[p] >= target {
-					break
-				}
-			}
-			frontiers[p], s.next[p] = next, frontiers[p]
-			if sizes[p] < target && len(next) > 0 {
-				active++
-			}
-		}
-	}
-	// Unclaimed vertices (disconnected or squeezed out): assign each to
-	// the smallest part among its neighbours' parts, else globally
-	// smallest.
-	for v := range a {
-		if a[v] != -1 {
-			continue
-		}
-		best := -1
-		for _, w := range g.row(v) {
-			if a[w] >= 0 && (best == -1 || sizes[a[w]] < sizes[best]) {
-				best = int(a[w])
-			}
-		}
-		if best == -1 {
-			best = 0
-			for p := 1; p < nparts; p++ {
-				if sizes[p] < sizes[best] {
-					best = p
-				}
-			}
-		}
-		a[v] = int32(best)
-		sizes[best]++
-	}
-	s.refine(a, sizes, target, 4)
-	return a
-}
-
-// refine runs FM-style boundary passes over the loaded graph: move a vertex
-// to the neighbouring part with the highest connectivity gain, while keeping
-// every part within maxSize. Moves with zero gain are allowed only when they
-// improve balance.
-func (s *scratch) refine(a Assignment, sizes []int, target, passes int) {
-	g := &s.in
-	nparts := len(sizes)
-	maxSize := target + target/20 + 1
-	counts := reuse.Resize(s.counts, nparts)
-	s.counts = counts
-	for pass := 0; pass < passes; pass++ {
-		moved := 0
-		for v := range g.nv() {
-			row := g.row(v)
-			if len(row) == 0 {
-				continue
-			}
-			own := a[v]
-			if sizes[own] <= 1 {
-				continue
-			}
-			clear(counts)
-			for _, w := range row {
-				counts[a[w]]++
-			}
-			best, bestGain := own, 0
-			for p := 0; p < nparts; p++ {
-				if int32(p) == own || sizes[p] >= maxSize {
-					continue
-				}
-				gain := counts[p] - counts[own]
-				if gain > bestGain ||
-					(gain == bestGain && gain > 0 && sizes[p] < sizes[best]) ||
-					(gain == 0 && bestGain == 0 && counts[p] > 0 && sizes[p]+1 < sizes[own]) {
-					best, bestGain = int32(p), gain
-				}
-			}
-			if best != own {
-				sizes[own]--
-				sizes[best]++
-				a[v] = best
-				moved++
-			}
-		}
-		if moved == 0 {
-			break
-		}
-	}
+	n, nent := s.in.nv(), len(s.in.adjncy)
+	s.ones = reuse.Filled(s.ones, max(n, nent), 1)
+	g := wgraph{csr: s.in, vwgt: s.ones[:n], adjwgt: s.ones[:nent]}
+	s.asg[0] = s.growWeighted(&g, nparts, 0, s.asg[0], false)
+	return s.asg[0]
 }
 
 // spreadSeeds picks nparts mutually distant vertices of g by repeated

@@ -20,7 +20,8 @@ var scratches sync.Pool // of *scratch, no New: an empty pool hands over nil
 // a graph or a part count larger than any it has served; the result is a
 // copy, so nothing a caller holds is in here.
 type scratch struct {
-	in csr // the graph as given: duplicates and self-loops kept, rows in input order
+	in   csr     // the graph as given: duplicates and self-loops kept, rows in input order
+	ones []int32 // greedy's weights of in's every vertex and entry
 
 	// The multilevel hierarchy: levels[0] is in, merged; levels[i+1] is
 	// levels[i] coarsened through cmaps[i]. Both keep every level any call
@@ -40,7 +41,6 @@ type scratch struct {
 	scores    []int64 // per part: growWeightedBest's balance
 	conn      []int64 // per part: refineWeighted's connectivity of one vertex
 	touch     []int32 // the parts conn holds non-zero
-	counts    []int   // per part: refine's connectivity of one vertex
 	sizes     []int   // per part
 	seeds     []int32
 	dist      []int32 // per vertex: BFS distance

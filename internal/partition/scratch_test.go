@@ -37,20 +37,32 @@ func csrOf(adj [][]int32) *wgraph {
 	return g
 }
 
-// goldenKWay is one of TestKWayGolden's cases: a graph, a part count, the
-// pipeline forced (multilevel) or chosen by size, and the pinned hash.
+// path is the pipeline a golden case goes through.
+type path int
+
+const (
+	bySize     path = iota // KWay's choice
+	multilevel             // forced through the multilevel pipeline
+	direct                 // forced through the direct partitioner
+)
+
+// goldenKWay is one of TestKWayReusesScratch's cases: a graph, a part count,
+// the pipeline, and the pinned hash.
 type goldenKWay struct {
-	name       string
-	adj        [][]int32
-	nparts     int
-	multilevel bool
-	want       string
+	name   string
+	adj    [][]int32
+	nparts int
+	path   path
+	want   string
 }
 
 // run partitions g through the pool, as KWay does.
 func (g goldenKWay) run() Assignment {
-	if g.multilevel {
+	switch g.path {
+	case multilevel:
 		return multilevelKWay(g.adj, g.nparts)
+	case direct:
+		return greedyKWay(g.adj, g.nparts)
 	}
 	return KWay(g.adj, g.nparts)
 }
@@ -58,13 +70,37 @@ func (g goldenKWay) run() Assignment {
 // hashIn partitions g in s and hashes the result before s is used again.
 func (g goldenKWay) hashIn(s *scratch) string {
 	s.fromLists(g.adj)
-	if g.multilevel {
+	switch g.path {
+	case multilevel:
 		return assignHash(s.multilevel(g.nparts))
+	case direct:
+		return assignHash(s.greedy(g.nparts))
 	}
 	return assignHash(s.kway(g.nparts))
 }
 
-// goldenKWays are TestKWayGolden's cases and the hashes it pins.
+// disconnected is the disjoint union of a box and a rotor, with an isolated
+// vertex before, between and after them.
+func disconnected() [][]int32 {
+	adj := [][]int32{nil}
+	for _, part := range [][][]int32{mesh.Box(3, 3, 3).NodeAdjacency(), mesh.Rotor(4, 3, 4).NodeAdjacency()} {
+		base := int32(len(adj))
+		for _, row := range part {
+			shifted := make([]int32, len(row))
+			for i, w := range row {
+				shifted[i] = w + base
+			}
+			adj = append(adj, shifted)
+		}
+		adj = append(adj, nil)
+	}
+	return adj
+}
+
+// goldenKWays are TestKWayGolden's cases and the hashes it pins, and the
+// direct partitioner's: small rotors and boxes at KWay's choice, a graph with
+// duplicate edges and a self-loop, a disconnected one, and the 20 000-node
+// rotor TestMultilevelBeatsGreedy forces through it.
 func goldenKWays() []goldenKWay {
 	var cases []goldenKWay
 	for _, tc := range []struct {
@@ -77,13 +113,43 @@ func goldenKWays() []goldenKWay {
 	} {
 		adj := mesh.RotorForNodes(tc.nodes).NodeAdjacency()
 		for i, nparts := range []int{4, 16, 64} {
-			cases = append(cases, goldenKWay{fmt.Sprintf("rotor%d/%d", tc.nodes, nparts), adj, nparts, false, tc.want[i]})
+			cases = append(cases, goldenKWay{fmt.Sprintf("rotor%d/%d", tc.nodes, nparts), adj, nparts, bySize, tc.want[i]})
 		}
 	}
 	adj := mesh.Rotor(8, 6, 5).NodeAdjacency()
+	cases = append(cases,
+		goldenKWay{"rotor240/4-greedy", adj, 4, bySize, "b46e66f1f0f0b2b6"},
+		goldenKWay{"rotor240/4-multilevel", adj, 4, multilevel, "93809474cef0c0a7"})
+
+	for _, tc := range []struct {
+		name string
+		m    *mesh.FV3D
+		want []string // 2, 3, 4, 7, 16 parts, as many as the mesh has nodes for
+	}{
+		{"box8", mesh.Box(2, 2, 2), []string{"fdcdb80e5fd8d165", "e6f6498e69cdd9a5", "0a91e809df26d3a5", "76ba990ee5634522"}},
+		{"box60", mesh.Box(3, 4, 5), []string{"9cb0220c75707665", "6c6b1a9c324a5e55", "31070da0fac800d4", "a517cc1087758d65", "1950b65cc4916d08"}},
+		{"box216", mesh.Box(6, 6, 6), []string{"8e22cd9efdd1c595", "f2684e37230f9675", "c0cfd8749ed4b947", "689b1892fe2d3994", "dda0bf9449acb346"}},
+		{"rotor12", mesh.Rotor(2, 2, 3), []string{"a48611a7ca531e85", "8f1eefc74828ed67", "2586dd82f5d1dd45", "b114a5f3eaac8693"}},
+		{"rotor48", mesh.Rotor(4, 3, 4), []string{"ee6a202322498525", "b571657301541307", "e671a99219aca1a5", "2f19e11dbbc3de45", "b5151716ff95f0ef"}},
+		{"rotor120", mesh.Rotor(6, 5, 4), []string{"30a248ac579bb0e5", "360b96785cc35a75", "ddbdd76bb99c7ce5", "145f2970d7228044", "f458d6d0c4a5f7a5"}},
+		{"rotor240", mesh.Rotor(8, 6, 5), []string{"e1fa064872f8be85", "0cf6092dce3b8777", "b46e66f1f0f0b2b6", "565e589785b34e24", "96234470258224ea"}},
+	} {
+		adj := tc.m.NodeAdjacency()
+		for i, want := range tc.want {
+			nparts := []int{2, 3, 4, 7, 16}[i]
+			cases = append(cases, goldenKWay{fmt.Sprintf("%s/%d", tc.name, nparts), adj, nparts, bySize, want})
+		}
+	}
+	dup, apart := withExtraEdges(mesh.Box(4, 4, 4)).NodeAdjacency(), disconnected()
+	big := mesh.RotorForNodes(20000).NodeAdjacency()
 	return append(cases,
-		goldenKWay{"rotor240/4-greedy", adj, 4, false, "b46e66f1f0f0b2b6"},
-		goldenKWay{"rotor240/4-multilevel", adj, 4, true, "93809474cef0c0a7"})
+		goldenKWay{"box64+dup/3", dup, 3, bySize, "6775316a72fa1ac5"},
+		goldenKWay{"box64+dup/7", dup, 7, bySize, "cf6c3a628c8e6c81"},
+		goldenKWay{"disconnected/2", apart, 2, bySize, "003e35b486e5c245"},
+		goldenKWay{"disconnected/4", apart, 4, bySize, "188e7561459a6bf7"},
+		goldenKWay{"disconnected/7", apart, 7, bySize, "c9eb8e66c0a117c4"},
+		goldenKWay{"rotor20000/8-direct", big, 8, direct, "16452d02f5486366"},
+		goldenKWay{"rotor20000/24-direct", big, 24, direct, "f5f1033c6c16363e"})
 }
 
 // TestKWayReusesScratch (run under -race): KWay hands its scratch from one

@@ -1,6 +1,7 @@
-// Package reuse holds the slice helpers of the pooled scratch in halo and
-// partition: a scratch slice is given the length a call needs in place, and
-// reallocated — at exactly that length — only when its capacity is short.
+// Package reuse holds the slice helpers of the pooled scratch in halo,
+// partition and cluster's exchange-schedule builder: a scratch slice is given
+// the length a call needs in place, and reallocated — at exactly that length —
+// only when its capacity is short.
 package reuse
 
 // Resize returns s with length n, keeping its elements up to its capacity

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,8 +185,11 @@ func TestMachineAndPartitioner(t *testing.T) {
 				t.Errorf("assignment(%q, %d ranks on %d nodes): err = %v", p, ranks, m.NNodes, err)
 			}
 		}
-		if a, err := assignment(m, p, m.NNodes); err != nil || a.NumParts() != m.NNodes {
-			t.Errorf("assignment(%q, one node per rank) = %d parts, %v", p, a.NumParts(), err)
+		a, err := assignment(m, p, m.NNodes)
+		if err != nil {
+			t.Errorf("assignment(%q, one node per rank): %v", p, err)
+		} else if parts := int(slices.Max(a)) + 1; parts != m.NNodes {
+			t.Errorf("assignment(%q, one node per rank) = %d parts", p, parts)
 		}
 	}
 }
