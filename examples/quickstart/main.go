@@ -39,7 +39,7 @@ var edgeFlux = &core.Kernel{Name: "edge_flux", Flops: 16, MemBytes: 144,
 		flux2[1] += res1[0]*cw2[0] - res1[1]*cw2[1]
 	}}
 
-// program declares the Figure 3 sets, maps and dats over the mesh.
+// program declares the Figure 3 sets, maps, dats and loops over the mesh.
 func program(m *mesh.Quad2D) (*core.Program, func(b core.Backend, tmax int), *core.Dat) {
 	p := core.NewProgram()
 	nodes := p.DeclSet(m.NNodes, "nodes")
@@ -57,16 +57,23 @@ func program(m *mesh.Quad2D) (*core.Program, func(b core.Backend, tmax int), *co
 	for i := range dcw.Data {
 		dcw.Data[i] = 0.25 * float64(i%5)
 	}
+	// The chain's loops are declared once, like the sets and dats, and
+	// issued unchanged every time step.
+	chain := []core.Loop{
+		core.NewLoop(update, edges,
+			core.ArgDat(dres, 0, e2n, core.Inc), core.ArgDat(dres, 1, e2n, core.Inc),
+			core.ArgDat(dpres, 0, e2n, core.Read), core.ArgDat(dpres, 1, e2n, core.Read)),
+		core.NewLoop(edgeFlux, edges,
+			core.ArgDat(dflux, 0, e2n, core.Inc), core.ArgDat(dflux, 1, e2n, core.Inc),
+			core.ArgDat(dres, 0, e2n, core.Read), core.ArgDat(dres, 1, e2n, core.Read),
+			core.ArgDat(dcw, 0, e2c, core.Read), core.ArgDat(dcw, 1, e2c, core.Read)),
+	}
 	run := func(b core.Backend, tmax int) {
 		for t := 0; t < tmax; t++ {
 			b.ChainBegin("fig3")
-			b.ParLoop(core.NewLoop(update, edges,
-				core.ArgDat(dres, 0, e2n, core.Inc), core.ArgDat(dres, 1, e2n, core.Inc),
-				core.ArgDat(dpres, 0, e2n, core.Read), core.ArgDat(dpres, 1, e2n, core.Read)))
-			b.ParLoop(core.NewLoop(edgeFlux, edges,
-				core.ArgDat(dflux, 0, e2n, core.Inc), core.ArgDat(dflux, 1, e2n, core.Inc),
-				core.ArgDat(dres, 0, e2n, core.Read), core.ArgDat(dres, 1, e2n, core.Read),
-				core.ArgDat(dcw, 0, e2c, core.Read), core.ArgDat(dcw, 1, e2c, core.Read)))
+			for _, l := range chain {
+				b.ParLoop(l)
+			}
 			b.ChainEnd()
 		}
 	}

@@ -205,8 +205,9 @@ type loopProgram struct {
 // — sets, dats, maps, slots, modes, halo extensions, all resolved against
 // this backend's layouts and storage, neither of which ever moves. What the
 // signature does not cover is not cached: Kernel.Fn and every global's Gbl
-// buffer are read from the live core.Loop at each execution (applications
-// re-create kernels as per-call closures under one name).
+// buffer are read from the live core.Loop at each execution. The apps here
+// declare their loops once, but a library user may rebuild a loop per call,
+// with a new closure or reduction buffer under the same name.
 type chainProgram struct {
 	ranks [][]loopProgram // [rank][loop]
 	// loops and slots back ranks and every loopProgram.slots, so recompiling

@@ -269,8 +269,9 @@ func pooledResult(t *testing.T, m *mesh.FV3D, steps int, plan *faults.Plan, mode
 // dispatch and compiled loop execution all run out of preallocated state.
 func TestChainExecZeroAlloc(t *testing.T) {
 	m := mesh.Rotor(8, 6, 5)
-	// Loops are prebuilt: core.NewLoop allocates and a real application
-	// constructs its loops once, not per execution.
+	// Loops are prebuilt, as both apps build theirs: core.NewLoop allocates,
+	// so mgcfd and hydra declare every loop once with the app and issue the
+	// stored tables each iteration (h.ChainLoops copies hydra's).
 	type chain struct {
 		name  string
 		loops []core.Loop

@@ -202,54 +202,50 @@ var kPreprocess = &core.Kernel{Name: "preprocess", Flops: 20, MemBytes: 120,
 		vol[0] *= 1 + 1e-6*xp[0]
 	}}
 
-// chainIf wraps loops in ChainBegin/ChainEnd when chained is true.
-func chainIf(b core.Backend, name string, chained bool, body func()) {
-	if chained {
-		b.ChainBegin(name)
-	}
-	body()
-	if chained {
-		b.ChainEnd()
-	}
-}
+// The six published chains in table order: indices into App.chains.
+const (
+	chainWeight = iota
+	chainPeriod
+	chainGradl
+	chainVflux
+	chainIflux
+	chainJacob
+	numChains
+)
 
-// RunSetup executes the setup phase: preprocessing followed by the weight
-// and period chains of Table 3. In the paper these chains run once, outside
-// the main time-marching loop.
-func (a *App) RunSetup(b core.Backend, chained bool) {
-	b.ParLoop(core.NewLoop(kPreprocess, a.Nodes,
+var chainNames = [numChains]string{"weight", "period", "gradl", "vflux", "iflux", "jacob"}
+
+// declareLoops builds every loop the app issues, once: New calls it, and
+// the Run methods issue these tables unchanged. One App may be stepped by
+// several backends at once, so a stored loop holds no buffer a backend
+// writes: the RK stages' coefficients are Read globals.
+func (a *App) declareLoops() {
+	a.preprocess = core.NewLoop(kPreprocess, a.Nodes,
 		core.ArgDatDirect(a.Qo, core.ReadWrite),
 		core.ArgDatDirect(a.Vol, core.ReadWrite),
-		core.ArgDatDirect(a.Xp, core.Read)))
-	a.RunWeight(b, chained)
-	a.RunPeriod(b, chained)
-}
+		core.ArgDatDirect(a.Xp, core.Read))
 
-// RunWeight is the 5-loop weight chain of Table 3.
-func (a *App) RunWeight(b core.Backend, chained bool) {
-	chainIf(b, "weight", chained, func() {
-		b.ParLoop(core.NewLoop(kSumbwts, a.Bnd,
+	a.chains[chainWeight] = []core.Loop{
+		core.NewLoop(kSumbwts, a.Bnd,
 			core.ArgDat(a.Qo, 0, a.B2N, core.Inc),
-			core.ArgDatDirect(a.Bw, core.Read)))
-		b.ParLoop(core.NewLoop(kPeriodSym6, a.Pedges,
+			core.ArgDatDirect(a.Bw, core.Read)),
+		core.NewLoop(kPeriodSym6, a.Pedges,
 			core.ArgDat(a.Qo, 0, a.P2N, core.ReadWrite),
-			core.ArgDat(a.Qo, 1, a.P2N, core.ReadWrite)))
-		b.ParLoop(core.NewLoop(kCentreline, a.Cbnd,
+			core.ArgDat(a.Qo, 1, a.P2N, core.ReadWrite)),
+		core.NewLoop(kCentreline, a.Cbnd,
 			core.ArgDat(a.Qo, 0, a.CB2N, core.Write),
-			core.ArgDatDirect(a.Cw, core.Read)))
-		b.ParLoop(core.NewLoop(kEdgeLength, a.Edges,
+			core.ArgDatDirect(a.Cw, core.Read)),
+		core.NewLoop(kEdgeLength, a.Edges,
 			core.ArgDat(a.Qo, 0, a.E2N, core.ReadWrite),
 			core.ArgDat(a.Qo, 1, a.E2N, core.ReadWrite),
-			core.ArgDatDirect(a.Ew, core.Read)))
-		b.ParLoop(core.NewLoop(kPeriodicity6, a.Pedges,
+			core.ArgDatDirect(a.Ew, core.Read)),
+		core.NewLoop(kPeriodicity6, a.Pedges,
 			core.ArgDat(a.Qo, 0, a.P2N, core.ReadWrite),
-			core.ArgDat(a.Qo, 1, a.P2N, core.ReadWrite)))
-	})
-}
+			core.ArgDat(a.Qo, 1, a.P2N, core.ReadWrite)),
+	}
 
-// RunPeriod is the 6-loop period chain of Table 3: negflag, limxp,
-// periodicity, limxp, periodicity, negflag.
-func (a *App) RunPeriod(b core.Backend, chained bool) {
+	// The period chain of Table 3: negflag, limxp, periodicity, limxp,
+	// periodicity, negflag.
 	negflag := core.NewLoop(kNegflag, a.Pedges,
 		core.ArgDat(a.Vol, 0, a.P2N, core.ReadWrite),
 		core.ArgDat(a.Vol, 1, a.P2N, core.ReadWrite))
@@ -261,42 +257,28 @@ func (a *App) RunPeriod(b core.Backend, chained bool) {
 	periodicity := core.NewLoop(kPeriodicity6, a.Pedges,
 		core.ArgDat(a.Qo, 0, a.P2N, core.ReadWrite),
 		core.ArgDat(a.Qo, 1, a.P2N, core.ReadWrite))
-	chainIf(b, "period", chained, func() {
-		b.ParLoop(negflag)
-		b.ParLoop(limxp)
-		b.ParLoop(periodicity)
-		b.ParLoop(limxp)
-		b.ParLoop(periodicity)
-		b.ParLoop(negflag)
-	})
-}
+	a.chains[chainPeriod] = []core.Loop{negflag, limxp, periodicity, limxp, periodicity, negflag}
 
-// RunGradl is the 2-loop gradl chain of Table 3.
-func (a *App) RunGradl(b core.Backend, chained bool) {
-	chainIf(b, "gradl", chained, func() {
-		b.ParLoop(core.NewLoop(kEdgecon, a.Edges,
+	a.chains[chainGradl] = []core.Loop{
+		core.NewLoop(kEdgecon, a.Edges,
 			core.ArgDat(a.Qp, 0, a.E2N, core.Inc),
 			core.ArgDat(a.Qp, 1, a.E2N, core.Inc),
 			core.ArgDat(a.Ql, 0, a.E2N, core.Inc),
 			core.ArgDat(a.Ql, 1, a.E2N, core.Inc),
 			core.ArgDat(a.Xp, 0, a.E2N, core.Read),
 			core.ArgDat(a.Xp, 1, a.E2N, core.Read),
-			core.ArgDatDirect(a.Ew, core.Read)))
-		b.ParLoop(core.NewLoop(kGradPeriod, a.Pedges,
+			core.ArgDatDirect(a.Ew, core.Read)),
+		core.NewLoop(kGradPeriod, a.Pedges,
 			core.ArgDat(a.Qp, 0, a.P2N, core.ReadWrite),
 			core.ArgDat(a.Qp, 1, a.P2N, core.ReadWrite),
 			core.ArgDat(a.Ql, 0, a.P2N, core.ReadWrite),
-			core.ArgDat(a.Ql, 1, a.P2N, core.ReadWrite)))
-	})
-}
+			core.ArgDat(a.Ql, 1, a.P2N, core.ReadWrite)),
+	}
 
-// RunVflux is the 2-loop vflux chain of Table 4 (initres + vflux_edge, the
-// most expensive loop in Hydra, 18% of runtime).
-func (a *App) RunVflux(b core.Backend, chained bool) {
-	chainIf(b, "vflux", chained, func() {
-		b.ParLoop(core.NewLoop(kInitres, a.Nodes,
-			core.ArgDatDirect(a.Res, core.Write)))
-		b.ParLoop(core.NewLoop(kVfluxEdge, a.Edges,
+	a.chains[chainVflux] = []core.Loop{
+		core.NewLoop(kInitres, a.Nodes,
+			core.ArgDatDirect(a.Res, core.Write)),
+		core.NewLoop(kVfluxEdge, a.Edges,
 			core.ArgDat(a.Res, 0, a.E2N, core.Inc),
 			core.ArgDat(a.Res, 1, a.E2N, core.Inc),
 			core.ArgDat(a.Qp, 0, a.E2N, core.Read),
@@ -309,40 +291,91 @@ func (a *App) RunVflux(b core.Backend, chained bool) {
 			core.ArgDat(a.Qmu, 1, a.E2N, core.Read),
 			core.ArgDat(a.Qrg, 0, a.E2N, core.Read),
 			core.ArgDat(a.Qrg, 1, a.E2N, core.Read),
-			core.ArgDatDirect(a.Ew, core.Read)))
-	})
-}
+			core.ArgDatDirect(a.Ew, core.Read)),
+	}
 
-// RunIflux is the 2-loop iflux chain of Table 4.
-func (a *App) RunIflux(b core.Backend, chained bool) {
-	chainIf(b, "iflux", chained, func() {
-		b.ParLoop(core.NewLoop(kInitViscres, a.Nodes,
-			core.ArgDatDirect(a.ViscRes, core.Write)))
-		b.ParLoop(core.NewLoop(kIfluxEdge, a.Edges,
+	a.chains[chainIflux] = []core.Loop{
+		core.NewLoop(kInitViscres, a.Nodes,
+			core.ArgDatDirect(a.ViscRes, core.Write)),
+		core.NewLoop(kIfluxEdge, a.Edges,
 			core.ArgDat(a.ViscRes, 0, a.E2N, core.Inc),
 			core.ArgDat(a.ViscRes, 1, a.E2N, core.Inc),
 			core.ArgDat(a.Qrg, 0, a.E2N, core.Read),
 			core.ArgDat(a.Qrg, 1, a.E2N, core.Read),
-			core.ArgDatDirect(a.Ew, core.Read)))
-	})
-}
+			core.ArgDatDirect(a.Ew, core.Read)),
+	}
 
-// RunJacob is the 3-loop jacob chain of Table 4.
-func (a *App) RunJacob(b core.Backend, chained bool) {
-	chainIf(b, "jacob", chained, func() {
-		b.ParLoop(core.NewLoop(kJacPeriod, a.Pedges,
+	a.chains[chainJacob] = []core.Loop{
+		core.NewLoop(kJacPeriod, a.Pedges,
 			core.ArgDat(a.Jac, 0, a.P2N, core.ReadWrite),
 			core.ArgDat(a.Jac, 1, a.P2N, core.ReadWrite),
 			core.ArgDat(a.Jaca, 0, a.P2N, core.ReadWrite),
-			core.ArgDat(a.Jaca, 1, a.P2N, core.ReadWrite)))
-		b.ParLoop(core.NewLoop(kJacCentreline, a.Cbnd,
+			core.ArgDat(a.Jaca, 1, a.P2N, core.ReadWrite)),
+		core.NewLoop(kJacCentreline, a.Cbnd,
 			core.ArgDat(a.Jaca, 0, a.CB2N, core.Write),
-			core.ArgDatDirect(a.Cw, core.Read)))
-		b.ParLoop(core.NewLoop(kJacCorrections, a.Bnd,
+			core.ArgDatDirect(a.Cw, core.Read)),
+		core.NewLoop(kJacCorrections, a.Bnd,
 			core.ArgDat(a.Jac, 0, a.B2N, core.Inc),
-			core.ArgDatDirect(a.Bw, core.Read)))
-	})
+			core.ArgDatDirect(a.Bw, core.Read)),
+	}
+
+	for s := range a.rk {
+		a.rk[s] = core.NewLoop(kRKStep, a.Nodes,
+			core.ArgDatDirect(a.Qp, core.ReadWrite),
+			core.ArgDatDirect(a.Ql, core.ReadWrite),
+			core.ArgDatDirect(a.Res, core.Read),
+			core.ArgDatDirect(a.ViscRes, core.Read),
+			core.ArgDatDirect(a.Jac, core.Read),
+			core.ArgGbl([]float64{rkCoeffs[s] * 0.01}, core.Read))
+	}
+	a.turb = core.NewLoop(kTurb, a.Nodes,
+		core.ArgDatDirect(a.Qmu, core.ReadWrite),
+		core.ArgDatDirect(a.Qrg, core.ReadWrite),
+		core.ArgDatDirect(a.Qp, core.Read))
 }
+
+// runChain issues chain c's declared loops, wrapped in ChainBegin/ChainEnd
+// when chained is true.
+func (a *App) runChain(b core.Backend, c int, chained bool) {
+	if chained {
+		b.ChainBegin(chainNames[c])
+	}
+	for _, l := range a.chains[c] {
+		b.ParLoop(l)
+	}
+	if chained {
+		b.ChainEnd()
+	}
+}
+
+// RunSetup executes the setup phase: preprocessing followed by the weight
+// and period chains of Table 3. In the paper these chains run once, outside
+// the main time-marching loop.
+func (a *App) RunSetup(b core.Backend, chained bool) {
+	b.ParLoop(a.preprocess)
+	a.RunWeight(b, chained)
+	a.RunPeriod(b, chained)
+}
+
+// RunWeight is the 5-loop weight chain of Table 3.
+func (a *App) RunWeight(b core.Backend, chained bool) { a.runChain(b, chainWeight, chained) }
+
+// RunPeriod is the 6-loop period chain of Table 3: negflag, limxp,
+// periodicity, limxp, periodicity, negflag.
+func (a *App) RunPeriod(b core.Backend, chained bool) { a.runChain(b, chainPeriod, chained) }
+
+// RunGradl is the 2-loop gradl chain of Table 3.
+func (a *App) RunGradl(b core.Backend, chained bool) { a.runChain(b, chainGradl, chained) }
+
+// RunVflux is the 2-loop vflux chain of Table 4 (initres + vflux_edge, the
+// most expensive loop in Hydra, 18% of runtime).
+func (a *App) RunVflux(b core.Backend, chained bool) { a.runChain(b, chainVflux, chained) }
+
+// RunIflux is the 2-loop iflux chain of Table 4.
+func (a *App) RunIflux(b core.Backend, chained bool) { a.runChain(b, chainIflux, chained) }
+
+// RunJacob is the 3-loop jacob chain of Table 4.
+func (a *App) RunJacob(b core.Backend, chained bool) { a.runChain(b, chainJacob, chained) }
 
 // rkCoeffs are the 5-stage Runge-Kutta coefficients.
 var rkCoeffs = [5]float64{0.0533, 0.1263, 0.2375, 0.4414, 1.0}
@@ -352,20 +385,10 @@ var rkCoeffs = [5]float64{0.0533, 0.1263, 0.2375, 0.4414, 1.0}
 // re-dirty qp, ql, qmu and qrg, so the next iteration's chains exchange
 // again, exactly as in the production code.
 func (a *App) RunRK(b core.Backend) {
-	for s := 0; s < 5; s++ {
-		rk := []float64{rkCoeffs[s] * 0.01}
-		b.ParLoop(core.NewLoop(kRKStep, a.Nodes,
-			core.ArgDatDirect(a.Qp, core.ReadWrite),
-			core.ArgDatDirect(a.Ql, core.ReadWrite),
-			core.ArgDatDirect(a.Res, core.Read),
-			core.ArgDatDirect(a.ViscRes, core.Read),
-			core.ArgDatDirect(a.Jac, core.Read),
-			core.ArgGbl(rk, core.Read)))
+	for _, l := range a.rk {
+		b.ParLoop(l)
 	}
-	b.ParLoop(core.NewLoop(kTurb, a.Nodes,
-		core.ArgDatDirect(a.Qmu, core.ReadWrite),
-		core.ArgDatDirect(a.Qrg, core.ReadWrite),
-		core.ArgDatDirect(a.Qp, core.Read)))
+	b.ParLoop(a.turb)
 }
 
 // RunIteration runs one time-marching iteration: the four in-loop chains
@@ -379,38 +402,16 @@ func (a *App) RunIteration(b core.Backend, chained bool) {
 	a.RunRK(b)
 }
 
-// chainRecorder captures loops without executing them.
-type chainRecorder struct{ loops []core.Loop }
-
-func (r *chainRecorder) ParLoop(l core.Loop) { r.loops = append(r.loops, l) }
-func (r *chainRecorder) ChainBegin(string)   {}
-func (r *chainRecorder) ChainEnd()           {}
-func (r *chainRecorder) Name() string        { return "chain-recorder" }
-
 // ChainNames lists the six published chains in table order.
-func ChainNames() []string {
-	return []string{"weight", "period", "gradl", "vflux", "iflux", "jacob"}
-}
+func ChainNames() []string { return append([]string(nil), chainNames[:]...) }
 
-// ChainLoops returns the loop descriptors of the named chain without
-// executing it, for inspection and reporting. It panics on unknown names.
+// ChainLoops returns a copy of the named chain's declared loops, for
+// inspection and reporting. It panics on unknown names.
 func (a *App) ChainLoops(name string) []core.Loop {
-	rec := &chainRecorder{}
-	switch name {
-	case "weight":
-		a.RunWeight(rec, false)
-	case "period":
-		a.RunPeriod(rec, false)
-	case "gradl":
-		a.RunGradl(rec, false)
-	case "vflux":
-		a.RunVflux(rec, false)
-	case "iflux":
-		a.RunIflux(rec, false)
-	case "jacob":
-		a.RunJacob(rec, false)
-	default:
-		panic("hydra: unknown chain " + name)
+	for c, n := range chainNames {
+		if n == name {
+			return append([]core.Loop(nil), a.chains[c]...)
+		}
 	}
-	return rec.loops
+	panic("hydra: unknown chain " + name)
 }

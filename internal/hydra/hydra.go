@@ -54,6 +54,12 @@ type App struct {
 	Ew *core.Dat // edge weights, dim 3
 	Bw *core.Dat // boundary weights
 	Cw *core.Dat // centreline weights
+
+	// The loops the app issues, built once by declareLoops.
+	preprocess core.Loop
+	chains     [numChains][]core.Loop
+	rk         [len(rkCoeffs)]core.Loop
+	turb       core.Loop
 }
 
 // New declares the Hydra-proxy program over the rotor mesh. The mesh must
@@ -103,6 +109,7 @@ func New(m *mesh.FV3D) *App {
 		a.Qmu.Data[n] = 0.01 + 0.001*y
 		a.Qrg.Data[n] = 1 + 0.05*x*z
 	}
+	a.declareLoops()
 	return a
 }
 

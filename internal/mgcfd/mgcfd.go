@@ -53,6 +53,20 @@ type Level struct {
 	// Both are nil on the finest level.
 	VarsSave *core.Dat
 	RCount   *core.Dat
+
+	loops levelLoops
+}
+
+// levelLoops are the loops one level issues, declared once by New and
+// issued unchanged every cycle.
+type levelLoops struct {
+	init  core.Loop
+	sweep [4]core.Loop
+	// restrict zeroes the next coarser level's state, sums this level's onto
+	// it and finishes the average; prolong pushes the coarse correction back.
+	// Both are empty on the coarsest level.
+	restrict []core.Loop
+	prolong  core.Loop
 }
 
 // App is the MG-CFD application state: a program over a multigrid
@@ -98,6 +112,52 @@ func New(h *mesh.Hierarchy) *App {
 			counts[c]++
 		}
 		coarse.RCount = a.Prog.DeclDat(coarse.Nodes, 1, counts, fmt.Sprintf("rcount_l%d", li+1))
+	}
+	for li, lv := range a.Levels {
+		lv.loops.init = core.NewLoop(kInitVars, lv.Nodes,
+			core.ArgDatDirect(lv.Vars, core.Write),
+			core.ArgDatDirect(lv.Fluxes, core.Write))
+		lv.loops.sweep = [4]core.Loop{
+			core.NewLoop(kStepFactor, lv.Nodes,
+				core.ArgDatDirect(lv.Vars, core.Read),
+				core.ArgDatDirect(lv.Volumes, core.Read),
+				core.ArgDatDirect(lv.StepFac, core.Write)),
+			core.NewLoop(kFluxEdge, lv.Edges,
+				core.ArgDat(lv.Fluxes, 0, lv.E2N, core.Inc),
+				core.ArgDat(lv.Fluxes, 1, lv.E2N, core.Inc),
+				core.ArgDat(lv.Vars, 0, lv.E2N, core.Read),
+				core.ArgDat(lv.Vars, 1, lv.E2N, core.Read),
+				core.ArgDatDirect(lv.EdgeW, core.Read)),
+			core.NewLoop(kBndFlux, lv.Bedges,
+				core.ArgDat(lv.Fluxes, 0, lv.B2N, core.Inc),
+				core.ArgDat(lv.Vars, 0, lv.B2N, core.Read),
+				core.ArgDatDirect(lv.BedgeW, core.Read),
+				core.ArgDatDirect(lv.BedgeG, core.Read)),
+			core.NewLoop(kTimeStep, lv.Nodes,
+				core.ArgDatDirect(lv.Vars, core.ReadWrite),
+				core.ArgDatDirect(lv.Fluxes, core.ReadWrite),
+				core.ArgDatDirect(lv.StepFac, core.Read),
+				core.ArgDatDirect(lv.Volumes, core.Read)),
+		}
+		if lv.F2C == nil {
+			continue
+		}
+		coarse := a.Levels[li+1]
+		lv.loops.restrict = []core.Loop{
+			core.NewLoop(kZero5, coarse.Nodes,
+				core.ArgDatDirect(coarse.Vars, core.Write)),
+			core.NewLoop(kRestrictSum, lv.Nodes,
+				core.ArgDat(coarse.Vars, 0, lv.F2C, core.Inc),
+				core.ArgDatDirect(lv.Vars, core.Read)),
+			core.NewLoop(kRestrictFinish, coarse.Nodes,
+				core.ArgDatDirect(coarse.Vars, core.ReadWrite),
+				core.ArgDatDirect(coarse.VarsSave, core.Write),
+				core.ArgDatDirect(coarse.RCount, core.Read)),
+		}
+		lv.loops.prolong = core.NewLoop(kProlong, lv.Nodes,
+			core.ArgDatDirect(lv.Vars, core.Inc),
+			core.ArgDat(coarse.Vars, 0, lv.F2C, core.Read),
+			core.ArgDat(coarse.VarsSave, 0, lv.F2C, core.Read))
 	}
 	a.Primary = a.Levels[0].Nodes
 	return a
@@ -255,69 +315,38 @@ func eulerFlux(v []float64, w []float64, f *[5]float64) float64 {
 // Init sets every level to freestream with zeroed residuals.
 func (a *App) Init(b core.Backend) {
 	for _, lv := range a.Levels {
-		b.ParLoop(core.NewLoop(kInitVars, lv.Nodes,
-			core.ArgDatDirect(lv.Vars, core.Write),
-			core.ArgDatDirect(lv.Fluxes, core.Write)))
+		b.ParLoop(lv.loops.init)
 	}
 }
 
 // Sweep runs one explicit smoothing sweep on one level: step factor,
 // edge fluxes, boundary fluxes, explicit update.
 func (a *App) Sweep(b core.Backend, lv *Level) {
-	b.ParLoop(core.NewLoop(kStepFactor, lv.Nodes,
-		core.ArgDatDirect(lv.Vars, core.Read),
-		core.ArgDatDirect(lv.Volumes, core.Read),
-		core.ArgDatDirect(lv.StepFac, core.Write)))
-	b.ParLoop(core.NewLoop(kFluxEdge, lv.Edges,
-		core.ArgDat(lv.Fluxes, 0, lv.E2N, core.Inc),
-		core.ArgDat(lv.Fluxes, 1, lv.E2N, core.Inc),
-		core.ArgDat(lv.Vars, 0, lv.E2N, core.Read),
-		core.ArgDat(lv.Vars, 1, lv.E2N, core.Read),
-		core.ArgDatDirect(lv.EdgeW, core.Read)))
-	b.ParLoop(core.NewLoop(kBndFlux, lv.Bedges,
-		core.ArgDat(lv.Fluxes, 0, lv.B2N, core.Inc),
-		core.ArgDat(lv.Vars, 0, lv.B2N, core.Read),
-		core.ArgDatDirect(lv.BedgeW, core.Read),
-		core.ArgDatDirect(lv.BedgeG, core.Read)))
-	b.ParLoop(core.NewLoop(kTimeStep, lv.Nodes,
-		core.ArgDatDirect(lv.Vars, core.ReadWrite),
-		core.ArgDatDirect(lv.Fluxes, core.ReadWrite),
-		core.ArgDatDirect(lv.StepFac, core.Read),
-		core.ArgDatDirect(lv.Volumes, core.Read)))
+	for _, l := range lv.loops.sweep {
+		b.ParLoop(l)
+	}
 }
 
 // Cycle runs one multigrid cycle: sweep each level fine to coarse,
 // restricting the state (volume-average over contributing fine nodes) and
 // saving it, then prolong the coarse corrections back to the finest level.
 func (a *App) Cycle(b core.Backend) {
-	for li, lv := range a.Levels {
+	for _, lv := range a.Levels {
 		a.Sweep(b, lv)
-		if lv.F2C != nil {
-			coarse := a.Levels[li+1]
-			b.ParLoop(core.NewLoop(kZero5, coarse.Nodes,
-				core.ArgDatDirect(coarse.Vars, core.Write)))
-			b.ParLoop(core.NewLoop(kRestrictSum, lv.Nodes,
-				core.ArgDat(coarse.Vars, 0, lv.F2C, core.Inc),
-				core.ArgDatDirect(lv.Vars, core.Read)))
-			b.ParLoop(core.NewLoop(kRestrictFinish, coarse.Nodes,
-				core.ArgDatDirect(coarse.Vars, core.ReadWrite),
-				core.ArgDatDirect(coarse.VarsSave, core.Write),
-				core.ArgDatDirect(coarse.RCount, core.Read)))
+		for _, l := range lv.loops.restrict {
+			b.ParLoop(l)
 		}
 	}
 	for li := len(a.Levels) - 2; li >= 0; li-- {
-		lv := a.Levels[li]
-		coarse := a.Levels[li+1]
-		b.ParLoop(core.NewLoop(kProlong, lv.Nodes,
-			core.ArgDatDirect(lv.Vars, core.Inc),
-			core.ArgDat(coarse.Vars, 0, lv.F2C, core.Read),
-			core.ArgDat(coarse.VarsSave, 0, lv.F2C, core.Read)))
+		b.ParLoop(a.Levels[li].loops.prolong)
 	}
 }
 
 // Residual computes the L1 norm of density on the finest level via a global
 // reduction (a convergence monitor, and a test that reductions work
-// end-to-end through the solver).
+// end-to-end through the solver). The backend writes the reduction's
+// buffer, so the loop is built per call rather than declared with the rest:
+// attempts sharing one App may call Residual at the same time.
 func (a *App) Residual(b core.Backend) float64 {
 	sum := []float64{0}
 	k := &core.Kernel{Name: "residual", Flops: 2, MemBytes: 16, Fn: func(args [][]float64) {

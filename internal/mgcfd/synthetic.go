@@ -11,10 +11,13 @@ import "op2ca/internal/core"
 // message size is constant while standard OP2 exchanges grow linearly with
 // the loop count.
 type Synthetic struct {
-	app   *App
 	sres  *core.Dat
 	spres *core.Dat
 	sflux *core.Dat
+
+	// update and flux are one (update, edge_flux) pair of the chain;
+	// advance re-dirties spres between chain executions.
+	update, flux, advance core.Loop
 }
 
 // kSynUpdate increments the residual from pressure-like differences. The
@@ -55,19 +58,35 @@ var kSynAdvance = &core.Kernel{Name: "advance", Flops: 25, MemBytes: 240,
 		}
 	}}
 
-// NewSynthetic declares the synthetic chain's dats on the finest level.
+// NewSynthetic declares the synthetic chain's dats and loops on the finest
+// level, once per App.
 func NewSynthetic(a *App) *Synthetic {
 	if a.syn != nil {
 		return a.syn
 	}
-	s := &Synthetic{app: a}
-	nodes := a.Levels[0].Nodes
-	s.sres = a.Prog.DeclDat(nodes, 5, nil, "sres")
-	s.spres = a.Prog.DeclDat(nodes, 5, nil, "spres")
-	s.sflux = a.Prog.DeclDat(nodes, 5, nil, "sflux")
+	s := &Synthetic{}
+	lv := a.Levels[0]
+	s.sres = a.Prog.DeclDat(lv.Nodes, 5, nil, "sres")
+	s.spres = a.Prog.DeclDat(lv.Nodes, 5, nil, "spres")
+	s.sflux = a.Prog.DeclDat(lv.Nodes, 5, nil, "sflux")
 	for i := range s.spres.Data {
 		s.spres.Data[i] = float64(i%9-4) * 0.125
 	}
+	s.update = core.NewLoop(kSynUpdate, lv.Edges,
+		core.ArgDat(s.sres, 0, lv.E2N, core.Inc),
+		core.ArgDat(s.sres, 1, lv.E2N, core.Inc),
+		core.ArgDat(s.spres, 0, lv.E2N, core.Read),
+		core.ArgDat(s.spres, 1, lv.E2N, core.Read))
+	s.flux = core.NewLoop(kSynFlux, lv.Edges,
+		core.ArgDat(s.sflux, 0, lv.E2N, core.Inc),
+		core.ArgDat(s.sflux, 1, lv.E2N, core.Inc),
+		core.ArgDat(s.sres, 0, lv.E2N, core.Read),
+		core.ArgDat(s.sres, 1, lv.E2N, core.Read),
+		core.ArgDatDirect(lv.EdgeW, core.Read))
+	s.advance = core.NewLoop(kSynAdvance, lv.Nodes,
+		core.ArgDatDirect(s.spres, core.ReadWrite),
+		core.ArgDatDirect(s.sres, core.ReadWrite),
+		core.ArgDatDirect(s.sflux, core.ReadWrite))
 	a.syn = s
 	return s
 }
@@ -78,28 +97,15 @@ func (s *Synthetic) Dats() (sres, spres, sflux *core.Dat) { return s.sres, s.spr
 // Run executes one outer iteration: the 2*nchains-loop chain (demarcated
 // when chained is true), then the advance loop that re-dirties spres.
 func (s *Synthetic) Run(b core.Backend, nchains int, chained bool) {
-	lv := s.app.Levels[0]
 	if chained {
 		b.ChainBegin("synthetic")
 	}
 	for c := 0; c < nchains; c++ {
-		b.ParLoop(core.NewLoop(kSynUpdate, lv.Edges,
-			core.ArgDat(s.sres, 0, lv.E2N, core.Inc),
-			core.ArgDat(s.sres, 1, lv.E2N, core.Inc),
-			core.ArgDat(s.spres, 0, lv.E2N, core.Read),
-			core.ArgDat(s.spres, 1, lv.E2N, core.Read)))
-		b.ParLoop(core.NewLoop(kSynFlux, lv.Edges,
-			core.ArgDat(s.sflux, 0, lv.E2N, core.Inc),
-			core.ArgDat(s.sflux, 1, lv.E2N, core.Inc),
-			core.ArgDat(s.sres, 0, lv.E2N, core.Read),
-			core.ArgDat(s.sres, 1, lv.E2N, core.Read),
-			core.ArgDatDirect(lv.EdgeW, core.Read)))
+		b.ParLoop(s.update)
+		b.ParLoop(s.flux)
 	}
 	if chained {
 		b.ChainEnd()
 	}
-	b.ParLoop(core.NewLoop(kSynAdvance, lv.Nodes,
-		core.ArgDatDirect(s.spres, core.ReadWrite),
-		core.ArgDatDirect(s.sres, core.ReadWrite),
-		core.ArgDatDirect(s.sflux, core.ReadWrite)))
+	b.ParLoop(s.advance)
 }

@@ -337,3 +337,45 @@ func TestEveryConfigFieldIsReached(t *testing.T) {
 		}
 	}
 }
+
+// TestIterationAllocatesNothing: each app declares every loop it issues once,
+// with the instance, so a warm main-loop iteration allocates nothing — on the
+// sequential reference, with per-loop OP2 exchanges, with CA chains and with
+// overlapped CA chains, all under serial dispatch. Under the race detector
+// the iterations still run; only the count is skipped.
+func TestIterationAllocatesNothing(t *testing.T) {
+	defer leakcheck.Check(t)()
+	for _, app := range []string{"mgcfd", "hydra"} {
+		for _, be := range []struct {
+			name, backend string
+			overlap       bool
+		}{{"seq", "seq", false}, {"op2", "op2", false}, {"ca", "ca", false}, {"ca-overlap", "ca", true}} {
+			t.Run(app+"/"+be.name, func(t *testing.T) {
+				s := small(app)
+				s.Backend, s.Overlap = be.backend, be.overlap
+				r, err := s.Resolve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := r.NewProblem()
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := r.BuildFrom(p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer a.Close()
+				a.Init()
+				a.Step()
+				a.Step()
+				if raceEnabled {
+					return
+				}
+				if n := testing.AllocsPerRun(5, a.Step); n != 0 {
+					t.Errorf("a warm iteration allocates %v times, want 0", n)
+				}
+			})
+		}
+	}
+}

@@ -277,6 +277,50 @@ func BenchmarkJobBackend(b *testing.B) {
 	}
 }
 
+// BenchmarkJobRun runs one whole attempt of a served template per iteration
+// — built as BenchmarkJobBackend's shared mode builds it (lent slabs, stored
+// layouts, a stored instance), then Init, five Steps and Close — for both apps
+// on both distributed backends at 4 200 nodes and 8 ranks. B/op and allocs/op
+// are a served job's allocation, a number host load does not move.
+func BenchmarkJobRun(b *testing.B) {
+	for _, app := range []string{"hydra", "mgcfd"} {
+		for _, backend := range []string{"op2", "ca"} {
+			b.Run(app+"/"+backend, func(b *testing.B) {
+				spec := JobSpec{Tenant: "acme", App: app, Backend: backend, MeshNodes: 4200, Ranks: 8}
+				if app == "mgcfd" {
+					spec.NChains = 2
+				}
+				w, err := spec.Validate()
+				if err != nil {
+					b.Fatal(err)
+				}
+				w.run.Slabs, w.run.Layouts, w.run.Instances = new(cluster.Lender), new(layoutStore), new(instanceStore)
+				p, err := w.run.NewProblem()
+				if err != nil {
+					b.Fatal(err)
+				}
+				job := func() {
+					a, err := w.run.BuildOn(p, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					a.Init()
+					for range 5 {
+						a.Step()
+					}
+					a.Close()
+				}
+				job()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					job()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkRestore restores the served Hydra template's backend (4 200 nodes,
 // 8 ranks, CA) from its ring's generation on the job's Problem, as a served
 // restart does — lent slabs, stored layouts, a stored instance — with the

@@ -20,12 +20,21 @@
 //	e2n := p.DeclMap(edges, nodes, 2, en, "e2n")
 //	res := p.DeclDat(nodes, 2, nil, "res")
 //	...
+//	// Declare each loop once, with the data, and issue it every iteration.
+//	upd := op2ca.NewLoop(update, edges, op2ca.ArgDat(res, 0, e2n, op2ca.Inc), ...)
+//	flux := op2ca.NewLoop(...)
 //	b, _ := op2ca.NewCluster(op2ca.ClusterConfig{Prog: p, Primary: nodes,
 //	        Assign: op2ca.KWay(adj, 8), NParts: 8, Depth: 2, CA: true})
-//	b.ChainBegin("chain")
-//	b.ParLoop(op2ca.NewLoop(update, edges, op2ca.ArgDat(res, 0, e2n, op2ca.Inc), ...))
-//	b.ParLoop(...)
-//	b.ChainEnd()
+//	for it := 0; it < iters; it++ {
+//		b.ChainBegin("chain")
+//		b.ParLoop(upd)
+//		b.ParLoop(flux)
+//		b.ChainEnd()
+//	}
+//
+// A declared loop holds no buffer a backend writes, so backends running at
+// once may share it: a global reduction (ArgGbl with Inc, Min or Max) takes
+// its buffer, and so its loop, per call.
 package op2ca
 
 import (
